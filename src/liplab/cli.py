@@ -64,56 +64,44 @@ class RunConfig:
         return cls(**json.loads(text))
 
 
-def _parse_window(spec: str) -> list[float]:
+def _parse_range(spec: str, what: str) -> range:
     try:
-        lo, hi = spec.split("..")
-        lo, hi = int(lo), int(hi)
+        lo, hi = (int(tok) for tok in spec.split(".."))
     except ValueError as err:
-        raise ConfigError(f"bad window spec {spec!r}; expected like 4..10") from err
-    if hi < lo:
-        raise ConfigError("window exponents must increase")
-    return [2.0**-j for j in range(lo, hi + 1)]
+        raise ConfigError(f"bad {what} spec {spec!r}; expected like 4..10") from err
+    if lo < 0 or hi < lo:
+        raise ConfigError(f"bad {what} spec {spec!r}; need 0 <= lo <= hi")
+    return range(lo, hi + 1)
+
+
+def _parse_list(spec: str, convert, what: str) -> list:
+    try:
+        return [convert(tok) for tok in spec.split(",")]
+    except ValueError as err:
+        raise ConfigError(f"bad {what} {spec!r}") from err
+
+
+def _parse_window(spec: str) -> list[float]:
+    return [2.0**-j for j in _parse_range(spec, "window")]
 
 
 def _parse_scales(spec: str) -> list:
     from fractions import Fraction
 
-    if spec.startswith("dyadic:"):
-        lo, hi = spec[len("dyadic:") :].split("..")
-        return [Fraction(1, 1 << j) for j in range(int(lo), int(hi) + 1)]
-    if spec.startswith("triadic:"):
-        lo, hi = spec[len("triadic:") :].split("..")
-        return [Fraction(1, 3**j) for j in range(int(lo), int(hi) + 1)]
-    try:
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError as err:
-        raise ConfigError(f"bad scales spec {spec!r}") from err
+    kind, _, rest = spec.partition(":")
+    if kind in ("dyadic", "triadic"):
+        base = 2 if kind == "dyadic" else 3
+        return [Fraction(1, base**j) for j in _parse_range(rest, "scales")]
+    return _parse_list(spec, float, "scales spec")
 
 
 def _parse_base(spec: str, depth: int) -> funclib.SampledFunction:
-    import re
-
-    match = re.match(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$", spec)
-    if not match:
-        raise ConfigError(f"bad base function spec {spec!r}")
-    name, inner = match.group(1), match.group(2)
-    params = {}
-    if inner:
-        for item in inner.split(","):
-            if not item.strip():
-                continue
-            key, value = item.split("=", 1)
-            params[key.strip()] = float(value)
+    name, params = gauges.parse_spec(spec)
+    if any(isinstance(v, tuple) for v in params.values()):
+        raise ConfigError(f"base function parameters take one number each: {spec!r}")
     try:
         return funclib.make_test_function(name, params, depth)
     except ValueError as err:
-        raise ConfigError(str(err)) from err
-
-
-def _gauge(spec: str | None, fallback: str) -> gauges.Gauge:
-    try:
-        return gauges.parse_gauge(spec or fallback)
-    except gauges.GaugeSpecError as err:
         raise ConfigError(str(err)) from err
 
 
@@ -138,11 +126,9 @@ def _subsample(f: funclib.SampledFunction, depth: int) -> funclib.SampledFunctio
 
 def _cmd_analyze(cfg: RunConfig) -> int:
     f = funclib.load_function(cfg.input_path)
-    phi = _gauge(cfg.gauge, "power(s=1)")
+    phi = gauges.parse_gauge(cfg.gauge or "power(s=1)")
     out = cfg.out or "analyze"
-    depths = (
-        [int(tok) for tok in cfg.depths.split(",")] if cfg.depths else [f.depth]
-    )
+    depths = _parse_list(cfg.depths, int, "depths") if cfg.depths else [f.depth]
     sample_depth = cfg.sample_depth or max(1, min(depths) - 6)
     rows = []
     proxies_by_depth = {}
@@ -184,20 +170,24 @@ def _cmd_construct(cfg: RunConfig) -> int:
     if not cfg.out:
         raise ConfigError("construct needs --out directory")
     base = _parse_base(cfg.base or "constant(value=0.5)", cfg.depth)
-    phi = _gauge(cfg.phi, "power(s=0.25)")
-    zeta = _gauge(cfg.zeta, "power(s=1)")
+    phi = gauges.parse_gauge(cfg.phi or "power(s=0.25)")
+    zeta = gauges.parse_gauge(cfg.zeta or "power(s=1)")
     build = construct_mod.iterate_typical(
         base, cfg.nmax, phi, zeta, cfg.eps0, max_depth=cfg.max_depth
     )
-    construct_mod.save_build(cfg.out, build)
-    payload, ok = _certificates_payload(build, cfg)
+    _, _, analysis = construct_mod.save_build(cfg.out, build)
+    payload, ok = _certificates_payload(build, analysis, cfg)
     _write_json(os.path.join(cfg.out, "certificates.json"), payload)
     if not ok:
         _report_failure(payload, os.path.join(cfg.out, "certificates.json"))
     return 0 if ok else 1
 
 
-def _certificates_payload(build: construct_mod.TypicalBuild, cfg: RunConfig) -> tuple[dict, bool]:
+def _certificates_payload(
+    build: construct_mod.TypicalBuild,
+    analysis: construct_mod.ExceptionalAnalysis,
+    cfg: RunConfig,
+) -> tuple[dict, bool]:
     membership = []
     ok = build.early_stop is None
     for n in range(1, build.n_stages + 1):
@@ -233,7 +223,6 @@ def _certificates_payload(build: construct_mod.TypicalBuild, cfg: RunConfig) -> 
                 count += 1
                 ok = ok and cert.margin is not None and cert.margin > 0.0
         lip_samples.append({"n": n, "covered_samples": count})
-    _, _, analysis = construct_mod.exceptional_set(build)
     premeasures = [
         {"n": i + 1, "value": rep.value, "target": 1.0 / (i + 1), "ok": rep.value < 1.0 / (i + 1)}
         for i, rep in enumerate(analysis.tail_premeasures)
@@ -261,10 +250,15 @@ def _certificates_payload(build: construct_mod.TypicalBuild, cfg: RunConfig) -> 
 
 def _load_set(spec: str):
     """A cube-set file, or a builtin exact spec: cantor:<depth>, points:<x,y,..>."""
-    if spec.startswith("cantor:"):
-        return setlib.cantor_intervals(int(spec.split(":", 1)[1]))
-    if spec.startswith("points:"):
-        return setlib.points_union(float(t) for t in spec.split(":", 1)[1].split(","))
+    kind, _, rest = spec.partition(":")
+    if kind == "cantor":
+        try:
+            depth = int(rest)
+        except ValueError as err:
+            raise ConfigError(f"bad cantor depth {rest!r}") from err
+        return setlib.cantor_intervals(depth)
+    if kind == "points":
+        return setlib.points_union(_parse_list(rest, float, "points"))
     return setlib.load_cubes(spec)
 
 
@@ -284,10 +278,10 @@ def _cmd_dims(cfg: RunConfig) -> int:
 
 
 def _cmd_partition(cfg: RunConfig) -> int:
+    xi = gauges.parse_gauge(cfg.xi or "power(s=1)")
+    phi = gauges.parse_gauge(cfg.phi or "power(s=2,scale=0.2)")
+    ladder = _parse_list(cfg.delta_ladder or "0.1,0.01,0.001", float, "delta ladder")
     build = construct_mod.load_build(cfg.input_path)
-    xi = _gauge(cfg.xi, "power(s=1)")
-    phi = _gauge(cfg.phi, "power(s=2,scale=0.2)")
-    ladder = [float(t) for t in (cfg.delta_ladder or "0.1,0.01,0.001").split(",")]
     A, B = partition.split_partition(build)
     reports = [
         partition.image_cover_report(
@@ -352,7 +346,8 @@ def _cmd_micro(cfg: RunConfig) -> int:
 
 def _cmd_report(cfg: RunConfig) -> int:
     build = construct_mod.load_build(cfg.input_path)
-    payload, ok = _certificates_payload(build, cfg)
+    _, _, analysis = construct_mod.exceptional_set(build)
+    payload, ok = _certificates_payload(build, analysis, cfg)
     _write_json(cfg.out or "report.json", payload)
     if not ok:
         _report_failure(payload, cfg.out or "report.json")
@@ -464,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
             setattr(cfg, key, value)
     try:
         return _COMMANDS[cfg.command](cfg)
-    except (ConfigError, FileNotFoundError) as err:
+    except (ConfigError, gauges.GaugeSpecError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (construct_mod.ConstructError, ValueError) as err:

@@ -38,6 +38,7 @@ from .setlib import (
     lower_box_premeasure,
     micro_from_hzeta,
     microscopic_verify,
+    save_cubes,
 )
 
 __all__ = [
@@ -46,12 +47,15 @@ __all__ = [
     "TypicalBuild",
     "ConstructError",
     "choose_stage_params",
+    "plateau_vertex_ranges",
+    "strip_weights",
     "build_stage",
     "iterate_typical",
     "certify_membership",
     "certify_lip_bound",
     "covered_profile",
     "exceptional_set",
+    "deepest_core_complement",
     "save_build",
     "load_build",
 ]
@@ -240,6 +244,43 @@ def choose_stage_params(
     return params
 
 
+def plateau_vertex_ranges(
+    params: StageParams, depth: int, js: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, center) vertex indices of the shrunken cubes j in js on the
+    depth grid: the cells meeting [j/k + eta/4, (j+1)/k - eta/4] span
+    lo = floor(j*T/k) + q .. hi = ceil((j+1)*T/k) - q with T = 2^depth and
+    q = eta*T/4, an integer once depth >= required_depth() (eta dyadic); an
+    off-grid q raises ConstructError.  center is the vertex nearest the cube
+    center, clamped to [lo, hi]."""
+    top = 1 << depth
+    q = params.eta * top / 4
+    if q.denominator != 1:
+        raise ConstructError(
+            f"stage {params.n}: eta*2^depth/4 = {q} is not an integer at depth {depth};"
+            f" the plateau edges (eta = {params.eta}) are off the grid"
+        )
+    q = int(q)
+    k = params.k
+    js = np.asarray(js, dtype=np.int64)
+    lo = (js * top) // k + q
+    hi = -((-(js + 1) * top) // k) - q
+    # nearest vertex to (2j+1)*T/(2k); never a tie: q >= 1 and eta < 1/k give T > 4k
+    center = ((2 * js + 1) * top + k) // (2 * k)
+    return lo, hi, np.clip(center, lo, hi)
+
+
+def strip_weights(lo: np.ndarray, hi: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per grid vertex 0..top along one axis: the strip index (the last
+    plateau [lo, hi] starting at or before it) and the blend weight toward the
+    next strip, nonzero only in the gaps between plateaus."""
+    v = np.arange(top + 1)
+    strip = np.maximum(np.searchsorted(lo, v, side="right") - 1, 0)
+    gap = (v > hi[strip]) & (strip < len(lo) - 1)
+    span = lo[np.minimum(strip + 1, len(lo) - 1)] - hi[strip]
+    return strip, np.where(gap, (v - hi[strip]) / span, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # One stage
 
@@ -249,8 +290,9 @@ class StageRecord:
     """Geometry and certificates of one built stage (dimension 1 layout).
 
     Plateaus are stored as vertex index ranges [lo_v[j], hi_v[j]] on the
-    stage's grid: every cell meeting the shrunken cube got the anchor value,
-    so the final diameter over each cube is exactly zero at build time.
+    stage's grid, as computed by plateau_vertex_ranges: every cell meeting the
+    shrunken cube got the anchor value, so the final diameter over each cube
+    is exactly zero at build time.
     """
 
     params: StageParams
@@ -303,10 +345,6 @@ class StageRecord:
         return self._kept_cache
 
 
-def _vertex_in_domain(f: SampledFunction, idx: int) -> bool:
-    return not math.isnan(f.values[idx])
-
-
 def build_stage(
     f: SampledFunction,
     params: StageParams,
@@ -320,61 +358,40 @@ def build_stage(
     C), so diam g(C) = 0 exactly; across gaps g interpolates neighboring
     plateau values, and g - f is clamped to [-eps, eps].
     """
-    if f.dim != 1:
-        return _build_stage_nd(f, params, omega_set, phi)
     need = params.required_depth()
     if f.depth < need:
         raise ConstructError(f"grid depth {f.depth} insufficient; stage needs {need}")
+    if f.dim != 1:
+        return _build_stage_nd(f, params, phi)
     omega_set = omega_set or f.domain
-    omega_iu = omega_set.to_interval_union()
     m = f.depth
     top = 1 << m
-    k = params.k
-    kept = []
+    js = np.arange(params.k, dtype=np.int64)
+    lo_v, hi_v, anchors = plateau_vertex_ranges(params, m, js)
     dropped = []
-    anchors = []
-    lo_list = []
-    hi_list = []
-    full = f.full_domain and len(omega_set.cubes) == (1 << omega_set.depth)
-    for j in range(k):
-        a, b = params.cube_interval(j)
-        if not full:
-            piece = IntervalUnion.from_pairs([(a, b)]).intersect(omega_iu)
-            if piece.is_empty:
+    if not (f.full_domain and len(omega_set.cubes) == (1 << omega_set.depth)):
+        omega_iu = omega_set.to_interval_union()
+        for j in range(params.k):
+            piece = IntervalUnion.from_pairs([params.cube_interval(j)]).intersect(omega_iu)
+            if not piece.is_empty and math.isnan(f.values[anchors[j]]):
+                # least domain vertex of the plateau, -1 when there is none
+                anchors[j] = next(
+                    (i for i in range(lo_v[j], hi_v[j] + 1) if not math.isnan(f.values[i])), -1
+                )
+            if piece.is_empty or anchors[j] < 0:
                 dropped.append(j)
-                continue
-        ta = a * top
-        tb = b * top
-        lo = int(ta) if ta.denominator == 1 else math.floor(ta)
-        hi = (int(tb) - 1 if tb.denominator == 1 else math.floor(tb)) + 1
-        center_idx = int(round(Fraction(2 * j + 1, 2 * k) * top))
-        center_idx = min(max(center_idx, lo), hi)
-        if full or _vertex_in_domain(f, center_idx):
-            anchor = center_idx
-        else:
-            anchor = next(
-                (i for i in range(lo, hi + 1) if _vertex_in_domain(f, i)), None
-            )
-            if anchor is None:
-                dropped.append(j)
-                continue
-        kept.append(j)
-        anchors.append(anchor)
-        lo_list.append(lo)
-        hi_list.append(hi)
-    if not kept:
+        keep = np.ones(params.k, dtype=bool)
+        keep[dropped] = False
+        js, lo_v, hi_v, anchors = js[keep], lo_v[keep], hi_v[keep], anchors[keep]
+    if len(js) == 0:
         raise ConstructError("no cube meets the domain")
-    kept_arr = np.array(kept, dtype=np.int64)
-    anchors_arr = np.array(anchors, dtype=np.int64)
-    lo_v = np.array(lo_list, dtype=np.int64)
-    hi_v = np.array(hi_list, dtype=np.int64)
     values = np.asarray(f.values, dtype=np.float64)
-    plat_vals = values[anchors_arr]
+    plat_vals = values[anchors]
 
     # piecewise-linear profile: flat on plateaus, linear across gaps,
     # extended flat into the boundary slabs
-    xp = np.empty(2 * len(kept), dtype=np.float64)
-    fp = np.empty(2 * len(kept), dtype=np.float64)
+    xp = np.empty(2 * len(js), dtype=np.float64)
+    fp = np.empty(2 * len(js), dtype=np.float64)
     xp[0::2] = lo_v
     xp[1::2] = hi_v
     fp[0::2] = plat_vals
@@ -410,11 +427,11 @@ def build_stage(
     record = StageRecord(
         params,
         m,
-        anchors_arr,
+        anchors,
         plat_vals,
         lo_v,
         hi_v,
-        kept_arr,
+        js,
         membership,
         lip_slack,
         tuple(dropped),
@@ -422,45 +439,18 @@ def build_stage(
     return g_fn, record
 
 
-def _build_stage_nd(f, params, omega_set, phi):
+def _build_stage_nd(f, params, phi):
     """Dimension >= 2 stage: tensor-product tents over the k-grid strips."""
-    need = params.required_depth()
-    if f.depth < need:
-        raise ConstructError(f"grid depth {f.depth} insufficient; stage needs {need}")
-    omega_set = omega_set or f.domain
     m = f.depth
     top = 1 << m
     k = params.k
     # per-axis plateau vertex ranges (same along every axis)
-    los, his = [], []
-    for j in range(k):
-        a, b = params.cube_interval(j)
-        ta, tb = a * top, b * top
-        lo = int(ta) if ta.denominator == 1 else math.floor(ta)
-        hi = (int(tb) - 1 if tb.denominator == 1 else math.floor(tb)) + 1
-        los.append(lo)
-        his.append(hi)
-    # per-axis strip index and blend weight toward the next strip
-    strip = np.zeros(top + 1, dtype=np.int64)
-    tweight = np.zeros(top + 1)
-    for i in range(top + 1):
-        j = min(np.searchsorted(np.array(his), i, side="left"), k - 1)
-        if i >= los[j] and i <= his[j]:
-            strip[i], tweight[i] = j, 0.0
-        elif i < los[0]:
-            strip[i], tweight[i] = 0, 0.0
-        elif i > his[k - 1]:
-            strip[i], tweight[i] = k - 1, 0.0
-        else:
-            strip[i] = j - 1 if i < los[j] else j
-            jj = strip[i]
-            span = los[jj + 1] - his[jj]
-            tweight[i] = (i - his[jj]) / span
+    los, his, centers = plateau_vertex_ranges(params, m, np.arange(k))
+    strip, tweight = strip_weights(los, his, top)
     values = np.asarray(f.values, dtype=np.float64)
     kept_cubes = {}
-    anchors = {}
     for cube in iter_product(range(k), repeat=f.dim):
-        idx = tuple(int(round(Fraction(2 * j + 1, 2 * k) * top)) for j in cube)
+        idx = tuple(int(centers[j]) for j in cube)
         if not math.isnan(values[idx]):
             kept_cubes[cube] = idx
     if not kept_cubes:
@@ -498,8 +488,8 @@ def _build_stage_nd(f, params, omega_set, phi):
         m,
         np.array([kept_cubes[c] for c in sorted(kept_cubes)], dtype=object),
         np.array([anchor_vals[c] for c in sorted(kept_cubes)]),
-        np.array(los, dtype=np.int64),
-        np.array(his, dtype=np.int64),
+        los,
+        his,
         np.array(sorted(kept_cubes), dtype=object),
         membership,
         lip_slack,
@@ -720,11 +710,21 @@ class ExceptionalAnalysis:
     notes: list[str]
 
 
+# depth of the E.set / F.set cube rasters written with a build
+RASTER_DEPTH = 16
+
+
+def deepest_core_complement(build: TypicalBuild) -> IntervalUnion:
+    """F: the part of Omega outside every core of the deepest stage."""
+    if build.final.dim != 1:
+        raise ConstructError("exceptional_set is implemented for dimension-1 builds")
+    cores = build.stages[-1].core_union()
+    return cores.complement_within(0, 1).intersect(build.omega.to_interval_union())
+
+
 def exceptional_set(
     build: TypicalBuild,
-    n_max: int | None = None,
     *,
-    raster_depth: int = 16,
     exact_component_limit: int = 300_000,
 ) -> tuple[DyadicCubeSet, DyadicCubeSet, ExceptionalAnalysis]:
     """E = union of stage-tail intersections of the slab sets; F = the certified
@@ -734,14 +734,12 @@ def exceptional_set(
     (< 1/n by the stage inequality), the containment F within E (cross power
     in dimension 1 is the set itself), and, when the build's zeta is the
     inv_log gauge, a microscopic certificate for E via the cover-sum route.
+    The cube sets are rasters of E and F at RASTER_DEPTH.
     """
-    if build.final.dim != 1:
-        raise ConstructError("exceptional_set is implemented for dimension-1 builds")
-    N = n_max or build.n_stages
-    if N > build.n_stages:
-        raise ConstructError("build does not reach n_max")
+    F_intervals = deepest_core_complement(build)
+    N = build.n_stages
     notes: list[str] = []
-    slabs = [build.stages[i].slab_union() for i in range(N)]
+    slabs = [rec.slab_union() for rec in build.stages]
     total_components = sum(len(s.intervals) for s in slabs)
     exact_tails = total_components <= exact_component_limit
     tails: list[IntervalUnion] = []
@@ -763,9 +761,6 @@ def exceptional_set(
     # tail_n = intersection over m >= n is increasing in n, so the union over
     # n collapses to the deepest tail
     E_intervals = tails[-1]
-    F_intervals = build.stages[N - 1].core_union().complement_within(0, 1)
-    omega_iu = build.omega.to_interval_union()
-    F_intervals = F_intervals.intersect(omega_iu)
 
     reports = []
     for n in range(1, N + 1):
@@ -791,8 +786,8 @@ def exceptional_set(
         verified = microscopic_verify(micro.cover, micro.eps, E_intervals).ok
         notes.append(f"micro route: cover sum {record.total:g}, beta {beta:g}")
 
-    E_cubes = DyadicCubeSet.from_interval_union(E_intervals, raster_depth)
-    F_cubes = DyadicCubeSet.from_interval_union(F_intervals, raster_depth)
+    E_cubes = DyadicCubeSet.from_interval_union(E_intervals, RASTER_DEPTH)
+    F_cubes = DyadicCubeSet.from_interval_union(F_intervals, RASTER_DEPTH)
     analysis = ExceptionalAnalysis(
         reports,
         [len(t.intervals) for t in tails],
@@ -811,7 +806,10 @@ def exceptional_set(
 # Build directory format
 
 
-def save_build(directory, build: TypicalBuild, *, raster_depth: int = 16) -> None:
+def save_build(
+    directory, build: TypicalBuild
+) -> tuple[DyadicCubeSet, DyadicCubeSet, ExceptionalAnalysis]:
+    """Write the build directory; returns the exceptional_set result it wrote."""
     os.makedirs(directory, exist_ok=True)
     save_function(os.path.join(directory, "base.fn"), build.base)
     save_function(os.path.join(directory, "final.fn"), build.final)
@@ -846,11 +844,10 @@ def save_build(directory, build: TypicalBuild, *, raster_depth: int = 16) -> Non
         "early_stop": build.early_stop,
     }
     _atomic_write(os.path.join(directory, "meta.json"), json.dumps(meta, indent=1))
-    E_cubes, F_cubes, _ = exceptional_set(build, raster_depth=raster_depth)
-    from .setlib import save_cubes
-
+    E_cubes, F_cubes, analysis = exceptional_set(build)
     save_cubes(os.path.join(directory, "E.set"), E_cubes)
     save_cubes(os.path.join(directory, "F.set"), F_cubes)
+    return E_cubes, F_cubes, analysis
 
 
 def load_build(directory) -> TypicalBuild:
@@ -874,24 +871,17 @@ def load_build(directory) -> TypicalBuild:
             item["zeta_at_eta"],
         )
         params.validate()
-        top = 1 << item["depth"]
-        lo_list, hi_list = [], []
-        for j in item["kept"]:
-            a, b = params.cube_interval(j)
-            ta, tb = a * top, b * top
-            lo = int(ta) if ta.denominator == 1 else math.floor(ta)
-            hi = (int(tb) - 1 if tb.denominator == 1 else math.floor(tb)) + 1
-            lo_list.append(lo)
-            hi_list.append(hi)
+        kept = np.array(item["kept"], dtype=np.int64)
+        lo_v, hi_v, _ = plateau_vertex_ranges(params, item["depth"], kept)
         stages.append(
             StageRecord(
                 params,
                 item["depth"],
                 np.array(item["anchors"], dtype=np.int64),
                 np.array(item["plateau_values"]),
-                np.array(lo_list, dtype=np.int64),
-                np.array(hi_list, dtype=np.int64),
-                np.array(item["kept"], dtype=np.int64),
+                lo_v,
+                hi_v,
+                kept,
                 item["membership_slack"],
                 item["lip_slack"],
                 tuple(item["dropped"]),

@@ -21,16 +21,13 @@ __all__ = [
     "GaugeDomainError",
     "GaugeSpecError",
     "make_preset",
-    "eval_gauge",
     "compare_gauges",
     "verify_schizm_relation",
     "format_gauge",
     "parse_gauge",
+    "parse_spec",
     "dyadic_scales",
-    "triadic_scales",
 ]
-
-PRESET_KINDS = ("power", "exp_sqrt_log", "inv_log", "super_power", "table")
 
 # dyadic grid used to certify the monotone / vanishing flags at construction
 _FLAG_SCAN = [2.0 ** -j for j in range(1, 51)]
@@ -49,10 +46,6 @@ def dyadic_scales(lo: int, hi: int) -> list[float]:
     return [2.0 ** -j for j in range(lo, hi + 1)]
 
 
-def triadic_scales(lo: int, hi: int) -> list[float]:
-    return [3.0 ** -j for j in range(lo, hi + 1)]
-
-
 @dataclass(frozen=True)
 class Gauge:
     """One evaluable scale function.
@@ -67,8 +60,6 @@ class Gauge:
     r_max: float = 1.0
     monotone: bool = field(default=False, compare=False)
     vanishes_at_zero: bool = field(default=False, compare=False)
-    # max of g(2r)/g(r) over the scan grid; a finite-scale doubling proxy
-    doubling_ratio: float = field(default=float("inf"), compare=False)
 
     def param(self, name: str, default: float | None = None) -> float:
         for key, value in self.params:
@@ -169,7 +160,7 @@ class Pseudogauge:
 GaugeLike = Gauge | Pseudogauge
 
 
-def _scan_flags(g: Gauge) -> tuple[bool, bool, float]:
+def _scan_flags(g: Gauge) -> tuple[bool, bool]:
     values = []
     for r in _FLAG_SCAN:
         if r > g.r_max or r < g.r_min:
@@ -179,16 +170,17 @@ def _scan_flags(g: Gauge) -> tuple[bool, bool, float]:
         except GaugeDomainError:
             break
     if len(values) < 2:
-        return False, False, math.inf
+        return False, False
     monotone = all(b <= a for a, b in zip(values, values[1:]))
     # finite-scale decay proxy: halved across the scan and still falling
     vanishes = monotone and values[-1] < 0.5 * values[0] and values[-1] < values[-2]
-    doubling = max(a / b for a, b in zip(values, values[1:]))
-    return monotone, vanishes, doubling
+    return monotone, vanishes
 
 
-def make_preset(name: str, **params: float) -> Gauge:
+def make_preset(name: str, **params: float | tuple[float, ...]) -> Gauge:
     """Build one of the preset gauges; logs are natural throughout."""
+    if name != "table" and any(isinstance(v, tuple) for v in params.values()):
+        raise GaugeSpecError(f"{name} parameters take one number each, not a list")
     if name == "power":
         s = float(params.pop("s", 1.0))
         scale = float(params.pop("scale", 1.0))
@@ -220,8 +212,9 @@ def make_preset(name: str, **params: float) -> Gauge:
         gs = params.pop("gs", None)
         if params or rs is None or gs is None:
             raise GaugeSpecError("table gauge needs rs=<knots> and gs=<values>")
-        rs = tuple(float(x) for x in rs)  # type: ignore[union-attr]
-        gs = tuple(float(x) for x in gs)  # type: ignore[union-attr]
+        # a one-knot table has scalar rs/gs
+        rs = (float(rs),) if isinstance(rs, (int, float)) else tuple(map(float, rs))
+        gs = (float(gs),) if isinstance(gs, (int, float)) else tuple(map(float, gs))
         if len(rs) != len(gs) or not rs:
             raise GaugeSpecError("table gauge needs matching nonempty knot/value lists")
         if any(b <= a for a, b in zip(rs, rs[1:])):
@@ -234,12 +227,8 @@ def make_preset(name: str, **params: float) -> Gauge:
         g = Gauge("table", items)
     else:
         raise GaugeSpecError(f"unknown preset {name!r}")
-    monotone, vanishes, doubling = _scan_flags(g)
-    return Gauge(g.kind, g.params, g.r_max, monotone, vanishes, doubling)
-
-
-def eval_gauge(g: GaugeLike, r: float) -> float:
-    return g.eval(r)
+    monotone, vanishes = _scan_flags(g)
+    return Gauge(g.kind, g.params, g.r_max, monotone, vanishes)
 
 
 def gauge_at_diameter(g: GaugeLike, diam: float) -> float:
@@ -314,8 +303,12 @@ def verify_schizm_relation(
     return SchizmReport(first_violation is None, first_violation, tuple(entries))
 
 
-_FLOAT_RE = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 _SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
+
+
+def _format_number(v: float) -> str:
+    """%g when it reads back as the same float, else repr (lossless)."""
+    return f"{v:g}" if float(f"{v:g}") == v else repr(v)
 
 
 def format_gauge(g: GaugeLike) -> str:
@@ -329,28 +322,35 @@ def format_gauge(g: GaugeLike) -> str:
         return f"table(rs={rtxt},gs={gtxt})"
     if not g.params:
         return g.kind
-    inner = ",".join(f"{k}={v:g}" for k, v in g.params)
+    inner = ",".join(f"{k}={_format_number(v)}" for k, v in g.params)
     return f"{g.kind}({inner})"
+
+
+def parse_spec(text: str) -> tuple[str, dict[str, float | tuple[float, ...]]]:
+    """Split `kind(key=value,...)` into its name and float parameters; a
+    `:`-separated value is a tuple of floats.  Malformed text raises
+    GaugeSpecError."""
+    match = _SPEC_RE.match(text)
+    if not match:
+        raise GaugeSpecError(f"cannot parse spec {text!r}; expected kind(key=value,...)")
+    name, inner = match.group(1), match.group(2)
+    params: dict[str, float | tuple[float, ...]] = {}
+    for item in (inner or "").split(","):
+        if not item.strip():
+            continue
+        key, eq, value = item.partition("=")
+        key = key.strip()
+        if not eq or not key:
+            raise GaugeSpecError(f"bad parameter {item!r} in {text!r}; expected key=value")
+        try:
+            numbers = tuple(float(v) for v in value.split(":"))
+        except ValueError as err:
+            raise GaugeSpecError(f"non-numeric value {value.strip()!r} in {text!r}") from err
+        params[key] = numbers if len(numbers) > 1 else numbers[0]
+    return name, params
 
 
 def parse_gauge(text: str) -> Gauge:
     """Inverse of format_gauge for the preset kinds."""
-    match = _SPEC_RE.match(text)
-    if not match:
-        raise GaugeSpecError(f"cannot parse gauge spec {text!r}")
-    name, inner = match.group(1), match.group(2)
-    params: dict[str, object] = {}
-    if inner:
-        for item in inner.split(","):
-            if not item.strip():
-                continue
-            if "=" not in item:
-                raise GaugeSpecError(f"bad parameter {item!r} in {text!r}")
-            key, value = item.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            if key in ("rs", "gs"):
-                params[key] = tuple(float(v) for v in value.split(":"))
-            else:
-                params[key] = float(value)
-    return make_preset(name, **params)  # type: ignore[arg-type]
+    name, params = parse_spec(text)
+    return make_preset(name, **params)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .construct import ConstructError, TypicalBuild, exceptional_set
+from .construct import ConstructError, TypicalBuild, deepest_core_complement
 from .funclib import SampledFunction, oscillation
 from .gauges import GaugeLike, format_gauge, gauge_at_diameter, verify_schizm_relation
 from .setlib import DyadicCubeSet
@@ -48,10 +48,6 @@ class VitaliCover:
     kept: tuple[Ball, ...]
     candidate_count: int
     discarded_count: int
-
-    @property
-    def expansions(self) -> tuple[Ball, ...]:
-        return tuple(Ball(b.center, 5.0 * b.radius) for b in self.kept)
 
     def verify(self, candidates: Sequence[Ball]) -> None:
         for i, a in enumerate(self.kept):
@@ -97,8 +93,8 @@ def split_partition(
     the final function is constant; the split is an exact cube-level partition.
     """
     raster_depth = min(raster_depth, build.final.depth)
-    _, _, analysis = exceptional_set(build, raster_depth=raster_depth)
-    A = DyadicCubeSet.from_interval_union(analysis.F_intervals, raster_depth, mode="overlap")
+    F_intervals = deepest_core_complement(build)
+    A = DyadicCubeSet.from_interval_union(F_intervals, raster_depth, mode="overlap")
     omega = build.omega.refine(raster_depth)
     B = DyadicCubeSet(1, raster_depth, omega.cubes - A.cubes)
     A = DyadicCubeSet(1, raster_depth, A.cubes & omega.cubes)

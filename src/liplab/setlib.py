@@ -10,6 +10,8 @@ throughout, so a box's diameter is its longest side.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -18,6 +20,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .gauges import Gauge, GaugeLike, Pseudogauge, gauge_at_diameter
+
+# the process umask, read once (os.umask can only be read by setting it)
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
 
 __all__ = [
     "IntervalUnion",
@@ -996,9 +1002,19 @@ def load_cover(path) -> BoxCover:
 
 
 def _atomic_write(path, text: str) -> None:
-    import os
-
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    """Replace path with text via a per-call temp file and one rename, so
+    concurrent writers never share a temp file and readers never see a part."""
+    tmp = tempfile.NamedTemporaryFile(
+        "w", encoding="utf-8", dir=os.path.dirname(path) or ".",
+        prefix=os.path.basename(path) + ".", suffix=".tmp", delete=False,
+    )
+    try:
+        with tmp:
+            os.fchmod(tmp.fileno(), 0o666 & ~_UMASK)  # as a plain open() would
+            tmp.write(text)
+            tmp.flush()
+            os.fsync(tmp.fileno())
+        os.replace(tmp.name, path)
+    except BaseException:
+        os.unlink(tmp.name)
+        raise

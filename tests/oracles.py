@@ -2,11 +2,15 @@
 
 These deliberately avoid the library's algorithms: interval covering is
 solved by exhaustive window search over integer cells, microscopic index
-assignment by brute force over permutations, oscillation by dense sampling.
+assignment by brute force over permutations, oscillation by dense sampling,
+plateau vertex ranges by per-cube Fraction floor/ceil, strip weights by a
+per-vertex case split.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -50,8 +54,6 @@ def brute_micro_assignment(volumes: list[float], eps: float, n_max: int) -> bool
 def dense_diam(fn, x: float, r: float, h_fine: Fraction) -> float:
     """Diameter of fn over the closed ball [x-r, x+r] cap [0,1] from a dense
     grid of exact rational points with spacing h_fine."""
-    import math
-
     lo = max(Fraction(0), Fraction(x) - Fraction(r))
     hi = min(Fraction(1), Fraction(x) + Fraction(r))
     i0 = math.ceil(lo / h_fine)
@@ -60,3 +62,36 @@ def dense_diam(fn, x: float, r: float, h_fine: Fraction) -> float:
     for endpoint in (lo, hi):
         values.append(fn(endpoint))
     return max(values) - min(values)
+
+
+def fraction_plateau_range(k: int, eta: Fraction, depth: int, j: int) -> tuple[int, int, int]:
+    """Vertex range [lo, hi] of the depth-grid cells meeting the shrunken cube
+    beta*K_j (beta = 1 - eta*k/2), and its center vertex, per cube in exact
+    Fractions: the cube is centered at (2j+1)/(2k) with side beta/k."""
+    top = 1 << depth
+    center = Fraction(2 * j + 1, 2 * k)
+    half = (1 - eta * k / 2) / (2 * k)
+    ta, tb = (center - half) * top, (center + half) * top
+    lo = int(ta) if ta.denominator == 1 else math.floor(ta)
+    hi = (int(tb) - 1 if tb.denominator == 1 else math.floor(tb)) + 1
+    mid = int(round(center * top))
+    return lo, hi, min(max(mid, lo), hi)
+
+
+def loop_strip_weights(lo: list[int], hi: list[int], top: int) -> tuple[list[int], list[float]]:
+    """Strip index and blend weight of every vertex 0..top, one vertex at a
+    time: flat on a plateau and outside the first/last one, linear in a gap."""
+    k = len(lo)
+    strip, weight = [0] * (top + 1), [0.0] * (top + 1)
+    for i in range(top + 1):
+        j = min(bisect_left(hi, i), k - 1)
+        if lo[j] <= i <= hi[j]:
+            strip[i] = j
+        elif i < lo[0]:
+            strip[i] = 0
+        elif i > hi[k - 1]:
+            strip[i] = k - 1
+        else:
+            jj = strip[i] = j - 1 if i < lo[j] else j
+            weight[i] = (i - hi[jj]) / (lo[jj + 1] - hi[jj])
+    return strip, weight

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from liplab import cli, funclib, setlib
+from liplab import construct as construct_mod
 from liplab.cli import RunConfig, main
 
 
@@ -25,15 +26,28 @@ def test_run_config_round_trip():
     assert again == cfg
 
 
-def test_construct_and_report_deterministic(workdir):
+def test_construct_and_report_deterministic(workdir, monkeypatch):
+    calls = []
+    exceptional_set = construct_mod.exceptional_set
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return exceptional_set(*args, **kwargs)
+
+    monkeypatch.setattr(construct_mod, "exceptional_set", counted)
+    # a zeta that %g would round: meta.json must carry it exactly, or report's
+    # premeasures drift from construct's
     assert run(["construct", "--out", "b", "--base", "constant(value=0.5)",
-                "--nmax", 2, "--depth", 8]) == 0
+                "--nmax", 2, "--depth", 8, "--zeta", "power(s=1.0000001)"]) == 0
+    assert len(calls) == 1  # save_build's result feeds certificates.json
+    assert json.loads((workdir / "b" / "meta.json").read_text())["zeta"] == "power(s=1.0000001)"
     for name in ("base.fn", "final.fn", "stages.json", "meta.json", "E.set", "F.set",
                  "certificates.json"):
         assert (workdir / "b" / name).exists()
     assert run(["report", "b", "--out", "r1.json"]) == 0
     assert run(["report", "b", "--out", "r2.json"]) == 0
     assert (workdir / "r1.json").read_bytes() == (workdir / "r2.json").read_bytes()
+    assert (workdir / "b" / "certificates.json").read_bytes() == (workdir / "r1.json").read_bytes()
     payload = json.loads((workdir / "r1.json").read_text())
     assert payload["all_pass"]
     assert "written_unix" not in (workdir / "r1.json").read_text()
@@ -128,6 +142,20 @@ def test_config_errors_exit_2(workdir):
     assert run(["analyze", "c.fn", "--gauge", "bogus(q=1)"]) == 2
     assert run(["construct", "--base", "weierstrass(a=2.0)", "--out", "x"]) == 2
     assert run([]) == 2  # no subcommand prints help and signals a config error
+    # malformed specs at the input boundary
+    for base in ("affine(c)", "affine(c=abc)", "affine(c=1:2)", "affine[c=1]"):
+        assert run(["construct", "--base", base, "--out", "x"]) == 2
+    assert run(["construct", "--phi", "power(s=abc)", "--out", "x"]) == 2
+    assert run(["construct", "--zeta", "power(s=1:2)", "--out", "x"]) == 2
+    assert not (workdir / "x").exists()
+    for scales in ("dyadic:a..3", "triadic:a..3", "dyadic:3", "dyadic:-1..3", "0.5,abc"):
+        assert run(["dims", "cantor:6", "--scales", scales]) == 2
+    assert run(["dims", "cantor:x"]) == 2
+    assert run(["dims", "points:0.5,abc"]) == 2
+    assert run(["analyze", "c.fn", "--depths", "8,x"]) == 2
+    assert run(["analyze", "c.fn", "--window", "4..x"]) == 2
+    assert run(["construct", "--out", "b", "--nmax", 1, "--depth", 8]) == 0
+    assert run(["partition", "b", "--delta-ladder", "0.1,abc"]) == 2
 
 
 def test_config_file_load(workdir):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liplab.construct import (
     ConstructError,
@@ -15,11 +17,14 @@ from liplab.construct import (
     exceptional_set,
     iterate_typical,
     load_build,
+    plateau_vertex_ranges,
     save_build,
+    strip_weights,
 )
 from liplab.funclib import SampledFunction, make_test_function
 from liplab.gauges import make_preset
 from liplab.setlib import DyadicCubeSet, IntervalUnion, cross_power, n_delta
+from oracles import fraction_plateau_range, loop_strip_weights
 
 POWER1 = make_preset("power", s=1)
 PHI = make_preset("power", s=0.25)
@@ -129,6 +134,60 @@ def test_build_stage_constant_identity():
     p = StageParams(1, 0.5, Fraction(1), 2, Fraction(1, 8), 0.125)
     g, rec = build_stage(f0, p, phi=POWER1)
     assert np.array_equal(g.values, f0.values)
+
+
+@st.composite
+def _stage_on_grid(draw):
+    """(params, e, odd m) with eta = m/2^e < 1/k."""
+    k = draw(st.integers(2, 600))
+    m = 2 * draw(st.integers(0, 3)) + 1
+    e = draw(st.integers((k * m).bit_length(), (k * m).bit_length() + 5))
+    return StageParams(1, 0.5, Fraction(1), k, Fraction(m, 1 << e), 0.0), e, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stage_on_grid(), st.integers(0, 3))
+def test_plateau_vertex_ranges_match_fraction_oracle(stage, extra):
+    p, e, _ = stage
+    # q = eta*2^depth/4 is an integer from depth e+2 on; for eta = 2^-e that
+    # is already the stage's required depth
+    depth = max(p.required_depth(), e + 2) + extra
+    lo, hi, center = plateau_vertex_ranges(p, depth, np.arange(p.k))
+    expected = [fraction_plateau_range(p.k, p.eta, depth, j) for j in range(p.k)]
+    assert [tuple(map(int, t)) for t in zip(lo, hi, center)] == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(_stage_on_grid())
+def test_plateau_vertex_ranges_reject_off_grid_eta(stage):
+    p, e, m = stage
+    if m == 1:
+        assert p.required_depth() >= e + 2
+    with pytest.raises(ConstructError, match=f"stage {p.n}"):
+        plateau_vertex_ranges(p, e + 1, np.arange(p.k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stage_on_grid(), st.integers(0, 2))
+def test_strip_weights_match_vertex_loop(stage, extra):
+    p, e, _ = stage
+    depth = max(p.required_depth(), e + 2) + extra
+    lo, hi, _ = plateau_vertex_ranges(p, depth, np.arange(p.k))
+    strip, weight = strip_weights(lo, hi, 1 << depth)
+    expected = loop_strip_weights(lo.tolist(), hi.tolist(), 1 << depth)
+    assert (strip.tolist(), weight.tolist()) == expected
+
+
+def test_build_stage_partial_domain_drops_cubes():
+    f0 = make_test_function("affine", {"c": 1.0}, depth=8)
+    p = StageParams(1, 0.5, Fraction(1, 4), 5, Fraction(1, 8), 0.125)
+    omega = DyadicCubeSet(1, 1, frozenset({(0,)}))
+    _, rec = build_stage(f0, p, omega, POWER1)
+    assert rec.kept.tolist() == [0, 1, 2]
+    assert rec.dropped == (3, 4)
+    assert rec.lo_v.tolist() == [8, 59, 110]
+    assert rec.hi_v.tolist() == [44, 95, 146]
+    assert rec.anchors.tolist() == [26, 77, 128]
 
 
 def test_build_stage_depth_guard():

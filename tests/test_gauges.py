@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liplab.gauges import (
     GaugeDomainError,
@@ -11,6 +13,7 @@ from liplab.gauges import (
     format_gauge,
     make_preset,
     parse_gauge,
+    parse_spec,
     verify_schizm_relation,
 )
 
@@ -246,3 +249,49 @@ def test_format_parse_round_trip():
     assert parse_gauge(format_gauge(table)) == table
     with pytest.raises(GaugeSpecError):
         parse_gauge("power[s=1]")
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _tables(draw):
+    rs = sorted(draw(st.lists(_floats(1e-9, 1.0), min_size=1, max_size=5, unique=True)))
+    gs = draw(st.lists(_floats(1e-9, 1e3), min_size=len(rs), max_size=len(rs)))
+    return make_preset("table", rs=tuple(rs), gs=tuple(gs))
+
+
+_POWERS = st.builds(
+    lambda s, c: make_preset("power", s=s, scale=c), _floats(1e-3, 8.0), _floats(1e-3, 1e3)
+)
+_EXP_SQRT_LOGS = st.builds(lambda d: make_preset("exp_sqrt_log", d=d), _floats(1.0, 50.0))
+
+
+@given(st.one_of(_POWERS, _EXP_SQRT_LOGS, _tables()))
+def test_format_gauge_is_lossless(g):
+    assert parse_gauge(format_gauge(g)) == g
+
+
+def test_format_gauge_keeps_short_form():
+    assert format_gauge(parse_gauge("power(s=2,scale=0.2)")) == "power(s=2,scale=0.2)"
+    assert format_gauge(parse_gauge("power(s=0.1)")) == "power(s=0.1)"
+    assert format_gauge(parse_gauge("power(s=1.0000001)")) == "power(s=1.0000001)"
+
+
+def test_parse_spec_grammar():
+    assert parse_spec("affine") == ("affine", {})
+    assert parse_spec(" affine( c = 2 , intercept=-1e-3, ) ") == (
+        "affine", {"c": 2.0, "intercept": -0.001}
+    )
+    assert parse_spec("table(rs=0.25:0.5,gs=1)") == ("table", {"rs": (0.25, 0.5), "gs": 1.0})
+    for bad in ("affine(c)", "affine(c=abc)", "affine(=1)", "affine[c=1]", "Affine(c=1)",
+                "table(rs=0.25:x,gs=1)"):
+        with pytest.raises(GaugeSpecError):
+            parse_spec(bad)
+
+
+def test_parse_gauge_rejects_lists_for_scalars():
+    with pytest.raises(GaugeSpecError, match="one number"):
+        parse_gauge("power(s=1:2)")
+    assert parse_gauge("table(rs=0.5,gs=2)") == make_preset("table", rs=(0.5,), gs=(2.0,))

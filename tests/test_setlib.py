@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from liplab.gauges import Pseudogauge, make_preset
 from liplab.setlib import (
+    _atomic_write,
     BoxCover,
     CoverRecord,
     CoverageError,
@@ -458,3 +462,50 @@ def test_cover_round_trip(tmp_path):
     assert [tuple(map(float, b)) for box in back.boxes for b in box] == [
         tuple(map(float, b)) for box in cover.boxes for b in box
     ]
+
+
+def test_atomic_write_concurrent_writers(tmp_path):
+    path = tmp_path / "out.txt"
+    texts = ("a" * 40_000 + "\n", "b" * 60_000 + "\n")
+    _atomic_write(path, texts[0])
+    errors, seen = [], set()
+    done = threading.Event()
+
+    def write(text):
+        try:
+            for _ in range(50):
+                _atomic_write(path, text)
+        except Exception as err:  # collected and asserted below
+            errors.append(err)
+
+    def read():
+        while not done.is_set():
+            seen.add(path.read_text())
+
+    writers = [threading.Thread(target=write, args=(t,)) for t in texts * 2]
+    reader = threading.Thread(target=read)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in writers + [reader]:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+        done.set()
+        reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in writers + [reader])
+    assert not errors
+    assert seen <= set(texts)  # readers never see a partial file
+    assert path.read_text() in texts
+    assert os.listdir(tmp_path) == ["out.txt"]  # no temp file left behind
+
+
+def test_atomic_write_failure_leaves_target_and_no_temp(tmp_path):
+    path = tmp_path / "out.txt"
+    _atomic_write(path, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(path, "bad \ud800")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
