@@ -82,7 +82,16 @@ def _parse_list(spec: str, convert, what: str) -> list:
 
 
 def _parse_window(spec: str) -> list[float]:
-    return [2.0**-j for j in _parse_range(spec, "window")]
+    radii = [2.0**-j for j in _parse_range(spec, "window")]
+    if len(radii) < 6:
+        raise ConfigError(f"window {spec!r} gives {len(radii)} radii; need at least 6")
+    return radii
+
+
+def _window_radii(window: list[float], f: funclib.SampledFunction) -> list[float]:
+    """The window radii >= 4h, or 2^-2..2^-7 when fewer than 6 remain."""
+    radii = [r for r in window if r >= 4.0 * f.h]
+    return radii if len(radii) >= 6 else [2.0**-j for j in range(2, 8)]
 
 
 def _parse_scales(spec: str) -> list:
@@ -128,28 +137,25 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     f = funclib.load_function(cfg.input_path)
     phi = gauges.parse_gauge(cfg.gauge or "power(s=1)")
     out = cfg.out or "analyze"
+    window = _parse_window(cfg.window)
     depths = _parse_list(cfg.depths, int, "depths") if cfg.depths else [f.depth]
     sample_depth = cfg.sample_depth or max(1, min(depths) - 6)
     rows = []
+    fields = {}
     proxies_by_depth = {}
     for depth in depths:
-        fd = _subsample(f, depth) if depth < f.depth else f
-        radii = [r for r in _parse_window(cfg.window) if r >= 4.0 * fd.h]
-        if len(radii) < 6:
-            radii = [2.0**-j for j in range(2, 8)]
-        lf = funclib.lip_field(fd, phi, cfg.tau, sample_depth, radii)
-        proxies = []
-        for point in lf.points:
-            rec = funclib.scaled_osc_estimate(fd, point, phi, radii, mode=cfg.mode)
-            proxies.append(rec.summary)
+        fd = f if depth == f.depth else _subsample(f, depth)
+        lf = funclib.lip_field(fd, phi, cfg.tau, sample_depth, _window_radii(window, fd))
+        fields[depth] = lf
+        proxies_by_depth[depth] = [rec.window_summary(cfg.mode) for rec in lf.records]
+        for rec in lf.records:
             for r, lo, hi, rlo, rhi in rec.entries:
                 rows.append(
-                    f"{point[0]:.17g},{r:.17g},{lo:.17g},{hi:.17g},{rlo:.17g},{rhi:.17g}"
+                    f"{rec.point[0]:.17g},{r:.17g},{lo:.17g},{hi:.17g},{rlo:.17g},{rhi:.17g}"
                 )
-        proxies_by_depth[depth] = proxies
     setlib._atomic_write(out + ".csv", CSV_COLUMNS + "\n" + "\n".join(rows) + "\n")
-    final_field = funclib.lip_field(
-        f, phi, cfg.tau, sample_depth, [r for r in _parse_window(cfg.window) if r >= 4 * f.h] or [2.0**-j for j in range(2, 8)]
+    final_field = fields.get(f.depth) or funclib.lip_field(
+        f, phi, cfg.tau, sample_depth, _window_radii(window, f)
     )
     payload = {
         "gauge": gauges.format_gauge(phi),
@@ -282,6 +288,10 @@ def _cmd_partition(cfg: RunConfig) -> int:
     phi = gauges.parse_gauge(cfg.phi or "power(s=2,scale=0.2)")
     ladder = _parse_list(cfg.delta_ladder or "0.1,0.01,0.001", float, "delta ladder")
     build = construct_mod.load_build(cfg.input_path)
+    try:
+        B_img = partition.b_image_cubes(build, cfg.img_depth)
+    except construct_mod.ConstructError as err:
+        raise ConfigError(f"{cfg.input_path}: {err}") from err
     A, B = partition.split_partition(build)
     reports = [
         partition.image_cover_report(
@@ -290,7 +300,6 @@ def _cmd_partition(cfg: RunConfig) -> int:
         for delta in ladder
     ]
     antitone = all(a.total >= b.total for a, b in zip(reports, reports[1:]))
-    B_img = partition.b_image_cubes(build, cfg.img_depth)
     graph = partition.graph_cross_check(build.final, A, B_img, cfg.samples, seed=cfg.seed)
     scale_hi = min(12, A.depth)
     dims_scales = [2.0**-j for j in range(1, max(7, scale_hi) + 1)]
@@ -459,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
             setattr(cfg, key, value)
     try:
         return _COMMANDS[cfg.command](cfg)
-    except (ConfigError, gauges.GaugeSpecError, FileNotFoundError) as err:
+    except (ConfigError, gauges.GaugeSpecError, setlib.FormatError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (construct_mod.ConstructError, ValueError) as err:

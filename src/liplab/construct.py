@@ -21,7 +21,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .setlib import (
     IntervalUnion,
     PremeasureReport,
     _atomic_write,
+    _format_errors,
     lower_box_premeasure,
     micro_from_hzeta,
     microscopic_verify,
@@ -48,7 +48,6 @@ __all__ = [
     "ConstructError",
     "choose_stage_params",
     "plateau_vertex_ranges",
-    "strip_weights",
     "build_stage",
     "iterate_typical",
     "certify_membership",
@@ -270,17 +269,6 @@ def plateau_vertex_ranges(
     return lo, hi, np.clip(center, lo, hi)
 
 
-def strip_weights(lo: np.ndarray, hi: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per grid vertex 0..top along one axis: the strip index (the last
-    plateau [lo, hi] starting at or before it) and the blend weight toward the
-    next strip, nonzero only in the gaps between plateaus."""
-    v = np.arange(top + 1)
-    strip = np.maximum(np.searchsorted(lo, v, side="right") - 1, 0)
-    gap = (v > hi[strip]) & (strip < len(lo) - 1)
-    span = lo[np.minimum(strip + 1, len(lo) - 1)] - hi[strip]
-    return strip, np.where(gap, (v - hi[strip]) / span, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # One stage
 
@@ -345,6 +333,11 @@ class StageRecord:
         return self._kept_cache
 
 
+def _require_dim_1(f: SampledFunction) -> None:
+    if f.dim != 1:
+        raise ConstructError(f"staircase builds are implemented for dimension 1, not {f.dim}")
+
+
 def build_stage(
     f: SampledFunction,
     params: StageParams,
@@ -358,11 +351,10 @@ def build_stage(
     C), so diam g(C) = 0 exactly; across gaps g interpolates neighboring
     plateau values, and g - f is clamped to [-eps, eps].
     """
+    _require_dim_1(f)
     need = params.required_depth()
     if f.depth < need:
         raise ConstructError(f"grid depth {f.depth} insufficient; stage needs {need}")
-    if f.dim != 1:
-        return _build_stage_nd(f, params, phi)
     omega_set = omega_set or f.domain
     m = f.depth
     top = 1 << m
@@ -439,64 +431,6 @@ def build_stage(
     return g_fn, record
 
 
-def _build_stage_nd(f, params, phi):
-    """Dimension >= 2 stage: tensor-product tents over the k-grid strips."""
-    m = f.depth
-    top = 1 << m
-    k = params.k
-    # per-axis plateau vertex ranges (same along every axis)
-    los, his, centers = plateau_vertex_ranges(params, m, np.arange(k))
-    strip, tweight = strip_weights(los, his, top)
-    values = np.asarray(f.values, dtype=np.float64)
-    kept_cubes = {}
-    for cube in iter_product(range(k), repeat=f.dim):
-        idx = tuple(int(centers[j]) for j in cube)
-        if not math.isnan(values[idx]):
-            kept_cubes[cube] = idx
-    if not kept_cubes:
-        raise ConstructError("no cube meets the domain")
-    anchor_vals = {cube: values[idx] for cube, idx in kept_cubes.items()}
-
-    g = np.empty_like(values)
-    for vidx in iter_product(range(top + 1), repeat=f.dim):
-        total, wsum = 0.0, 0.0
-        for corner in iter_product((0, 1), repeat=f.dim):
-            w = 1.0
-            cube = []
-            for c, i in zip(corner, vidx):
-                t = tweight[i]
-                w *= t if c else 1.0 - t
-                cube.append(min(strip[i] + c, k - 1))
-            if w == 0.0:
-                continue
-            cube_t = tuple(cube)
-            if cube_t in anchor_vals:
-                total += w * anchor_vals[cube_t]
-                wsum += w
-        base = values[vidx]
-        g[vidx] = base if wsum == 0.0 else (1.0 - wsum) * base + total
-    h_fun = np.clip(g - values, -params.eps, params.eps)
-    g = values + h_fun
-    g_fn = SampledFunction(f.dim, m, f.domain, g, f.modulus, exact=True)
-    lip = g_fn.grid_lipschitz()
-    g_fn = SampledFunction(f.dim, m, f.domain, g, HolderModulus(lip, 1.0), exact=True)
-    n = params.n
-    membership = phi.eval(float(params.eta / 2)) / n if phi is not None else math.inf
-    lip_slack = phi.eval(float(params.cert_radius)) / n if phi is not None else math.inf
-    record = StageRecord(
-        params,
-        m,
-        np.array([kept_cubes[c] for c in sorted(kept_cubes)], dtype=object),
-        np.array([anchor_vals[c] for c in sorted(kept_cubes)]),
-        los,
-        his,
-        np.array(sorted(kept_cubes), dtype=object),
-        membership,
-        lip_slack,
-    )
-    return g_fn, record
-
-
 # ---------------------------------------------------------------------------
 # Iterated build
 
@@ -550,6 +484,7 @@ def iterate_typical(
     """
     if n_max < 1 or eps0 <= 0:
         raise ConstructError("need n_max >= 1 and eps0 > 0")
+    _require_dim_1(f0)
     omega_set = omega_set or f0.domain
     g = f0
     stages: list[StageRecord] = []
@@ -624,22 +559,19 @@ def certify_membership(build: TypicalBuild, n: int) -> MembershipCertificate:
     shift = f.depth - rec.depth
     lo = rec.lo_v.astype(np.int64) << shift
     hi = rec.hi_v.astype(np.int64) << shift
-    if f.dim == 1:
-        starts = np.empty(2 * len(lo), dtype=np.int64)
-        starts[0::2] = lo
-        starts[1::2] = hi + 1
-        mx = np.maximum.reduceat(f.values, starts[:-1])[0::2]
-        mn = np.minimum.reduceat(f.values, starts[:-1])[0::2]
-        # reduceat cannot take an empty trailing slice; last segment by hand
-        mx[-1] = np.max(f.values[lo[-1] : hi[-1] + 1])
-        mn[-1] = np.min(f.values[lo[-1] : hi[-1] + 1])
-        diam_max = float(np.max(mx - mn))
-        if diam_max > bound * (1.0 + 1e-9) + 1e-300:
-            raise ConstructError(
-                f"internal: measured diameter {diam_max:g} above certified bound {bound:g}"
-            )
-    else:
-        diam_max = math.nan  # nd diameters certified by the schedule, not measured
+    starts = np.empty(2 * len(lo), dtype=np.int64)
+    starts[0::2] = lo
+    starts[1::2] = hi + 1
+    mx = np.maximum.reduceat(f.values, starts[:-1])[0::2]
+    mn = np.minimum.reduceat(f.values, starts[:-1])[0::2]
+    # reduceat cannot take an empty trailing slice; last segment by hand
+    mx[-1] = np.max(f.values[lo[-1] : hi[-1] + 1])
+    mn[-1] = np.min(f.values[lo[-1] : hi[-1] + 1])
+    diam_max = float(np.max(mx - mn))
+    if diam_max > bound * (1.0 + 1e-9) + 1e-300:
+        raise ConstructError(
+            f"internal: measured diameter {diam_max:g} above certified bound {bound:g}"
+        )
     if not (bound < threshold):
         # unreachable under the budget capping; a violation means the build
         # was tampered with or the schedule logic broke
@@ -647,7 +579,7 @@ def certify_membership(build: TypicalBuild, n: int) -> MembershipCertificate:
             f"membership margin violated at stage {n}: 2*T_n = {bound:g} >= "
             f"(1/n) phi = {threshold:g}"
         )
-    margin = threshold - (bound if math.isnan(diam_max) else max(bound, diam_max))
+    margin = threshold - max(bound, diam_max)
     return MembershipCertificate(n, True, bound, threshold, margin, diam_max, len(rec.kept))
 
 
@@ -716,8 +648,6 @@ RASTER_DEPTH = 16
 
 def deepest_core_complement(build: TypicalBuild) -> IntervalUnion:
     """F: the part of Omega outside every core of the deepest stage."""
-    if build.final.dim != 1:
-        raise ConstructError("exceptional_set is implemented for dimension-1 builds")
     cores = build.stages[-1].core_union()
     return cores.complement_within(0, 1).intersect(build.omega.to_interval_union())
 
@@ -853,49 +783,50 @@ def save_build(
 def load_build(directory) -> TypicalBuild:
     base = load_function(os.path.join(directory, "base.fn"))
     final = load_function(os.path.join(directory, "final.fn"))
-    with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    with open(os.path.join(directory, "stages.json"), "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    phi = parse_gauge(meta["phi"])
-    zeta = parse_gauge(meta["zeta"])
-    stages = []
-    eps_list = []
-    for item in raw:
-        params = StageParams(
-            item["n"],
-            item["epsilon"],
-            Fraction(item["delta"]),
-            item["k"],
-            Fraction(item["eta"]),
-            item["zeta_at_eta"],
-        )
-        params.validate()
-        kept = np.array(item["kept"], dtype=np.int64)
-        lo_v, hi_v, _ = plateau_vertex_ranges(params, item["depth"], kept)
-        stages.append(
-            StageRecord(
-                params,
+    _require_dim_1(final)
+    with _format_errors(directory):
+        with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        with open(os.path.join(directory, "stages.json"), "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        phi, zeta, eps0, early_stop = meta["phi"], meta["zeta"], meta["eps0"], meta["early_stop"]
+        items = [
+            (
+                StageParams(
+                    item["n"],
+                    item["epsilon"],
+                    Fraction(item["delta"]),
+                    item["k"],
+                    Fraction(item["eta"]),
+                    item["zeta_at_eta"],
+                ),
                 item["depth"],
+                np.array(item["kept"], dtype=np.int64),
                 np.array(item["anchors"], dtype=np.int64),
-                np.array(item["plateau_values"]),
-                lo_v,
-                hi_v,
-                kept,
+                np.array(item["plateau_values"], dtype=np.float64),
                 item["membership_slack"],
                 item["lip_slack"],
                 tuple(item["dropped"]),
             )
+            for item in raw
+        ]
+    stages = []
+    for params, depth, kept, anchors, plateau_values, membership, lip_slack, dropped in items:
+        params.validate()
+        lo_v, hi_v, _ = plateau_vertex_ranges(params, depth, kept)
+        stages.append(
+            StageRecord(
+                params, depth, anchors, plateau_values, lo_v, hi_v, kept, membership, lip_slack, dropped
+            )
         )
-        eps_list.append(item["epsilon"])
     return TypicalBuild(
         base,
         final,
         stages,
-        eps_list,
-        phi,
-        zeta,
-        meta["eps0"],
+        [rec.params.eps for rec in stages],
+        parse_gauge(phi),
+        parse_gauge(zeta),
+        eps0,
         final.domain,
-        meta["early_stop"],
+        early_stop,
     )

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .gauges import GaugeLike
-from .setlib import DyadicCubeSet, _atomic_write, _frac
+from .setlib import DyadicCubeSet, FormatError, _atomic_write, _format_errors, _frac
 
 __all__ = [
     "HolderModulus",
@@ -331,10 +331,23 @@ class OscillationRecord:
     mode: str  # "lip" | "Lip"
     entries: tuple[tuple[float, float, float, float, float], ...]
     # (r, osc_lower, osc_upper, ratio_lower, ratio_upper)
-    summary: float
     clipped: bool
     exact: bool
     norm: str = "max"  # balls are max-norm; Euclidean differs by <= sqrt(d)
+
+    @property
+    def summary(self) -> float:
+        return self.window_summary(self.mode)
+
+    def window_summary(self, mode: str) -> float:
+        """lip: min over the window of osc_upper/phi(r), a certified upper bound
+        of the window infimum.  Lip: max of osc_lower/phi(r), a certified lower
+        bound of the window supremum."""
+        if mode == "lip":
+            return min(e[4] for e in self.entries)
+        if mode == "Lip":
+            return max(e[3] for e in self.entries)
+        raise ValueError("mode must be 'lip' or 'Lip'")
 
 
 def scaled_osc_estimate(
@@ -344,12 +357,9 @@ def scaled_osc_estimate(
     radii: Sequence[float],
     mode: str = "lip",
 ) -> OscillationRecord:
-    """Windowed liminf/limsup proxy for the scaled oscillation.
-
-    lip: min over the window of osc_upper/phi(r), a certified upper bound of
-    the window infimum.  Lip: max of osc_lower/phi(r), a certified lower bound
-    of the window supremum.  Window data is retained per scale.
-    """
+    """Windowed liminf/limsup proxy for the scaled oscillation; the record's
+    summary is its window_summary in `mode`, and window data is retained per
+    scale."""
     from .gauges import format_gauge
 
     if mode not in ("lip", "Lip"):
@@ -366,13 +376,7 @@ def scaled_osc_estimate(
         clipped = clipped or pair.clipped
         pr = phi.eval(r)
         entries.append((r, pair.lower, pair.upper, pair.lower / pr, pair.upper / pr))
-    if mode == "lip":
-        summary = min(e[4] for e in entries)
-    else:
-        summary = max(e[3] for e in entries)
-    return OscillationRecord(
-        tuple(x), format_gauge(phi), mode, tuple(entries), summary, clipped, f.exact
-    )
+    return OscillationRecord(tuple(x), format_gauge(phi), mode, tuple(entries), clipped, f.exact)
 
 
 @dataclass(frozen=True)
@@ -381,9 +385,16 @@ class LipField:
 
     tau: float
     gauge_text: str
-    points: tuple[tuple[float, ...], ...]
-    proxies: tuple[float, ...]
+    records: tuple[OscillationRecord, ...]  # lip-mode, one per sample point
     over_tau: DyadicCubeSet  # sample-depth cubes whose center exceeded tau
+
+    @property
+    def points(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(rec.point for rec in self.records)
+
+    @property
+    def proxies(self) -> tuple[float, ...]:
+        return tuple(rec.summary for rec in self.records)
 
     @property
     def classes(self) -> tuple[str, ...]:
@@ -397,7 +408,7 @@ def lip_field(
     sample_depth: int,
     radii: Sequence[float],
 ) -> LipField:
-    """lip proxies at the centers of a coarser sample grid (>= 4x coarser)."""
+    """lip records at the centers of a coarser sample grid (>= 4x coarser)."""
     from .gauges import format_gauge
 
     if sample_depth > f.depth - 2:
@@ -413,25 +424,19 @@ def lip_field(
             continue
         cubes.append(idx)
         points.append(center)
-    def proxy(p):
-        return scaled_osc_estimate(f, p, phi, radii, mode="lip").summary
+    def record(p):
+        return scaled_osc_estimate(f, p, phi, radii, mode="lip")
 
     workers = worker_count()
     if workers > 1 and len(points) >= 64:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            proxies = list(pool.map(proxy, points))
+            records = tuple(pool.map(record, points))
     else:
-        proxies = [proxy(p) for p in points]
-    over = frozenset(idx for idx, prox in zip(cubes, proxies) if prox > tau)
-    return LipField(
-        tau,
-        format_gauge(phi),
-        tuple(points),
-        tuple(proxies),
-        DyadicCubeSet(f.dim, sample_depth, over),
-    )
+        records = tuple(record(p) for p in points)
+    over = frozenset(idx for idx, rec in zip(cubes, records) if rec.summary > tau)
+    return LipField(tau, format_gauge(phi), records, DyadicCubeSet(f.dim, sample_depth, over))
 
 
 # ---------------------------------------------------------------------------
@@ -544,21 +549,21 @@ def save_function(path, f: SampledFunction) -> None:
 
 
 def load_function(path) -> SampledFunction:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _format_errors(path), open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 6 or header[0] != "d" or header[2] != "m" or header[4] != "domain":
-            raise ValueError(f"bad function header in {path}")
+            raise FormatError(f"bad function header in {path}")
         dim, depth, count = int(header[1]), int(header[3]), int(header[5])
         dd_line = fh.readline().split()
         if dd_line[0] != "domain_depth":
-            raise ValueError("missing domain_depth line")
+            raise FormatError(f"missing domain_depth line in {path}")
         domain_depth = int(dd_line[1])
         cubes = []
         for _ in range(count):
             cubes.append(tuple(int(t) for t in fh.readline().split()))
         marker = fh.readline().strip()
         if marker != "values":
-            raise ValueError("missing values marker")
+            raise FormatError(f"missing values marker in {path}")
         n = (1 << depth) + 1
         flat = np.empty(n**dim)
         for i in range(n**dim):
@@ -576,7 +581,7 @@ def load_function(path) -> SampledFunction:
                 modulus = TableModulus(tuple(vals[0::2]), tuple(vals[1::2]))
             elif tokens[0] == "exact":
                 exact = bool(int(tokens[1]))
-    if modulus is None:
-        raise ValueError("missing modulus line")
-    domain = DyadicCubeSet(dim, domain_depth, frozenset(cubes))
-    return SampledFunction(dim, depth, domain, flat.reshape((n,) * dim), modulus, exact)
+        if modulus is None:
+            raise FormatError(f"missing modulus line in {path}")
+        domain = DyadicCubeSet(dim, domain_depth, frozenset(cubes))
+        return SampledFunction(dim, depth, domain, flat.reshape((n,) * dim), modulus, exact)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -31,6 +32,7 @@ __all__ = [
     "BoxCover",
     "CoverRecord",
     "CoverageError",
+    "FormatError",
     "n_delta",
     "lower_box_premeasure",
     "lower_box_dim",
@@ -61,6 +63,21 @@ class CoverageError(ValueError):
     def __init__(self, message: str, witness):
         super().__init__(message)
         self.witness = witness
+
+
+class FormatError(ValueError):
+    """An artifact file (.set, .cover, .fn, build directory) is malformed."""
+
+
+@contextmanager
+def _format_errors(path):
+    """Report what parsing path raises (bad tokens, lengths, keys) as FormatError."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except (ValueError, IndexError, KeyError, TypeError) as err:
+        raise FormatError(f"malformed {path}: {err}") from err
 
 
 def _frac(x: Number) -> Fraction:
@@ -506,14 +523,13 @@ def _grid_count_dyadic(E: DyadicCubeSet, j: int) -> int:
     neighboring cell whenever an edge lands on a cell boundary."""
     t = E.depth - j
     top_cells = 1 << j
-    idx = np.array(sorted(E.cubes), dtype=np.int64).reshape(len(E.cubes), E.dim)
+    idx = np.array(list(E.cubes), dtype=np.int64).reshape(len(E.cubes), E.dim)
     aligned = (idx & ((1 << t) - 1)) == 0  # cube edge on a cell boundary
     lo = np.where(aligned, (idx >> t) - 1, idx >> t)
     hi = (idx + 1) >> t
     np.clip(lo, 0, top_cells - 1, out=lo)
     np.clip(hi, 0, top_cells - 1, out=hi)
-    seen = None
-    width = int((hi - lo).max()) if len(idx) else 0
+    width = int((hi - lo).max())
     combos = iter_product(range(width + 1), repeat=E.dim)
     pieces = []
     for offsets in combos:
@@ -525,8 +541,7 @@ def _grid_count_dyadic(E: DyadicCubeSet, j: int) -> int:
         for axis in range(E.dim):
             enc = enc * top_cells + cells[valid, axis]
         pieces.append(enc)
-    seen = np.unique(np.concatenate(pieces))
-    return int(len(seen))
+    return len(np.unique(np.concatenate(pieces)))
 
 
 @dataclass(frozen=True)
@@ -963,17 +978,17 @@ def save_cubes(path, E: DyadicCubeSet) -> None:
 
 
 def load_cubes(path) -> DyadicCubeSet:
-    with open(path, "r", encoding="utf-8") as f:
+    with _format_errors(path), open(path, "r", encoding="utf-8") as f:
         header = f.readline().split()
         if len(header) != 4 or header[0] != "d" or header[2] != "m":
-            raise ValueError(f"bad cube set header in {path}")
+            raise FormatError(f"bad cube set header in {path}")
         dim, depth = int(header[1]), int(header[3])
         cubes = []
         for line in f:
             line = line.strip()
             if line:
                 cubes.append(tuple(int(t) for t in line.split()))
-    return DyadicCubeSet(dim, depth, frozenset(cubes))
+        return DyadicCubeSet(dim, depth, frozenset(cubes))
 
 
 def save_cover(path, cover: BoxCover) -> None:
@@ -986,19 +1001,19 @@ def save_cover(path, cover: BoxCover) -> None:
 def load_cover(path) -> BoxCover:
     boxes = []
     dim = None
-    with open(path, "r", encoding="utf-8") as f:
+    with _format_errors(path), open(path, "r", encoding="utf-8") as f:
         for line in f:
             vals = [float(t) for t in line.split()]
             if not vals:
                 continue
             if len(vals) % 2:
-                raise ValueError("box line must hold lo/hi pairs")
+                raise FormatError(f"box line must hold lo/hi pairs in {path}")
             d = len(vals) // 2
             dim = d if dim is None else dim
             if d != dim:
-                raise ValueError("mixed box dimensions in cover file")
+                raise FormatError(f"mixed box dimensions in {path}")
             boxes.append(tuple((vals[2 * i], vals[2 * i + 1]) for i in range(d)))
-    return BoxCover(dim or 1, tuple(boxes))
+        return BoxCover(dim or 1, tuple(boxes))
 
 
 def _atomic_write(path, text: str) -> None:

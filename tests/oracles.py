@@ -3,14 +3,12 @@
 These deliberately avoid the library's algorithms: interval covering is
 solved by exhaustive window search over integer cells, microscopic index
 assignment by brute force over permutations, oscillation by dense sampling,
-plateau vertex ranges by per-cube Fraction floor/ceil, strip weights by a
-per-vertex case split.
+and plateau vertex ranges by per-cube Fraction floor/ceil.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -76,22 +74,3 @@ def fraction_plateau_range(k: int, eta: Fraction, depth: int, j: int) -> tuple[i
     hi = (int(tb) - 1 if tb.denominator == 1 else math.floor(tb)) + 1
     mid = int(round(center * top))
     return lo, hi, min(max(mid, lo), hi)
-
-
-def loop_strip_weights(lo: list[int], hi: list[int], top: int) -> tuple[list[int], list[float]]:
-    """Strip index and blend weight of every vertex 0..top, one vertex at a
-    time: flat on a plateau and outside the first/last one, linear in a gap."""
-    k = len(lo)
-    strip, weight = [0] * (top + 1), [0.0] * (top + 1)
-    for i in range(top + 1):
-        j = min(bisect_left(hi, i), k - 1)
-        if lo[j] <= i <= hi[j]:
-            strip[i] = j
-        elif i < lo[0]:
-            strip[i] = 0
-        elif i > hi[k - 1]:
-            strip[i] = k - 1
-        else:
-            jj = strip[i] = j - 1 if i < lo[j] else j
-            weight[i] = (i - hi[jj]) / (lo[jj + 1] - hi[jj])
-    return strip, weight

@@ -106,6 +106,45 @@ def test_analyze_depth_ladder_monotone(workdir):
     assert grows2 >= 0.95 * len(d12)
 
 
+def test_analyze_shallow_function_falls_back_to_default_window(workdir):
+    # depth 10 leaves 5 radii of 2^-4..2^-12 at >= 4h; every depth, the
+    # full-depth field included, then uses 2^-2..2^-7
+    funclib.save_function("a.fn", funclib.make_test_function("affine", {"c": 1.0}, depth=10))
+    assert run(["analyze", "a.fn", "--window", "4..12", "--out", "an"]) == 0
+    scales = {line.split(",")[1] for line in (workdir / "an.csv").read_text().splitlines()[1:]}
+    assert sorted(float(r) for r in scales) == [2.0**-j for j in range(7, 1, -1)]
+
+
+@pytest.mark.parametrize("mode", ["lip", "Lip"])
+def test_analyze_one_oscillation_per_point_radius_depth(workdir, monkeypatch, mode):
+    funclib.save_function("w.fn", funclib.make_test_function("weierstrass", {"terms": 10}, depth=12))
+    seen = []
+    oscillation = funclib.oscillation
+
+    def counted(f, x, r):
+        seen.append((f.depth, tuple(x), r))
+        return oscillation(f, x, r)
+
+    monkeypatch.setattr(funclib, "oscillation", counted)
+    assert run(["analyze", "w.fn", "--mode", mode, "--depths", "10,12", "--window", "4..9",
+                "--sample-depth", 3, "--out", "an"]) == 0
+    assert len(seen) == len(set(seen)) == 2 * 8 * 6  # depths x points x radii
+
+
+def test_analyze_bytes_independent_of_threads(workdir, monkeypatch):
+    funclib.save_function("w.fn", funclib.make_test_function("weierstrass", {"terms": 10}, depth=12))
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LIPLAB_THREADS", threads)
+        out = f"t{threads}"
+        # 64 sample points, enough for the thread pool to run
+        assert run(["analyze", "w.fn", "--depths", "10,12", "--window", "4..10",
+                    "--sample-depth", 6, "--out", out]) == 0
+        outputs.append([(workdir / (out + ext)).read_bytes() for ext in (".csv", ".json")])
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0][1])["points"]) == 64
+
+
 def test_partition_command(workdir):
     assert run(["construct", "--out", "b", "--base", "affine(c=1)", "--nmax", 2,
                 "--phi", "power(s=0.25)", "--depth", 10]) == 0
@@ -116,6 +155,12 @@ def test_partition_command(workdir):
     assert payload["graph_check"]["ok"]
     for rep in payload["image_cover"]:
         assert rep["sum"] <= rep["bound"]
+    # plateau values outside [0,1] have no cube-set image cover: a config
+    # error before the image-cover ladder runs
+    assert run(["construct", "--out", "b3", "--base", "affine(c=3)", "--nmax", 1,
+                "--depth", 10]) == 0
+    assert run(["partition", "b3", "--out", "p3.json"]) == 2
+    assert not (workdir / "p3.json").exists()
 
 
 def test_micro_command_pass_and_fail(workdir):
@@ -154,8 +199,38 @@ def test_config_errors_exit_2(workdir):
     assert run(["dims", "points:0.5,abc"]) == 2
     assert run(["analyze", "c.fn", "--depths", "8,x"]) == 2
     assert run(["analyze", "c.fn", "--window", "4..x"]) == 2
+    assert run(["analyze", "c.fn", "--window", "4..7"]) == 2  # 4 radii, need 6
+    assert run(["analyze", "c.fn", "--depths", "9"]) == 2  # c.fn has depth 8
     assert run(["construct", "--out", "b", "--nmax", 1, "--depth", 8]) == 0
     assert run(["partition", "b", "--delta-ladder", "0.1,abc"]) == 2
+    # malformed artifact files
+    text = (workdir / "c.fn").read_text()
+    lines = text.splitlines(keepends=True)
+    bad_fns = {
+        "header.fn": "d 1 m x domain 1\n" + "".join(lines[1:]),
+        "truncated.fn": "".join(lines[:100]),
+        "garbage.fn": "not a function file\n",
+        "token.fn": "".join(lines[:5] + ["abc\n"] + lines[6:]),  # a value line
+        "nomodulus.fn": "".join(line for line in lines if not line.startswith("modulus")),
+    }
+    for name, body in bad_fns.items():
+        (workdir / name).write_text(body)
+        assert run(["analyze", name]) == 2, name
+    bad_sets = {
+        "header.set": "d 1\n0\n",
+        "token.set": "d 1 m 4\n0\nx\n",
+        "length.set": "d 2 m 4\n0 1\n3\n",
+        "range.set": "d 1 m 4\n16\n",
+    }
+    for name, body in bad_sets.items():
+        (workdir / name).write_text(body)
+        assert run(["dims", name]) == 2, name
+    meta = json.loads((workdir / "b" / "meta.json").read_text())
+    del meta["phi"]
+    (workdir / "b" / "meta.json").write_text(json.dumps(meta))
+    assert run(["report", "b"]) == 2
+    (workdir / "b" / "stages.json").write_text("[{")
+    assert run(["report", "b"]) == 2
 
 
 def test_config_file_load(workdir):

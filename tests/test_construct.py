@@ -19,12 +19,11 @@ from liplab.construct import (
     load_build,
     plateau_vertex_ranges,
     save_build,
-    strip_weights,
 )
-from liplab.funclib import SampledFunction, make_test_function
+from liplab.funclib import SampledFunction, make_test_function, save_function
 from liplab.gauges import make_preset
 from liplab.setlib import DyadicCubeSet, IntervalUnion, cross_power, n_delta
-from oracles import fraction_plateau_range, loop_strip_weights
+from oracles import fraction_plateau_range
 
 POWER1 = make_preset("power", s=1)
 PHI = make_preset("power", s=0.25)
@@ -167,17 +166,6 @@ def test_plateau_vertex_ranges_reject_off_grid_eta(stage):
         plateau_vertex_ranges(p, e + 1, np.arange(p.k))
 
 
-@settings(max_examples=100, deadline=None)
-@given(_stage_on_grid(), st.integers(0, 2))
-def test_strip_weights_match_vertex_loop(stage, extra):
-    p, e, _ = stage
-    depth = max(p.required_depth(), e + 2) + extra
-    lo, hi, _ = plateau_vertex_ranges(p, depth, np.arange(p.k))
-    strip, weight = strip_weights(lo, hi, 1 << depth)
-    expected = loop_strip_weights(lo.tolist(), hi.tolist(), 1 << depth)
-    assert (strip.tolist(), weight.tolist()) == expected
-
-
 def test_build_stage_partial_domain_drops_cubes():
     f0 = make_test_function("affine", {"c": 1.0}, depth=8)
     p = StageParams(1, 0.5, Fraction(1, 4), 5, Fraction(1, 8), 0.125)
@@ -197,30 +185,12 @@ def test_build_stage_depth_guard():
         build_stage(f0, p, phi=POWER1)
 
 
-def test_build_stage_2d_plateaus_and_gap_geometry():
+def test_2d_core_complement_in_cross_power():
     depth = 6
-    top = (1 << depth) + 1
-    xs = np.linspace(0.0, 1.0, top)
-    values = xs[:, None] + 0.5 * xs[None, :]
-    f0 = SampledFunction(
-        2, depth, DyadicCubeSet.full(2, 0), values,
-        make_test_function("affine", {"c": 1.5}, depth=2).modulus, exact=True,
-    )
     p = StageParams(1, 0.9, Fraction(1), 2, Fraction(1, 8), 0.125)
-    g, rec = build_stage(f0, p, phi=POWER1)
-    # four plateau squares, constant on every cell meeting each cube
     E = p.slab_union()
     cross = cross_power(DyadicCubeSet.from_interval_union(E, depth), 2)
     core_1d = p.core_union()
-    for j0 in range(2):
-        for j1 in range(2):
-            a0, b0 = p.cube_interval(j0)
-            a1, b1 = p.cube_interval(j1)
-            mid = (float((a0 + b0) / 2), float((a1 + b1) / 2))
-            center_val = g.evaluate(mid)
-            for dx in (-0.3, 0.3):
-                probe = (mid[0] + dx * float(b0 - a0), mid[1])
-                assert g.evaluate(probe) == pytest.approx(center_val, abs=1e-15)
     # condition (a) at cube level: complement of the cores sits in E^(cross 2)
     rng = np.random.default_rng(2)
     for pt in rng.random((2000, 2)):
@@ -235,6 +205,25 @@ def test_build_stage_2d_plateaus_and_gap_geometry():
             if i0 in inside and i1 in inside:
                 continue
             assert (i0, i1) in cross.cubes
+
+
+def test_build_rejects_dimension_2(tmp_path):
+    depth = 6
+    xs = np.linspace(0.0, 1.0, (1 << depth) + 1)
+    f0 = SampledFunction(
+        2, depth, DyadicCubeSet.full(2, 0), xs[:, None] + 0.5 * xs[None, :],
+        make_test_function("affine", {"c": 1.5}, depth=2).modulus, exact=True,
+    )
+    p = StageParams(1, 0.9, Fraction(1), 2, Fraction(1, 8), 0.125)
+    with pytest.raises(ConstructError, match="dimension 1, not 2"):
+        build_stage(f0, p, phi=POWER1)
+    with pytest.raises(ConstructError, match="dimension 1, not 2"):
+        iterate_typical(f0, 2, PHI, POWER1, 0.5)
+    # a build directory whose final.fn is 2-d is refused on load
+    save_build(tmp_path / "b", small_affine_build(n_max=1))
+    save_function(tmp_path / "b" / "final.fn", f0)
+    with pytest.raises(ConstructError, match="dimension 1, not 2"):
+        load_build(tmp_path / "b")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from liplab.setlib import (
     CoverRecord,
     CoverageError,
     DyadicCubeSet,
+    FormatError,
     IntervalUnion,
     cantor_intervals,
     cantor_natural_cover,
@@ -462,6 +463,10 @@ def test_cover_round_trip(tmp_path):
     assert [tuple(map(float, b)) for box in back.boxes for b in box] == [
         tuple(map(float, b)) for box in cover.boxes for b in box
     ]
+    for body in ("0 0.5 x 1\n", "0 0.5 1\n", "0 0.5\n0 0.5 0 1\n", "0 3\n"):
+        path.write_text(body)
+        with pytest.raises(FormatError):
+            load_cover(path)
 
 
 def test_atomic_write_concurrent_writers(tmp_path):
