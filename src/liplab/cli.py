@@ -89,9 +89,15 @@ def _parse_window(spec: str) -> list[float]:
 
 
 def _window_radii(window: list[float], f: funclib.SampledFunction) -> list[float]:
-    """The window radii >= 4h, or 2^-2..2^-7 when fewer than 6 remain."""
+    """The window radii >= 4h, or 2^-2..2^-7 when fewer than 6 remain; a
+    generator-backed function keeps only the fallback radii >= 4h too."""
     radii = [r for r in window if r >= 4.0 * f.h]
-    return radii if len(radii) >= 6 else [2.0**-j for j in range(2, 8)]
+    if len(radii) >= 6:
+        return radii
+    radii = [2.0**-j for j in range(2, 8) if f.exact or 2.0**-j >= 4.0 * f.h]
+    if len(radii) < 6:
+        raise ConfigError(f"depth {f.depth} leaves {len(radii)} radii >= 4h; need at least 6")
+    return radii
 
 
 def _parse_scales(spec: str) -> list:
@@ -100,8 +106,12 @@ def _parse_scales(spec: str) -> list:
     kind, _, rest = spec.partition(":")
     if kind in ("dyadic", "triadic"):
         base = 2 if kind == "dyadic" else 3
-        return [Fraction(1, base**j) for j in _parse_range(rest, "scales")]
-    return _parse_list(spec, float, "scales spec")
+        scales = [Fraction(1, base**j) for j in _parse_range(rest, "scales")]
+    else:
+        scales = _parse_list(spec, float, "scales spec")
+    if len(scales) < 6:
+        raise ConfigError(f"scales {spec!r} gives {len(scales)} scales; need at least 6")
+    return scales
 
 
 def _parse_base(spec: str, depth: int) -> funclib.SampledFunction:
@@ -140,6 +150,8 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     window = _parse_window(cfg.window)
     depths = _parse_list(cfg.depths, int, "depths") if cfg.depths else [f.depth]
     sample_depth = cfg.sample_depth or max(1, min(depths) - 6)
+    if not 0 <= sample_depth <= min(depths) - 2:
+        raise ConfigError(f"sample depth {sample_depth} must lie in 0..{min(depths) - 2}")
     rows = []
     fields = {}
     proxies_by_depth = {}
@@ -165,7 +177,9 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         "proxies": list(final_field.proxies),
         "classes": list(final_field.classes),
         "proxies_by_depth": {str(k): v for k, v in proxies_by_depth.items()},
-        "over_tau_cubes": sorted(int(c[0]) for c in final_field.over_tau.cubes),
+        "over_tau_cubes": sorted(
+            int(c[0]) if f.dim == 1 else [int(k) for k in c] for c in final_field.over_tau.cubes
+        ),
         "sample_depth": sample_depth,
     }
     _write_json(out + ".json", payload)
@@ -245,7 +259,6 @@ def _certificates_payload(
         "exceptional": {
             "premeasures": premeasures,
             "containment_ok": analysis.containment_ok,
-            "exact_tails": analysis.exact_tails,
             "micro_verified": analysis.micro_verified,
             "notes": analysis.notes,
         },
@@ -329,9 +342,11 @@ def _cmd_partition(cfg: RunConfig) -> int:
 
 
 def _cmd_micro(cfg: RunConfig) -> int:
-    E = _load_set(cfg.input_path)
     if cfg.eps is None:
         raise ConfigError("micro needs --eps")
+    if not 0.0 < cfg.eps < 1.0:
+        raise ConfigError(f"--eps {cfg.eps:g} must lie in (0,1)")
+    E = _load_set(cfg.input_path)
     cert = setlib.microscopic_certificate(E, cfg.eps, cfg.nmax)
     out = cfg.out or "micro"
     ok = cert.ok

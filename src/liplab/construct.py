@@ -64,6 +64,15 @@ class ConstructError(ValueError):
     pass
 
 
+# choose_stage_params scans delta = 2^-j for j <= DELTA_SCAN, and eta to 2^-ETA_SCAN
+DELTA_SCAN = 60
+ETA_SCAN = 300
+# iterate_typical caps a stage's budget at SLACK_FRACTION of the smallest
+# earlier slack, and stops early at a stage needing k > K_MAX
+SLACK_FRACTION = 0.25
+K_MAX = 1 << 21
+
+
 # ---------------------------------------------------------------------------
 # Stage parameters
 
@@ -186,15 +195,7 @@ class StageParams:
         return depth
 
 
-def choose_stage_params(
-    f: SampledFunction,
-    n: int,
-    eps: float,
-    zeta: GaugeLike,
-    *,
-    delta_scan: int = 60,
-    eta_scan: int = 300,
-) -> StageParams:
+def choose_stage_params(f: SampledFunction, n: int, eps: float, zeta: GaugeLike) -> StageParams:
     """Pick delta, k, eta for stage n from the function's declared modulus.
 
     delta: largest scanned dyadic radius with w(delta) < eps.  k: smallest
@@ -205,14 +206,14 @@ def choose_stage_params(
         raise ConstructError("need n >= 1 and eps > 0")
     omega = f.modulus.omega
     delta = None
-    for j in range(0, delta_scan + 1):
+    for j in range(0, DELTA_SCAN + 1):
         r = 2.0**-j
         if omega(r) < eps:
             delta = Fraction(1, 1 << j)
             break
     if delta is None:
         raise ConstructError(
-            f"modulus does not drop below eps={eps:g} at any scanned radius >= 2^-{delta_scan}"
+            f"modulus does not drop below eps={eps:g} at any scanned radius >= 2^-{DELTA_SCAN}"
         )
     k = max(n + 1, math.floor(1 / delta) + 1)
     while Fraction(1, k) >= delta:
@@ -221,7 +222,7 @@ def choose_stage_params(
     j = 0
     eta = None
     deepest = None
-    while j <= eta_scan:
+    while j <= ETA_SCAN:
         candidate = Fraction(1, 1 << j)
         if candidate < Fraction(1, k):
             try:
@@ -236,7 +237,7 @@ def choose_stage_params(
     if eta is None:
         raise ConstructError(
             f"no admissible eta within scan range: zeta stayed >= 1/(n(k+1)) = {bound:g}"
-            f" down to 2^-{eta_scan} (deepest scanned zeta = {deepest})"
+            f" down to 2^-{ETA_SCAN} (deepest scanned zeta = {deepest})"
         )
     params = StageParams(n, eps, delta, k, eta, zeta.eval(float(eta)))
     params.validate()
@@ -298,12 +299,6 @@ class StageRecord:
     def slack_min(self) -> float:
         return min(self.membership_slack, self.lip_slack)
 
-    def slab_union(self) -> IntervalUnion:
-        return self.params.slab_union()
-
-    def core_union(self) -> IntervalUnion:
-        return self.params.core_union()
-
     def covering_core(self, x: float | Fraction) -> int | None:
         """Index j with x in the closed core gamma*C_j, else None."""
         p = self.params
@@ -339,10 +334,7 @@ def _require_dim_1(f: SampledFunction) -> None:
 
 
 def build_stage(
-    f: SampledFunction,
-    params: StageParams,
-    omega_set: DyadicCubeSet | None = None,
-    phi: GaugeLike | None = None,
+    f: SampledFunction, params: StageParams, phi: GaugeLike
 ) -> tuple[SampledFunction, StageRecord]:
     """Plateau f on every shrunken cube meeting the domain; blend across gaps.
 
@@ -355,14 +347,13 @@ def build_stage(
     need = params.required_depth()
     if f.depth < need:
         raise ConstructError(f"grid depth {f.depth} insufficient; stage needs {need}")
-    omega_set = omega_set or f.domain
     m = f.depth
     top = 1 << m
     js = np.arange(params.k, dtype=np.int64)
     lo_v, hi_v, anchors = plateau_vertex_ranges(params, m, js)
     dropped = []
-    if not (f.full_domain and len(omega_set.cubes) == (1 << omega_set.depth)):
-        omega_iu = omega_set.to_interval_union()
+    if not f.full_domain:
+        omega_iu = f.domain.to_interval_union()
         for j in range(params.k):
             piece = IntervalUnion.from_pairs([params.cube_interval(j)]).intersect(omega_iu)
             if not piece.is_empty and math.isnan(f.values[anchors[j]]):
@@ -414,8 +405,8 @@ def build_stage(
     g_fn = SampledFunction(1, m, f.domain, g, HolderModulus(lip, 1.0), exact=True)
 
     n = params.n
-    membership = phi.eval(float(params.eta / 2)) / n if phi is not None else math.inf
-    lip_slack = phi.eval(float(params.cert_radius)) / n if phi is not None else math.inf
+    membership = phi.eval(float(params.eta / 2)) / n
+    lip_slack = phi.eval(float(params.cert_radius)) / n
     record = StageRecord(
         params,
         m,
@@ -446,7 +437,6 @@ class TypicalBuild:
     phi: GaugeLike
     zeta: GaugeLike
     eps0: float
-    omega: DyadicCubeSet
     early_stop: str | None = None
 
     @property
@@ -469,23 +459,19 @@ def iterate_typical(
     zeta: GaugeLike,
     eps0: float,
     *,
-    slack_fraction: float = 0.25,
     max_depth: int = 24,
-    k_max: int = 1 << 21,
-    omega_set: DyadicCubeSet | None = None,
 ) -> TypicalBuild:
-    """Run stages 1..n_max with slack-capped budgets.
+    """Run stages 1..n_max on f0's domain with slack-capped budgets.
 
-    Budget at stage n is min(eps0 * 2^-n, slack_fraction * min earlier slack),
+    Budget at stage n is min(eps0 * 2^-n, SLACK_FRACTION * min earlier slack),
     so 2*T_n stays strictly below every stage's slack and each certificate
     survives all later perturbations.  Stages that would need a grid deeper
-    than max_depth (or k beyond k_max) stop the build early with the
+    than max_depth (or k beyond K_MAX) stop the build early with the
     completed prefix and a reason flag.
     """
     if n_max < 1 or eps0 <= 0:
         raise ConstructError("need n_max >= 1 and eps0 > 0")
     _require_dim_1(f0)
-    omega_set = omega_set or f0.domain
     g = f0
     stages: list[StageRecord] = []
     eps_list: list[float] = []
@@ -494,7 +480,7 @@ def iterate_typical(
     for n in range(1, n_max + 1):
         eps_n = eps0 * 2.0**-n
         if stages:
-            eps_n = min(eps_n, slack_fraction * min_slack)
+            eps_n = min(eps_n, SLACK_FRACTION * min_slack)
         if eps_n < 1e-250:
             early = f"slack exhaustion at stage {n}: budget underflow ({eps_n:g})"
             break
@@ -503,8 +489,8 @@ def iterate_typical(
         except ConstructError as err:
             early = f"stage {n}: {err}"
             break
-        if params.k > k_max:
-            early = f"stage {n}: k = {params.k} beyond k_max = {k_max}"
+        if params.k > K_MAX:
+            early = f"stage {n}: k = {params.k} beyond k_max = {K_MAX}"
             break
         need = params.required_depth()
         if need > max_depth:
@@ -512,13 +498,13 @@ def iterate_typical(
             break
         if need > g.depth:
             g = g.resample(need)
-        g, rec = build_stage(g, params, omega_set, phi)
+        g, rec = build_stage(g, params, phi)
         stages.append(rec)
         eps_list.append(eps_n)
         min_slack = min(min_slack, rec.slack_min)
     if not stages:
         raise ConstructError(f"no stage could be built: {early}")
-    build = TypicalBuild(f0, g, stages, eps_list, phi, zeta, eps0, omega_set, early)
+    build = TypicalBuild(f0, g, stages, eps_list, phi, zeta, eps0, early)
     # openness margins: every stage's strict inequality must survive the tail
     for n in range(1, len(stages) + 1):
         if not (2.0 * build.tail(n) < stages[n - 1].slack_min):
@@ -634,7 +620,6 @@ class ExceptionalAnalysis:
     tail_premeasures: list[PremeasureReport]
     tail_component_counts: list[int]
     containment_ok: bool
-    exact_tails: bool
     E_intervals: IntervalUnion
     F_intervals: IntervalUnion
     micro: HZetaMicro | None
@@ -647,16 +632,12 @@ RASTER_DEPTH = 16
 
 
 def deepest_core_complement(build: TypicalBuild) -> IntervalUnion:
-    """F: the part of Omega outside every core of the deepest stage."""
-    cores = build.stages[-1].core_union()
-    return cores.complement_within(0, 1).intersect(build.omega.to_interval_union())
+    """F: the part of Omega = build.final.domain outside every core of the deepest stage."""
+    cores = build.stages[-1].params.core_union()
+    return cores.complement_within(0, 1).intersect(build.final.domain.to_interval_union())
 
 
-def exceptional_set(
-    build: TypicalBuild,
-    *,
-    exact_component_limit: int = 300_000,
-) -> tuple[DyadicCubeSet, DyadicCubeSet, ExceptionalAnalysis]:
+def exceptional_set(build: TypicalBuild) -> tuple[DyadicCubeSet, DyadicCubeSet, ExceptionalAnalysis]:
     """E = union of stage-tail intersections of the slab sets; F = the certified
     complement of the deepest stage's cores.
 
@@ -669,25 +650,11 @@ def exceptional_set(
     F_intervals = deepest_core_complement(build)
     N = build.n_stages
     notes: list[str] = []
-    slabs = [rec.slab_union() for rec in build.stages]
-    total_components = sum(len(s.intervals) for s in slabs)
-    exact_tails = total_components <= exact_component_limit
-    tails: list[IntervalUnion] = []
-    if exact_tails:
-        # suffix intersections, deepest first: each step shrinks the operand
-        suffix = slabs[N - 1]
-        tails = [suffix]
-        for m in range(N - 2, -1, -1):
-            suffix = slabs[m].intersect(suffix)
-            tails.append(suffix)
-        tails.reverse()
-    else:
-        notes.append(
-            "tail intersections left implicit (component count "
-            f"{total_components} beyond exact limit); premeasures use the "
-            "containment tail_n within E_C_i"
-        )
-        tails = [slabs[N - 1] for _ in range(N)]
+    slabs = [rec.params.slab_union() for rec in build.stages]
+    # suffix intersections, deepest first: each step shrinks the operand
+    tails = [slabs[-1]]
+    for slab in reversed(slabs[:-1]):
+        tails.insert(0, slab.intersect(tails[0]))
     # tail_n = intersection over m >= n is increasing in n, so the union over
     # n collapses to the deepest tail
     E_intervals = tails[-1]
@@ -722,7 +689,6 @@ def exceptional_set(
         reports,
         [len(t.intervals) for t in tails],
         containment,
-        exact_tails,
         E_intervals,
         F_intervals,
         micro,
@@ -827,6 +793,5 @@ def load_build(directory) -> TypicalBuild:
         parse_gauge(phi),
         parse_gauge(zeta),
         eps0,
-        final.domain,
         early_stop,
     )

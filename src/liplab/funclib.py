@@ -186,8 +186,8 @@ class SampledFunction:
             return self
         if depth < self.depth:
             raise ValueError("resample only refines")
-        if self.dim != 1 or not self.full_domain:
-            raise ValueError("resample implemented for full-domain dimension 1")
+        if self.dim != 1:
+            raise ValueError("resample implemented for dimension 1")
         new_grid = np.linspace(0.0, 1.0, (1 << depth) + 1)
         old_grid = np.linspace(0.0, 1.0, (1 << self.depth) + 1)
         values = np.interp(new_grid, old_grid, self.values)
@@ -453,8 +453,11 @@ def weierstrass_value(a: float, b: int, terms: int, x: Fraction | float) -> floa
     return total
 
 
-def cantor_value(x: Fraction, max_digits: int = 120) -> float:
-    """Cantor function via ternary digits; exact to < 2^-max_digits."""
+CANTOR_DIGITS = 120  # ternary digits read by cantor_value
+
+
+def cantor_value(x: Fraction) -> float:
+    """Cantor function via ternary digits; exact to < 2^-CANTOR_DIGITS."""
     if x <= 0:
         return 0.0
     if x >= 1:
@@ -462,7 +465,7 @@ def cantor_value(x: Fraction, max_digits: int = 120) -> float:
     num, den = x.numerator, x.denominator
     value = 0.0
     scale = 0.5
-    for _ in range(max_digits):
+    for _ in range(CANTOR_DIGITS):
         num *= 3
         digit, num = divmod(num, den)
         if digit == 1:

@@ -84,18 +84,19 @@ def vitali_5r(candidates: Sequence[Ball]) -> VitaliCover:
     return cover
 
 
-def split_partition(
-    build: TypicalBuild, *, raster_depth: int = 14
-) -> tuple[DyadicCubeSet, DyadicCubeSet]:
+SPLIT_RASTER_DEPTH = 14  # depth of the A/B rasters, capped at the final function's depth
+
+
+def split_partition(build: TypicalBuild) -> tuple[DyadicCubeSet, DyadicCubeSet]:
     """A = rasterized certified superset of {lip_phi g* > 0}; B = Omega minus A.
 
     A cube lands in B exactly when it sits inside a deepest-stage core, where
     the final function is constant; the split is an exact cube-level partition.
     """
-    raster_depth = min(raster_depth, build.final.depth)
+    raster_depth = min(SPLIT_RASTER_DEPTH, build.final.depth)
     F_intervals = deepest_core_complement(build)
     A = DyadicCubeSet.from_interval_union(F_intervals, raster_depth, mode="overlap")
-    omega = build.omega.refine(raster_depth)
+    omega = build.final.domain.refine(raster_depth)
     B = DyadicCubeSet(1, raster_depth, omega.cubes - A.cubes)
     A = DyadicCubeSet(1, raster_depth, A.cubes & omega.cubes)
     return A, B
@@ -141,16 +142,20 @@ class ImageCoverReport:
         }
 
 
+RADIUS_SCAN = 60  # deepest dyadic exponent scanned for an admissible radius
+MAX_COVER_SAMPLES = 4096  # B cube centers seeding one image cover; a seeded subset beyond
+
+
 def _admissible_radius(
-    f: SampledFunction, x: float, phi: GaugeLike, delta: float, scan_max: int = 60
+    f: SampledFunction, x: float, phi: GaugeLike, delta: float
 ) -> tuple[float, float] | None:
     """Largest dyadic r with r < delta, phi(5r) < delta, diam f(B(x,5r)) < phi(5r)."""
     j = 0
     while 2.0**-j >= delta or 5.0 * 2.0**-j > 1.0:
         j += 1
-        if j > scan_max:
+        if j > RADIUS_SCAN:
             return None
-    while j <= scan_max:
+    while j <= RADIUS_SCAN:
         r = 2.0**-j
         try:
             p5 = phi.eval(5.0 * r)
@@ -172,7 +177,6 @@ def image_cover_report(
     xi: GaugeLike,
     delta: float,
     *,
-    max_samples: int = 4096,
     seed: int = 0,
 ) -> ImageCoverReport:
     """Cover f(B) through admissible balls seeded at B's cube centers.
@@ -194,9 +198,9 @@ def image_cover_report(
         )
     h = B.side
     centers = sorted(float((k[0] + Fraction(1, 2)) * h) for k in B.cubes)
-    if len(centers) > max_samples:
+    if len(centers) > MAX_COVER_SAMPLES:
         rng = np.random.default_rng(seed)
-        centers = sorted(rng.choice(centers, size=max_samples, replace=False))
+        centers = sorted(rng.choice(centers, size=MAX_COVER_SAMPLES, replace=False))
     candidates = []
     diam_by_center: dict[float, float] = {}
     uncovered = []

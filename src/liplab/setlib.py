@@ -125,11 +125,6 @@ class IntervalUnion:
     def measure(self) -> Fraction:
         return sum((b - a for a, b in self.intervals), Fraction(0))
 
-    def hull(self) -> tuple[Fraction, Fraction] | None:
-        if not self.intervals:
-            return None
-        return self.intervals[0][0], self.intervals[-1][1]
-
     def contains(self, x: Number) -> bool:
         import bisect
 
@@ -689,7 +684,7 @@ def hausdorff_upper(E, g: GaugeLike, cover: BoxCover | None = None) -> CoverReco
 # Cross products and powers
 
 
-def cross_power(E: DyadicCubeSet, d: int, max_cubes: int = MAX_CROSS_CUBES) -> DyadicCubeSet:
+def cross_power(E: DyadicCubeSet, d: int) -> DyadicCubeSet:
     """E^(cross d): d-cubes with at least one coordinate projection cube in E."""
     if E.dim != 1:
         raise ValueError("cross power takes a 1-d set")
@@ -699,8 +694,8 @@ def cross_power(E: DyadicCubeSet, d: int, max_cubes: int = MAX_CROSS_CUBES) -> D
     e = frozenset(k[0] for k in E.cubes)
     inside = len(e)
     total = top**d - (top - inside) ** d
-    if total > max_cubes:
-        raise ValueError(f"cross power would hold {total} cubes (limit {max_cubes})")
+    if total > MAX_CROSS_CUBES:
+        raise ValueError(f"cross power would hold {total} cubes (limit {MAX_CROSS_CUBES})")
     if d == 1:
         return E
     others = [k for k in range(top) if k not in e]
@@ -713,7 +708,7 @@ def cross_power(E: DyadicCubeSet, d: int, max_cubes: int = MAX_CROSS_CUBES) -> D
     return DyadicCubeSet(d, E.depth, frozenset(cubes))
 
 
-def cross_product(E: DyadicCubeSet, F: DyadicCubeSet, max_cubes: int = MAX_CROSS_CUBES) -> DyadicCubeSet:
+def cross_product(E: DyadicCubeSet, F: DyadicCubeSet) -> DyadicCubeSet:
     """E bowtie F = (E x Y) u (X x F) at cube level."""
     if E.depth != F.depth:
         depth = max(E.depth, F.depth)
@@ -721,8 +716,8 @@ def cross_product(E: DyadicCubeSet, F: DyadicCubeSet, max_cubes: int = MAX_CROSS
     top = 1 << E.depth
     dim = E.dim + F.dim
     total = len(E.cubes) * top**F.dim + top**E.dim * len(F.cubes)
-    if total > max_cubes:
-        raise ValueError(f"cross product would hold up to {total} cubes (limit {max_cubes})")
+    if total > MAX_CROSS_CUBES:
+        raise ValueError(f"cross product would hold up to {total} cubes (limit {MAX_CROSS_CUBES})")
     cubes: set[tuple[int, ...]] = set()
     for e in E.cubes:
         for f in iter_product(range(top), repeat=F.dim):

@@ -92,7 +92,7 @@ _EXCEPTIONAL: dict = {}
 def exceptional_analyses():
     if not _EXCEPTIONAL:
         for name, build in acceptance_builds().items():
-            _EXCEPTIONAL[name] = exceptional_set(build, exact_component_limit=800_000)
+            _EXCEPTIONAL[name] = exceptional_set(build)
     return _EXCEPTIONAL
 
 

@@ -115,6 +115,20 @@ def test_analyze_shallow_function_falls_back_to_default_window(workdir):
     assert sorted(float(r) for r in scales) == [2.0**-j for j in range(7, 1, -1)]
 
 
+def test_analyze_2d_over_tau_cubes(workdir):
+    depth = 6
+    xs = np.linspace(0.0, 1.0, (1 << depth) + 1)
+    f = funclib.SampledFunction(
+        2, depth, setlib.DyadicCubeSet.full(2, 0), xs[:, None] + 0.5 * xs[None, :],
+        funclib.HolderModulus(1.5, 1.0), exact=True,
+    )
+    funclib.save_function("a2.fn", f)
+    assert run(["analyze", "a2.fn", "--sample-depth", 1, "--tau", 0.1, "--out", "an"]) == 0
+    payload = json.loads((workdir / "an.json").read_text())
+    assert payload["classes"] == ["over"] * 4
+    assert payload["over_tau_cubes"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+
+
 @pytest.mark.parametrize("mode", ["lip", "Lip"])
 def test_analyze_one_oscillation_per_point_radius_depth(workdir, monkeypatch, mode):
     funclib.save_function("w.fn", funclib.make_test_function("weierstrass", {"terms": 10}, depth=12))
@@ -193,14 +207,22 @@ def test_config_errors_exit_2(workdir):
     assert run(["construct", "--phi", "power(s=abc)", "--out", "x"]) == 2
     assert run(["construct", "--zeta", "power(s=1:2)", "--out", "x"]) == 2
     assert not (workdir / "x").exists()
-    for scales in ("dyadic:a..3", "triadic:a..3", "dyadic:3", "dyadic:-1..3", "0.5,abc"):
+    for scales in ("dyadic:a..3", "triadic:a..3", "dyadic:3", "dyadic:-1..3", "0.5,abc",
+                   "dyadic:1..3", "0.5,0.25"):
         assert run(["dims", "cantor:6", "--scales", scales]) == 2
+    assert run(["micro", "cantor:6", "--eps", 2]) == 2
+    assert run(["micro", "cantor:6", "--eps", 0]) == 2
     assert run(["dims", "cantor:x"]) == 2
     assert run(["dims", "points:0.5,abc"]) == 2
     assert run(["analyze", "c.fn", "--depths", "8,x"]) == 2
     assert run(["analyze", "c.fn", "--window", "4..x"]) == 2
     assert run(["analyze", "c.fn", "--window", "4..7"]) == 2  # 4 radii, need 6
     assert run(["analyze", "c.fn", "--depths", "9"]) == 2  # c.fn has depth 8
+    assert run(["analyze", "c.fn", "--sample-depth", 7]) == 2  # need <= 8 - 2
+    assert run(["analyze", "c.fn", "--depths", "6,8", "--sample-depth", 5]) == 2
+    # a generator-backed depth-8 function has 5 fallback radii >= 4h = 2^-6
+    funclib.save_function("w8.fn", funclib.make_test_function("weierstrass", {}, 8))
+    assert run(["analyze", "w8.fn"]) == 2
     assert run(["construct", "--out", "b", "--nmax", 1, "--depth", 8]) == 0
     assert run(["partition", "b", "--delta-ladder", "0.1,abc"]) == 2
     # malformed artifact files

@@ -35,6 +35,14 @@ def small_affine_build(n_max=3, eps0=0.5, phi=PHI, zeta=POWER1):
     return iterate_typical(f0, n_max, phi, zeta, eps0, max_depth=18)
 
 
+def on_left_half(f):
+    """f restricted to the domain [0, 1/2]: NaN at the vertices beyond it."""
+    values = f.values.copy()
+    values[(1 << f.depth) // 2 + 1 :] = np.nan
+    half = DyadicCubeSet(1, 1, frozenset({(0,)}))
+    return SampledFunction(1, f.depth, half, values, f.modulus, f.exact)
+
+
 # ---------------------------------------------------------------------------
 # Stage parameters
 
@@ -69,7 +77,7 @@ def test_choose_params_plateau_zeta_errors():
     flat = make_preset("table", rs=(1e-300, 1.0), gs=(0.5, 0.5))
     f0 = make_test_function("constant", {"value": 0.5}, depth=8)
     with pytest.raises(ConstructError, match="no admissible eta"):
-        choose_stage_params(f0, 1, 0.5, flat, eta_scan=40)
+        choose_stage_params(f0, 1, 0.5, flat)
 
 
 def test_stage_identities_exact_and_float():
@@ -167,15 +175,38 @@ def test_plateau_vertex_ranges_reject_off_grid_eta(stage):
 
 
 def test_build_stage_partial_domain_drops_cubes():
-    f0 = make_test_function("affine", {"c": 1.0}, depth=8)
+    f0 = on_left_half(make_test_function("affine", {"c": 1.0}, depth=8))
     p = StageParams(1, 0.5, Fraction(1, 4), 5, Fraction(1, 8), 0.125)
-    omega = DyadicCubeSet(1, 1, frozenset({(0,)}))
-    _, rec = build_stage(f0, p, omega, POWER1)
+    _, rec = build_stage(f0, p, phi=POWER1)
     assert rec.kept.tolist() == [0, 1, 2]
     assert rec.dropped == (3, 4)
     assert rec.lo_v.tolist() == [8, 59, 110]
     assert rec.hi_v.tolist() == [44, 95, 146]
     assert rec.anchors.tolist() == [26, 77, 128]
+
+
+def test_partial_domain_build_certifies_and_round_trips(tmp_path):
+    # stage 3 refines the half-domain function past its base depth
+    f0 = on_left_half(make_test_function("affine", {"c": 1.0}, depth=10))
+    build = iterate_typical(f0, 3, PHI, POWER1, 0.5, max_depth=18)
+    assert build.n_stages == 3 and build.early_stop is None
+    assert build.final.depth > f0.depth and build.final.domain == f0.domain
+    in_domain = ~np.isnan(f0.resample(build.final.depth).values)
+    assert not np.isnan(build.final.values[in_domain]).any()
+    for n in (1, 2, 3):
+        cert = certify_membership(build, n)
+        assert cert.ok and cert.margin_min > 0.0
+        assert cert.diam_max_measured <= cert.bound
+    _, _, analysis = exceptional_set(build)
+    for n, rep in enumerate(analysis.tail_premeasures, start=1):
+        assert rep.value < 1.0 / n
+    assert analysis.containment_ok
+    # F lies in Omega = [0, 1/2]; a reloaded build certifies the same set
+    assert analysis.F_intervals.subset_of(IntervalUnion.from_pairs([(0, Fraction(1, 2))]))
+    save_build(tmp_path / "b", build)
+    _, _, again = exceptional_set(load_build(tmp_path / "b"))
+    assert again.F_intervals == analysis.F_intervals
+    assert again.E_intervals == analysis.E_intervals
 
 
 def test_build_stage_depth_guard():
@@ -264,7 +295,7 @@ def test_iterate_spec_example_budget_cascade():
     # phi = power(1) with eps0 = 0.1 drives k into the millions by stage 3;
     # the build must stop early with the completed prefix rather than blow up
     f0 = make_test_function("affine", {"c": 1.0}, depth=10)
-    build = iterate_typical(f0, 3, POWER1, POWER1, 0.1, max_depth=24, k_max=1 << 21)
+    build = iterate_typical(f0, 3, POWER1, POWER1, 0.1, max_depth=24)
     assert build.n_stages >= 2
     if build.n_stages < 3:
         assert build.early_stop is not None
@@ -357,7 +388,7 @@ def test_lip_field_over_tau_fraction_matches_stage_geometry():
     frac = len(field.over_tau) / len(field.points)
     assert frac <= float((p.k + 1) * p.eta) + 0.05
     # covered core centers classify as approximately zero
-    slabs = rec.slab_union()
+    slabs = rec.params.slab_union()
     for point, cls in zip(field.points, field.classes):
         if cls == "over":
             # an over-threshold sample cube must meet the slab region
@@ -395,7 +426,13 @@ def test_exceptional_set_one_stage():
 def test_exceptional_set_three_stages():
     build = small_affine_build()
     E, F, analysis = exceptional_set(build)
-    assert analysis.exact_tails
+    # each tail is the exact intersection of the slab sets of stages n..N
+    slabs = [rec.params.slab_union() for rec in build.stages]
+    for n in (1, 2, 3):
+        tail = slabs[n - 1]
+        for later in slabs[n:]:
+            tail = tail.intersect(later)
+        assert analysis.tail_component_counts[n - 1] == len(tail.intervals)
     for n, rep in enumerate(analysis.tail_premeasures, start=1):
         assert rep.value < 1.0 / n
     # tails are nested increasing

@@ -109,7 +109,7 @@ def test_split_is_exact_partition():
 def test_split_b_is_plateau_cores():
     build = affine_build(1)
     A, B = split_partition(build)
-    cores = build.stages[-1].core_union()
+    cores = build.stages[-1].params.core_union()
     for idx in B.cubes:
         h = B.side
         assert cores.contains(idx[0] * h) and cores.contains((idx[0] + 1) * h)

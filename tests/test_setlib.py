@@ -293,9 +293,9 @@ def test_cross_product_union_rule():
 
 
 def test_cross_power_overflow_guard():
-    E = DyadicCubeSet.full(1, 8)
-    with pytest.raises(ValueError):
-        cross_power(E, 4, max_cubes=1000)
+    # 64^4 = 16.7M cubes, beyond MAX_CROSS_CUBES = 4M: refused before building
+    with pytest.raises(ValueError, match="limit"):
+        cross_power(DyadicCubeSet.full(1, 6), 4)
 
 
 # ---------------------------------------------------------------------------
