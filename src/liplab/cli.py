@@ -21,6 +21,7 @@ import numpy as np
 from . import construct as construct_mod
 from . import funclib, gauges, partition, setlib
 
+# 1-d header; for d >= 2 the point column x becomes x1,...,xd
 CSV_COLUMNS = "x,scale,osc_lower,osc_upper,ratio_lower,ratio_upper"
 
 
@@ -135,7 +136,8 @@ def _subsample(f: funclib.SampledFunction, depth: int) -> funclib.SampledFunctio
         raise ConfigError(f"cannot subsample depth {f.depth} up to {depth}")
     step = 1 << (f.depth - depth)
     return funclib.SampledFunction(
-        f.dim, depth, f.domain, f.values[::step].copy(), f.modulus, exact=False
+        f.dim, depth, f.domain, f.values[(slice(None, None, step),) * f.dim].copy(), f.modulus,
+        exact=False,
     )
 
 
@@ -161,11 +163,13 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         fields[depth] = lf
         proxies_by_depth[depth] = [rec.window_summary(cfg.mode) for rec in lf.records]
         for rec in lf.records:
+            point = ",".join(f"{c:.17g}" for c in rec.point)
             for r, lo, hi, rlo, rhi in rec.entries:
-                rows.append(
-                    f"{rec.point[0]:.17g},{r:.17g},{lo:.17g},{hi:.17g},{rlo:.17g},{rhi:.17g}"
-                )
-    setlib._atomic_write(out + ".csv", CSV_COLUMNS + "\n" + "\n".join(rows) + "\n")
+                rows.append(f"{point},{r:.17g},{lo:.17g},{hi:.17g},{rlo:.17g},{rhi:.17g}")
+    header = CSV_COLUMNS
+    if f.dim > 1:
+        header = ",".join(f"x{i}" for i in range(1, f.dim + 1)) + CSV_COLUMNS[1:]
+    setlib._atomic_write(out + ".csv", header + "\n" + "\n".join(rows) + "\n")
     final_field = fields.get(f.depth) or funclib.lip_field(
         f, phi, cfg.tau, sample_depth, _window_radii(window, f)
     )

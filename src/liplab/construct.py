@@ -10,8 +10,8 @@ gamma = (2-2k*eta)/(2-k*eta) the identities gamma*beta = 1 - k*eta and
 is the union of k+1 slabs of width eta around the grid hyperplanes, and a
 max-norm ball of radius eta/4 around any core point stays inside its cube.
 
-Later stages perturb by at most a quarter of the smallest slack recorded so
-far, so every earlier strict certificate survives with positive margin.
+Each later stage perturbs by at most half of every earlier stage's remaining
+headroom, so every earlier strict certificate survives with positive margin.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
     "ConstructError",
     "choose_stage_params",
     "plateau_vertex_ranges",
+    "stage_slacks",
     "build_stage",
     "iterate_typical",
     "certify_membership",
@@ -67,9 +68,7 @@ class ConstructError(ValueError):
 # choose_stage_params scans delta = 2^-j for j <= DELTA_SCAN, and eta to 2^-ETA_SCAN
 DELTA_SCAN = 60
 ETA_SCAN = 300
-# iterate_typical caps a stage's budget at SLACK_FRACTION of the smallest
-# earlier slack, and stops early at a stage needing k > K_MAX
-SLACK_FRACTION = 0.25
+# iterate_typical stops early at a stage needing k > K_MAX
 K_MAX = 1 << 21
 
 
@@ -270,6 +269,12 @@ def plateau_vertex_ranges(
     return lo, hi, np.clip(center, lo, hi)
 
 
+def stage_slacks(params: StageParams, phi: GaugeLike) -> tuple[float, float]:
+    """Stage n's (membership, lip) thresholds: (1/n) phi(eta/2), (1/n) phi(eta/4)."""
+    n = params.n
+    return phi.eval(float(params.eta / 2)) / n, phi.eval(float(params.cert_radius)) / n
+
+
 # ---------------------------------------------------------------------------
 # One stage
 
@@ -293,7 +298,11 @@ class StageRecord:
     kept: np.ndarray  # grid indices j of cubes meeting the domain
     membership_slack: float  # (1/n) phi(eta/2), the F(C) threshold
     lip_slack: float  # (1/n) phi(eta/4), the ball-certificate threshold
-    dropped: tuple[int, ...] = ()
+
+    @property
+    def dropped(self) -> tuple[int, ...]:
+        """Grid indices j of the cubes missing the domain."""
+        return tuple(int(j) for j in np.setdiff1d(np.arange(self.params.k), self.kept))
 
     @property
     def slack_min(self) -> float:
@@ -397,28 +406,14 @@ def build_stage(
         )
     np.clip(h_fun, -eps, eps, out=h_fun)
     # f + (A - f) can land an ulp off A; plateau vertices carry A bitwise so
-    # the certified diameters are exactly zero
-    g = np.where(plateau_mask, g, values + h_fun)
+    # the certified diameters are exactly zero.  Off-domain vertices stay NaN.
+    g = np.where(plateau_mask & ~np.isnan(values), g, values + h_fun)
 
     g_fn = SampledFunction(1, m, f.domain, g, f.modulus, exact=True)
     lip = g_fn.grid_lipschitz()
     g_fn = SampledFunction(1, m, f.domain, g, HolderModulus(lip, 1.0), exact=True)
 
-    n = params.n
-    membership = phi.eval(float(params.eta / 2)) / n
-    lip_slack = phi.eval(float(params.cert_radius)) / n
-    record = StageRecord(
-        params,
-        m,
-        anchors,
-        plat_vals,
-        lo_v,
-        hi_v,
-        js,
-        membership,
-        lip_slack,
-        tuple(dropped),
-    )
+    record = StageRecord(params, m, anchors, plat_vals, lo_v, hi_v, js, *stage_slacks(params, phi))
     return g_fn, record
 
 
@@ -433,7 +428,6 @@ class TypicalBuild:
     base: SampledFunction
     final: SampledFunction
     stages: list[StageRecord]
-    eps_schedule: list[float]
     phi: GaugeLike
     zeta: GaugeLike
     eps0: float
@@ -442,6 +436,10 @@ class TypicalBuild:
     @property
     def n_stages(self) -> int:
         return len(self.stages)
+
+    @property
+    def eps_schedule(self) -> list[float]:
+        return [rec.params.eps for rec in self.stages]
 
     def tail(self, n: int) -> float:
         """T_n = sum of budgets of stages after n."""
@@ -463,9 +461,11 @@ def iterate_typical(
 ) -> TypicalBuild:
     """Run stages 1..n_max on f0's domain with slack-capped budgets.
 
-    Budget at stage n is min(eps0 * 2^-n, SLACK_FRACTION * min earlier slack),
-    so 2*T_n stays strictly below every stage's slack and each certificate
-    survives all later perturbations.  Stages that would need a grid deeper
+    Stage m's headroom is slack_m/2 minus the budgets of the stages built
+    after it.  Budget at stage n is min(eps0 * 2^-n, min over m < n of
+    headroom_m / 2), so each later stage at most halves every headroom: 2*T_n
+    stays strictly below every stage's slack and each certificate survives
+    all later perturbations.  Stages that would need a grid deeper
     than max_depth (or k beyond K_MAX) stop the build early with the
     completed prefix and a reason flag.
     """
@@ -474,13 +474,12 @@ def iterate_typical(
     _require_dim_1(f0)
     g = f0
     stages: list[StageRecord] = []
-    eps_list: list[float] = []
-    min_slack = math.inf
+    headroom: list[float] = []
     early = None
     for n in range(1, n_max + 1):
         eps_n = eps0 * 2.0**-n
-        if stages:
-            eps_n = min(eps_n, SLACK_FRACTION * min_slack)
+        if headroom:
+            eps_n = min(eps_n, min(headroom) / 2)
         if eps_n < 1e-250:
             early = f"slack exhaustion at stage {n}: budget underflow ({eps_n:g})"
             break
@@ -500,11 +499,10 @@ def iterate_typical(
             g = g.resample(need)
         g, rec = build_stage(g, params, phi)
         stages.append(rec)
-        eps_list.append(eps_n)
-        min_slack = min(min_slack, rec.slack_min)
+        headroom = [h - eps_n for h in headroom] + [rec.slack_min / 2]
     if not stages:
         raise ConstructError(f"no stage could be built: {early}")
-    build = TypicalBuild(f0, g, stages, eps_list, phi, zeta, eps0, early)
+    build = TypicalBuild(f0, g, stages, phi, zeta, eps0, early)
     # openness margins: every stage's strict inequality must survive the tail
     for n in range(1, len(stages) + 1):
         if not (2.0 * build.tail(n) < stages[n - 1].slack_min):
@@ -512,7 +510,7 @@ def iterate_typical(
                 f"internal: tail 2*T_{n} = {2 * build.tail(n):g} reached the stage slack "
                 f"{stages[n - 1].slack_min:g}"
             )
-    if build.sup_distance() > sum(eps_list) * (1.0 + 1e-9):
+    if build.sup_distance() > sum(build.eps_schedule) * (1.0 + 1e-9):
         raise ConstructError("internal: sup distance exceeded the budget sum")
     return build
 
@@ -548,11 +546,12 @@ def certify_membership(build: TypicalBuild, n: int) -> MembershipCertificate:
     starts = np.empty(2 * len(lo), dtype=np.int64)
     starts[0::2] = lo
     starts[1::2] = hi + 1
-    mx = np.maximum.reduceat(f.values, starts[:-1])[0::2]
-    mn = np.minimum.reduceat(f.values, starts[:-1])[0::2]
+    # NaN-ignoring: a partial-domain cube's off-domain vertices are NaN
+    mx = np.fmax.reduceat(f.values, starts[:-1])[0::2]
+    mn = np.fmin.reduceat(f.values, starts[:-1])[0::2]
     # reduceat cannot take an empty trailing slice; last segment by hand
-    mx[-1] = np.max(f.values[lo[-1] : hi[-1] + 1])
-    mn[-1] = np.min(f.values[lo[-1] : hi[-1] + 1])
+    mx[-1] = np.fmax.reduce(f.values[lo[-1] : hi[-1] + 1])
+    mn[-1] = np.fmin.reduce(f.values[lo[-1] : hi[-1] + 1])
     diam_max = float(np.max(mx - mn))
     if diam_max > bound * (1.0 + 1e-9) + 1e-300:
         raise ConstructError(
@@ -705,33 +704,27 @@ def exceptional_set(build: TypicalBuild) -> tuple[DyadicCubeSet, DyadicCubeSet, 
 def save_build(
     directory, build: TypicalBuild
 ) -> tuple[DyadicCubeSet, DyadicCubeSet, ExceptionalAnalysis]:
-    """Write the build directory; returns the exceptional_set result it wrote."""
+    """Write the build directory; returns the exceptional_set result it wrote.
+
+    stages.json keeps only what each stage chose; load_build re-derives the
+    rest (zeta(eta), the slacks, the kept cubes and plateau ranges)."""
     os.makedirs(directory, exist_ok=True)
     save_function(os.path.join(directory, "base.fn"), build.base)
     save_function(os.path.join(directory, "final.fn"), build.final)
-    stages = []
-    for rec, eps in zip(build.stages, build.eps_schedule):
-        p = rec.params
-        stages.append(
-            {
-                "n": p.n,
-                "k": p.k,
-                "eta": str(p.eta),
-                "beta": str(p.beta),
-                "gamma": str(p.gamma),
-                "delta": str(p.delta),
-                "zeta_at_eta": p.zeta_at_eta,
-                "epsilon": eps,
-                "slack_min": rec.slack_min,
-                "membership_slack": rec.membership_slack,
-                "lip_slack": rec.lip_slack,
-                "depth": rec.depth,
-                "anchors": [int(a) for a in rec.anchors],
-                "plateau_values": [float(v) for v in rec.plateau_values],
-                "kept": [int(j) for j in rec.kept],
-                "dropped": list(rec.dropped),
-            }
-        )
+    stages = [
+        {
+            "n": rec.params.n,
+            "k": rec.params.k,
+            "eta": str(rec.params.eta),
+            "delta": str(rec.params.delta),
+            "epsilon": rec.params.eps,
+            "depth": rec.depth,
+            "anchors": [int(a) for a in rec.anchors],
+            "plateau_values": [float(v) for v in rec.plateau_values],
+            "dropped": list(rec.dropped),
+        }
+        for rec in build.stages
+    ]
     _atomic_write(os.path.join(directory, "stages.json"), json.dumps(stages, indent=1))
     meta = {
         "phi": format_gauge(build.phi),
@@ -747,6 +740,8 @@ def save_build(
 
 
 def load_build(directory) -> TypicalBuild:
+    """Read a build directory; every threshold is recomputed from meta.json's
+    gauges, and keys stages.json carries beyond the stage choices are ignored."""
     base = load_function(os.path.join(directory, "base.fn"))
     final = load_function(os.path.join(directory, "final.fn"))
     _require_dim_1(final)
@@ -755,43 +750,30 @@ def load_build(directory) -> TypicalBuild:
             meta = json.load(fh)
         with open(os.path.join(directory, "stages.json"), "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        phi, zeta, eps0, early_stop = meta["phi"], meta["zeta"], meta["eps0"], meta["early_stop"]
+        phi, zeta = parse_gauge(meta["phi"]), parse_gauge(meta["zeta"])
+        eps0, early_stop = meta["eps0"], meta["early_stop"]
         items = [
             (
-                StageParams(
-                    item["n"],
-                    item["epsilon"],
-                    Fraction(item["delta"]),
-                    item["k"],
-                    Fraction(item["eta"]),
-                    item["zeta_at_eta"],
-                ),
+                item["n"],
+                item["epsilon"],
+                Fraction(item["delta"]),
+                item["k"],
+                Fraction(item["eta"]),
                 item["depth"],
-                np.array(item["kept"], dtype=np.int64),
                 np.array(item["anchors"], dtype=np.int64),
                 np.array(item["plateau_values"], dtype=np.float64),
-                item["membership_slack"],
-                item["lip_slack"],
-                tuple(item["dropped"]),
+                np.setdiff1d(np.arange(item["k"], dtype=np.int64), item["dropped"]),
             )
             for item in raw
         ]
     stages = []
-    for params, depth, kept, anchors, plateau_values, membership, lip_slack, dropped in items:
+    for n, eps, delta, k, eta, depth, anchors, plateau_values, kept in items:
+        params = StageParams(n, eps, delta, k, eta, zeta.eval(float(eta)))
         params.validate()
         lo_v, hi_v, _ = plateau_vertex_ranges(params, depth, kept)
         stages.append(
             StageRecord(
-                params, depth, anchors, plateau_values, lo_v, hi_v, kept, membership, lip_slack, dropped
+                params, depth, anchors, plateau_values, lo_v, hi_v, kept, *stage_slacks(params, phi)
             )
         )
-    return TypicalBuild(
-        base,
-        final,
-        stages,
-        [rec.params.eps for rec in stages],
-        parse_gauge(phi),
-        parse_gauge(zeta),
-        eps0,
-        early_stop,
-    )
+    return TypicalBuild(base, final, stages, phi, zeta, eps0, early_stop)

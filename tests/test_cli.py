@@ -1,11 +1,12 @@
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from liplab import cli, funclib, setlib
+from liplab import cli, funclib, gauges, setlib
 from liplab import construct as construct_mod
 from liplab.cli import RunConfig, main
 
@@ -53,6 +54,38 @@ def test_construct_and_report_deterministic(workdir, monkeypatch):
     assert "written_unix" not in (workdir / "r1.json").read_text()
     meta = json.loads((workdir / "r1.json.meta").read_text())
     assert "written_unix" in meta
+
+
+def test_construct_budget_keeps_later_stages_open(workdir):
+    assert run(["construct", "--out", "c5", "--base", "constant(value=0.5)", "--nmax", 5,
+                "--phi", "power(s=0.1)", "--eps0", 1.0]) == 0
+    assert json.loads((workdir / "c5" / "certificates.json").read_text())["all_pass"]
+
+
+def test_report_ignores_stored_thresholds(workdir):
+    # an older stages.json carrying derived keys, stage 1 tampered: report
+    # recomputes every threshold and writes the untampered bytes
+    assert run(["construct", "--out", "b", "--base", "affine(c=1)", "--nmax", 2]) == 0
+    assert run(["report", "b", "--out", "r1.json"]) == 0
+    stages = json.loads((workdir / "b" / "stages.json").read_text())
+    for item in stages:
+        item.update(beta="1/2", gamma="2/3", slack_min=1.0, membership_slack=1.0, lip_slack=1.0,
+                    zeta_at_eta=0.0, kept=list(range(item["k"])))
+    stages[0].update(membership_slack=123.0, zeta_at_eta=1e-9)
+    (workdir / "b" / "stages.json").write_text(json.dumps(stages, indent=1))
+    assert run(["report", "b", "--out", "r2.json"]) == 0
+    assert (workdir / "r1.json").read_bytes() == (workdir / "r2.json").read_bytes()
+    meta = json.loads((workdir / "b" / "meta.json").read_text())
+    phi, zeta = gauges.parse_gauge(meta["phi"]), gauges.parse_gauge(meta["zeta"])
+    payload = json.loads((workdir / "r2.json").read_text())
+    for item, cert in zip(stages, payload["membership"]):
+        eta = Fraction(item["eta"])
+        assert cert["threshold"] == phi.eval(float(eta / 2)) / item["n"]
+    for item, rec in zip(stages, construct_mod.load_build("b").stages):
+        eta, n = Fraction(item["eta"]), item["n"]
+        assert rec.params.zeta_at_eta == zeta.eval(float(eta))
+        assert rec.membership_slack == phi.eval(float(eta / 2)) / n
+        assert rec.lip_slack == phi.eval(float(eta / 4)) / n
 
 
 def test_artifact_round_trip_identity(workdir):
@@ -127,6 +160,24 @@ def test_analyze_2d_over_tau_cubes(workdir):
     payload = json.loads((workdir / "an.json").read_text())
     assert payload["classes"] == ["over"] * 4
     assert payload["over_tau_cubes"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    # one CSV column per coordinate: every (point, scale) row is distinct
+    lines = (workdir / "an.csv").read_text().splitlines()
+    assert lines[0] == "x1,x2," + cli.CSV_COLUMNS[2:]
+    keys = [tuple(line.split(",")[:3]) for line in lines[1:]]
+    assert len(keys) == len(set(keys)) == 4 * 6
+    # a depth ladder subsamples every axis; a sampled (non-exact) function
+    # keeps the vertex-only oscillation path, and depth 7 keeps six radii >= 4h
+    depth = 8
+    xs = np.linspace(0.0, 1.0, (1 << depth) + 1)
+    f = funclib.SampledFunction(
+        2, depth, setlib.DyadicCubeSet.full(2, 0), xs[:, None] + 0.5 * xs[None, :],
+        funclib.HolderModulus(1.5, 1.0), exact=False,
+    )
+    funclib.save_function("a8.fn", f)
+    assert run(["analyze", "a8.fn", "--depths", "7,8", "--sample-depth", 1, "--window", "0..5",
+                "--out", "lad"]) == 0
+    by_depth = json.loads((workdir / "lad.json").read_text())["proxies_by_depth"]
+    assert set(by_depth) == {"7", "8"} and len(by_depth["7"]) == 4
 
 
 @pytest.mark.parametrize("mode", ["lip", "Lip"])

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -193,6 +195,8 @@ def test_partial_domain_build_certifies_and_round_trips(tmp_path):
     assert build.final.depth > f0.depth and build.final.domain == f0.domain
     in_domain = ~np.isnan(f0.resample(build.final.depth).values)
     assert not np.isnan(build.final.values[in_domain]).any()
+    # plateaus stop at the domain: every vertex off Omega stays NaN
+    assert np.isnan(build.final.values[~in_domain]).all()
     for n in (1, 2, 3):
         cert = certify_membership(build, n)
         assert cert.ok and cert.margin_min > 0.0
@@ -334,9 +338,22 @@ def test_certify_membership_constant_margin_value():
     assert cert.margin_min == pytest.approx(cert.threshold, rel=1e-12)  # T_1 = 0
 
 
+def test_iterate_budget_keeps_every_stage_open():
+    # a later budget capped only by a quarter of the smallest earlier slack
+    # let 2*T_2 reach stage 2's slack here; halving every stage's remaining
+    # headroom keeps each strict inequality
+    f0 = make_test_function("constant", {"value": 0.5}, depth=10)
+    build = iterate_typical(f0, 5, make_preset("power", s=0.1), POWER1, 1.0)
+    assert build.n_stages == 5 and build.early_stop is None
+    for n in range(1, 6):
+        assert 2.0 * build.tail(n) < build.stages[n - 1].slack_min
+
+
 def test_certify_membership_detects_tampering():
     build = small_affine_build()
-    build.eps_schedule[2] = 10.0  # fake a huge later perturbation
+    rec = build.stages[2]
+    # fake a huge later perturbation
+    build.stages[2] = dataclasses.replace(rec, params=dataclasses.replace(rec.params, eps=10.0))
     with pytest.raises(ConstructError):
         certify_membership(build, 1)
 
@@ -471,8 +488,18 @@ def test_build_save_load_round_trip(tmp_path):
     build = small_affine_build()
     save_build(tmp_path / "b", build)
     back = load_build(tmp_path / "b")
+    stages = json.loads((tmp_path / "b" / "stages.json").read_text())
+    for item in stages:
+        assert list(item) == ["n", "k", "eta", "delta", "epsilon", "depth", "anchors",
+                              "plateau_values", "dropped"]
     assert back.n_stages == build.n_stages
     assert back.eps_schedule == pytest.approx(build.eps_schedule)
+    assert back.eps_schedule == build.eps_schedule
+    for a, b in zip(back.stages, build.stages):
+        assert a.params.zeta_at_eta == b.params.zeta_at_eta
+        assert a.membership_slack == b.membership_slack
+        assert a.lip_slack == b.lip_slack
+        assert np.array_equal(a.kept, b.kept) and a.dropped == b.dropped == ()
     assert np.array_equal(back.final.values, build.final.values)
     for a, b in zip(back.stages, build.stages):
         assert a.params == b.params
@@ -484,3 +511,4 @@ def test_build_save_load_round_trip(tmp_path):
         again = certify_membership(back, n)
         assert orig.bound == pytest.approx(again.bound)
         assert orig.threshold == pytest.approx(again.threshold)
+
