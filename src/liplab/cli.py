@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+import typing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -62,7 +64,27 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
+        """Parse a config file; a field of the wrong JSON type is a ConfigError."""
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ConfigError("a config file holds one JSON object")
+        hints = typing.get_type_hints(cls)
+        for key, value in data.items():
+            if key not in hints:
+                raise ConfigError(f"unknown config field {key!r}")
+            allowed = typing.get_args(hints[key]) or (hints[key],)
+            if float in allowed and type(value) is int:
+                value = data[key] = float(value)
+            if type(value) not in allowed:
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise ConfigError(f"config field {key!r} takes {names}, not {json.dumps(value)}")
+        return cls(**data)
+
+
+def _at_least(what: str, value: int, lo: int) -> int:
+    if value < lo:
+        raise ConfigError(f"{what} {value} must be >= {lo}")
+    return value
 
 
 def _parse_range(spec: str, what: str) -> range:
@@ -193,6 +215,9 @@ def _cmd_analyze(cfg: RunConfig) -> int:
 def _cmd_construct(cfg: RunConfig) -> int:
     if not cfg.out:
         raise ConfigError("construct needs --out directory")
+    _at_least("--nmax", cfg.nmax, 1)
+    if not 0.0 < cfg.eps0 < math.inf:
+        raise ConfigError(f"--eps0 {cfg.eps0:g} must be positive and finite")
     base = _parse_base(cfg.base or "constant(value=0.5)", cfg.depth)
     phi = gauges.parse_gauge(cfg.phi or "power(s=0.25)")
     zeta = gauges.parse_gauge(cfg.zeta or "power(s=1)")
@@ -279,7 +304,7 @@ def _load_set(spec: str):
             depth = int(rest)
         except ValueError as err:
             raise ConfigError(f"bad cantor depth {rest!r}") from err
-        return setlib.cantor_intervals(depth)
+        return setlib.cantor_intervals(_at_least("cantor depth", depth, 0))
     if kind == "points":
         return setlib.points_union(_parse_list(rest, float, "points"))
     return setlib.load_cubes(spec)
@@ -301,6 +326,8 @@ def _cmd_dims(cfg: RunConfig) -> int:
 
 
 def _cmd_partition(cfg: RunConfig) -> int:
+    _at_least("--samples", cfg.samples, 1)
+    _at_least("--img-depth", cfg.img_depth, 0)
     xi = gauges.parse_gauge(cfg.xi or "power(s=1)")
     phi = gauges.parse_gauge(cfg.phi or "power(s=2,scale=0.2)")
     ladder = _parse_list(cfg.delta_ladder or "0.1,0.01,0.001", float, "delta ladder")
@@ -350,6 +377,7 @@ def _cmd_micro(cfg: RunConfig) -> int:
         raise ConfigError("micro needs --eps")
     if not 0.0 < cfg.eps < 1.0:
         raise ConfigError(f"--eps {cfg.eps:g} must lie in (0,1)")
+    _at_least("--nmax", cfg.nmax, 1)
     E = _load_set(cfg.input_path)
     cert = setlib.microscopic_certificate(E, cfg.eps, cfg.nmax)
     out = cfg.out or "micro"
@@ -486,6 +514,7 @@ def main(argv: list[str] | None = None) -> int:
         if value is not None and hasattr(cfg, key):
             setattr(cfg, key, value)
     try:
+        _at_least("--seed", cfg.seed, 0)
         return _COMMANDS[cfg.command](cfg)
     except (ConfigError, gauges.GaugeSpecError, setlib.FormatError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -53,7 +53,6 @@ __all__ = [
     "iterate_typical",
     "certify_membership",
     "certify_lip_bound",
-    "covered_profile",
     "exceptional_set",
     "deepest_core_complement",
     "save_build",
@@ -596,18 +595,6 @@ def certify_lip_bound(build: TypicalBuild, x: float, n: int) -> LipCertificate:
     if not (bound < threshold):
         raise ConstructError("internal: lip certificate margin lost")
     return LipCertificate(n, x, True, j, radius, bound, threshold, threshold - bound)
-
-
-def covered_profile(build: TypicalBuild, x: float) -> dict:
-    """Per-stage core coverage and the infinitely-often proxy (>= half of stages)."""
-    flags = [build.stages[i].covering_core(x) is not None for i in range(build.n_stages)]
-    needed = math.ceil(build.n_stages / 2)
-    return {
-        "stages_covered": [i + 1 for i, f in enumerate(flags) if f],
-        "covered_often_proxy": sum(flags) >= needed,
-        "note": f"proxy for 'covered infinitely often': covered at >= {needed} of "
-        f"{build.n_stages} stages",
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ of continuity.  Two certification semantics coexist:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -34,7 +33,6 @@ __all__ = [
     "scaled_osc_estimate",
     "lip_field",
     "make_test_function",
-    "weierstrass_value",
     "cantor_value",
     "save_function",
     "load_function",
@@ -43,14 +41,8 @@ __all__ = [
 
 
 def worker_count() -> int:
-    """Worker cap for per-point sweeps; LIPLAB_THREADS overrides."""
-    env = os.environ.get("LIPLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+    """Workers used by per-point sweeps: always 1, since lip_field is serial."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -424,33 +416,13 @@ def lip_field(
             continue
         cubes.append(idx)
         points.append(center)
-    def record(p):
-        return scaled_osc_estimate(f, p, phi, radii, mode="lip")
-
-    workers = worker_count()
-    if workers > 1 and len(points) >= 64:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(record, points))
-    else:
-        records = tuple(record(p) for p in points)
+    records = tuple(scaled_osc_estimate(f, p, phi, radii, mode="lip") for p in points)
     over = frozenset(idx for idx, rec in zip(cubes, records) if rec.summary > tau)
     return LipField(tau, format_gauge(phi), records, DyadicCubeSet(f.dim, sample_depth, over))
 
 
 # ---------------------------------------------------------------------------
 # Benchmark generators
-
-
-def weierstrass_value(a: float, b: int, terms: int, x: Fraction | float) -> float:
-    """sum a^n cos(2 pi b^n x), argument-reduced exactly for rational x."""
-    x = _frac(x)
-    total = 0.0
-    for n in range(terms):
-        arg = (x * b**n) % 1
-        total += a**n * math.cos(2.0 * math.pi * float(arg))
-    return total
 
 
 CANTOR_DIGITS = 120  # ternary digits read by cantor_value

@@ -21,12 +21,10 @@ __all__ = [
     "GaugeDomainError",
     "GaugeSpecError",
     "make_preset",
-    "compare_gauges",
     "verify_schizm_relation",
     "format_gauge",
     "parse_gauge",
     "parse_spec",
-    "dyadic_scales",
 ]
 
 # dyadic grid used to certify the monotone / vanishing flags at construction
@@ -39,11 +37,6 @@ class GaugeDomainError(ValueError):
 
 class GaugeSpecError(ValueError):
     """Malformed preset name, parameters, or textual gauge form."""
-
-
-def dyadic_scales(lo: int, hi: int) -> list[float]:
-    """Scales 2^-lo .. 2^-hi, decreasing."""
-    return [2.0 ** -j for j in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True)
@@ -236,47 +229,6 @@ def gauge_at_diameter(g: GaugeLike, diam: float) -> float:
     if diam == 0.0:
         return 0.0
     return g.eval(diam)
-
-
-@dataclass(frozen=True)
-class GaugeComparison:
-    """Finite-scale proxy for the ordering phi <= psi (never a proof)."""
-
-    scales: tuple[float, ...]
-    ratios: tuple[float, ...]
-    tail_running_max: tuple[float, ...]
-    verdict: str  # bounded-tail | diverging-tail | vanishing-tail
-    note: str = "finite-scale proxy, not a proof"
-
-
-def compare_gauges(phi: GaugeLike, psi: GaugeLike, scales: Sequence[float]) -> GaugeComparison:
-    """Ratio report psi(r)/phi(r) over a decreasing scale grid.
-
-    The verdict compares the deepest-half endpoints by a factor of two; it is
-    a labeled proxy for the r -> 0 limsup, nothing stronger.
-    """
-    scales = list(scales)
-    if len(scales) < 8:
-        raise GaugeSpecError("need at least 8 scales")
-    if any(b >= a for a, b in zip(scales, scales[1:])):
-        raise GaugeSpecError("scales must be strictly decreasing")
-    if scales[0] / scales[-1] < 1e6:
-        raise GaugeSpecError("scales must span at least 6 orders of magnitude")
-    ratios = [psi.eval(r) / phi.eval(r) for r in scales]
-    tail = ratios[len(ratios) // 2 :]
-    running = []
-    best = -math.inf
-    for value in reversed(tail):
-        best = max(best, value)
-        running.append(best)
-    running.reverse()
-    if tail[-1] > 2.0 * tail[0]:
-        verdict = "diverging-tail"
-    elif tail[-1] < 0.5 * tail[0]:
-        verdict = "vanishing-tail"
-    else:
-        verdict = "bounded-tail"
-    return GaugeComparison(tuple(scales), tuple(ratios), tuple(running), verdict)
 
 
 @dataclass(frozen=True)

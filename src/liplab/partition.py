@@ -16,7 +16,13 @@ import numpy as np
 
 from .construct import ConstructError, TypicalBuild, deepest_core_complement
 from .funclib import SampledFunction, oscillation
-from .gauges import GaugeLike, format_gauge, gauge_at_diameter, verify_schizm_relation
+from .gauges import (
+    GaugeDomainError,
+    GaugeLike,
+    format_gauge,
+    gauge_at_diameter,
+    verify_schizm_relation,
+)
 from .setlib import DyadicCubeSet
 
 __all__ = [
@@ -159,7 +165,7 @@ def _admissible_radius(
         r = 2.0**-j
         try:
             p5 = phi.eval(5.0 * r)
-        except Exception:
+        except GaugeDomainError:
             j += 1
             continue
         if p5 < delta:

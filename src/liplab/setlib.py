@@ -38,8 +38,6 @@ __all__ = [
     "lower_box_dim",
     "hausdorff_upper",
     "cross_power",
-    "cross_product",
-    "cross_power_contains",
     "product_lemma_check",
     "microscopic_certificate",
     "microscopic_verify",
@@ -122,9 +120,6 @@ class IntervalUnion:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def measure(self) -> Fraction:
-        return sum((b - a for a, b in self.intervals), Fraction(0))
-
     def contains(self, x: Number) -> bool:
         import bisect
 
@@ -139,9 +134,6 @@ class IntervalUnion:
             cached = [a for a, _ in self.intervals]
             object.__setattr__(self, "_starts_cache", cached)
         return cached
-
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.from_pairs(list(self.intervals) + list(other.intervals))
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         out = []
@@ -314,15 +306,6 @@ class DyadicCubeSet:
                 cubes.add(tuple(b + o for b, o in zip(base, off)))
         return DyadicCubeSet(self.dim, depth, frozenset(cubes))
 
-    def coarsen(self, depth: int) -> "DyadicCubeSet":
-        """Cube hull at a coarser depth: parent kept if any child is present."""
-        if depth > self.depth:
-            raise ValueError("coarsen target must be <= current depth")
-        shift = self.depth - depth
-        return DyadicCubeSet(
-            self.dim, depth, frozenset(tuple(k >> shift for k in idx) for idx in self.cubes)
-        )
-
     def contains(self, point: Sequence[Number]) -> bool:
         """Closed-cube membership; boundary points belong to every touching cube."""
         if len(point) != self.dim:
@@ -350,21 +333,6 @@ class DyadicCubeSet:
             raise ValueError("interval form exists only in dimension 1")
         h = self.side
         return IntervalUnion.from_pairs(((k[0] * h, (k[0] + 1) * h) for k in self.cubes))
-
-    def union(self, other: "DyadicCubeSet") -> "DyadicCubeSet":
-        a, b = _common_depth(self, other)
-        return DyadicCubeSet(a.dim, a.depth, a.cubes | b.cubes)
-
-    def issubset(self, other: "DyadicCubeSet") -> bool:
-        a, b = _common_depth(self, other)
-        return a.cubes <= b.cubes
-
-
-def _common_depth(a: DyadicCubeSet, b: DyadicCubeSet) -> tuple[DyadicCubeSet, DyadicCubeSet]:
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    depth = max(a.depth, b.depth)
-    return a.refine(depth), b.refine(depth)
 
 
 def _as_interval_union(E) -> IntervalUnion:
@@ -681,7 +649,7 @@ def hausdorff_upper(E, g: GaugeLike, cover: BoxCover | None = None) -> CoverReco
 
 
 # ---------------------------------------------------------------------------
-# Cross products and powers
+# Cross powers
 
 
 def cross_power(E: DyadicCubeSet, d: int) -> DyadicCubeSet:
@@ -706,34 +674,6 @@ def cross_power(E: DyadicCubeSet, d: int) -> DyadicCubeSet:
         pools: list[Sequence[int]] = [others] * axis + [sorted(e)] + [full] * (d - axis - 1)
         cubes.update(iter_product(*pools))
     return DyadicCubeSet(d, E.depth, frozenset(cubes))
-
-
-def cross_product(E: DyadicCubeSet, F: DyadicCubeSet) -> DyadicCubeSet:
-    """E bowtie F = (E x Y) u (X x F) at cube level."""
-    if E.depth != F.depth:
-        depth = max(E.depth, F.depth)
-        E, F = E.refine(depth), F.refine(depth)
-    top = 1 << E.depth
-    dim = E.dim + F.dim
-    total = len(E.cubes) * top**F.dim + top**E.dim * len(F.cubes)
-    if total > MAX_CROSS_CUBES:
-        raise ValueError(f"cross product would hold up to {total} cubes (limit {MAX_CROSS_CUBES})")
-    cubes: set[tuple[int, ...]] = set()
-    for e in E.cubes:
-        for f in iter_product(range(top), repeat=F.dim):
-            cubes.add(e + f)
-    for f in F.cubes:
-        for e in iter_product(range(top), repeat=E.dim):
-            cubes.add(e + f)
-    return DyadicCubeSet(dim, E.depth, frozenset(cubes))
-
-
-def cross_power_contains(E, point: Sequence[Number]) -> bool:
-    """Membership in E^(cross d) for 1-d E: some coordinate lies in E."""
-    if isinstance(E, DyadicCubeSet):
-        return any(E.contains((x,)) for x in point)
-    iu = _as_interval_union(E)
-    return any(iu.contains(x) for x in point)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 These deliberately avoid the library's algorithms: interval covering is
 solved by exhaustive window search over integer cells, microscopic index
 assignment by brute force over permutations, oscillation by dense sampling,
-and plateau vertex ranges by per-cube Fraction floor/ceil.
+plateau vertex ranges by per-cube Fraction floor/ceil, and the Weierstrass
+function pointwise with exact argument reduction.
 """
 
 from __future__ import annotations
@@ -74,3 +75,13 @@ def fraction_plateau_range(k: int, eta: Fraction, depth: int, j: int) -> tuple[i
     hi = (int(tb) - 1 if tb.denominator == 1 else math.floor(tb)) + 1
     mid = int(round(center * top))
     return lo, hi, min(max(mid, lo), hi)
+
+
+def weierstrass_value(a: float, b: int, terms: int, x: Fraction | float) -> float:
+    """sum a^n cos(2 pi b^n x), argument-reduced exactly for rational x."""
+    x = Fraction(x)
+    total = 0.0
+    for n in range(terms):
+        arg = (x * b**n) % 1
+        total += a**n * math.cos(2.0 * math.pi * float(arg))
+    return total

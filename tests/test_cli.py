@@ -196,20 +196,6 @@ def test_analyze_one_oscillation_per_point_radius_depth(workdir, monkeypatch, mo
     assert len(seen) == len(set(seen)) == 2 * 8 * 6  # depths x points x radii
 
 
-def test_analyze_bytes_independent_of_threads(workdir, monkeypatch):
-    funclib.save_function("w.fn", funclib.make_test_function("weierstrass", {"terms": 10}, depth=12))
-    outputs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("LIPLAB_THREADS", threads)
-        out = f"t{threads}"
-        # 64 sample points, enough for the thread pool to run
-        assert run(["analyze", "w.fn", "--depths", "10,12", "--window", "4..10",
-                    "--sample-depth", 6, "--out", out]) == 0
-        outputs.append([(workdir / (out + ext)).read_bytes() for ext in (".csv", ".json")])
-    assert outputs[0] == outputs[1]
-    assert len(json.loads(outputs[0][1])["points"]) == 64
-
-
 def test_partition_command(workdir):
     assert run(["construct", "--out", "b", "--base", "affine(c=1)", "--nmax", 2,
                 "--phi", "power(s=0.25)", "--depth", 10]) == 0
@@ -257,6 +243,18 @@ def test_config_errors_exit_2(workdir):
         assert run(["construct", "--base", base, "--out", "x"]) == 2
     assert run(["construct", "--phi", "power(s=abc)", "--out", "x"]) == 2
     assert run(["construct", "--zeta", "power(s=1:2)", "--out", "x"]) == 2
+    # out-of-range numbers exit 2 before any work
+    assert run(["construct", "--nmax", 0, "--out", "x"]) == 2
+    assert run(["construct", "--eps0", -1, "--out", "x"]) == 2
+    assert run(["construct", "--eps0", "nan", "--out", "x"]) == 2
+    assert run(["construct", "--seed", -1, "--out", "x"]) == 2
+    assert run(["micro", "cantor:6", "--eps", 0.5, "--nmax", 0]) == 2
+    assert run(["dims", "cantor:-1"]) == 2
+    # config-file fields of the wrong JSON type
+    for fields in ({"scales": 5}, {"depth": "ten"}, {"eps0": True}, {"nmax": 2.5}):
+        (workdir / "bad.json").write_text(json.dumps({"command": "construct", **fields}))
+        assert run(["--config", "bad.json", "construct", "--out", "x"]) == 2, fields
+        assert run(["--config", "bad.json", "dims", "cantor:5"]) == 2, fields
     assert not (workdir / "x").exists()
     for scales in ("dyadic:a..3", "triadic:a..3", "dyadic:3", "dyadic:-1..3", "0.5,abc",
                    "dyadic:1..3", "0.5,0.25"):
@@ -276,6 +274,9 @@ def test_config_errors_exit_2(workdir):
     assert run(["analyze", "w8.fn"]) == 2
     assert run(["construct", "--out", "b", "--nmax", 1, "--depth", 8]) == 0
     assert run(["partition", "b", "--delta-ladder", "0.1,abc"]) == 2
+    for flags in (["--samples", -5], ["--samples", 0], ["--img-depth", -1]):
+        assert run(["partition", "b", "--out", "p.json", *flags]) == 2, flags
+    assert not (workdir / "p.json").exists()
     # malformed artifact files
     text = (workdir / "c.fn").read_text()
     lines = text.splitlines(keepends=True)
@@ -312,10 +313,3 @@ def test_config_file_load(workdir):
     (workdir / "cfg.json").write_text(cfg.to_json())
     assert run(["--config", "cfg.json", "dims", "cantor:6"]) == 0
     assert (workdir / "dd.json").exists()
-
-
-def test_threads_env_cap(monkeypatch):
-    monkeypatch.setenv("LIPLAB_THREADS", "2")
-    assert funclib.worker_count() == 2
-    monkeypatch.setenv("LIPLAB_THREADS", "bogus")
-    assert funclib.worker_count() >= 1

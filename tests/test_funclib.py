@@ -14,11 +14,10 @@ from liplab.funclib import (
     oscillation,
     save_function,
     scaled_osc_estimate,
-    weierstrass_value,
 )
 from liplab.gauges import make_preset
 from liplab.setlib import DyadicCubeSet
-from oracles import dense_diam
+from oracles import dense_diam, weierstrass_value
 
 POWER1 = make_preset("power", s=1)
 

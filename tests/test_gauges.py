@@ -8,14 +8,17 @@ from liplab.gauges import (
     GaugeDomainError,
     GaugeSpecError,
     Pseudogauge,
-    compare_gauges,
-    dyadic_scales,
     format_gauge,
     make_preset,
     parse_gauge,
     parse_spec,
     verify_schizm_relation,
 )
+
+
+def dyadic_scales(lo: int, hi: int) -> list[float]:
+    """Scales 2^-lo .. 2^-hi, decreasing."""
+    return [2.0**-j for j in range(lo, hi + 1)]
 
 
 def test_power_closed_form():
@@ -139,49 +142,6 @@ def test_pseudogauge_formula_and_domain():
     assert zeta.r_max == pytest.approx(1 / math.sqrt(2))
     with pytest.raises(GaugeDomainError):
         zeta.eval(0.9)
-
-
-def test_compare_gauges_vanishing_tail():
-    phi = make_preset("power", s=1)
-    psi = make_preset("power", s=2)
-    rep = compare_gauges(phi, psi, dyadic_scales(1, 30))
-    assert rep.verdict == "vanishing-tail"
-    assert rep.ratios[0] == pytest.approx(0.5)
-    assert rep.ratios[-1] == pytest.approx(2.0**-30)
-    # running max over the tail is nonincreasing
-    assert all(a >= b for a, b in zip(rep.tail_running_max, rep.tail_running_max[1:]))
-
-
-def test_compare_gauges_witnesses_not_preceq():
-    # exp_sqrt_log(d) against r^(d-1): ratios e^{-sqrt|ln r|} vanish
-    d = 2
-    phi = make_preset("power", s=d - 1)
-    psi = make_preset("exp_sqrt_log", d=d)
-    rep = compare_gauges(phi, psi, dyadic_scales(1, 40))
-    assert rep.verdict == "vanishing-tail"
-    r36 = 2.0**-36
-    idx = rep.scales.index(r36)
-    assert rep.ratios[idx] == pytest.approx(math.exp(-math.sqrt(abs(math.log(r36)))), rel=1e-12)
-    assert rep.ratios[idx] == pytest.approx(6.77e-3, rel=1e-2)
-
-
-def test_compare_gauges_bounded_and_diverging():
-    one = make_preset("power", s=1)
-    rep = compare_gauges(one, one, dyadic_scales(1, 24))
-    assert rep.verdict == "bounded-tail"
-    assert all(r == 1.0 for r in rep.ratios)
-    rep2 = compare_gauges(make_preset("power", s=2), one, dyadic_scales(1, 24))
-    assert rep2.verdict == "diverging-tail"
-
-
-def test_compare_gauges_preconditions():
-    g = make_preset("power", s=1)
-    with pytest.raises(GaugeSpecError):
-        compare_gauges(g, g, dyadic_scales(1, 6))  # too few scales
-    with pytest.raises(GaugeSpecError):
-        compare_gauges(g, g, [0.5, 0.4, 0.3, 0.2, 0.1, 0.09, 0.08, 0.07])  # small span
-    with pytest.raises(GaugeSpecError):
-        compare_gauges(g, g, list(reversed(dyadic_scales(1, 24))))  # increasing
 
 
 def test_schizm_equality_passes():

@@ -6,9 +6,10 @@ import pytest
 
 from liplab.construct import iterate_typical
 from liplab.funclib import make_test_function
-from liplab.gauges import make_preset
+from liplab.gauges import GaugeDomainError, make_preset
 from liplab.partition import (
     Ball,
+    _admissible_radius,
     b_image_cubes,
     graph_cross_check,
     image_cover_report,
@@ -196,3 +197,22 @@ def test_partition_dimension_echo():
     lb_B = lower_box_dim(B_img, scales)
     assert 0.0 <= lb_A.lbdim_proxy <= 1.0
     assert lb_B.lbdim_proxy <= 0.75  # finitely many plateau values
+
+
+def test_admissible_radius_skips_only_gauge_domain_errors():
+    f = make_test_function("constant", {"value": 0.5}, depth=10)
+
+    class Truncated:  # (r/5)^2, defined only up to 2^-4
+        def eval(self, r):
+            if r > 2.0**-4:
+                raise GaugeDomainError(f"r={r} outside (0, 2^-4]")
+            return (r / 5.0) ** 2
+
+    class Faulty:
+        def eval(self, r):
+            raise ZeroDivisionError("fault inside the gauge")
+
+    # radii whose 5r leaves the gauge's domain are skipped, the first inside wins
+    assert _admissible_radius(f, 0.5, Truncated(), 0.1) == (2.0**-7, 0.0)
+    with pytest.raises(ZeroDivisionError):
+        _admissible_radius(f, 0.5, Faulty(), 0.1)
