@@ -173,7 +173,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     out = cfg.out or "analyze"
     window = _parse_window(cfg.window)
     depths = _parse_list(cfg.depths, int, "depths") if cfg.depths else [f.depth]
-    sample_depth = cfg.sample_depth or max(1, min(depths) - 6)
+    sample_depth = max(1, min(depths) - 6) if cfg.sample_depth is None else cfg.sample_depth
     if not 0 <= sample_depth <= min(depths) - 2:
         raise ConfigError(f"sample depth {sample_depth} must lie in 0..{min(depths) - 2}")
     rows = []
@@ -216,6 +216,7 @@ def _cmd_construct(cfg: RunConfig) -> int:
     if not cfg.out:
         raise ConfigError("construct needs --out directory")
     _at_least("--nmax", cfg.nmax, 1)
+    _at_least("--max-depth", cfg.max_depth, cfg.depth)
     if not 0.0 < cfg.eps0 < math.inf:
         raise ConfigError(f"--eps0 {cfg.eps0:g} must be positive and finite")
     base = _parse_base(cfg.base or "constant(value=0.5)", cfg.depth)
@@ -331,6 +332,9 @@ def _cmd_partition(cfg: RunConfig) -> int:
     xi = gauges.parse_gauge(cfg.xi or "power(s=1)")
     phi = gauges.parse_gauge(cfg.phi or "power(s=2,scale=0.2)")
     ladder = _parse_list(cfg.delta_ladder or "0.1,0.01,0.001", float, "delta ladder")
+    for delta in ladder:
+        if not 0.0 < delta < math.inf:
+            raise ConfigError(f"--delta-ladder entry {delta:g} must be positive and finite")
     build = construct_mod.load_build(cfg.input_path)
     try:
         B_img = partition.b_image_cubes(build, cfg.img_depth)

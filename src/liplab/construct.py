@@ -51,6 +51,7 @@ __all__ = [
     "stage_slacks",
     "build_stage",
     "iterate_typical",
+    "plateau_extremes",
     "certify_membership",
     "certify_lip_bound",
     "exceptional_set",
@@ -290,8 +291,6 @@ class StageRecord:
 
     params: StageParams
     depth: int
-    anchors: np.ndarray  # vertex index of the anchor per kept cube
-    plateau_values: np.ndarray
     lo_v: np.ndarray
     hi_v: np.ndarray
     kept: np.ndarray  # grid indices j of cubes meeting the domain
@@ -412,7 +411,7 @@ def build_stage(
     lip = g_fn.grid_lipschitz()
     g_fn = SampledFunction(1, m, f.domain, g, HolderModulus(lip, 1.0), exact=True)
 
-    record = StageRecord(params, m, anchors, plat_vals, lo_v, hi_v, js, *stage_slacks(params, phi))
+    record = StageRecord(params, m, lo_v, hi_v, js, *stage_slacks(params, phi))
     return g_fn, record
 
 
@@ -531,6 +530,21 @@ class MembershipCertificate:
     cube_count: int
 
 
+def plateau_extremes(build: TypicalBuild, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) of build.final over each kept stage-n plateau, in kept order.
+
+    NaN-ignoring: a partial-domain cube's off-domain vertices are NaN."""
+    rec = build.stages[n - 1]
+    f = build.final
+    shift = f.depth - rec.depth
+    lo = rec.lo_v.astype(np.int64) << shift
+    hi = rec.hi_v.astype(np.int64) << shift
+    # segments [lo, hi + 1) and the gaps between them; the view ends the last one
+    starts = np.stack([lo, hi + 1], axis=1).ravel()[:-1]
+    values = f.values[: hi[-1] + 1]
+    return np.fmin.reduceat(values, starts)[0::2], np.fmax.reduceat(values, starts)[0::2]
+
+
 def certify_membership(build: TypicalBuild, n: int) -> MembershipCertificate:
     if not (1 <= n <= build.n_stages):
         raise ConstructError(f"stage {n} not built")
@@ -538,19 +552,7 @@ def certify_membership(build: TypicalBuild, n: int) -> MembershipCertificate:
     bound = 2.0 * build.tail(n)
     threshold = rec.membership_slack
     # measured diameters of the final function over the stage-n cubes
-    f = build.final
-    shift = f.depth - rec.depth
-    lo = rec.lo_v.astype(np.int64) << shift
-    hi = rec.hi_v.astype(np.int64) << shift
-    starts = np.empty(2 * len(lo), dtype=np.int64)
-    starts[0::2] = lo
-    starts[1::2] = hi + 1
-    # NaN-ignoring: a partial-domain cube's off-domain vertices are NaN
-    mx = np.fmax.reduceat(f.values, starts[:-1])[0::2]
-    mn = np.fmin.reduceat(f.values, starts[:-1])[0::2]
-    # reduceat cannot take an empty trailing slice; last segment by hand
-    mx[-1] = np.fmax.reduce(f.values[lo[-1] : hi[-1] + 1])
-    mn[-1] = np.fmin.reduce(f.values[lo[-1] : hi[-1] + 1])
+    mn, mx = plateau_extremes(build, n)
     diam_max = float(np.max(mx - mn))
     if diam_max > bound * (1.0 + 1e-9) + 1e-300:
         raise ConstructError(
@@ -694,7 +696,8 @@ def save_build(
     """Write the build directory; returns the exceptional_set result it wrote.
 
     stages.json keeps only what each stage chose; load_build re-derives the
-    rest (zeta(eta), the slacks, the kept cubes and plateau ranges)."""
+    rest (zeta(eta), the slacks, the kept cubes and plateau ranges), and the
+    plateau values are read from final.fn."""
     os.makedirs(directory, exist_ok=True)
     save_function(os.path.join(directory, "base.fn"), build.base)
     save_function(os.path.join(directory, "final.fn"), build.final)
@@ -706,8 +709,6 @@ def save_build(
             "delta": str(rec.params.delta),
             "epsilon": rec.params.eps,
             "depth": rec.depth,
-            "anchors": [int(a) for a in rec.anchors],
-            "plateau_values": [float(v) for v in rec.plateau_values],
             "dropped": list(rec.dropped),
         }
         for rec in build.stages
@@ -747,20 +748,14 @@ def load_build(directory) -> TypicalBuild:
                 item["k"],
                 Fraction(item["eta"]),
                 item["depth"],
-                np.array(item["anchors"], dtype=np.int64),
-                np.array(item["plateau_values"], dtype=np.float64),
                 np.setdiff1d(np.arange(item["k"], dtype=np.int64), item["dropped"]),
             )
             for item in raw
         ]
     stages = []
-    for n, eps, delta, k, eta, depth, anchors, plateau_values, kept in items:
+    for n, eps, delta, k, eta, depth, kept in items:
         params = StageParams(n, eps, delta, k, eta, zeta.eval(float(eta)))
         params.validate()
         lo_v, hi_v, _ = plateau_vertex_ranges(params, depth, kept)
-        stages.append(
-            StageRecord(
-                params, depth, anchors, plateau_values, lo_v, hi_v, kept, *stage_slacks(params, phi)
-            )
-        )
+        stages.append(StageRecord(params, depth, lo_v, hi_v, kept, *stage_slacks(params, phi)))
     return TypicalBuild(base, final, stages, phi, zeta, eps0, early_stop)

@@ -246,19 +246,11 @@ def oscillation(f: SampledFunction, x: Sequence[float] | float, r: float) -> Osc
     vmin = math.inf
     vmax = -math.inf
     if all(lo <= hi for lo, hi in ranges):
-        if f.dim == 1:
-            lo, hi = ranges[0]
-            window = f.values[lo : hi + 1]
-            window = window[~np.isnan(window)]
-            if window.size:
-                vmin = float(window.min())
-                vmax = float(window.max())
-        else:
-            for idx in iter_product(*[range(lo, hi + 1) for lo, hi in ranges]):
-                v = float(f.values[idx])
-                if not math.isnan(v):
-                    vmin = min(vmin, v)
-                    vmax = max(vmax, v)
+        window = f.values[tuple(slice(lo, hi + 1) for lo, hi in ranges)]
+        window = window[~np.isnan(window)]
+        if window.size:
+            vmin = float(window.min())
+            vmax = float(window.max())
     if vmin > vmax:
         if not f.exact:
             raise ValueError("no domain vertex inside the ball; deepen the grid")

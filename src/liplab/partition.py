@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .construct import ConstructError, TypicalBuild, deepest_core_complement
+from .construct import ConstructError, TypicalBuild, deepest_core_complement, plateau_extremes
 from .funclib import SampledFunction, oscillation
 from .gauges import (
     GaugeDomainError,
@@ -253,14 +253,20 @@ def image_cover_report(
 
 
 def b_image_cubes(build: TypicalBuild, img_depth: int = 20) -> DyadicCubeSet:
-    """Cubes covering f(B): the deepest stage's plateau values.
+    """Cubes covering f(B): the final function's values on the deepest plateaus.
 
-    B is contained in the deepest cores, where the final function equals the
-    stage's plateau value, so f(B) is exactly this finite value set.  Needs
-    the value range inside [0,1] (cube sets represent [0,1] only).
+    B lies in the deepest cores, where the final function must be flat (else a
+    ConstructError names the cube), so f(B) is exactly this finite value set.
+    Needs the value range inside [0,1] (cube sets represent [0,1] only).
     """
-    rec = build.stages[-1]
-    values = rec.plateau_values
+    n = build.n_stages
+    values, mx = plateau_extremes(build, n)
+    i = int(np.argmax(values != mx))  # the first plateau that is not flat, if any
+    if values[i] != mx[i]:
+        raise ConstructError(
+            f"stage {n}: final function not flat on the plateau of cube"
+            f" {build.stages[-1].kept[i]}: spread {mx[i] - values[i]:g}"
+        )
     if np.min(values) < 0.0 or np.max(values) > 1.0:
         raise ConstructError(
             "plateau values leave [0,1]; a DyadicCubeSet image cover needs a [0,1] range"

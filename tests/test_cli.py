@@ -123,6 +123,10 @@ def test_analyze_command(workdir):
     assert len(lines) > 10
     payload = json.loads((workdir / "an.json").read_text())
     assert set(payload["classes"]) == {"over"}
+    assert payload["sample_depth"] == 6
+    # an explicit --sample-depth 0 is used, not replaced by the default
+    assert run(["analyze", "a.fn", "--sample-depth", 0, "--out", "an0"]) == 0
+    assert json.loads((workdir / "an0.json").read_text())["sample_depth"] == 0
 
 
 def test_analyze_depth_ladder_monotone(workdir):
@@ -248,6 +252,8 @@ def test_config_errors_exit_2(workdir):
     assert run(["construct", "--eps0", -1, "--out", "x"]) == 2
     assert run(["construct", "--eps0", "nan", "--out", "x"]) == 2
     assert run(["construct", "--seed", -1, "--out", "x"]) == 2
+    assert run(["construct", "--max-depth", 0, "--nmax", 1, "--depth", 8, "--out", "x"]) == 2
+    assert run(["construct", "--max-depth", 6, "--depth", 8, "--out", "x"]) == 2
     assert run(["micro", "cantor:6", "--eps", 0.5, "--nmax", 0]) == 2
     assert run(["dims", "cantor:-1"]) == 2
     # config-file fields of the wrong JSON type
@@ -274,7 +280,9 @@ def test_config_errors_exit_2(workdir):
     assert run(["analyze", "w8.fn"]) == 2
     assert run(["construct", "--out", "b", "--nmax", 1, "--depth", 8]) == 0
     assert run(["partition", "b", "--delta-ladder", "0.1,abc"]) == 2
-    for flags in (["--samples", -5], ["--samples", 0], ["--img-depth", -1]):
+    for flags in (["--samples", -5], ["--samples", 0], ["--img-depth", -1],
+                  ["--delta-ladder", "0"], ["--delta-ladder", "nan"],
+                  ["--delta-ladder", "0.1,-0.01"], ["--delta-ladder", "inf"]):
         assert run(["partition", "b", "--out", "p.json", *flags]) == 2, flags
     assert not (workdir / "p.json").exists()
     # malformed artifact files
@@ -305,6 +313,43 @@ def test_config_errors_exit_2(workdir):
     assert run(["report", "b"]) == 2
     (workdir / "b" / "stages.json").write_text("[{")
     assert run(["report", "b"]) == 2
+
+
+def test_partition_reads_plateau_values_from_final_function(workdir):
+    # an older stages.json carrying anchors and plateau values, all altered:
+    # partition reads f(B) from final.fn and writes the untampered bytes
+    assert run(["construct", "--out", "b", "--base", "affine(c=1)", "--nmax", 2,
+                "--phi", "power(s=0.25)", "--depth", 10]) == 0
+    flags = ["--delta-ladder", "0.1", "--samples", 2000]
+    assert run(["partition", "b", "--out", "p1.json", *flags]) == 0
+    build = construct_mod.load_build("b")
+    stages = json.loads((workdir / "b" / "stages.json").read_text())
+    for item, rec in zip(stages, build.stages):
+        dropped = item.pop("dropped")
+        item.update(anchors=[0] * len(rec.kept), plateau_values=[0.5] * len(rec.kept),
+                    dropped=dropped)
+    (workdir / "b" / "stages.json").write_text(json.dumps(stages, indent=1))
+    assert run(["partition", "b", "--out", "p2.json", *flags]) == 0
+    assert (workdir / "p1.json").read_bytes() == (workdir / "p2.json").read_bytes()
+
+
+def test_partition_rejects_final_function_off_its_plateau(workdir, capsys):
+    assert run(["construct", "--out", "b", "--base", "affine(c=1)", "--nmax", 2,
+                "--phi", "power(s=0.25)", "--depth", 10]) == 0
+    build = construct_mod.load_build("b")
+    rec, final = build.stages[-1], build.final
+    j = len(rec.kept) // 2
+    vertex = (int(rec.lo_v[j]) + int(rec.hi_v[j])) // 2 << (final.depth - rec.depth)
+    values = final.values.copy()
+    values[vertex] += 2.0**-20
+    funclib.save_function(workdir / "b" / "final.fn", funclib.SampledFunction(
+        1, final.depth, final.domain, values, final.modulus, final.exact))
+    capsys.readouterr()
+    assert run(["partition", "b", "--out", "p.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"stage {rec.params.n}" in err and f"cube {int(rec.kept[j])}:" in err
+    assert "spread 9.53674e-07" in err
+    assert not (workdir / "p.json").exists()
 
 
 def test_config_file_load(workdir):

@@ -128,7 +128,7 @@ def test_build_stage_affine_staircase():
     p = StageParams(1, 0.5, Fraction(1), 2, Fraction(1, 8), 0.125)
     g, rec = build_stage(f0, p, phi=POWER1)
     # plateau values are f at the center anchors 1/4 and 3/4
-    assert list(rec.plateau_values) == pytest.approx([0.25, 0.75])
+    assert list(g.values[rec.lo_v]) == pytest.approx([0.25, 0.75])
     # diameters over both cubes are exactly zero
     cert_vals = g.values
     for j, (lo, hi) in enumerate(zip(rec.lo_v, rec.hi_v)):
@@ -178,12 +178,17 @@ def test_plateau_vertex_ranges_reject_off_grid_eta(stage):
 def test_build_stage_partial_domain_drops_cubes():
     f0 = on_left_half(make_test_function("affine", {"c": 1.0}, depth=8))
     p = StageParams(1, 0.5, Fraction(1, 4), 5, Fraction(1, 8), 0.125)
-    _, rec = build_stage(f0, p, phi=POWER1)
+    g, rec = build_stage(f0, p, phi=POWER1)
     assert rec.kept.tolist() == [0, 1, 2]
     assert rec.dropped == (3, 4)
     assert rec.lo_v.tolist() == [8, 59, 110]
     assert rec.hi_v.tolist() == [44, 95, 146]
-    assert rec.anchors.tolist() == [26, 77, 128]
+    # each plateau carries f0 at its anchor vertex, bitwise, on its domain vertices
+    for lo, hi, anchor in zip(rec.lo_v, rec.hi_v, [26, 77, 128]):
+        assert g.values[anchor] == f0.values[anchor]
+        window = g.values[lo : hi + 1]
+        assert np.array_equal(window[~np.isnan(window)], np.full(min(hi, 128) - lo + 1,
+                                                                  f0.values[anchor]))
 
 
 def test_partial_domain_build_certifies_and_round_trips(tmp_path):
@@ -478,8 +483,7 @@ def test_build_save_load_round_trip(tmp_path):
     back = load_build(tmp_path / "b")
     stages = json.loads((tmp_path / "b" / "stages.json").read_text())
     for item in stages:
-        assert list(item) == ["n", "k", "eta", "delta", "epsilon", "depth", "anchors",
-                              "plateau_values", "dropped"]
+        assert list(item) == ["n", "k", "eta", "delta", "epsilon", "depth", "dropped"]
     assert back.n_stages == build.n_stages
     assert back.eps_schedule == pytest.approx(build.eps_schedule)
     assert back.eps_schedule == build.eps_schedule
@@ -491,8 +495,7 @@ def test_build_save_load_round_trip(tmp_path):
     assert np.array_equal(back.final.values, build.final.values)
     for a, b in zip(back.stages, build.stages):
         assert a.params == b.params
-        assert np.array_equal(a.anchors, b.anchors)
-        assert np.array_equal(a.lo_v, b.lo_v)
+        assert np.array_equal(a.lo_v, b.lo_v) and np.array_equal(a.hi_v, b.hi_v)
         assert a.slack_min == pytest.approx(b.slack_min)
     for n in (1, 2, 3):
         orig = certify_membership(build, n)

@@ -111,6 +111,33 @@ def test_oscillation_weierstrass_vs_dense_oracle():
     assert pair.lower >= 0.95 * oracle
 
 
+def test_oscillation_lower_2d_partial_domain_matches_dense_mask():
+    # domain: three quadrants of [0,1]^2, NaN beyond them; centers and radii are
+    # multiples of 2^-20, so the float ball test below is exact
+    depth = 6
+    top = 1 << depth
+    rng = np.random.default_rng(11)
+    coords = np.arange(top + 1) / top
+    X, Y = np.meshgrid(coords, coords, indexing="ij")
+    values = rng.uniform(-1.0, 1.0, size=X.shape)
+    values[(X > 0.5) & (Y > 0.5)] = np.nan
+    domain = DyadicCubeSet(2, 1, frozenset({(0, 0), (0, 1), (1, 0)}))
+    f = SampledFunction(2, depth, domain, values, HolderModulus(1.0))
+    empty = 0
+    for _ in range(300):
+        x = rng.integers(0, (1 << 20) + 1, size=2) / 2**20
+        r = float(rng.integers(1 << 16, 1 << 19)) / 2**20  # r >= 4h = 2^-4
+        inside = values[np.maximum(np.abs(X - x[0]), np.abs(Y - x[1])) <= r]
+        inside = inside[~np.isnan(inside)]
+        if inside.size == 0:
+            empty += 1
+            with pytest.raises(ValueError, match="no domain vertex"):
+                oscillation(f, tuple(x), r)
+            continue
+        assert oscillation(f, tuple(x), r).lower == inside.max() - inside.min()
+    assert 0 < empty < 300
+
+
 def test_oscillation_brackets_100_random_generator_points():
     # dense oracle on a 64x finer grid; lower <= oracle diam <= upper exactly
     rng = np.random.default_rng(7)

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from liplab.construct import iterate_typical
+from liplab.construct import iterate_typical, plateau_extremes
 from liplab.funclib import make_test_function
 from liplab.gauges import GaugeDomainError, make_preset
 from liplab.partition import (
@@ -178,14 +178,17 @@ def test_graph_cross_check_passes():
 def test_graph_cross_check_detects_missing_plateau():
     build = affine_build(1)
     A, _ = split_partition(build)
-    values = build.stages[-1].plateau_values
-    partial = DyadicCubeSet.from_points(1, 20, [(float(values[0]),)])  # drop one value
+    B_img = b_image_cubes(build)
+    kept, *dropped = sorted(B_img.cubes)
+    partial = DyadicCubeSet(1, B_img.depth, frozenset({kept}))  # drop all cubes but one
     rep = graph_cross_check(build.final, A, partial, 10_000, seed=0)
     assert not rep.ok
-    # every witness value is one of the dropped plateau values
-    missing = {float(v) for v in values[1:]}
+    # every witness value is a plateau value of the final function in a dropped cube
+    missing = DyadicCubeSet(1, B_img.depth, frozenset(dropped))
+    values, _ = plateau_extremes(build, 1)
     for x, y in rep.violations[:20]:
-        assert any(y == pytest.approx(m, abs=1e-12) for m in missing)
+        assert missing.contains((y,))
+        assert np.min(np.abs(values - y)) <= 1e-12
 
 
 def test_partition_dimension_echo():
