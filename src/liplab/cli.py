@@ -134,6 +134,9 @@ def _parse_scales(spec: str) -> list:
         scales = _parse_list(spec, float, "scales spec")
     if len(scales) < 6:
         raise ConfigError(f"scales {spec!r} gives {len(scales)} scales; need at least 6")
+    for r in scales:
+        if not 0 < r < 1:
+            raise ConfigError(f"scale {float(r):g} in {spec!r} must lie in (0,1)")
     return scales
 
 
@@ -168,6 +171,8 @@ def _subsample(f: funclib.SampledFunction, depth: int) -> funclib.SampledFunctio
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
+    if not math.isfinite(cfg.tau):
+        raise ConfigError(f"--tau {cfg.tau:g} must be finite")
     f = funclib.load_function(cfg.input_path)
     phi = gauges.parse_gauge(cfg.gauge or "power(s=1)")
     out = cfg.out or "analyze"
@@ -225,7 +230,7 @@ def _cmd_construct(cfg: RunConfig) -> int:
     build = construct_mod.iterate_typical(
         base, cfg.nmax, phi, zeta, cfg.eps0, max_depth=cfg.max_depth
     )
-    _, _, analysis = construct_mod.save_build(cfg.out, build)
+    analysis = construct_mod.save_build(cfg.out, build)
     payload, ok = _certificates_payload(build, analysis, cfg)
     _write_json(os.path.join(cfg.out, "certificates.json"), payload)
     if not ok:
@@ -307,7 +312,11 @@ def _load_set(spec: str):
             raise ConfigError(f"bad cantor depth {rest!r}") from err
         return setlib.cantor_intervals(_at_least("cantor depth", depth, 0))
     if kind == "points":
-        return setlib.points_union(_parse_list(rest, float, "points"))
+        points = _parse_list(rest, float, "points")
+        for x in points:
+            if not 0.0 <= x <= 1.0:
+                raise ConfigError(f"point {x:g} in {spec!r} must lie in [0,1]")
+        return setlib.points_union(points)
     return setlib.load_cubes(spec)
 
 
@@ -406,7 +415,7 @@ def _cmd_micro(cfg: RunConfig) -> int:
 
 def _cmd_report(cfg: RunConfig) -> int:
     build = construct_mod.load_build(cfg.input_path)
-    _, _, analysis = construct_mod.exceptional_set(build)
+    analysis = construct_mod.exceptional_set(build)
     payload, ok = _certificates_payload(build, analysis, cfg)
     _write_json(cfg.out or "report.json", payload)
     if not ok:

@@ -180,11 +180,6 @@ class StageParams:
             Fraction(2 * (j + 1) * den - self.k * num, D),
         )
 
-    def core_union(self) -> IntervalUnion:
-        return IntervalUnion.from_pairs(
-            (self.core_interval(j) for j in range(self.k)), assume_sorted=True
-        )
-
     def required_depth(self) -> int:
         """Smallest grid depth giving >= 4 cells per gap and per cube side."""
         need = min(self.eta / 4, self.ell / 4)
@@ -620,22 +615,21 @@ RASTER_DEPTH = 16
 
 
 def deepest_core_complement(build: TypicalBuild) -> IntervalUnion:
-    """F: the part of Omega = build.final.domain outside every core of the deepest stage."""
-    cores = build.stages[-1].params.core_union()
-    return cores.complement_within(0, 1).intersect(build.final.domain.to_interval_union())
+    """F: the part of Omega = build.final.domain outside every core of the
+    deepest stage, which is that stage's slab union within Omega."""
+    slabs = build.stages[-1].params.slab_union()
+    return slabs.intersect(build.final.domain.to_interval_union())
 
 
-def exceptional_set(build: TypicalBuild) -> tuple[DyadicCubeSet, DyadicCubeSet, ExceptionalAnalysis]:
+def exceptional_set(build: TypicalBuild) -> ExceptionalAnalysis:
     """E = union of stage-tail intersections of the slab sets; F = the certified
-    complement of the deepest stage's cores.
+    complement of the deepest stage's cores, E within Omega.
 
     The analysis carries exact interval forms, per-tail premeasure witnesses
     (< 1/n by the stage inequality), the containment F within E (cross power
     in dimension 1 is the set itself), and, when the build's zeta is the
     inv_log gauge, a microscopic certificate for E via the cover-sum route.
-    The cube sets are rasters of E and F at RASTER_DEPTH.
     """
-    F_intervals = deepest_core_complement(build)
     N = build.n_stages
     notes: list[str] = []
     slabs = [rec.params.slab_union() for rec in build.stages]
@@ -646,6 +640,8 @@ def exceptional_set(build: TypicalBuild) -> tuple[DyadicCubeSet, DyadicCubeSet, 
     # tail_n = intersection over m >= n is increasing in n, so the union over
     # n collapses to the deepest tail
     E_intervals = tails[-1]
+    # the complement of the deepest cores is exactly the deepest slab union
+    F_intervals = E_intervals.intersect(build.final.domain.to_interval_union())
 
     reports = []
     for n in range(1, N + 1):
@@ -671,9 +667,7 @@ def exceptional_set(build: TypicalBuild) -> tuple[DyadicCubeSet, DyadicCubeSet, 
         verified = microscopic_verify(micro.cover, micro.eps, E_intervals).ok
         notes.append(f"micro route: cover sum {record.total:g}, beta {beta:g}")
 
-    E_cubes = DyadicCubeSet.from_interval_union(E_intervals, RASTER_DEPTH)
-    F_cubes = DyadicCubeSet.from_interval_union(F_intervals, RASTER_DEPTH)
-    analysis = ExceptionalAnalysis(
+    return ExceptionalAnalysis(
         reports,
         [len(t.intervals) for t in tails],
         containment,
@@ -683,17 +677,15 @@ def exceptional_set(build: TypicalBuild) -> tuple[DyadicCubeSet, DyadicCubeSet, 
         verified,
         notes,
     )
-    return E_cubes, F_cubes, analysis
 
 
 # ---------------------------------------------------------------------------
 # Build directory format
 
 
-def save_build(
-    directory, build: TypicalBuild
-) -> tuple[DyadicCubeSet, DyadicCubeSet, ExceptionalAnalysis]:
-    """Write the build directory; returns the exceptional_set result it wrote.
+def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
+    """Write the build directory; returns the exceptional_set result whose E
+    and F it wrote as rasters at RASTER_DEPTH.
 
     stages.json keeps only what each stage chose; load_build re-derives the
     rest (zeta(eta), the slacks, the kept cubes and plateau ranges), and the
@@ -721,10 +713,11 @@ def save_build(
         "early_stop": build.early_stop,
     }
     _atomic_write(os.path.join(directory, "meta.json"), json.dumps(meta, indent=1))
-    E_cubes, F_cubes, analysis = exceptional_set(build)
-    save_cubes(os.path.join(directory, "E.set"), E_cubes)
-    save_cubes(os.path.join(directory, "F.set"), F_cubes)
-    return E_cubes, F_cubes, analysis
+    analysis = exceptional_set(build)
+    for name, intervals in (("E.set", analysis.E_intervals), ("F.set", analysis.F_intervals)):
+        cubes = DyadicCubeSet.from_interval_union(intervals, RASTER_DEPTH)
+        save_cubes(os.path.join(directory, name), cubes)
+    return analysis
 
 
 def load_build(directory) -> TypicalBuild:

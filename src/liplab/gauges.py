@@ -280,8 +280,8 @@ def format_gauge(g: GaugeLike) -> str:
 
 def parse_spec(text: str) -> tuple[str, dict[str, float | tuple[float, ...]]]:
     """Split `kind(key=value,...)` into its name and float parameters; a
-    `:`-separated value is a tuple of floats.  Malformed text raises
-    GaugeSpecError."""
+    `:`-separated value is a tuple of floats.  Malformed text or a non-finite
+    number raises GaugeSpecError."""
     match = _SPEC_RE.match(text)
     if not match:
         raise GaugeSpecError(f"cannot parse spec {text!r}; expected kind(key=value,...)")
@@ -298,6 +298,8 @@ def parse_spec(text: str) -> tuple[str, dict[str, float | tuple[float, ...]]]:
             numbers = tuple(float(v) for v in value.split(":"))
         except ValueError as err:
             raise GaugeSpecError(f"non-numeric value {value.strip()!r} in {text!r}") from err
+        if not all(map(math.isfinite, numbers)):
+            raise GaugeSpecError(f"non-finite value {value.strip()!r} in {text!r}")
         params[key] = numbers if len(numbers) > 1 else numbers[0]
     return name, params
 

@@ -224,7 +224,7 @@ def image_cover_report(
     total = 0.0
     for ball in cover.kept:
         x = ball.center[0]
-        diam5 = oscillation(f, x, 5.0 * ball.radius).upper
+        diam5 = diam_by_center[x]  # oscillation(f, x, 5r).upper, found for this radius
         xi_diam = gauge_at_diameter(xi, diam5)
         xi_phi = xi.eval(phi.eval(5.0 * ball.radius))
         rpow = ball.radius ** (d + 1)

@@ -150,25 +150,6 @@ class IntervalUnion:
                 j += 1
         return IntervalUnion.from_pairs(out)
 
-    def complement_within(self, lo: Number, hi: Number) -> "IntervalUnion":
-        """Closure of [lo,hi] minus this union."""
-        lo, hi = _frac(lo), _frac(hi)
-        out = []
-        cursor = lo
-        for a, b in self.intervals:
-            if b < lo:
-                continue
-            if a > hi:
-                break
-            if a > cursor:
-                out.append((cursor, min(a, hi)))
-            cursor = max(cursor, b)
-            if cursor >= hi:
-                break
-        if cursor < hi:
-            out.append((cursor, hi))
-        return IntervalUnion.from_pairs(out)
-
     def subset_of(self, other: "IntervalUnion") -> bool:
         return self.uncovered_by(other) is None
 

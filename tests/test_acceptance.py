@@ -143,7 +143,7 @@ def test_criterion_3_typical_build_certificates():
 def test_criterion_4_exceptional_set_smallness():
     with criterion(4, "exceptional-set smallness", 30.0):
         rng = np.random.default_rng(1)
-        for name, (E, F, analysis) in exceptional_analyses().items():
+        for name, analysis in exceptional_analyses().items():
             for n, rep in enumerate(analysis.tail_premeasures, start=1):
                 assert rep.value < 1.0 / n, (name, n)
             assert analysis.containment_ok
@@ -201,7 +201,7 @@ def test_criterion_7_microscopic_path():
         build = iterate_typical(base, 3, make_preset("power", s=0.25), INV_LOG, 0.5,
                                 max_depth=24)
         assert build.early_stop is None
-        E, F, analysis = exceptional_set(build)
+        analysis = exceptional_set(build)
         micro = analysis.micro
         assert micro is not None
         assert micro.eps == pytest.approx(math.exp(-micro.beta), rel=1e-12)

@@ -247,6 +247,11 @@ def test_config_errors_exit_2(workdir):
         assert run(["construct", "--base", base, "--out", "x"]) == 2
     assert run(["construct", "--phi", "power(s=abc)", "--out", "x"]) == 2
     assert run(["construct", "--zeta", "power(s=1:2)", "--out", "x"]) == 2
+    # non-finite numbers in a base or gauge spec
+    for base in ("constant(value=inf)", "constant(value=nan)", "affine(c=-inf)"):
+        assert run(["construct", "--base", base, "--out", "x"]) == 2, base
+    for phi in ("power(s=nan)", "power(s=inf)", "power(s=1,scale=nan)"):
+        assert run(["construct", "--phi", phi, "--out", "x"]) == 2, phi
     # out-of-range numbers exit 2 before any work
     assert run(["construct", "--nmax", 0, "--out", "x"]) == 2
     assert run(["construct", "--eps0", -1, "--out", "x"]) == 2
@@ -265,6 +270,14 @@ def test_config_errors_exit_2(workdir):
     for scales in ("dyadic:a..3", "triadic:a..3", "dyadic:3", "dyadic:-1..3", "0.5,abc",
                    "dyadic:1..3", "0.5,0.25"):
         assert run(["dims", "cantor:6", "--scales", scales]) == 2
+    # every scale must be finite and lie in (0,1)
+    for bad in ("inf", "0", "-0.1", "nan", "1"):
+        scales = f"0.5,0.25,0.125,{bad},0.01,0.001"
+        assert run(["dims", "cantor:6", "--scales", scales]) == 2, scales
+    for scales in ("dyadic:0..5", "triadic:0..5"):
+        assert run(["dims", "cantor:6", "--scales", scales]) == 2, scales
+    for points in ("points:0.1,1.5", "points:-0.1,0.5", "points:nan", "points:0.5,inf"):
+        assert run(["dims", points]) == 2, points
     assert run(["micro", "cantor:6", "--eps", 2]) == 2
     assert run(["micro", "cantor:6", "--eps", 0]) == 2
     assert run(["dims", "cantor:x"]) == 2
@@ -275,6 +288,8 @@ def test_config_errors_exit_2(workdir):
     assert run(["analyze", "c.fn", "--depths", "9"]) == 2  # c.fn has depth 8
     assert run(["analyze", "c.fn", "--sample-depth", 7]) == 2  # need <= 8 - 2
     assert run(["analyze", "c.fn", "--depths", "6,8", "--sample-depth", 5]) == 2
+    for tau in ("nan", "inf"):
+        assert run(["analyze", "c.fn", "--tau", tau]) == 2, tau
     # a generator-backed depth-8 function has 5 fallback radii >= 4h = 2^-6
     funclib.save_function("w8.fn", funclib.make_test_function("weierstrass", {}, 8))
     assert run(["analyze", "w8.fn"]) == 2

@@ -15,6 +15,7 @@ from liplab.construct import (
     certify_lip_bound,
     certify_membership,
     choose_stage_params,
+    deepest_core_complement,
     exceptional_set,
     iterate_typical,
     load_build,
@@ -23,7 +24,7 @@ from liplab.construct import (
 )
 from liplab.funclib import SampledFunction, make_test_function, save_function
 from liplab.gauges import make_preset
-from liplab.setlib import DyadicCubeSet, IntervalUnion, cross_power, n_delta
+from liplab.setlib import DyadicCubeSet, IntervalUnion, cross_power, load_cubes, n_delta
 from oracles import fraction_plateau_range
 
 POWER1 = make_preset("power", s=1)
@@ -114,9 +115,6 @@ def test_slab_and_core_geometry():
     assert p.slab(0) == (Fraction(0), Fraction(1, 16))
     assert p.slab(1) == (Fraction(7, 16), Fraction(9, 16))
     assert p.core_interval(0) == (Fraction(1, 16), Fraction(7, 16))
-    # complement of the cores within [0,1] is exactly the slab union
-    comp = p.core_union().complement_within(0, 1)
-    assert comp.intervals == p.slab_union().intervals
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +163,17 @@ def test_plateau_vertex_ranges_match_fraction_oracle(stage, extra):
     assert [tuple(map(int, t)) for t in zip(lo, hi, center)] == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(_stage_on_grid())
+def test_cores_end_at_slab_edges(stage):
+    # the slabs and the cores tile [0,1], so the complement of the cores is
+    # exactly the slab union
+    p, _, _ = stage
+    assert p.slab(0)[0] == 0 and p.slab(p.k)[1] == 1
+    for j in range(p.k):
+        assert p.core_interval(j) == (p.slab(j)[1], p.slab(j + 1)[0])
+
+
 @settings(max_examples=50, deadline=None)
 @given(_stage_on_grid())
 def test_plateau_vertex_ranges_reject_off_grid_eta(stage):
@@ -205,14 +214,15 @@ def test_partial_domain_build_certifies_and_round_trips(tmp_path):
         cert = certify_membership(build, n)
         assert cert.ok and cert.margin_min > 0.0
         assert cert.diam_max_measured <= cert.bound
-    _, _, analysis = exceptional_set(build)
+    analysis = exceptional_set(build)
     for n, rep in enumerate(analysis.tail_premeasures, start=1):
         assert rep.value < 1.0 / n
     assert analysis.containment_ok
+    assert analysis.F_intervals == deepest_core_complement(build)
     # F lies in Omega = [0, 1/2]; a reloaded build certifies the same set
     assert analysis.F_intervals.subset_of(IntervalUnion.from_pairs([(0, Fraction(1, 2))]))
     save_build(tmp_path / "b", build)
-    _, _, again = exceptional_set(load_build(tmp_path / "b"))
+    again = exceptional_set(load_build(tmp_path / "b"))
     assert again.F_intervals == analysis.F_intervals
     assert again.E_intervals == analysis.E_intervals
 
@@ -229,7 +239,7 @@ def test_2d_core_complement_in_cross_power():
     p = StageParams(1, 0.9, Fraction(1), 2, Fraction(1, 8), 0.125)
     E = p.slab_union()
     cross = cross_power(DyadicCubeSet.from_interval_union(E, depth), 2)
-    core_1d = p.core_union()
+    core_1d = IntervalUnion.from_pairs(p.core_interval(j) for j in range(p.k))
     # condition (a) at cube level: complement of the cores sits in E^(cross 2)
     rng = np.random.default_rng(2)
     for pt in rng.random((2000, 2)):
@@ -424,7 +434,7 @@ def test_lip_field_over_tau_fraction_matches_stage_geometry():
 def test_exceptional_set_one_stage():
     f0 = make_test_function("constant", {"value": 0.5}, depth=8)
     build = iterate_typical(f0, 1, PHI, POWER1, 0.5)
-    E, F, analysis = exceptional_set(build)
+    analysis = exceptional_set(build)
     p = build.stages[0].params
     assert analysis.tail_component_counts == [p.k + 1]
     count = n_delta(analysis.E_intervals, p.eta).count
@@ -433,9 +443,9 @@ def test_exceptional_set_one_stage():
     assert analysis.containment_ok
 
 
-def test_exceptional_set_three_stages():
+def test_exceptional_set_three_stages(tmp_path):
     build = small_affine_build()
-    E, F, analysis = exceptional_set(build)
+    analysis = exceptional_set(build)
     # each tail is the exact intersection of the slab sets of stages n..N
     slabs = [rec.params.slab_union() for rec in build.stages]
     for n in (1, 2, 3):
@@ -457,14 +467,17 @@ def test_exceptional_set_three_stages():
             hits += 1
             assert analysis.E_intervals.contains(x)
     assert hits > 0
-    # the returned cube sets keep the containment
+    assert analysis.F_intervals == deepest_core_complement(build)
+    # the E.set and F.set rasters written with the build keep the containment
+    save_build(tmp_path / "b", build)
+    E, F = load_cubes(tmp_path / "b" / "E.set"), load_cubes(tmp_path / "b" / "F.set")
     assert F.depth == E.depth and F.cubes <= E.cubes
 
 
 def test_exceptional_set_micro_route_inv_log():
     f0 = make_test_function("constant", {"value": 0.5}, depth=8)
     build = iterate_typical(f0, 3, PHI, INV_LOG, 0.5, max_depth=24)
-    E, F, analysis = exceptional_set(build)
+    analysis = exceptional_set(build)
     assert analysis.micro is not None
     assert analysis.micro_verified
     assert analysis.micro.eps == pytest.approx(math.exp(-analysis.micro.beta))

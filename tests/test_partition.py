@@ -16,7 +16,7 @@ from liplab.partition import (
     split_partition,
     vitali_5r,
 )
-from liplab.setlib import DyadicCubeSet, lower_box_dim
+from liplab.setlib import DyadicCubeSet, IntervalUnion, lower_box_dim
 
 POWER1 = make_preset("power", s=1)
 PHI_BUILD = make_preset("power", s=0.25)
@@ -110,7 +110,8 @@ def test_split_is_exact_partition():
 def test_split_b_is_plateau_cores():
     build = affine_build(1)
     A, B = split_partition(build)
-    cores = build.stages[-1].params.core_union()
+    p = build.stages[-1].params
+    cores = IntervalUnion.from_pairs(p.core_interval(j) for j in range(p.k))
     for idx in B.cubes:
         h = B.side
         assert cores.contains(idx[0] * h) and cores.contains((idx[0] + 1) * h)

@@ -1,0 +1,82 @@
+"""Pinned sha256 digests of the CLI payloads on fixed inputs.
+
+A refactor must leave these bytes unchanged.  A change that means to alter
+a payload byte updates the digest here and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from liplab.cli import main
+
+BUILDS = {
+    "constant": ("--base", "constant(value=0.5)", "--depth", "8", "--nmax", "2"),
+    # the affine build of perfbench's partition-analyze-dims workload
+    "affine": ("--base", "affine(c=1)", "--depth", "10", "--nmax", "3", "--phi", "power(s=0.1)",
+               "--zeta", "power(s=1)", "--eps0", "1.0"),
+}
+
+BUILD_DIGESTS = {
+    "constant": {
+        "certificates.json":
+            "8750042f834a1a59e67637f50ff719c2259e95818681410793745acdb432eb54",
+        "report.json":
+            "8750042f834a1a59e67637f50ff719c2259e95818681410793745acdb432eb54",
+        "E.set":
+            "9ff24a21fec95e43cc1e863d8da985af9c61e887a6a313a9b2a081871455399e",
+        "F.set":
+            "9ff24a21fec95e43cc1e863d8da985af9c61e887a6a313a9b2a081871455399e",
+        "stages.json":
+            "7081438ddcba42f310abdd09d37973f63d32db395529bd7ae5496654472cf79e",
+    },
+    "affine": {
+        "certificates.json":
+            "1e886523c9c067140309046e67cdb5253f717928fcc294697e8e0f2538af9a3d",
+        "report.json":
+            "1e886523c9c067140309046e67cdb5253f717928fcc294697e8e0f2538af9a3d",
+        "E.set":
+            "016691bb0a83388cb4044dcd415c791a2c444461232469b5d55be589ce2dc89d",
+        "F.set":
+            "016691bb0a83388cb4044dcd415c791a2c444461232469b5d55be589ce2dc89d",
+        "stages.json":
+            "2946e3c0c4bbdc122c27e8052953a62fed47b598c732e1a4f7b903934a28dd3b",
+    },
+}
+
+PARTITION_DIGEST = "999c059ea5a3f791ee9fed56a2bf8027ea18667796152d1dd6711c52c7667792"
+DIMS_CANTOR_DIGEST = "0fa7d13f54e24c96fae7db9e276e9c74cdcb6dc465defb69d783a5938c2f636c"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def builds(tmp_path_factory):
+    root = tmp_path_factory.mktemp("payload_bytes")
+    for name, flags in BUILDS.items():
+        out = root / name
+        assert main(["construct", *flags, "--out", str(out)]) == 0
+        assert main(["report", str(out), "--out", str(out / "report.json")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_build_payload_bytes(builds, name):
+    got = {file: _sha256(builds / name / file) for file in BUILD_DIGESTS[name]}
+    assert got == BUILD_DIGESTS[name]
+
+
+def test_partition_payload_bytes(builds, tmp_path):
+    out = tmp_path / "partition.json"
+    assert main(["partition", str(builds / "affine"), "--xi", "power(s=1)",
+                 "--phi", "power(s=2,scale=0.2)", "--delta-ladder", "0.1,0.01,0.001",
+                 "--out", str(out)]) == 0
+    assert _sha256(out) == PARTITION_DIGEST
+
+
+def test_dims_cantor_payload_bytes(tmp_path):
+    out = tmp_path / "cantor.json"
+    assert main(["dims", "cantor:8", "--out", str(out)]) == 0
+    assert _sha256(out) == DIMS_CANTOR_DIGEST

@@ -55,11 +55,6 @@ def test_interval_union_ops():
         (Fraction(1, 8), Fraction(1, 4)),
         (Fraction(1, 2), Fraction(3, 4)),
     )
-    comp = a.complement_within(0, 1)
-    assert comp.intervals == ((Fraction(1, 4), Fraction(1, 2)),)
-    assert IntervalUnion.from_pairs(a.intervals + comp.intervals).intervals == (
-        (Fraction(0), Fraction(1)),
-    )
     assert inter.subset_of(a) and inter.subset_of(b)
     assert not a.subset_of(b)
     assert a.contains(0.25) and not a.contains(0.3)
