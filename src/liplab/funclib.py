@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "OscillationRecord",
     "LipField",
     "oscillation",
+    "oscillation_many",
     "scaled_osc_estimate",
     "lip_field",
     "make_test_function",
@@ -126,6 +128,14 @@ class SampledFunction:
     def full_domain(self) -> bool:
         return len(self.domain.cubes) == (1 << self.domain.depth) ** self.dim
 
+    @cached_property
+    def _off_domain_before(self) -> np.ndarray:
+        """d = 1: the number of off-domain cubes before each cube index of the
+        domain's grid, and the total at the end."""
+        off = np.ones(1 << self.domain.depth, dtype=bool)
+        off[[k[0] for k in self.domain.cubes]] = False
+        return np.concatenate(([0], np.cumsum(off)))
+
     def cell_in_domain(self, idx: tuple[int, ...]) -> bool:
         shift = self.depth - self.domain.depth
         return tuple(k >> shift for k in idx) in self.domain.cubes
@@ -218,29 +228,167 @@ class OscPair:
     clipped: bool
 
 
-def _vertex_range(x: float, r: float, depth: int) -> tuple[int, int]:
-    """Exact index range of grid vertices inside [x-r, x+r] cap [0,1]."""
+class OscBrackets(NamedTuple):
+    """The brackets of oscillation_many, one entry per point."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    clipped: np.ndarray
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and a + b = s + e exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _exact_floor(s, e, scale: int) -> np.ndarray:
+    """floor((s + e) * scale) for TwoSum pairs, a power of two scale and
+    |s * scale| < 2^52, without a Fraction: the scaling is exact, so only an
+    integral s * scale can round the other way, by the sign of e."""
+    y = s * scale
+    k = np.floor(y)
+    return (k - ((k == y) & (e < 0.0))).astype(np.int64)
+
+
+def _exact_ceil(s, e, scale: int) -> np.ndarray:
+    """ceil((s + e) * scale), on the terms of _exact_floor."""
+    y = s * scale
+    k = np.ceil(y)
+    return (k + ((k == y) & (e > 0.0))).astype(np.int64)
+
+
+def _vertex_windows(xs: np.ndarray, r: float, depth: int):
+    """Exact index windows [lo, hi] of the depth-grid vertices in
+    [x-r, x+r] cap [0,1], and the TwoSum pairs (s, e) of r - x, then x + r."""
     top = 1 << depth
-    lo = max(Fraction(0), _frac(x) - _frac(r)) * top
-    hi = min(Fraction(1), _frac(x) + _frac(r)) * top
-    return math.ceil(lo), math.floor(hi)
+    s, e = _two_sum(np.concatenate((-xs, xs)), r)
+    k = _exact_floor(s, e, top)
+    n = xs.size
+    return np.maximum(-k[:n], 0), np.minimum(k[n:], top), s, e
+
+
+_NAN = np.array([np.nan])
+
+
+def _window_extremes(values: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """NaN-ignoring (min, max) of values[lo:hi+1] per window, NaN where a
+    window holds no number; lo and hi nondecreasing.  One reduceat over the
+    span the windows touch, padded with a NaN that the empty windows point at."""
+    base = lo[0]
+    span = np.concatenate((values[base : hi[-1] + 1], _NAN))
+    idx = np.empty(2 * lo.size, dtype=np.int64)
+    idx[0::2] = np.where(lo > hi, span.size - 1 + base, lo)
+    idx[1::2] = hi + 1
+    idx -= base
+    return np.fmin.reduceat(span, idx)[0::2], np.fmax.reduceat(span, idx)[0::2]
+
+
+def _edge_values(f: "SampledFunction", p: np.ndarray) -> np.ndarray:
+    """f at points p of its domain, with evaluate's float operations:
+    0.0 + (1-t) v_k, then + t v_(k+1), a zero weight skipping its term."""
+    top = 1 << f.depth
+    scaled = p * top
+    k = np.minimum(np.floor(scaled), top - 1).astype(np.int64)
+    t = scaled - k
+    w = 1.0 - t
+    out = np.where(w != 0.0, 0.0 + w * f.values[k], 0.0)
+    return np.where(t != 0.0, out + t * f.values[k + 1], out)
+
+
+def _in_domain(f: "SampledFunction", p: np.ndarray) -> np.ndarray:
+    """Do the points p lie in the closed union of f's domain cubes (d = 1)?"""
+    before = f._off_domain_before
+    cubes = before.size - 1
+    scaled = p * cubes
+    q = np.floor(scaled).astype(np.int64)
+    c = np.minimum(q, cubes - 1)
+    left = np.maximum(q - 1, 0)
+    inside = before[c + 1] == before[c]
+    return inside | ((scaled == q) & (q >= 1) & (before[left + 1] == before[left]))
+
+
+def oscillation_many(f: SampledFunction, xs, r: float) -> OscBrackets:
+    """Certified brackets of the oscillation over the closed balls [x-r, x+r],
+    for nondecreasing points xs of [0,1] at once (d = 1).
+
+    lower: spread of the vertex values inside the ball (a true lower bound).
+    upper: for exact functions the interpolant's oscillation over the ball
+    within the domain, attained at a vertex or at an end of the ball, so the
+    vertex extremes and the in-domain ends give it exactly; else
+    lower + 2*w(h).  clipped: the ball leaves [0,1] or the domain.  The r >= 4h
+    resolution guard applies to generator-backed functions only.
+
+    The vertex windows are exact integers (TwoSum of x -+ r, then floor or
+    ceil times 2^depth), and each end is interpolated with evaluate's float
+    operations, so no Fraction is built and a one-point call gives the same
+    bits.  A zero bracket is +0.0.  Off-domain vertices must be NaN.
+    """
+    if f.dim != 1:
+        raise ValueError("oscillation_many is implemented for dimension 1")
+    if not 0.0 < r < math.inf:
+        raise ValueError("radius must be positive")
+    if not f.exact and r < 4.0 * f.h:
+        raise ValueError(f"radius {r} below resolution guard 4h = {4.0 * f.h}")
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError("oscillation_many needs a nonempty 1-d array of points")
+    if xs.size > 1 and not (xs[1:] >= xs[:-1]).all():
+        raise ValueError("oscillation_many needs nondecreasing points")
+    for x in (xs[0], xs[-1]):
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"point ({x},) outside [0,1]^d")
+    # a ball of radius 2 already covers [0,1]; the cap keeps (x -+ r) 2^depth below
+    # 2^52, where _exact_floor and _exact_ceil are exact
+    lo, hi, s, e = _vertex_windows(xs, min(r, 2.0), f.depth)
+    vmin, vmax = _window_extremes(f.values, lo, hi)
+    n = xs.size
+    low, high = -s[:n], s[n:]  # x - r and x + r, rounded
+    clipped = (low < 0.0) | (high > 1.0)
+    before = f._off_domain_before
+    if before[-1]:  # with no off-domain cube the ball cannot leave the domain
+        # the cubes of the domain's grid that the exact ball overlaps with positive length
+        cubes = before.size - 1
+        k = _exact_ceil(s, e, cubes)
+        first, last = np.maximum(-k[:n], 0), np.minimum(k[n:], cubes) - 1
+        clipped |= before[last + 1] > before[first]
+    if not f.exact:
+        if np.isnan(vmin).any():
+            raise ValueError("no domain vertex inside the ball; deepen the grid")
+        lower = (vmax - vmin) + 0.0
+        return OscBrackets(lower, lower + 2.0 * f.modulus.omega(f.h), clipped)
+    lower = np.where(np.isnan(vmin), 0.0, vmax - vmin) + 0.0
+    # a piecewise-linear function peaks at a vertex or at an end of the ball
+    for p in (np.maximum(0.0, low), np.minimum(1.0, high)):
+        v = np.where(_in_domain(f, p), _edge_values(f, p), np.nan)
+        vmin, vmax = np.fmin(vmin, v), np.fmax(vmax, v)
+    if np.isnan(vmax).any():
+        raise ValueError("ball does not meet the domain")
+    # upper >= lower: its values include the window's extremes
+    return OscBrackets(lower, (vmax - vmin) + 0.0, clipped)
 
 
 def oscillation(f: SampledFunction, x: Sequence[float] | float, r: float) -> OscPair:
     """Certified oscillation bracket over the closed max-norm ball B(x, r).
 
-    lower: spread of vertex values inside the ball (true lower bound).
-    upper: exact interpolant oscillation for exact functions, else
+    d = 1: the one-point oscillation_many.  d >= 2: lower is the spread of the
+    vertex values inside the ball; upper is the exact interpolant oscillation
+    for exact functions, from the corners of the cell-clipped boxes, else
     lower + 2*w(h).  The r >= 4h resolution guard applies to generator-backed
     functions only; exact corners need no vertex density.
     """
     if isinstance(x, (int, float)):
         x = (float(x),)
+    if f.dim == 1:
+        one = oscillation_many(f, np.array(x, dtype=np.float64), r)
+        return OscPair(float(one.lower[0]), float(one.upper[0]), bool(one.clipped[0]))
     if r <= 0:
         raise ValueError("radius must be positive")
     if not f.exact and r < 4.0 * f.h:
         raise ValueError(f"radius {r} below resolution guard 4h = {4.0 * f.h}")
-    ranges = [_vertex_range(xi, r, f.depth) for xi in x]
+    lo, hi, _, _ = _vertex_windows(np.array(x, dtype=np.float64), r, f.depth)
+    ranges = list(zip(lo.tolist(), hi.tolist()))
     clipped = any(xi - r < 0.0 or xi + r > 1.0 for xi in x)
 
     vmin = math.inf
@@ -260,17 +408,6 @@ def oscillation(f: SampledFunction, x: Sequence[float] | float, r: float) -> Osc
 
     if not f.exact:
         return OscPair(lower, lower + 2.0 * f.modulus.omega(f.h), clipped)
-
-    if f.dim == 1 and f.full_domain:
-        # piecewise-linear extremes on [lo, hi] sit at interior vertices or at
-        # the two interpolated endpoints
-        lo_edge = max(0.0, x[0] - r)
-        hi_edge = min(1.0, x[0] + r)
-        extremes = [f.evaluate(lo_edge), f.evaluate(hi_edge)]
-        if vmin <= vmax:
-            extremes.extend((vmin, vmax))
-        upper = max(extremes) - min(extremes)
-        return OscPair(lower, max(upper, lower), clipped)
 
     # exact path: multilinear extremes live at corners of cell-clipped boxes
     top = 1 << f.depth

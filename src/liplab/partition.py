@@ -8,6 +8,7 @@ bound is alpha_d = 2^d; reports carry the norm so the constant is auditable.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .construct import ConstructError, TypicalBuild, deepest_core_complement, plateau_extremes
-from .funclib import SampledFunction, oscillation
+from .funclib import SampledFunction, oscillation_many
 from .gauges import (
     GaugeDomainError,
     GaugeLike,
@@ -49,43 +50,72 @@ class Ball:
 
 @dataclass(frozen=True)
 class VitaliCover:
-    """Greedy disjoint subfamily whose 5r expansions cover every candidate."""
+    """Greedy disjoint subfamily whose 5r expansions cover every candidate.
+
+    witnesses[i] indexes the kept ball that meets candidate i with a radius at
+    least its own, so candidate i lies in that ball's 5r expansion."""
 
     kept: tuple[Ball, ...]
     candidate_count: int
     discarded_count: int
+    witnesses: tuple[int, ...]
 
     def verify(self, candidates: Sequence[Ball]) -> None:
-        for i, a in enumerate(self.kept):
-            for b in self.kept[i + 1 :]:
-                if a.dist(b) <= a.radius + b.radius:
-                    raise ValueError("kept balls are not pairwise disjoint")
-        for c in candidates:
-            hit = False
-            for k in self.kept:
-                if c.dist(k) <= c.radius + k.radius and k.radius >= c.radius:
-                    if c.dist(k) + c.radius <= 5.0 * k.radius:
-                        hit = True
-                        break
-            if not hit:
+        """Disjointness on center-adjacent kept pairs (intervals in 1-d, so
+        pairwise) and each candidate against its witness."""
+        if len(self.witnesses) != len(candidates):
+            raise ValueError("the cover does not name one witness per candidate")
+        by_center = sorted(self.kept, key=lambda b: b.center)
+        for a, b in zip(by_center, by_center[1:]):
+            if a.dist(b) <= a.radius + b.radius:
+                raise ValueError("kept balls are not pairwise disjoint")
+        for c, w in zip(candidates, self.witnesses):
+            k = self.kept[w] if 0 <= w < len(self.kept) else None
+            if not (
+                k is not None
+                and c.dist(k) <= c.radius + k.radius
+                and k.radius >= c.radius
+                and c.dist(k) + c.radius <= 5.0 * k.radius
+            ):
                 raise ValueError(f"candidate at {c.center} escapes every 5r expansion")
 
 
 def vitali_5r(candidates: Sequence[Ball]) -> VitaliCover:
     """Greedy 5r selection: radius descending (ties by center), keep if disjoint.
 
-    Every candidate then meets a kept ball of at least its radius, so the 5x
-    expansions of the kept family cover the union of all candidates; this is
-    verified on the way out.
+    In 1-d the kept balls are disjoint intervals, so a ball that meets any of
+    them meets a center-neighbour: a sweep over the kept centers, in sorted
+    order, checks only those two.  Every candidate then meets a kept ball of
+    at least its radius, recorded as its witness, so the 5x expansions of the
+    kept family cover the union of all candidates; this is verified on the
+    way out.
     """
+    if any(len(b.center) != 1 for b in candidates):
+        raise ValueError("the Vitali sweep is implemented for dimension 1")
     if any(b.radius <= 0 for b in candidates):
         raise ValueError("ball radii must be positive")
-    order = sorted(candidates, key=lambda b: (-b.radius, b.center))
+    order = sorted(
+        range(len(candidates)), key=lambda i: (-candidates[i].radius, candidates[i].center)
+    )
     kept: list[Ball] = []
-    for ball in order:
-        if all(ball.dist(k) > ball.radius + k.radius for k in kept):
+    by_center: list[int] = []  # indices into kept, in center order
+    witnesses = [0] * len(candidates)
+    for i in order:
+        ball = candidates[i]
+        at = bisect.bisect_left(by_center, ball.center, key=lambda j: kept[j].center)
+        hit = None
+        for j in by_center[max(at - 1, 0) : at + 1]:
+            if ball.dist(kept[j]) <= ball.radius + kept[j].radius:
+                hit = j
+                break
+        if hit is None:
+            hit = len(kept)
             kept.append(ball)
-    cover = VitaliCover(tuple(kept), len(candidates), len(candidates) - len(kept))
+            by_center.insert(at, hit)
+        witnesses[i] = hit
+    cover = VitaliCover(
+        tuple(kept), len(candidates), len(candidates) - len(kept), tuple(witnesses)
+    )
     cover.verify(candidates)
     return cover
 
@@ -153,27 +183,35 @@ MAX_COVER_SAMPLES = 4096  # B cube centers seeding one image cover; a seeded sub
 
 
 def _admissible_radius(
-    f: SampledFunction, x: float, phi: GaugeLike, delta: float
-) -> tuple[float, float] | None:
-    """Largest dyadic r with r < delta, phi(5r) < delta, diam f(B(x,5r)) < phi(5r)."""
-    j = 0
-    while 2.0**-j >= delta or 5.0 * 2.0**-j > 1.0:
-        j += 1
-        if j > RADIUS_SCAN:
-            return None
-    while j <= RADIUS_SCAN:
+    f: SampledFunction, xs, phi: GaugeLike, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per point of xs (one point, or nondecreasing points): the largest dyadic
+    r with r < delta, phi(5r) < delta and diam f(B(x,5r)) < phi(5r), and that
+    diameter bound; r = 0 where the scan finds none.  Every point scans the
+    same radii, so each radius is one oscillation_many call over the points
+    still open."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    radius = np.zeros(xs.shape)
+    diam = np.zeros(xs.shape)
+    open_idx = np.arange(xs.size)
+    first = 0
+    while (2.0**-first >= delta or 5.0 * 2.0**-first > 1.0) and first <= RADIUS_SCAN:
+        first += 1
+    for j in range(first, RADIUS_SCAN + 1):
+        if not open_idx.size:
+            break
         r = 2.0**-j
         try:
             p5 = phi.eval(5.0 * r)
         except GaugeDomainError:
-            j += 1
             continue
         if p5 < delta:
-            diam = oscillation(f, x, 5.0 * r).upper
-            if diam < p5:
-                return r, diam
-        j += 1
-    return None
+            upper = oscillation_many(f, xs[open_idx], 5.0 * r).upper
+            hit = upper < p5
+            radius[open_idx[hit]] = r
+            diam[open_idx[hit]] = upper[hit]
+            open_idx = open_idx[~hit]
+    return radius, diam
 
 
 def image_cover_report(
@@ -203,28 +241,22 @@ def image_cover_report(
             f"gauge relation xi(phi(5r)) <= r^(d+1) fails at r={schizm.first_violation}"
         )
     h = B.side
-    centers = sorted(float((k[0] + Fraction(1, 2)) * h) for k in B.cubes)
+    centers = np.array(sorted(float((k[0] + Fraction(1, 2)) * h) for k in B.cubes))
     if len(centers) > MAX_COVER_SAMPLES:
         rng = np.random.default_rng(seed)
-        centers = sorted(rng.choice(centers, size=MAX_COVER_SAMPLES, replace=False))
-    candidates = []
-    diam_by_center: dict[float, float] = {}
-    uncovered = []
-    for x in centers:
-        found = _admissible_radius(f, x, phi, delta)
-        if found is None:
-            uncovered.append((x,))
-            continue
-        r, diam = found
-        candidates.append(Ball((x,), r))
-        diam_by_center[x] = diam
-    cover = vitali_5r(candidates) if candidates else VitaliCover((), 0, 0)
+        centers = np.sort(rng.choice(centers, size=MAX_COVER_SAMPLES, replace=False))
+    radii, diams = _admissible_radius(f, centers, phi, delta)
+    found = radii > 0.0
+    candidates = [Ball((x,), r) for x, r in zip(centers[found].tolist(), radii[found].tolist())]
+    diam_by_center = dict(zip(centers[found].tolist(), diams[found].tolist()))
+    uncovered = [(x,) for x in centers[~found].tolist()]
+    cover = vitali_5r(candidates)
     balls = []
     chain = []
     total = 0.0
     for ball in cover.kept:
         x = ball.center[0]
-        diam5 = diam_by_center[x]  # oscillation(f, x, 5r).upper, found for this radius
+        diam5 = diam_by_center[x]  # oscillation upper bound over B(x, 5r), found for this radius
         xi_diam = gauge_at_diameter(xi, diam5)
         xi_phi = xi.eval(phi.eval(5.0 * ball.radius))
         rpow = ball.radius ** (d + 1)
@@ -289,10 +321,17 @@ def graph_cross_check(
     *,
     seed: int = 0,
 ) -> GraphCheckReport:
-    """graph(f) within (A x R) u (R x B_img): per sample, x in A or f(x) in B_img."""
+    """graph(f) within (A x R) u (R x B_img): per sample, x in A or f(x) in B_img.
+
+    A sample count draws that many points uniformly from Omega = f.domain: a
+    uniform u in [0,1) walks the domain cubes in order, so on a full domain
+    the point is u itself, bit for bit."""
     if isinstance(samples, int):
         rng = np.random.default_rng(seed)
-        xs = rng.uniform(0.0, 1.0, size=samples)
+        starts = np.array(sorted(k[0] for k in f.domain.cubes), dtype=float)
+        scaled = rng.uniform(0.0, 1.0, size=samples) * starts.size
+        cube = np.minimum(scaled.astype(np.int64), starts.size - 1)
+        xs = (starts[cube] + (scaled - cube)) / (1 << f.domain.depth)
     else:
         xs = np.asarray(samples, dtype=float)
     values = f.evaluate_many(xs)

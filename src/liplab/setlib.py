@@ -15,6 +15,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain as iter_chain
 from itertools import product as iter_product
 from typing import Iterable, Sequence
 
@@ -310,10 +311,17 @@ class DyadicCubeSet:
         return any(idx in self.cubes for idx in iter_product(*axes))
 
     def to_interval_union(self) -> IntervalUnion:
+        """The closed cubes merged into runs of touching cubes, in integers."""
         if self.dim != 1:
             raise ValueError("interval form exists only in dimension 1")
-        h = self.side
-        return IntervalUnion.from_pairs(((k[0] * h, (k[0] + 1) * h) for k in self.cubes))
+        top = 1 << self.depth
+        runs: list[list[int]] = []
+        for k in sorted(k[0] for k in self.cubes):
+            if runs and k == runs[-1][1]:
+                runs[-1][1] = k + 1
+            else:
+                runs.append([k, k + 1])
+        return IntervalUnion(tuple((Fraction(a, top), Fraction(b, top)) for a, b in runs))
 
 
 def _as_interval_union(E) -> IntervalUnion:
@@ -420,17 +428,30 @@ def n_delta(E, delta: Number) -> NDeltaResult:
     which is optimal).  Dimension >= 2: number of cells of the delta-grid
     meeting E, flagged `grid-proxy`.
     """
+    return _count(_counting_form(E), delta)
+
+
+def _counting_form(E):
+    """E as the box counts read it, built once per scan of scales: an
+    IntervalUnion in d = 1; in d >= 2 its depth and one (n, d) int64 array of
+    cube indices."""
+    if isinstance(E, DyadicCubeSet) and E.dim >= 2:
+        n = len(E.cubes)
+        flat = np.fromiter(iter_chain.from_iterable(E.cubes), dtype=np.int64, count=n * E.dim)
+        return E.depth, flat.reshape(n, E.dim)
+    return _as_interval_union(E)
+
+
+def _count(form, delta: Number) -> NDeltaResult:
+    """N_delta of a _counting_form."""
     d = _frac(delta)
     if d <= 0:
         raise ValueError("delta must be positive")
-    if isinstance(E, DyadicCubeSet) and E.dim >= 2:
-        return NDeltaResult(_grid_count(E, d), "grid-proxy")
-    iu = _as_interval_union(E)
-    if iu.is_empty:
-        return NDeltaResult(0, "exact-1d")
+    if not isinstance(form, IntervalUnion):
+        return NDeltaResult(_grid_count(*form, d), "grid-proxy")
     count = 0
     cover_end: Fraction | None = None
-    for a, b in iu.intervals:
+    for a, b in form.intervals:
         while cover_end is None or b > cover_end:
             start = a if (cover_end is None or a > cover_end) else cover_end
             cover_end = start + d
@@ -440,16 +461,17 @@ def n_delta(E, delta: Number) -> NDeltaResult:
     return NDeltaResult(count, "exact-1d")
 
 
-def _grid_count(E: DyadicCubeSet, delta: Fraction) -> int:
-    if E.is_empty:
+def _grid_count(depth: int, cubes: np.ndarray, delta: Fraction) -> int:
+    """Cells of the delta-grid meeting the closed cubes with these indices."""
+    if not len(cubes):
         return 0
     den = delta.denominator
-    if delta.numerator == 1 and den & (den - 1) == 0 and den <= (1 << E.depth):
-        return _grid_count_dyadic(E, den.bit_length() - 1)
-    h = E.side
+    if delta.numerator == 1 and den & (den - 1) == 0 and den <= (1 << depth):
+        return _grid_count_dyadic(depth, cubes, den.bit_length() - 1)
+    h = Fraction(1, 1 << depth)
     top_cells = math.ceil(1 / delta)
     cells: set[tuple[int, ...]] = set()
-    for idx in E.cubes:
+    for idx in cubes.tolist():
         ranges = []
         for k in idx:
             lo_edge = k * h
@@ -462,19 +484,19 @@ def _grid_count(E: DyadicCubeSet, delta: Fraction) -> int:
     return len(cells)
 
 
-def _grid_count_dyadic(E: DyadicCubeSet, j: int) -> int:
-    """Cells of the 2^-j grid meeting E, vectorized; closed cubes touch the
-    neighboring cell whenever an edge lands on a cell boundary."""
-    t = E.depth - j
+def _grid_count_dyadic(depth: int, idx: np.ndarray, j: int) -> int:
+    """Cells of the 2^-j grid meeting the cubes, vectorized; closed cubes touch
+    the neighboring cell whenever an edge lands on a cell boundary.  Distinct
+    cells are counted by a sort and the changes between neighbours."""
+    t = depth - j
     top_cells = 1 << j
-    idx = np.array(list(E.cubes), dtype=np.int64).reshape(len(E.cubes), E.dim)
     aligned = (idx & ((1 << t) - 1)) == 0  # cube edge on a cell boundary
     lo = np.where(aligned, (idx >> t) - 1, idx >> t)
     hi = (idx + 1) >> t
     np.clip(lo, 0, top_cells - 1, out=lo)
     np.clip(hi, 0, top_cells - 1, out=hi)
     width = int((hi - lo).max())
-    combos = iter_product(range(width + 1), repeat=E.dim)
+    combos = iter_product(range(width + 1), repeat=idx.shape[1])
     pieces = []
     for offsets in combos:
         cells = lo + np.array(offsets, dtype=np.int64)
@@ -482,10 +504,12 @@ def _grid_count_dyadic(E: DyadicCubeSet, j: int) -> int:
         if not np.any(valid):
             continue
         enc = np.zeros(int(valid.sum()), dtype=np.int64)
-        for axis in range(E.dim):
+        for axis in range(idx.shape[1]):
             enc = enc * top_cells + cells[valid, axis]
         pieces.append(enc)
-    return len(np.unique(np.concatenate(pieces)))
+    enc = np.concatenate(pieces)
+    enc.sort()
+    return 1 + int(np.count_nonzero(enc[1:] != enc[:-1]))
 
 
 @dataclass(frozen=True)
@@ -515,8 +539,9 @@ def lower_box_premeasure(E, zeta: GaugeLike, eps: float, scales: Sequence[Number
     empty = isinstance(E, DyadicCubeSet) and E.is_empty or (
         isinstance(E, IntervalUnion) and E.is_empty
     )
+    form = _counting_form(E)
     for s in scanned:
-        res = n_delta(E, s)
+        res = _count(form, s)
         mode = res.mode
         z = zeta.eval(float(s))
         entries.append((float(s), res.count, z, res.count * z))
@@ -541,8 +566,9 @@ def lower_box_dim(E, scales: Sequence[Number]) -> DimensionReport:
         raise ValueError("need at least 6 scales")
     entries = []
     mode = "exact-1d"
+    form = _counting_form(E)
     for s in scales:
-        res = n_delta(E, s)
+        res = _count(form, s)
         mode = res.mode
         r = float(s)
         ratio = math.log(res.count) / abs(math.log(r)) if res.count > 0 else 0.0

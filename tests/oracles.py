@@ -4,7 +4,9 @@ These deliberately avoid the library's algorithms: interval covering is
 solved by exhaustive window search over integer cells, microscopic index
 assignment by brute force over permutations, oscillation by dense sampling,
 plateau vertex ranges by per-cube Fraction floor/ceil, and the Weierstrass
-function pointwise with exact argument reduction.
+function pointwise with exact argument reduction.  The 1-d oscillation
+bracket and the greedy Vitali pass are kept here in their scalar, quadratic
+form as references for the batched library versions.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
+
+import numpy as np
 
 
 def brute_min_window_cover(cells: set[int], window: int) -> int:
@@ -85,3 +89,109 @@ def weierstrass_value(a: float, b: int, terms: int, x: Fraction | float) -> floa
         arg = (x * b**n) % 1
         total += a**n * math.cos(2.0 * math.pi * float(arg))
     return total
+
+
+def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
+    """(lower, upper, clipped) of a 1-d SampledFunction over the closed ball
+    [x-r, x+r], one point at a time in exact Fractions: liplab's scalar
+    bracket before oscillation_many.
+
+    lower is the spread of the non-NaN vertices in the exact ball.  An exact
+    function on a full domain adds its values at the two ball ends; on a
+    partial domain every domain cell touching the ball gives the corners of
+    its clipped piece, each through f.evaluate.  clipped: x - r < 0.0 or
+    x + r > 1.0 in floats, or the exact ball overlaps an off-domain cube with
+    positive length.  Two things differ from that scalar code: a domain cell
+    that touches the ball only at an end vertex now counts (the old loop
+    skipped it, so a ball meeting the domain in that single point raised
+    "ball does not meet the domain"), and clipped reads the domain for
+    generator-backed functions too.
+    """
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    if not f.exact and r < 4.0 * f.h:
+        raise ValueError(f"radius {r} below resolution guard 4h = {4.0 * f.h}")
+    top = 1 << f.depth
+    X, R = Fraction(x), Fraction(r)
+    lo = math.ceil(max(Fraction(0), X - R) * top)
+    hi = math.floor(min(Fraction(1), X + R) * top)
+    clipped = x - r < 0.0 or x + r > 1.0
+    cubes = 1 << f.domain.depth
+    for q in range(cubes):
+        overlaps = Fraction(q, cubes) < X + R and Fraction(q + 1, cubes) > X - R
+        if overlaps and (q,) not in f.domain.cubes:
+            clipped = True
+
+    vmin = math.inf
+    vmax = -math.inf
+    if lo <= hi:
+        window = f.values[lo : hi + 1]
+        window = window[~np.isnan(window)]
+        if window.size:
+            vmin = float(window.min())
+            vmax = float(window.max())
+    if vmin > vmax:
+        if not f.exact:
+            raise ValueError("no domain vertex inside the ball; deepen the grid")
+        lower = 0.0
+    else:
+        lower = vmax - vmin
+    if not f.exact:
+        return lower, lower + 2.0 * f.modulus.omega(f.h), clipped
+
+    lo_edge = max(0.0, x - r)
+    hi_edge = min(1.0, x + r)
+    if f.full_domain:
+        extremes = [f.evaluate(lo_edge), f.evaluate(hi_edge)]
+        if vmin <= vmax:
+            extremes.extend((vmin, vmax))
+        upper = max(extremes) - min(extremes)
+        return lower, max(upper, lower), clipped
+
+    emin = math.inf
+    emax = -math.inf
+    any_cell = False
+    first = max(0, math.ceil(Fraction(lo_edge) * top) - 1)
+    last = min(top - 1, math.floor(Fraction(hi_edge) * top))
+    for k in range(first, last + 1):
+        if not f.cell_in_domain((k,)):
+            continue
+        any_cell = True
+        a = max(lo_edge, k / top)
+        b = min(hi_edge, (k + 1) / top)
+        for corner in (a, b) if b > a else (a,):
+            v = f.evaluate(corner)
+            emin = min(emin, v)
+            emax = max(emax, v)
+    if not any_cell:
+        raise ValueError("ball does not meet the domain")
+    return lower, max(emax - emin, lower), clipped
+
+
+def vitali_5r_quadratic(candidates):
+    """(kept, candidate count, discarded count) of the greedy Vitali 5r pass:
+    radius descending, ties by center, a ball kept when it is disjoint from
+    every ball kept before it."""
+    order = sorted(candidates, key=lambda b: (-b.radius, b.center))
+    kept = []
+    for ball in order:
+        if all(ball.dist(k) > ball.radius + k.radius for k in kept):
+            kept.append(ball)
+    return tuple(kept), len(candidates), len(candidates) - len(kept)
+
+
+def verify_vitali_quadratic(kept, candidates) -> None:
+    """Every kept pair disjoint; every candidate inside the 5r expansion of a
+    kept ball that meets it with a radius at least its own."""
+    for i, a in enumerate(kept):
+        for b in kept[i + 1 :]:
+            if a.dist(b) <= a.radius + b.radius:
+                raise ValueError("kept balls are not pairwise disjoint")
+    for c in candidates:
+        if not any(
+            c.dist(k) <= c.radius + k.radius
+            and k.radius >= c.radius
+            and c.dist(k) + c.radius <= 5.0 * k.radius
+            for k in kept
+        ):
+            raise ValueError(f"candidate at {c.center} escapes every 5r expansion")

@@ -218,6 +218,25 @@ def test_partition_command(workdir):
     assert not (workdir / "p3.json").exists()
 
 
+def test_partition_on_a_partial_domain(workdir):
+    # a build on Omega = [0, 1/2], made through the API: the graph check draws
+    # its samples inside Omega, where the final function is defined
+    f = funclib.make_test_function("affine", {"c": 1.0}, depth=10)
+    values = f.values.copy()
+    values[(1 << f.depth) // 2 + 1 :] = np.nan
+    half = funclib.SampledFunction(
+        1, f.depth, setlib.DyadicCubeSet(1, 1, frozenset({(0,)})), values, f.modulus, f.exact
+    )
+    build = construct_mod.iterate_typical(
+        half, 3, gauges.parse_gauge("power(s=0.1)"), gauges.parse_gauge("power(s=1)"), 0.5
+    )
+    construct_mod.save_build("half", build)
+    assert run(["partition", "half", "--delta-ladder", "0.001", "--out", "p.json"]) == 0
+    payload = json.loads((workdir / "p.json").read_text())
+    assert payload["all_pass"] and payload["graph_check"]["checked"] == 10000
+    assert all(0.0 <= ball["x"][0] <= 0.5 for ball in payload["image_cover"][0]["balls"])
+
+
 def test_micro_command_pass_and_fail(workdir):
     E = setlib.DyadicCubeSet.from_points(1, 12, [(0.2,), (0.5,), (0.8,)])
     setlib.save_cubes("pts.set", E)

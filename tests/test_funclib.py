@@ -1,8 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liplab.funclib import (
     HolderModulus,
@@ -12,12 +15,13 @@ from liplab.funclib import (
     load_function,
     make_test_function,
     oscillation,
+    oscillation_many,
     save_function,
     scaled_osc_estimate,
 )
 from liplab.gauges import make_preset
 from liplab.setlib import DyadicCubeSet
-from oracles import dense_diam, weierstrass_value
+from oracles import dense_diam, oscillation_1d, weierstrass_value
 
 POWER1 = make_preset("power", s=1)
 
@@ -159,6 +163,137 @@ def test_oscillation_brackets_100_random_generator_points():
             assert oracle <= pair.upper + 1e-12
             total += 1
     assert total == 100
+
+
+# ---------------------------------------------------------------------------
+# Batched 1-d oscillation against the scalar Fraction oracle
+
+
+@st.composite
+def _functions(draw):
+    """A 1-d SampledFunction on a full or partial domain, NaN exactly at the
+    vertices of no domain cube, its values drawn from a few that include
+    both signed zeros (so constant and two-valued stretches are common)."""
+    depth = draw(st.integers(2, 7))
+    domain_depth = draw(st.integers(0, min(depth, 3)))
+    cubes = draw(st.sets(st.integers(0, (1 << domain_depth) - 1), min_size=1))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    palette = draw(st.lists(value, min_size=1, max_size=4))
+    top = 1 << depth
+    values = np.array(draw(st.lists(st.sampled_from(palette), min_size=top + 1, max_size=top + 1)))
+    span = 1 << (depth - domain_depth)
+    on = np.zeros(top + 1, dtype=bool)
+    for q in cubes:
+        on[q * span : (q + 1) * span + 1] = True
+    values[~on] = np.nan
+    domain = DyadicCubeSet(1, domain_depth, frozenset((q,) for q in cubes))
+    return SampledFunction(1, depth, domain, values, HolderModulus(1.0), exact=draw(st.booleans()))
+
+
+_DYADICS = st.integers(0, 9).flatmap(lambda e: st.integers(0, 1 << e).map(lambda k: k / 2**e))
+_RADII = st.one_of(
+    st.builds(lambda k, e: k / 2**e, st.integers(1, 1 << 10), st.integers(0, 12)),
+    st.floats(min_value=5e-324, max_value=2.0),
+)
+
+
+@st.composite
+def _balls(draw):
+    """A radius and nondecreasing centers: dyadic ones, as the partition scan
+    uses, arbitrary floats, and centers whose ball ends round onto a dyadic
+    point (x = g -+ r in floats), where only the exact error decides the
+    vertex window."""
+    r = draw(_RADII)
+    near = st.builds(lambda g, sign: g + sign * r, _DYADICS, st.sampled_from([-1.0, 1.0]))
+    x = st.one_of(_DYADICS, st.floats(0.0, 1.0), near).filter(lambda v: 0.0 <= v <= 1.0)
+    return sorted(draw(st.lists(x, min_size=1, max_size=6))), r
+
+
+def _bits(v) -> int:
+    return int(np.float64(v).view(np.int64))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_functions(), _balls())
+def test_oscillation_many_matches_scalar_oracle(f, balls):
+    xs, r = balls
+    expected = []
+    for x in xs:
+        try:
+            expected.append(oscillation_1d(f, x, r))
+        except ValueError as err:
+            expected.append(str(err))
+    errors = [e for e in expected if isinstance(e, str)]
+    if errors:
+        with pytest.raises(ValueError) as info:
+            oscillation_many(f, np.array(xs), r)
+        assert str(info.value) in errors
+    else:
+        got = oscillation_many(f, np.array(xs), r)
+        for i, (lower, upper, clipped) in enumerate(expected):
+            assert _bits(got.lower[i]) == _bits(lower)
+            assert _bits(got.upper[i]) == _bits(upper)
+            assert bool(got.clipped[i]) == clipped
+    # the scalar entry point is the one-point batch
+    for x, want in zip(xs, expected):
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=re.escape(want)):
+                oscillation(f, x, r)
+        else:
+            pair = oscillation(f, x, r)
+            assert (_bits(pair.lower), _bits(pair.upper), pair.clipped) == (
+                _bits(want[0]), _bits(want[1]), want[2]
+            )
+
+
+def test_oscillation_many_rejects_bad_points():
+    f = make_test_function("affine", {"c": 1.0}, depth=6)
+    with pytest.raises(ValueError, match="outside"):
+        oscillation_many(f, np.array([0.5, 1.5]), 0.1)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        oscillation_many(f, np.array([0.5, 0.25]), 0.1)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        oscillation_many(f, np.array([0.5]), math.inf)
+
+
+def test_oscillation_window_follows_the_exact_ball_end():
+    # x - r (first) and x + r (second) round onto the vertex 1/2, which the
+    # exact ball leaves out; only the TwoSum error moves the window off it
+    f = make_test_function("affine", {"c": 1.0}, depth=4)
+    for x, r, lower in ((0.8, 0.3, 7 / 16), (0.35, 0.15, 3 / 16)):
+        assert Fraction(x) - Fraction(r) != Fraction(1, 2) != Fraction(x) + Fraction(r)
+        pair = oscillation(f, x, r)
+        assert pair.lower == lower
+        assert (pair.lower, pair.upper, pair.clipped) == oscillation_1d(f, x, r)
+
+
+def test_oscillation_counts_a_domain_end_the_ball_touches():
+    # Omega = [0, 1/2]; the ball [1/2, 3/4] meets it in the single point 1/2
+    f = make_test_function("affine", {"c": 1.0}, depth=4)
+    values = f.values.copy()
+    values[9:] = np.nan
+    half = SampledFunction(1, 4, DyadicCubeSet(1, 1, frozenset({(0,)})), values, f.modulus, True)
+    for x, r in ((0.625, 0.125), (0.8, 0.3)):  # the second ball's end rounds onto 1/2
+        pair = oscillation(half, x, r)
+        assert (pair.lower, pair.upper, pair.clipped) == (0.0, 0.0, True)
+        assert oscillation_1d(half, x, r) == (0.0, 0.0, True)
+    # x + r rounds onto 1/2 from above (clipped by Omega) and from below (not)
+    for x, r, clipped in ((0.45, 0.05, True), (0.35, 0.15, False)):
+        pair = oscillation(half, x, r)
+        assert pair.clipped is clipped
+        assert (pair.lower, pair.upper, pair.clipped) == oscillation_1d(half, x, r)
+    # Omega = [0, 1/4] u [1/2, 3/4] on the depth-2 grid: the gap's two
+    # vertices carry values, but a ball inside the gap meets no domain point
+    values = np.array([0.0, 1.0, 2.0, 3.0, np.nan])
+    gaps = SampledFunction(
+        1, 2, DyadicCubeSet(1, 2, frozenset({(0,), (2,)})), values, f.modulus, True
+    )
+    for check in (oscillation, oscillation_1d):
+        with pytest.raises(ValueError, match="does not meet the domain"):
+            check(gaps, 0.375, 0.0625)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liplab.construct import iterate_typical, plateau_extremes
 from liplab.funclib import make_test_function
@@ -17,6 +20,7 @@ from liplab.partition import (
     vitali_5r,
 )
 from liplab.setlib import DyadicCubeSet, IntervalUnion, lower_box_dim
+from oracles import verify_vitali_quadratic, vitali_5r_quadratic
 
 POWER1 = make_preset("power", s=1)
 PHI_BUILD = make_preset("power", s=0.25)
@@ -84,6 +88,49 @@ def test_vitali_random_properties():
 def test_vitali_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         vitali_5r([Ball((0.5,), 0.0)])
+    with pytest.raises(ValueError, match="dimension 1"):
+        vitali_5r([Ball((0.5, 0.5), 0.1)])
+
+
+# dyadic centers and radii, as image_cover_report produces: every float
+# predicate of the pass is then exact
+_DYADIC_BALLS = st.lists(
+    st.builds(
+        lambda k, j: Ball((k / 2**10,), 2.0**-j), st.integers(0, 1 << 10), st.integers(3, 10)
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DYADIC_BALLS)
+def test_vitali_sweep_matches_quadratic_oracle(candidates):
+    cover = vitali_5r(candidates)
+    kept, count, discarded = vitali_5r_quadratic(candidates)
+    assert (cover.kept, cover.candidate_count, cover.discarded_count) == (kept, count, discarded)
+    verify_vitali_quadratic(cover.kept, candidates)
+
+
+def test_vitali_verify_rejects_tampered_covers():
+    candidates = [Ball((0.2,), 0.1), Ball((0.36,), 0.08), Ball((0.48,), 0.05)]
+    cover = vitali_5r(candidates)
+    assert cover.kept == (candidates[0], candidates[2])
+    assert cover.witnesses == (0, 0, 1)
+    # a dropped kept ball leaves itself without a witness
+    dropped = replace(cover, kept=cover.kept[:1], witnesses=(0, 0, 0))
+    with pytest.raises(ValueError, match="escapes"):
+        dropped.verify(candidates)
+    with pytest.raises(ValueError, match="escapes"):
+        replace(cover, kept=cover.kept[:1]).verify(candidates)
+    # the ball at 0.48 meets the one at 0.36 and its 5r expansion covers it,
+    # but its radius is smaller, so it is no Vitali witness
+    with pytest.raises(ValueError, match="escapes"):
+        replace(cover, witnesses=(0, 1, 1)).verify(candidates)
+    with pytest.raises(ValueError, match="one witness per candidate"):
+        replace(cover, witnesses=(0, 0)).verify(candidates)
+    overlapping = replace(cover, kept=(candidates[0], candidates[1]), witnesses=(0, 1, 1))
+    with pytest.raises(ValueError, match="disjoint"):
+        overlapping.verify(candidates)
 
 
 # ---------------------------------------------------------------------------
