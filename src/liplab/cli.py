@@ -178,6 +178,8 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     out = cfg.out or "analyze"
     window = _parse_window(cfg.window)
     depths = _parse_list(cfg.depths, int, "depths") if cfg.depths else [f.depth]
+    if len(set(depths)) < len(depths):
+        raise ConfigError(f"--depths {cfg.depths!r} repeats a depth")
     sample_depth = max(1, min(depths) - 6) if cfg.sample_depth is None else cfg.sample_depth
     if not 0 <= sample_depth <= min(depths) - 2:
         raise ConfigError(f"sample depth {sample_depth} must lie in 0..{min(depths) - 2}")
@@ -310,7 +312,11 @@ def _load_set(spec: str):
             depth = int(rest)
         except ValueError as err:
             raise ConfigError(f"bad cantor depth {rest!r}") from err
-        return setlib.cantor_intervals(_at_least("cantor depth", depth, 0))
+        _at_least("cantor depth", depth, 0)
+        try:
+            return setlib.cantor_intervals(depth)
+        except ValueError as err:  # a depth beyond setlib.MAX_CANTOR_DEPTH
+            raise ConfigError(str(err)) from err
     if kind == "points":
         points = _parse_list(rest, float, "points")
         for x in points:

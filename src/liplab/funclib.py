@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gauges import GaugeLike
-from .setlib import DyadicCubeSet, FormatError, _atomic_write, _format_errors, _frac
+from .setlib import DyadicCubeSet, FormatError, _atomic_write, _format_errors
 
 __all__ = [
     "HolderModulus",
@@ -31,7 +31,6 @@ __all__ = [
     "OscillationRecord",
     "LipField",
     "oscillation",
-    "oscillation_many",
     "scaled_osc_estimate",
     "lip_field",
     "make_test_function",
@@ -141,12 +140,13 @@ class SampledFunction:
         return tuple(k >> shift for k in idx) in self.domain.cubes
 
     def _containing_cell(self, x: Sequence[float]) -> tuple[int, ...]:
+        """The first domain cell holding x; the scaling by 2^depth is exact."""
         top = 1 << self.depth
         candidates: list[list[int]] = []
         for xi in x:
             if xi < 0.0 or xi > 1.0:
                 raise ValueError(f"point {tuple(x)} outside [0,1]^d")
-            scaled = _frac(xi) * top
+            scaled = xi * top
             k = min(math.floor(scaled), top - 1)
             cand = [k]
             if scaled == k and k - 1 >= 0:
@@ -157,11 +157,11 @@ class SampledFunction:
                 return cell
         raise ValueError(f"point {tuple(x)} outside the domain")
 
-    def evaluate(self, x: Sequence[float] | float) -> float:
-        """Multilinear interpolation inside the containing domain cell."""
-        if isinstance(x, (int, float)):
-            x = (float(x),)
-        cell = self._containing_cell(x)
+    def _interpolate(self, cell: tuple[int, ...], x: Sequence[float]) -> float:
+        """Multilinear interpolation of x in the given cell that holds it:
+        0.0 plus each corner's term in corner order, its weight multiplied in
+        axis order, a zero weight skipping the term.  A point on a face shared
+        by two cells gets the same nonzero terms in the same order from either."""
         top = 1 << self.depth
         out = 0.0
         for corner in iter_product((0, 1), repeat=self.dim):
@@ -174,6 +174,12 @@ class SampledFunction:
             if weight:
                 out += weight * float(self.values[tuple(idx)])
         return out
+
+    def evaluate(self, x: Sequence[float] | float) -> float:
+        """Multilinear interpolation inside the containing domain cell."""
+        if isinstance(x, (int, float)):
+            x = (float(x),)
+        return self._interpolate(self._containing_cell(x), x)
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation (full-domain, d = 1 fast path)."""
@@ -221,15 +227,8 @@ class SampledFunction:
 # Oscillation
 
 
-@dataclass(frozen=True)
-class OscPair:
-    lower: float
-    upper: float
-    clipped: bool
-
-
 class OscBrackets(NamedTuple):
-    """The brackets of oscillation_many, one entry per point."""
+    """The brackets of oscillation, one entry per point."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -309,39 +308,47 @@ def _in_domain(f: "SampledFunction", p: np.ndarray) -> np.ndarray:
     return inside | ((scaled == q) & (q >= 1) & (before[left + 1] == before[left]))
 
 
-def oscillation_many(f: SampledFunction, xs, r: float) -> OscBrackets:
-    """Certified brackets of the oscillation over the closed balls [x-r, x+r],
-    for nondecreasing points xs of [0,1] at once (d = 1).
+def oscillation(f: SampledFunction, points, r: float) -> OscBrackets:
+    """Certified brackets of the oscillation over the closed max-norm balls
+    B(x, r), for many points x of [0,1]^d at once: an array of shape (n,),
+    nondecreasing, in d = 1, and of shape (n, d) in d >= 2.
 
     lower: spread of the vertex values inside the ball (a true lower bound).
     upper: for exact functions the interpolant's oscillation over the ball
-    within the domain, attained at a vertex or at an end of the ball, so the
-    vertex extremes and the in-domain ends give it exactly; else
-    lower + 2*w(h).  clipped: the ball leaves [0,1] or the domain.  The r >= 4h
-    resolution guard applies to generator-backed functions only.
-
-    The vertex windows are exact integers (TwoSum of x -+ r, then floor or
-    ceil times 2^depth), and each end is interpolated with evaluate's float
-    operations, so no Fraction is built and a one-point call gives the same
-    bits.  A zero bracket is +0.0.  Off-domain vertices must be NaN.
+    within the domain, else lower + 2*w(h).  clipped: the ball leaves [0,1]
+    or the domain.  The r >= 4h resolution guard applies to generator-backed
+    functions only; exact brackets need no vertex density.  Off-domain
+    vertices must be NaN.
     """
-    if f.dim != 1:
-        raise ValueError("oscillation_many is implemented for dimension 1")
     if not 0.0 < r < math.inf:
         raise ValueError("radius must be positive")
     if not f.exact and r < 4.0 * f.h:
         raise ValueError(f"radius {r} below resolution guard 4h = {4.0 * f.h}")
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("oscillation_many needs a nonempty 1-d array of points")
-    if xs.size > 1 and not (xs[1:] >= xs[:-1]).all():
-        raise ValueError("oscillation_many needs nondecreasing points")
-    for x in (xs[0], xs[-1]):
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"point ({x},) outside [0,1]^d")
+    points = np.asarray(points, dtype=np.float64)
+    item = (f.dim,) if f.dim > 1 else ()
+    if points.ndim != 1 + len(item) or points.shape[1:] != item or points.shape[0] == 0:
+        shape = "(n,)" if f.dim == 1 else f"(n, {f.dim})"
+        raise ValueError(f"oscillation needs a nonempty array of shape {shape} in d = {f.dim}")
+    if f.dim == 1 and points.size > 1 and not (points[1:] >= points[:-1]).all():
+        raise ValueError("oscillation needs nondecreasing points in d = 1")
+    inside = ((points >= 0.0) & (points <= 1.0)).reshape(points.shape[0], -1).all(axis=1)
+    if not inside.all():
+        bad = np.atleast_1d(points[np.argmin(inside)])
+        raise ValueError(f"point {tuple(bad.tolist())} outside [0,1]^d")
     # a ball of radius 2 already covers [0,1]; the cap keeps (x -+ r) 2^depth below
     # 2^52, where _exact_floor and _exact_ceil are exact
-    lo, hi, s, e = _vertex_windows(xs, min(r, 2.0), f.depth)
+    lo, hi, s, e = _vertex_windows(points.ravel(), min(r, 2.0), f.depth)
+    if f.dim == 1:
+        return _oscillation_1d(f, points, lo, hi, s, e)
+    n = points.shape[0]
+    return _oscillation_nd(f, points, r, lo.reshape(n, -1), hi.reshape(n, -1))
+
+
+def _oscillation_1d(f: SampledFunction, xs, lo, hi, s, e) -> OscBrackets:
+    """d = 1, all points in one pass.  An exact function peaks at a vertex or
+    at an end of the ball, so the vertex extremes and the in-domain ends give
+    upper exactly; each end is interpolated with evaluate's float operations,
+    so a one-point call gives the same bits.  A zero bracket is +0.0."""
     vmin, vmax = _window_extremes(f.values, lo, hi)
     n = xs.size
     low, high = -s[:n], s[n:]  # x - r and x + r, rounded
@@ -359,7 +366,6 @@ def oscillation_many(f: SampledFunction, xs, r: float) -> OscBrackets:
         lower = (vmax - vmin) + 0.0
         return OscBrackets(lower, lower + 2.0 * f.modulus.omega(f.h), clipped)
     lower = np.where(np.isnan(vmin), 0.0, vmax - vmin) + 0.0
-    # a piecewise-linear function peaks at a vertex or at an end of the ball
     for p in (np.maximum(0.0, low), np.minimum(1.0, high)):
         v = np.where(_in_domain(f, p), _edge_values(f, p), np.nan)
         vmin, vmax = np.fmin(vmin, v), np.fmax(vmax, v)
@@ -369,78 +375,66 @@ def oscillation_many(f: SampledFunction, xs, r: float) -> OscBrackets:
     return OscBrackets(lower, (vmax - vmin) + 0.0, clipped)
 
 
-def oscillation(f: SampledFunction, x: Sequence[float] | float, r: float) -> OscPair:
-    """Certified oscillation bracket over the closed max-norm ball B(x, r).
-
-    d = 1: the one-point oscillation_many.  d >= 2: lower is the spread of the
-    vertex values inside the ball; upper is the exact interpolant oscillation
-    for exact functions, from the corners of the cell-clipped boxes, else
-    lower + 2*w(h).  The r >= 4h resolution guard applies to generator-backed
-    functions only; exact corners need no vertex density.
-    """
-    if isinstance(x, (int, float)):
-        x = (float(x),)
-    if f.dim == 1:
-        one = oscillation_many(f, np.array(x, dtype=np.float64), r)
-        return OscPair(float(one.lower[0]), float(one.upper[0]), bool(one.clipped[0]))
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    if not f.exact and r < 4.0 * f.h:
-        raise ValueError(f"radius {r} below resolution guard 4h = {4.0 * f.h}")
-    lo, hi, _, _ = _vertex_windows(np.array(x, dtype=np.float64), r, f.depth)
-    ranges = list(zip(lo.tolist(), hi.tolist()))
-    clipped = any(xi - r < 0.0 or xi + r > 1.0 for xi in x)
-
-    vmin = math.inf
-    vmax = -math.inf
-    if all(lo <= hi for lo, hi in ranges):
-        window = f.values[tuple(slice(lo, hi + 1) for lo, hi in ranges)]
-        window = window[~np.isnan(window)]
-        if window.size:
-            vmin = float(window.min())
-            vmax = float(window.max())
-    if vmin > vmax:
-        if not f.exact:
-            raise ValueError("no domain vertex inside the ball; deepen the grid")
-        lower = 0.0
-    else:
-        lower = vmax - vmin
-
-    if not f.exact:
-        return OscPair(lower, lower + 2.0 * f.modulus.omega(f.h), clipped)
-
-    # exact path: multilinear extremes live at corners of cell-clipped boxes
+def _oscillation_nd(f: SampledFunction, points, r, lo, hi) -> OscBrackets:
+    """d >= 2, one point at a time.  An exact function's extremes lie at the
+    corners of the ball's pieces in the domain cells it meets; each corner is
+    interpolated once, in a domain cell the loop holds, which gives the bits
+    of evaluate (see SampledFunction._interpolate)."""
     top = 1 << f.depth
-    box_lo = [max(0.0, xi - r) for xi in x]
-    box_hi = [min(1.0, xi + r) for xi in x]
-    cell_ranges = []
-    for blo, bhi in zip(box_lo, box_hi):
-        clo = min(int(math.floor(_frac(blo) * top)), top - 1)
-        chi = min(int(math.floor(_frac(bhi) * top)), top - 1)
-        if _frac(bhi) * top == chi and chi > clo:
-            chi -= 1
-        cell_ranges.append(range(clo, chi + 1))
-    emin = math.inf
-    emax = -math.inf
-    any_cell = False
-    for cell in iter_product(*cell_ranges):
-        if not f.cell_in_domain(cell):
-            clipped = True
+    out = np.empty((2, len(points)))
+    clipped = np.empty(len(points), dtype=bool)
+    for i, x in enumerate(points.tolist()):
+        ranges = list(zip(lo[i].tolist(), hi[i].tolist()))
+        clipped[i] = any(xi - r < 0.0 or xi + r > 1.0 for xi in x)
+        vmin = math.inf
+        vmax = -math.inf
+        if all(a <= b for a, b in ranges):
+            window = f.values[tuple(slice(a, b + 1) for a, b in ranges)]
+            window = window[~np.isnan(window)]
+            if window.size:
+                vmin = float(window.min())
+                vmax = float(window.max())
+        if vmin > vmax:
+            if not f.exact:
+                raise ValueError("no domain vertex inside the ball; deepen the grid")
+            lower = 0.0
+        else:
+            lower = vmax - vmin
+        if not f.exact:
+            out[:, i] = lower, lower + 2.0 * f.modulus.omega(f.h)
             continue
-        any_cell = True
-        corner_axes = []
-        for k, blo, bhi in zip(cell, box_lo, box_hi):
-            a = max(blo, k / top)
-            b = min(bhi, (k + 1) / top)
-            corner_axes.append((a, b) if b > a else (a,))
-        for corner in iter_product(*corner_axes):
-            v = f.evaluate(corner)
+        box = [(max(0.0, xi - r), min(1.0, xi + r)) for xi in x]
+        cell_ranges = []
+        for blo, bhi in box:
+            clo = min(math.floor(blo * top), top - 1)
+            chi = min(math.floor(bhi * top), top - 1)
+            if bhi * top == chi and chi > clo:
+                chi -= 1
+            cell_ranges.append(range(clo, chi + 1))
+        # each corner once, in the first domain cell that holds it: a corner
+        # shared by cells has the same value in each
+        corners: dict[tuple[float, ...], tuple[int, ...]] = {}
+        for cell in iter_product(*cell_ranges):
+            if not f.cell_in_domain(cell):
+                clipped[i] = True
+                continue
+            corner_axes = []
+            for k, (blo, bhi) in zip(cell, box):
+                a = max(blo, k / top)
+                b = min(bhi, (k + 1) / top)
+                corner_axes.append((a, b) if b > a else (a,))
+            for corner in iter_product(*corner_axes):
+                corners.setdefault(corner, cell)
+        if not corners:
+            raise ValueError("ball does not meet the domain")
+        emin = math.inf
+        emax = -math.inf
+        for corner, cell in corners.items():
+            v = f._interpolate(cell, corner)
             emin = min(emin, v)
             emax = max(emax, v)
-    if not any_cell:
-        raise ValueError("ball does not meet the domain")
-    upper = emax - emin
-    return OscPair(lower, max(upper, lower), clipped)
+        out[:, i] = lower, max(emax - emin, lower)
+    return OscBrackets(out[0], out[1], clipped)
 
 
 @dataclass(frozen=True)
@@ -471,6 +465,43 @@ class OscillationRecord:
         raise ValueError("mode must be 'lip' or 'Lip'")
 
 
+def _osc_records(
+    f: SampledFunction,
+    points: list[tuple[float, ...]],
+    phi: GaugeLike,
+    radii: Sequence[float],
+    mode: str,
+) -> tuple[OscillationRecord, ...]:
+    """One record per point (nondecreasing in d = 1) over the window radii,
+    from one oscillation call per radius over all the points."""
+    from .gauges import format_gauge
+
+    if mode not in ("lip", "Lip"):
+        raise ValueError("mode must be 'lip' or 'Lip'")
+    radii = sorted(set(float(r) for r in radii), reverse=True)
+    if len(radii) < 6:
+        raise ValueError("need at least 6 window radii")
+    if not points:
+        return ()
+    xs = np.array(points, dtype=np.float64)
+    if f.dim == 1:
+        xs = xs[:, 0]
+    clipped = np.zeros(len(points), dtype=bool)
+    columns = []
+    for r in radii:
+        osc = oscillation(f, xs, r)
+        clipped |= osc.clipped
+        pr = phi.eval(r)
+        columns.append(
+            [(r, lo, hi, lo / pr, hi / pr) for lo, hi in zip(osc.lower.tolist(), osc.upper.tolist())]
+        )
+    text = format_gauge(phi)
+    return tuple(
+        OscillationRecord(p, text, mode, entries, c, f.exact)
+        for p, entries, c in zip(points, zip(*columns), clipped.tolist())
+    )
+
+
 def scaled_osc_estimate(
     f: SampledFunction,
     x: Sequence[float] | float,
@@ -481,23 +512,9 @@ def scaled_osc_estimate(
     """Windowed liminf/limsup proxy for the scaled oscillation; the record's
     summary is its window_summary in `mode`, and window data is retained per
     scale."""
-    from .gauges import format_gauge
-
-    if mode not in ("lip", "Lip"):
-        raise ValueError("mode must be 'lip' or 'Lip'")
-    radii = sorted(set(float(r) for r in radii), reverse=True)
-    if len(radii) < 6:
-        raise ValueError("need at least 6 window radii")
     if isinstance(x, (int, float)):
         x = (float(x),)
-    entries = []
-    clipped = False
-    for r in radii:
-        pair = oscillation(f, x, r)
-        clipped = clipped or pair.clipped
-        pr = phi.eval(r)
-        entries.append((r, pair.lower, pair.upper, pair.lower / pr, pair.upper / pr))
-    return OscillationRecord(tuple(x), format_gauge(phi), mode, tuple(entries), clipped, f.exact)
+    return _osc_records(f, [tuple(x)], phi, radii, mode)[0]
 
 
 @dataclass(frozen=True)
@@ -545,7 +562,7 @@ def lip_field(
             continue
         cubes.append(idx)
         points.append(center)
-    records = tuple(scaled_osc_estimate(f, p, phi, radii, mode="lip") for p in points)
+    records = _osc_records(f, points, phi, radii, "lip")
     over = frozenset(idx for idx, rec in zip(cubes, records) if rec.summary > tau)
     return LipField(tau, format_gauge(phi), records, DyadicCubeSet(f.dim, sample_depth, over))
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .construct import ConstructError, TypicalBuild, deepest_core_complement, plateau_extremes
-from .funclib import SampledFunction, oscillation_many
+from .funclib import SampledFunction, oscillation
 from .gauges import (
     GaugeDomainError,
     GaugeLike,
@@ -188,8 +187,8 @@ def _admissible_radius(
     """Per point of xs (one point, or nondecreasing points): the largest dyadic
     r with r < delta, phi(5r) < delta and diam f(B(x,5r)) < phi(5r), and that
     diameter bound; r = 0 where the scan finds none.  Every point scans the
-    same radii, so each radius is one oscillation_many call over the points
-    still open."""
+    same radii, so each radius is one oscillation call over the points still
+    open."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     radius = np.zeros(xs.shape)
     diam = np.zeros(xs.shape)
@@ -206,7 +205,7 @@ def _admissible_radius(
         except GaugeDomainError:
             continue
         if p5 < delta:
-            upper = oscillation_many(f, xs[open_idx], 5.0 * r).upper
+            upper = oscillation(f, xs[open_idx], 5.0 * r).upper
             hit = upper < p5
             radius[open_idx[hit]] = r
             diam[open_idx[hit]] = upper[hit]
@@ -240,8 +239,8 @@ def image_cover_report(
         raise ValueError(
             f"gauge relation xi(phi(5r)) <= r^(d+1) fails at r={schizm.first_violation}"
         )
-    h = B.side
-    centers = np.array(sorted(float((k[0] + Fraction(1, 2)) * h) for k in B.cubes))
+    # (k + 1/2) 2^-depth is exact in floats
+    centers = (np.array(sorted(k[0] for k in B.cubes), dtype=float) + 0.5) / 2.0**B.depth
     if len(centers) > MAX_COVER_SAMPLES:
         rng = np.random.default_rng(seed)
         centers = np.sort(rng.choice(centers, size=MAX_COVER_SAMPLES, replace=False))

@@ -54,6 +54,7 @@ __all__ = [
 
 Number = float | int | Fraction
 MAX_CROSS_CUBES = 1 << 22
+MAX_CANTOR_DEPTH = 16  # cantor_intervals builds 2^depth Fraction intervals
 
 
 class CoverageError(ValueError):
@@ -183,6 +184,8 @@ def points_union(points: Iterable[Number]) -> IntervalUnion:
 
 def cantor_intervals(depth: int) -> IntervalUnion:
     """Middle-thirds Cantor approximation: 2^depth triadic intervals, exact."""
+    if depth > MAX_CANTOR_DEPTH:
+        raise ValueError(f"cantor depth {depth} beyond the limit {MAX_CANTOR_DEPTH}")
     intervals = [(Fraction(0), Fraction(1))]
     for _ in range(depth):
         nxt = []
@@ -234,7 +237,7 @@ class DyadicCubeSet:
         for p in points:
             idx = []
             for x in p:
-                k = int(_frac(x) * top)
+                k = int(x * top)  # exact for floats: top is a power of two
                 idx.append(min(max(k, 0), top - 1))
             cubes.add(tuple(idx))
         return cls(dim, depth, frozenset(cubes))
@@ -295,10 +298,9 @@ class DyadicCubeSet:
         top = 1 << self.depth
         axes: list[list[int]] = []
         for x in point:
-            x = _frac(x)
             if x < 0 or x > 1:
                 return False
-            scaled = x * top
+            scaled = x * top  # exact for floats: top is a power of two
             k = math.floor(scaled)
             cand = set()
             if k < top:

@@ -4,16 +4,16 @@ These deliberately avoid the library's algorithms: interval covering is
 solved by exhaustive window search over integer cells, microscopic index
 assignment by brute force over permutations, oscillation by dense sampling,
 plateau vertex ranges by per-cube Fraction floor/ceil, and the Weierstrass
-function pointwise with exact argument reduction.  The 1-d oscillation
-bracket and the greedy Vitali pass are kept here in their scalar, quadratic
-form as references for the batched library versions.
+function pointwise with exact argument reduction.  The oscillation brackets
+(1-d and d >= 2) and the greedy Vitali pass are kept here in their scalar,
+quadratic form as references for the batched library versions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -94,7 +94,7 @@ def weierstrass_value(a: float, b: int, terms: int, x: Fraction | float) -> floa
 def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
     """(lower, upper, clipped) of a 1-d SampledFunction over the closed ball
     [x-r, x+r], one point at a time in exact Fractions: liplab's scalar
-    bracket before oscillation_many.
+    bracket before the batched one.
 
     lower is the spread of the non-NaN vertices in the exact ball.  An exact
     function on a full domain adds its values at the two ball ends; on a
@@ -160,6 +160,78 @@ def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
         a = max(lo_edge, k / top)
         b = min(hi_edge, (k + 1) / top)
         for corner in (a, b) if b > a else (a,):
+            v = f.evaluate(corner)
+            emin = min(emin, v)
+            emax = max(emax, v)
+    if not any_cell:
+        raise ValueError("ball does not meet the domain")
+    return lower, max(emax - emin, lower), clipped
+
+
+def oscillation_nd(f, x, r: float) -> tuple[float, float, bool]:
+    """(lower, upper, clipped) of a d >= 2 SampledFunction over the closed
+    max-norm ball B(x, r), one point at a time: liplab's scalar d >= 2
+    bracket before the batched one, with its vertex windows in exact Fractions.
+
+    lower is the spread of the non-NaN vertices in the exact ball.  An exact
+    function takes upper from the corners of the ball's pieces in every domain
+    cell the ball meets, each through f.evaluate, which locates the corner
+    again.  clipped: some x_i - r < 0.0 or x_i + r > 1.0 in floats, or the
+    ball meets an off-domain cell (exact functions only).
+    """
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    if not f.exact and r < 4.0 * f.h:
+        raise ValueError(f"radius {r} below resolution guard 4h = {4.0 * f.h}")
+    top = 1 << f.depth
+    R = Fraction(r)
+    ranges = [
+        (math.ceil(max(Fraction(0), Fraction(xi) - R) * top),
+         math.floor(min(Fraction(1), Fraction(xi) + R) * top))
+        for xi in x
+    ]
+    clipped = any(xi - r < 0.0 or xi + r > 1.0 for xi in x)
+
+    vmin = math.inf
+    vmax = -math.inf
+    if all(lo <= hi for lo, hi in ranges):
+        window = f.values[tuple(slice(lo, hi + 1) for lo, hi in ranges)]
+        window = window[~np.isnan(window)]
+        if window.size:
+            vmin = float(window.min())
+            vmax = float(window.max())
+    if vmin > vmax:
+        if not f.exact:
+            raise ValueError("no domain vertex inside the ball; deepen the grid")
+        lower = 0.0
+    else:
+        lower = vmax - vmin
+    if not f.exact:
+        return lower, lower + 2.0 * f.modulus.omega(f.h), clipped
+
+    box_lo = [max(0.0, xi - r) for xi in x]
+    box_hi = [min(1.0, xi + r) for xi in x]
+    cell_ranges = []
+    for blo, bhi in zip(box_lo, box_hi):
+        clo = min(math.floor(Fraction(blo) * top), top - 1)
+        chi = min(math.floor(Fraction(bhi) * top), top - 1)
+        if Fraction(bhi) * top == chi and chi > clo:
+            chi -= 1
+        cell_ranges.append(range(clo, chi + 1))
+    emin = math.inf
+    emax = -math.inf
+    any_cell = False
+    for cell in product(*cell_ranges):
+        if not f.cell_in_domain(cell):
+            clipped = True
+            continue
+        any_cell = True
+        corner_axes = []
+        for k, blo, bhi in zip(cell, box_lo, box_hi):
+            a = max(blo, k / top)
+            b = min(bhi, (k + 1) / top)
+            corner_axes.append((a, b) if b > a else (a,))
+        for corner in product(*corner_axes):
             v = f.evaluate(corner)
             emin = min(emin, v)
             emax = max(emax, v)

@@ -187,17 +187,27 @@ def test_analyze_2d_over_tau_cubes(workdir):
 @pytest.mark.parametrize("mode", ["lip", "Lip"])
 def test_analyze_one_oscillation_per_point_radius_depth(workdir, monkeypatch, mode):
     funclib.save_function("w.fn", funclib.make_test_function("weierstrass", {"terms": 10}, depth=12))
-    seen = []
+    calls = []
     oscillation = funclib.oscillation
 
-    def counted(f, x, r):
-        seen.append((f.depth, tuple(x), r))
-        return oscillation(f, x, r)
+    def counted(f, points, r):
+        calls.append((f.depth, r, points.tolist()))
+        return oscillation(f, points, r)
 
     monkeypatch.setattr(funclib, "oscillation", counted)
     assert run(["analyze", "w.fn", "--mode", mode, "--depths", "10,12", "--window", "4..9",
                 "--sample-depth", 3, "--out", "an"]) == 0
+    # one batched call per (depth, radius), covering each (depth, point, radius) once
+    assert len(calls) == len({(depth, r) for depth, r, _ in calls}) == 2 * 6
+    seen = [(depth, x, r) for depth, r, points in calls for x in points]
     assert len(seen) == len(set(seen)) == 2 * 8 * 6  # depths x points x radii
+
+
+def test_analyze_rejects_a_repeated_depth(workdir):
+    funclib.save_function("w.fn", funclib.make_test_function("weierstrass", {"terms": 10}, depth=12))
+    assert run(["analyze", "w.fn", "--depths", "10,10", "--out", "an"]) == 2
+    assert run(["analyze", "w.fn", "--depths", "12,10,12", "--out", "an"]) == 2
+    assert not (workdir / "an.csv").exists()
 
 
 def test_partition_command(workdir):
@@ -280,6 +290,8 @@ def test_config_errors_exit_2(workdir):
     assert run(["construct", "--max-depth", 6, "--depth", 8, "--out", "x"]) == 2
     assert run(["micro", "cantor:6", "--eps", 0.5, "--nmax", 0]) == 2
     assert run(["dims", "cantor:-1"]) == 2
+    assert run(["dims", f"cantor:{setlib.MAX_CANTOR_DEPTH + 1}"]) == 2
+    assert run(["dims", "cantor:60"]) == 2
     # config-file fields of the wrong JSON type
     for fields in ({"scales": 5}, {"depth": "ten"}, {"eps0": True}, {"nmax": 2.5}):
         (workdir / "bad.json").write_text(json.dumps({"command": "construct", **fields}))

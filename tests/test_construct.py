@@ -305,8 +305,7 @@ def test_iterate_single_stage_lip_zero_at_centers():
     j = int(rec.kept[len(rec.kept) // 2])
     a, b = rec.params.core_interval(j)
     x = float((a + b) / 2)
-    pair = oscillation(build.final, x, float(rec.params.cert_radius))
-    assert pair.upper == 0.0
+    assert oscillation(build.final, [x], float(rec.params.cert_radius)).upper[0] == 0.0
 
 
 def test_iterate_spec_example_budget_cascade():
@@ -400,7 +399,7 @@ def test_certified_bound_dominates_sampled_osc():
         a, b = p.core_interval(j)
         x = float((a + b) / 2)
         cert = certify_lip_bound(build, x, n)
-        measured = oscillation(build.final, x, cert.radius).upper
+        measured = oscillation(build.final, [x], cert.radius).upper[0]
         assert measured <= cert.bound + 1e-300
 
 

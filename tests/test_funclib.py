@@ -15,19 +15,24 @@ from liplab.funclib import (
     load_function,
     make_test_function,
     oscillation,
-    oscillation_many,
     save_function,
     scaled_osc_estimate,
 )
 from liplab.gauges import make_preset
 from liplab.setlib import DyadicCubeSet
-from oracles import dense_diam, oscillation_1d, weierstrass_value
+from oracles import dense_diam, oscillation_1d, oscillation_nd, weierstrass_value
 
 POWER1 = make_preset("power", s=1)
 
 
 def window(lo: int, hi: int) -> list[float]:
     return [2.0**-j for j in range(lo, hi + 1)]
+
+
+def one(f, x, r) -> tuple[float, float, bool]:
+    """(lower, upper, clipped) of a one-point oscillation call at x."""
+    osc = oscillation(f, np.array([x]), r)
+    return float(osc.lower[0]), float(osc.upper[0]), bool(osc.clipped[0])
 
 
 # ---------------------------------------------------------------------------
@@ -77,31 +82,31 @@ def test_evaluate_outside_domain():
 
 def test_oscillation_affine_dyadic_radius():
     f = make_test_function("affine", {"c": 2.0}, depth=10)
-    pair = oscillation(f, 0.5, 0.125)
-    assert pair.lower == pytest.approx(0.5, rel=1e-15)  # 2c*r with vertices at x+-r
-    assert pair.upper == pytest.approx(0.5, rel=1e-15)  # exact interpolant oscillation
-    assert not pair.clipped
+    lower, upper, clipped = one(f, 0.5, 0.125)
+    assert lower == pytest.approx(0.5, rel=1e-15)  # 2c*r with vertices at x+-r
+    assert upper == pytest.approx(0.5, rel=1e-15)  # exact interpolant oscillation
+    assert not clipped
 
 
 def test_oscillation_constant_zero():
     f = make_test_function("constant", {"value": 1.0}, depth=8)
-    pair = oscillation(f, 0.3, 0.25)
-    assert pair.lower == 0.0 and pair.upper == 0.0
+    lower, upper, _ = one(f, 0.3, 0.25)
+    assert lower == 0.0 and upper == 0.0
 
 
 def test_oscillation_clipping_flag():
     f = make_test_function("affine", {"c": 1.0}, depth=8)
-    assert oscillation(f, 0.03125, 0.125).clipped
-    assert not oscillation(f, 0.5, 0.125).clipped
+    assert one(f, 0.03125, 0.125)[2]
+    assert not one(f, 0.5, 0.125)[2]
 
 
 def test_oscillation_resolution_guard():
     f = make_test_function("weierstrass", {}, depth=8)  # generator-backed
     with pytest.raises(ValueError):
-        oscillation(f, 0.5, 2.0 * f.h)
+        one(f, 0.5, 2.0 * f.h)
     exact = make_test_function("affine", {"c": 1.0}, depth=8)
-    pair = oscillation(exact, 0.5, exact.h / 2)  # exact path has no guard
-    assert pair.upper == pytest.approx(2.0 * (exact.h / 2), rel=1e-12)
+    upper = one(exact, 0.5, exact.h / 2)[1]  # exact path has no guard
+    assert upper == pytest.approx(2.0 * (exact.h / 2), rel=1e-12)
 
 
 def test_oscillation_weierstrass_vs_dense_oracle():
@@ -110,9 +115,9 @@ def test_oscillation_weierstrass_vs_dense_oracle():
     oracle = dense_diam(
         lambda t: weierstrass_value(a, b, terms, t), 0.5, 2.0**-6, Fraction(1, 1 << 22)
     )
-    pair = oscillation(f, 0.5, 2.0**-6)
-    assert pair.lower <= oracle <= pair.upper
-    assert pair.lower >= 0.95 * oracle
+    lower, upper, _ = one(f, 0.5, 2.0**-6)
+    assert lower <= oracle <= upper
+    assert lower >= 0.95 * oracle
 
 
 def test_oscillation_lower_2d_partial_domain_matches_dense_mask():
@@ -136,9 +141,9 @@ def test_oscillation_lower_2d_partial_domain_matches_dense_mask():
         if inside.size == 0:
             empty += 1
             with pytest.raises(ValueError, match="no domain vertex"):
-                oscillation(f, tuple(x), r)
+                one(f, tuple(x), r)
             continue
-        assert oscillation(f, tuple(x), r).lower == inside.max() - inside.min()
+        assert one(f, tuple(x), r)[0] == inside.max() - inside.min()
     assert 0 < empty < 300
 
 
@@ -157,16 +162,16 @@ def test_oscillation_brackets_100_random_generator_points():
         for _ in range(count):
             x = float(rng.uniform(0.2, 0.8))
             r = float(2.0 ** -rng.integers(4, 7))
-            pair = oscillation(f, x, r)
+            lower, upper, _ = one(f, x, r)
             oracle = dense_diam(fn, x, r, Fraction(1, 1 << 16))
-            assert pair.lower <= oracle + 1e-12
-            assert oracle <= pair.upper + 1e-12
+            assert lower <= oracle + 1e-12
+            assert oracle <= upper + 1e-12
             total += 1
     assert total == 100
 
 
 # ---------------------------------------------------------------------------
-# Batched 1-d oscillation against the scalar Fraction oracle
+# Batched oscillation against the scalar Fraction oracles
 
 
 @st.composite
@@ -218,7 +223,7 @@ def _bits(v) -> int:
 
 @settings(max_examples=500, deadline=None)
 @given(_functions(), _balls())
-def test_oscillation_many_matches_scalar_oracle(f, balls):
+def test_oscillation_1d_matches_scalar_oracle(f, balls):
     xs, r = balls
     expected = []
     for x in xs:
@@ -229,34 +234,101 @@ def test_oscillation_many_matches_scalar_oracle(f, balls):
     errors = [e for e in expected if isinstance(e, str)]
     if errors:
         with pytest.raises(ValueError) as info:
-            oscillation_many(f, np.array(xs), r)
+            oscillation(f, np.array(xs), r)
         assert str(info.value) in errors
     else:
-        got = oscillation_many(f, np.array(xs), r)
+        got = oscillation(f, np.array(xs), r)
         for i, (lower, upper, clipped) in enumerate(expected):
             assert _bits(got.lower[i]) == _bits(lower)
             assert _bits(got.upper[i]) == _bits(upper)
             assert bool(got.clipped[i]) == clipped
-    # the scalar entry point is the one-point batch
+    # a one-point call gives the same bits
     for x, want in zip(xs, expected):
         if isinstance(want, str):
             with pytest.raises(ValueError, match=re.escape(want)):
-                oscillation(f, x, r)
+                one(f, x, r)
         else:
-            pair = oscillation(f, x, r)
-            assert (_bits(pair.lower), _bits(pair.upper), pair.clipped) == (
-                _bits(want[0]), _bits(want[1]), want[2]
-            )
+            lower, upper, clipped = one(f, x, r)
+            assert (_bits(lower), _bits(upper), clipped) == (_bits(want[0]), _bits(want[1]), want[2])
 
 
-def test_oscillation_many_rejects_bad_points():
+@st.composite
+def _functions_2d(draw):
+    """A 2-d SampledFunction on a full or partial domain, NaN exactly at the
+    vertices of no domain cube, its values drawn as in _functions."""
+    depth = draw(st.integers(1, 4))
+    side = 1 << draw(st.integers(0, min(depth, 2)))
+    cubes = draw(
+        st.sets(st.tuples(st.integers(0, side - 1), st.integers(0, side - 1)), min_size=1)
+    )
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    palette = draw(st.lists(value, min_size=1, max_size=4))
+    n = (1 << depth) + 1
+    values = np.array(draw(st.lists(st.sampled_from(palette), min_size=n * n, max_size=n * n)))
+    values = values.reshape(n, n)
+    span = (n - 1) // side
+    on = np.zeros((n, n), dtype=bool)
+    for q0, q1 in cubes:
+        on[q0 * span : (q0 + 1) * span + 1, q1 * span : (q1 + 1) * span + 1] = True
+    values[~on] = np.nan
+    domain = DyadicCubeSet(2, side.bit_length() - 1, frozenset(cubes))
+    return SampledFunction(2, depth, domain, values, HolderModulus(1.0), exact=draw(st.booleans()))
+
+
+@st.composite
+def _balls_2d(draw):
+    """A radius, also one far beyond [0,1], and 2-d centers whose coordinates
+    are dyadic, arbitrary, or put a ball end on a dyadic point, so that balls
+    clip at 0 and 1."""
+    r = draw(st.one_of(_RADII, st.floats(min_value=2.0, max_value=1e300)))
+    near = st.builds(lambda g, sign: g + sign * r, _DYADICS, st.sampled_from([-1.0, 1.0]))
+    coord = st.one_of(_DYADICS, st.floats(0.0, 1.0), near).filter(lambda v: 0.0 <= v <= 1.0)
+    return draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4)), r
+
+
+@settings(max_examples=300, deadline=None)
+@given(_functions_2d(), _balls_2d())
+def test_oscillation_nd_matches_scalar_oracle(f, balls):
+    points, r = balls
+    expected = []
+    for x in points:
+        try:
+            expected.append(oscillation_nd(f, x, r))
+        except ValueError as err:
+            expected.append(str(err))
+    # the batch raises the first point's error
+    first = next((e for e in expected if isinstance(e, str)), None)
+    if first is not None:
+        with pytest.raises(ValueError, match=re.escape(first)):
+            oscillation(f, np.array(points), r)
+        return
+    got = oscillation(f, np.array(points), r)
+    for i, (lower, upper, clipped) in enumerate(expected):
+        assert _bits(got.lower[i]) == _bits(lower)
+        assert _bits(got.upper[i]) == _bits(upper)
+        assert bool(got.clipped[i]) == clipped
+
+
+def test_oscillation_rejects_bad_points():
     f = make_test_function("affine", {"c": 1.0}, depth=6)
     with pytest.raises(ValueError, match="outside"):
-        oscillation_many(f, np.array([0.5, 1.5]), 0.1)
+        oscillation(f, np.array([0.5, 1.5]), 0.1)
     with pytest.raises(ValueError, match="nondecreasing"):
-        oscillation_many(f, np.array([0.5, 0.25]), 0.1)
+        oscillation(f, np.array([0.5, 0.25]), 0.1)
     with pytest.raises(ValueError, match="radius must be positive"):
-        oscillation_many(f, np.array([0.5]), math.inf)
+        oscillation(f, np.array([0.5]), math.inf)
+    for shape in ((0,), (2, 1), ()):
+        with pytest.raises(ValueError, match=r"shape \(n,\)"):
+            oscillation(f, np.full(shape, 0.5), 0.1)
+    g = SampledFunction(2, 4, DyadicCubeSet.full(2, 0), np.zeros((17, 17)), f.modulus, True)
+    for shape in ((0, 2), (2,), (2, 3)):
+        with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+            oscillation(g, np.full(shape, 0.5), 0.1)
+    with pytest.raises(ValueError, match="outside"):
+        oscillation(g, np.array([[0.5, 0.5], [0.25, -0.5]]), 0.1)
 
 
 def test_oscillation_window_follows_the_exact_ball_end():
@@ -265,9 +337,9 @@ def test_oscillation_window_follows_the_exact_ball_end():
     f = make_test_function("affine", {"c": 1.0}, depth=4)
     for x, r, lower in ((0.8, 0.3, 7 / 16), (0.35, 0.15, 3 / 16)):
         assert Fraction(x) - Fraction(r) != Fraction(1, 2) != Fraction(x) + Fraction(r)
-        pair = oscillation(f, x, r)
-        assert pair.lower == lower
-        assert (pair.lower, pair.upper, pair.clipped) == oscillation_1d(f, x, r)
+        got = one(f, x, r)
+        assert got[0] == lower
+        assert got == oscillation_1d(f, x, r)
 
 
 def test_oscillation_counts_a_domain_end_the_ball_touches():
@@ -277,21 +349,19 @@ def test_oscillation_counts_a_domain_end_the_ball_touches():
     values[9:] = np.nan
     half = SampledFunction(1, 4, DyadicCubeSet(1, 1, frozenset({(0,)})), values, f.modulus, True)
     for x, r in ((0.625, 0.125), (0.8, 0.3)):  # the second ball's end rounds onto 1/2
-        pair = oscillation(half, x, r)
-        assert (pair.lower, pair.upper, pair.clipped) == (0.0, 0.0, True)
+        assert one(half, x, r) == (0.0, 0.0, True)
         assert oscillation_1d(half, x, r) == (0.0, 0.0, True)
     # x + r rounds onto 1/2 from above (clipped by Omega) and from below (not)
     for x, r, clipped in ((0.45, 0.05, True), (0.35, 0.15, False)):
-        pair = oscillation(half, x, r)
-        assert pair.clipped is clipped
-        assert (pair.lower, pair.upper, pair.clipped) == oscillation_1d(half, x, r)
+        assert one(half, x, r)[2] is clipped
+        assert one(half, x, r) == oscillation_1d(half, x, r)
     # Omega = [0, 1/4] u [1/2, 3/4] on the depth-2 grid: the gap's two
     # vertices carry values, but a ball inside the gap meets no domain point
     values = np.array([0.0, 1.0, 2.0, 3.0, np.nan])
     gaps = SampledFunction(
         1, 2, DyadicCubeSet(1, 2, frozenset({(0,), (2,)})), values, f.modulus, True
     )
-    for check in (oscillation, oscillation_1d):
+    for check in (one, oscillation_1d):
         with pytest.raises(ValueError, match="does not meet the domain"):
             check(gaps, 0.375, 0.0625)
 
@@ -385,6 +455,34 @@ def test_lip_field_invariant_under_constant_shift():
     assert a.over_tau == b.over_tau
     for pa, pb in zip(a.proxies, b.proxies):
         assert pa == pytest.approx(pb, rel=1e-9)
+
+
+def test_lip_field_records_match_the_scalar_oracle_on_a_partial_domain():
+    # Omega = 5 of the 8 depth-3 cubes; each record entry is the one-point
+    # oracle bracket at that radius, bit for bit, and clipped is their OR
+    base = make_test_function("weierstrass", {"terms": 8}, depth=10)
+    cubes = {0, 1, 3, 4, 6}
+    on = np.zeros(base.values.size, dtype=bool)
+    for q in cubes:
+        on[q * 128 : (q + 1) * 128 + 1] = True
+    values = np.where(on, base.values, np.nan)
+    domain = DyadicCubeSet(1, 3, frozenset((q,) for q in cubes))
+    for exact in (True, False):
+        f = SampledFunction(1, 10, domain, values, base.modulus, exact)
+        field = lip_field(f, POWER1, 0.5, 5, window(3, 8))
+        assert [rec.point for rec in field.records] == [
+            ((k + 0.5) / 32,) for k in range(32) if k // 4 in cubes
+        ]
+        assert any(rec.clipped for rec in field.records)
+        for rec in field.records:
+            x = rec.point[0]
+            clipped = False
+            for r, lo, hi, rlo, rhi in rec.entries:
+                lower, upper, clip = oscillation_1d(f, x, r)
+                assert (_bits(lo), _bits(hi)) == (_bits(lower), _bits(upper))
+                assert (rlo, rhi) == (lower / POWER1.eval(r), upper / POWER1.eval(r))
+                clipped |= clip
+            assert rec.clipped == clipped and rec.exact == exact
 
 
 def test_lip_field_needs_coarser_grid():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liplab.gauges import Pseudogauge, make_preset
 from liplab.setlib import (
@@ -85,6 +87,36 @@ def test_contains_closed_boundaries():
     E = DyadicCubeSet.from_indices(1, 2, [(1,)])  # [1/4, 1/2]
     assert E.contains((0.25,)) and E.contains((0.5,)) and E.contains((0.3,))
     assert not E.contains((0.24,)) and not E.contains((0.51,))
+
+
+_COORDS = st.one_of(
+    st.floats(-0.25, 1.25),
+    st.builds(lambda k, e: k / 2**e, st.integers(-1, 65), st.integers(0, 6)),
+    st.builds(Fraction, st.integers(-3, 40), st.integers(1, 40)),
+    st.integers(-1, 2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_point_location_matches_fraction_comparisons(depth, data):
+    # contains and from_points scale floats by 2^depth without a Fraction;
+    # the closed-cube test and truncated index below compare in Fractions
+    top = 1 << depth
+    cubes = data.draw(st.sets(st.tuples(st.integers(0, top - 1), st.integers(0, top - 1))))
+    E = DyadicCubeSet(2, depth, frozenset(cubes))
+    # grid vertices and cube centers of this depth, as floats and Fractions
+    grid = st.builds(lambda k, half: (k + half) / top, st.integers(-1, top), st.sampled_from([0, 0.5]))
+    coord = st.one_of(_COORDS, grid, grid.map(Fraction))
+    point = data.draw(st.tuples(coord, coord))
+    exact = [Fraction(x) for x in point]
+    inside = any(
+        all(Fraction(k, top) <= x <= Fraction(k + 1, top) for k, x in zip(idx, exact))
+        for idx in cubes
+    )
+    assert E.contains(point) == inside
+    cell = tuple(min(max(int(x * top), 0), top - 1) for x in exact)
+    assert DyadicCubeSet.from_points(2, depth, [point]).cubes == {cell}
 
 
 def test_rasterization_modes():
