@@ -35,6 +35,7 @@ from .setlib import (
     PremeasureReport,
     _atomic_write,
     _format_errors,
+    _int_dtype,
     lower_box_premeasure,
     micro_from_hzeta,
     microscopic_verify,
@@ -152,23 +153,22 @@ class StageParams:
         return max(Fraction(0), center - self.eta / 2), min(Fraction(1), center + self.eta / 2)
 
     def slab_union(self) -> IntervalUnion:
-        # shared-denominator construction: m/k +- eta/2 = (2m*den +- k*num)/(2k*den)
+        """The k+1 slabs, m = 0..k, over the shared denominator 2k*den of
+        m/k +- eta/2 = (2m*den +- k*num) / (2k*den), with eta = num/den."""
         num, den = self.eta.numerator, self.eta.denominator
         D = 2 * self.k * den
-        pairs = [
-            (
-                Fraction(max(0, 2 * m * den - self.k * num), D),
-                Fraction(min(D, 2 * m * den + self.k * num), D),
-            )
-            for m in range(self.k + 1)
-        ]
-        return IntervalUnion.from_pairs(pairs, assume_sorted=True)
+        m = np.arange(self.k + 1).astype(_int_dtype(D))
+        return IntervalUnion(
+            D, np.maximum(2 * den * m - self.k * num, 0), np.minimum(2 * den * m + self.k * num, D)
+        )
 
-    def cube_interval(self, j: int) -> tuple[Fraction, Fraction]:
-        """The shrunken cube beta*K_j along one axis."""
-        center = Fraction(2 * j + 1, 2 * self.k)
-        half = self.beta / (2 * self.k)
-        return center - half, center + half
+    def cube_union(self) -> IntervalUnion:
+        """The k shrunken cubes beta*K_j = [j/k + eta/4, (j+1)/k - eta/4]
+        over the shared denominator 4k*den; component j is cube j."""
+        num, den = self.eta.numerator, self.eta.denominator
+        D = 4 * self.k * den
+        j = np.arange(self.k).astype(_int_dtype(D))
+        return IntervalUnion(D, 4 * den * j + self.k * num, 4 * den * (j + 1) - self.k * num)
 
     def core_interval(self, j: int) -> tuple[Fraction, Fraction]:
         """gamma * (beta K_j) = [j/k + eta/2, (j+1)/k - eta/2]: the cores end
@@ -353,20 +353,14 @@ def build_stage(
     top = 1 << m
     js = np.arange(params.k, dtype=np.int64)
     lo_v, hi_v, anchors = plateau_vertex_ranges(params, m, js)
-    dropped = []
     if not f.full_domain:
-        omega_iu = f.domain.to_interval_union()
-        for j in range(params.k):
-            piece = IntervalUnion.from_pairs([params.cube_interval(j)]).intersect(omega_iu)
-            if not piece.is_empty and math.isnan(f.values[anchors[j]]):
-                # least domain vertex of the plateau, -1 when there is none
-                anchors[j] = next(
-                    (i for i in range(lo_v[j], hi_v[j] + 1) if not math.isnan(f.values[i])), -1
-                )
-            if piece.is_empty or anchors[j] < 0:
-                dropped.append(j)
-        keep = np.ones(params.k, dtype=bool)
-        keep[dropped] = False
+        meets = params.cube_union().meets(f.domain.to_interval_union())
+        for j in np.flatnonzero(meets & np.isnan(f.values[anchors])):
+            # least domain vertex of the plateau, -1 when there is none
+            anchors[j] = next(
+                (i for i in range(lo_v[j], hi_v[j] + 1) if not math.isnan(f.values[i])), -1
+            )
+        keep = meets & (anchors >= 0)
         js, lo_v, hi_v, anchors = js[keep], lo_v[keep], hi_v[keep], anchors[keep]
     if len(js) == 0:
         raise ConstructError("no cube meets the domain")
@@ -656,9 +650,7 @@ def exceptional_set(build: TypicalBuild) -> ExceptionalAnalysis:
     verified = None
     zeta = build.zeta
     if getattr(zeta, "kind", "") == "inv_log":
-        cover = BoxCover.from_intervals(
-            (float(a), float(b)) for a, b in E_intervals.intervals
-        )
+        cover = BoxCover.from_intervals(zip(*E_intervals.floats()))
         record = CoverRecord.build(cover, zeta)
         # keep beta * N well inside exp()'s range so the budgets stay positive
         beta_cap = 600.0 / max(1, len(cover))
@@ -669,7 +661,7 @@ def exceptional_set(build: TypicalBuild) -> ExceptionalAnalysis:
 
     return ExceptionalAnalysis(
         reports,
-        [len(t.intervals) for t in tails],
+        [len(t) for t in tails],
         containment,
         E_intervals,
         F_intervals,

@@ -54,7 +54,7 @@ __all__ = [
 
 Number = float | int | Fraction
 MAX_CROSS_CUBES = 1 << 22
-MAX_CANTOR_DEPTH = 16  # cantor_intervals builds 2^depth Fraction intervals
+MAX_CANTOR_DEPTH = 16  # cantor_intervals builds 2^depth intervals
 
 
 class CoverageError(ValueError):
@@ -87,70 +87,160 @@ def _frac(x: Number) -> Fraction:
 # ---------------------------------------------------------------------------
 # IntervalUnion: exact closed interval unions on the line
 
+# int64 numerators stay below 2^62, so a sum of two of them cannot wrap
+_INT64_BITS = 62
 
-@dataclass(frozen=True)
+
+def _int_dtype(bound: int):
+    """int64 when no magnitude reaches 2^62, else Python ints (dtype=object)."""
+    return np.int64 if abs(bound).bit_length() <= _INT64_BITS else object
+
+
+def _ratio(x: Number) -> tuple[int, int]:
+    """x as (numerator, denominator) in lowest terms, exactly."""
+    if isinstance(x, (int, np.integer)):
+        return int(x), 1
+    return x.as_integer_ratio()
+
+
+def _gcd_with(g: int, a: np.ndarray) -> int:
+    """gcd of g and every entry of a; each pass divides g by at least 2."""
+    while g > 1:
+        off = np.flatnonzero(a % g)
+        if not len(off):
+            break
+        g = math.gcd(g, int(a[off[0]]))
+    return g
+
+
 class IntervalUnion:
-    """Sorted, merged union of closed intervals with exact rational endpoints."""
+    """Sorted union of closed intervals [lo[i]/den, hi[i]/den] with exact
+    rational endpoints.
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    den is the least denominator of all endpoints (1 when empty).  The
+    numerators satisfy lo[i] <= hi[i] < lo[i+1]: neighbouring intervals are
+    separated by a positive gap, so equal sets have equal (den, lo, hi).  lo
+    and hi are read-only int64 arrays while den and every numerator stay
+    below 2^62, and arrays of Python ints (dtype=object, still exact) beyond;
+    each operation picks its working dtype from the bit lengths it reaches.
+    """
+
+    __slots__ = ("den", "lo", "hi", "_pairs")
+
+    def __init__(self, den: int, lo: np.ndarray, hi: np.ndarray) -> None:
+        """The union of the sorted, separated intervals lo[i]/den..hi[i]/den,
+        reduced to its least denominator."""
+        den = int(den)
+        if den < 1 or lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError("need den >= 1 and two 1-d numerator arrays of one length")
+        reach = _reach(lo, hi)
+        dtype = _int_dtype(max(den, reach))
+        lo, hi = lo.astype(dtype, copy=False), hi.astype(dtype, copy=False)
+        if np.any(hi < lo) or np.any(hi[:-1] >= lo[1:]):
+            raise ValueError("intervals must be sorted and separated by positive gaps")
+        g = _gcd_with(_gcd_with(den, lo), hi)
+        if g > 1:
+            den, reach = den // g, reach // g
+            dtype = _int_dtype(max(den, reach))
+            lo, hi = (lo // g).astype(dtype, copy=False), (hi // g).astype(dtype, copy=False)
+        lo.flags.writeable = hi.flags.writeable = False
+        self.den, self.lo, self.hi = den, lo, hi
+        self._pairs = None
 
     @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[Number, Number]], *, assume_sorted: bool = False
-    ) -> "IntervalUnion":
-        items = ((_frac(a), _frac(b)) for a, b in pairs)
-        if not assume_sorted:
-            items = sorted(items)
-        merged: list[tuple[Fraction, Fraction]] = []
-        last_lo = None
-        for a, b in items:
-            if b < a or (last_lo is not None and a < last_lo):
-                raise ValueError(f"interval endpoints out of order: ({a}, {b})")
-            last_lo = a
-            if merged and a <= merged[-1][1]:
-                if b > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], b)
-            else:
-                merged.append((a, b))
-        return cls(tuple(merged))
+    def from_pairs(cls, pairs: Iterable[tuple[Number, Number]]) -> "IntervalUnion":
+        """The union of closed intervals (a, b), in any order, with int, float
+        or Fraction endpoints; touching and overlapping intervals merge."""
+        pairs = list(pairs)
+        ratios = [_ratio(x) for pair in pairs for x in pair]
+        den = math.lcm(*(d for _, d in ratios))
+        nums = [n * (den // d) for n, d in ratios]
+        keys = list(zip(nums[0::2], nums[1::2]))
+        for pair, (a, b) in zip(pairs, keys):
+            if b < a:
+                raise ValueError(f"interval endpoints out of order: {tuple(pair)}")
+        keys.sort()
+        dtype = _int_dtype(max([den, *map(abs, nums)]))
+        lo = np.array([a for a, _ in keys], dtype=dtype)
+        return _merged(den, lo, np.array([b for _, b in keys], dtype=dtype))
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
-        return cls(())
+        return cls(1, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.lo)
 
     @property
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not len(self.lo)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntervalUnion):
+            return NotImplemented
+        return (
+            self.den == other.den
+            and np.array_equal(self.lo, other.lo)
+            and np.array_equal(self.hi, other.hi)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.den, len(self)))
+
+    def __repr__(self) -> str:
+        return f"IntervalUnion(den={self.den}, {len(self)} intervals)"
+
+    @property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The intervals as reduced Fraction pairs, built on first use."""
+        if self._pairs is None:
+            den = self.den
+            self._pairs = tuple(
+                (Fraction(a, den), Fraction(b, den))
+                for a, b in zip(self.lo.tolist(), self.hi.tolist())
+            )
+        return self._pairs
+
+    def floats(self) -> tuple[list[float], list[float]]:
+        """(lo, hi) endpoints as floats, each correctly rounded: Python's
+        int / int rounds once, as float(Fraction) does."""
+        den = self.den
+        return [n / den for n in self.lo.tolist()], [n / den for n in self.hi.tolist()]
 
     def contains(self, x: Number) -> bool:
-        import bisect
+        p, q = _ratio(x)
+        t = p * self.den  # x = t / (q * den)
+        if self.is_empty or t < int(self.lo[0]) * q or t > int(self.hi[-1]) * q:
+            return False
+        i = int(np.searchsorted(self.lo, t // q, side="right")) - 1  # last start <= x
+        return int(self.hi[i]) * q >= t
 
-        x = _frac(x)
-        starts = self._starts()
-        i = bisect.bisect_right(starts, x) - 1
-        return i >= 0 and self.intervals[i][1] >= x
+    def _overlaps(self, other: "IntervalUnion"):
+        """Both unions over L = lcm of the denominators, in one dtype, and for
+        each component i of self the components first[i]..stop[i]-1 of other
+        that meet it."""
+        L = math.lcm(self.den, other.den)
+        sa, sb = L // self.den, L // other.den
+        dtype = _int_dtype(max(L, _reach(self.lo, self.hi) * sa, _reach(other.lo, other.hi) * sb))
+        alo, ahi = (x.astype(dtype) * sa for x in (self.lo, self.hi))
+        blo, bhi = (x.astype(dtype) * sb for x in (other.lo, other.hi))
+        first = np.searchsorted(bhi, alo, side="left")  # first component ending at or after alo
+        stop = np.searchsorted(blo, ahi, side="right")  # past the last starting at or before ahi
+        return L, alo, ahi, blo, bhi, first, stop
 
-    def _starts(self) -> list[Fraction]:
-        cached = getattr(self, "_starts_cache", None)
-        if cached is None:
-            cached = [a for a, _ in self.intervals]
-            object.__setattr__(self, "_starts_cache", cached)
-        return cached
+    def meets(self, other: "IntervalUnion") -> np.ndarray:
+        """For each component of self, whether it meets other."""
+        *_, first, stop = self._overlaps(other)
+        return stop > first
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        out = []
-        i = j = 0
-        a, b = self.intervals, other.intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalUnion.from_pairs(out)
+        L, alo, ahi, blo, bhi, first, stop = self._overlaps(other)
+        counts = np.maximum(stop - first, 0)
+        # one piece per meeting pair; the pieces are separated since both
+        # operands' components are
+        i = np.repeat(np.arange(len(alo)), counts)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts - first, counts)
+        return IntervalUnion(L, np.maximum(alo[i], blo[j]), np.minimum(ahi[i], bhi[j]))
 
     def subset_of(self, other: "IntervalUnion") -> bool:
         return self.uncovered_by(other) is None
@@ -158,23 +248,42 @@ class IntervalUnion:
     def uncovered_by(self, other: "IntervalUnion") -> Fraction | None:
         """A witness point of self not covered by other, or None.
 
-        Relies on both unions being normalized: components of `other` are
-        separated by positive gaps, so a component of self starting inside
-        other[j] is covered iff it also ends inside other[j].
+        Components of `other` are separated by positive gaps, so a component
+        of self starting inside other[j] is covered iff it also ends inside
+        other[j].  The witness is the first uncovered start, or the midpoint
+        of the first gap past other[j] within that component.
         """
-        j = 0
-        o = other.intervals
-        for a, b in self.intervals:
-            while j < len(o) and o[j][1] < a:
-                j += 1
-            if j >= len(o) or o[j][0] > a:
-                return a
-            d = o[j][1]
-            if b > d:
-                nxt_lo = o[j + 1][0] if j + 1 < len(o) else None
-                hi = b if nxt_lo is None or nxt_lo >= b else nxt_lo
-                return (d + hi) / 2
-        return None
+        if self.is_empty:
+            return None
+        if other.is_empty:
+            return Fraction(int(self.lo[0]), self.den)
+        L, alo, ahi, blo, bhi, first, _ = self._overlaps(other)
+        j = np.minimum(first, len(blo) - 1)
+        starts_in = (first < len(blo)) & (blo[j] <= alo)
+        bad = np.flatnonzero(~(starts_in & (ahi <= bhi[j])))
+        if not len(bad):
+            return None
+        i = int(bad[0])
+        if not starts_in[i]:
+            return Fraction(int(alo[i]), L)
+        j = int(j[i])
+        end = int(ahi[i])
+        nxt = int(blo[j + 1]) if j + 1 < len(blo) else end
+        return Fraction(int(bhi[j]) + min(nxt, end), 2 * L)
+
+
+def _reach(lo: np.ndarray, hi: np.ndarray) -> int:
+    """The largest numerator magnitude of sorted intervals."""
+    return max(abs(int(lo[0])), abs(int(hi[-1]))) if len(lo) else 0
+
+
+def _merged(den: int, lo: np.ndarray, hi: np.ndarray) -> IntervalUnion:
+    """The union of intervals sorted by lo, touching and overlapping ones merged."""
+    if len(lo):
+        reach = np.maximum.accumulate(hi)
+        first = np.flatnonzero(np.r_[True, lo[1:] > reach[:-1]])
+        lo, hi = lo[first], reach[np.r_[first[1:] - 1, len(lo) - 1]]
+    return IntervalUnion(den, lo, hi)
 
 
 def points_union(points: Iterable[Number]) -> IntervalUnion:
@@ -186,15 +295,10 @@ def cantor_intervals(depth: int) -> IntervalUnion:
     """Middle-thirds Cantor approximation: 2^depth triadic intervals, exact."""
     if depth > MAX_CANTOR_DEPTH:
         raise ValueError(f"cantor depth {depth} beyond the limit {MAX_CANTOR_DEPTH}")
-    intervals = [(Fraction(0), Fraction(1))]
+    lo = np.zeros(1, dtype=np.int64)  # left ends over 3^depth
     for _ in range(depth):
-        nxt = []
-        for a, b in intervals:
-            third = (b - a) / 3
-            nxt.append((a, a + third))
-            nxt.append((b - third, b))
-        intervals = nxt
-    return IntervalUnion.from_pairs(intervals)
+        lo = np.stack([3 * lo, 3 * lo + 2], axis=1).ravel()
+    return IntervalUnion(3**depth, lo, lo + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +317,11 @@ class DyadicCubeSet:
         if self.dim < 1 or self.depth < 0:
             raise ValueError("need dim >= 1 and depth >= 0")
         top = 1 << self.depth
-        for idx in self.cubes:
-            if len(idx) != self.dim or any(k < 0 or k >= top for k in idx):
-                raise ValueError(f"cube index {idx} out of range for depth {self.depth}")
+        flat = list(iter_chain.from_iterable(self.cubes))
+        if set(map(len, self.cubes)) - {self.dim} or flat and (min(flat) < 0 or max(flat) >= top):
+            for idx in self.cubes:
+                if len(idx) != self.dim or any(k < 0 or k >= top for k in idx):
+                    raise ValueError(f"cube index {idx} out of range for depth {self.depth}")
 
     @classmethod
     def from_indices(cls, dim: int, depth: int, indices: Iterable[Sequence[int]]) -> "DyadicCubeSet":
@@ -247,24 +353,22 @@ class DyadicCubeSet:
         cls, iu: IntervalUnion, depth: int, mode: str = "overlap"
     ) -> "DyadicCubeSet":
         """Rasterize a 1-d set: cubes meeting it (overlap) or inside it (subset)."""
+        if mode not in ("overlap", "subset"):
+            raise ValueError(f"unknown rasterization mode {mode!r}")
         top = 1 << depth
-        h = Fraction(1, top)
-        cubes: set[tuple[int]] = set()
-        for a, b in iu.intervals:
-            if mode == "overlap":
-                # closed overlap: cube k meets [a,b] iff k*h <= b and (k+1)*h >= a
-                lo = max(0, math.ceil(a / h - 1))
-                hi = min(top - 1, math.floor(b / h))
-                for k in range(lo, hi + 1):
-                    cubes.add((k,))
-            elif mode == "subset":
-                lo = math.ceil(a / h)
-                hi = math.floor(b / h) - 1
-                for k in range(max(0, lo), min(top - 1, hi) + 1):
-                    cubes.add((k,))
-            else:
-                raise ValueError(f"unknown rasterization mode {mode!r}")
-        return cls(1, depth, frozenset(cubes))
+        dtype = _int_dtype(max(iu.den, _reach(iu.lo, iu.hi)) << depth)
+        a, b = iu.lo.astype(dtype) * top, iu.hi.astype(dtype) * top  # over iu.den
+        ceil_a, floor_b = -(-a // iu.den), b // iu.den
+        if mode == "overlap":
+            # closed overlap: cube k meets [a,b] iff k <= b*top and k+1 >= a*top
+            first, last = ceil_a - 1, floor_b
+        else:
+            first, last = ceil_a, floor_b - 1
+        first = np.maximum(first, 0).astype(_int_dtype(top))
+        counts = np.maximum(np.minimum(last, top - 1) - first + 1, 0).astype(np.int64)
+        # neighbouring intervals can share a cube; the set keeps it once
+        ks = np.arange(int(counts.sum())) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        return cls(1, depth, frozenset(zip(ks.tolist())))
 
     def __len__(self) -> int:
         return len(self.cubes)
@@ -307,8 +411,6 @@ class DyadicCubeSet:
                 cand.add(k)
             if scaled == k and k - 1 >= 0:
                 cand.add(k - 1)
-            if k == top:
-                cand.add(top - 1)
             axes.append(sorted(cand))
         return any(idx in self.cubes for idx in iter_product(*axes))
 
@@ -317,13 +419,8 @@ class DyadicCubeSet:
         if self.dim != 1:
             raise ValueError("interval form exists only in dimension 1")
         top = 1 << self.depth
-        runs: list[list[int]] = []
-        for k in sorted(k[0] for k in self.cubes):
-            if runs and k == runs[-1][1]:
-                runs[-1][1] = k + 1
-            else:
-                runs.append([k, k + 1])
-        return IntervalUnion(tuple((Fraction(a, top), Fraction(b, top)) for a, b in runs))
+        k = np.sort(np.array([k for (k,) in self.cubes], dtype=_int_dtype(top)))
+        return _merged(top, k, k + 1)
 
 
 def _as_interval_union(E) -> IntervalUnion:
@@ -451,16 +548,28 @@ def _count(form, delta: Number) -> NDeltaResult:
         raise ValueError("delta must be positive")
     if not isinstance(form, IntervalUnion):
         return NDeltaResult(_grid_count(*form, d), "grid-proxy")
-    count = 0
-    cover_end: Fraction | None = None
-    for a, b in form.intervals:
-        while cover_end is None or b > cover_end:
-            start = a if (cover_end is None or a > cover_end) else cover_end
-            cover_end = start + d
-            count += 1
-            if b <= cover_end:
-                break
-    return NDeltaResult(count, "exact-1d")
+    return NDeltaResult(_greedy_count(form, d), "exact-1d")
+
+
+def _greedy_count(iu: IntervalUnion, delta: Fraction) -> int:
+    """Closed windows of length delta in the greedy left-to-right cover of
+    iu, each starting at the first point the previous ones leave out; one
+    pass over the intervals in Python ints over the common denominator."""
+    L = math.lcm(iu.den, delta.denominator)
+    s, d = L // iu.den, delta.numerator * (L // delta.denominator)
+    count, end = 0, None
+    for a, b in zip(iu.lo.tolist(), iu.hi.tolist()):
+        a, b = a * s, b * s
+        if end is None or a > end:  # windows from a
+            more = max(1, -((a - b) // d))
+            end = a + more * d
+        elif b > end:  # windows from the end of the last one
+            more = -((end - b) // d)
+            end += more * d
+        else:
+            continue
+        count += more
+    return count
 
 
 def _grid_count(depth: int, cubes: np.ndarray, delta: Fraction) -> int:

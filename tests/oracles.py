@@ -6,13 +6,16 @@ assignment by brute force over permutations, oscillation by dense sampling,
 plateau vertex ranges by per-cube Fraction floor/ceil, and the Weierstrass
 function pointwise with exact argument reduction.  The oscillation brackets
 (1-d and d >= 2) and the greedy Vitali pass are kept here in their scalar,
-quadratic form as references for the batched library versions.
+quadratic form as references for the batched library versions, and the
+interval layer in its Fraction-pair form (FractionIntervalUnion and the
+functions after it) as the reference for the integer-array IntervalUnion.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -267,3 +270,130 @@ def verify_vitali_quadratic(kept, candidates) -> None:
             for k in kept
         ):
             raise ValueError(f"candidate at {c.center} escapes every 5r expansion")
+
+
+@dataclass(frozen=True)
+class FractionIntervalUnion:
+    """Sorted, merged union of closed intervals with exact rational endpoints,
+    one Fraction pair per interval: liplab's IntervalUnion before the
+    integer-array layer."""
+
+    intervals: tuple[tuple[Fraction, Fraction], ...]
+
+    @classmethod
+    def from_pairs(cls, pairs, *, assume_sorted: bool = False) -> "FractionIntervalUnion":
+        items = ((Fraction(a), Fraction(b)) for a, b in pairs)
+        if not assume_sorted:
+            items = sorted(items)
+        merged: list[tuple[Fraction, Fraction]] = []
+        last_lo = None
+        for a, b in items:
+            if b < a or (last_lo is not None and a < last_lo):
+                raise ValueError(f"interval endpoints out of order: ({a}, {b})")
+            last_lo = a
+            if merged and a <= merged[-1][1]:
+                if b > merged[-1][1]:
+                    merged[-1] = (merged[-1][0], b)
+            else:
+                merged.append((a, b))
+        return cls(tuple(merged))
+
+    def contains(self, x) -> bool:
+        import bisect
+
+        x = Fraction(x)
+        i = bisect.bisect_right([a for a, _ in self.intervals], x) - 1
+        return i >= 0 and self.intervals[i][1] >= x
+
+    def intersect(self, other: "FractionIntervalUnion") -> "FractionIntervalUnion":
+        out = []
+        i = j = 0
+        a, b = self.intervals, other.intervals
+        while i < len(a) and j < len(b):
+            lo = max(a[i][0], b[j][0])
+            hi = min(a[i][1], b[j][1])
+            if lo <= hi:
+                out.append((lo, hi))
+            if a[i][1] < b[j][1]:
+                i += 1
+            else:
+                j += 1
+        return FractionIntervalUnion.from_pairs(out)
+
+    def subset_of(self, other: "FractionIntervalUnion") -> bool:
+        return self.uncovered_by(other) is None
+
+    def uncovered_by(self, other: "FractionIntervalUnion") -> Fraction | None:
+        """A witness point of self not covered by other, or None."""
+        j = 0
+        o = other.intervals
+        for a, b in self.intervals:
+            while j < len(o) and o[j][1] < a:
+                j += 1
+            if j >= len(o) or o[j][0] > a:
+                return a
+            d = o[j][1]
+            if b > d:
+                nxt_lo = o[j + 1][0] if j + 1 < len(o) else None
+                hi = b if nxt_lo is None or nxt_lo >= b else nxt_lo
+                return (d + hi) / 2
+        return None
+
+
+def fraction_cantor_intervals(depth: int) -> FractionIntervalUnion:
+    """Middle-thirds Cantor approximation by repeated Fraction thirds."""
+    intervals = [(Fraction(0), Fraction(1))]
+    for _ in range(depth):
+        nxt = []
+        for a, b in intervals:
+            third = (b - a) / 3
+            nxt.append((a, a + third))
+            nxt.append((b - third, b))
+        intervals = nxt
+    return FractionIntervalUnion.from_pairs(intervals)
+
+
+def fraction_raster(intervals, depth: int, mode: str) -> frozenset:
+    """Index tuples of the depth-grid cubes meeting (overlap) or inside
+    (subset) the closed Fraction intervals, one interval at a time."""
+    top = 1 << depth
+    h = Fraction(1, top)
+    cubes: set[tuple[int]] = set()
+    for a, b in intervals:
+        if mode == "overlap":
+            # closed overlap: cube k meets [a,b] iff k*h <= b and (k+1)*h >= a
+            lo = max(0, math.ceil(a / h - 1))
+            hi = min(top - 1, math.floor(b / h))
+        else:
+            lo = max(0, math.ceil(a / h))
+            hi = min(top - 1, math.floor(b / h) - 1)
+        cubes.update((k,) for k in range(lo, hi + 1))
+    return frozenset(cubes)
+
+
+def fraction_cube_runs(cubes, depth: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """A 1-d cube set's closed cubes merged into runs of touching cubes."""
+    top = 1 << depth
+    runs: list[list[int]] = []
+    for k in sorted(k[0] for k in cubes):
+        if runs and k == runs[-1][1]:
+            runs[-1][1] = k + 1
+        else:
+            runs.append([k, k + 1])
+    return tuple((Fraction(a, top), Fraction(b, top)) for a, b in runs)
+
+
+def fraction_greedy_count(intervals, delta) -> int:
+    """N_delta of closed Fraction intervals by the greedy left-to-right sweep,
+    one window at a time."""
+    d = Fraction(delta)
+    count = 0
+    cover_end = None
+    for a, b in intervals:
+        while cover_end is None or b > cover_end:
+            start = a if (cover_end is None or a > cover_end) else cover_end
+            cover_end = start + d
+            count += 1
+            if b <= cover_end:
+                break
+    return count

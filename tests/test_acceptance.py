@@ -89,6 +89,12 @@ def acceptance_builds():
 _EXCEPTIONAL: dict = {}
 
 
+def float_starts_and_lengths(iu):
+    """Each interval's start and length as correctly rounded floats: the
+    length is the exact integer difference over iu.den, rounded once."""
+    return iu.floats()[0], [n / iu.den for n in (iu.hi - iu.lo).tolist()]
+
+
 def exceptional_analyses():
     if not _EXCEPTIONAL:
         for name, build in acceptance_builds().items():
@@ -148,14 +154,12 @@ def test_criterion_4_exceptional_set_smallness():
                 assert rep.value < 1.0 / n, (name, n)
             assert analysis.containment_ok
             # sampled echo of F_approx within E^(cross 1) at 10,000 points
-            F_iu = analysis.F_intervals
-            lengths = np.array([float(b - a) for a, b in F_iu.intervals])
+            starts, lengths = float_starts_and_lengths(analysis.F_intervals)
             cum = np.cumsum(lengths)
             for _ in range(10_000):
                 u = rng.random() * cum[-1]
                 i = int(np.searchsorted(cum, u))
-                a, b = F_iu.intervals[i]
-                x = float(a) + rng.random() * float(b - a)
+                x = starts[i] + rng.random() * lengths[i]
                 assert analysis.E_intervals.contains(x)
 
 
@@ -211,14 +215,12 @@ def test_criterion_7_microscopic_path():
         cert_region = micro.cover.interval_union()
         assert analysis.F_intervals.subset_of(cert_region)
         rng = np.random.default_rng(2)
-        F_iu = analysis.F_intervals
-        lengths = np.array([float(b - a) for a, b in F_iu.intervals])
+        starts, lengths = float_starts_and_lengths(analysis.F_intervals)
         cum = np.cumsum(lengths)
         for _ in range(2_000):
             u = rng.random() * cum[-1]
             i = int(np.searchsorted(cum, u))
-            a, b = F_iu.intervals[i]
-            x = float(a) + rng.random() * float(b - a)
+            x = starts[i] + rng.random() * lengths[i]
             assert cert_region.contains(x)
 
 

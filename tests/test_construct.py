@@ -25,7 +25,7 @@ from liplab.construct import (
 from liplab.funclib import SampledFunction, make_test_function, save_function
 from liplab.gauges import make_preset
 from liplab.setlib import DyadicCubeSet, IntervalUnion, cross_power, load_cubes, n_delta
-from oracles import fraction_plateau_range
+from oracles import FractionIntervalUnion, fraction_plateau_range
 
 POWER1 = make_preset("power", s=1)
 PHI = make_preset("power", s=0.25)
@@ -172,6 +172,19 @@ def test_cores_end_at_slab_edges(stage):
     assert p.slab(0)[0] == 0 and p.slab(p.k)[1] == 1
     for j in range(p.k):
         assert p.core_interval(j) == (p.slab(j)[1], p.slab(j + 1)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stage_on_grid(), st.sampled_from([0, 64]))
+def test_slab_and_cube_unions_match_fraction_pairs(stage, finer):
+    # a finer eta takes 2k * den past 2^62, onto Python-int numerators
+    p = dataclasses.replace(stage[0], eta=stage[0].eta / 2**finer)
+    slabs = FractionIntervalUnion.from_pairs(p.slab(m) for m in range(p.k + 1))
+    assert p.slab_union().intervals == slabs.intervals
+    half = p.beta / (2 * p.k)  # the shrunken cube beta*K_j around (2j+1)/(2k)
+    cubes = [(Fraction(2 * j + 1, 2 * p.k) - half, Fraction(2 * j + 1, 2 * p.k) + half)
+             for j in range(p.k)]
+    assert list(p.cube_union().intervals) == cubes
 
 
 @settings(max_examples=50, deadline=None)

@@ -15,6 +15,10 @@ BUILDS = {
     # the affine build of perfbench's partition-analyze-dims workload
     "affine": ("--base", "affine(c=1)", "--depth", "10", "--nmax", "3", "--phi", "power(s=0.1)",
                "--zeta", "power(s=1)", "--eps0", "1.0"),
+    # the build of perfbench's staircase-weierstrass workload
+    "staircase-weierstrass": ("--base", "weierstrass(a=0.5,b=3,terms=25)", "--depth", "16",
+                              "--nmax", "2", "--phi", "power(s=0.1)", "--zeta", "power(s=1)",
+                              "--eps0", "0.5", "--max-depth", "24"),
 }
 
 BUILD_DIGESTS = {
@@ -41,6 +45,18 @@ BUILD_DIGESTS = {
             "016691bb0a83388cb4044dcd415c791a2c444461232469b5d55be589ce2dc89d",
         "stages.json":
             "2946e3c0c4bbdc122c27e8052953a62fed47b598c732e1a4f7b903934a28dd3b",
+    },
+    "staircase-weierstrass": {
+        "certificates.json":
+            "0b0176b7387fb99b9c23a8475e90df3d7fae609d9a413d0413f12e7327078560",
+        "report.json":
+            "0b0176b7387fb99b9c23a8475e90df3d7fae609d9a413d0413f12e7327078560",
+        "E.set":
+            "cf77ba764da3a26b649b923c3ddf5912451be470672ae3f33c870ca27b69abcb",
+        "F.set":
+            "cf77ba764da3a26b649b923c3ddf5912451be470672ae3f33c870ca27b69abcb",
+        "stages.json":
+            "3efbbde59bff2a9b3b6654664b3f7a0e16577b2fe0bed4c6893f733668fdd051",
     },
 }
 

@@ -35,7 +35,15 @@ from liplab.setlib import (
     save_cover,
     save_cubes,
 )
-from oracles import brute_micro_assignment, brute_min_window_cover
+from oracles import (
+    FractionIntervalUnion,
+    brute_micro_assignment,
+    brute_min_window_cover,
+    fraction_cantor_intervals,
+    fraction_cube_runs,
+    fraction_greedy_count,
+    fraction_raster,
+)
 
 LN2_LN3 = math.log(2) / math.log(3)
 
@@ -68,6 +76,190 @@ def test_uncovered_witness():
     w = a.uncovered_by(b)
     assert w is not None and Fraction(1, 3) < w < Fraction(2, 3)
     assert b.uncovered_by(a) is None
+
+
+# ---------------------------------------------------------------------------
+# IntervalUnion against the Fraction-pair reference in oracles.py
+
+# denominators that push the common denominator past int64 when combined
+_BIG_DENS = st.sampled_from([7, 1 << 20, 3**13, (1 << 61) - 1, (1 << 62) + 1, 1 << 80])
+
+
+@st.composite
+def _endpoint(draw):
+    """Mostly a point of the 1/24 grid (so intervals touch, overlap and share
+    raster cubes), sometimes nudged by a tiny fraction, as int, float or Fraction."""
+    x = Fraction(draw(st.integers(-2, 26)), 24)
+    if draw(st.booleans()):
+        x += Fraction(draw(st.integers(-3, 3)), draw(_BIG_DENS))
+    kind = draw(st.sampled_from(["fraction", "fraction", "float", "int"]))
+    if kind == "float":
+        return float(x)
+    return int(x) if kind == "int" and x.denominator == 1 else x
+
+
+def _pairs(max_size=8):
+    return st.lists(st.tuples(_endpoint(), _endpoint()).map(lambda p: tuple(sorted(p))),
+                    max_size=max_size)
+
+
+def _both(pairs):
+    return IntervalUnion.from_pairs(pairs), FractionIntervalUnion.from_pairs(pairs)
+
+
+def _probes(*unions):
+    """Endpoints, midpoints and tiny offsets of the unions' intervals."""
+    out = {Fraction(-1), Fraction(1, 2), Fraction(2)}
+    for u in unions:
+        for a, b in u.intervals:
+            out.update({a, b, (a + b) / 2, a - Fraction(1, 10**30), b + Fraction(1, 10**30)})
+    return sorted(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_endpoint(), _endpoint()), max_size=8))
+def test_from_pairs_matches_fraction_oracle(pairs):
+    # unsorted pairs included: both sides raise on an interval with b < a
+    try:
+        want = FractionIntervalUnion.from_pairs(pairs)
+    except ValueError:
+        with pytest.raises(ValueError, match="out of order"):
+            IntervalUnion.from_pairs(pairs)
+        return
+    got = IntervalUnion.from_pairs(pairs)
+    assert got.intervals == want.intervals
+    assert len(got) == len(want.intervals) and got.is_empty == (not want.intervals)
+    # canonical form: the least denominator, the dtype its bit lengths allow
+    assert got.den == math.lcm(1, *(x.denominator for p in want.intervals for x in p))
+    reach = max([got.den] + [abs(int(v)) for v in (*got.lo, *got.hi)])
+    assert got.lo.dtype == (np.int64 if reach.bit_length() <= 62 else object)
+    assert got == IntervalUnion.from_pairs(want.intervals)  # merged input, same value
+    assert got == IntervalUnion.from_pairs(reversed(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs(), _pairs())
+def test_interval_ops_match_fraction_oracle(pa, pb):
+    a, ref_a = _both(pa)
+    b, ref_b = _both(pb)
+    assert a.intersect(b).intervals == ref_a.intersect(ref_b).intervals
+    assert a.uncovered_by(b) == ref_a.uncovered_by(ref_b)
+    assert b.uncovered_by(a) == ref_b.uncovered_by(ref_a)
+    assert a.subset_of(b) == ref_a.subset_of(ref_b)
+    assert (a == b) == (ref_a.intervals == ref_b.intervals)
+    meets = [bool(FractionIntervalUnion((c,)).intersect(ref_b).intervals) for c in ref_a.intervals]
+    assert a.meets(b).tolist() == meets
+    for x in _probes(ref_a, ref_b):
+        for probe in (x, float(x)):
+            assert a.contains(probe) == ref_a.contains(probe)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs(), st.integers(0, 7), st.sampled_from(["overlap", "subset"]))
+def test_raster_matches_fraction_oracle(pairs, depth, mode):
+    # below depth 5 a cube is wider than the 1/24 grid step, so neighbouring
+    # intervals often share one
+    iu, ref = _both(pairs)
+    got = DyadicCubeSet.from_interval_union(iu, depth, mode)
+    assert got.cubes == fraction_raster(ref.intervals, depth, mode)
+    assert got.to_interval_union().intervals == fraction_cube_runs(got.cubes, depth)
+
+
+_DELTAS = st.one_of(
+    st.builds(lambda j: Fraction(1, 2**j), st.integers(0, 8)),
+    st.builds(lambda j: Fraction(1, 3**j), st.integers(0, 5)),
+    st.builds(lambda j: 3.0**-j, st.integers(1, 5)),
+    st.floats(1e-2, 2.0),
+    st.builds(Fraction, st.integers(1, 30), st.integers(1, 97)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs(12), _DELTAS)
+def test_n_delta_matches_fraction_sweep(pairs, delta):
+    iu, ref = _both(pairs)
+    res = n_delta(iu, delta)
+    assert res.mode == "exact-1d"
+    assert res.count == fraction_greedy_count(ref.intervals, delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 40)), min_size=1, max_size=40),
+       st.integers(1, 60))
+def test_n_delta_greedy_chains_match_fraction_sweep(steps, delta):
+    # intervals on a 1/1000 grid, closer together than delta: windows carry
+    # from one interval into the next, which may need several more, between
+    # runs of intervals that start past the previous window
+    pairs, x = [], 0
+    for gap, width in steps:
+        pairs.append((Fraction(x, 1000), Fraction(x + width, 1000)))
+        x += width + gap
+    iu, ref = _both(pairs)
+    for d in (Fraction(delta, 1000), delta / 1000):
+        assert n_delta(iu, d).count == fraction_greedy_count(ref.intervals, d)
+
+
+def test_cantor_intervals_match_fraction_thirds():
+    for depth in range(0, 9):
+        got = cantor_intervals(depth)
+        assert got.intervals == fraction_cantor_intervals(depth).intervals
+        assert got.den == 3**depth and len(got) == 2**depth
+
+
+def test_int64_and_object_paths_meet_at_62_bits():
+    # lcm of two coprime denominators just under and just over 2^62
+    p = (1 << 31) - 1
+    for q, dtype in (((1 << 31) + 1, np.int64), ((1 << 31) + 3, object)):
+        assert (p * q).bit_length() == (62 if dtype is np.int64 else 63)
+        pa, pb = [(Fraction(1, p), 1)], [(0, Fraction(q - 1, q))]
+        a, ref_a = _both(pa)
+        b, ref_b = _both(pb)
+        assert a.lo.dtype == b.lo.dtype == np.int64
+        inter = a.intersect(b)
+        assert inter.den == p * q and inter.lo.dtype == dtype
+        assert inter.intervals == ref_a.intersect(ref_b).intervals
+        assert inter.uncovered_by(a) is None and a.uncovered_by(inter) == ref_a.uncovered_by(
+            ref_a.intersect(ref_b))
+        for delta in (Fraction(1, 7), 1 / 3):
+            assert n_delta(inter, delta).count == fraction_greedy_count(inter.intervals, delta)
+    # a raster whose den * 2^depth crosses 2^62 (and 2^63, where int64 would
+    # wrap): den = 3^25 has 40 bits
+    den = 3**25
+    pairs = [(Fraction(5, den), Fraction(9, den)),
+             (Fraction(den // 2, den), Fraction(den // 2 + 7, den)),
+             (1 - Fraction(2, den), 1 - Fraction(1, den))]
+    iu, ref = _both(pairs)
+    assert iu.den == den and iu.lo.dtype == np.int64
+    for depth in (22, 23, 24):
+        assert (den << depth).bit_length() == 40 + depth
+        for mode in ("overlap", "subset"):
+            cubes = DyadicCubeSet.from_interval_union(iu, depth, mode).cubes
+            assert cubes == fraction_raster(ref.intervals, depth, mode)
+
+
+def test_float_endpoints_are_correctly_rounded():
+    # a denominator above 2^53: numpy's int64 -> float64 division rounds twice
+    den = (1 << 61) - 1
+    nums = np.random.default_rng(3).integers(1, den, size=2000)
+    nums = np.unique(nums)
+    iu = IntervalUnion(den, nums[0::2][: len(nums) // 2], nums[1::2][: len(nums) // 2])
+    assert iu.den == den and iu.lo.dtype == np.int64
+    lo, hi = iu.floats()
+    assert lo == [float(a) for a, _ in iu.intervals]
+    assert hi == [float(b) for _, b in iu.intervals]
+    # the test bites: the double-rounded numpy form differs on some endpoint
+    assert np.any(iu.lo.astype(np.float64) / np.float64(den) != np.array(lo))
+
+
+def test_interval_union_value_semantics():
+    a = IntervalUnion.from_pairs([(0, Fraction(1, 2)), (Fraction(1, 2), 1)])
+    b = IntervalUnion.from_pairs([(0.0, 1.0)])
+    assert a == b and hash(a) == hash(b) and a != IntervalUnion.empty()
+    assert a.intervals is a.intervals  # built once
+    with pytest.raises(ValueError):
+        a.lo[0] = 5  # read-only numerators
+    with pytest.raises(ValueError, match="positive gaps"):
+        IntervalUnion(4, np.array([0, 2]), np.array([2, 3]))  # touching: not canonical
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ PACKAGE = ROOT / "src" / "liplab"
 
 ALLOWED_UNREFERENCED = {
     "load_cover": "reads the .cover files that `liplab micro` writes",
-    "cross_power": "the exceptional set of the d >= 2 build (ROADMAP item 6)",
-    "product_lemma_check": "the smallness certificate of the d >= 2 build (ROADMAP item 6)",
+    "cross_power": "the exceptional set of the d >= 2 build (ROADMAP item 7)",
+    "product_lemma_check": "the smallness certificate of the d >= 2 build (ROADMAP item 7)",
     "worker_count": "perfbench/run.py prints it on its context line",
 }
 
