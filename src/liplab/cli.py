@@ -210,9 +210,9 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         "proxies": list(final_field.proxies),
         "classes": list(final_field.classes),
         "proxies_by_depth": {str(k): v for k, v in proxies_by_depth.items()},
-        "over_tau_cubes": sorted(
-            int(c[0]) if f.dim == 1 else [int(k) for k in c] for c in final_field.over_tau.cubes
-        ),
+        "over_tau_cubes": (
+            final_field.over_tau.keys if f.dim == 1 else final_field.over_tau.indices()
+        ).tolist(),
         "sample_depth": sample_depth,
     }
     _write_json(out + ".json", payload)
@@ -343,7 +343,8 @@ def _cmd_dims(cfg: RunConfig) -> int:
 
 def _cmd_partition(cfg: RunConfig) -> int:
     _at_least("--samples", cfg.samples, 1)
-    _at_least("--img-depth", cfg.img_depth, 0)
+    if not 0 <= cfg.img_depth <= setlib.MAX_KEY_BITS:
+        raise ConfigError(f"--img-depth {cfg.img_depth} must lie in 0..{setlib.MAX_KEY_BITS}")
     xi = gauges.parse_gauge(cfg.xi or "power(s=1)")
     phi = gauges.parse_gauge(cfg.phi or "power(s=2,scale=0.2)")
     ladder = _parse_list(cfg.delta_ladder or "0.1,0.01,0.001", float, "delta ladder")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import islice
 from itertools import product as iter_product
 from typing import NamedTuple, Sequence
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from .gauges import GaugeLike
 from .setlib import DyadicCubeSet, FormatError, _atomic_write, _format_errors
+from .setlib import _cube_lines, _parse_cube_lines
 
 __all__ = [
     "HolderModulus",
@@ -125,19 +126,11 @@ class SampledFunction:
 
     @property
     def full_domain(self) -> bool:
-        return len(self.domain.cubes) == (1 << self.domain.depth) ** self.dim
-
-    @cached_property
-    def _off_domain_before(self) -> np.ndarray:
-        """d = 1: the number of off-domain cubes before each cube index of the
-        domain's grid, and the total at the end."""
-        off = np.ones(1 << self.domain.depth, dtype=bool)
-        off[[k[0] for k in self.domain.cubes]] = False
-        return np.concatenate(([0], np.cumsum(off)))
+        return len(self.domain) == (1 << self.domain.depth) ** self.dim
 
     def cell_in_domain(self, idx: tuple[int, ...]) -> bool:
         shift = self.depth - self.domain.depth
-        return tuple(k >> shift for k in idx) in self.domain.cubes
+        return self.domain.has_cube([k >> shift for k in idx])
 
     def _containing_cell(self, x: Sequence[float]) -> tuple[int, ...]:
         """The first domain cell holding x; the scaling by 2^depth is exact."""
@@ -296,18 +289,6 @@ def _edge_values(f: "SampledFunction", p: np.ndarray) -> np.ndarray:
     return np.where(t != 0.0, out + t * f.values[k + 1], out)
 
 
-def _in_domain(f: "SampledFunction", p: np.ndarray) -> np.ndarray:
-    """Do the points p lie in the closed union of f's domain cubes (d = 1)?"""
-    before = f._off_domain_before
-    cubes = before.size - 1
-    scaled = p * cubes
-    q = np.floor(scaled).astype(np.int64)
-    c = np.minimum(q, cubes - 1)
-    left = np.maximum(q - 1, 0)
-    inside = before[c + 1] == before[c]
-    return inside | ((scaled == q) & (q >= 1) & (before[left + 1] == before[left]))
-
-
 def oscillation(f: SampledFunction, points, r: float) -> OscBrackets:
     """Certified brackets of the oscillation over the closed max-norm balls
     B(x, r), for many points x of [0,1]^d at once: an array of shape (n,),
@@ -353,13 +334,13 @@ def _oscillation_1d(f: SampledFunction, xs, lo, hi, s, e) -> OscBrackets:
     n = xs.size
     low, high = -s[:n], s[n:]  # x - r and x + r, rounded
     clipped = (low < 0.0) | (high > 1.0)
-    before = f._off_domain_before
-    if before[-1]:  # with no off-domain cube the ball cannot leave the domain
+    keys, cubes = f.domain.keys, 1 << f.domain.depth
+    if len(keys) < cubes:  # with no off-domain cube the ball cannot leave the domain
         # the cubes of the domain's grid that the exact ball overlaps with positive length
-        cubes = before.size - 1
         k = _exact_ceil(s, e, cubes)
         first, last = np.maximum(-k[:n], 0), np.minimum(k[n:], cubes) - 1
-        clipped |= before[last + 1] > before[first]
+        held = np.searchsorted(keys, last, "right") - np.searchsorted(keys, first)
+        clipped |= held <= last - first  # some cube of first..last is off the domain
     if not f.exact:
         if np.isnan(vmin).any():
             raise ValueError("no domain vertex inside the ball; deepen the grid")
@@ -367,7 +348,7 @@ def _oscillation_1d(f: SampledFunction, xs, lo, hi, s, e) -> OscBrackets:
         return OscBrackets(lower, lower + 2.0 * f.modulus.omega(f.h), clipped)
     lower = np.where(np.isnan(vmin), 0.0, vmax - vmin) + 0.0
     for p in (np.maximum(0.0, low), np.minimum(1.0, high)):
-        v = np.where(_in_domain(f, p), _edge_values(f, p), np.nan)
+        v = np.where(f.domain.contains(p), _edge_values(f, p), np.nan)
         vmin, vmax = np.fmin(vmin, v), np.fmax(vmax, v)
     if np.isnan(vmax).any():
         raise ValueError("ball does not meet the domain")
@@ -551,19 +532,11 @@ def lip_field(
 
     if sample_depth > f.depth - 2:
         raise ValueError("sample grid must be at least 4x coarser than the value grid")
-    top = 1 << sample_depth
-    cubes = []
-    points = []
-    for idx in iter_product(range(top), repeat=f.dim):
-        center = tuple((k + 0.5) / top for k in idx)
-        try:
-            f._containing_cell(center)
-        except ValueError:
-            continue
-        cubes.append(idx)
-        points.append(center)
-    records = _osc_records(f, points, phi, radii, "lip")
-    over = frozenset(idx for idx, rec in zip(cubes, records) if rec.summary > tau)
+    grid = DyadicCubeSet.full(f.dim, sample_depth)
+    centers = (grid.indices() + 0.5) / (1 << sample_depth)
+    inside = f.domain.contains(centers)
+    records = _osc_records(f, [tuple(c) for c in centers[inside].tolist()], phi, radii, "lip")
+    over = grid.keys[inside][np.array([rec.summary > tau for rec in records], dtype=bool)]
     return LipField(tau, format_gauge(phi), records, DyadicCubeSet(f.dim, sample_depth, over))
 
 
@@ -656,17 +629,13 @@ def make_test_function(name: str, params: dict | None = None, depth: int = 10) -
 
 
 def save_function(path, f: SampledFunction) -> None:
-    lines = [f"d {f.dim} m {f.depth} domain {len(f.domain.cubes)}"]
-    lines.append(f"domain_depth {f.domain.depth}")
-    for idx in sorted(f.domain.cubes):
-        lines.append(" ".join(str(k) for k in idx))
-    lines.append("values")
-    flat = f.values.ravel()
-    lines.extend(f"{v:.17g}" for v in flat)
+    head = f"d {f.dim} m {f.depth} domain {len(f.domain)}\ndomain_depth {f.domain.depth}\n"
+    lines = ["values"]
+    lines.extend(f"{v:.17g}" for v in f.values.ravel())
     lines.append(f.modulus.serialize())
     if f.exact:
         lines.append("exact 1")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, head + _cube_lines(f.domain) + "\n".join(lines) + "\n")
 
 
 def load_function(path) -> SampledFunction:
@@ -678,17 +647,12 @@ def load_function(path) -> SampledFunction:
         dd_line = fh.readline().split()
         if dd_line[0] != "domain_depth":
             raise FormatError(f"missing domain_depth line in {path}")
-        domain_depth = int(dd_line[1])
-        cubes = []
-        for _ in range(count):
-            cubes.append(tuple(int(t) for t in fh.readline().split()))
+        domain = _parse_cube_lines("".join(islice(fh, count)), dim, int(dd_line[1]))
         marker = fh.readline().strip()
         if marker != "values":
             raise FormatError(f"missing values marker in {path}")
         n = (1 << depth) + 1
-        flat = np.empty(n**dim)
-        for i in range(n**dim):
-            flat[i] = float(fh.readline())
+        flat = np.fromiter(map(float, islice(fh, n**dim)), float, n**dim)
         modulus: Modulus | None = None
         exact = False
         for line in fh:
@@ -704,5 +668,4 @@ def load_function(path) -> SampledFunction:
                 exact = bool(int(tokens[1]))
         if modulus is None:
             raise FormatError(f"missing modulus line in {path}")
-        domain = DyadicCubeSet(dim, domain_depth, frozenset(cubes))
         return SampledFunction(dim, depth, domain, flat.reshape((n,) * dim), modulus, exact)

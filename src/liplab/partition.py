@@ -131,9 +131,9 @@ def split_partition(build: TypicalBuild) -> tuple[DyadicCubeSet, DyadicCubeSet]:
     raster_depth = min(SPLIT_RASTER_DEPTH, build.final.depth)
     F_intervals = deepest_core_complement(build)
     A = DyadicCubeSet.from_interval_union(F_intervals, raster_depth, mode="overlap")
-    omega = build.final.domain.refine(raster_depth)
-    B = DyadicCubeSet(1, raster_depth, omega.cubes - A.cubes)
-    A = DyadicCubeSet(1, raster_depth, A.cubes & omega.cubes)
+    omega = build.final.domain.refine(raster_depth).keys
+    B = DyadicCubeSet(1, raster_depth, np.setdiff1d(omega, A.keys, assume_unique=True))
+    A = DyadicCubeSet(1, raster_depth, np.intersect1d(A.keys, omega, assume_unique=True))
     return A, B
 
 
@@ -240,7 +240,7 @@ def image_cover_report(
             f"gauge relation xi(phi(5r)) <= r^(d+1) fails at r={schizm.first_violation}"
         )
     # (k + 1/2) 2^-depth is exact in floats
-    centers = (np.array(sorted(k[0] for k in B.cubes), dtype=float) + 0.5) / 2.0**B.depth
+    centers = (B.keys.astype(float) + 0.5) / 2.0**B.depth
     if len(centers) > MAX_COVER_SAMPLES:
         rng = np.random.default_rng(seed)
         centers = np.sort(rng.choice(centers, size=MAX_COVER_SAMPLES, replace=False))
@@ -302,7 +302,7 @@ def b_image_cubes(build: TypicalBuild, img_depth: int = 20) -> DyadicCubeSet:
         raise ConstructError(
             "plateau values leave [0,1]; a DyadicCubeSet image cover needs a [0,1] range"
         )
-    return DyadicCubeSet.from_points(1, img_depth, [(float(v),) for v in values])
+    return DyadicCubeSet.from_points(1, img_depth, values)
 
 
 @dataclass(frozen=True)
@@ -327,19 +327,14 @@ def graph_cross_check(
     the point is u itself, bit for bit."""
     if isinstance(samples, int):
         rng = np.random.default_rng(seed)
-        starts = np.array(sorted(k[0] for k in f.domain.cubes), dtype=float)
+        starts = f.domain.keys.astype(float)
         scaled = rng.uniform(0.0, 1.0, size=samples) * starts.size
         cube = np.minimum(scaled.astype(np.int64), starts.size - 1)
         xs = (starts[cube] + (scaled - cube)) / (1 << f.domain.depth)
     else:
         xs = np.asarray(samples, dtype=float)
     values = f.evaluate_many(xs)
-    violations = []
-    for x, y in zip(xs, values):
-        if A.contains((float(x),)):
-            continue
-        if 0.0 <= y <= 1.0 and B_img.contains((float(y),)):
-            continue
-        violations.append((float(x), float(y)))
-    return GraphCheckReport(not violations, len(xs), tuple(violations))
+    bad = ~(A.contains(xs) | B_img.contains(values))  # values off [0,1] are in no cube
+    violations = tuple(zip(xs[bad].tolist(), values[bad].tolist()))
+    return GraphCheckReport(not violations, len(xs), violations)
 

@@ -9,13 +9,13 @@ throughout, so a box's diameter is its longest side.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain as iter_chain
 from itertools import product as iter_product
 from typing import Iterable, Sequence
 
@@ -76,7 +76,7 @@ def _format_errors(path):
         yield
     except FormatError:
         raise
-    except (ValueError, IndexError, KeyError, TypeError) as err:
+    except (ValueError, IndexError, KeyError, TypeError, OverflowError) as err:
         raise FormatError(f"malformed {path}: {err}") from err
 
 
@@ -305,48 +305,88 @@ def cantor_intervals(depth: int) -> IntervalUnion:
 # DyadicCubeSet
 
 
-@dataclass(frozen=True)
+MAX_KEY_BITS = 62  # d * depth of a DyadicCubeSet, so that its keys fit int64
+
+
+def _side_count(dim: int, depth: int) -> int:
+    """2^depth, the cubes per axis of a d-dimensional grid whose keys fit int64."""
+    if dim < 1 or depth < 0:
+        raise ValueError("need dim >= 1 and depth >= 0")
+    if dim * depth > MAX_KEY_BITS:
+        raise ValueError(f"d * depth = {dim * depth} exceeds the limit {MAX_KEY_BITS}")
+    return 1 << depth
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, sorted; on int64 a sort is many times faster
+    than np.unique, which hashes."""
+    a = np.sort(a)
+    return a[np.r_[True, a[1:] != a[:-1]]] if len(a) else a
+
+
+def _unravel(keys: np.ndarray, dim: int, depth: int) -> np.ndarray:
+    """The (n, dim) index rows of row-major keys on the 2^depth grid."""
+    return np.stack(np.unravel_index(keys, (1 << depth,) * dim), axis=-1)
+
+
+def _points(points, dim: int) -> np.ndarray:
+    """points as an (n, dim) float array; shape (n,) is taken in dimension 1."""
+    p = np.asarray(points, dtype=float)
+    if (dim == 1 and p.ndim == 1) or not p.size:
+        p = p.reshape(-1, dim)
+    if p.ndim != 2 or p.shape[1] != dim:
+        raise ValueError(f"points need shape (n, {dim})")
+    return p
+
+
+@dataclass(frozen=True, eq=False)
 class DyadicCubeSet:
-    """Subset of [0,1]^d as grid cubes {k: cube prod_i [k_i 2^-m, (k_i+1) 2^-m]}."""
+    """Subset of [0,1]^d as grid cubes {k: cube prod_i [k_i 2^-m, (k_i+1) 2^-m]}.
+
+    keys holds the cubes' row-major indices k_1 2^(m(d-1)) + ... + k_d, given
+    in any order and with repeats; it is stored sorted, unique and read-only
+    in int64, so key order is the lexicographic order of the index tuples.
+    d * m is at most MAX_KEY_BITS.
+    """
 
     dim: int
     depth: int
-    cubes: frozenset[tuple[int, ...]]
+    keys: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim < 1 or self.depth < 0:
-            raise ValueError("need dim >= 1 and depth >= 0")
-        top = 1 << self.depth
-        flat = list(iter_chain.from_iterable(self.cubes))
-        if set(map(len, self.cubes)) - {self.dim} or flat and (min(flat) < 0 or max(flat) >= top):
-            for idx in self.cubes:
-                if len(idx) != self.dim or any(k < 0 or k >= top for k in idx):
-                    raise ValueError(f"cube index {idx} out of range for depth {self.depth}")
+        _side_count(self.dim, self.depth)
+        keys = _sorted_unique(np.asarray(self.keys, dtype=np.int64).ravel())
+        if len(keys) and (keys[0] < 0 or keys[-1] >> (self.dim * self.depth)):
+            raise ValueError(f"cube keys out of range for d = {self.dim} and depth {self.depth}")
+        keys.flags.writeable = False
+        object.__setattr__(self, "keys", keys)
 
     @classmethod
-    def from_indices(cls, dim: int, depth: int, indices: Iterable[Sequence[int]]) -> "DyadicCubeSet":
-        return cls(dim, depth, frozenset(tuple(i) for i in indices))
-
-    @classmethod
-    def empty(cls, dim: int, depth: int) -> "DyadicCubeSet":
-        return cls(dim, depth, frozenset())
+    def from_indices(cls, dim: int, depth: int, indices) -> "DyadicCubeSet":
+        """The cubes with these index rows: an (n, dim) array or a list of tuples."""
+        top = _side_count(dim, depth)
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size and (idx.ndim != 2 or idx.shape[1] != dim):
+            raise ValueError(f"cube indices need shape (n, {dim})")
+        idx = idx.reshape(-1, dim)
+        bad = np.flatnonzero(np.any((idx < 0) | (idx >= top), axis=1))
+        if len(bad):
+            raise ValueError(f"cube index {idx[bad[0]].tolist()} out of range for depth {depth}")
+        return cls(dim, depth, np.ravel_multi_index(tuple(idx.T), (top,) * dim))
 
     @classmethod
     def full(cls, dim: int, depth: int) -> "DyadicCubeSet":
-        top = 1 << depth
-        return cls(dim, depth, frozenset(iter_product(range(top), repeat=dim)))
+        return cls(dim, depth, np.arange(_side_count(dim, depth) ** dim))
 
     @classmethod
-    def from_points(cls, dim: int, depth: int, points: Iterable[Sequence[Number]]) -> "DyadicCubeSet":
-        top = 1 << depth
-        cubes = set()
-        for p in points:
-            idx = []
-            for x in p:
-                k = int(x * top)  # exact for floats: top is a power of two
-                idx.append(min(max(k, 0), top - 1))
-            cubes.add(tuple(idx))
-        return cls(dim, depth, frozenset(cubes))
+    def from_points(cls, dim: int, depth: int, points) -> "DyadicCubeSet":
+        """The cubes holding the points (n, dim), each clamped into [0,1]^d."""
+        top = _side_count(dim, depth)
+        p = _points(points, dim)
+        if not np.all(np.isfinite(p)):
+            raise ValueError("points must be finite")
+        k = np.floor(np.clip(p, 0.0, 1.0) * top).astype(np.int64)  # exact: top is a power of two
+        return cls.from_indices(dim, depth, np.minimum(k, top - 1))
 
     @classmethod
     def from_interval_union(
@@ -355,7 +395,7 @@ class DyadicCubeSet:
         """Rasterize a 1-d set: cubes meeting it (overlap) or inside it (subset)."""
         if mode not in ("overlap", "subset"):
             raise ValueError(f"unknown rasterization mode {mode!r}")
-        top = 1 << depth
+        top = _side_count(1, depth)
         dtype = _int_dtype(max(iu.den, _reach(iu.lo, iu.hi)) << depth)
         a, b = iu.lo.astype(dtype) * top, iu.hi.astype(dtype) * top  # over iu.den
         ceil_a, floor_b = -(-a // iu.den), b // iu.den
@@ -368,18 +408,36 @@ class DyadicCubeSet:
         counts = np.maximum(np.minimum(last, top - 1) - first + 1, 0).astype(np.int64)
         # neighbouring intervals can share a cube; the set keeps it once
         ks = np.arange(int(counts.sum())) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-        return cls(1, depth, frozenset(zip(ks.tolist())))
+        return cls(1, depth, ks)
 
     def __len__(self) -> int:
-        return len(self.cubes)
+        return len(self.keys)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DyadicCubeSet):
+            return NotImplemented
+        same_grid = (self.dim, self.depth) == (other.dim, other.depth)
+        return same_grid and np.array_equal(self.keys, other.keys)
 
     @property
     def is_empty(self) -> bool:
-        return not self.cubes
+        return not len(self.keys)
 
     @property
     def side(self) -> Fraction:
         return Fraction(1, 1 << self.depth)
+
+    def indices(self) -> np.ndarray:
+        """The (n, dim) index rows of the cubes, in key order."""
+        return _unravel(self.keys, self.dim, self.depth)
+
+    def has_cube(self, idx: Sequence[int]) -> bool:
+        """Whether the cube with this index tuple is in the set."""
+        key = 0
+        for k in idx:
+            key = key << self.depth | k
+        i = self.keys.searchsorted(key)
+        return bool(i < len(self.keys) and self.keys[i] == key)
 
     def refine(self, depth: int) -> "DyadicCubeSet":
         if depth < self.depth:
@@ -387,39 +445,31 @@ class DyadicCubeSet:
         shift = depth - self.depth
         if shift == 0:
             return self
-        offsets = list(iter_product(range(1 << shift), repeat=self.dim))
-        cubes = set()
-        for idx in self.cubes:
-            base = tuple(k << shift for k in idx)
-            for off in offsets:
-                cubes.add(tuple(b + o for b, o in zip(base, off)))
-        return DyadicCubeSet(self.dim, depth, frozenset(cubes))
+        offsets = _unravel(np.arange(1 << shift * self.dim), self.dim, shift)
+        cells = (self.indices()[:, None, :] << shift) + offsets
+        return DyadicCubeSet.from_indices(self.dim, depth, cells.reshape(-1, self.dim))
 
-    def contains(self, point: Sequence[Number]) -> bool:
-        """Closed-cube membership; boundary points belong to every touching cube."""
-        if len(point) != self.dim:
-            raise ValueError("point dimension mismatch")
+    def contains(self, points) -> np.ndarray:
+        """Closed-cube membership of points (n, dim): a point on a face belongs
+        to every cube that touches it."""
+        p = _points(points, self.dim)
         top = 1 << self.depth
-        axes: list[list[int]] = []
-        for x in point:
-            if x < 0 or x > 1:
-                return False
-            scaled = x * top  # exact for floats: top is a power of two
-            k = math.floor(scaled)
-            cand = set()
-            if k < top:
-                cand.add(k)
-            if scaled == k and k - 1 >= 0:
-                cand.add(k - 1)
-            axes.append(sorted(cand))
-        return any(idx in self.cubes for idx in iter_product(*axes))
+        inside = np.all((p >= 0.0) & (p <= 1.0), axis=1)
+        scaled = np.where(inside[:, None], p, 0.0) * top  # exact: top is a power of two
+        k = np.floor(scaled).astype(np.int64)
+        lo = np.where((scaled == k) & (k > 0), k - 1, k)  # on a face: the cube below too
+        hi = np.minimum(k, top - 1)
+        # each point's candidate cubes, one per corner of the lo..hi box
+        cells = [np.where(c, hi, lo).T for c in iter_product((False, True), repeat=self.dim)]
+        keys = np.ravel_multi_index(tuple(np.stack(cells, axis=1)), (top,) * self.dim)
+        return inside & np.isin(keys, self.keys).any(axis=0)
 
     def to_interval_union(self) -> IntervalUnion:
         """The closed cubes merged into runs of touching cubes, in integers."""
         if self.dim != 1:
             raise ValueError("interval form exists only in dimension 1")
         top = 1 << self.depth
-        k = np.sort(np.array([k for (k,) in self.cubes], dtype=_int_dtype(top)))
+        k = self.keys.astype(_int_dtype(top))
         return _merged(top, k, k + 1)
 
 
@@ -535,9 +585,7 @@ def _counting_form(E):
     IntervalUnion in d = 1; in d >= 2 its depth and one (n, d) int64 array of
     cube indices."""
     if isinstance(E, DyadicCubeSet) and E.dim >= 2:
-        n = len(E.cubes)
-        flat = np.fromiter(iter_chain.from_iterable(E.cubes), dtype=np.int64, count=n * E.dim)
-        return E.depth, flat.reshape(n, E.dim)
+        return E.depth, E.indices()
     return _as_interval_union(E)
 
 
@@ -598,7 +646,7 @@ def _grid_count(depth: int, cubes: np.ndarray, delta: Fraction) -> int:
 def _grid_count_dyadic(depth: int, idx: np.ndarray, j: int) -> int:
     """Cells of the 2^-j grid meeting the cubes, vectorized; closed cubes touch
     the neighboring cell whenever an edge lands on a cell boundary.  Distinct
-    cells are counted by a sort and the changes between neighbours."""
+    cells are counted by their row-major keys."""
     t = depth - j
     top_cells = 1 << j
     aligned = (idx & ((1 << t) - 1)) == 0  # cube edge on a cell boundary
@@ -607,20 +655,12 @@ def _grid_count_dyadic(depth: int, idx: np.ndarray, j: int) -> int:
     np.clip(lo, 0, top_cells - 1, out=lo)
     np.clip(hi, 0, top_cells - 1, out=hi)
     width = int((hi - lo).max())
-    combos = iter_product(range(width + 1), repeat=idx.shape[1])
     pieces = []
-    for offsets in combos:
+    for offsets in iter_product(range(width + 1), repeat=idx.shape[1]):
         cells = lo + np.array(offsets, dtype=np.int64)
-        valid = np.all(cells <= hi, axis=1)
-        if not np.any(valid):
-            continue
-        enc = np.zeros(int(valid.sum()), dtype=np.int64)
-        for axis in range(idx.shape[1]):
-            enc = enc * top_cells + cells[valid, axis]
-        pieces.append(enc)
-    enc = np.concatenate(pieces)
-    enc.sort()
-    return 1 + int(np.count_nonzero(enc[1:] != enc[:-1]))
+        cells = cells[np.all(cells <= hi, axis=1)]
+        pieces.append(np.ravel_multi_index(tuple(cells.T), (top_cells,) * idx.shape[1]))
+    return len(_sorted_unique(np.concatenate(pieces)))
 
 
 @dataclass(frozen=True)
@@ -647,9 +687,7 @@ def lower_box_premeasure(E, zeta: GaugeLike, eps: float, scales: Sequence[Number
         raise ValueError("no scanned scale lies below eps")
     entries = []
     mode = "exact-1d"
-    empty = isinstance(E, DyadicCubeSet) and E.is_empty or (
-        isinstance(E, IntervalUnion) and E.is_empty
-    )
+    empty = isinstance(E, (DyadicCubeSet, IntervalUnion)) and E.is_empty
     form = _counting_form(E)
     for s in scanned:
         res = _count(form, s)
@@ -700,9 +738,7 @@ def lower_box_dim(E, scales: Sequence[Number]) -> DimensionReport:
 
 def _natural_cover(E: DyadicCubeSet) -> BoxCover:
     h = float(E.side)
-    boxes = tuple(
-        tuple((k * h, (k + 1) * h) for k in idx) for idx in sorted(E.cubes)
-    )
+    boxes = tuple(tuple((k * h, (k + 1) * h) for k in idx) for idx in E.indices().tolist())
     return BoxCover(E.dim, boxes)
 
 
@@ -744,7 +780,7 @@ def _check_cover(E, cover: BoxCover) -> None:
         _check_cover_1d(E, cover)
         return
     h = E.side
-    for idx in E.cubes:
+    for idx in E.indices().tolist():
         lo = [k * h for k in idx]
         hi = [(k + 1) * h for k in idx]
         witness = _covered_recursive(cover.boxes, lo, hi, depth_left=12)
@@ -777,21 +813,21 @@ def cross_power(E: DyadicCubeSet, d: int) -> DyadicCubeSet:
     if d < 1:
         raise ValueError("need d >= 1")
     top = 1 << E.depth
-    e = frozenset(k[0] for k in E.cubes)
-    inside = len(e)
-    total = top**d - (top - inside) ** d
+    total = top**d - (top - len(E)) ** d
     if total > MAX_CROSS_CUBES:
         raise ValueError(f"cross power would hold {total} cubes (limit {MAX_CROSS_CUBES})")
     if d == 1:
         return E
-    others = [k for k in range(top) if k not in e]
-    cubes: set[tuple[int, ...]] = set()
-    full = range(top)
+    full = np.arange(top)
+    others = np.setdiff1d(full, E.keys, assume_unique=True)
+    pieces = []
     for axis in range(d):
         # first coordinate hitting E at `axis` avoids double counting
-        pools: list[Sequence[int]] = [others] * axis + [sorted(e)] + [full] * (d - axis - 1)
-        cubes.update(iter_product(*pools))
-    return DyadicCubeSet(d, E.depth, frozenset(cubes))
+        keys = np.zeros(1, dtype=np.int64)
+        for pool in [others] * axis + [E.keys] + [full] * (d - axis - 1):
+            keys = (keys[:, None] * top + pool).ravel()
+        pieces.append(keys)
+    return DyadicCubeSet(d, E.depth, np.concatenate(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -857,27 +893,25 @@ def _components(E) -> list[tuple[list[Fraction], list[Fraction]]]:
         iu = _as_interval_union(E)
         return [([a], [b]) for a, b in iu.intervals]
     assert isinstance(E, DyadicCubeSet)
-    h = E.side
-    remaining = set(E.cubes)
+    h, top = E.side, 1 << E.depth
+    strides = [top**axis for axis in range(E.dim)]
+    remaining = set(E.keys.tolist())
     comps = []
-    while remaining:
-        seed = remaining.pop()
-        stack = [seed]
+    for seed in E.keys.tolist():
+        if seed not in remaining:
+            continue
+        remaining.remove(seed)
         members = [seed]
-        while stack:
-            cur = stack.pop()
-            for axis in range(E.dim):
-                for step in (-1, 1):
-                    nxt = list(cur)
-                    nxt[axis] += step
-                    t = tuple(nxt)
-                    if t in remaining:
-                        remaining.remove(t)
-                        stack.append(t)
-                        members.append(t)
-        lo = [min(c[a] for c in members) * h for a in range(E.dim)]
-        hi = [(max(c[a] for c in members) + 1) * h for a in range(E.dim)]
-        comps.append((lo, hi))
+        for cur in members:  # breadth first: the list grows while it is walked
+            for s in strides:
+                k = cur // s % top  # the coordinate that steps of s move
+                for nxt in (cur - s if k else None, cur + s if k < top - 1 else None):
+                    if nxt in remaining:
+                        remaining.remove(nxt)
+                        members.append(nxt)
+        idx = _unravel(np.array(members), E.dim, E.depth)
+        lo, hi = idx.min(axis=0).tolist(), idx.max(axis=0).tolist()
+        comps.append(([k * h for k in lo], [(k + 1) * h for k in hi]))
     return comps
 
 
@@ -1023,11 +1057,23 @@ def cantor_natural_cover(depth: int) -> BoxCover:
 # Text file formats
 
 
+def _cube_lines(E: DyadicCubeSet) -> str:
+    """One line per cube, its indices separated by spaces, in key order; one
+    %-formatting pass over every index."""
+    line = " ".join(["%d"] * E.dim) + "\n"
+    return (line * len(E)) % tuple(E.indices().ravel().tolist())
+
+
+def _parse_cube_lines(text: str, dim: int, depth: int) -> DyadicCubeSet:
+    """The cubes of index lines in any order, repeats allowed; each line is
+    blank or holds dim integers."""
+    _side_count(dim, depth)
+    rows = np.loadtxt(io.StringIO(text), np.int64, comments=None, ndmin=2) if text.strip() else []
+    return DyadicCubeSet.from_indices(dim, depth, rows)
+
+
 def save_cubes(path, E: DyadicCubeSet) -> None:
-    lines = [f"d {E.dim} m {E.depth}"]
-    for idx in sorted(E.cubes):
-        lines.append(" ".join(str(k) for k in idx))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, f"d {E.dim} m {E.depth}\n" + _cube_lines(E))
 
 
 def load_cubes(path) -> DyadicCubeSet:
@@ -1035,13 +1081,7 @@ def load_cubes(path) -> DyadicCubeSet:
         header = f.readline().split()
         if len(header) != 4 or header[0] != "d" or header[2] != "m":
             raise FormatError(f"bad cube set header in {path}")
-        dim, depth = int(header[1]), int(header[3])
-        cubes = []
-        for line in f:
-            line = line.strip()
-            if line:
-                cubes.append(tuple(int(t) for t in line.split()))
-        return DyadicCubeSet(dim, depth, frozenset(cubes))
+        return _parse_cube_lines(f.read(), int(header[1]), int(header[3]))
 
 
 def save_cover(path, cover: BoxCover) -> None:

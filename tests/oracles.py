@@ -9,6 +9,9 @@ function pointwise with exact argument reduction.  The oscillation brackets
 quadratic form as references for the batched library versions, and the
 interval layer in its Fraction-pair form (FractionIntervalUnion and the
 functions after it) as the reference for the integer-array IntervalUnion.
+The cube-set layer is kept as TupleCubeSet, a frozenset of index tuples, with
+its cross power, components and .set reader, as the reference for the
+key-array DyadicCubeSet.
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
     cubes = 1 << f.domain.depth
     for q in range(cubes):
         overlaps = Fraction(q, cubes) < X + R and Fraction(q + 1, cubes) > X - R
-        if overlaps and (q,) not in f.domain.cubes:
+        if overlaps and (q,) not in TupleCubeSet.of(f.domain).cubes:
             clipped = True
 
     vmin = math.inf
@@ -397,3 +400,131 @@ def fraction_greedy_count(intervals, delta) -> int:
             if b <= cover_end:
                 break
     return count
+
+
+@dataclass(frozen=True)
+class TupleCubeSet:
+    """Subset of [0,1]^d as grid cubes {k: cube prod_i [k_i 2^-m, (k_i+1) 2^-m]},
+    one index tuple per cube: liplab's DyadicCubeSet before the key array."""
+
+    dim: int
+    depth: int
+    cubes: frozenset[tuple[int, ...]]
+
+    def __post_init__(self) -> None:
+        if self.dim < 1 or self.depth < 0:
+            raise ValueError("need dim >= 1 and depth >= 0")
+        top = 1 << self.depth
+        for idx in self.cubes:
+            if len(idx) != self.dim or any(k < 0 or k >= top for k in idx):
+                raise ValueError(f"cube index {idx} out of range for depth {self.depth}")
+
+    @classmethod
+    def of(cls, E) -> "TupleCubeSet":
+        """A DyadicCubeSet's cubes, its keys decoded one digit at a time."""
+        top = 1 << E.depth
+        cubes = set()
+        for key in E.keys.tolist():
+            idx = []
+            for _ in range(E.dim):
+                key, k = divmod(key, top)
+                idx.append(k)
+            cubes.add(tuple(reversed(idx)))
+        return cls(E.dim, E.depth, frozenset(cubes))
+
+    @classmethod
+    def full(cls, dim: int, depth: int) -> "TupleCubeSet":
+        return cls(dim, depth, frozenset(product(range(1 << depth), repeat=dim)))
+
+    @classmethod
+    def from_points(cls, dim: int, depth: int, points) -> "TupleCubeSet":
+        top = 1 << depth
+        cubes = set()
+        for p in points:
+            # exact for floats: top is a power of two
+            cubes.add(tuple(min(max(int(x * top), 0), top - 1) for x in p))
+        return cls(dim, depth, frozenset(cubes))
+
+    def refine(self, depth: int) -> "TupleCubeSet":
+        shift = depth - self.depth
+        offsets = list(product(range(1 << shift), repeat=self.dim))
+        cubes = set()
+        for idx in self.cubes:
+            for off in offsets:
+                cubes.add(tuple((k << shift) + o for k, o in zip(idx, off)))
+        return TupleCubeSet(self.dim, depth, frozenset(cubes))
+
+    def contains(self, point) -> bool:
+        """Closed-cube membership; boundary points belong to every touching cube."""
+        top = 1 << self.depth
+        axes: list[list[int]] = []
+        for x in point:
+            if not 0 <= x <= 1:
+                return False
+            scaled = x * top  # exact for floats: top is a power of two
+            k = math.floor(scaled)
+            cand = set()
+            if k < top:
+                cand.add(k)
+            if scaled == k and k - 1 >= 0:
+                cand.add(k - 1)
+            axes.append(sorted(cand))
+        return any(idx in self.cubes for idx in product(*axes))
+
+
+def tuple_cross_power(E: TupleCubeSet, d: int) -> TupleCubeSet:
+    """d-cubes with at least one coordinate projection cube in the 1-d set E."""
+    e = {k for (k,) in E.cubes}
+    cubes = {idx for idx in product(range(1 << E.depth), repeat=d) if any(k in e for k in idx)}
+    return TupleCubeSet(d, E.depth, frozenset(cubes))
+
+
+def tuple_components(E: TupleCubeSet) -> list[tuple[list[Fraction], list[Fraction]]]:
+    """Face-connected components of a cube set as bounding boxes (lo, hi per
+    axis), by flood fill over index tuples."""
+    h = Fraction(1, 1 << E.depth)
+    remaining = set(E.cubes)
+    comps = []
+    while remaining:
+        seed = remaining.pop()
+        stack = [seed]
+        members = [seed]
+        while stack:
+            cur = stack.pop()
+            for axis in range(E.dim):
+                for step in (-1, 1):
+                    nxt = list(cur)
+                    nxt[axis] += step
+                    t = tuple(nxt)
+                    if t in remaining:
+                        remaining.remove(t)
+                        stack.append(t)
+                        members.append(t)
+        lo = [min(c[a] for c in members) * h for a in range(E.dim)]
+        hi = [(max(c[a] for c in members) + 1) * h for a in range(E.dim)]
+        comps.append((lo, hi))
+    return comps
+
+
+def tuple_load_cubes(path) -> TupleCubeSet:
+    """A .set file read one line at a time; blank lines are skipped."""
+    with open(path, "r", encoding="utf-8") as f:
+        header = f.readline().split()
+        cubes = [tuple(int(t) for t in line.split()) for line in f if line.strip()]
+    return TupleCubeSet(int(header[1]), int(header[3]), frozenset(cubes))
+
+
+def brute_grid_count(cubes, depth: int, delta: Fraction) -> int:
+    """Cells of the delta-grid meeting the closed cubes of this depth, one
+    cube and one axis at a time in Fractions."""
+    h = Fraction(1, 1 << depth)
+    top_cells = math.ceil(1 / delta)
+    cells = set()
+    for idx in cubes:
+        ranges = []
+        for k in idx:
+            # cell j meets [k h, (k+1) h] iff j delta <= (k+1) h and (j+1) delta >= k h
+            ranges.append(range(max(0, math.ceil(k * h / delta) - 1),
+                                min(top_cells - 1, math.floor((k + 1) * h / delta)) + 1))
+        cells.update(product(*ranges))
+    return len(cells)

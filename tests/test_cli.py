@@ -235,7 +235,7 @@ def test_partition_on_a_partial_domain(workdir):
     values = f.values.copy()
     values[(1 << f.depth) // 2 + 1 :] = np.nan
     half = funclib.SampledFunction(
-        1, f.depth, setlib.DyadicCubeSet(1, 1, frozenset({(0,)})), values, f.modulus, f.exact
+        1, f.depth, setlib.DyadicCubeSet.from_indices(1, 1, [(0,)]), values, f.modulus, f.exact
     )
     build = construct_mod.iterate_typical(
         half, 3, gauges.parse_gauge("power(s=0.1)"), gauges.parse_gauge("power(s=1)"), 0.5
@@ -263,7 +263,7 @@ def test_micro_command_pass_and_fail(workdir):
     assert run(["micro", "fat.set", "--eps", 0.25, "--nmax", 10, "--out", "mf"]) == 1
 
 
-def test_config_errors_exit_2(workdir):
+def test_config_errors_exit_2(workdir, capsys):
     assert run(["dims", "missing.set"]) == 2
     assert run(["analyze", "nope.fn"]) == 2
     f = funclib.make_test_function("constant", {}, depth=8)
@@ -328,7 +328,8 @@ def test_config_errors_exit_2(workdir):
     assert run(["partition", "b", "--delta-ladder", "0.1,abc"]) == 2
     for flags in (["--samples", -5], ["--samples", 0], ["--img-depth", -1],
                   ["--delta-ladder", "0"], ["--delta-ladder", "nan"],
-                  ["--delta-ladder", "0.1,-0.01"], ["--delta-ladder", "inf"]):
+                  ["--delta-ladder", "0.1,-0.01"], ["--delta-ladder", "inf"],
+                  ["--img-depth", setlib.MAX_KEY_BITS + 1]):
         assert run(["partition", "b", "--out", "p.json", *flags]) == 2, flags
     assert not (workdir / "p.json").exists()
     # malformed artifact files
@@ -349,10 +350,26 @@ def test_config_errors_exit_2(workdir):
         "token.set": "d 1 m 4\n0\nx\n",
         "length.set": "d 2 m 4\n0 1\n3\n",
         "range.set": "d 1 m 4\n16\n",
+        "wide.set": "d 2 m 4\n0 1 2\n3\n",  # four indices, but three on one line
+        "negative.set": "d 2 m 4\n0 -1\n",
+        "huge.set": "d 2 m 30\n1180591620717411303423 5\n",
     }
     for name, body in bad_sets.items():
         (workdir / name).write_text(body)
         assert run(["dims", name]) == 2, name
+    # cube keys are int64: d * depth beyond 62 is refused before any index is
+    # read (a 1-d depth-70 line once overflowed int64 and a 2-d depth-40 set
+    # miscounted its cells)
+    deep_sets = {
+        "deep.set": "d 2 m 70\n1180591620717411303423 5\n",
+        "wrap.set": f"d 2 m 40\n0 0\n{1 << 34} 0\n",
+        "deep1.set": "d 1 m 63\n5\n",
+    }
+    for name, body in deep_sets.items():
+        (workdir / name).write_text(body)
+        capsys.readouterr()
+        assert run(["dims", name]) == 2, name
+        assert "exceeds the limit 62" in capsys.readouterr().err, name
     meta = json.loads((workdir / "b" / "meta.json").read_text())
     del meta["phi"]
     (workdir / "b" / "meta.json").write_text(json.dumps(meta))

@@ -130,7 +130,7 @@ def test_oscillation_lower_2d_partial_domain_matches_dense_mask():
     X, Y = np.meshgrid(coords, coords, indexing="ij")
     values = rng.uniform(-1.0, 1.0, size=X.shape)
     values[(X > 0.5) & (Y > 0.5)] = np.nan
-    domain = DyadicCubeSet(2, 1, frozenset({(0, 0), (0, 1), (1, 0)}))
+    domain = DyadicCubeSet.from_indices(2, 1, [(0, 0), (0, 1), (1, 0)])
     f = SampledFunction(2, depth, domain, values, HolderModulus(1.0))
     empty = 0
     for _ in range(300):
@@ -194,7 +194,7 @@ def _functions(draw):
     for q in cubes:
         on[q * span : (q + 1) * span + 1] = True
     values[~on] = np.nan
-    domain = DyadicCubeSet(1, domain_depth, frozenset((q,) for q in cubes))
+    domain = DyadicCubeSet(1, domain_depth, sorted(cubes))
     return SampledFunction(1, depth, domain, values, HolderModulus(1.0), exact=draw(st.booleans()))
 
 
@@ -274,7 +274,7 @@ def _functions_2d(draw):
     for q0, q1 in cubes:
         on[q0 * span : (q0 + 1) * span + 1, q1 * span : (q1 + 1) * span + 1] = True
     values[~on] = np.nan
-    domain = DyadicCubeSet(2, side.bit_length() - 1, frozenset(cubes))
+    domain = DyadicCubeSet.from_indices(2, side.bit_length() - 1, sorted(cubes))
     return SampledFunction(2, depth, domain, values, HolderModulus(1.0), exact=draw(st.booleans()))
 
 
@@ -347,7 +347,7 @@ def test_oscillation_counts_a_domain_end_the_ball_touches():
     f = make_test_function("affine", {"c": 1.0}, depth=4)
     values = f.values.copy()
     values[9:] = np.nan
-    half = SampledFunction(1, 4, DyadicCubeSet(1, 1, frozenset({(0,)})), values, f.modulus, True)
+    half = SampledFunction(1, 4, DyadicCubeSet(1, 1, [0]), values, f.modulus, True)
     for x, r in ((0.625, 0.125), (0.8, 0.3)):  # the second ball's end rounds onto 1/2
         assert one(half, x, r) == (0.0, 0.0, True)
         assert oscillation_1d(half, x, r) == (0.0, 0.0, True)
@@ -359,7 +359,7 @@ def test_oscillation_counts_a_domain_end_the_ball_touches():
     # vertices carry values, but a ball inside the gap meets no domain point
     values = np.array([0.0, 1.0, 2.0, 3.0, np.nan])
     gaps = SampledFunction(
-        1, 2, DyadicCubeSet(1, 2, frozenset({(0,), (2,)})), values, f.modulus, True
+        1, 2, DyadicCubeSet(1, 2, [0, 2]), values, f.modulus, True
     )
     for check in (one, oscillation_1d):
         with pytest.raises(ValueError, match="does not meet the domain"):
@@ -466,7 +466,7 @@ def test_lip_field_records_match_the_scalar_oracle_on_a_partial_domain():
     for q in cubes:
         on[q * 128 : (q + 1) * 128 + 1] = True
     values = np.where(on, base.values, np.nan)
-    domain = DyadicCubeSet(1, 3, frozenset((q,) for q in cubes))
+    domain = DyadicCubeSet(1, 3, sorted(cubes))
     for exact in (True, False):
         f = SampledFunction(1, 10, domain, values, base.modulus, exact)
         field = lip_field(f, POWER1, 0.5, 5, window(3, 8))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liplab.construct import iterate_typical, plateau_extremes
-from liplab.funclib import make_test_function
+from liplab.construct import deepest_core_complement, iterate_typical, plateau_extremes
+from liplab.funclib import SampledFunction, make_test_function
 from liplab.gauges import GaugeDomainError, make_preset
 from liplab.partition import (
     Ball,
@@ -20,7 +20,7 @@ from liplab.partition import (
     vitali_5r,
 )
 from liplab.setlib import DyadicCubeSet, IntervalUnion, lower_box_dim
-from oracles import verify_vitali_quadratic, vitali_5r_quadratic
+from oracles import TupleCubeSet, fraction_raster, verify_vitali_quadratic, vitali_5r_quadratic
 
 POWER1 = make_preset("power", s=1)
 PHI_BUILD = make_preset("power", s=0.25)
@@ -141,17 +141,37 @@ def test_split_is_exact_partition():
     build = affine_build(1)
     A, B = split_partition(build)
     omega = DyadicCubeSet.full(1, A.depth)
-    assert A.cubes | B.cubes == omega.cubes
-    assert not (A.cubes & B.cubes)
+    a, b = TupleCubeSet.of(A).cubes, TupleCubeSet.of(B).cubes
+    assert a | b == TupleCubeSet.of(omega).cubes
+    assert not (a & b)
     rng = np.random.default_rng(1)
     hits = 0
-    for x in rng.random(2000):
-        in_a = A.contains((float(x),))
-        in_b = B.contains((float(x),))
+    xs = rng.random(2000)
+    for in_a, in_b in zip(A.contains(xs), B.contains(xs)):
         assert in_a or in_b
         if in_a != in_b:
             hits += 1
     assert hits >= 1990  # only cube-boundary points land in both
+
+
+@pytest.mark.parametrize("kept", [list(range(8)), [1], [0, 2], [0, 1, 6]])
+def test_split_matches_tuple_reference(kept):
+    # on Omega = the kept eighths of [0,1]: A = raster of F within Omega,
+    # B = the rest of Omega, as frozensets of index tuples; on the partial
+    # domains the raster of F reaches one cube past Omega
+    f = make_test_function("affine", {"c": 1.0}, depth=10)
+    on = np.zeros(f.values.shape, dtype=bool)
+    for q in kept:
+        on[q * 128 : (q + 1) * 128 + 1] = True
+    domain = DyadicCubeSet(1, 3, kept)
+    f = SampledFunction(1, f.depth, domain, np.where(on, f.values, np.nan), f.modulus, f.exact)
+    build = iterate_typical(f, 2, PHI_BUILD, POWER1, 0.5, max_depth=18)
+    A, B = split_partition(build)
+    raster = fraction_raster(deepest_core_complement(build).intervals, A.depth, "overlap")
+    omega = TupleCubeSet.of(domain).refine(A.depth).cubes
+    assert TupleCubeSet.of(A).cubes == raster & omega
+    assert TupleCubeSet.of(B).cubes == omega - raster
+    assert len(A) and len(B) and (len(kept) == 8) == (raster <= omega)
 
 
 def test_split_b_is_plateau_cores():
@@ -159,7 +179,7 @@ def test_split_b_is_plateau_cores():
     A, B = split_partition(build)
     p = build.stages[-1].params
     cores = IntervalUnion.from_pairs(p.core_interval(j) for j in range(p.k))
-    for idx in B.cubes:
+    for idx in TupleCubeSet.of(B).cubes:
         h = B.side
         assert cores.contains(idx[0] * h) and cores.contains((idx[0] + 1) * h)
 
@@ -227,15 +247,15 @@ def test_graph_cross_check_detects_missing_plateau():
     build = affine_build(1)
     A, _ = split_partition(build)
     B_img = b_image_cubes(build)
-    kept, *dropped = sorted(B_img.cubes)
-    partial = DyadicCubeSet(1, B_img.depth, frozenset({kept}))  # drop all cubes but one
+    kept, *dropped = B_img.keys.tolist()
+    partial = DyadicCubeSet(1, B_img.depth, [kept])  # drop all cubes but one
     rep = graph_cross_check(build.final, A, partial, 10_000, seed=0)
     assert not rep.ok
     # every witness value is a plateau value of the final function in a dropped cube
-    missing = DyadicCubeSet(1, B_img.depth, frozenset(dropped))
+    missing = DyadicCubeSet(1, B_img.depth, dropped)
     values, _ = plateau_extremes(build, 1)
     for x, y in rep.violations[:20]:
-        assert missing.contains((y,))
+        assert missing.contains([y])[0]
         assert np.min(np.abs(values - y)) <= 1e-12
 
 

@@ -6,8 +6,10 @@ a payload byte updates the digest here and says why in CHANGES.md.
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from liplab import funclib, setlib
 from liplab.cli import main
 
 BUILDS = {
@@ -62,6 +64,16 @@ BUILD_DIGESTS = {
 
 PARTITION_DIGEST = "999c059ea5a3f791ee9fed56a2bf8027ea18667796152d1dd6711c52c7667792"
 DIMS_CANTOR_DIGEST = "0fa7d13f54e24c96fae7db9e276e9c74cdcb6dc465defb69d783a5938c2f636c"
+DIMS_2D_DIGEST = "ff57a1259d81ee2af86718d1870d1cb47a28dd4b661fe533386504d95021c674"
+MICRO_2D_DIGESTS = {
+    "m2d.json": "7868ebbad6b0b28d8e741f6f7b410edc22290b7869ad1f83dbf33e90ec4a7728",
+    "m2d.cover": "79b0bb9f2530d8963ca09b5d02994d20b250a7fa061f8c21dc6235410680bb75",
+}
+ANALYZE_2D_DIGESTS = {
+    "an.json": "ce8ee9f3b5e12b7dc8a12f9e5933a62f825939246be748120646f3509b3dea59",
+    "an.csv": "f99d32583267e08351a9b3974d4bb1ff4e25872f464e9beea5f4dda95687bdea",
+}
+PARTIAL_FN_DIGEST = "01617201930306b46befff091ad54448c9bd7b81fdf9877964fa69cddf947e01"
 
 
 def _sha256(path) -> str:
@@ -96,3 +108,51 @@ def test_dims_cantor_payload_bytes(tmp_path):
     out = tmp_path / "cantor.json"
     assert main(["dims", "cantor:8", "--out", str(out)]) == 0
     assert _sha256(out) == DIMS_CANTOR_DIGEST
+
+
+def test_dims_2d_payload_bytes(tmp_path):
+    # a seeded depth-6 set whose lines come shuffled, five of them twice
+    rng = np.random.default_rng(7)
+    lines = [f"{a} {b}" for a, b in np.argwhere(rng.random((64, 64)) < 0.3).tolist()]
+    lines = [lines[i] for i in rng.permutation(len(lines))] + lines[:5]
+    (tmp_path / "r2d.set").write_text("d 2 m 6\n" + "\n".join(lines) + "\n")
+    out = tmp_path / "r2d.json"
+    assert main(["dims", str(tmp_path / "r2d.set"), "--scales", "dyadic:1..6",
+                 "--out", str(out)]) == 0
+    assert _sha256(out) == DIMS_2D_DIGEST
+
+
+def test_micro_2d_payload_bytes(tmp_path):
+    # five components, two of them with equal volume
+    blobs = [(3, 4), (3, 5), (10, 40), (11, 40), (11, 41), (30, 30), (50, 2), (60, 60), (61, 60)]
+    (tmp_path / "m2d.set").write_text("d 2 m 6\n" + "\n".join(f"{a} {b}" for a, b in blobs) + "\n")
+    assert main(["micro", str(tmp_path / "m2d.set"), "--eps", "0.5", "--nmax", "12",
+                 "--out", str(tmp_path / "m2d")]) == 0
+    assert {name: _sha256(tmp_path / name) for name in MICRO_2D_DIGESTS} == MICRO_2D_DIGESTS
+
+
+def test_analyze_2d_partial_domain_payload_bytes(tmp_path):
+    depth = 6
+    xs = np.linspace(0.0, 1.0, (1 << depth) + 1)
+    values = xs[:, None] + 0.5 * xs[None, :] ** 2
+    values[33:, 33:] = np.nan  # off the domain's missing quarter
+    domain = setlib.DyadicCubeSet.from_indices(2, 1, [(0, 0), (0, 1), (1, 0)])
+    f = funclib.SampledFunction(2, depth, domain, values, funclib.HolderModulus(1.5, 1.0),
+                                exact=True)
+    funclib.save_function(tmp_path / "a2.fn", f)
+    assert main(["analyze", str(tmp_path / "a2.fn"), "--sample-depth", "2", "--tau", "2.3",
+                 "--out", str(tmp_path / "an")]) == 0
+    assert {name: _sha256(tmp_path / name) for name in ANALYZE_2D_DIGESTS} == ANALYZE_2D_DIGESTS
+
+
+def test_partial_domain_function_file_bytes(tmp_path):
+    depth, kept = 8, [0, 2, 3, 6]
+    values = np.sin(np.arange((1 << depth) + 1) / 7.0)
+    on = np.zeros(values.shape, dtype=bool)
+    for q in kept:
+        on[q * 32 : (q + 1) * 32 + 1] = True
+    values[~on] = np.nan
+    domain = setlib.DyadicCubeSet.from_indices(1, 3, [(q,) for q in kept])
+    f = funclib.SampledFunction(1, depth, domain, values, funclib.HolderModulus(0.25, 1.0))
+    funclib.save_function(tmp_path / "p1.fn", f)
+    assert _sha256(tmp_path / "p1.fn") == PARTIAL_FN_DIGEST

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from liplab.gauges import Pseudogauge, make_preset
 from liplab.setlib import (
+    MAX_KEY_BITS,
     _atomic_write,
+    _components,
     BoxCover,
     CoverRecord,
     CoverageError,
@@ -37,12 +39,17 @@ from liplab.setlib import (
 )
 from oracles import (
     FractionIntervalUnion,
+    brute_grid_count,
     brute_micro_assignment,
     brute_min_window_cover,
     fraction_cantor_intervals,
     fraction_cube_runs,
     fraction_greedy_count,
     fraction_raster,
+    TupleCubeSet,
+    tuple_components,
+    tuple_cross_power,
+    tuple_load_cubes,
 )
 
 LN2_LN3 = math.log(2) / math.log(3)
@@ -161,8 +168,9 @@ def test_raster_matches_fraction_oracle(pairs, depth, mode):
     # intervals often share one
     iu, ref = _both(pairs)
     got = DyadicCubeSet.from_interval_union(iu, depth, mode)
-    assert got.cubes == fraction_raster(ref.intervals, depth, mode)
-    assert got.to_interval_union().intervals == fraction_cube_runs(got.cubes, depth)
+    cubes = TupleCubeSet.of(got).cubes
+    assert cubes == fraction_raster(ref.intervals, depth, mode)
+    assert got.to_interval_union().intervals == fraction_cube_runs(cubes, depth)
 
 
 _DELTAS = st.one_of(
@@ -233,7 +241,7 @@ def test_int64_and_object_paths_meet_at_62_bits():
     for depth in (22, 23, 24):
         assert (den << depth).bit_length() == 40 + depth
         for mode in ("overlap", "subset"):
-            cubes = DyadicCubeSet.from_interval_union(iu, depth, mode).cubes
+            cubes = TupleCubeSet.of(DyadicCubeSet.from_interval_union(iu, depth, mode)).cubes
             assert cubes == fraction_raster(ref.intervals, depth, mode)
 
 
@@ -271,14 +279,13 @@ def test_refine_coarsen_round_trip():
     F = E.refine(5)
     # each cube splits into its 4 x 4 children, whose parents are E's cubes
     assert F.depth == 5 and len(F) == 16 * len(E)
-    assert {tuple(k >> 2 for k in idx) for idx in F.cubes} == E.cubes
+    assert {tuple(k >> 2 for k in idx) for idx in TupleCubeSet.of(F).cubes} == TupleCubeSet.of(E).cubes
     assert E.refine(3) is E
 
 
 def test_contains_closed_boundaries():
     E = DyadicCubeSet.from_indices(1, 2, [(1,)])  # [1/4, 1/2]
-    assert E.contains((0.25,)) and E.contains((0.5,)) and E.contains((0.3,))
-    assert not E.contains((0.24,)) and not E.contains((0.51,))
+    assert E.contains([0.25, 0.5, 0.3, 0.24, 0.51]).tolist() == [True, True, True, False, False]
 
 
 _COORDS = st.one_of(
@@ -296,7 +303,7 @@ def test_point_location_matches_fraction_comparisons(depth, data):
     # the closed-cube test and truncated index below compare in Fractions
     top = 1 << depth
     cubes = data.draw(st.sets(st.tuples(st.integers(0, top - 1), st.integers(0, top - 1))))
-    E = DyadicCubeSet(2, depth, frozenset(cubes))
+    E = DyadicCubeSet.from_indices(2, depth, sorted(cubes))
     # grid vertices and cube centers of this depth, as floats and Fractions
     grid = st.builds(lambda k, half: (k + half) / top, st.integers(-1, top), st.sampled_from([0, 0.5]))
     coord = st.one_of(_COORDS, grid, grid.map(Fraction))
@@ -306,17 +313,130 @@ def test_point_location_matches_fraction_comparisons(depth, data):
         all(Fraction(k, top) <= x <= Fraction(k + 1, top) for k, x in zip(idx, exact))
         for idx in cubes
     )
-    assert E.contains(point) == inside
+    assert E.contains([point]).tolist() == [inside]
     cell = tuple(min(max(int(x * top), 0), top - 1) for x in exact)
-    assert DyadicCubeSet.from_points(2, depth, [point]).cubes == {cell}
+    assert TupleCubeSet.of(DyadicCubeSet.from_points(2, depth, [point])).cubes == {cell}
+
+
+# the deepest grid per dimension whose every cube the reference enumerates
+_REF_DEPTH = {1: 7, 2: 4, 3: 3}
+
+
+@st.composite
+def _cube_lists(draw):
+    """(dim, depth, index tuples in any order, some repeated)."""
+    dim = draw(st.sampled_from(sorted(_REF_DEPTH)))
+    depth = draw(st.integers(0, _REF_DEPTH[dim]))
+    top = 1 << depth
+    cubes = draw(st.lists(st.tuples(*[st.integers(0, top - 1)] * dim), max_size=40))
+    repeats = draw(st.lists(st.sampled_from(cubes), max_size=5)) if cubes else []
+    return dim, depth, cubes + repeats
+
+
+def _probe_points(draw, dim: int, depth: int, n: int = 30) -> list[tuple[float, ...]]:
+    """Grid vertices and cube centers of this depth, points off [0,1], NaN."""
+    top = 1 << depth
+    coord = st.one_of(
+        st.builds(lambda k, half: (k + half) / top, st.integers(-1, top), st.sampled_from([0, 0.5])),
+        st.floats(-0.25, 1.25),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    return draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cube_lists(), st.integers(0, 2), st.data())
+def test_cube_set_matches_tuple_reference(case, shift, data):
+    dim, depth, cubes = case
+    E = DyadicCubeSet.from_indices(dim, depth, cubes)
+    ref = TupleCubeSet(dim, depth, frozenset(cubes))
+    assert TupleCubeSet.of(E) == ref
+    assert E.indices().tolist() == [list(c) for c in sorted(ref.cubes)]
+    assert np.all(np.diff(E.keys) > 0) and not E.keys.flags.writeable
+    assert DyadicCubeSet(dim, depth, E.keys[::-1]) == E
+    assert TupleCubeSet.of(DyadicCubeSet.full(dim, depth)) == TupleCubeSet.full(dim, depth)
+    if depth + shift <= _REF_DEPTH[dim]:
+        assert TupleCubeSet.of(E.refine(depth + shift)) == ref.refine(depth + shift)
+    points = _probe_points(data.draw, dim, depth)
+    assert E.contains(points).tolist() == [ref.contains(p) for p in points]
+    finite = [p for p in points if all(map(math.isfinite, p))]
+    assert TupleCubeSet.of(DyadicCubeSet.from_points(dim, depth, finite)) == (
+        TupleCubeSet.from_points(dim, depth, finite)
+    )
+    if dim == 1:
+        assert E.contains([x for (x,) in points]).tolist() == [ref.contains(p) for p in points]
+        assert E.to_interval_union().intervals == fraction_cube_runs(ref.cubes, depth)
+        for d in range(1, 4):
+            if d * depth <= 12:
+                assert TupleCubeSet.of(cross_power(E, d)) == tuple_cross_power(ref, d)
+    if dim == 2:
+        def boxes(comps):
+            return sorted((tuple(lo), tuple(hi)) for lo, hi in comps)
+
+        assert boxes(_components(E)) == boxes(tuple_components(ref))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cube_lists(), st.randoms(use_true_random=False))
+def test_cube_file_round_trip_matches_tuple_reference(tmp_path_factory, case, rnd):
+    # lines in any order, repeated, padded with blanks and spaces
+    dim, depth, cubes = case
+    lines = [" ".join(map(str, c)) for c in cubes] + ["", "   "]
+    lines += [" " + line + " \t" for line in rnd.sample(lines, k=len(lines) // 3)]
+    rnd.shuffle(lines)
+    path = tmp_path_factory.mktemp("cubes") / "e.set"
+    path.write_text(f"d {dim} m {depth}\n" + "\n".join(lines) + "\n")
+    E = load_cubes(path)
+    assert TupleCubeSet.of(E) == tuple_load_cubes(path)
+    save_cubes(path, E)
+    want = [f"d {dim} m {depth}"] + [" ".join(map(str, c)) for c in sorted(set(cubes))]
+    assert path.read_text() == "\n".join(want) + "\n"
+    assert load_cubes(path) == E
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(*[st.one_of(st.integers(0, 2**31 - 1), st.sampled_from([0, 1, 2**30, 2**31 - 1]))] * 2),
+        min_size=1, max_size=6,
+    ),
+    st.integers(0, 31),
+)
+def test_grid_count_at_the_key_limit(cubes, j):
+    # d * depth = 62 = MAX_KEY_BITS: the dyadic cell codes reach 2^62 and
+    # must not wrap; a 1/3^i delta takes the Fraction path
+    E = DyadicCubeSet.from_indices(2, 31, cubes)
+    for delta in (Fraction(1, 2**j), Fraction(1, 3 ** (j % 20))):
+        assert n_delta(E, delta).count == brute_grid_count(cubes, 31, delta)
+
+
+def test_key_limit_is_enforced():
+    assert MAX_KEY_BITS == 62
+    DyadicCubeSet.from_indices(2, 31, [(2**31 - 1, 2**31 - 1)])
+    DyadicCubeSet(1, 62, [2**62 - 1])
+    for dim, depth in ((2, 40), (1, 63), (3, 21)):
+        with pytest.raises(ValueError, match="limit 62"):
+            DyadicCubeSet(dim, depth, [])
+    with pytest.raises(ValueError, match="limit 62"):
+        DyadicCubeSet.from_indices(2, 40, [(0, 0), (1 << 34, 0)])
+    with pytest.raises(ValueError, match="out of range"):
+        DyadicCubeSet(2, 3, [64])
+    with pytest.raises(ValueError, match="out of range"):
+        DyadicCubeSet.from_indices(2, 3, [(0, 8)])
+    with pytest.raises(ValueError, match="shape"):
+        DyadicCubeSet.from_indices(2, 3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="shape"):
+        DyadicCubeSet.from_indices(2, 3, [0, 1])
+    with pytest.raises(ValueError, match="finite"):
+        DyadicCubeSet.from_points(1, 3, [math.nan])
 
 
 def test_rasterization_modes():
     iu = IntervalUnion.from_pairs([(Fraction(3, 16), Fraction(5, 16))])
     overlap = DyadicCubeSet.from_interval_union(iu, 2)
-    assert overlap.cubes == frozenset({(0,), (1,)})
+    assert overlap.keys.tolist() == [0, 1]
     subset = DyadicCubeSet.from_interval_union(iu, 4, mode="subset")
-    assert subset.cubes == frozenset({(3,), (4,)})
+    assert subset.keys.tolist() == [3, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +538,7 @@ def test_lower_box_dim_square_and_empty():
     rep = lower_box_dim(DyadicCubeSet.full(2, 8), [Fraction(1, 2**k) for k in range(1, 9)])
     assert rep.lbdim_proxy == pytest.approx(2.0, abs=1e-12)
     empty = lower_box_dim(
-        DyadicCubeSet.empty(1, 4), [Fraction(1, 2**k) for k in range(1, 9)]
+        DyadicCubeSet(1, 4, []), [Fraction(1, 2**k) for k in range(1, 9)]
     )
     assert empty.empty and empty.lbdim_proxy == 0.0
 
@@ -477,14 +597,13 @@ def test_cover_record_sum_validation():
 def test_cross_power_slabs():
     E = DyadicCubeSet.from_points(1, 4, [(0.5,)])
     X = cross_power(E, 2)
-    assert X.contains((0.5, 0.9)) and X.contains((0.9, 0.5))
-    assert not X.contains((0.9, 0.9))
+    assert X.contains([(0.5, 0.9), (0.9, 0.5), (0.9, 0.9)]).tolist() == [True, True, False]
     top = 16
     assert len(X) == top**2 - (top - len(E)) ** 2
 
 
 def test_cross_power_empty_identity():
-    E = DyadicCubeSet.empty(1, 3)
+    E = DyadicCubeSet(1, 3, [])
     assert cross_power(E, 3).is_empty
     F = DyadicCubeSet.from_indices(1, 3, [(2,)])
     assert cross_power(F, 1) == F
@@ -496,9 +615,8 @@ def test_cross_power_matches_brute_force():
     E = DyadicCubeSet.from_indices(1, 6, cubes)
     X = cross_power(E, 2)
     pts = rng.random((10_000, 2))
-    for p in pts:
-        want = E.contains((p[0],)) or E.contains((p[1],))
-        assert X.contains(tuple(p)) == want
+    want = [E.contains([p[0]])[0] or E.contains([p[1]])[0] for p in pts]
+    assert X.contains(pts).tolist() == want
 
 
 def test_cross_power_overflow_guard():
