@@ -157,8 +157,6 @@ def _write_json(path: str, payload) -> None:
 
 
 def _subsample(f: funclib.SampledFunction, depth: int) -> funclib.SampledFunction:
-    if depth > f.depth:
-        raise ConfigError(f"cannot subsample depth {f.depth} up to {depth}")
     step = 1 << (f.depth - depth)
     return funclib.SampledFunction(
         f.dim, depth, f.domain, f.values[(slice(None, None, step),) * f.dim].copy(), f.modulus,
@@ -180,6 +178,12 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     depths = _parse_list(cfg.depths, int, "depths") if cfg.depths else [f.depth]
     if len(set(depths)) < len(depths):
         raise ConfigError(f"--depths {cfg.depths!r} repeats a depth")
+    for depth in depths:
+        if not f.domain.depth <= depth <= f.depth:
+            raise ConfigError(
+                f"--depths entry {depth} must lie in {f.domain.depth}..{f.depth},"
+                " from the domain's depth up to the function's"
+            )
     sample_depth = max(1, min(depths) - 6) if cfg.sample_depth is None else cfg.sample_depth
     if not 0 <= sample_depth <= min(depths) - 2:
         raise ConfigError(f"sample depth {sample_depth} must lie in 0..{min(depths) - 2}")

@@ -21,9 +21,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .gauges import GaugeLike
+from .gauges import GaugeLike, format_gauge
 from .setlib import DyadicCubeSet, FormatError, _atomic_write, _format_errors
-from .setlib import _cube_lines, _parse_cube_lines
+from .setlib import _cube_lines, _parse_cube_lines, _points
 
 __all__ = [
     "HolderModulus",
@@ -128,58 +128,22 @@ class SampledFunction:
     def full_domain(self) -> bool:
         return len(self.domain) == (1 << self.domain.depth) ** self.dim
 
-    def cell_in_domain(self, idx: tuple[int, ...]) -> bool:
-        shift = self.depth - self.domain.depth
-        return self.domain.has_cube([k >> shift for k in idx])
-
-    def _containing_cell(self, x: Sequence[float]) -> tuple[int, ...]:
-        """The first domain cell holding x; the scaling by 2^depth is exact."""
-        top = 1 << self.depth
-        candidates: list[list[int]] = []
-        for xi in x:
-            if xi < 0.0 or xi > 1.0:
-                raise ValueError(f"point {tuple(x)} outside [0,1]^d")
-            scaled = xi * top
-            k = min(math.floor(scaled), top - 1)
-            cand = [k]
-            if scaled == k and k - 1 >= 0:
-                cand.append(k - 1)
-            candidates.append(cand)
-        for cell in iter_product(*candidates):
-            if self.cell_in_domain(cell):
-                return cell
-        raise ValueError(f"point {tuple(x)} outside the domain")
-
-    def _interpolate(self, cell: tuple[int, ...], x: Sequence[float]) -> float:
-        """Multilinear interpolation of x in the given cell that holds it:
-        0.0 plus each corner's term in corner order, its weight multiplied in
-        axis order, a zero weight skipping the term.  A point on a face shared
-        by two cells gets the same nonzero terms in the same order from either."""
-        top = 1 << self.depth
-        out = 0.0
-        for corner in iter_product((0, 1), repeat=self.dim):
-            weight = 1.0
-            idx = []
-            for c, k, xi in zip(corner, cell, x):
-                t = xi * top - k
-                weight *= t if c else 1.0 - t
-                idx.append(k + c)
-            if weight:
-                out += weight * float(self.values[tuple(idx)])
-        return out
-
     def evaluate(self, x: Sequence[float] | float) -> float:
-        """Multilinear interpolation inside the containing domain cell."""
-        if isinstance(x, (int, float)):
-            x = (float(x),)
-        return self._interpolate(self._containing_cell(x), x)
+        """f at one point: a float in d = 1, else d coordinates."""
+        return float(self.evaluate_many(np.reshape(np.asarray(x, dtype=float), (1, -1)))[0])
 
-    def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation (full-domain, d = 1 fast path)."""
-        if self.dim == 1 and self.full_domain:
-            grid = np.linspace(0.0, 1.0, (1 << self.depth) + 1)
-            return np.interp(xs, grid, self.values)
-        return np.array([self.evaluate((float(v),) if self.dim == 1 else tuple(v)) for v in xs])
+    def evaluate_many(self, xs) -> np.ndarray:
+        """f at points of shape (n, d), or (n,) in d = 1: the multilinear
+        interpolant in the first domain cell holding each point (see _locate
+        and _interpolate).  A point outside [0,1]^d or off the domain raises
+        ValueError."""
+        points = _points(xs, self.dim)
+        cells, found = _locate(self, points)
+        if not found.all():
+            bad = points[np.argmin(found)]
+            where = "the domain" if ((bad >= 0.0) & (bad <= 1.0)).all() else "[0,1]^d"
+            raise ValueError(f"point {tuple(bad.tolist())} outside {where}")
+        return _interpolate(self, cells, points)
 
     def resample(self, depth: int) -> "SampledFunction":
         """Exact refinement: the interpolant is unchanged on the finer grid."""
@@ -214,6 +178,55 @@ class SampledFunction:
                 raise ValueError(
                     f"adjacent vertex difference {mx} exceeds modulus bound {bound}"
                 )
+
+
+def _held(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Whether each entry of k is in the sorted array keys."""
+    return np.searchsorted(keys, k, "right") > np.searchsorted(keys, k)
+
+
+def _domain_keys(f: SampledFunction, cells: np.ndarray) -> np.ndarray:
+    """The keys of the domain cubes holding grid cells (..., d)."""
+    q = cells >> (f.depth - f.domain.depth)
+    return np.ravel_multi_index(tuple(np.moveaxis(q, -1, 0)), (1 << f.domain.depth,) * f.dim)
+
+
+def _locate(f: SampledFunction, points: np.ndarray):
+    """(cells, found) for points (n, d): the first domain cell holding each
+    point, and whether there is one.  Each axis offers the cell k =
+    min(floor(x 2^m), 2^m - 1), then k - 1 when x is a vertex above 0; the
+    candidates are taken in product order, the first axis slowest.  The
+    scaling by 2^m is exact.  A point outside [0,1]^d is not found."""
+    top = 1 << f.depth
+    inside = ((points >= 0.0) & (points <= 1.0)).all(axis=1)
+    scaled = np.where(inside[:, None], points, 0.0) * top
+    k = np.minimum(np.floor(scaled), top - 1).astype(np.int64)
+    below = k - ((scaled == k) & (k > 0))
+    cells = k.copy()
+    found = np.zeros(len(points), dtype=bool)
+    for choice in iter_product((False, True), repeat=f.dim):
+        cand = np.where(choice, below, k)
+        hit = inside & ~found & _held(f.domain.keys, _domain_keys(f, cand))
+        cells[hit] = cand[hit]
+        found |= hit
+    return cells, found
+
+
+def _interpolate(f: SampledFunction, cells: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of points (n, d) in grid cells (n, d) that
+    hold them: 0.0 plus each corner's term in corner order, its weight
+    multiplied in axis order, a zero weight skipping the term.  A point on a
+    face shared by two cells gets the same nonzero terms in the same order
+    from either, so any cell holding it gives the same bits."""
+    t = points * (1 << f.depth) - cells
+    out = np.zeros(len(points))
+    for corner in iter_product((0, 1), repeat=f.dim):
+        weight = np.ones(len(points))
+        for axis, c in enumerate(corner):
+            weight = weight * (t[:, axis] if c else 1.0 - t[:, axis])
+        on = np.flatnonzero(weight)  # a zero weight skips its term
+        out[on] += weight[on] * f.values[tuple((cells[on] + corner).T)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +290,6 @@ def _window_extremes(values: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return np.fmin.reduceat(span, idx)[0::2], np.fmax.reduceat(span, idx)[0::2]
 
 
-def _edge_values(f: "SampledFunction", p: np.ndarray) -> np.ndarray:
-    """f at points p of its domain, with evaluate's float operations:
-    0.0 + (1-t) v_k, then + t v_(k+1), a zero weight skipping its term."""
-    top = 1 << f.depth
-    scaled = p * top
-    k = np.minimum(np.floor(scaled), top - 1).astype(np.int64)
-    t = scaled - k
-    w = 1.0 - t
-    out = np.where(w != 0.0, 0.0 + w * f.values[k], 0.0)
-    return np.where(t != 0.0, out + t * f.values[k + 1], out)
-
-
 def oscillation(f: SampledFunction, points, r: float) -> OscBrackets:
     """Certified brackets of the oscillation over the closed max-norm balls
     B(x, r), for many points x of [0,1]^d at once: an array of shape (n,),
@@ -347,8 +348,10 @@ def _oscillation_1d(f: SampledFunction, xs, lo, hi, s, e) -> OscBrackets:
         lower = (vmax - vmin) + 0.0
         return OscBrackets(lower, lower + 2.0 * f.modulus.omega(f.h), clipped)
     lower = np.where(np.isnan(vmin), 0.0, vmax - vmin) + 0.0
-    for p in (np.maximum(0.0, low), np.minimum(1.0, high)):
-        v = np.where(f.domain.contains(p), _edge_values(f, p), np.nan)
+    for end in (np.maximum(0.0, low), np.minimum(1.0, high)):
+        p = end[:, None]
+        cells, found = _locate(f, p)
+        v = np.where(found, _interpolate(f, cells, p), np.nan)
         vmin, vmax = np.fmin(vmin, v), np.fmax(vmax, v)
     if np.isnan(vmax).any():
         raise ValueError("ball does not meet the domain")
@@ -357,64 +360,48 @@ def _oscillation_1d(f: SampledFunction, xs, lo, hi, s, e) -> OscBrackets:
 
 
 def _oscillation_nd(f: SampledFunction, points, r, lo, hi) -> OscBrackets:
-    """d >= 2, one point at a time.  An exact function's extremes lie at the
-    corners of the ball's pieces in the domain cells it meets; each corner is
-    interpolated once, in a domain cell the loop holds, which gives the bits
-    of evaluate (see SampledFunction._interpolate)."""
+    """d >= 2, one point at a time, each in array work.  An exact function's
+    extremes lie at the corners of the ball's pieces in the domain cells it
+    meets.  Per axis these corners take the box ends and the grid coordinates
+    between them, so they are the tensor product of those lists; a corner
+    counts when a domain cell of the ball holds it, and it is interpolated in
+    a ball cell that holds it, which gives the bits of evaluate (see
+    _interpolate).  A ball cell off the domain sets clipped."""
     top = 1 << f.depth
     out = np.empty((2, len(points)))
-    clipped = np.empty(len(points), dtype=bool)
-    for i, x in enumerate(points.tolist()):
-        ranges = list(zip(lo[i].tolist(), hi[i].tolist()))
-        clipped[i] = any(xi - r < 0.0 or xi + r > 1.0 for xi in x)
-        vmin = math.inf
-        vmax = -math.inf
-        if all(a <= b for a, b in ranges):
-            window = f.values[tuple(slice(a, b + 1) for a, b in ranges)]
-            window = window[~np.isnan(window)]
-            if window.size:
-                vmin = float(window.min())
-                vmax = float(window.max())
-        if vmin > vmax:
-            if not f.exact:
-                raise ValueError("no domain vertex inside the ball; deepen the grid")
+    clipped = ((points - r < 0.0) | (points + r > 1.0)).any(axis=1)
+    for i, x in enumerate(points):
+        window = f.values[tuple(slice(a, b + 1) for a, b in zip(lo[i], hi[i]))]
+        window = window[~np.isnan(window)]
+        if window.size:
+            lower = float(window.max()) - float(window.min())
+        elif f.exact:
             lower = 0.0
         else:
-            lower = vmax - vmin
+            raise ValueError("no domain vertex inside the ball; deepen the grid")
         if not f.exact:
             out[:, i] = lower, lower + 2.0 * f.modulus.omega(f.h)
             continue
-        box = [(max(0.0, xi - r), min(1.0, xi + r)) for xi in x]
-        cell_ranges = []
-        for blo, bhi in box:
-            clo = min(math.floor(blo * top), top - 1)
-            chi = min(math.floor(bhi * top), top - 1)
-            if bhi * top == chi and chi > clo:
-                chi -= 1
-            cell_ranges.append(range(clo, chi + 1))
-        # each corner once, in the first domain cell that holds it: a corner
-        # shared by cells has the same value in each
-        corners: dict[tuple[float, ...], tuple[int, ...]] = {}
-        for cell in iter_product(*cell_ranges):
-            if not f.cell_in_domain(cell):
-                clipped[i] = True
-                continue
-            corner_axes = []
-            for k, (blo, bhi) in zip(cell, box):
-                a = max(blo, k / top)
-                b = min(bhi, (k + 1) / top)
-                corner_axes.append((a, b) if b > a else (a,))
-            for corner in iter_product(*corner_axes):
-                corners.setdefault(corner, cell)
-        if not corners:
+        blo, bhi = np.maximum(0.0, x - r), np.minimum(1.0, x + r)
+        clo = np.minimum(np.floor(blo * top), top - 1).astype(np.int64)
+        chi = np.minimum(np.floor(bhi * top), top - 1).astype(np.int64)
+        chi -= (bhi * top == chi) & (chi > clo)  # a box end on a vertex
+        ball = np.stack(np.meshgrid(*map(np.arange, clo, chi + 1), indexing="ij"), axis=-1)
+        held = _held(f.domain.keys, _domain_keys(f, ball))
+        clipped[i] |= not held.all()
+        # corner j of an axis lies in the ball cells j - 1 and j
+        touched = held
+        for axis in range(f.dim):
+            t = np.moveaxis(touched, axis, 0)
+            touched = np.moveaxis(np.concatenate((t[:1], t[1:] | t[:-1], t[-1:])), 0, axis)
+        if not touched.any():
             raise ValueError("ball does not meet the domain")
-        emin = math.inf
-        emax = -math.inf
-        for corner, cell in corners.items():
-            v = f._interpolate(cell, corner)
-            emin = min(emin, v)
-            emax = max(emax, v)
-        out[:, i] = lower, max(emax - emin, lower)
+        axes = [np.r_[a, np.arange(c + 1, d + 1) / top, b] for a, b, c, d in zip(blo, bhi, clo, chi)]
+        holders = [np.minimum(np.arange(c, d + 2), d) for c, d in zip(clo, chi)]
+        corners = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)[touched]
+        cells = np.stack(np.meshgrid(*holders, indexing="ij"), axis=-1)[touched]
+        v = _interpolate(f, cells, corners)
+        out[:, i] = lower, max(float(v.max() - v.min()) + 0.0, lower)
     return OscBrackets(out[0], out[1], clipped)
 
 
@@ -455,8 +442,6 @@ def _osc_records(
 ) -> tuple[OscillationRecord, ...]:
     """One record per point (nondecreasing in d = 1) over the window radii,
     from one oscillation call per radius over all the points."""
-    from .gauges import format_gauge
-
     if mode not in ("lip", "Lip"):
         raise ValueError("mode must be 'lip' or 'Lip'")
     radii = sorted(set(float(r) for r in radii), reverse=True)
@@ -528,8 +513,6 @@ def lip_field(
     radii: Sequence[float],
 ) -> LipField:
     """lip records at the centers of a coarser sample grid (>= 4x coarser)."""
-    from .gauges import format_gauge
-
     if sample_depth > f.depth - 2:
         raise ValueError("sample grid must be at least 4x coarser than the value grid")
     grid = DyadicCubeSet.full(f.dim, sample_depth)
@@ -630,12 +613,9 @@ def make_test_function(name: str, params: dict | None = None, depth: int = 10) -
 
 def save_function(path, f: SampledFunction) -> None:
     head = f"d {f.dim} m {f.depth} domain {len(f.domain)}\ndomain_depth {f.domain.depth}\n"
-    lines = ["values"]
-    lines.extend(f"{v:.17g}" for v in f.values.ravel())
-    lines.append(f.modulus.serialize())
-    if f.exact:
-        lines.append("exact 1")
-    _atomic_write(path, head + _cube_lines(f.domain) + "\n".join(lines) + "\n")
+    values = ("%.17g\n" * f.values.size) % tuple(f.values.ravel().tolist())
+    tail = f.modulus.serialize() + ("\nexact 1\n" if f.exact else "\n")
+    _atomic_write(path, head + _cube_lines(f.domain) + "values\n" + values + tail)
 
 
 def load_function(path) -> SampledFunction:

@@ -2,8 +2,9 @@
 
 Two representations carry everything: DyadicCubeSet (grid cubes at a dyadic
 depth, any dimension) and IntervalUnion (exact rational closed intervals,
-dimension 1).  All 1-d counting is exact over Fractions; d >= 2 box counting
-uses grid-aligned cells and is flagged `grid-proxy`.  Diameters are max-norm
+dimension 1).  1-d counting is exact, in integers over a common denominator;
+d >= 2 box counting counts grid-aligned cells, in integers for any rational
+scale, and is flagged `grid-proxy`.  Diameters are max-norm
 throughout, so a box's diameter is its longest side.
 """
 
@@ -431,14 +432,6 @@ class DyadicCubeSet:
         """The (n, dim) index rows of the cubes, in key order."""
         return _unravel(self.keys, self.dim, self.depth)
 
-    def has_cube(self, idx: Sequence[int]) -> bool:
-        """Whether the cube with this index tuple is in the set."""
-        key = 0
-        for k in idx:
-            key = key << self.depth | k
-        i = self.keys.searchsorted(key)
-        return bool(i < len(self.keys) and self.keys[i] == key)
-
     def refine(self, depth: int) -> "DyadicCubeSet":
         if depth < self.depth:
             raise ValueError("refine target must be >= current depth")
@@ -621,45 +614,29 @@ def _greedy_count(iu: IntervalUnion, delta: Fraction) -> int:
 
 
 def _grid_count(depth: int, cubes: np.ndarray, delta: Fraction) -> int:
-    """Cells of the delta-grid meeting the closed cubes with these indices."""
+    """Cells of the delta-grid meeting the closed cubes with these indices,
+    in integers.  With delta = p/q, cell j meets cube k on an axis iff
+    ceil(k q / (p 2^depth)) - 1 <= j <= floor((k + 1) q / (p 2^depth)), and
+    j runs over 0..ceil(q/p) - 1; a cube edge on a cell boundary touches the
+    neighbouring cell.  Distinct cells are counted by their row-major keys.
+    The arrays are int64, or Python ints where a product would pass 2^62."""
     if not len(cubes):
         return 0
-    den = delta.denominator
-    if delta.numerator == 1 and den & (den - 1) == 0 and den <= (1 << depth):
-        return _grid_count_dyadic(depth, cubes, den.bit_length() - 1)
-    h = Fraction(1, 1 << depth)
-    top_cells = math.ceil(1 / delta)
-    cells: set[tuple[int, ...]] = set()
-    for idx in cubes.tolist():
-        ranges = []
-        for k in idx:
-            lo_edge = k * h
-            hi_edge = (k + 1) * h
-            # cell j meets the cube iff j*delta <= hi_edge and (j+1)*delta >= lo_edge
-            jmin = max(0, math.ceil(lo_edge / delta - 1))
-            jmax = min(top_cells - 1, math.floor(hi_edge / delta))
-            ranges.append(range(jmin, jmax + 1))
-        cells.update(iter_product(*ranges))
-    return len(cells)
-
-
-def _grid_count_dyadic(depth: int, idx: np.ndarray, j: int) -> int:
-    """Cells of the 2^-j grid meeting the cubes, vectorized; closed cubes touch
-    the neighboring cell whenever an edge lands on a cell boundary.  Distinct
-    cells are counted by their row-major keys."""
-    t = depth - j
-    top_cells = 1 << j
-    aligned = (idx & ((1 << t) - 1)) == 0  # cube edge on a cell boundary
-    lo = np.where(aligned, (idx >> t) - 1, idx >> t)
-    hi = (idx + 1) >> t
-    np.clip(lo, 0, top_cells - 1, out=lo)
-    np.clip(hi, 0, top_cells - 1, out=hi)
-    width = int((hi - lo).max())
-    pieces = []
-    for offsets in iter_product(range(width + 1), repeat=idx.shape[1]):
-        cells = lo + np.array(offsets, dtype=np.int64)
-        cells = cells[np.all(cells <= hi, axis=1)]
-        pieces.append(np.ravel_multi_index(tuple(cells.T), (top_cells,) * idx.shape[1]))
+    p, q = delta.numerator, delta.denominator
+    den = p << depth
+    side = -(-q // p)  # cells per axis
+    dim = cubes.shape[1]
+    k = cubes.astype(_int_dtype(max(p, q) << depth), copy=False)
+    dtype = _int_dtype(side**dim)
+    lo = np.maximum(-((-k * q) // den) - 1, 0).astype(dtype, copy=False)
+    span = np.minimum((k + 1) * q // den, side - 1).astype(dtype, copy=False) - lo
+    # a cell's key is its index row dotted with step; each offset row adds its own key
+    step = np.array([side**a for a in reversed(range(dim))], dtype=dtype)
+    first = lo @ step
+    pieces = [
+        first[np.all(span >= offsets, axis=1)] + np.array(offsets) @ step
+        for offsets in iter_product(range(int(span.max()) + 1), repeat=dim)
+    ]
     return len(_sorted_unique(np.concatenate(pieces)))
 
 

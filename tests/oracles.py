@@ -11,7 +11,10 @@ interval layer in its Fraction-pair form (FractionIntervalUnion and the
 functions after it) as the reference for the integer-array IntervalUnion.
 The cube-set layer is kept as TupleCubeSet, a frozenset of index tuples, with
 its cross power, components and .set reader, as the reference for the
-key-array DyadicCubeSet.
+key-array DyadicCubeSet.  Evaluation is kept in its scalar form (evaluate:
+locate one domain cell, then interpolate one corner at a time) as the
+reference for the batched SampledFunction.evaluate_many; the oscillation
+oracles evaluate through it and read domain cells from a TupleCubeSet.
 """
 
 from __future__ import annotations
@@ -97,6 +100,61 @@ def weierstrass_value(a: float, b: int, terms: int, x: Fraction | float) -> floa
     return total
 
 
+def cell_in_domain(f, cubes, cell) -> bool:
+    """Whether a depth-m grid cell of f lies in one of the domain cubes, the
+    index tuples of TupleCubeSet.of(f.domain)."""
+    shift = f.depth - f.domain.depth
+    return tuple(k >> shift for k in cell) in cubes
+
+
+def containing_cell(f, cubes, x) -> tuple[int, ...]:
+    """The first domain cell holding x: per axis the cell k = min(floor(x
+    2^m), 2^m - 1), then k - 1 when x is a vertex above 0, tried in product
+    order.  The scaling by 2^m is exact."""
+    top = 1 << f.depth
+    candidates: list[list[int]] = []
+    for xi in x:
+        if xi < 0.0 or xi > 1.0:
+            raise ValueError(f"point {tuple(x)} outside [0,1]^d")
+        scaled = xi * top
+        k = min(math.floor(scaled), top - 1)
+        cand = [k]
+        if scaled == k and k - 1 >= 0:
+            cand.append(k - 1)
+        candidates.append(cand)
+    for cell in product(*candidates):
+        if cell_in_domain(f, cubes, cell):
+            return cell
+    raise ValueError(f"point {tuple(x)} outside the domain")
+
+
+def interpolate(f, cell, x) -> float:
+    """Multilinear interpolation of x in a cell that holds it: 0.0 plus each
+    corner's term in corner order, its weight multiplied in axis order, a
+    zero weight skipping the term."""
+    top = 1 << f.depth
+    out = 0.0
+    for corner in product((0, 1), repeat=f.dim):
+        weight = 1.0
+        idx = []
+        for c, k, xi in zip(corner, cell, x):
+            t = xi * top - k
+            weight *= t if c else 1.0 - t
+            idx.append(k + c)
+        if weight:
+            out += weight * float(f.values[tuple(idx)])
+    return out
+
+
+def evaluate(f, x, cubes) -> float:
+    """f at one point x (a float in d = 1), one point and one corner at a
+    time: liplab's scalar SampledFunction.evaluate before the batched one.
+    cubes: the domain's index tuples, TupleCubeSet.of(f.domain).cubes."""
+    if isinstance(x, (int, float)):
+        x = (float(x),)
+    return interpolate(f, containing_cell(f, cubes, x), x)
+
+
 def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
     """(lower, upper, clipped) of a 1-d SampledFunction over the closed ball
     [x-r, x+r], one point at a time in exact Fractions: liplab's scalar
@@ -105,7 +163,7 @@ def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
     lower is the spread of the non-NaN vertices in the exact ball.  An exact
     function on a full domain adds its values at the two ball ends; on a
     partial domain every domain cell touching the ball gives the corners of
-    its clipped piece, each through f.evaluate.  clipped: x - r < 0.0 or
+    its clipped piece, each through evaluate.  clipped: x - r < 0.0 or
     x + r > 1.0 in floats, or the exact ball overlaps an off-domain cube with
     positive length.  Two things differ from that scalar code: a domain cell
     that touches the ball only at an end vertex now counts (the old loop
@@ -122,10 +180,11 @@ def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
     lo = math.ceil(max(Fraction(0), X - R) * top)
     hi = math.floor(min(Fraction(1), X + R) * top)
     clipped = x - r < 0.0 or x + r > 1.0
-    cubes = 1 << f.domain.depth
-    for q in range(cubes):
-        overlaps = Fraction(q, cubes) < X + R and Fraction(q + 1, cubes) > X - R
-        if overlaps and (q,) not in TupleCubeSet.of(f.domain).cubes:
+    cubes = TupleCubeSet.of(f.domain).cubes
+    side = 1 << f.domain.depth
+    for q in range(side):
+        overlaps = Fraction(q, side) < X + R and Fraction(q + 1, side) > X - R
+        if overlaps and (q,) not in cubes:
             clipped = True
 
     vmin = math.inf
@@ -148,7 +207,7 @@ def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
     lo_edge = max(0.0, x - r)
     hi_edge = min(1.0, x + r)
     if f.full_domain:
-        extremes = [f.evaluate(lo_edge), f.evaluate(hi_edge)]
+        extremes = [evaluate(f, lo_edge, cubes), evaluate(f, hi_edge, cubes)]
         if vmin <= vmax:
             extremes.extend((vmin, vmax))
         upper = max(extremes) - min(extremes)
@@ -160,13 +219,13 @@ def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
     first = max(0, math.ceil(Fraction(lo_edge) * top) - 1)
     last = min(top - 1, math.floor(Fraction(hi_edge) * top))
     for k in range(first, last + 1):
-        if not f.cell_in_domain((k,)):
+        if not cell_in_domain(f, cubes, (k,)):
             continue
         any_cell = True
         a = max(lo_edge, k / top)
         b = min(hi_edge, (k + 1) / top)
         for corner in (a, b) if b > a else (a,):
-            v = f.evaluate(corner)
+            v = evaluate(f, corner, cubes)
             emin = min(emin, v)
             emax = max(emax, v)
     if not any_cell:
@@ -181,7 +240,7 @@ def oscillation_nd(f, x, r: float) -> tuple[float, float, bool]:
 
     lower is the spread of the non-NaN vertices in the exact ball.  An exact
     function takes upper from the corners of the ball's pieces in every domain
-    cell the ball meets, each through f.evaluate, which locates the corner
+    cell the ball meets, each through evaluate, which locates the corner
     again.  clipped: some x_i - r < 0.0 or x_i + r > 1.0 in floats, or the
     ball meets an off-domain cell (exact functions only).
     """
@@ -227,8 +286,9 @@ def oscillation_nd(f, x, r: float) -> tuple[float, float, bool]:
     emin = math.inf
     emax = -math.inf
     any_cell = False
+    cubes = TupleCubeSet.of(f.domain).cubes
     for cell in product(*cell_ranges):
-        if not f.cell_in_domain(cell):
+        if not cell_in_domain(f, cubes, cell):
             clipped = True
             continue
         any_cell = True
@@ -238,7 +298,7 @@ def oscillation_nd(f, x, r: float) -> tuple[float, float, bool]:
             b = min(bhi, (k + 1) / top)
             corner_axes.append((a, b) if b > a else (a,))
         for corner in product(*corner_axes):
-            v = f.evaluate(corner)
+            v = evaluate(f, corner, cubes)
             emin = min(emin, v)
             emax = max(emax, v)
     if not any_cell:

@@ -319,6 +319,12 @@ def test_config_errors_exit_2(workdir, capsys):
     assert run(["analyze", "c.fn", "--depths", "9"]) == 2  # c.fn has depth 8
     assert run(["analyze", "c.fn", "--sample-depth", 7]) == 2  # need <= 8 - 2
     assert run(["analyze", "c.fn", "--depths", "6,8", "--sample-depth", 5]) == 2
+    # a ladder depth below the domain's depth cannot hold the domain
+    d6 = funclib.SampledFunction(1, 8, setlib.DyadicCubeSet.full(1, 6), f.values, f.modulus, True)
+    funclib.save_function("d6.fn", d6)
+    capsys.readouterr()
+    assert run(["analyze", "d6.fn", "--depths", "5,8"]) == 2
+    assert "--depths entry 5" in capsys.readouterr().err
     for tau in ("nan", "inf"):
         assert run(["analyze", "c.fn", "--tau", tau]) == 2, tau
     # a generator-backed depth-8 function has 5 fallback radii >= 4h = 2^-6

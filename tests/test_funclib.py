@@ -20,7 +20,8 @@ from liplab.funclib import (
 )
 from liplab.gauges import make_preset
 from liplab.setlib import DyadicCubeSet
-from oracles import dense_diam, oscillation_1d, oscillation_nd, weierstrass_value
+from oracles import TupleCubeSet, dense_diam, oscillation_1d, oscillation_nd, weierstrass_value
+from oracles import evaluate as reference_evaluate
 
 POWER1 = make_preset("power", s=1)
 
@@ -74,6 +75,72 @@ def test_evaluate_outside_domain():
     with pytest.raises(ValueError):
         g.evaluate(0.75)
     assert g.evaluate(0.25) == pytest.approx(0.25)
+
+
+@st.composite
+def _evaluation_cases(draw):
+    """A SampledFunction of dimension 1, 2 or 3 on a full or partial domain,
+    NaN off it, its values drawn from a seeded palette that holds both
+    signed zeros, and points whose coordinates are grid vertices, cell-face
+    midpoints, signed zeros, arbitrary floats in [0,1], or now and then
+    outside [0,1]."""
+    dim = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, (7, 4, 3)[dim - 1]))
+    side = 1 << draw(st.integers(0, min(depth, 2)))
+    cubes = draw(st.sets(st.tuples(*[st.integers(0, side - 1)] * dim), min_size=1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = (1 << depth) + 1
+    palette = np.r_[0.0, -0.0, rng.uniform(-1e3, 1e3, 3)]
+    values = rng.choice(palette, size=(n,) * dim)
+    span = (n - 1) // side
+    on = np.zeros(values.shape, dtype=bool)
+    for q in cubes:
+        on[tuple(slice(k * span, (k + 1) * span + 1) for k in q)] = True
+    values[~on] = np.nan
+    domain = DyadicCubeSet.from_indices(dim, side.bit_length() - 1, sorted(cubes))
+    f = SampledFunction(dim, depth, domain, values, HolderModulus(1.0), exact=True)
+    top = 1 << depth
+    coord = st.one_of(
+        st.integers(0, top).map(lambda k: k / top),
+        st.integers(0, 2 * top).map(lambda k: k / (2 * top)),
+        st.sampled_from([0.0, -0.0, 1.0]),
+        st.floats(0.0, 1.0),
+    )
+    point = st.tuples(*[coord] * dim)
+    outside = st.tuples(*[st.one_of(coord, st.sampled_from([-0.25, 1.5, -5e-324]))] * dim)
+    points = draw(st.lists(st.one_of(point, point, point, outside), min_size=1, max_size=8))
+    return f, points
+
+
+@settings(max_examples=400, deadline=None)
+@given(_evaluation_cases())
+def test_evaluate_matches_scalar_reference(case):
+    # bit for bit against the one-point, one-corner reference evaluation;
+    # a batch raises the error of its first bad point
+    f, points = case
+    cubes = TupleCubeSet.of(f.domain).cubes
+    expected = []
+    for p in points:
+        try:
+            expected.append(reference_evaluate(f, p, cubes))
+        except ValueError as err:
+            expected.append(str(err))
+    good = [i for i, want in enumerate(expected) if not isinstance(want, str)]
+    batch = np.array(points)
+    errors = [want for want in expected if isinstance(want, str)]
+    if errors:
+        with pytest.raises(ValueError, match=re.escape(errors[0])):
+            f.evaluate_many(batch)
+    want = [_bits(expected[i]) for i in good]
+    assert [_bits(v) for v in f.evaluate_many(batch[good])] == want
+    if f.dim == 1:
+        assert [_bits(v) for v in f.evaluate_many(batch[good, 0])] == want
+    for p, want in zip(points, expected):
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=re.escape(want)):
+                f.evaluate(p)
+        else:
+            assert _bits(f.evaluate(p)) == _bits(want)
 
 
 # ---------------------------------------------------------------------------

@@ -404,10 +404,35 @@ def test_cube_file_round_trip_matches_tuple_reference(tmp_path_factory, case, rn
 )
 def test_grid_count_at_the_key_limit(cubes, j):
     # d * depth = 62 = MAX_KEY_BITS: the dyadic cell codes reach 2^62 and
-    # must not wrap; a 1/3^i delta takes the Fraction path
+    # must not wrap
     E = DyadicCubeSet.from_indices(2, 31, cubes)
     for delta in (Fraction(1, 2**j), Fraction(1, 3 ** (j % 20))):
         assert n_delta(E, delta).count == brute_grid_count(cubes, 31, delta)
+
+
+@st.composite
+def _grid_count_cases(draw):
+    """A 2-d or 3-d cube set, small or at the key limit, and a dyadic,
+    triadic or float delta no finer than an eighth of a cube side."""
+    dim = draw(st.integers(2, 3))
+    depth = draw(st.one_of(st.integers(0, 5 if dim == 2 else 3), st.just(62 // dim)))
+    top = 1 << depth
+    cubes = draw(st.sets(st.tuples(*[st.integers(0, top - 1)] * dim), max_size=12))
+    delta = draw(st.one_of(
+        st.integers(0, depth + 3).map(lambda j: Fraction(1, 2**j)),
+        st.integers(1, 12).map(lambda i: Fraction(1, 3**i)).filter(lambda d: d * top * 8 >= 1),
+        st.floats(2.0 ** -(depth + 3), 1.0).map(Fraction),
+    ))
+    return dim, depth, cubes, delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_count_cases())
+def test_grid_count_matches_brute_force(case):
+    # products past 2^62 (float deltas at the key limit) run on Python ints
+    dim, depth, cubes, delta = case
+    E = DyadicCubeSet.from_indices(dim, depth, sorted(cubes))
+    assert n_delta(E, delta).count == brute_grid_count(cubes, depth, delta)
 
 
 def test_key_limit_is_enforced():
