@@ -299,8 +299,9 @@ def oscillation(f: SampledFunction, points, r: float) -> OscBrackets:
     upper: for exact functions the interpolant's oscillation over the ball
     within the domain, else lower + 2*w(h).  clipped: the ball leaves [0,1]
     or the domain.  The r >= 4h resolution guard applies to generator-backed
-    functions only; exact brackets need no vertex density.  Off-domain
-    vertices must be NaN.
+    functions only; exact brackets need no vertex density, but every ball
+    end x -+ r that lies in [0,1] must be a float (dyadic x and r give that),
+    else ValueError names the ball.  Off-domain vertices must be NaN.
     """
     if not 0.0 < r < math.inf:
         raise ValueError("radius must be positive")
@@ -320,10 +321,27 @@ def oscillation(f: SampledFunction, points, r: float) -> OscBrackets:
     # a ball of radius 2 already covers [0,1]; the cap keeps (x -+ r) 2^depth below
     # 2^52, where _exact_floor and _exact_ceil are exact
     lo, hi, s, e = _vertex_windows(points.ravel(), min(r, 2.0), f.depth)
-    if f.dim == 1:
-        return _oscillation_1d(f, points, lo, hi, s, e)
     n = points.shape[0]
-    return _oscillation_nd(f, points, r, lo.reshape(n, -1), hi.reshape(n, -1))
+    inexact = np.zeros(n, dtype=bool)
+    if f.exact:
+        # an exact bracket reads the rounded ends, so an end x -+ r = end + err
+        # that lies in [0,1] must be a float: its TwoSum error must be zero
+        m = points.size
+        end, err = np.concatenate((-s[:m], s[m:])), np.concatenate((-e[:m], e[m:]))
+        bad = (err != 0.0) & (end > 0.0) & ((end < 1.0) | ((end == 1.0) & (err < 0.0)))
+        inexact = bad.reshape(2, n, -1).any(axis=(0, 2))
+    if f.dim == 1:
+        if inexact.any():
+            raise _inexact_end(points[np.argmax(inexact)], r)
+        return _oscillation_1d(f, points, lo, hi, s, e)
+    return _oscillation_nd(f, points, r, lo.reshape(n, -1), hi.reshape(n, -1), inexact)
+
+
+def _inexact_end(x, r) -> ValueError:
+    return ValueError(
+        f"ball B({tuple(np.atleast_1d(x).tolist())}, {r}) has an end x -+ r in [0,1]"
+        " that is not a float; an exact bracket needs exact ends"
+    )
 
 
 def _oscillation_1d(f: SampledFunction, xs, lo, hi, s, e) -> OscBrackets:
@@ -359,18 +377,22 @@ def _oscillation_1d(f: SampledFunction, xs, lo, hi, s, e) -> OscBrackets:
     return OscBrackets(lower, (vmax - vmin) + 0.0, clipped)
 
 
-def _oscillation_nd(f: SampledFunction, points, r, lo, hi) -> OscBrackets:
+def _oscillation_nd(f: SampledFunction, points, r, lo, hi, inexact) -> OscBrackets:
     """d >= 2, one point at a time, each in array work.  An exact function's
     extremes lie at the corners of the ball's pieces in the domain cells it
-    meets.  Per axis these corners take the box ends and the grid coordinates
+    meets, also one the closed ball touches only across a face on a box end.
+    Per axis these corners take the box ends and the grid coordinates
     between them, so they are the tensor product of those lists; a corner
     counts when a domain cell of the ball holds it, and it is interpolated in
     a ball cell that holds it, which gives the bits of evaluate (see
-    _interpolate).  A ball cell off the domain sets clipped."""
+    _interpolate).  A ball cell off the domain sets clipped, unless the ball
+    touches it only across such a face."""
     top = 1 << f.depth
     out = np.empty((2, len(points)))
     clipped = ((points - r < 0.0) | (points + r > 1.0)).any(axis=1)
     for i, x in enumerate(points):
+        if inexact[i]:  # raised here, so the batch raises the first point's error
+            raise _inexact_end(x, r)
         window = f.values[tuple(slice(a, b + 1) for a, b in zip(lo[i], hi[i]))]
         window = window[~np.isnan(window)]
         if window.size:
@@ -386,9 +408,12 @@ def _oscillation_nd(f: SampledFunction, points, r, lo, hi) -> OscBrackets:
         clo = np.minimum(np.floor(blo * top), top - 1).astype(np.int64)
         chi = np.minimum(np.floor(bhi * top), top - 1).astype(np.int64)
         chi -= (bhi * top == chi) & (chi > clo)  # a box end on a vertex
-        ball = np.stack(np.meshgrid(*map(np.arange, clo, chi + 1), indexing="ij"), axis=-1)
+        # the closed ball also meets the cell across a box end on a vertex
+        glo = clo - ((blo * top == clo) & (clo > 0))
+        ghi = chi + ((bhi * top == chi + 1) & (chi + 1 < top))
+        ball = np.stack(np.meshgrid(*map(np.arange, glo, ghi + 1), indexing="ij"), axis=-1)
         held = _held(f.domain.keys, _domain_keys(f, ball))
-        clipped[i] |= not held.all()
+        clipped[i] |= not held[tuple(map(slice, clo - glo, chi - glo + 1))].all()
         # corner j of an axis lies in the ball cells j - 1 and j
         touched = held
         for axis in range(f.dim):
@@ -396,8 +421,8 @@ def _oscillation_nd(f: SampledFunction, points, r, lo, hi) -> OscBrackets:
             touched = np.moveaxis(np.concatenate((t[:1], t[1:] | t[:-1], t[-1:])), 0, axis)
         if not touched.any():
             raise ValueError("ball does not meet the domain")
-        axes = [np.r_[a, np.arange(c + 1, d + 1) / top, b] for a, b, c, d in zip(blo, bhi, clo, chi)]
-        holders = [np.minimum(np.arange(c, d + 2), d) for c, d in zip(clo, chi)]
+        axes = [np.r_[a, np.arange(c + 1, d + 1) / top, b] for a, b, c, d in zip(blo, bhi, glo, ghi)]
+        holders = [np.minimum(np.arange(c, d + 2), d) for c, d in zip(glo, ghi)]
         corners = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)[touched]
         cells = np.stack(np.meshgrid(*holders, indexing="ij"), axis=-1)[touched]
         v = _interpolate(f, cells, corners)

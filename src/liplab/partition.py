@@ -26,7 +26,6 @@ from .gauges import (
 from .setlib import DyadicCubeSet
 
 __all__ = [
-    "Ball",
     "VitaliCover",
     "ImageCoverReport",
     "GraphCheckReport",
@@ -39,83 +38,109 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Ball:
-    center: tuple[float, ...]
-    radius: float
-
-    def dist(self, other: "Ball") -> float:
-        return max(abs(a - b) for a, b in zip(self.center, other.center))
-
-
-@dataclass(frozen=True)
 class VitaliCover:
     """Greedy disjoint subfamily whose 5r expansions cover every candidate.
 
-    witnesses[i] indexes the kept ball that meets candidate i with a radius at
-    least its own, so candidate i lies in that ball's 5r expansion."""
+    kept holds the kept candidates' indices in selection order; witnesses[i]
+    is the position in kept of a kept ball that meets candidate i with a
+    radius at least its own, so candidate i lies in that ball's 5r
+    expansion."""
 
-    kept: tuple[Ball, ...]
+    kept: tuple[int, ...]
     candidate_count: int
     discarded_count: int
     witnesses: tuple[int, ...]
 
-    def verify(self, candidates: Sequence[Ball]) -> None:
+    def verify(self, centers, radii) -> None:
         """Disjointness on center-adjacent kept pairs (intervals in 1-d, so
         pairwise) and each candidate against its witness."""
-        if len(self.witnesses) != len(candidates):
+        centers, radii = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)
+        if len(self.witnesses) != len(centers):
             raise ValueError("the cover does not name one witness per candidate")
-        by_center = sorted(self.kept, key=lambda b: b.center)
-        for a, b in zip(by_center, by_center[1:]):
-            if a.dist(b) <= a.radius + b.radius:
-                raise ValueError("kept balls are not pairwise disjoint")
-        for c, w in zip(candidates, self.witnesses):
-            k = self.kept[w] if 0 <= w < len(self.kept) else None
-            if not (
-                k is not None
-                and c.dist(k) <= c.radius + k.radius
-                and k.radius >= c.radius
-                and c.dist(k) + c.radius <= 5.0 * k.radius
-            ):
-                raise ValueError(f"candidate at {c.center} escapes every 5r expansion")
+        kept = np.asarray(self.kept, dtype=np.int64)
+        if np.any((kept < 0) | (kept >= len(centers))):
+            raise ValueError("the cover keeps a ball that is no candidate")
+        kc, kr = centers[kept], radii[kept]
+        order = np.argsort(kc, kind="stable")
+        c, r = kc[order], kr[order]
+        if np.any(np.abs(c[:-1] - c[1:]) <= r[:-1] + r[1:]):
+            raise ValueError("kept balls are not pairwise disjoint")
+        # a witness outside kept reads the NaN ball past its end, which meets nothing
+        kc, kr = np.append(kc, np.nan), np.append(kr, np.nan)
+        w = np.asarray(self.witnesses, dtype=np.int64)
+        w = np.where((w >= 0) & (w < len(kept)), w, len(kept))
+        dist = np.abs(centers - kc[w])
+        covered = (dist <= radii + kr[w]) & (kr[w] >= radii) & (dist + radii <= 5.0 * kr[w])
+        if not np.all(covered):
+            x = centers[np.argmin(covered)]
+            raise ValueError(f"candidate at {x} escapes every 5r expansion")
 
 
-def vitali_5r(candidates: Sequence[Ball]) -> VitaliCover:
-    """Greedy 5r selection: radius descending (ties by center), keep if disjoint.
+def vitali_5r(centers, radii) -> VitaliCover:
+    """Greedy 5r selection over the 1-d balls [centers[i] -+ radii[i]]:
+    radius descending, ties by center, keep a ball if it is disjoint from
+    every ball kept before it.
 
-    In 1-d the kept balls are disjoint intervals, so a ball that meets any of
-    them meets a center-neighbour: a sweep over the kept centers, in sorted
-    order, checks only those two.  Every candidate then meets a kept ball of
-    at least its radius, recorded as its witness, so the 5x expansions of the
-    kept family cover the union of all candidates; this is verified on the
-    way out.
+    The pass runs one radius class at a time.  The balls kept so far are
+    disjoint intervals, so a ball that meets any of them meets a
+    center-neighbour: one searchsorted against their centers finds, for the
+    whole class, the balls that meet a larger kept ball (left neighbour
+    first), which is their witness.  The class's other balls are free; in
+    center order, each kept one is followed by the run of free balls it
+    meets (they take it as witness), and the first free ball past the run is
+    kept next, so that loop runs once per kept ball.  Meeting is the float
+    test |a - b| <= ra + rb throughout.  Every candidate then meets a kept
+    ball of at least its radius, so the 5x expansions of the kept family
+    cover the union of all candidates; this is verified on the way out.
     """
-    if any(len(b.center) != 1 for b in candidates):
-        raise ValueError("the Vitali sweep is implemented for dimension 1")
-    if any(b.radius <= 0 for b in candidates):
+    centers, radii = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)
+    if centers.ndim != 1:
+        raise ValueError("the Vitali sweep is implemented for dimension 1: centers need shape (n,)")
+    if radii.shape != centers.shape:
+        raise ValueError("need one radius per center")
+    if not np.all(radii > 0):
         raise ValueError("ball radii must be positive")
-    order = sorted(
-        range(len(candidates)), key=lambda i: (-candidates[i].radius, candidates[i].center)
-    )
-    kept: list[Ball] = []
-    by_center: list[int] = []  # indices into kept, in center order
-    witnesses = [0] * len(candidates)
-    for i in order:
-        ball = candidates[i]
-        at = bisect.bisect_left(by_center, ball.center, key=lambda j: kept[j].center)
-        hit = None
-        for j in by_center[max(at - 1, 0) : at + 1]:
-            if ball.dist(kept[j]) <= ball.radius + kept[j].radius:
-                hit = j
-                break
-        if hit is None:
-            hit = len(kept)
-            kept.append(ball)
-            by_center.insert(at, hit)
-        witnesses[i] = hit
+    order = np.lexsort((centers, -radii))
+    kept: list[int] = []  # candidate indices, in selection order
+    witnesses = np.empty(len(centers), dtype=np.int64)
+    # the kept balls in center order: center, radius, position in kept
+    kc, kr, kp = np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+    classes = np.split(order, np.flatnonzero(np.diff(radii[order])) + 1) if len(order) else []
+    for members in classes:
+        r = float(radii[members[0]])
+        x = centers[members]
+        w = np.full(len(members), -1)
+        if len(kc):
+            at = np.searchsorted(kc, x)
+            for j in (np.maximum(at - 1, 0), np.minimum(at, len(kc) - 1)):
+                meets = (w < 0) & (np.abs(x - kc[j]) <= r + kr[j])
+                w[meets] = kp[j[meets]]
+        free = np.flatnonzero(w < 0)
+        fx = x[free].tolist()
+        runs = []  # positions in fx of the balls kept in this class
+        i = 0
+        while i < len(fx):
+            runs.append(i)
+            c = fx[i]
+            # the first ball past the run, guessed and then moved by the float test
+            j = bisect.bisect_right(fx, c + (r + r), i + 1)
+            while j > i + 1 and not abs(fx[j - 1] - c) <= r + r:
+                j -= 1
+            while j < len(fx) and abs(fx[j] - c) <= r + r:
+                j += 1
+            i = j
+        w[free] = len(kept) + np.searchsorted(runs, np.arange(len(fx)), side="right") - 1
+        witnesses[members] = w
+        new = free[runs]
+        at = np.searchsorted(kc, x[new])
+        kc = np.insert(kc, at, x[new])
+        kr = np.insert(kr, at, r)
+        kp = np.insert(kp, at, len(kept) + np.arange(len(new)))
+        kept.extend(members[new].tolist())
     cover = VitaliCover(
-        tuple(kept), len(candidates), len(candidates) - len(kept), tuple(witnesses)
+        tuple(kept), len(centers), len(centers) - len(kept), tuple(witnesses.tolist())
     )
-    cover.verify(candidates)
+    cover.verify(centers, radii)
     return cover
 
 
@@ -246,23 +271,22 @@ def image_cover_report(
         centers = np.sort(rng.choice(centers, size=MAX_COVER_SAMPLES, replace=False))
     radii, diams = _admissible_radius(f, centers, phi, delta)
     found = radii > 0.0
-    candidates = [Ball((x,), r) for x, r in zip(centers[found].tolist(), radii[found].tolist())]
-    diam_by_center = dict(zip(centers[found].tolist(), diams[found].tolist()))
     uncovered = [(x,) for x in centers[~found].tolist()]
-    cover = vitali_5r(candidates)
+    centers, radii, diams = centers[found], radii[found], diams[found]
+    cover = vitali_5r(centers, radii)
+    kept = list(cover.kept)
     balls = []
     chain = []
     total = 0.0
-    for ball in cover.kept:
-        x = ball.center[0]
-        diam5 = diam_by_center[x]  # oscillation upper bound over B(x, 5r), found for this radius
+    # diam5: the oscillation upper bound over B(x, 5r), found for this radius
+    for x, r, diam5 in zip(centers[kept].tolist(), radii[kept].tolist(), diams[kept].tolist()):
         xi_diam = gauge_at_diameter(xi, diam5)
-        xi_phi = xi.eval(phi.eval(5.0 * ball.radius))
-        rpow = ball.radius ** (d + 1)
+        xi_phi = xi.eval(phi.eval(5.0 * r))
+        rpow = r ** (d + 1)
         if not (xi_diam <= xi_phi * (1 + 1e-12) and xi_phi <= rpow * (1 + 1e-12)):
             raise ValueError("chain audit failed for a kept ball")
         total += xi_diam
-        balls.append((ball.center, ball.radius, diam5))
+        balls.append(((x,), r, diam5))
         chain.append((xi_diam, xi_phi, rpow))
     alpha_d = 2.0**d  # unit-ball volume in the max norm
     bound = delta * (1.0 + 2.0 * delta) ** d / alpha_d

@@ -613,13 +613,32 @@ def _greedy_count(iu: IntervalUnion, delta: Fraction) -> int:
     return count
 
 
+def _distinct_rows(lo: np.ndarray, hi: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi - lo) over the distinct rows of (lo, hi), for lo and hi that
+    are the same nondecreasing functions of a cube's index on every axis,
+    with lo + hi < base.  Then lo + hi names an axis's (lo, hi) pair, and a
+    row is named by those sums in base `base`; the first cube of each name
+    is kept."""
+    ids = lo[:, 0] + hi[:, 0]
+    for a in range(1, lo.shape[1]):
+        ids = ids * base + lo[:, a] + hi[:, a]
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    rows = order[np.r_[True, ids[1:] != ids[:-1]]]
+    lo = lo[rows]
+    return lo, hi[rows] - lo
+
+
 def _grid_count(depth: int, cubes: np.ndarray, delta: Fraction) -> int:
     """Cells of the delta-grid meeting the closed cubes with these indices,
     in integers.  With delta = p/q, cell j meets cube k on an axis iff
     ceil(k q / (p 2^depth)) - 1 <= j <= floor((k + 1) q / (p 2^depth)), and
     j runs over 0..ceil(q/p) - 1; a cube edge on a cell boundary touches the
-    neighbouring cell.  Distinct cells are counted by their row-major keys.
-    The arrays are int64, or Python ints where a product would pass 2^62."""
+    neighbouring cell.  Distinct cells are counted by their row-major keys:
+    cubes with the same (first cell, per-axis span) row are taken once, each
+    offset row writes its keys into one array, and that array is sorted in
+    place.  The arrays are int64, or Python ints where a product would pass
+    2^62."""
     if not len(cubes):
         return 0
     p, q = delta.numerator, delta.denominator
@@ -627,17 +646,27 @@ def _grid_count(depth: int, cubes: np.ndarray, delta: Fraction) -> int:
     side = -(-q // p)  # cells per axis
     dim = cubes.shape[1]
     k = cubes.astype(_int_dtype(max(p, q) << depth), copy=False)
-    dtype = _int_dtype(side**dim)
-    lo = np.maximum(-((-k * q) // den) - 1, 0).astype(dtype, copy=False)
-    span = np.minimum((k + 1) * q // den, side - 1).astype(dtype, copy=False) - lo
+    dtype = _int_dtype((2 * side) ** dim)
+    lo, span = _distinct_rows(
+        np.maximum(-((-k * q) // den) - 1, 0).astype(dtype, copy=False),
+        np.minimum((k + 1) * q // den, side - 1).astype(dtype, copy=False),
+        2 * side - 1,
+    )
     # a cell's key is its index row dotted with step; each offset row adds its own key
-    step = np.array([side**a for a in reversed(range(dim))], dtype=dtype)
-    first = lo @ step
-    pieces = [
-        first[np.all(span >= offsets, axis=1)] + np.array(offsets) @ step
-        for offsets in iter_product(range(int(span.max()) + 1), repeat=dim)
-    ]
-    return len(_sorted_unique(np.concatenate(pieces)))
+    step = [side**a for a in reversed(range(dim))]
+    first = lo @ np.array(step, dtype=dtype)
+    keys = np.empty(int(np.prod(span + 1, axis=1).sum()), dtype=dtype)
+    at = 0
+    for offsets in iter_product(range(int(span.max()) + 1), repeat=dim):
+        reach = None  # the rows whose span covers every nonzero offset
+        for a, o in enumerate(offsets):
+            if o:
+                reach = span[:, a] >= o if reach is None else reach & (span[:, a] >= o)
+        cells = first if reach is None else first[reach]
+        np.add(cells, sum(o * s for o, s in zip(offsets, step)), out=keys[at : at + len(cells)])
+        at += len(cells)
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,22 @@ def evaluate(f, x, cubes) -> float:
     return interpolate(f, containing_cell(f, cubes, x), x)
 
 
+def require_float_ends(f, x, r: float) -> None:
+    """Raise the ValueError of an exact function's ball B(x, r) that has an
+    end x_i -+ r in [0,1] that is not a float, checked in Fractions."""
+    if not f.exact:
+        return
+    point = tuple(float(v) for v in x) if isinstance(x, (tuple, list)) else (float(x),)
+    for xi in point:
+        ends = ((Fraction(xi) - Fraction(r), xi - r), (Fraction(xi) + Fraction(r), xi + r))
+        for exact, rounded in ends:
+            if 0 <= exact <= 1 and Fraction(rounded) != exact:
+                raise ValueError(
+                    f"ball B({point}, {r}) has an end x -+ r in [0,1]"
+                    " that is not a float; an exact bracket needs exact ends"
+                )
+
+
 def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
     """(lower, upper, clipped) of a 1-d SampledFunction over the closed ball
     [x-r, x+r], one point at a time in exact Fractions: liplab's scalar
@@ -169,12 +185,14 @@ def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
     that touches the ball only at an end vertex now counts (the old loop
     skipped it, so a ball meeting the domain in that single point raised
     "ball does not meet the domain"), and clipped reads the domain for
-    generator-backed functions too.
+    generator-backed functions too.  An exact function raises when an end
+    x -+ r in [0,1] is not a float (require_float_ends).
     """
     if r <= 0:
         raise ValueError("radius must be positive")
     if not f.exact and r < 4.0 * f.h:
         raise ValueError(f"radius {r} below resolution guard 4h = {4.0 * f.h}")
+    require_float_ends(f, x, r)
     top = 1 << f.depth
     X, R = Fraction(x), Fraction(r)
     lo = math.ceil(max(Fraction(0), X - R) * top)
@@ -240,14 +258,18 @@ def oscillation_nd(f, x, r: float) -> tuple[float, float, bool]:
 
     lower is the spread of the non-NaN vertices in the exact ball.  An exact
     function takes upper from the corners of the ball's pieces in every domain
-    cell the ball meets, each through evaluate, which locates the corner
-    again.  clipped: some x_i - r < 0.0 or x_i + r > 1.0 in floats, or the
-    ball meets an off-domain cell (exact functions only).
+    cell the closed ball meets, also one it touches only across a face on a
+    box end, each through evaluate, which locates the corner again.  clipped:
+    some x_i - r < 0.0 or x_i + r > 1.0 in floats, or the ball's box overlaps
+    an off-domain cell other than across such a face (exact functions only).
+    An exact function raises when an end x_i -+ r in [0,1] is not a float
+    (require_float_ends).
     """
     if r <= 0:
         raise ValueError("radius must be positive")
     if not f.exact and r < 4.0 * f.h:
         raise ValueError(f"radius {r} below resolution guard 4h = {4.0 * f.h}")
+    require_float_ends(f, x, r)
     top = 1 << f.depth
     R = Fraction(r)
     ranges = [
@@ -277,19 +299,23 @@ def oscillation_nd(f, x, r: float) -> tuple[float, float, bool]:
     box_lo = [max(0.0, xi - r) for xi in x]
     box_hi = [min(1.0, xi + r) for xi in x]
     cell_ranges = []
+    inner_ranges = []  # the cells the box overlaps other than across a face on its ends
     for blo, bhi in zip(box_lo, box_hi):
         clo = min(math.floor(Fraction(blo) * top), top - 1)
         chi = min(math.floor(Fraction(bhi) * top), top - 1)
         if Fraction(bhi) * top == chi and chi > clo:
             chi -= 1
-        cell_ranges.append(range(clo, chi + 1))
+        inner_ranges.append(range(clo, chi + 1))
+        first = max(0, math.ceil(Fraction(blo) * top) - 1)
+        last = min(top - 1, math.floor(Fraction(bhi) * top))
+        cell_ranges.append(range(first, last + 1))
     emin = math.inf
     emax = -math.inf
     any_cell = False
     cubes = TupleCubeSet.of(f.domain).cubes
     for cell in product(*cell_ranges):
         if not cell_in_domain(f, cubes, cell):
-            clipped = True
+            clipped |= all(k in inner for k, inner in zip(cell, inner_ranges))
             continue
         any_cell = True
         corner_axes = []
@@ -306,33 +332,37 @@ def oscillation_nd(f, x, r: float) -> tuple[float, float, bool]:
     return lower, max(emax - emin, lower), clipped
 
 
-def vitali_5r_quadratic(candidates):
-    """(kept, candidate count, discarded count) of the greedy Vitali 5r pass:
-    radius descending, ties by center, a ball kept when it is disjoint from
-    every ball kept before it."""
-    order = sorted(candidates, key=lambda b: (-b.radius, b.center))
+def vitali_5r_quadratic(centers, radii):
+    """(kept, candidate count, discarded count) of the greedy Vitali 5r pass
+    over the 1-d balls [centers[i] -+ radii[i]]: radius descending, ties by
+    center, a ball kept when it is disjoint from every ball kept before it.
+    kept holds candidate indices in selection order."""
+    balls = list(zip(centers, radii))
+    order = sorted(range(len(balls)), key=lambda i: (-balls[i][1], balls[i][0]))
     kept = []
-    for ball in order:
-        if all(ball.dist(k) > ball.radius + k.radius for k in kept):
-            kept.append(ball)
-    return tuple(kept), len(candidates), len(candidates) - len(kept)
+    for i in order:
+        x, r = balls[i]
+        if all(abs(x - balls[k][0]) > r + balls[k][1] for k in kept):
+            kept.append(i)
+    return tuple(kept), len(balls), len(balls) - len(kept)
 
 
-def verify_vitali_quadratic(kept, candidates) -> None:
+def verify_vitali_quadratic(kept, centers, radii) -> None:
     """Every kept pair disjoint; every candidate inside the 5r expansion of a
     kept ball that meets it with a radius at least its own."""
-    for i, a in enumerate(kept):
-        for b in kept[i + 1 :]:
-            if a.dist(b) <= a.radius + b.radius:
+    balls = list(zip(centers, radii))
+    for n, i in enumerate(kept):
+        for j in kept[n + 1 :]:
+            if abs(balls[i][0] - balls[j][0]) <= balls[i][1] + balls[j][1]:
                 raise ValueError("kept balls are not pairwise disjoint")
-    for c in candidates:
+    for x, r in balls:
         if not any(
-            c.dist(k) <= c.radius + k.radius
-            and k.radius >= c.radius
-            and c.dist(k) + c.radius <= 5.0 * k.radius
+            abs(x - balls[k][0]) <= r + balls[k][1]
+            and balls[k][1] >= r
+            and abs(x - balls[k][0]) + r <= 5.0 * balls[k][1]
             for k in kept
         ):
-            raise ValueError(f"candidate at {c.center} escapes every 5r expansion")
+            raise ValueError(f"candidate at {x} escapes every 5r expansion")
 
 
 @dataclass(frozen=True)

@@ -157,8 +157,12 @@ def test_oscillation_affine_dyadic_radius():
 
 def test_oscillation_constant_zero():
     f = make_test_function("constant", {"value": 1.0}, depth=8)
-    lower, upper, _ = one(f, 0.3, 0.25)
+    lower, upper, _ = one(f, 0.3125, 0.25)
     assert lower == 0.0 and upper == 0.0
+    # 0.3 - 0.25 is no float, and an exact bracket needs exact ball ends
+    message = r"B\(\(0.3,\), 0.25\) has an end x -\+ r in \[0,1\] that is not a float"
+    with pytest.raises(ValueError, match=message):
+        one(f, 0.3, 0.25)
 
 
 def test_oscillation_clipping_flag():
@@ -227,7 +231,8 @@ def test_oscillation_brackets_100_random_generator_points():
     for name, params, fn, count in cases:
         f = make_test_function(name, params, depth=10)
         for _ in range(count):
-            x = float(rng.uniform(0.2, 0.8))
+            # a multiple of 2^-40, so that x -+ r is a float, as an exact bracket needs
+            x = round(float(rng.uniform(0.2, 0.8)) * 2**40) / 2**40
             r = float(2.0 ** -rng.integers(4, 7))
             lower, upper, _ = one(f, x, r)
             oracle = dense_diam(fn, x, r, Fraction(1, 1 << 16))
@@ -379,6 +384,30 @@ def test_oscillation_nd_matches_scalar_oracle(f, balls):
         assert bool(got.clipped[i]) == clipped
 
 
+def test_oscillation_nd_counts_a_domain_cell_the_ball_touches_across_a_face():
+    # depth 2, Omega = {x0 >= 1/2}; the ball B((1/4, 1/2), 1/4) has the box
+    # [0, 1/2] x [1/4, 3/4], whose end x0 = 1/2 is the face of the domain
+    # cells (2, 1) and (2, 2): their face points lie in the ball and in Omega
+    i0, i1 = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
+    values = (5.0 * i0 + i1).astype(float)
+    values[:2] = np.nan
+    domain = DyadicCubeSet.from_indices(2, 1, [(1, 0), (1, 1)])
+    f = SampledFunction(2, 2, domain, values, HolderModulus(1.0), exact=True)
+    assert f.evaluate((0.5, 0.5)) == 12.0
+    got = oscillation(f, [[0.25, 0.5]], 0.25)
+    # the vertex window reads f(1/2, x1) = 11, 12, 13 at x1 = 1/4, 1/2, 3/4
+    assert (got.lower[0], got.upper[0], bool(got.clipped[0])) == (2.0, 2.0, True)
+    assert oscillation_nd(f, (0.25, 0.5), 0.25) == (2.0, 2.0, True)
+    # the same across the box's lower end: Omega = {x0 <= 1/2}, B((3/4, 1/2), 1/4)
+    mirrored = SampledFunction(
+        2, 2, DyadicCubeSet.from_indices(2, 1, [(0, 0), (0, 1)]), values[::-1].copy(),
+        HolderModulus(1.0), exact=True,
+    )
+    got = oscillation(mirrored, [[0.75, 0.5]], 0.25)
+    assert (got.lower[0], got.upper[0], bool(got.clipped[0])) == (2.0, 2.0, True)
+    assert oscillation_nd(mirrored, (0.75, 0.5), 0.25) == (2.0, 2.0, True)
+
+
 def test_oscillation_rejects_bad_points():
     f = make_test_function("affine", {"c": 1.0}, depth=6)
     with pytest.raises(ValueError, match="outside"):
@@ -400,13 +429,18 @@ def test_oscillation_rejects_bad_points():
 
 def test_oscillation_window_follows_the_exact_ball_end():
     # x - r (first) and x + r (second) round onto the vertex 1/2, which the
-    # exact ball leaves out; only the TwoSum error moves the window off it
-    f = make_test_function("affine", {"c": 1.0}, depth=4)
-    for x, r, lower in ((0.8, 0.3, 7 / 16), (0.35, 0.15, 3 / 16)):
+    # exact ball leaves out; only the TwoSum error moves the window off it.
+    # An exact function refuses such a ball, a generator-backed one (whose
+    # bracket reads only the window) takes it.
+    f = make_test_function("affine", {"c": 1.0}, depth=5)
+    g = SampledFunction(1, 5, f.domain, f.values, f.modulus, exact=False)
+    for x, r, lower in ((0.8, 0.3, 15 / 32), (0.35, 0.15, 8 / 32)):
         assert Fraction(x) - Fraction(r) != Fraction(1, 2) != Fraction(x) + Fraction(r)
-        got = one(f, x, r)
+        got = one(g, x, r)
         assert got[0] == lower
-        assert got == oscillation_1d(f, x, r)
+        assert got == oscillation_1d(g, x, r)
+        with pytest.raises(ValueError, match="not a float"):
+            one(f, x, r)
 
 
 def test_oscillation_counts_a_domain_end_the_ball_touches():
@@ -415,10 +449,19 @@ def test_oscillation_counts_a_domain_end_the_ball_touches():
     values = f.values.copy()
     values[9:] = np.nan
     half = SampledFunction(1, 4, DyadicCubeSet(1, 1, [0]), values, f.modulus, True)
-    for x, r in ((0.625, 0.125), (0.8, 0.3)):  # the second ball's end rounds onto 1/2
-        assert one(half, x, r) == (0.0, 0.0, True)
-        assert oscillation_1d(half, x, r) == (0.0, 0.0, True)
-    # x + r rounds onto 1/2 from above (clipped by Omega) and from below (not)
+    assert one(half, 0.625, 0.125) == (0.0, 0.0, True)
+    assert oscillation_1d(half, 0.625, 0.125) == (0.0, 0.0, True)
+    # this ball's end x - r rounds onto 1/2, but the exact ball misses Omega:
+    # an exact bracket refuses the inexact end rather than read the rounded one
+    for check in (one, oscillation_1d):
+        with pytest.raises(ValueError, match=r"B\(\(0.8,\), 0.3\) has an end .* not a float"):
+            check(half, 0.8, 0.3)
+    # x + r rounds onto 1/2 from above (clipped by Omega) and from below (not);
+    # clipped follows the exact ball, here for a generator-backed function
+    g = make_test_function("affine", {"c": 1.0}, depth=7)
+    values = g.values.copy()
+    values[65:] = np.nan
+    half = SampledFunction(1, 7, DyadicCubeSet(1, 1, [0]), values, g.modulus, False)
     for x, r, clipped in ((0.45, 0.05, True), (0.35, 0.15, False)):
         assert one(half, x, r)[2] is clipped
         assert one(half, x, r) == oscillation_1d(half, x, r)

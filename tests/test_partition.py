@@ -11,7 +11,6 @@ from liplab.construct import deepest_core_complement, iterate_typical, plateau_e
 from liplab.funclib import SampledFunction, make_test_function
 from liplab.gauges import GaugeDomainError, make_preset
 from liplab.partition import (
-    Ball,
     _admissible_radius,
     b_image_cubes,
     graph_cross_check,
@@ -37,100 +36,127 @@ def affine_build(n_max=3):
 
 
 def test_vitali_three_balls():
-    candidates = [Ball((0.1,), 0.05), Ball((0.12,), 0.04), Ball((0.3,), 0.05)]
-    cover = vitali_5r(candidates)
-    assert {b.center[0] for b in cover.kept} == {0.1, 0.3}
+    centers, radii = [0.1, 0.12, 0.3], [0.05, 0.04, 0.05]
+    cover = vitali_5r(centers, radii)
+    assert {centers[i] for i in cover.kept} == {0.1, 0.3}
     assert cover.discarded_count == 1
     # brute force over keep subsets: disjoint families where every candidate
     # intersects a member of at least its radius (the 5r-coverage witness)
+    def meets(i, j):
+        return abs(centers[i] - centers[j]) <= radii[i] + radii[j]
+
     def valid(subset):
         for a, b in combinations(subset, 2):
-            if a.dist(b) <= a.radius + b.radius:
+            if meets(a, b):
                 return False
-        for c in candidates:
-            if not any(
-                k.radius >= c.radius and c.dist(k) <= c.radius + k.radius
-                for k in subset
-            ):
+        for c in range(3):
+            if not any(radii[k] >= radii[c] and meets(c, k) for k in subset):
                 return False
         return True
 
     sizes = [
         len(sub)
         for r in range(1, 4)
-        for sub in combinations(candidates, r)
+        for sub in combinations(range(3), r)
         if valid(sub)
     ]
     assert min(sizes) == len(cover.kept)
 
 
 def test_vitali_single_and_ties():
-    single = vitali_5r([Ball((0.5,), 0.1)])
+    single = vitali_5r([0.5], [0.1])
     assert len(single.kept) == 1
-    twins = vitali_5r([Ball((0.5,), 0.1), Ball((0.5,), 0.1)])
+    twins = vitali_5r([0.5, 0.5], [0.1, 0.1])
     assert len(twins.kept) == 1 and twins.discarded_count == 1
 
 
 def test_vitali_random_properties():
     rng = np.random.default_rng(4)
-    candidates = [
-        Ball((float(c),), float(r))
-        for c, r in zip(rng.random(60), rng.uniform(0.002, 0.05, 60))
-    ]
-    cover = vitali_5r(candidates)  # verify() runs internally
+    centers, radii = rng.random(60), rng.uniform(0.002, 0.05, 60)
+    cover = vitali_5r(centers, radii)  # verify() runs internally
     for a, b in combinations(cover.kept, 2):
-        assert a.dist(b) > a.radius + b.radius
+        assert abs(centers[a] - centers[b]) > radii[a] + radii[b]
     delta = 0.05
-    total = sum((2.0 * b.radius) ** 1 for b in cover.kept)
+    total = sum((2.0 * radii[i]) ** 1 for i in cover.kept)
     assert total <= (1.0 + 2.0 * delta) ** 1
 
 
 def test_vitali_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
-        vitali_5r([Ball((0.5,), 0.0)])
+        vitali_5r([0.5], [0.0])
     with pytest.raises(ValueError, match="dimension 1"):
-        vitali_5r([Ball((0.5, 0.5), 0.1)])
+        vitali_5r([[0.5, 0.5]], [0.1])
 
 
 # dyadic centers and radii, as image_cover_report produces: every float
 # predicate of the pass is then exact
 _DYADIC_BALLS = st.lists(
-    st.builds(
-        lambda k, j: Ball((k / 2**10,), 2.0**-j), st.integers(0, 1 << 10), st.integers(3, 10)
-    ),
+    st.tuples(st.integers(0, 1 << 10).map(lambda k: k / 2**10), st.integers(3, 10).map(lambda j: 2.0**-j)),
     max_size=60,
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(_DYADIC_BALLS)
-def test_vitali_sweep_matches_quadratic_oracle(candidates):
-    cover = vitali_5r(candidates)
-    kept, count, discarded = vitali_5r_quadratic(candidates)
+def test_vitali_sweep_matches_quadratic_oracle(balls):
+    centers, radii = [x for x, _ in balls], [r for _, r in balls]
+    cover = vitali_5r(centers, radii)
+    kept, count, discarded = vitali_5r_quadratic(centers, radii)
     assert (cover.kept, cover.candidate_count, cover.discarded_count) == (kept, count, discarded)
-    verify_vitali_quadratic(cover.kept, candidates)
+    verify_vitali_quadratic(cover.kept, centers, radii)
+
+
+@pytest.mark.parametrize(
+    "centers, radii, expected",
+    [
+        # two balls that touch: distance 0.25 + 0.125 meets, so one is kept
+        ([0.25, 0.625], [0.25, 0.125], (0,)),
+        ([0.625, 0.25], [0.125, 0.25], (1,)),
+        # equal centers and radii: the first in candidate order is kept
+        ([0.5, 0.5, 0.5], [0.125, 0.125, 0.125], (0,)),
+        # equal radii spaced exactly 2r apart: each meets its neighbours, so
+        # every second ball is kept
+        ([k / 8 for k in range(7)], [1 / 16] * 7, (0, 2, 4, 6)),
+        ([k / 8 for k in reversed(range(7))], [1 / 16] * 7, (6, 4, 2, 0)),
+        # the small ball at 0.4375 misses its left center-neighbour (0.125)
+        # and touches only its right one (0.625), also with a kept ball of
+        # its own radius on its left
+        ([0.125, 0.625, 0.4375], [0.125, 0.125, 0.0625], (0, 1)),
+        ([0.125, 0.625, 0.46875, 0.3125], [0.125, 0.125, 1 / 32, 1 / 32], (0, 1, 3)),
+    ],
+)
+def test_vitali_edge_cases_match_quadratic_oracle(centers, radii, expected):
+    cover = vitali_5r(centers, radii)
+    assert cover.kept == expected
+    kept, count, discarded = vitali_5r_quadratic(centers, radii)
+    assert (cover.kept, cover.candidate_count, cover.discarded_count) == (kept, count, discarded)
+    verify_vitali_quadratic(cover.kept, centers, radii)
+    # every witness is a kept ball that meets its candidate with a radius at least its own
+    for i, w in enumerate(cover.witnesses):
+        k = cover.kept[w]
+        assert abs(centers[i] - centers[k]) <= radii[i] + radii[k] and radii[k] >= radii[i]
 
 
 def test_vitali_verify_rejects_tampered_covers():
-    candidates = [Ball((0.2,), 0.1), Ball((0.36,), 0.08), Ball((0.48,), 0.05)]
-    cover = vitali_5r(candidates)
-    assert cover.kept == (candidates[0], candidates[2])
+    candidates = ([0.2, 0.36, 0.48], [0.1, 0.08, 0.05])
+    cover = vitali_5r(*candidates)
+    assert cover.kept == (0, 2)
     assert cover.witnesses == (0, 0, 1)
     # a dropped kept ball leaves itself without a witness
     dropped = replace(cover, kept=cover.kept[:1], witnesses=(0, 0, 0))
     with pytest.raises(ValueError, match="escapes"):
-        dropped.verify(candidates)
+        dropped.verify(*candidates)
     with pytest.raises(ValueError, match="escapes"):
-        replace(cover, kept=cover.kept[:1]).verify(candidates)
+        replace(cover, kept=cover.kept[:1]).verify(*candidates)
     # the ball at 0.48 meets the one at 0.36 and its 5r expansion covers it,
     # but its radius is smaller, so it is no Vitali witness
     with pytest.raises(ValueError, match="escapes"):
-        replace(cover, witnesses=(0, 1, 1)).verify(candidates)
+        replace(cover, witnesses=(0, 1, 1)).verify(*candidates)
     with pytest.raises(ValueError, match="one witness per candidate"):
-        replace(cover, witnesses=(0, 0)).verify(candidates)
-    overlapping = replace(cover, kept=(candidates[0], candidates[1]), witnesses=(0, 1, 1))
+        replace(cover, witnesses=(0, 0)).verify(*candidates)
+    overlapping = replace(cover, kept=(0, 1), witnesses=(0, 1, 1))
     with pytest.raises(ValueError, match="disjoint"):
-        overlapping.verify(candidates)
+        overlapping.verify(*candidates)
 
 
 # ---------------------------------------------------------------------------
