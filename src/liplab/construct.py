@@ -634,8 +634,7 @@ def exceptional_set(build: TypicalBuild) -> ExceptionalAnalysis:
     # tail_n = intersection over m >= n is increasing in n, so the union over
     # n collapses to the deepest tail
     E_intervals = tails[-1]
-    # the complement of the deepest cores is exactly the deepest slab union
-    F_intervals = E_intervals.intersect(build.final.domain.to_interval_union())
+    F_intervals = deepest_core_complement(build)
 
     reports = []
     for n in range(1, N + 1):
@@ -650,7 +649,7 @@ def exceptional_set(build: TypicalBuild) -> ExceptionalAnalysis:
     verified = None
     zeta = build.zeta
     if getattr(zeta, "kind", "") == "inv_log":
-        cover = BoxCover.from_intervals(zip(*E_intervals.floats()))
+        cover = BoxCover.from_intervals(E_intervals)
         record = CoverRecord.build(cover, zeta)
         # keep beta * N well inside exp()'s range so the budgets stay positive
         beta_cap = 600.0 / max(1, len(cover))

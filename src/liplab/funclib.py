@@ -23,7 +23,7 @@ import numpy as np
 
 from .gauges import GaugeLike, format_gauge
 from .setlib import DyadicCubeSet, FormatError, _atomic_write, _format_errors
-from .setlib import _cube_lines, _parse_cube_lines, _points
+from .setlib import _closed_cell_candidates, _cube_lines, _held, _parse_cube_lines, _points
 
 __all__ = [
     "HolderModulus",
@@ -180,11 +180,6 @@ class SampledFunction:
                 )
 
 
-def _held(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Whether each entry of k is in the sorted array keys."""
-    return np.searchsorted(keys, k, "right") > np.searchsorted(keys, k)
-
-
 def _domain_keys(f: SampledFunction, cells: np.ndarray) -> np.ndarray:
     """The keys of the domain cubes holding grid cells (..., d)."""
     q = cells >> (f.depth - f.domain.depth)
@@ -193,23 +188,12 @@ def _domain_keys(f: SampledFunction, cells: np.ndarray) -> np.ndarray:
 
 def _locate(f: SampledFunction, points: np.ndarray):
     """(cells, found) for points (n, d): the first domain cell holding each
-    point, and whether there is one.  Each axis offers the cell k =
-    min(floor(x 2^m), 2^m - 1), then k - 1 when x is a vertex above 0; the
-    candidates are taken in product order, the first axis slowest.  The
-    scaling by 2^m is exact.  A point outside [0,1]^d is not found."""
-    top = 1 << f.depth
-    inside = ((points >= 0.0) & (points <= 1.0)).all(axis=1)
-    scaled = np.where(inside[:, None], points, 0.0) * top
-    k = np.minimum(np.floor(scaled), top - 1).astype(np.int64)
-    below = k - ((scaled == k) & (k > 0))
-    cells = k.copy()
-    found = np.zeros(len(points), dtype=bool)
-    for choice in iter_product((False, True), repeat=f.dim):
-        cand = np.where(choice, below, k)
-        hit = inside & ~found & _held(f.domain.keys, _domain_keys(f, cand))
-        cells[hit] = cand[hit]
-        found |= hit
-    return cells, found
+    point, and whether there is one, taking the closed-cell candidates in
+    their order.  A point outside [0,1]^d is not found."""
+    inside, candidates = _closed_cell_candidates(points, f.depth)
+    held = [inside & _held(f.domain.keys, _domain_keys(f, c)) for c in candidates]
+    first = np.argmax(held, axis=0)  # the first candidate held, else the first
+    return np.stack(candidates)[first, np.arange(len(points))], np.any(held, axis=0)
 
 
 def _interpolate(f: SampledFunction, cells: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -81,10 +81,6 @@ def _format_errors(path):
         raise FormatError(f"malformed {path}: {err}") from err
 
 
-def _frac(x: Number) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 # ---------------------------------------------------------------------------
 # IntervalUnion: exact closed interval unions on the line
 
@@ -104,6 +100,21 @@ def _ratio(x: Number) -> tuple[int, int]:
     return x.as_integer_ratio()
 
 
+def _common_den(values: Sequence[Number]) -> tuple[int, list[int], type]:
+    """The least common denominator of int, float or Fraction values, each
+    value's numerator over it, and the integer dtype that holds them."""
+    ratios = [_ratio(x) for x in values]
+    den = math.lcm(*(d for _, d in ratios))
+    nums = [n * (den // d) for n, d in ratios]
+    return den, nums, _int_dtype(max([den, *map(abs, nums)]))
+
+
+def _quotients(nums: np.ndarray, den: int) -> np.ndarray:
+    """nums / den as floats of nums' shape, each correctly rounded: Python's
+    int / int rounds once, as float(Fraction) does."""
+    return np.array([n / den for n in nums.ravel().tolist()], dtype=float).reshape(nums.shape)
+
+
 def _gcd_with(g: int, a: np.ndarray) -> int:
     """gcd of g and every entry of a; each pass divides g by at least 2."""
     while g > 1:
@@ -112,6 +123,17 @@ def _gcd_with(g: int, a: np.ndarray) -> int:
             break
         g = math.gcd(g, int(a[off[0]]))
     return g
+
+
+def _lowest_terms(den: int, lo: np.ndarray, hi: np.ndarray, bound: int):
+    """(den, lo, hi) divided by their gcd, read-only; divided arrays take the
+    dtype for bound / gcd, bound being the largest magnitude they may reach."""
+    g = _gcd_with(_gcd_with(den, lo.ravel()), hi.ravel())
+    if g > 1:
+        den, dtype = den // g, _int_dtype(bound // g)
+        lo, hi = (lo // g).astype(dtype, copy=False), (hi // g).astype(dtype, copy=False)
+    lo.flags.writeable = hi.flags.writeable = False
+    return den, lo, hi
 
 
 class IntervalUnion:
@@ -139,13 +161,7 @@ class IntervalUnion:
         lo, hi = lo.astype(dtype, copy=False), hi.astype(dtype, copy=False)
         if np.any(hi < lo) or np.any(hi[:-1] >= lo[1:]):
             raise ValueError("intervals must be sorted and separated by positive gaps")
-        g = _gcd_with(_gcd_with(den, lo), hi)
-        if g > 1:
-            den, reach = den // g, reach // g
-            dtype = _int_dtype(max(den, reach))
-            lo, hi = (lo // g).astype(dtype, copy=False), (hi // g).astype(dtype, copy=False)
-        lo.flags.writeable = hi.flags.writeable = False
-        self.den, self.lo, self.hi = den, lo, hi
+        self.den, self.lo, self.hi = _lowest_terms(den, lo, hi, max(den, reach))
         self._pairs = None
 
     @classmethod
@@ -153,15 +169,12 @@ class IntervalUnion:
         """The union of closed intervals (a, b), in any order, with int, float
         or Fraction endpoints; touching and overlapping intervals merge."""
         pairs = list(pairs)
-        ratios = [_ratio(x) for pair in pairs for x in pair]
-        den = math.lcm(*(d for _, d in ratios))
-        nums = [n * (den // d) for n, d in ratios]
+        den, nums, dtype = _common_den([x for pair in pairs for x in pair])
         keys = list(zip(nums[0::2], nums[1::2]))
         for pair, (a, b) in zip(pairs, keys):
             if b < a:
                 raise ValueError(f"interval endpoints out of order: {tuple(pair)}")
         keys.sort()
-        dtype = _int_dtype(max([den, *map(abs, nums)]))
         lo = np.array([a for a, _ in keys], dtype=dtype)
         return _merged(den, lo, np.array([b for _, b in keys], dtype=dtype))
 
@@ -203,10 +216,8 @@ class IntervalUnion:
         return self._pairs
 
     def floats(self) -> tuple[list[float], list[float]]:
-        """(lo, hi) endpoints as floats, each correctly rounded: Python's
-        int / int rounds once, as float(Fraction) does."""
-        den = self.den
-        return [n / den for n in self.lo.tolist()], [n / den for n in self.hi.tolist()]
+        """(lo, hi) endpoints as correctly rounded floats."""
+        return _quotients(self.lo, self.den).tolist(), _quotients(self.hi, self.den).tolist()
 
     def contains(self, x: Number) -> bool:
         p, q = _ratio(x)
@@ -330,6 +341,24 @@ def _unravel(keys: np.ndarray, dim: int, depth: int) -> np.ndarray:
     return np.stack(np.unravel_index(keys, (1 << depth,) * dim), axis=-1)
 
 
+def _held(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Whether each entry of k is in the sorted array keys."""
+    return np.searchsorted(keys, k, "right") > np.searchsorted(keys, k)
+
+
+def _closed_cell_candidates(points: np.ndarray, depth: int):
+    """(inside, candidates): whether each point (n, d) lies in [0,1]^d, and
+    the index rows of the 2^depth grid cubes whose closure may hold it.  Each
+    axis offers k = min(floor(x 2^m), 2^m - 1), then k - 1 on a vertex above
+    0, in product order, the first axis slowest; the scaling is exact."""
+    top = 1 << depth
+    inside = ((points >= 0.0) & (points <= 1.0)).all(axis=1)
+    scaled = np.where(inside[:, None], points, 0.0) * top
+    k = np.minimum(np.floor(scaled), top - 1).astype(np.int64)
+    below = k - ((scaled == k) & (k > 0))
+    return inside, [np.where(c, below, k) for c in iter_product((False, True), repeat=points.shape[1])]
+
+
 def _points(points, dim: int) -> np.ndarray:
     """points as an (n, dim) float array; shape (n,) is taken in dimension 1."""
     p = np.asarray(points, dtype=float)
@@ -424,10 +453,6 @@ class DyadicCubeSet:
     def is_empty(self) -> bool:
         return not len(self.keys)
 
-    @property
-    def side(self) -> Fraction:
-        return Fraction(1, 1 << self.depth)
-
     def indices(self) -> np.ndarray:
         """The (n, dim) index rows of the cubes, in key order."""
         return _unravel(self.keys, self.dim, self.depth)
@@ -445,17 +470,9 @@ class DyadicCubeSet:
     def contains(self, points) -> np.ndarray:
         """Closed-cube membership of points (n, dim): a point on a face belongs
         to every cube that touches it."""
-        p = _points(points, self.dim)
-        top = 1 << self.depth
-        inside = np.all((p >= 0.0) & (p <= 1.0), axis=1)
-        scaled = np.where(inside[:, None], p, 0.0) * top  # exact: top is a power of two
-        k = np.floor(scaled).astype(np.int64)
-        lo = np.where((scaled == k) & (k > 0), k - 1, k)  # on a face: the cube below too
-        hi = np.minimum(k, top - 1)
-        # each point's candidate cubes, one per corner of the lo..hi box
-        cells = [np.where(c, hi, lo).T for c in iter_product((False, True), repeat=self.dim)]
-        keys = np.ravel_multi_index(tuple(np.stack(cells, axis=1)), (top,) * self.dim)
-        return inside & np.isin(keys, self.keys).any(axis=0)
+        inside, candidates = _closed_cell_candidates(_points(points, self.dim), self.depth)
+        keys = [np.ravel_multi_index(tuple(c.T), (1 << self.depth,) * self.dim) for c in candidates]
+        return inside & np.any([_held(self.keys, k) for k in keys], axis=0)
 
     def to_interval_union(self) -> IntervalUnion:
         """The closed cubes merged into runs of touching cubes, in integers."""
@@ -478,51 +495,62 @@ def _as_interval_union(E) -> IntervalUnion:
 # BoxCover / CoverRecord
 
 
-@dataclass(frozen=True)
 class BoxCover:
-    """Ordered list of axis-aligned closed boxes, each within [-1, 2]^d.
+    """Ordered closed boxes prod_a [lo[i, a]/den, hi[i, a]/den] within [-1, 2]^d.
 
-    Endpoints may be floats or exact Fractions; diameters and volumes are
-    computed from the stored endpoints with exact rational arithmetic, so the
-    recorded values match the interval data exactly.
-    """
+    As in IntervalUnion, den is the least denominator (1 with no boxes), and
+    lo and hi are read-only (n, dim) numerator arrays: int64 while 2 den is
+    below 2^62, so that a side cannot wrap, and Python ints beyond."""
 
-    dim: int
-    boxes: tuple[tuple[tuple[Number, Number], ...], ...]
+    __slots__ = ("dim", "den", "lo", "hi")
 
-    def __post_init__(self) -> None:
-        for box in self.boxes:
-            if len(box) != self.dim:
-                raise ValueError("box dimension mismatch")
-            for lo, hi in box:
-                if hi < lo:
-                    raise ValueError(f"box side out of order: ({lo}, {hi})")
-                if lo < -1 or hi > 2:
-                    raise ValueError("boxes must lie within [-1, 2]^d")
+    def __init__(self, dim: int, den: int, lo: np.ndarray, hi: np.ndarray) -> None:
+        dim, den = int(dim), int(den)
+        if dim < 1 or den < 1 or lo.shape != hi.shape or lo.shape[1:] != (dim,):
+            raise ValueError(f"need dim >= 1, den >= 1 and two (n, {dim}) numerator arrays")
+        if np.any(hi < lo):
+            raise ValueError("box sides must have lo <= hi")
+        if np.any(lo < -den) or np.any(hi > 2 * den):
+            raise ValueError("boxes must lie within [-1, 2]^d")
+        lo, hi = (x.astype(_int_dtype(2 * den), copy=False) for x in (lo, hi))
+        self.dim = dim
+        self.den, self.lo, self.hi = _lowest_terms(den, lo, hi, 2 * den)
 
     @classmethod
-    def from_intervals(cls, pairs: Iterable[tuple[Number, Number]]) -> "BoxCover":
-        return cls(1, tuple(((a, b),) for a, b in pairs))
+    def from_intervals(cls, iu: IntervalUnion) -> "BoxCover":
+        """The components of a 1-d IntervalUnion as boxes, in order."""
+        return cls(1, iu.den, iu.lo[:, None], iu.hi[:, None])
 
-    def diameter(self, i: int) -> Fraction:
-        return max(_frac(hi) - _frac(lo) for lo, hi in self.boxes[i])
-
-    def volume(self, i: int) -> Fraction:
-        v = Fraction(1)
-        for lo, hi in self.boxes[i]:
-            v *= _frac(hi) - _frac(lo)
-        return v
-
-    def diameters(self) -> list[Fraction]:
-        return [self.diameter(i) for i in range(len(self.boxes))]
+    @classmethod
+    def from_boxes(cls, dim: int, boxes: Iterable[Sequence[tuple[Number, Number]]]) -> "BoxCover":
+        """Boxes of dim (lo, hi) pairs with int, float or Fraction endpoints, read exactly."""
+        boxes = [tuple(box) for box in boxes]
+        if any(len(box) != dim for box in boxes):
+            raise ValueError("box dimension mismatch")
+        den, nums, dtype = _common_den([x for box in boxes for lo, hi in box for x in (lo, hi)])
+        ends = np.array(nums, dtype=dtype).reshape(len(boxes), dim, 2)
+        return cls(dim, den, ends[..., 0], ends[..., 1])
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return len(self.lo)
+
+    def diameters(self) -> np.ndarray:
+        """Each box's longest side, as a numerator over den."""
+        return (self.hi - self.lo).max(axis=1)
+
+    def volumes(self) -> np.ndarray:
+        """Each box's volume, as a numerator over den^dim."""
+        return np.prod((self.hi - self.lo).astype(_int_dtype((3 * self.den) ** self.dim)), axis=1)
+
+    def floats(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) as (n, dim) arrays of correctly rounded floats."""
+        return _quotients(self.lo, self.den), _quotients(self.hi, self.den)
 
     def interval_union(self) -> IntervalUnion:
         if self.dim != 1:
             raise ValueError("interval form exists only in dimension 1")
-        return IntervalUnion.from_pairs((lo, hi) for ((lo, hi),) in self.boxes)
+        order = np.argsort(self.lo[:, 0], kind="stable")
+        return _merged(self.den, self.lo[order, 0], self.hi[order, 0])
 
 
 @dataclass(frozen=True)
@@ -535,18 +563,17 @@ class CoverRecord:
     delta: float  # max diameter over the cover
 
     def __post_init__(self) -> None:
-        check = math.fsum(
-            gauge_at_diameter(self.gauge, float(d)) for d in self.cover.diameters()
-        )
+        diams = _quotients(self.cover.diameters(), self.cover.den).tolist()
+        check = math.fsum(gauge_at_diameter(self.gauge, d) for d in diams)
         scale = max(abs(self.total), abs(check), 1e-300)
         if abs(check - self.total) > 1e-12 * scale:
             raise ValueError("stored gauge sum does not match the cover")
 
     @classmethod
     def build(cls, cover: BoxCover, gauge: GaugeLike) -> "CoverRecord":
-        diams = cover.diameters()
-        total = math.fsum(gauge_at_diameter(gauge, float(d)) for d in diams)
-        return cls(cover, gauge, total, float(max(diams, default=0.0)))
+        diams = _quotients(cover.diameters(), cover.den).tolist()
+        total = math.fsum(gauge_at_diameter(gauge, d) for d in diams)
+        return cls(cover, gauge, total, max(diams, default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +611,7 @@ def _counting_form(E):
 
 def _count(form, delta: Number) -> NDeltaResult:
     """N_delta of a _counting_form."""
-    d = _frac(delta)
+    d = Fraction(delta)
     if d <= 0:
         raise ValueError("delta must be positive")
     if not isinstance(form, IntervalUnion):
@@ -742,56 +769,63 @@ def lower_box_dim(E, scales: Sequence[Number]) -> DimensionReport:
 # Hausdorff upper bounds
 
 
-def _natural_cover(E: DyadicCubeSet) -> BoxCover:
-    h = float(E.side)
-    boxes = tuple(tuple((k * h, (k + 1) * h) for k in idx) for idx in E.indices().tolist())
-    return BoxCover(E.dim, boxes)
-
-
-def _check_cover_1d(E, cover: BoxCover) -> None:
-    iu = _as_interval_union(E)
-    witness = iu.uncovered_by(cover.interval_union())
-    if witness is not None:
-        raise CoverageError(f"cover misses the set at x={float(witness)}", float(witness))
-
-
-def _box_contains_cube(box, lo: Sequence[Fraction], hi: Sequence[Fraction]) -> bool:
-    return all(_frac(bl) <= l and h <= _frac(bh) for (bl, bh), l, h in zip(box, lo, hi))
-
-
-def _covered_recursive(boxes, lo, hi, depth_left: int):
-    """Is the closed box [lo,hi] covered by the union of boxes? Returns witness or None."""
-    touching = [
-        b
-        for b in boxes
-        if all(_frac(bl) <= h and l <= _frac(bh) for (bl, bh), l, h in zip(b, lo, hi))
-    ]
-    for b in touching:
-        if _box_contains_cube(b, lo, hi):
-            return None
-    if not touching or depth_left == 0:
-        return tuple(float((l + h) / 2) for l, h in zip(lo, hi))
-    mids = [(l + h) / 2 for l, h in zip(lo, hi)]
-    for corner in iter_product(*[(0, 1)] * len(lo)):
-        clo = [l if c == 0 else m for c, l, m in zip(corner, lo, mids)]
-        chi = [m if c == 0 else h for c, m, h in zip(corner, mids, hi)]
-        witness = _covered_recursive(touching, clo, chi, depth_left - 1)
-        if witness is not None:
-            return witness
-    return None
-
-
 def _check_cover(E, cover: BoxCover) -> None:
-    if isinstance(E, (IntervalUnion,)) or (isinstance(E, DyadicCubeSet) and E.dim == 1):
-        _check_cover_1d(E, cover)
-        return
-    h = E.side
-    for idx in E.indices().tolist():
-        lo = [k * h for k in idx]
-        hi = [(k + 1) * h for k in idx]
-        witness = _covered_recursive(cover.boxes, lo, hi, depth_left=12)
-        if witness is not None:
-            raise CoverageError(f"cover misses the set near {witness}", witness)
+    """Raise CoverageError, with an exact point of E, when cover misses part of E."""
+    if isinstance(E, IntervalUnion) or E.dim == 1:
+        # the cell grid would not see a degenerate 1-d component
+        witness = _as_interval_union(E).uncovered_by(cover.interval_union())
+    elif cover.dim != E.dim:
+        raise ValueError(f"a {cover.dim}-d cover cannot cover a {E.dim}-d set")
+    else:
+        witness = _uncovered_point(E, cover)
+    if witness is not None:
+        raise CoverageError(f"cover misses the set at {np.asarray(witness, float).tolist()}", witness)
+
+
+def _uncovered_point(E: DyadicCubeSet, cover: BoxCover) -> tuple[Fraction, ...] | None:
+    """A point of the d >= 2 cube set E in no box of cover, or None; exact and complete.
+
+    The distinct box endpoints clipped to [0,1] cut each axis, so an open
+    elementary cell lies in a closed box or misses it.  A difference array
+    over the boxes' cell ranges, summed along every axis, counts the boxes
+    holding each cell; a cube of E is covered iff no uncovered cell meets
+    its interior, which a summed-area table counts.  The witness is the
+    centre of the first such cell's part within the first such cube.
+    Memory: at most prod over axes of (distinct box endpoints + 1) cells,
+    held with one more entry per axis in two int64 arrays and a bool array."""
+    L = math.lcm(cover.den, 1 << E.depth)  # one denominator for boxes and cubes
+    dtype, side = _int_dtype(2 * L), L >> E.depth
+    blo, bhi = (np.clip(x.astype(dtype) * (L // cover.den), 0, L) for x in (cover.lo, cover.hi))
+    cubes = E.indices().astype(dtype) * side
+    cuts = [_sorted_unique(np.r_[a, b, np.array([0, L], dtype)]) for a, b in zip(blo.T, bhi.T)]
+    # the cells first..stop-1 on each axis: inside a box, and meeting a cube's interior
+    inside = [(np.searchsorted(c, a), np.searchsorted(c, b)) for c, a, b in zip(cuts, blo.T, bhi.T)]
+    meets = [
+        (np.searchsorted(c, q, "right") - 1, np.searchsorted(c, q + side)) for c, q in zip(cuts, cubes.T)
+    ]
+    corners = [(c, (-1) ** sum(c)) for c in iter_product((0, 1), repeat=E.dim)]
+    count = np.zeros(tuple(map(len, cuts)), dtype=np.int64)  # cells per axis, plus one
+    for corner, sign in corners:
+        at = np.ravel_multi_index(tuple(r[c] for r, c in zip(inside, corner)), count.shape)
+        count += sign * np.bincount(at, minlength=count.size).reshape(count.shape)
+    for a in range(E.dim):
+        np.cumsum(count, axis=a, out=count)
+    uncovered = count[(slice(-1),) * E.dim] == 0
+    count[...] = 0  # now the summed-area table: uncovered cells below each index
+    count[(slice(1, None),) * E.dim] = uncovered
+    for a in range(E.dim):
+        np.cumsum(count, axis=a, out=count)
+    missed = sum(sign * count[tuple(r[1 - c] for r, c in zip(meets, corner))] for corner, sign in corners)
+    bad = np.flatnonzero(missed)
+    if not len(bad):
+        return None
+    first = [int(r[0][bad[0]]) for r in meets]
+    block = uncovered[tuple(slice(f, r[1][bad[0]]) for f, r in zip(first, meets))]
+    cell = np.add(first, np.unravel_index(np.argmax(block), block.shape))
+    return tuple(
+        Fraction(max(int(c[j]), int(q)) + min(int(c[j + 1]), int(q) + side), 2 * L)
+        for c, j, q in zip(cuts, cell, cubes[bad[0]])
+    )
 
 
 def hausdorff_upper(E, g: GaugeLike, cover: BoxCover | None = None) -> CoverRecord:
@@ -803,7 +837,8 @@ def hausdorff_upper(E, g: GaugeLike, cover: BoxCover | None = None) -> CoverReco
     if cover is None:
         if not isinstance(E, DyadicCubeSet):
             raise ValueError("auto cover needs a DyadicCubeSet")
-        cover = _natural_cover(E)
+        idx = E.indices()
+        cover = BoxCover(E.dim, 1 << E.depth, idx, idx + 1)
     _check_cover(E, cover)
     return CoverRecord.build(cover, g)
 
@@ -893,16 +928,14 @@ class MicroCertificate:
     failure: str | None = None
 
 
-def _components(E) -> list[tuple[list[Fraction], list[Fraction]]]:
-    """Connected components as bounding boxes (lo, hi per axis)."""
-    if isinstance(E, (IntervalUnion,)) or (isinstance(E, DyadicCubeSet) and E.dim == 1):
-        iu = _as_interval_union(E)
-        return [([a], [b]) for a, b in iu.intervals]
-    assert isinstance(E, DyadicCubeSet)
-    h, top = E.side, 1 << E.depth
+def _components(E) -> BoxCover:
+    """The bounding boxes of E's connected components."""
+    if isinstance(E, IntervalUnion) or E.dim == 1:
+        return BoxCover.from_intervals(_as_interval_union(E))
+    top = 1 << E.depth
     strides = [top**axis for axis in range(E.dim)]
     remaining = set(E.keys.tolist())
-    comps = []
+    lo, hi = [], []
     for seed in E.keys.tolist():
         if seed not in remaining:
             continue
@@ -916,9 +949,9 @@ def _components(E) -> list[tuple[list[Fraction], list[Fraction]]]:
                         remaining.remove(nxt)
                         members.append(nxt)
         idx = _unravel(np.array(members), E.dim, E.depth)
-        lo, hi = idx.min(axis=0).tolist(), idx.max(axis=0).tolist()
-        comps.append(([k * h for k in lo], [(k + 1) * h for k in hi]))
-    return comps
+        lo.append(idx.min(axis=0))
+        hi.append(idx.max(axis=0) + 1)
+    return BoxCover(E.dim, top, *(np.array(x, dtype=np.int64).reshape(-1, E.dim) for x in (lo, hi)))
 
 
 def _inflate(lo: list[float], hi: list[float], target: float) -> tuple[tuple[float, float], ...]:
@@ -960,31 +993,20 @@ def microscopic_certificate(E, eps: float, n_max: int) -> MicroCertificate:
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
     comps = _components(E)
-    if not comps:
-        return MicroCertificate(True, eps, BoxCover(1, ()), ())
-    dim = len(comps[0][0])
-    comps.sort(key=lambda c: (-math.prod(float(h - l) for l, h in zip(*c)), [float(x) for x in c[0]]))
+    lo, hi = (x.tolist() for x in comps.floats())
+    vols = [math.prod(sides) for sides in _quotients(comps.hi - comps.lo, comps.den).tolist()]
     boxes = []
     assignments = []
-    for i, (lo, hi) in enumerate(comps):
-        n = i + 1
-        vol = math.prod(float(h - l) for l, h in zip(lo, hi))
+    for n, i in enumerate(sorted(range(len(comps)), key=lambda i: (-vols[i], lo[i])), start=1):
+        vol = vols[i]
         if n > n_max or vol > eps**n:
-            return MicroCertificate(
-                False,
-                eps,
-                None,
-                tuple(assignments),
-                failure=(
-                    f"component with bounding box volume {vol:.6g} cannot fit budget "
-                    f"eps^{n}={eps**n:.6g}"
-                    if n <= n_max
-                    else f"more than n_max={n_max} components"
-                ),
+            failure = f"more than n_max={n_max} components" if n > n_max else (
+                f"component with bounding box volume {vol:.6g} cannot fit budget eps^{n}={eps**n:.6g}"
             )
-        boxes.append(_inflate([float(x) for x in lo], [float(x) for x in hi], eps**n))
+            return MicroCertificate(False, eps, None, tuple(assignments), failure)
+        boxes.append(_inflate(lo[i], hi[i], eps**n))
         assignments.append((n, vol))
-    return MicroCertificate(True, eps, BoxCover(dim, tuple(boxes)), tuple(assignments))
+    return MicroCertificate(True, eps, BoxCover.from_boxes(comps.dim, boxes), tuple(assignments))
 
 
 @dataclass(frozen=True)
@@ -997,13 +1019,14 @@ class MicroVerifyResult:
 def microscopic_verify(cover: BoxCover, eps: float, E) -> MicroVerifyResult:
     """Check lambda_d(B_n) <= eps^n and coverage of E; first violation wins.
 
-    Volumes are exact rationals of the stored endpoints, so the budget
-    comparison is exact."""
-    budget = Fraction(1)
-    eps_f = _frac(eps)
-    for i in range(len(cover)):
-        budget *= eps_f
-        if cover.volume(i) > budget:
+    Volumes and eps^n are compared exactly, as integers: volume / den^d <=
+    p^n / q^n for eps = p / q."""
+    p, q = _ratio(eps)
+    scale = cover.den**cover.dim
+    budget_num = budget_den = 1
+    for i, vol in enumerate(cover.volumes().tolist()):
+        budget_num, budget_den = budget_num * p, budget_den * q
+        if vol * budget_den > budget_num * scale:
             return MicroVerifyResult(False, bad_index=i + 1)
     try:
         _check_cover(E, cover)
@@ -1031,8 +1054,10 @@ def micro_from_hzeta(record: CoverRecord, beta: float) -> HZetaMicro:
     gauge = record.gauge
     if not (isinstance(gauge, Gauge) and gauge.kind == "inv_log"):
         raise ValueError("micro_from_hzeta needs an inv_log cover record")
-    order = sorted(range(len(record.cover)), key=record.cover.diameter, reverse=True)
-    diams = [float(record.cover.diameter(i)) for i in order]
+    cover = record.cover
+    diam = cover.diameters()
+    order = np.argsort(-diam, kind="stable")  # longest first, ties in box order
+    diams = _quotients(diam[order], cover.den).tolist()
     zetas = [gauge_at_diameter(gauge, d) for d in diams]
     total = sum(zetas)
     if not (total < 1.0 / beta):
@@ -1049,14 +1074,13 @@ def micro_from_hzeta(record: CoverRecord, beta: float) -> HZetaMicro:
                 f"index {n}: diam {diam:.6g} not below e^(-beta n) = {bound:.6g}"
             )
         guarantees.append((n, diam, bound))
-    cover = BoxCover(record.cover.dim, tuple(record.cover.boxes[i] for i in order))
+    cover = BoxCover(cover.dim, cover.den, cover.lo[order], cover.hi[order])
     return HZetaMicro(cover, beta, math.exp(-beta), tuple(guarantees))
 
 
 def cantor_natural_cover(depth: int) -> BoxCover:
     """The 2^depth triadic intervals as a BoxCover with exact endpoints."""
-    iu = cantor_intervals(depth)
-    return BoxCover.from_intervals(iu.intervals)
+    return BoxCover.from_intervals(cantor_intervals(depth))
 
 
 # ---------------------------------------------------------------------------
@@ -1091,28 +1115,19 @@ def load_cubes(path) -> DyadicCubeSet:
 
 
 def save_cover(path, cover: BoxCover) -> None:
-    lines = []
-    for box in cover.boxes:
-        lines.append(" ".join(f"{float(v):.17g}" for pair in box for v in pair))
+    """One line per box: each axis's lo and hi in turn, as %.17g floats."""
+    ends = np.stack(cover.floats(), axis=-1).reshape(len(cover), 2 * cover.dim)
+    lines = [" ".join(f"{v:.17g}" for v in row) for row in ends.tolist()]
     _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_cover(path) -> BoxCover:
-    boxes = []
-    dim = None
     with _format_errors(path), open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            vals = [float(t) for t in line.split()]
-            if not vals:
-                continue
-            if len(vals) % 2:
-                raise FormatError(f"box line must hold lo/hi pairs in {path}")
-            d = len(vals) // 2
-            dim = d if dim is None else dim
-            if d != dim:
-                raise FormatError(f"mixed box dimensions in {path}")
-            boxes.append(tuple((vals[2 * i], vals[2 * i + 1]) for i in range(d)))
-        return BoxCover(dim or 1, tuple(boxes))
+        rows = [[float(t) for t in line.split()] for line in f if line.strip()]
+        if len({len(row) for row in rows}) > 1 or any(len(row) % 2 for row in rows):
+            raise FormatError(f"box lines must hold lo/hi pairs of one dimension in {path}")
+        dim = len(rows[0]) // 2 if rows else 1
+        return BoxCover.from_boxes(dim, [list(zip(row[0::2], row[1::2])) for row in rows])
 
 
 def _atomic_write(path, text: str) -> None:

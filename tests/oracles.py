@@ -11,7 +11,11 @@ interval layer in its Fraction-pair form (FractionIntervalUnion and the
 functions after it) as the reference for the integer-array IntervalUnion.
 The cube-set layer is kept as TupleCubeSet, a frozenset of index tuples, with
 its cross power, components and .set reader, as the reference for the
-key-array DyadicCubeSet.  Evaluation is kept in its scalar form (evaluate:
+key-array DyadicCubeSet.  Covers are kept as FractionBoxCover, tuples of
+Fraction endpoint pairs, with the recursive bisection coverage check
+(bisection_uncovered), as the reference for the integer-array BoxCover and
+its cell-grid check; brute_uncovered_point decides coverage by testing a
+point of every cell.  Evaluation is kept in its scalar form (evaluate:
 locate one domain cell, then interpolate one corner at a time) as the
 reference for the batched SampledFunction.evaluate_many; the oscillation
 oracles evaluate through it and read domain cells from a TupleCubeSet.
@@ -618,3 +622,92 @@ def brute_grid_count(cubes, depth: int, delta: Fraction) -> int:
                                 min(top_cells - 1, math.floor((k + 1) * h / delta)) + 1))
         cells.update(product(*ranges))
     return len(cells)
+
+
+@dataclass(frozen=True)
+class FractionBoxCover:
+    """Closed boxes as tuples of (lo, hi) Fraction pairs, one per axis;
+    diameters (longest sides) and volumes in Fractions."""
+
+    dim: int
+    boxes: tuple
+
+    @classmethod
+    def of(cls, cover) -> "FractionBoxCover":
+        """The boxes of a library BoxCover, read from its numerator arrays."""
+        return cls(cover.dim, tuple(
+            tuple((Fraction(a, cover.den), Fraction(b, cover.den)) for a, b in zip(lo, hi))
+            for lo, hi in zip(cover.lo.tolist(), cover.hi.tolist())
+        ))
+
+    def __post_init__(self) -> None:
+        boxes = tuple(tuple((Fraction(lo), Fraction(hi)) for lo, hi in box) for box in self.boxes)
+        object.__setattr__(self, "boxes", boxes)
+
+    def diameter(self, i: int) -> Fraction:
+        return max(hi - lo for lo, hi in self.boxes[i])
+
+    def volume(self, i: int) -> Fraction:
+        v = Fraction(1)
+        for lo, hi in self.boxes[i]:
+            v *= hi - lo
+        return v
+
+    def diameters(self) -> list[Fraction]:
+        return [self.diameter(i) for i in range(len(self.boxes))]
+
+
+def box_contains_cube(box, lo, hi) -> bool:
+    return all(bl <= l and h <= bh for (bl, bh), l, h in zip(box, lo, hi))
+
+
+def covered_recursive(boxes, lo, hi, depth_left: int):
+    """Is the closed box [lo,hi] covered by the union of boxes? Returns witness or None."""
+    touching = [b for b in boxes if all(bl <= h and l <= bh for (bl, bh), l, h in zip(b, lo, hi))]
+    for b in touching:
+        if box_contains_cube(b, lo, hi):
+            return None
+    if not touching or depth_left == 0:
+        return tuple(float((l + h) / 2) for l, h in zip(lo, hi))
+    mids = [(l + h) / 2 for l, h in zip(lo, hi)]
+    for corner in product(*[(0, 1)] * len(lo)):
+        clo = [l if c == 0 else m for c, l, m in zip(corner, lo, mids)]
+        chi = [m if c == 0 else h for c, m, h in zip(corner, mids, hi)]
+        witness = covered_recursive(touching, clo, chi, depth_left - 1)
+        if witness is not None:
+            return witness
+    return None
+
+
+def bisection_uncovered(cubes, depth: int, boxes, depth_left: int = 12):
+    """The first cube (index tuples, in the given order) that the bisection
+    cannot prove covered by the Fraction boxes, as a float point near the
+    gap, or None.  Sound, not complete: it proves a cube covered only when
+    each piece of some bisection lies in one box, so a cube split by boxes
+    at a non-dyadic coordinate is never proved covered."""
+    h = Fraction(1, 1 << depth)
+    for idx in cubes:
+        witness = covered_recursive(boxes, [k * h for k in idx], [(k + 1) * h for k in idx], depth_left)
+        if witness is not None:
+            return witness
+    return None
+
+
+def brute_uncovered_point(cubes, depth: int, boxes):
+    """A point of the closed cubes (index tuples) in no closed Fraction box,
+    or None, by brute force: with every box and cube endpoint as a cut, an
+    open cell lies in a box or misses it, so the cells' centres decide."""
+    h = Fraction(1, 1 << depth)
+    cuts = [
+        sorted({x for box in boxes for x in box[a]} | {k * h for idx in cubes for k in (idx[a], idx[a] + 1)})
+        for a in range(len(cubes[0]))
+    ]
+    for idx in cubes:
+        axes = [
+            [(a + b) / 2 for a, b in zip(c, c[1:]) if k * h <= a and b <= (k + 1) * h]
+            for c, k in zip(cuts, idx)
+        ]
+        for p in product(*axes):
+            if not any(all(lo <= x <= hi for (lo, hi), x in zip(box, p)) for box in boxes):
+                return p
+    return None

@@ -263,6 +263,22 @@ def test_micro_command_pass_and_fail(workdir):
     assert run(["micro", "fat.set", "--eps", 0.25, "--nmax", 10, "--out", "mf"]) == 1
 
 
+@pytest.mark.parametrize("flags, note", [
+    (("--base", "affine(c=1)", "--depth", 10, "--nmax", 1, "--phi", "power(s=0.1)",
+      "--zeta", "inv_log", "--eps0", 1.0), "micro route: cover sum 0.929737, beta 0.537787"),
+    (("--base", "constant(value=0.5)", "--depth", 8, "--nmax", 2, "--phi", "power(s=0.25)",
+      "--zeta", "inv_log"), "micro route: cover sum 0.462402, beta 1.08131"),
+], ids=["affine", "constant"])
+def test_inv_log_micro_route_verifies(workdir, flags, note):
+    # E's endpoints are not floats in both builds: the micro cover must be exact
+    assert run(["construct", *flags, "--out", "b"]) == 0
+    assert run(["report", "b", "--out", "r.json"]) == 0
+    for path in (workdir / "b" / "certificates.json", workdir / "r.json"):
+        exceptional = json.loads(path.read_text())["exceptional"]
+        assert exceptional["micro_verified"] is True
+        assert exceptional["notes"] == [note]
+
+
 def test_config_errors_exit_2(workdir, capsys):
     assert run(["dims", "missing.set"]) == 2
     assert run(["analyze", "nope.fn"]) == 2

@@ -501,6 +501,16 @@ def test_exceptional_set_micro_route_inv_log():
     assert analysis.F_intervals.subset_of(cert_iu)
 
 
+def test_micro_route_covers_E_exactly():
+    # E's endpoints here are not floats, so a cover from rounded endpoints
+    # misses E; the micro cover is E's components, exact
+    f0 = make_test_function("affine", {"c": 1.0}, depth=10)
+    build = iterate_typical(f0, 1, make_preset("power", s=0.1), INV_LOG, 1.0)
+    analysis = exceptional_set(build)
+    assert analysis.micro.cover.interval_union() == analysis.E_intervals
+    assert analysis.micro_verified
+
+
 # ---------------------------------------------------------------------------
 # Build directory round trip
 

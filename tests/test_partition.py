@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -206,7 +207,7 @@ def test_split_b_is_plateau_cores():
     p = build.stages[-1].params
     cores = IntervalUnion.from_pairs(p.core_interval(j) for j in range(p.k))
     for idx in TupleCubeSet.of(B).cubes:
-        h = B.side
+        h = Fraction(1, 1 << B.depth)
         assert cores.contains(idx[0] * h) and cores.contains((idx[0] + 1) * h)
 
 

@@ -17,6 +17,9 @@ BUILDS = {
     # the affine build of perfbench's partition-analyze-dims workload
     "affine": ("--base", "affine(c=1)", "--depth", "10", "--nmax", "3", "--phi", "power(s=0.1)",
                "--zeta", "power(s=1)", "--eps0", "1.0"),
+    # an inv_log build, whose micro route covers E exactly
+    "affine-inv_log": ("--base", "affine(c=1)", "--depth", "10", "--nmax", "1", "--phi",
+                       "power(s=0.1)", "--zeta", "inv_log", "--eps0", "1.0"),
     # the build of perfbench's staircase-weierstrass workload
     "staircase-weierstrass": ("--base", "weierstrass(a=0.5,b=3,terms=25)", "--depth", "16",
                               "--nmax", "2", "--phi", "power(s=0.1)", "--zeta", "power(s=1)",
@@ -47,6 +50,18 @@ BUILD_DIGESTS = {
             "016691bb0a83388cb4044dcd415c791a2c444461232469b5d55be589ce2dc89d",
         "stages.json":
             "2946e3c0c4bbdc122c27e8052953a62fed47b598c732e1a4f7b903934a28dd3b",
+    },
+    "affine-inv_log": {
+        "certificates.json":
+            "3048f49043b3d3a6ae28f0a37b52d1e391f4d063832c54f2eedbc146d80e7c45",
+        "report.json":
+            "3048f49043b3d3a6ae28f0a37b52d1e391f4d063832c54f2eedbc146d80e7c45",
+        "E.set":
+            "6dd4963b89e0741913d19708e8c922a290065cdb8c44cb66d9176a446824adf5",
+        "F.set":
+            "6dd4963b89e0741913d19708e8c922a290065cdb8c44cb66d9176a446824adf5",
+        "stages.json":
+            "479f58ce722fdc12dbc2ae89de8d9a53d0fa097b667a93b201949d79f500e17a",
     },
     "staircase-weierstrass": {
         "certificates.json":

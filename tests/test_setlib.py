@@ -13,7 +13,9 @@ from liplab.gauges import Pseudogauge, make_preset
 from liplab.setlib import (
     MAX_KEY_BITS,
     _atomic_write,
+    _check_cover,
     _components,
+    _quotients,
     BoxCover,
     CoverRecord,
     CoverageError,
@@ -38,7 +40,10 @@ from liplab.setlib import (
     save_cubes,
 )
 from oracles import (
+    FractionBoxCover,
     FractionIntervalUnion,
+    bisection_uncovered,
+    brute_uncovered_point,
     brute_grid_count,
     brute_micro_assignment,
     brute_min_window_cover,
@@ -373,7 +378,8 @@ def test_cube_set_matches_tuple_reference(case, shift, data):
         def boxes(comps):
             return sorted((tuple(lo), tuple(hi)) for lo, hi in comps)
 
-        assert boxes(_components(E)) == boxes(tuple_components(ref))
+        comps = [tuple(zip(*box)) for box in FractionBoxCover.of(_components(E)).boxes]
+        assert boxes(comps) == boxes(tuple_components(ref))
 
 
 @settings(max_examples=100, deadline=None)
@@ -616,6 +622,116 @@ def test_cover_record_sum_validation():
 
 
 # ---------------------------------------------------------------------------
+# BoxCover and the coverage check against the Fraction references
+
+_ENDPOINTS = st.one_of(
+    st.integers(-1, 2),
+    st.floats(-1.0, 2.0),  # subnormals reach denominators of 2^1074
+    st.fractions(-1, 2, max_denominator=12),
+    st.fractions(-1, 2, max_denominator=10**30),
+)
+
+
+@st.composite
+def _rational_boxes(draw):
+    dim = draw(st.integers(1, 3))
+    side = st.tuples(_ENDPOINTS, _ENDPOINTS).map(lambda p: tuple(sorted(p, key=Fraction)))
+    return dim, draw(st.lists(st.tuples(*[side] * dim), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_boxes())
+def test_box_cover_matches_fraction_reference(case):
+    dim, boxes = case
+    cover = BoxCover.from_boxes(dim, boxes)
+    ref = FractionBoxCover(dim, boxes)
+    assert FractionBoxCover.of(cover) == ref
+    den = cover.den
+    assert math.gcd(den, *cover.lo.ravel().tolist(), *cover.hi.ravel().tolist()) == 1
+    assert (cover.lo.dtype == np.int64) == ((2 * den).bit_length() <= 62)
+    assert not cover.lo.flags.writeable and not cover.hi.flags.writeable
+    assert [Fraction(d, den) for d in cover.diameters().tolist()] == ref.diameters()
+    assert [Fraction(v, den**dim) for v in cover.volumes().tolist()] == [
+        ref.volume(i) for i in range(len(boxes))
+    ]
+    assert _quotients(cover.diameters(), den).tolist() == [float(d) for d in ref.diameters()]
+    lo, hi = cover.floats()
+    assert lo.tolist() == [[float(a) for a, _ in box] for box in ref.boxes]
+    assert hi.tolist() == [[float(b) for _, b in box] for box in ref.boxes]
+    if dim == 1:
+        union = IntervalUnion.from_pairs(box[0] for box in boxes)
+        assert cover.interval_union() == union
+        assert FractionBoxCover.of(BoxCover.from_intervals(union)).boxes == tuple(
+            (pair,) for pair in union.intervals
+        )
+
+
+@st.composite
+def _cubes_and_boxes(draw):
+    """A small cube set, boxes that cover some of its cubes (whole, or split
+    in two at a coordinate that need not be dyadic), and random boxes."""
+    dim = draw(st.sampled_from([2, 3]))
+    depth = draw(st.integers(0, 3 if dim == 2 else 2))
+    top = 1 << depth
+    cubes = draw(st.lists(st.tuples(*[st.integers(0, top - 1)] * dim), min_size=1, max_size=8))
+    boxes = []
+    covered = True
+    for idx in cubes:
+        if not draw(st.integers(0, 4)):
+            covered = False
+            continue
+        box = [(Fraction(k, top), Fraction(k + 1, top)) for k in idx]
+        axis = draw(st.integers(-1, dim - 1))
+        if axis < 0:
+            boxes.append(box)
+            continue
+        a, b = box[axis]
+        t = draw(st.fractions(a, b, max_denominator=30))
+        boxes += [box[:axis] + [(a, t)] + box[axis + 1 :], box[:axis] + [(t, b)] + box[axis + 1 :]]
+    side = st.tuples(*[st.fractions(-1, 2, max_denominator=2 * top + 1)] * 2).map(sorted)
+    boxes += draw(st.lists(st.tuples(*[side] * dim), max_size=4))
+    return dim, depth, cubes, boxes, covered
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cubes_and_boxes())
+def test_cover_check_is_exact_and_complete(case):
+    dim, depth, cubes, boxes, covered = case
+    E = DyadicCubeSet.from_indices(dim, depth, cubes)
+    ref = FractionBoxCover(dim, boxes)
+    try:
+        _check_cover(E, BoxCover.from_boxes(dim, boxes))
+        witness = None
+    except CoverageError as err:
+        witness = err.witness
+    cubes = E.indices().tolist()
+    assert (witness is None) == (brute_uncovered_point(cubes, depth, ref.boxes) is None)
+    if covered or bisection_uncovered(cubes, depth, ref.boxes, 6) is None:
+        assert witness is None
+    if witness is not None:
+        h = Fraction(1, 1 << depth)
+        assert len(witness) == dim and all(isinstance(x, Fraction) for x in witness)
+        assert any(all(k * h <= x <= (k + 1) * h for k, x in zip(idx, witness)) for idx in cubes)
+        assert not any(all(a <= x <= b for (a, b), x in zip(box, witness)) for box in ref.boxes)
+
+
+def test_cover_split_at_a_third():
+    # two boxes meeting at x = 1/3 cover the unit square; no dyadic bisection
+    # of the square puts each piece inside one box
+    third = Fraction(1, 3)
+    boxes = [((0, third), (0, 1)), ((third, 1), (0, 1))]
+    E = DyadicCubeSet.full(2, 0)
+    g = make_preset("power", s=1)
+    assert hausdorff_upper(E, g, BoxCover.from_boxes(2, boxes)).total == 2.0
+    assert bisection_uncovered([(0, 0)], 0, FractionBoxCover(2, boxes).boxes) is not None
+    with pytest.raises(CoverageError) as err:
+        hausdorff_upper(E, g, BoxCover.from_boxes(2, boxes[:1]))
+    assert err.value.witness == (Fraction(2, 3), Fraction(1, 2))
+    with pytest.raises(ValueError, match="cannot cover"):
+        hausdorff_upper(E, g, BoxCover.from_boxes(1, [((0, 1),)]))
+
+
+# ---------------------------------------------------------------------------
 # Cross products
 
 
@@ -700,7 +816,8 @@ def test_micro_three_points():
     E = points_union([0.2, 0.5, 0.8])
     cert = microscopic_certificate(E, 0.1, 10)
     assert cert.ok
-    sides = sorted((float(b[0][1] - b[0][0]) for b in cert.cover.boxes), reverse=True)
+    lo, hi = cert.cover.floats()
+    sides = sorted((hi - lo)[:, 0].tolist(), reverse=True)
     assert sides == pytest.approx([0.1, 0.01, 0.001], rel=1e-9)
     assert microscopic_verify(cert.cover, 0.1, E).ok
 
@@ -709,7 +826,7 @@ def test_micro_slab_single_box():
     slab = DyadicCubeSet.from_indices(2, 6, [(0, j) for j in range(64)])
     cert = microscopic_certificate(slab, 0.1, 5)
     assert cert.ok and len(cert.cover) == 1
-    assert float(cert.cover.volume(0)) <= 0.1
+    assert float(Fraction(int(cert.cover.volumes()[0]), cert.cover.den**2)) <= 0.1
     assert microscopic_verify(cert.cover, 0.1, slab).ok
 
 
@@ -749,10 +866,10 @@ def test_micro_greedy_matches_brute_force():
 def test_micro_verify_failures():
     E = points_union([0.2, 0.8])
     eps = 0.1
-    bad = BoxCover.from_intervals([(0.15, 0.25), (0.8 - eps**1.5 / 2, 0.8 + eps**1.5 / 2)])
+    bad = BoxCover.from_boxes(1, [((0.15, 0.25),), ((0.8 - eps**1.5 / 2, 0.8 + eps**1.5 / 2),)])
     res = microscopic_verify(bad, eps, E)
     assert not res.ok and res.bad_index == 2
-    missing = BoxCover.from_intervals([(0.15, 0.25)])
+    missing = BoxCover.from_boxes(1, [((0.15, 0.25),)])
     res2 = microscopic_verify(missing, eps, E)
     assert not res2.ok and res2.uncovered is not None
 
@@ -770,7 +887,7 @@ def test_micro_from_hzeta_harmonic():
         x = Fraction(n, 20)
         # exact endpoints: in float, x + e^(-10n) would absorb the tiny width
         pairs.append((x, x + Fraction(math.exp(-10 * n))))
-    record = CoverRecord.build(BoxCover.from_intervals(pairs), inv)
+    record = CoverRecord.build(BoxCover.from_boxes(1, [(p,) for p in pairs]), inv)
     assert record.total == pytest.approx(sum(1.0 / (10 * n) for n in range(1, 11)), rel=1e-12)
     with pytest.raises(ValueError):
         micro_from_hzeta(record, 9.0)  # 0.2929 >= 1/9
@@ -784,11 +901,11 @@ def test_micro_from_hzeta_harmonic():
 def test_micro_from_hzeta_single_and_plateau():
     inv = make_preset("inv_log")
     single = CoverRecord.build(
-        BoxCover.from_intervals([(0.5, 0.5 + math.exp(-100))]), inv
+        BoxCover.from_boxes(1, [((0.5, 0.5 + math.exp(-100)),)]), inv
     )
     out = micro_from_hzeta(single, 50.0)
     assert out.guarantees[0][1] < math.exp(-50)
-    two = CoverRecord.build(BoxCover.from_intervals([(0.0, 0.5), (0.5, 1.0)]), inv)
+    two = CoverRecord.build(BoxCover.from_boxes(1, [((0.0, 0.5),), ((0.5, 1.0),)]), inv)
     with pytest.raises(ValueError):
         micro_from_hzeta(two, 2.0)  # zeta(1/2) = 1 each, sum 2 >= 1/2
 
@@ -807,14 +924,12 @@ def test_cube_set_round_trip(tmp_path):
 
 
 def test_cover_round_trip(tmp_path):
-    cover = BoxCover(2, (((0.0, 0.25), (0.5, 1.0)), ((-0.5, 1.5), (0.0, 0.125)),))
+    cover = BoxCover.from_boxes(2, (((0.0, 0.25), (0.5, 1.0)), ((-0.5, 1.5), (0.0, 0.125)),))
     path = tmp_path / "c.cover"
     save_cover(path, cover)
     back = load_cover(path)
     assert back.dim == 2
-    assert [tuple(map(float, b)) for box in back.boxes for b in box] == [
-        tuple(map(float, b)) for box in cover.boxes for b in box
-    ]
+    assert [x.tolist() for x in back.floats()] == [x.tolist() for x in cover.floats()]
     for body in ("0 0.5 x 1\n", "0 0.5 1\n", "0 0.5\n0 0.5 0 1\n", "0 3\n"):
         path.write_text(body)
         with pytest.raises(FormatError):
