@@ -187,22 +187,24 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     sample_depth = max(1, min(depths) - 6) if cfg.sample_depth is None else cfg.sample_depth
     if not 0 <= sample_depth <= min(depths) - 2:
         raise ConfigError(f"sample depth {sample_depth} must lie in 0..{min(depths) - 2}")
-    rows = []
-    fields = {}
-    proxies_by_depth = {}
+    fields, proxies_by_depth, tables = {}, {}, []
     for depth in depths:
         fd = f if depth == f.depth else _subsample(f, depth)
         lf = funclib.lip_field(fd, phi, cfg.tau, sample_depth, _window_radii(window, fd))
         fields[depth] = lf
-        proxies_by_depth[depth] = [rec.window_summary(cfg.mode) for rec in lf.records]
-        for rec in lf.records:
-            point = ",".join(f"{c:.17g}" for c in rec.point)
-            for r, lo, hi, rlo, rhi in rec.entries:
-                rows.append(f"{point},{r:.17g},{lo:.17g},{hi:.17g},{rlo:.17g},{rhi:.17g}")
+        w = lf.window
+        proxies_by_depth[str(depth)] = w.summary(cfg.mode).tolist()
+        # one row per (point, radius), in the window's order
+        columns = (np.broadcast_to(w.radii, w.lower.shape), w.lower, w.upper, w.ratio_lower,
+                   w.ratio_upper)
+        tables.append(np.column_stack((w.points.repeat(w.radii.size, axis=0),
+                                       *(c.ravel() for c in columns))))
+    table = np.concatenate(tables)
     header = CSV_COLUMNS
     if f.dim > 1:
         header = ",".join(f"x{i}" for i in range(1, f.dim + 1)) + CSV_COLUMNS[1:]
-    setlib._atomic_write(out + ".csv", header + "\n" + "\n".join(rows) + "\n")
+    rows = "\n".join([",".join(["%.17g"] * table.shape[1])] * len(table))
+    setlib._atomic_write(out + ".csv", header + "\n" + rows % tuple(table.ravel().tolist()) + "\n")
     final_field = fields.get(f.depth) or funclib.lip_field(
         f, phi, cfg.tau, sample_depth, _window_radii(window, f)
     )
@@ -210,10 +212,10 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         "gauge": gauges.format_gauge(phi),
         "mode": cfg.mode,
         "tau": cfg.tau,
-        "points": [list(p) for p in final_field.points],
-        "proxies": list(final_field.proxies),
+        "points": final_field.window.points.tolist(),
+        "proxies": final_field.proxies.tolist(),
         "classes": list(final_field.classes),
-        "proxies_by_depth": {str(k): v for k, v in proxies_by_depth.items()},
+        "proxies_by_depth": proxies_by_depth,
         "over_tau_cubes": (
             final_field.over_tau.keys if f.dim == 1 else final_field.over_tau.indices()
         ).tolist(),
@@ -540,7 +542,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _at_least("--seed", cfg.seed, 0)
         return _COMMANDS[cfg.command](cfg)
-    except (ConfigError, gauges.GaugeSpecError, setlib.FormatError, FileNotFoundError) as err:
+    except (ConfigError, gauges.GaugeSpecError, gauges.GaugeDomainError, setlib.FormatError,
+            FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (construct_mod.ConstructError, ValueError) as err:

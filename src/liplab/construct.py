@@ -30,11 +30,13 @@ from .setlib import (
     BoxCover,
     CoverRecord,
     DyadicCubeSet,
+    FormatError,
     HZetaMicro,
     IntervalUnion,
     PremeasureReport,
     _atomic_write,
     _format_errors,
+    _held,
     _int_dtype,
     lower_box_premeasure,
     micro_from_hzeta,
@@ -295,7 +297,7 @@ class StageRecord:
     @property
     def dropped(self) -> tuple[int, ...]:
         """Grid indices j of the cubes missing the domain."""
-        return tuple(int(j) for j in np.setdiff1d(np.arange(self.params.k), self.kept))
+        return tuple(_complement(self.kept, self.params.k).tolist())
 
     @property
     def slack_min(self) -> float:
@@ -307,7 +309,7 @@ class StageRecord:
         x = Fraction(x) if not isinstance(x, Fraction) else x
         base = math.floor(x * p.k)
         for j in (base - 1, base, base + 1):
-            if 0 <= j < p.k and j in self._kept_set():
+            if 0 <= j < p.k and _held(self.kept, j):
                 a, b = p.core_interval(j)
                 if a <= x <= b:
                     return j
@@ -324,10 +326,12 @@ class StageRecord:
                     return cand
         return None
 
-    def _kept_set(self) -> frozenset:
-        if not hasattr(self, "_kept_cache"):
-            object.__setattr__(self, "_kept_cache", frozenset(int(j) for j in self.kept))
-        return self._kept_cache
+
+def _complement(indices, k: int) -> np.ndarray:
+    """The sorted indices of range(k) that are not among `indices`."""
+    mask = np.ones(k, dtype=bool)
+    mask[indices] = False
+    return np.flatnonzero(mask)
 
 
 def _require_dim_1(f: SampledFunction) -> None:
@@ -711,6 +715,20 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
     return analysis
 
 
+def _dropped(item: dict) -> list:
+    """A stage's "dropped" list: distinct ints (not bools) in 0..k-1."""
+    dropped, k = item["dropped"], item["k"]
+    if not (
+        isinstance(dropped, list)
+        and all(type(j) is int and 0 <= j < k for j in dropped)
+        and len(set(dropped)) == len(dropped)
+    ):
+        raise FormatError(
+            f"stages.json stage {item['n']}: dropped must list distinct cube indices in 0..{k - 1}"
+        )
+    return dropped
+
+
 def load_build(directory) -> TypicalBuild:
     """Read a build directory; every threshold is recomputed from meta.json's
     gauges, and keys stages.json carries beyond the stage choices are ignored."""
@@ -732,7 +750,7 @@ def load_build(directory) -> TypicalBuild:
                 item["k"],
                 Fraction(item["eta"]),
                 item["depth"],
-                np.setdiff1d(np.arange(item["k"], dtype=np.int64), item["dropped"]),
+                _complement(_dropped(item), item["k"]),
             )
             for item in raw
         ]

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .gauges import GaugeLike, format_gauge
+from .gauges import GaugeLike
 from .setlib import DyadicCubeSet, FormatError, _atomic_write, _format_errors
 from .setlib import _closed_cell_candidates, _cube_lines, _held, _parse_cube_lines, _points
 
@@ -29,10 +29,10 @@ __all__ = [
     "HolderModulus",
     "TableModulus",
     "SampledFunction",
-    "OscillationRecord",
+    "OscWindow",
     "LipField",
     "oscillation",
-    "scaled_osc_estimate",
+    "oscillation_window",
     "lip_field",
     "make_test_function",
     "cantor_value",
@@ -414,104 +414,74 @@ def _oscillation_nd(f: SampledFunction, points, r, lo, hi, inexact) -> OscBracke
     return OscBrackets(out[0], out[1], clipped)
 
 
-@dataclass(frozen=True)
-class OscillationRecord:
-    """Per-scale oscillation brackets and gauge ratios around one point."""
+@dataclass(frozen=True, eq=False)
+class OscWindow:
+    """The oscillation brackets of n points over a window of m radii.
 
-    point: tuple[float, ...]
-    gauge_text: str
-    mode: str  # "lip" | "Lip"
-    entries: tuple[tuple[float, float, float, float, float], ...]
-    # (r, osc_lower, osc_upper, ratio_lower, ratio_upper)
-    clipped: bool
+    points (n, d); radii (m,), distinct and descending; lower and upper
+    (n, m), the brackets `oscillation` gives at each (point, radius), and
+    their ratios to phi(r); clipped (n,), whether a ball of the window leaves
+    [0,1]^d or the domain.  exact: upper is the exact oscillation, not
+    lower + 2w(h).  Balls are max-norm; Euclidean ones differ by <= sqrt(d).
+    """
+
+    points: np.ndarray
+    radii: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    ratio_lower: np.ndarray
+    ratio_upper: np.ndarray
+    clipped: np.ndarray
     exact: bool
-    norm: str = "max"  # balls are max-norm; Euclidean differs by <= sqrt(d)
 
-    @property
-    def summary(self) -> float:
-        return self.window_summary(self.mode)
+    def __post_init__(self) -> None:
+        for name in ("points", "radii", "lower", "upper", "ratio_lower", "ratio_upper", "clipped"):
+            getattr(self, name).flags.writeable = False
 
-    def window_summary(self, mode: str) -> float:
-        """lip: min over the window of osc_upper/phi(r), a certified upper bound
-        of the window infimum.  Lip: max of osc_lower/phi(r), a certified lower
-        bound of the window supremum."""
+    def summary(self, mode: str) -> np.ndarray:
+        """Per point, lip: the min over the window of upper/phi(r), a
+        certified upper bound of the window infimum.  Lip: the max of
+        lower/phi(r), a certified lower bound of the window supremum."""
         if mode == "lip":
-            return min(e[4] for e in self.entries)
+            return self.ratio_upper.min(axis=1)
         if mode == "Lip":
-            return max(e[3] for e in self.entries)
+            return self.ratio_lower.max(axis=1)
         raise ValueError("mode must be 'lip' or 'Lip'")
 
 
-def _osc_records(
-    f: SampledFunction,
-    points: list[tuple[float, ...]],
-    phi: GaugeLike,
-    radii: Sequence[float],
-    mode: str,
-) -> tuple[OscillationRecord, ...]:
-    """One record per point (nondecreasing in d = 1) over the window radii,
-    from one oscillation call per radius over all the points."""
-    if mode not in ("lip", "Lip"):
-        raise ValueError("mode must be 'lip' or 'Lip'")
-    radii = sorted(set(float(r) for r in radii), reverse=True)
-    if len(radii) < 6:
+def oscillation_window(
+    f: SampledFunction, points, phi: GaugeLike, radii: Sequence[float]
+) -> OscWindow:
+    """The window at points of shape (n, d), or (n,) in d = 1, where they
+    must be nondecreasing, over the distinct radii (at least 6): one
+    oscillation call per radius over all the points."""
+    radii = np.array(sorted(set(map(float, radii)), reverse=True))
+    if radii.size < 6:
         raise ValueError("need at least 6 window radii")
-    if not points:
-        return ()
-    xs = np.array(points, dtype=np.float64)
-    if f.dim == 1:
-        xs = xs[:, 0]
+    points = np.array(_points(points, f.dim))
+    lower, upper = np.empty((2, len(points), radii.size))
     clipped = np.zeros(len(points), dtype=bool)
-    columns = []
-    for r in radii:
-        osc = oscillation(f, xs, r)
-        clipped |= osc.clipped
-        pr = phi.eval(r)
-        columns.append(
-            [(r, lo, hi, lo / pr, hi / pr) for lo, hi in zip(osc.lower.tolist(), osc.upper.tolist())]
-        )
-    text = format_gauge(phi)
-    return tuple(
-        OscillationRecord(p, text, mode, entries, c, f.exact)
-        for p, entries, c in zip(points, zip(*columns), clipped.tolist())
-    )
+    for j, r in enumerate(radii.tolist()):
+        if len(points):
+            osc = oscillation(f, points[:, 0] if f.dim == 1 else points, r)
+            lower[:, j], upper[:, j] = osc.lower, osc.upper
+            clipped |= osc.clipped
+    phi_r = np.array([phi.eval(r) for r in radii.tolist()])
+    return OscWindow(points, radii, lower, upper, lower / phi_r, upper / phi_r, clipped, f.exact)
 
 
-def scaled_osc_estimate(
-    f: SampledFunction,
-    x: Sequence[float] | float,
-    phi: GaugeLike,
-    radii: Sequence[float],
-    mode: str = "lip",
-) -> OscillationRecord:
-    """Windowed liminf/limsup proxy for the scaled oscillation; the record's
-    summary is its window_summary in `mode`, and window data is retained per
-    scale."""
-    if isinstance(x, (int, float)):
-        x = (float(x),)
-    return _osc_records(f, [tuple(x)], phi, radii, mode)[0]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LipField:
     """Classification of sample points by the lip proxy against a threshold."""
 
     tau: float
-    gauge_text: str
-    records: tuple[OscillationRecord, ...]  # lip-mode, one per sample point
+    window: OscWindow  # at the sample cube centers that lie in the domain
+    proxies: np.ndarray  # window.summary("lip")
     over_tau: DyadicCubeSet  # sample-depth cubes whose center exceeded tau
 
     @property
-    def points(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(rec.point for rec in self.records)
-
-    @property
-    def proxies(self) -> tuple[float, ...]:
-        return tuple(rec.summary for rec in self.records)
-
-    @property
     def classes(self) -> tuple[str, ...]:
-        return tuple("over" if p > self.tau else "approx-zero" for p in self.proxies)
+        return tuple("over" if p > self.tau else "approx-zero" for p in self.proxies.tolist())
 
 
 def lip_field(
@@ -521,15 +491,16 @@ def lip_field(
     sample_depth: int,
     radii: Sequence[float],
 ) -> LipField:
-    """lip records at the centers of a coarser sample grid (>= 4x coarser)."""
+    """The lip window at the centers of a coarser sample grid (>= 4x coarser)."""
     if sample_depth > f.depth - 2:
         raise ValueError("sample grid must be at least 4x coarser than the value grid")
     grid = DyadicCubeSet.full(f.dim, sample_depth)
     centers = (grid.indices() + 0.5) / (1 << sample_depth)
     inside = f.domain.contains(centers)
-    records = _osc_records(f, [tuple(c) for c in centers[inside].tolist()], phi, radii, "lip")
-    over = grid.keys[inside][np.array([rec.summary > tau for rec in records], dtype=bool)]
-    return LipField(tau, format_gauge(phi), records, DyadicCubeSet(f.dim, sample_depth, over))
+    window = oscillation_window(f, centers[inside], phi, radii)
+    proxies = window.summary("lip")
+    over = grid.keys[inside][proxies > tau]
+    return LipField(tau, window, proxies, DyadicCubeSet(f.dim, sample_depth, over))
 
 
 # ---------------------------------------------------------------------------

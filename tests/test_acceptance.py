@@ -18,7 +18,7 @@ from liplab.construct import (
     exceptional_set,
     iterate_typical,
 )
-from liplab.funclib import SampledFunction, make_test_function, scaled_osc_estimate
+from liplab.funclib import SampledFunction, make_test_function, oscillation_window
 from liplab.gauges import make_preset
 from liplab.partition import b_image_cubes, graph_cross_check, image_cover_report, split_partition
 from liplab.setlib import (
@@ -230,17 +230,18 @@ def test_criterion_8_oscillation_exactness():
         for c in (-2.0, 0.5, 1.0):
             f = make_test_function("affine", {"c": c}, depth=12)
             tol = 2.0 * f.modulus.omega(f.h) / POWER1.eval(min(radii))
-            lip = scaled_osc_estimate(f, 0.5, POWER1, radii, mode="lip").summary
-            Lip = scaled_osc_estimate(f, 0.5, POWER1, radii, mode="Lip").summary
+            w = oscillation_window(f, [0.5], POWER1, radii)
+            lip, Lip = (float(w.summary(mode)[0]) for mode in ("lip", "Lip"))
             assert abs(lip - 2.0 * abs(c)) <= tol
             assert abs(Lip - 2.0 * abs(c)) <= tol
         const = make_test_function("constant", {"value": 0.7}, depth=12)
-        assert scaled_osc_estimate(const, 0.5, POWER1, radii, mode="lip").summary == 0.0
-        assert scaled_osc_estimate(const, 0.5, POWER1, radii, mode="Lip").summary == 0.0
+        w = oscillation_window(const, [0.5], POWER1, radii)
+        assert w.summary("lip")[0] == 0.0
+        assert w.summary("Lip")[0] == 0.0
 
         base = make_test_function("weierstrass", {"a": 0.5, "b": 3, "terms": 25}, depth=16)
         rng = np.random.default_rng(8)
-        points = rng.uniform(0.07, 0.93, size=64)
+        points = np.sort(rng.uniform(0.07, 0.93, size=64))  # a window takes them nondecreasing
         last = None
         for depth in (12, 14, 16):
             step = 1 << (16 - depth)
@@ -249,10 +250,7 @@ def test_criterion_8_oscillation_exactness():
                 exact=False,
             )
             window = [r for r in [2.0**-j for j in range(4, depth - 1)] if r >= 4 * f.h]
-            proxies = np.array(
-                [scaled_osc_estimate(f, x, POWER1, window, mode="Lip").summary
-                 for x in points]
-            )
+            proxies = oscillation_window(f, points, POWER1, window).summary("Lip")
             if last is not None:
                 grew = np.sum(proxies >= last - 1e-12)
                 assert grew >= 0.95 * len(points)

@@ -88,6 +88,44 @@ def test_report_ignores_stored_thresholds(workdir):
         assert rec.lip_slack == phi.eval(float(eta / 4)) / n
 
 
+@pytest.mark.parametrize("dropped", [[-1], [999999], ["x"], [1.5], 5, None, [0, 0], [True]],
+                         ids=repr)
+def test_report_rejects_a_malformed_dropped_list(workdir, capsys, dropped):
+    # each was once read as no cube dropped, or as dropping cube 0 or 1
+    assert run(["construct", "--out", "b", "--base", "affine(c=1)", "--nmax", 2,
+                "--depth", 8]) == 0
+    stages = json.loads((workdir / "b" / "stages.json").read_text())
+    stages[1]["dropped"] = dropped
+    (workdir / "b" / "stages.json").write_text(json.dumps(stages, indent=1))
+    capsys.readouterr()
+    assert run(["report", "b", "--out", "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: stages.json stage 2: dropped") and "Traceback" not in err
+    assert not (workdir / "r.json").exists()
+
+
+def test_dropped_round_trips_through_the_build_directory(workdir):
+    # a build on Omega = [0, 1/2] drops the cubes of its second half
+    f = funclib.make_test_function("affine", {"c": 1.0}, depth=10)
+    values = f.values.copy()
+    values[(1 << f.depth) // 2 + 1 :] = np.nan
+    half = funclib.SampledFunction(
+        1, f.depth, setlib.DyadicCubeSet.from_indices(1, 1, [(0,)]), values, f.modulus, f.exact
+    )
+    build = construct_mod.iterate_typical(
+        half, 2, gauges.parse_gauge("power(s=0.1)"), gauges.parse_gauge("power(s=1)"), 0.5
+    )
+    construct_mod.save_build("half", build)
+    stages = json.loads((workdir / "half" / "stages.json").read_text())
+    for item, rec, again in zip(stages, build.stages, construct_mod.load_build("half").stages):
+        assert item["dropped"] and item["dropped"] == sorted(set(item["dropped"]))
+        assert sorted(item["dropped"] + rec.kept.tolist()) == list(range(rec.params.k))
+        assert np.array_equal(again.kept, rec.kept) and again.kept.dtype == np.int64
+        for j in (int(rec.kept[0]), int(rec.kept[-1]), item["dropped"][0]):
+            a, b = rec.params.core_interval(j)
+            assert again.covering_core((a + b) / 2) == (j if j in rec.kept else None)
+
+
 def test_artifact_round_trip_identity(workdir):
     f = funclib.make_test_function("weierstrass", {"terms": 10}, depth=8)
     funclib.save_function("w.fn", f)
@@ -398,6 +436,24 @@ def test_config_errors_exit_2(workdir, capsys):
     assert run(["report", "b"]) == 2
     (workdir / "b" / "stages.json").write_text("[{")
     assert run(["report", "b"]) == 2
+
+
+def test_gauge_outside_its_domain_exits_2(workdir, capsys):
+    # a gauge that the run evaluates outside its domain is a configuration
+    # error, not a certificate failure; the message names the gauge or radius
+    funclib.save_function("w.fn", funclib.make_test_function("weierstrass", {"terms": 10}, 14))
+    assert run(["construct", "--out", "b", "--base", "affine(c=1)", "--nmax", 1,
+                "--depth", 10]) == 0
+    for args, words in (
+        (["analyze", "w.fn", "--gauge", "table(rs=0.5,gs=1)"], "outside domain (0.5, 1.0]"),
+        (["analyze", "w.fn", "--gauge", "super_power", "--window", "4..12"], "super_power"),
+        (["partition", "b", "--xi", "table(rs=0.5,gs=1)"], "outside domain (0.5, 1.0]"),
+    ):
+        capsys.readouterr()
+        assert run([*args, "--out", "out"]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and words in err and "Traceback" not in err
+    assert not list(workdir.glob("out*"))
 
 
 def test_partition_reads_plateau_values_from_final_function(workdir):

@@ -431,11 +431,11 @@ def test_lip_field_over_tau_fraction_matches_stage_geometry():
     r_cert = float(p.cert_radius)
     radii = sorted({r_cert * 2.0**j for j in range(6)}, reverse=True)
     field = lip_field(build.final, POWER1, 2.0, build.final.depth - 2, radii)
-    frac = len(field.over_tau) / len(field.points)
+    frac = len(field.over_tau) / len(field.window.points)
     assert frac <= float((p.k + 1) * p.eta) + 0.05
     # covered core centers classify as approximately zero
     slabs = rec.params.slab_union()
-    for point, cls in zip(field.points, field.classes):
+    for point, cls in zip(field.window.points.tolist(), field.classes):
         if cls == "over":
             # an over-threshold sample cube must meet the slab region
             h = 2.0 ** -(build.final.depth - 2)

@@ -15,8 +15,8 @@ from liplab.funclib import (
     load_function,
     make_test_function,
     oscillation,
+    oscillation_window,
     save_function,
-    scaled_osc_estimate,
 )
 from liplab.gauges import make_preset
 from liplab.setlib import DyadicCubeSet
@@ -34,6 +34,11 @@ def one(f, x, r) -> tuple[float, float, bool]:
     """(lower, upper, clipped) of a one-point oscillation call at x."""
     osc = oscillation(f, np.array([x]), r)
     return float(osc.lower[0]), float(osc.upper[0]), bool(osc.clipped[0])
+
+
+def summary(f, x, radii, mode: str) -> float:
+    """The window summary at the one point x."""
+    return float(oscillation_window(f, [x], POWER1, radii).summary(mode)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -485,24 +490,24 @@ def test_scaled_osc_affine_both_modes():
         f = make_test_function("affine", {"c": c}, depth=12)
         radii = window(4, 10)
         tol = 2.0 * f.modulus.omega(f.h) / POWER1.eval(min(radii))
-        lip = scaled_osc_estimate(f, 0.5, POWER1, radii, mode="lip")
-        Lip = scaled_osc_estimate(f, 0.5, POWER1, radii, mode="Lip")
-        assert abs(lip.summary - 2.0 * abs(c)) <= tol
-        assert abs(Lip.summary - 2.0 * abs(c)) <= tol
-        assert Lip.summary <= lip.summary + 1e-12
+        lip = summary(f, 0.5, radii, "lip")
+        Lip = summary(f, 0.5, radii, "Lip")
+        assert abs(lip - 2.0 * abs(c)) <= tol
+        assert abs(Lip - 2.0 * abs(c)) <= tol
+        assert Lip <= lip + 1e-12
 
 
 def test_scaled_osc_constant_zero():
     f = make_test_function("constant", {"value": 2.5}, depth=12)
-    rec = scaled_osc_estimate(f, 0.5, POWER1, window(4, 10), mode="lip")
-    assert rec.summary == 0.0
+    assert summary(f, 0.5, window(4, 10), "lip") == 0.0
 
 
 def test_scaled_osc_entries_ordering():
     f = make_test_function("weierstrass", {}, depth=14)
-    rec = scaled_osc_estimate(f, 0.37, POWER1, window(4, 10), mode="lip")
-    assert len(rec.entries) == 7
-    for r, lo, hi, rlo, rhi in rec.entries:
+    w = oscillation_window(f, [0.37], POWER1, window(4, 10))
+    assert w.lower.shape == (1, 7)
+    for r, lo, hi, rlo, rhi in zip(w.radii, w.lower[0], w.upper[0], w.ratio_lower[0],
+                                   w.ratio_upper[0]):
         assert lo <= hi
         assert hi - lo <= 2.0 * f.modulus.omega(f.h) + 1e-15
         assert rlo == pytest.approx(lo / r) and rhi == pytest.approx(hi / r)
@@ -510,8 +515,8 @@ def test_scaled_osc_entries_ordering():
 
 def test_lip_proxy_antitone_under_deepening():
     f = make_test_function("affine", {"c": 1.0}, depth=12)
-    shallow = scaled_osc_estimate(f, 0.5, POWER1, window(4, 9), mode="lip").summary
-    deep = scaled_osc_estimate(f, 0.5, POWER1, window(4, 10), mode="lip").summary
+    shallow = summary(f, 0.5, window(4, 9), "lip")
+    deep = summary(f, 0.5, window(4, 10), "lip")
     assert deep <= shallow + 1e-15
 
 
@@ -526,9 +531,7 @@ def test_weierstrass_lip_proxy_monotone_in_depth():
             1, depth, base.domain, base.values[::step].copy(), base.modulus, exact=False
         )
         radii = [r for r in window(4, depth - 2) if r >= 4 * f.h]
-        proxies = np.array(
-            [scaled_osc_estimate(f, x, POWER1, radii, mode="Lip").summary for x in points]
-        )
+        proxies = np.array([summary(f, x, radii, "Lip") for x in points])
         if last is not None:
             assert np.all(proxies >= last - 1e-12)
         last = proxies
@@ -568,8 +571,8 @@ def test_lip_field_invariant_under_constant_shift():
 
 
 def test_lip_field_records_match_the_scalar_oracle_on_a_partial_domain():
-    # Omega = 5 of the 8 depth-3 cubes; each record entry is the one-point
-    # oracle bracket at that radius, bit for bit, and clipped is their OR
+    # Omega = 5 of the 8 depth-3 cubes; each (point, radius) bracket of the
+    # window is the one-point oracle bracket, bit for bit, and clipped is their OR
     base = make_test_function("weierstrass", {"terms": 8}, depth=10)
     cubes = {0, 1, 3, 4, 6}
     on = np.zeros(base.values.size, dtype=bool)
@@ -580,19 +583,19 @@ def test_lip_field_records_match_the_scalar_oracle_on_a_partial_domain():
     for exact in (True, False):
         f = SampledFunction(1, 10, domain, values, base.modulus, exact)
         field = lip_field(f, POWER1, 0.5, 5, window(3, 8))
-        assert [rec.point for rec in field.records] == [
-            ((k + 0.5) / 32,) for k in range(32) if k // 4 in cubes
-        ]
-        assert any(rec.clipped for rec in field.records)
-        for rec in field.records:
-            x = rec.point[0]
+        w = field.window
+        assert w.points.tolist() == [[(k + 0.5) / 32] for k in range(32) if k // 4 in cubes]
+        assert w.clipped.any()
+        for i, x in enumerate(w.points[:, 0].tolist()):
             clipped = False
-            for r, lo, hi, rlo, rhi in rec.entries:
+            for j, r in enumerate(w.radii.tolist()):
+                lo, hi, rlo, rhi = (float(a[i, j]) for a in (w.lower, w.upper, w.ratio_lower,
+                                                             w.ratio_upper))
                 lower, upper, clip = oscillation_1d(f, x, r)
                 assert (_bits(lo), _bits(hi)) == (_bits(lower), _bits(upper))
                 assert (rlo, rhi) == (lower / POWER1.eval(r), upper / POWER1.eval(r))
                 clipped |= clip
-            assert rec.clipped == clipped and rec.exact == exact
+            assert w.clipped[i] == clipped and w.exact == exact
 
 
 def test_lip_field_needs_coarser_grid():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from liplab import funclib, setlib
-from liplab.cli import main
+from liplab.cli import CSV_COLUMNS, main
 
 BUILDS = {
     "constant": ("--base", "constant(value=0.5)", "--depth", "8", "--nmax", "2"),
@@ -88,6 +88,21 @@ ANALYZE_2D_DIGESTS = {
     "an.json": "ce8ee9f3b5e12b7dc8a12f9e5933a62f825939246be748120646f3509b3dea59",
     "an.csv": "f99d32583267e08351a9b3974d4bb1ff4e25872f464e9beea5f4dda95687bdea",
 }
+# perfbench's two analyze commands on the depth-16 Weierstrass .fn
+ANALYZE_1D = {
+    "window": ("--gauge", "power(s=1)", "--window", "4..12"),
+    "ladder": ("--mode", "Lip", "--depths", "12,14,16"),
+}
+ANALYZE_1D_DIGESTS = {
+    "window.csv": "36601a4fd5fa64005e2da17801a495428fff7aae9ef9028d62c42eb5c22ddde3",
+    "window.json": "f19ea361a0fac5d959cbfc6e87d9bf37545961d26772d1b0a6141b217b1d3036",
+    "ladder.csv": "fb8a4b30ad8e510fd9baed2023958447438ebc003dea63ff9fc6d7e4cb23ec25",
+    "ladder.json": "8d47fc9c3e46e6a80d77706996b77c2a050a139a04eaeba1b4c503b55af913af",
+}
+ANALYZE_EMPTY_DIGESTS = {
+    "empty.csv": "1a570aff6776c6ec918f99af6b8b0b0306f1e19afda2b4fff4225f38dbfe5b17",
+    "empty.json": "a7f44f36cc967c4a86a9e2d37324dda9541cf474c1c72be51f9fc9d5bf45289e",
+}
 PARTIAL_FN_DIGEST = "01617201930306b46befff091ad54448c9bd7b81fdf9877964fa69cddf947e01"
 
 
@@ -158,6 +173,36 @@ def test_analyze_2d_partial_domain_payload_bytes(tmp_path):
     assert main(["analyze", str(tmp_path / "a2.fn"), "--sample-depth", "2", "--tau", "2.3",
                  "--out", str(tmp_path / "an")]) == 0
     assert {name: _sha256(tmp_path / name) for name in ANALYZE_2D_DIGESTS} == ANALYZE_2D_DIGESTS
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_1D))
+def test_analyze_1d_payload_bytes(tmp_path, name):
+    f = funclib.make_test_function("weierstrass", dict(a=0.5, b=3, terms=25), 16)
+    funclib.save_function(tmp_path / "w.fn", f)
+    assert main(["analyze", str(tmp_path / "w.fn"), *ANALYZE_1D[name],
+                 "--out", str(tmp_path / name)]) == 0
+    files = (f"{name}.csv", f"{name}.json")
+    assert {file: _sha256(tmp_path / file) for file in files} == {
+        file: ANALYZE_1D_DIGESTS[file] for file in files
+    }
+
+
+def test_analyze_empty_field_payload_bytes(tmp_path):
+    # Omega = depth-3 cube 0, so the one depth-0 sample center 1/2 lies off it:
+    # the CSV is the header and a blank line, and the payload has no points
+    xs = np.linspace(0.0, 1.0, (1 << 10) + 1)
+    values = np.where(xs <= 0.125, xs, np.nan)
+    domain = setlib.DyadicCubeSet(1, 3, [0])
+    f = funclib.SampledFunction(1, 10, domain, values, funclib.HolderModulus(1.0, 1.0),
+                                exact=True)
+    funclib.save_function(tmp_path / "e.fn", f)
+    assert main(["analyze", str(tmp_path / "e.fn"), "--sample-depth", "0",
+                 "--out", str(tmp_path / "empty")]) == 0
+    assert (tmp_path / "empty.csv").read_text() == CSV_COLUMNS + "\n\n"
+    assert '"points": []' in (tmp_path / "empty.json").read_text()
+    assert {name: _sha256(tmp_path / name) for name in ANALYZE_EMPTY_DIGESTS} == (
+        ANALYZE_EMPTY_DIGESTS
+    )
 
 
 def test_partial_domain_function_file_bytes(tmp_path):
