@@ -63,8 +63,10 @@ class RunConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        """Parse a config file; a field of the wrong JSON type is a ConfigError."""
+    def from_json(cls, text: str, command: str | None = None) -> "RunConfig":
+        """Parse a config file; a field of the wrong JSON type is a ConfigError.
+        A command given here, the subcommand on the command line, replaces
+        the file's, which may then be left out."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ConfigError("a config file holds one JSON object")
@@ -78,6 +80,10 @@ class RunConfig:
             if type(value) not in allowed:
                 names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
                 raise ConfigError(f"config field {key!r} takes {names}, not {json.dumps(value)}")
+        if command is not None:
+            data["command"] = command
+        elif "command" not in data:
+            raise ConfigError("a config file read alone needs a \"command\" field")
         return cls(**data)
 
 
@@ -169,6 +175,8 @@ def _subsample(f: funclib.SampledFunction, depth: int) -> funclib.SampledFunctio
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
+    if cfg.mode not in ("lip", "Lip"):
+        raise ConfigError(f"mode {cfg.mode!r} must be 'lip' or 'Lip'")
     if not math.isfinite(cfg.tau):
         raise ConfigError(f"--tau {cfg.tau:g} must be finite")
     f = funclib.load_function(cfg.input_path)
@@ -529,11 +537,10 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = RunConfig.from_json(fh.read())
+                cfg = RunConfig.from_json(fh.read(), command)
         except (OSError, ValueError, TypeError) as err:
             print(f"config error: {err}", file=sys.stderr)
             return 2
-        cfg.command = command
     for key, value in vars(args).items():
         if key == "config":
             continue

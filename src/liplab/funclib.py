@@ -13,9 +13,11 @@ of continuity.  Two certification semantics coexist:
 from __future__ import annotations
 
 import math
+import operator
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from itertools import product as iter_product
 from typing import NamedTuple, Sequence
 
@@ -591,11 +593,73 @@ def make_test_function(name: str, params: dict | None = None, depth: int = 10) -
 # Text file format (.fn)
 
 
+# values per written chunk and characters per read chunk: the values block
+# is never one string
+_WRITE_BLOCK = 1 << 16
+_READ_CHUNK = 1 << 16
+# a read chunk looks for runs only when one of its line pairs (i, i + 1),
+# i a multiple of this, repeats
+_RUN_PROBE = 16
+
+
+def _value_chunks(flat: np.ndarray, block: int):
+    """The %.17g lines of flat, one chunk per block of values.  A run of
+    bitwise-equal values (-0.0 and 0.0 differ) is formatted once and its
+    line repeated, which gives the bytes of formatting every value."""
+    bits = flat.view(np.uint64)
+    heads = np.flatnonzero(bits[1:] != bits[:-1]) + 1  # each run's first index but 0
+    for lo in range(0, flat.size, block):
+        hi = min(lo + block, flat.size)
+        starts = np.r_[lo, heads[np.searchsorted(heads, lo, "right"):np.searchsorted(heads, hi)]]
+        if len(starts) == hi - lo:  # no repeats
+            yield ("%.17g\n" * (hi - lo)) % tuple(flat[lo:hi].tolist())
+        else:
+            text = ("%.17g\n" * len(starts)) % tuple(flat[starts].tolist())
+            lengths = np.diff(np.r_[starts, hi]).tolist()
+            yield "".join(map(operator.mul, text.splitlines(keepends=True), lengths))
+
+
 def save_function(path, f: SampledFunction) -> None:
     head = f"d {f.dim} m {f.depth} domain {len(f.domain)}\ndomain_depth {f.domain.depth}\n"
-    values = ("%.17g\n" * f.values.size) % tuple(f.values.ravel().tolist())
+    flat = np.ascontiguousarray(f.values, dtype=np.float64).ravel()
     tail = f.modulus.serialize() + ("\nexact 1\n" if f.exact else "\n")
-    _atomic_write(path, head + _cube_lines(f.domain) + "values\n" + values + tail)
+    _atomic_write(path, chain(
+        (head + _cube_lines(f.domain) + "values\n",), _value_chunks(flat, _WRITE_BLOCK), (tail,)
+    ))
+
+
+def _parse_values(lines: list[str]) -> np.ndarray:
+    """float() of each line, called once per run of equal lines.  When no
+    sampled adjacent pair repeats, every line goes straight to float()."""
+    if not any(map(operator.eq, lines[1::_RUN_PROBE], lines[::_RUN_PROBE])):
+        return np.fromiter(map(float, lines), float, len(lines))
+    change = np.fromiter(map(operator.ne, islice(lines, 1, None), lines), bool, len(lines) - 1)
+    starts = np.flatnonzero(np.r_[True, change])
+    heads = np.fromiter(map(float, map(lines.__getitem__, starts.tolist())), float, len(starts))
+    return np.repeat(heads, np.diff(np.r_[starts, len(lines)]))
+
+
+def _read_values(fh, count: int, path) -> tuple[np.ndarray, str]:
+    """The next count value lines of fh, read in fixed-size chunks, and the
+    text after them."""
+    if 2 * count - 1 > os.fstat(fh.fileno()).st_size:  # a value line takes 2 bytes, "0\n"
+        raise FormatError(f"truncated values in {path}: the file cannot hold {count}")
+    flat = np.empty(count)
+    filled, rest = 0, ""
+    while filled < count:
+        chunk = fh.read(_READ_CHUNK)
+        if not chunk and not rest:
+            raise FormatError(f"truncated values in {path}: {filled} of {count}")
+        lines = (rest + chunk).split("\n")
+        rest = lines.pop() if chunk else ""  # a partial line waits for the next chunk
+        take = min(len(lines), count - filled)
+        if not take:
+            continue
+        flat[filled:filled + take] = _parse_values(lines[:take])
+        filled += take
+        if take < len(lines):
+            rest = "\n".join([*lines[take:], rest])
+    return flat, rest
 
 
 def load_function(path) -> SampledFunction:
@@ -612,10 +676,10 @@ def load_function(path) -> SampledFunction:
         if marker != "values":
             raise FormatError(f"missing values marker in {path}")
         n = (1 << depth) + 1
-        flat = np.fromiter(map(float, islice(fh, n**dim)), float, n**dim)
+        flat, rest = _read_values(fh, n**dim, path)
         modulus: Modulus | None = None
         exact = False
-        for line in fh:
+        for line in (rest + fh.read()).split("\n"):
             tokens = line.split()
             if not tokens:
                 continue

@@ -621,13 +621,23 @@ def _count(form, delta: Number) -> NDeltaResult:
 
 def _greedy_count(iu: IntervalUnion, delta: Fraction) -> int:
     """Closed windows of length delta in the greedy left-to-right cover of
-    iu, each starting at the first point the previous ones leave out; one
-    pass over the intervals in Python ints over the common denominator."""
+    iu, each starting at the first point the previous ones leave out, over
+    the common denominator.  The last window an interval needs ends at most
+    delta past it, so an interval more than delta past its predecessor
+    starts afresh; one that is also more than delta before its successor
+    takes max(1, ceil(length / delta)) windows, as array work.  Only the
+    chains of intervals at most delta apart run the sweep, in Python ints."""
+    if not len(iu):
+        return 0
     L = math.lcm(iu.den, delta.denominator)
     s, d = L // iu.den, delta.numerator * (L // delta.denominator)
-    count, end = 0, None
-    for a, b in zip(iu.lo.tolist(), iu.hi.tolist()):
-        a, b = a * s, b * s
+    dtype = _int_dtype(max(_reach(iu.lo, iu.hi), 1) * s + d)  # s must fit even if all are 0
+    lo, hi = iu.lo.astype(dtype) * s, iu.hi.astype(dtype) * s
+    fresh = np.r_[True, lo[1:] - hi[:-1] > d]
+    alone = fresh & np.r_[fresh[1:], True]
+    count = int(np.maximum(1, -((lo[alone] - hi[alone]) // d)).sum())
+    end = None
+    for a, b in zip(lo[~alone].tolist(), hi[~alone].tolist()):
         if end is None or a > end:  # windows from a
             more = max(1, -((a - b) // d))
             end = a + more * d
@@ -1130,9 +1140,10 @@ def load_cover(path) -> BoxCover:
         return BoxCover.from_boxes(dim, [list(zip(row[0::2], row[1::2])) for row in rows])
 
 
-def _atomic_write(path, text: str) -> None:
-    """Replace path with text via a per-call temp file and one rename, so
-    concurrent writers never share a temp file and readers never see a part."""
+def _atomic_write(path, chunks: str | Iterable[str]) -> None:
+    """Replace path with a text, or with an iterable of its chunks written in
+    turn, via a per-call temp file and one rename, so concurrent writers
+    never share a temp file and readers never see a part."""
     tmp = tempfile.NamedTemporaryFile(
         "w", encoding="utf-8", dir=os.path.dirname(path) or ".",
         prefix=os.path.basename(path) + ".", suffix=".tmp", delete=False,
@@ -1140,7 +1151,8 @@ def _atomic_write(path, text: str) -> None:
     try:
         with tmp:
             os.fchmod(tmp.fileno(), 0o666 & ~_UMASK)  # as a plain open() would
-            tmp.write(text)
+            for chunk in (chunks,) if isinstance(chunks, str) else chunks:
+                tmp.write(chunk)
             tmp.flush()
             os.fsync(tmp.fileno())
         os.replace(tmp.name, path)

@@ -19,6 +19,11 @@ point of every cell.  Evaluation is kept in its scalar form (evaluate:
 locate one domain cell, then interpolate one corner at a time) as the
 reference for the batched SampledFunction.evaluate_many; the oscillation
 oracles evaluate through it and read domain cells from a TupleCubeSet.
+The greedy N_delta sweep over every interval (greedy_count_sweep) is the
+reference for the closed-form counts of isolated intervals, and the .fn
+text in one string with every value formatted (fn_text_one_pass) and read
+back one line and one float() at a time (fn_read_line_by_line) are the
+references for the run-length, chunked save_function and load_function.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import numpy as np
 
@@ -496,6 +501,27 @@ def fraction_greedy_count(intervals, delta) -> int:
     return count
 
 
+def greedy_count_sweep(iu, delta: Fraction) -> int:
+    """N_delta of an integer-array IntervalUnion by the greedy sweep over
+    every interval in Python ints over the common denominator, with no
+    closed form for intervals far from their neighbours."""
+    L = math.lcm(iu.den, delta.denominator)
+    s, d = L // iu.den, delta.numerator * (L // delta.denominator)
+    count, end = 0, None
+    for a, b in zip(iu.lo.tolist(), iu.hi.tolist()):
+        a, b = a * s, b * s
+        if end is None or a > end:  # windows from a
+            more = max(1, -((a - b) // d))
+            end = a + more * d
+        elif b > end:  # windows from the end of the last one
+            more = -((end - b) // d)
+            end += more * d
+        else:
+            continue
+        count += more
+    return count
+
+
 @dataclass(frozen=True)
 class TupleCubeSet:
     """Subset of [0,1]^d as grid cubes {k: cube prod_i [k_i 2^-m, (k_i+1) 2^-m]},
@@ -711,3 +737,29 @@ def brute_uncovered_point(cubes, depth: int, boxes):
             if not any(all(lo <= x <= hi for (lo, hi), x in zip(box, p)) for box in boxes):
                 return p
     return None
+
+
+def fn_text_one_pass(f) -> str:
+    """The .fn text of a SampledFunction as one string, every vertex value
+    formatted on its own with %.17g, with no run detection or chunking."""
+    head = f"d {f.dim} m {f.depth} domain {len(f.domain)}\ndomain_depth {f.domain.depth}\n"
+    cubes = "".join(" ".join(map(str, row)) + "\n" for row in f.domain.indices().tolist())
+    values = ("%.17g\n" * f.values.size) % tuple(f.values.ravel().tolist())
+    tail = f.modulus.serialize() + ("\nexact 1\n" if f.exact else "\n")
+    return head + cubes + "values\n" + values + tail
+
+
+def fn_read_line_by_line(path):
+    """(values, modulus line, exact) of a .fn file, reading one line at a
+    time and calling float() on every value line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        _, dim, _, depth, _, count = fh.readline().split()
+        fh.readline()  # domain_depth
+        for _ in range(int(count)):
+            fh.readline()
+        assert fh.readline().strip() == "values"
+        n = (1 << int(depth)) + 1
+        values = np.fromiter(map(float, islice(fh, n ** int(dim))), float, n ** int(dim))
+        rest = [line.strip() for line in fh if line.strip()]
+    modulus = [line for line in rest if line.startswith("modulus ")]
+    return values.reshape((n,) * int(dim)), modulus[-1], "exact 1" in rest

@@ -499,3 +499,23 @@ def test_config_file_load(workdir):
     (workdir / "cfg.json").write_text(cfg.to_json())
     assert run(["--config", "cfg.json", "dims", "cantor:6"]) == 0
     assert (workdir / "dd.json").exists()
+
+
+def test_config_file_without_command_loads(workdir):
+    # the subcommand on the command line names the command
+    (workdir / "cfg.json").write_text(json.dumps({"scales": "triadic:1..6", "out": "dd.json"}))
+    assert run(["--config", "cfg.json", "dims", "cantor:6"]) == 0
+    assert json.loads((workdir / "dd.json").read_text())["entries"][0]["r"] == 1 / 3
+    with pytest.raises(cli.ConfigError):
+        RunConfig.from_json('{"scales": "triadic:1..6"}')
+
+
+def test_config_file_unknown_mode_exits_2_before_loading(workdir, monkeypatch, capsys):
+    funclib.save_function("c.fn", funclib.make_test_function("constant", {}, depth=8))
+    (workdir / "bad.json").write_text(json.dumps({"command": "analyze", "mode": "foo"}))
+    loads = []
+    monkeypatch.setattr(funclib, "load_function", lambda path: loads.append(path))
+    capsys.readouterr()
+    assert run(["--config", "bad.json", "analyze", "c.fn"]) == 2
+    assert capsys.readouterr().err.startswith("config error: mode 'foo'")
+    assert not loads and not (workdir / "analyze.json").exists()

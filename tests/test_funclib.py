@@ -1,12 +1,15 @@
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liplab import funclib
+from liplab.cli import main
 from liplab.funclib import (
     HolderModulus,
     SampledFunction,
@@ -19,8 +22,8 @@ from liplab.funclib import (
     save_function,
 )
 from liplab.gauges import make_preset
-from liplab.setlib import DyadicCubeSet
-from oracles import TupleCubeSet, dense_diam, oscillation_1d, oscillation_nd, weierstrass_value
+from liplab.setlib import DyadicCubeSet, FormatError
+from oracles import TupleCubeSet, fn_read_line_by_line, fn_text_one_pass, dense_diam, oscillation_1d, oscillation_nd, weierstrass_value
 from oracles import evaluate as reference_evaluate
 
 POWER1 = make_preset("power", s=1)
@@ -729,3 +732,98 @@ def test_function_round_trip_2d(tmp_path):
     g = load_function(path)
     assert g.dim == 2 and np.array_equal(g.values, values)
     assert g.evaluate((0.5, 0.25)) == pytest.approx(1.25)
+
+
+_FN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.5, 1 / 3, 0.1, 5e-324, 1e300, math.inf, -math.inf,
+                     math.nan]),
+    st.floats(),
+)
+
+
+@st.composite
+def _runs_functions(draw):
+    """A SampledFunction on the full depth-0 domain whose values, in file
+    order, are runs of a few lengths drawn from a pool with -0.0 and 0.0."""
+    dim = draw(st.sampled_from([1, 1, 2]))
+    depth = draw(st.integers(0, 6 if dim == 1 else 3))
+    n = (1 << depth) + 1
+    runs = draw(st.lists(st.tuples(_FN_VALUES, st.integers(1, 12)), min_size=1, max_size=24))
+    flat = np.repeat([v for v, _ in runs], [k for _, k in runs])
+    values = np.resize(flat, n**dim).reshape((n,) * dim)  # the runs again, cyclically
+    modulus = HolderModulus(draw(st.sampled_from([0.0, 1.0, 2.5])), 1.0)
+    return SampledFunction(dim, depth, DyadicCubeSet.full(dim, 0), values, modulus,
+                           draw(st.booleans()))
+
+
+def _all_bits(values: np.ndarray) -> list[int]:
+    return values.ravel().view(np.uint64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs_functions(), st.integers(1, 40), st.integers(1, 300), st.integers(1, 20))
+def test_fn_io_matches_one_pass_oracle(tmp_path_factory, f, block, chunk, probe):
+    # small write blocks and read chunks put runs and lines across their
+    # boundaries; a block of one value is a run by itself
+    path = tmp_path_factory.getbasetemp() / "runs.fn"
+    with mock.patch.multiple(funclib, _WRITE_BLOCK=block, _READ_CHUNK=chunk, _RUN_PROBE=probe):
+        save_function(path, f)
+        g = load_function(path)
+    assert path.read_bytes() == fn_text_one_pass(f).encode()
+    values, modulus, exact = fn_read_line_by_line(path)
+    assert _all_bits(g.values) == _all_bits(values)
+    on = ~np.isnan(f.values)  # every NaN is written as "nan", payload dropped
+    assert _all_bits(g.values[on]) == _all_bits(f.values[on]) and np.isnan(g.values[~on]).all()
+    assert g.modulus.serialize() == modulus and g.exact == exact == f.exact
+
+
+def test_fn_io_runs_across_default_block_and_chunk(tmp_path):
+    # 2^17 + 1 values: plateaus across the 2^16-value write block and the
+    # read chunks, a distinct stretch, and -0.0 next to 0.0
+    n = (1 << 17) + 1
+    values = np.repeat([0.25, -0.0, 0.0, 1 / 3, 0.25], [65_000, 1000, 1, 3000, 0])[:n]
+    values = np.r_[values, np.sin(np.arange(40_000.0)), np.full(n, 0.1)][:n]
+    f = SampledFunction(1, 17, DyadicCubeSet.full(1, 0), values, HolderModulus(1.0))
+    save_function(tmp_path / "big.fn", f)
+    assert (tmp_path / "big.fn").read_bytes() == fn_text_one_pass(f).encode()
+    g = load_function(tmp_path / "big.fn")
+    oracle = fn_read_line_by_line(tmp_path / "big.fn")[0]
+    assert _all_bits(g.values) == _all_bits(oracle) == _all_bits(values)
+
+
+def test_fn_reader_takes_any_float_literal(tmp_path):
+    # 2^3 + 1 value lines: spellings of one value, a repeat, blanks around a
+    # number, and LF or CRLF line ends
+    literals = ["1", "1.0", " 2.5 ", "1e0", "1e0", "-0", "nan", "+7", "1_0"]
+    body = ("d 1 m 3 domain 1\ndomain_depth 0\n0\nvalues\n" + "\n".join(literals)
+            + "\nmodulus holder 1 1\n")
+    for name, text in (("lf.fn", body), ("crlf.fn", body.replace("\n", "\r\n"))):
+        (tmp_path / name).write_bytes(text.encode())
+        assert _all_bits(load_function(tmp_path / name).values) == _all_bits(
+            np.array([float(x) for x in literals]))
+
+
+@pytest.mark.parametrize("chunk", [5, 1 << 20])
+def test_fn_malformed_values_raise_format_error(tmp_path, monkeypatch, chunk):
+    values = np.repeat([0.5, 0.25, 0.75], [20, 20, 25])
+    f = SampledFunction(1, 6, DyadicCubeSet.full(1, 0), values, HolderModulus(1.0))
+    lines = fn_text_one_pass(f).splitlines(keepends=True)
+    first = lines.index("values\n") + 1
+    modulus = lines[-1]
+    bad = {
+        "truncated.fn": lines[: first + 30],
+        "truncated-modulus.fn": lines[: first + 30] + [modulus],
+        "blank.fn": lines[:first] + ["\n"] + lines[first + 1 :],
+        "blank-in-run.fn": lines[: first + 5] + ["\n"] + lines[first + 6 :],
+        "spaces.fn": lines[: first + 5] + ["  \n"] + lines[first + 6 :],
+        "token.fn": lines[: first + 21] + ["abc\n"] + lines[first + 22 :],
+        "nomodulus.fn": lines[:-1],
+        "deep.fn": ["d 1 m 40 domain 1\n", "domain_depth 0\n", "0\n", "values\n", "0\n",
+                    modulus],
+    }
+    monkeypatch.setattr(funclib, "_READ_CHUNK", chunk)
+    for name, body in bad.items():
+        (tmp_path / name).write_text("".join(body))
+        with pytest.raises(FormatError):
+            load_function(tmp_path / name)
+        assert main(["analyze", str(tmp_path / name)]) == 2, name

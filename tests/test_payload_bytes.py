@@ -74,6 +74,11 @@ BUILD_DIGESTS = {
             "cf77ba764da3a26b649b923c3ddf5912451be470672ae3f33c870ca27b69abcb",
         "stages.json":
             "3efbbde59bff2a9b3b6654664b3f7a0e16577b2fe0bed4c6893f733668fdd051",
+        # the function files: a run-length writer must give these bytes
+        "base.fn":
+            "e1cde4cb07e9e605ac7fe5fc4fd9bf1783e2e04c9feccaebab6dd382616f7792",
+        "final.fn":
+            "81fad90367d8955d09fa3d48540d1d940e95586678234b1b36db675fd4d4a052",
     },
 }
 

@@ -15,6 +15,7 @@ from liplab.setlib import (
     _atomic_write,
     _check_cover,
     _components,
+    _greedy_count,
     _quotients,
     BoxCover,
     CoverRecord,
@@ -51,6 +52,7 @@ from oracles import (
     fraction_cube_runs,
     fraction_greedy_count,
     fraction_raster,
+    greedy_count_sweep,
     TupleCubeSet,
     tuple_components,
     tuple_cross_power,
@@ -210,6 +212,27 @@ def test_n_delta_greedy_chains_match_fraction_sweep(steps, delta):
     iu, ref = _both(pairs)
     for d in (Fraction(delta, 1000), delta / 1000):
         assert n_delta(iu, d).count == fraction_greedy_count(ref.intervals, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([1000, 1 << 70, 3**45]), st.booleans(), st.data())
+def test_greedy_count_closed_form_matches_sweep(units, den, high, data):
+    # gaps of exactly delta, below it and beyond it, and degenerate intervals;
+    # den 2^70 or 3^45 puts the numerators on the object path, and `high`
+    # moves them above 2^62
+    step = st.tuples(st.one_of(st.just(units), st.integers(1, 3 * units)),
+                     st.one_of(st.just(0), st.integers(0, 3 * units)))
+    steps = data.draw(st.lists(step, min_size=1, max_size=30))
+    pairs, x = [], den // 2 + 1 if high else 0  # den // 2 + 1 is prime to den
+    for gap, width in steps:
+        pairs.append((Fraction(x, den), Fraction(x + width, den)))
+        x += width + gap
+    iu = IntervalUnion.from_pairs(pairs)
+    if high and den > 1000:
+        assert iu.lo.dtype == object and iu.lo[0] > 1 << 62
+    for delta in (Fraction(units, den), Fraction(units, den) + Fraction(1, 3 * den)):
+        count = _greedy_count(iu, delta)
+        assert count == greedy_count_sweep(iu, delta) == fraction_greedy_count(iu.intervals, delta)
 
 
 def test_cantor_intervals_match_fraction_thirds():
