@@ -135,7 +135,11 @@ def _parse_scales(spec: str) -> list:
     kind, _, rest = spec.partition(":")
     if kind in ("dyadic", "triadic"):
         base = 2 if kind == "dyadic" else 3
-        scales = [Fraction(1, base**j) for j in _parse_range(rest, "scales")]
+        js = _parse_range(rest, "scales")
+        scales = [Fraction(1, base**j) for j in js]
+        for j, r in zip(js, scales):
+            if float(r) == 0.0:  # the report takes log(float(r))
+                raise ConfigError(f"scale {base}^-{j} in {spec!r} rounds to 0.0 as a float")
     else:
         scales = _parse_list(spec, float, "scales spec")
     if len(scales) < 6:

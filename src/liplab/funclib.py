@@ -25,7 +25,7 @@ import numpy as np
 
 from .gauges import GaugeLike
 from .setlib import DyadicCubeSet, FormatError, _atomic_write, _format_errors
-from .setlib import _closed_cell_candidates, _cube_lines, _held, _parse_cube_lines, _points
+from .setlib import _closed_cell_candidates, _cube_chunks, _held, _points, _read_cubes
 
 __all__ = [
     "HolderModulus",
@@ -624,7 +624,7 @@ def save_function(path, f: SampledFunction) -> None:
     flat = np.ascontiguousarray(f.values, dtype=np.float64).ravel()
     tail = f.modulus.serialize() + ("\nexact 1\n" if f.exact else "\n")
     _atomic_write(path, chain(
-        (head + _cube_lines(f.domain) + "values\n",), _value_chunks(flat, _WRITE_BLOCK), (tail,)
+        (head,), _cube_chunks(f.domain), ("values\n",), _value_chunks(flat, _WRITE_BLOCK), (tail,)
     ))
 
 
@@ -671,7 +671,7 @@ def load_function(path) -> SampledFunction:
         dd_line = fh.readline().split()
         if dd_line[0] != "domain_depth":
             raise FormatError(f"missing domain_depth line in {path}")
-        domain = _parse_cube_lines("".join(islice(fh, count)), dim, int(dd_line[1]))
+        domain = _read_cubes(islice(fh, count), dim, int(dd_line[1]))
         marker = fh.readline().strip()
         if marker != "values":
             raise FormatError(f"missing values marker in {path}")

@@ -10,13 +10,13 @@ throughout, so a box's diameter is its longest side.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from itertools import product as iter_product
 from typing import Iterable, Sequence
 
@@ -329,11 +329,19 @@ def _side_count(dim: int, depth: int) -> int:
     return 1 << depth
 
 
+def _run_heads(a: np.ndarray) -> np.ndarray:
+    """Whether each entry of the sorted array a differs from the one before it."""
+    heads = np.empty(len(a), dtype=bool)
+    heads[:1] = True
+    np.not_equal(a[1:], a[:-1], out=heads[1:])
+    return heads
+
+
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
     """The distinct values of a, sorted; on int64 a sort is many times faster
     than np.unique, which hashes."""
     a = np.sort(a)
-    return a[np.r_[True, a[1:] != a[:-1]]] if len(a) else a
+    return a[_run_heads(a)]
 
 
 def _unravel(keys: np.ndarray, dim: int, depth: int) -> np.ndarray:
@@ -369,6 +377,20 @@ def _points(points, dim: int) -> np.ndarray:
     return p
 
 
+def _index_keys(dim: int, depth: int, indices) -> np.ndarray:
+    """The row-major keys of cube index rows, (n, dim) or a list of tuples,
+    each index checked to lie in 0..2^depth - 1."""
+    top = _side_count(dim, depth)
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.ndim != 2 or idx.shape[1] != dim):
+        raise ValueError(f"cube indices need shape (n, {dim})")
+    idx = idx.reshape(-1, dim)
+    bad = np.flatnonzero(np.any((idx < 0) | (idx >= top), axis=1))
+    if len(bad):
+        raise ValueError(f"cube index {idx[bad[0]].tolist()} out of range for depth {depth}")
+    return np.ravel_multi_index(tuple(idx.T), (top,) * dim)
+
+
 @dataclass(frozen=True, eq=False)
 class DyadicCubeSet:
     """Subset of [0,1]^d as grid cubes {k: cube prod_i [k_i 2^-m, (k_i+1) 2^-m]}.
@@ -394,15 +416,7 @@ class DyadicCubeSet:
     @classmethod
     def from_indices(cls, dim: int, depth: int, indices) -> "DyadicCubeSet":
         """The cubes with these index rows: an (n, dim) array or a list of tuples."""
-        top = _side_count(dim, depth)
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.ndim != 2 or idx.shape[1] != dim):
-            raise ValueError(f"cube indices need shape (n, {dim})")
-        idx = idx.reshape(-1, dim)
-        bad = np.flatnonzero(np.any((idx < 0) | (idx >= top), axis=1))
-        if len(bad):
-            raise ValueError(f"cube index {idx[bad[0]].tolist()} out of range for depth {depth}")
-        return cls(dim, depth, np.ravel_multi_index(tuple(idx.T), (top,) * dim))
+        return cls(dim, depth, _index_keys(dim, depth, indices))
 
     @classmethod
     def full(cls, dim: int, depth: int) -> "DyadicCubeSet":
@@ -602,10 +616,10 @@ def n_delta(E, delta: Number) -> NDeltaResult:
 
 def _counting_form(E):
     """E as the box counts read it, built once per scan of scales: an
-    IntervalUnion in d = 1; in d >= 2 its depth and one (n, d) int64 array of
-    cube indices."""
+    IntervalUnion in d = 1; in d >= 2 the DyadicCubeSet itself, whose sorted
+    keys the grid count reads block by block."""
     if isinstance(E, DyadicCubeSet) and E.dim >= 2:
-        return E.depth, E.indices()
+        return E
     return _as_interval_union(E)
 
 
@@ -614,8 +628,8 @@ def _count(form, delta: Number) -> NDeltaResult:
     d = Fraction(delta)
     if d <= 0:
         raise ValueError("delta must be positive")
-    if not isinstance(form, IntervalUnion):
-        return NDeltaResult(_grid_count(*form, d), "grid-proxy")
+    if isinstance(form, DyadicCubeSet):
+        return NDeltaResult(_grid_count(form, d), "grid-proxy")
     return NDeltaResult(_greedy_count(form, d), "exact-1d")
 
 
@@ -650,60 +664,105 @@ def _greedy_count(iu: IntervalUnion, delta: Fraction) -> int:
     return count
 
 
-def _distinct_rows(lo: np.ndarray, hi: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi - lo) over the distinct rows of (lo, hi), for lo and hi that
-    are the same nondecreasing functions of a cube's index on every axis,
-    with lo + hi < base.  Then lo + hi names an axis's (lo, hi) pair, and a
-    row is named by those sums in base `base`; the first cube of each name
-    is kept."""
-    ids = lo[:, 0] + hi[:, 0]
-    for a in range(1, lo.shape[1]):
-        ids = ids * base + lo[:, a] + hi[:, a]
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    rows = order[np.r_[True, ids[1:] != ids[:-1]]]
-    lo = lo[rows]
-    return lo, hi[rows] - lo
+# the (key, weight) pairs of one block of a d >= 2 box count: a block holds
+# _KEY_BUDGET // 3^d cubes
+_KEY_BUDGET = 1 << 16
 
 
-def _grid_count(depth: int, cubes: np.ndarray, delta: Fraction) -> int:
-    """Cells of the delta-grid meeting the closed cubes with these indices,
-    in integers.  With delta = p/q, cell j meets cube k on an axis iff
-    ceil(k q / (p 2^depth)) - 1 <= j <= floor((k + 1) q / (p 2^depth)), and
-    j runs over 0..ceil(q/p) - 1; a cube edge on a cell boundary touches the
-    neighbouring cell.  Distinct cells are counted by their row-major keys:
-    cubes with the same (first cell, per-axis span) row are taken once, each
-    offset row writes its keys into one array, and that array is sorted in
-    place.  The arrays are int64, or Python ints where a product would pass
-    2^62."""
-    if not len(cubes):
-        return 0
+def _point_cells(k, q: int, den: int):
+    """(first, last): the cells of the grid of side p/q that hold the points
+    k / 2^depth on an axis, with den = p 2^depth, unclamped.  A point on a
+    cell boundary lies in two cells, any other point in one."""
+    kq = k * q
+    return -(-kq // den) - 1, kq // den
+
+
+def _class_sizes(c, q: int, den: int, top: int):
+    """Cells per axis in class c of the doubled lattice, for a delta below
+    the cube side: c = 2k holds the cells at the grid point k / 2^depth,
+    shared by cubes k - 1 and k (none at the ends 0 and top), and c = 2k + 1
+    the cells strictly between the grid points k and k + 1, which only cube
+    k meets."""
+    k = c // 2
+    first, last = _point_cells(k, q, den)
+    shared = np.where((k > 0) & (k < top), last - first + 1, 0)
+    only = _point_cells(k + 1, q, den)[0] - last - 1 + (k == 0) + (k + 1 == top)
+    return np.where(c % 2, only, shared)
+
+
+def _axis_digits(k, q: int, den: int, side: int, fine: bool):
+    """(digits, taken) on one axis for the cube indices k (n,): the (3, n)
+    key digits a cube can take, and whether it takes each (None: all).
+    Below the cube side the digits are the classes 2k, 2k + 1, 2k + 2 of
+    the doubled lattice.  Otherwise a cube meets at most three cells,
+    first..first + span, and the digits are first, first + 1, first + 2."""
+    offsets = np.arange(3)[:, None]
+    if fine:
+        return 2 * k + offsets, None
+    first = np.maximum(_point_cells(k, q, den)[0], 0)
+    span = np.minimum(_point_cells(k + 1, q, den)[1], side - 1) - first
+    return first + offsets, span >= offsets
+
+
+def _grid_count(E: DyadicCubeSet, delta: Fraction) -> int:
+    """Cells of the delta-grid meeting the closed cubes of E, in integers.
+
+    With delta = p/q, cell j meets cube k on an axis iff ceil(k q / (p
+    2^depth)) - 1 <= j <= floor((k + 1) q / (p 2^depth)), and j runs over
+    0..ceil(q/p) - 1; a cube edge on a cell boundary touches the
+    neighbouring cell.  Each cube gives at most 3^d keys, each with a
+    weight, and N_delta is the sum of the weights of the distinct keys:
+    - delta >= the cube side: a cube meets at most three cells per axis;
+      the keys are those cells, each of weight 1;
+    - delta < the cube side: only neighbouring cubes' cell ranges overlap on
+      an axis, so the cells of an axis fall into the classes of
+      _class_sizes, and a cell meets E iff its tuple of classes is one of a
+      cube's; the keys are the class tuples, each weighted by the product of
+      its classes' sizes.
+    Keys are numbers in base side, or 2 top + 1, first axis highest.  The
+    cubes are taken in key order, in blocks of at most _KEY_BUDGET keys.  A
+    block's keys are sorted with the distinct keys that earlier blocks left
+    open; those below the first row the next block can reach are counted,
+    the rest stay open.  The arrays are int64, or Python ints where a number
+    would pass 2^62."""
     p, q = delta.numerator, delta.denominator
-    den = p << depth
-    side = -(-q // p)  # cells per axis
-    dim = cubes.shape[1]
-    k = cubes.astype(_int_dtype(max(p, q) << depth), copy=False)
-    dtype = _int_dtype((2 * side) ** dim)
-    lo, span = _distinct_rows(
-        np.maximum(-((-k * q) // den) - 1, 0).astype(dtype, copy=False),
-        np.minimum((k + 1) * q // den, side - 1).astype(dtype, copy=False),
-        2 * side - 1,
-    )
-    # a cell's key is its index row dotted with step; each offset row adds its own key
-    step = [side**a for a in reversed(range(dim))]
-    first = lo @ np.array(step, dtype=dtype)
-    keys = np.empty(int(np.prod(span + 1, axis=1).sum()), dtype=dtype)
-    at = 0
-    for offsets in iter_product(range(int(span.max()) + 1), repeat=dim):
-        reach = None  # the rows whose span covers every nonzero offset
-        for a, o in enumerate(offsets):
-            if o:
-                reach = span[:, a] >= o if reach is None else reach & (span[:, a] >= o)
-        cells = first if reach is None else first[reach]
-        np.add(cells, sum(o * s for o, s in zip(offsets, step)), out=keys[at : at + len(cells)])
-        at += len(cells)
-    keys.sort()
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    dim, depth = E.dim, E.depth
+    den, top, side = p << depth, 1 << depth, -(-q // p)
+    fine = q > den
+    base = 2 * top + 1 if fine else side
+    kdtype = _int_dtype(max(p, q) << (depth + 1))  # holds (k + 2) q
+    dtype = _int_dtype((max(base, side) + 2) ** dim)  # keys, with digits up to side + 1, and weights
+    step = [base**a for a in reversed(range(dim))]
+    block = max(1, _KEY_BUDGET // 3**dim)
+    count, carry = 0, np.empty(0, dtype)
+    for start in range(0, len(E), block):
+        axes = np.unravel_index(E.keys[start : start + block], (top,) * dim)
+        keys, taken = np.zeros((1, len(axes[0])), dtype), None
+        for a, k in enumerate(axes):
+            # the keys of every offset row, the long cube axis innermost
+            digits, took = _axis_digits(k.astype(kdtype, copy=False), q, den, side, fine)
+            keys = (keys[:, None] + digits.astype(dtype, copy=False) * step[a]).reshape(-1, len(k))
+            if took is not None:
+                taken = took if taken is None else (taken[:, None] & took).reshape(-1, len(k))
+        keys = np.concatenate([carry, keys.ravel() if taken is None else keys[taken]])
+        keys.sort()
+        heads = _run_heads(keys)
+        cut = len(keys)
+        if start + block < len(E):  # later cubes reach no row below the next one's first
+            k = int(E.keys[start + block]) >> (depth * (dim - 1))
+            row = 2 * k if fine else max(_point_cells(k, q, den)[0], 0)
+            cut = int(np.searchsorted(keys, row * step[0]))
+        carry = keys[cut:][heads[cut:]]
+        if not fine:
+            count += int(np.count_nonzero(heads[:cut]))
+            continue
+        rest, weights = keys[:cut][heads[:cut]], 1
+        for _ in range(dim):  # the last axis first
+            c = (rest % base).astype(kdtype, copy=False)
+            weights = _class_sizes(c, q, den, top).astype(dtype, copy=False) * weights
+            rest = rest // base
+        count += int(np.sum(weights))
+    return count
 
 
 @dataclass(frozen=True)
@@ -1097,23 +1156,35 @@ def cantor_natural_cover(depth: int) -> BoxCover:
 # Text file formats
 
 
-def _cube_lines(E: DyadicCubeSet) -> str:
-    """One line per cube, its indices separated by spaces, in key order; one
-    %-formatting pass over every index."""
+# cubes per chunk a .set writer formats, and lines per chunk a reader parses
+_SAVE_CUBES = 1 << 16
+_LOAD_LINES = 1 << 14
+
+
+def _cube_chunks(E: DyadicCubeSet):
+    """The index lines of E's cubes in key order, one chunk of text per
+    _SAVE_CUBES cubes, each a %-formatting pass over its indices."""
     line = " ".join(["%d"] * E.dim) + "\n"
-    return (line * len(E)) % tuple(E.indices().ravel().tolist())
+    for start in range(0, len(E), _SAVE_CUBES):
+        rows = _unravel(E.keys[start : start + _SAVE_CUBES], E.dim, E.depth)
+        yield (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def _parse_cube_lines(text: str, dim: int, depth: int) -> DyadicCubeSet:
+def _read_cubes(lines: Iterable[str], dim: int, depth: int) -> DyadicCubeSet:
     """The cubes of index lines in any order, repeats allowed; each line is
-    blank or holds dim integers."""
+    blank or holds dim integers.  The lines are parsed _LOAD_LINES at a
+    time, and only their keys are kept."""
     _side_count(dim, depth)
-    rows = np.loadtxt(io.StringIO(text), np.int64, comments=None, ndmin=2) if text.strip() else []
-    return DyadicCubeSet.from_indices(dim, depth, rows)
+    lines = iter(lines)
+    keys = [np.empty(0, np.int64)]
+    while chunk := list(islice(lines, _LOAD_LINES)):
+        if any(map(str.strip, chunk)):  # np.loadtxt warns on a chunk of blank lines
+            keys.append(_index_keys(dim, depth, np.loadtxt(chunk, np.int64, comments=None, ndmin=2)))
+    return DyadicCubeSet(dim, depth, np.concatenate(keys))
 
 
 def save_cubes(path, E: DyadicCubeSet) -> None:
-    _atomic_write(path, f"d {E.dim} m {E.depth}\n" + _cube_lines(E))
+    _atomic_write(path, chain((f"d {E.dim} m {E.depth}\n",), _cube_chunks(E)))
 
 
 def load_cubes(path) -> DyadicCubeSet:
@@ -1121,7 +1192,7 @@ def load_cubes(path) -> DyadicCubeSet:
         header = f.readline().split()
         if len(header) != 4 or header[0] != "d" or header[2] != "m":
             raise FormatError(f"bad cube set header in {path}")
-        return _parse_cube_lines(f.read(), int(header[1]), int(header[3]))
+        return _read_cubes(f, int(header[1]), int(header[3]))
 
 
 def save_cover(path, cover: BoxCover) -> None:

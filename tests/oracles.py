@@ -20,10 +20,16 @@ locate one domain cell, then interpolate one corner at a time) as the
 reference for the batched SampledFunction.evaluate_many; the oscillation
 oracles evaluate through it and read domain cells from a TupleCubeSet.
 The greedy N_delta sweep over every interval (greedy_count_sweep) is the
-reference for the closed-form counts of isolated intervals, and the .fn
-text in one string with every value formatted (fn_text_one_pass) and read
-back one line and one float() at a time (fn_read_line_by_line) are the
-references for the run-length, chunked save_function and load_function.
+reference for the closed-form counts of isolated intervals.  The blocked
+d >= 2 box count has three references: brute_grid_count lists every cell
+in Fractions, compressed_grid_count takes the union of the cubes' cell
+boxes by coordinate compression, and grid_count_keys writes the cell keys
+of every cube into one integer array and sorts it.  The .set text in one
+%-formatting pass (cube_lines_one_pass) is the reference for the chunked
+save_cubes, and the .fn text in one string with every value formatted
+(fn_text_one_pass) and read back one line and one float() at a time
+(fn_read_line_by_line) are the references for the run-length, chunked
+save_function and load_function.
 """
 
 from __future__ import annotations
@@ -637,17 +643,90 @@ def tuple_load_cubes(path) -> TupleCubeSet:
 def brute_grid_count(cubes, depth: int, delta: Fraction) -> int:
     """Cells of the delta-grid meeting the closed cubes of this depth, one
     cube and one axis at a time in Fractions."""
+    cells = set()
+    for box in _cell_ranges(cubes, depth, delta):
+        cells.update(product(*(range(lo, hi + 1) for lo, hi in box)))
+    return len(cells)
+
+
+def _cell_ranges(cubes, depth: int, delta: Fraction) -> list[list[tuple[int, int]]]:
+    """Per cube, per axis, the first and last cells of the delta-grid that
+    meet the closed cube, in Fractions: cell j meets [k h, (k+1) h] iff
+    j delta <= (k+1) h and (j+1) delta >= k h."""
     h = Fraction(1, 1 << depth)
     top_cells = math.ceil(1 / delta)
-    cells = set()
-    for idx in cubes:
-        ranges = []
-        for k in idx:
-            # cell j meets [k h, (k+1) h] iff j delta <= (k+1) h and (j+1) delta >= k h
-            ranges.append(range(max(0, math.ceil(k * h / delta) - 1),
-                                min(top_cells - 1, math.floor((k + 1) * h / delta)) + 1))
-        cells.update(product(*ranges))
-    return len(cells)
+    return [[(max(0, math.ceil(k * h / delta) - 1), min(top_cells - 1, math.floor((k + 1) * h / delta)))
+             for k in idx] for idx in cubes]
+
+
+def compressed_grid_count(cubes, depth: int, delta: Fraction) -> int:
+    """Cells of the delta-grid meeting the closed cubes: the size of the union
+    of the cubes' cell boxes, by coordinate compression.  Each axis is cut
+    at every box's ends, and each compressed cell inside some box counts
+    the product of its side lengths."""
+    boxes = _cell_ranges(cubes, depth, delta)
+    if not boxes:
+        return 0
+    dim = len(boxes[0])
+    cuts = [sorted({c for box in boxes for c in (box[a][0], box[a][1] + 1)}) for a in range(dim)]
+    total = 0
+    for cell in product(*(range(len(c) - 1) for c in cuts)):
+        lo = [cuts[a][i] for a, i in enumerate(cell)]
+        if any(all(b[a][0] <= lo[a] <= b[a][1] for a in range(dim)) for b in boxes):
+            total += math.prod(cuts[a][i + 1] - cuts[a][i] for a, i in enumerate(cell))
+    return total
+
+
+def grid_count_keys(cubes, depth: int, delta: Fraction) -> int:
+    """Cells of the delta-grid meeting the closed cubes with these index rows
+    (n, d), in integers: cubes with the same (first cell, per-axis span) row
+    are taken once, each offset row writes its cells' row-major keys into
+    one array, and that array is sorted; so it holds every cell key of
+    every distinct row at once.  Python ints where a product would pass
+    2^62."""
+    def int_dtype(bound: int):
+        return np.int64 if bound.bit_length() <= 62 else object
+
+    cubes = np.asarray(cubes, dtype=np.int64)
+    if not len(cubes):
+        return 0
+    p, q = delta.numerator, delta.denominator
+    den = p << depth
+    side = -(-q // p)
+    dim = cubes.shape[1]
+    k = cubes.astype(int_dtype(max(p, q) << depth), copy=False)
+    dtype = int_dtype((2 * side) ** dim)
+    lo = np.maximum(-((-k * q) // den) - 1, 0).astype(dtype, copy=False)
+    hi = np.minimum((k + 1) * q // den, side - 1).astype(dtype, copy=False)
+    # lo + hi names an axis's (lo, hi) pair, both being nondecreasing in k
+    ids = lo[:, 0] + hi[:, 0]
+    for a in range(1, dim):
+        ids = ids * (2 * side - 1) + lo[:, a] + hi[:, a]
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    rows = order[np.r_[True, ids[1:] != ids[:-1]]]
+    lo, span = lo[rows], hi[rows] - lo[rows]
+    step = [side**a for a in reversed(range(dim))]
+    first = lo @ np.array(step, dtype=dtype)
+    keys = np.empty(int(np.prod(span + 1, axis=1).sum()), dtype=dtype)
+    at = 0
+    for offsets in product(range(int(span.max()) + 1), repeat=dim):
+        reach = None  # the rows whose span covers every nonzero offset
+        for a, o in enumerate(offsets):
+            if o:
+                reach = span[:, a] >= o if reach is None else reach & (span[:, a] >= o)
+        cells = first if reach is None else first[reach]
+        np.add(cells, sum(o * s for o, s in zip(offsets, step)), out=keys[at : at + len(cells)])
+        at += len(cells)
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
+def cube_lines_one_pass(E) -> str:
+    """The index lines of a DyadicCubeSet's cubes in key order, one line per
+    cube, in one %-formatting pass over every index."""
+    line = " ".join(["%d"] * E.dim) + "\n"
+    return (line * len(E)) % tuple(E.indices().ravel().tolist())
 
 
 @dataclass(frozen=True)

@@ -361,6 +361,12 @@ def test_config_errors_exit_2(workdir, capsys):
         assert run(["dims", "cantor:6", "--scales", scales]) == 2, scales
     for scales in ("dyadic:0..5", "triadic:0..5"):
         assert run(["dims", "cantor:6", "--scales", scales]) == 2, scales
+    # a scale that rounds to 0.0 as a float is named before any count
+    for args, name in ((["cantor:4", "--scales", "dyadic:1070..1080"], "2^-1075"),
+                       (["points:0.5", "--scales", "triadic:670..680"], "3^-679")):
+        capsys.readouterr()
+        assert run(["dims", *args]) == 2, args
+        assert f"scale {name} in" in capsys.readouterr().err, args
     for points in ("points:0.1,1.5", "points:-0.1,0.5", "points:nan", "points:0.5,inf"):
         assert run(["dims", points]) == 2, points
     assert run(["micro", "cantor:6", "--eps", 2]) == 2
@@ -436,6 +442,41 @@ def test_config_errors_exit_2(workdir, capsys):
     assert run(["report", "b"]) == 2
     (workdir / "b" / "stages.json").write_text("[{")
     assert run(["report", "b"]) == 2
+
+
+@pytest.mark.parametrize("lead", [8, 9, 10, 11])
+def test_malformed_set_lines_in_a_later_chunk_exit_2(workdir, monkeypatch, capsys, lead):
+    # .set files are parsed 4 lines at a time here: the bad lines come after
+    # `lead` good and blank ones, so a wide row and its neighbour fall in one
+    # chunk or in two
+    monkeypatch.setattr(setlib, "_LOAD_LINES", 4)
+    good = "".join(f"{i} {15 - i}\n" if i % 3 else "\n" for i in range(lead))
+    tails = {
+        "wide": "0 1 2\n3\n",  # four indices, but three on one line
+        "length": "0 1\n3\n",
+        "token": "0 1\n0 x\n",
+        "range": "0 1\n0 16\n",
+        "negative": "0 1\n0 -1\n",
+        "huge": "0 1\n1180591620717411303423 5\n",
+    }
+    (workdir / "ok.set").write_text("d 2 m 4\n" + good)
+    assert run(["dims", "ok.set", "--out", "ok.json"]) == 0
+    for name, tail in tails.items():
+        (workdir / f"{name}.set").write_text("d 2 m 4\n" + good + tail + good)
+        capsys.readouterr()
+        assert run(["dims", f"{name}.set", "--out", "x.json"]) == 2, name
+        err = capsys.readouterr().err
+        assert f"{name}.set" in err and "Traceback" not in err, name
+    assert not (workdir / "x.json").exists()
+
+
+def test_dims_far_below_the_cube_side(workdir):
+    # two separated depth-4 cubes counted down to delta = 2^-24, where each
+    # meets 2^20 + 2 cells per axis; every count is the product per cube
+    setlib.save_cubes("two.set", setlib.DyadicCubeSet.from_indices(2, 4, [(1, 2), (5, 9)]))
+    assert run(["dims", "two.set", "--scales", "dyadic:1..24", "--out", "d.json"]) == 0
+    entries = json.loads((workdir / "d.json").read_text())["entries"]
+    assert [e["N"] for e in entries[4:]] == [2 * (2 ** (j - 4) + 2) ** 2 for j in range(5, 25)]
 
 
 def test_gauge_outside_its_domain_exits_2(workdir, capsys):

@@ -2,13 +2,16 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liplab import setlib
 from liplab.gauges import Pseudogauge, make_preset
 from liplab.setlib import (
     MAX_KEY_BITS,
@@ -46,6 +49,9 @@ from oracles import (
     bisection_uncovered,
     brute_uncovered_point,
     brute_grid_count,
+    compressed_grid_count,
+    cube_lines_one_pass,
+    grid_count_keys,
     brute_micro_assignment,
     brute_min_window_cover,
     fraction_cantor_intervals,
@@ -462,6 +468,95 @@ def test_grid_count_matches_brute_force(case):
     dim, depth, cubes, delta = case
     E = DyadicCubeSet.from_indices(dim, depth, sorted(cubes))
     assert n_delta(E, delta).count == brute_grid_count(cubes, depth, delta)
+
+
+@st.composite
+def _blocked_count_cases(draw):
+    """A 2-d or 3-d cube set, small or at the key limit, with runs of
+    neighbouring cubes and far-apart ones, and a delta at or above the cube
+    side 2^-depth, or below it down to 2^-(depth + 6): dyadic, triadic or a
+    float."""
+    dim = draw(st.integers(2, 3))
+    depth = draw(st.one_of(st.integers(0, 4 if dim == 2 else 3), st.just(62 // dim)))
+    top = 1 << depth
+    corner = draw(st.tuples(*[st.one_of(st.integers(0, top - 1), st.just(top - 1))] * dim))
+    near = st.tuples(*[st.integers(max(c - 3, 0), c) for c in corner])
+    anywhere = st.tuples(*[st.integers(0, top - 1)] * dim)
+    cubes = draw(st.sets(st.one_of(near, anywhere), max_size=10 if dim == 2 else 6))
+    # delta in [2^-finest, 2^-coarsest]: below the cube side 2^-depth, down
+    # to 2^-(depth + 6), or at or above it
+    fine = draw(st.booleans())
+    coarsest, finest = (depth, depth + 6) if fine else (0, depth)
+    deltas = [
+        st.integers(coarsest + fine, finest).map(lambda j: Fraction(1, 2**j)),
+        st.floats(2.0**-finest, 2.0**-coarsest, exclude_max=fine).map(Fraction),
+    ]
+    triadic = [i for i in range(1, 40) if 2.0**-finest <= 3.0**-i <= 2.0**-coarsest
+               and (3.0**-i < 2.0**-depth) == fine]
+    if triadic:
+        deltas.append(st.sampled_from(triadic).map(lambda i: Fraction(1, 3**i)))
+    delta = draw(st.one_of(deltas))
+    assert (delta < Fraction(1, top)) == fine
+    return dim, depth, sorted(cubes), delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocked_count_cases(), st.integers(1, 3))
+def test_blocked_grid_count_matches_references(tmp_path_factory, case, per_block):
+    # blocks of 1 to 3 cubes and files written and read 2 lines at a time,
+    # so every set crosses blocks and chunks; at the key limit the keys and
+    # weights run on Python ints
+    dim, depth, cubes, delta = case
+    path = tmp_path_factory.mktemp("blocks") / "e.set"
+    with mock.patch.multiple(setlib, _KEY_BUDGET=per_block * 3**dim, _SAVE_CUBES=2, _LOAD_LINES=2):
+        save_cubes(path, DyadicCubeSet.from_indices(dim, depth, cubes))
+        got = n_delta(load_cubes(path), delta).count
+    assert got == compressed_grid_count(cubes, depth, delta)
+    work = len(cubes) * (float(Fraction(1, 1 << depth) / delta) + 3) ** dim  # cells to list
+    if work <= 50_000:
+        assert got == grid_count_keys(cubes, depth, delta)
+    if work <= 20_000:
+        assert got == brute_grid_count(cubes, depth, delta)
+
+
+def test_grid_count_far_below_the_cube_side():
+    # at delta = 2^-24 a depth-4 cube meets 2^20 cells per axis and one more
+    # past each end that lies inside [0,1]; separated cubes share no cell
+    E = DyadicCubeSet.from_indices(2, 4, [(1, 2), (5, 9)])
+    assert n_delta(E, Fraction(1, 2**24)).count == 2 * (2**20 + 2) ** 2
+    corner = DyadicCubeSet.from_indices(2, 4, [(0, 15), (15, 15)])
+    assert n_delta(corner, Fraction(1, 2**24)).count == (2**20 + 1) ** 2 + (2**20 + 1) ** 2
+    # side by side, the two cubes share the cells on their common face
+    pair = DyadicCubeSet.from_indices(2, 4, [(3, 7), (4, 7)])
+    assert n_delta(pair, Fraction(1, 2**24)).count == (2 * 2**20 + 2) * (2**20 + 2)
+    three_d = DyadicCubeSet.from_indices(3, 4, [(1, 2, 3), (9, 9, 9)])
+    assert n_delta(three_d, Fraction(1, 2**24)).count == 2 * (2**20 + 2) ** 3
+
+
+def test_grid_count_memory_does_not_grow_below_the_cube_side():
+    # 13k depth-8 cubes: listing every cell at delta = 2^-14 would take
+    # 13k * 66^2 keys (450 MB); the blocked count holds a fixed budget
+    keys = np.flatnonzero(np.random.default_rng(3).random(1 << 16) < 0.2)
+    E = DyadicCubeSet(2, 8, keys)
+    peaks = []
+    for j in (8, 14, 20):
+        tracemalloc.start()
+        n_delta(E, Fraction(1, 2**j))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert max(peaks) < 16 << 20, peaks
+
+
+def test_save_cubes_chunks_match_one_pass_text(tmp_path):
+    rng = np.random.default_rng(5)
+    sets = [DyadicCubeSet(1, 6, []), DyadicCubeSet(1, 6, rng.integers(0, 64, 20)),
+            DyadicCubeSet(2, 4, rng.integers(0, 256, 30)), DyadicCubeSet(3, 3, rng.integers(0, 512, 7))]
+    path = tmp_path / "e.set"
+    with mock.patch.multiple(setlib, _SAVE_CUBES=3, _LOAD_LINES=2):
+        for E in sets:
+            save_cubes(path, E)
+            assert path.read_text() == f"d {E.dim} m {E.depth}\n" + cube_lines_one_pass(E)
+            assert load_cubes(path) == E
 
 
 def test_key_limit_is_enforced():
