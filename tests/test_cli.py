@@ -9,6 +9,7 @@ import pytest
 from liplab import cli, funclib, gauges, setlib
 from liplab import construct as construct_mod
 from liplab.cli import RunConfig, main
+from oracles import fraction_core
 
 
 def run(args):
@@ -122,7 +123,7 @@ def test_dropped_round_trips_through_the_build_directory(workdir):
         assert sorted(item["dropped"] + rec.kept.tolist()) == list(range(rec.params.k))
         assert np.array_equal(again.kept, rec.kept) and again.kept.dtype == np.int64
         for j in (int(rec.kept[0]), int(rec.kept[-1]), item["dropped"][0]):
-            a, b = rec.params.core_interval(j)
+            a, b = fraction_core(rec.params.k, rec.params.eta, j)
             assert again.covering_core((a + b) / 2) == (j if j in rec.kept else None)
 
 
@@ -532,6 +533,67 @@ def test_partition_rejects_final_function_off_its_plateau(workdir, capsys):
     assert f"stage {rec.params.n}" in err and f"cube {int(rec.kept[j])}:" in err
     assert "spread 9.53674e-07" in err
     assert not (workdir / "p.json").exists()
+
+
+# stage depths 10, 10, 13
+UNEVEN_DEPTHS = ["construct", "--base", "affine(c=1)", "--depth", 10, "--nmax", 3,
+                 "--phi", "power(s=0.1)", "--zeta", "power(s=1)", "--eps0", 1.0]
+
+
+def _replace_fn(path, depth):
+    funclib.save_function(path, funclib.make_test_function("affine", {"c": 1.0}, depth))
+
+
+@pytest.mark.parametrize("tamper, words", [
+    (lambda b: _replace_fn(b / "final.fn", 10),
+     "final.fn has depth 10, not stage 3's grid depth 13"),
+    (lambda b: _replace_fn(b / "base.fn", 16),
+     "stage 1's grid depth 10 is below base.fn's depth 16"),
+    (lambda b: (b / "stages.json").write_text(
+        (b / "stages.json").read_text().replace('"depth": 13', '"depth": 9')),
+     "stage 3's grid depth 9 is below stage 2's depth 10"),
+], ids=["shallow final.fn", "deep base.fn", "shallower stage"])
+def test_build_depths_out_of_order_exit_2(workdir, capsys, tamper, words):
+    # once a raw IndexError from plateau_extremes, or "resample only refines"
+    assert run([*UNEVEN_DEPTHS, "--out", "b"]) == 0
+    depths = [item["depth"] for item in json.loads((workdir / "b" / "stages.json").read_text())]
+    assert depths == [10, 10, 13]
+    tamper(workdir / "b")
+    for command in ("report", "partition"):
+        capsys.readouterr()
+        assert run([command, "b", "--out", "out.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: b: ") and words in err and "Traceback" not in err
+    assert not (workdir / "out.json").exists()
+
+
+def test_report_records_a_stage_inequality_failure(workdir, capsys):
+    # stage 3's budget raised to 10 breaks stage 1's and 2's inequalities,
+    # lip included: each failure is named in its stage's entry and written
+    assert run([*UNEVEN_DEPTHS, "--out", "b"]) == 0
+    stages = json.loads((workdir / "b" / "stages.json").read_text())
+    stages[2]["epsilon"] = 10.0
+    (workdir / "b" / "stages.json").write_text(json.dumps(stages, indent=1))
+    capsys.readouterr()
+    assert run(["report", "b", "--out", "r.json"]) == 1
+    payload = json.loads((workdir / "r.json").read_text())
+    assert payload["all_pass"] is False
+    build = construct_mod.load_build("b")
+    for n, entry in enumerate(payload["membership"], start=1):
+        rec = build.stages[n - 1]
+        if n == 3:  # T_3 = 0: stage 3 still holds
+            assert entry["ok"] and entry["bound"] == 0.0
+            continue
+        assert entry == {"n": n, "ok": False, "error": entry["error"]}
+        assert entry["error"] == (
+            f"stage {n}: membership inequality 2*T_n < (1/n) phi(eta/2) fails:"
+            f" {2 * build.tail(n):g} >= {rec.membership_slack:g}; lip inequality"
+            f" 2*T_n < (1/n) phi(eta/4) fails: {2 * build.tail(n):g} >= {rec.lip_slack:g}"
+        )
+    assert [s["covered_samples"] for s in payload["lip_samples"]] == [64, 64, 64]
+    err = capsys.readouterr().err
+    assert err.startswith("certificate failure: stage 1: membership inequality")
+    assert "; stage 2: " in err and "(r.json)" in err and "Traceback" not in err
 
 
 def test_config_file_load(workdir):

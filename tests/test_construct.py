@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from liplab.construct import (
     ConstructError,
     StageParams,
+    StageRecord,
     build_stage,
-    certify_lip_bound,
     certify_membership,
     choose_stage_params,
     deepest_core_complement,
@@ -24,8 +24,22 @@ from liplab.construct import (
 )
 from liplab.funclib import SampledFunction, make_test_function, save_function
 from liplab.gauges import make_preset
-from liplab.setlib import DyadicCubeSet, IntervalUnion, cross_power, load_cubes, n_delta
-from oracles import FractionIntervalUnion, TupleCubeSet, fraction_plateau_range
+from liplab.setlib import (
+    DyadicCubeSet,
+    FormatError,
+    IntervalUnion,
+    cross_power,
+    load_cubes,
+    n_delta,
+)
+from oracles import (
+    FractionIntervalUnion,
+    TupleCubeSet,
+    fraction_core,
+    fraction_cube,
+    fraction_plateau_range,
+    fraction_slab,
+)
 
 POWER1 = make_preset("power", s=1)
 PHI = make_preset("power", s=0.25)
@@ -82,7 +96,7 @@ def test_choose_params_plateau_zeta_errors():
         choose_stage_params(f0, 1, 0.5, flat)
 
 
-def test_stage_identities_exact_and_float():
+def test_stage_identities_exact():
     bases = [
         make_test_function("constant", {"value": 0.5}, depth=8),
         make_test_function("affine", {"c": 1.0}, depth=10),
@@ -94,9 +108,6 @@ def test_stage_identities_exact_and_float():
                 assert p.gamma * p.beta == 1 - p.k * p.eta  # exact rationals
                 assert p.one_minus_gamma * (p.beta / p.k) == p.eta / 2
                 assert p.cert_radius == p.eta / 4
-                lhs = p.one_minus_gamma_f * (p.beta_f / p.k)
-                rhs = float(p.eta) / 2.0
-                assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_eta_consequence_exact_counts():
@@ -112,9 +123,13 @@ def test_eta_consequence_exact_counts():
 def test_slab_and_core_geometry():
     p = StageParams(1, 0.5, Fraction(1), 2, Fraction(1, 8), 0.125)
     p.validate()
-    assert p.slab(0) == (Fraction(0), Fraction(1, 16))
-    assert p.slab(1) == (Fraction(7, 16), Fraction(9, 16))
-    assert p.core_interval(0) == (Fraction(1, 16), Fraction(7, 16))
+    assert p.layout_den == 64
+    assert p.pieces("slab", 0) == (0, 4) and p.pieces("slab", 1) == (28, 36)
+    assert p.pieces("core", 0) == (4, 28)
+    assert p.slab_union().intervals[:2] == (
+        (Fraction(0), Fraction(1, 16)), (Fraction(7, 16), Fraction(9, 16))
+    )
+    assert p.core_union().intervals[0] == (Fraction(1, 16), Fraction(7, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +184,9 @@ def test_cores_end_at_slab_edges(stage):
     # the slabs and the cores tile [0,1], so the complement of the cores is
     # exactly the slab union
     p, _, _ = stage
-    assert p.slab(0)[0] == 0 and p.slab(p.k)[1] == 1
+    assert p.pieces("slab", 0)[0] == 0 and p.pieces("slab", p.k)[1] == p.layout_den
     for j in range(p.k):
-        assert p.core_interval(j) == (p.slab(j)[1], p.slab(j + 1)[0])
+        assert p.pieces("core", j) == (p.pieces("slab", j)[1], p.pieces("slab", j + 1)[0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,12 +194,59 @@ def test_cores_end_at_slab_edges(stage):
 def test_slab_and_cube_unions_match_fraction_pairs(stage, finer):
     # a finer eta takes 2k * den past 2^62, onto Python-int numerators
     p = dataclasses.replace(stage[0], eta=stage[0].eta / 2**finer)
-    slabs = FractionIntervalUnion.from_pairs(p.slab(m) for m in range(p.k + 1))
+    slabs = FractionIntervalUnion.from_pairs(fraction_slab(p.k, p.eta, m) for m in range(p.k + 1))
     assert p.slab_union().intervals == slabs.intervals
     half = p.beta / (2 * p.k)  # the shrunken cube beta*K_j around (2j+1)/(2k)
     cubes = [(Fraction(2 * j + 1, 2 * p.k) - half, Fraction(2 * j + 1, 2 * p.k) + half)
              for j in range(p.k)]
     assert list(p.cube_union().intervals) == cubes
+    assert cubes == [fraction_cube(p.k, p.eta, j) for j in range(p.k)]
+    assert list(p.core_union().intervals) == [fraction_core(p.k, p.eta, j) for j in range(p.k)]
+
+
+@st.composite
+def _stage_with_kept(draw):
+    """A StageRecord with random (k, eta), eta < 1/k any rational or a deep
+    dyadic (numerators past 2^62), and a random kept subset of the cubes."""
+    k = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        num = draw(st.integers(1, 50))
+        eta = Fraction(num, num * k + draw(st.integers(1, 10**12)))
+    else:
+        eta = Fraction(1, 1 << draw(st.integers(k.bit_length() + 1, 90)))
+    p = StageParams(1, 0.5, Fraction(1), k, eta, 0.0)
+    kept = sorted(draw(st.sets(st.integers(0, k - 1))))
+    none = np.zeros(0, dtype=np.int64)
+    return StageRecord(p, 0, none, none, np.array(kept, dtype=np.int64), 1.0, 1.0)
+
+
+def _probes(p, j):
+    """Exact ends of core j, cube j and slabs j and j + 1, m/k, (j + 1/2)/k,
+    0 and 1, each as a Fraction and as the float nearest it and its two
+    float neighbours."""
+    m = min(j + 1, p.k)
+    exact = [Fraction(0), Fraction(1), Fraction(m, p.k), Fraction(2 * j + 1, 2 * p.k),
+             *fraction_core(p.k, p.eta, j), *fraction_cube(p.k, p.eta, j),
+             *fraction_slab(p.k, p.eta, j), *fraction_slab(p.k, p.eta, m)]
+    for x in exact:
+        f = float(x)
+        yield from (x, f, math.nextafter(f, -math.inf), math.nextafter(f, math.inf))
+
+
+def _first_holding(pieces: dict, x):
+    return next((i for i, (a, b) in pieces.items() if a <= x <= b), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stage_with_kept(), st.data())
+def test_covering_core_and_slab_index_match_fraction_oracle(rec, data):
+    p = rec.params
+    cores = {j: fraction_core(p.k, p.eta, j) for j in rec.kept.tolist()}
+    slabs = {m: fraction_slab(p.k, p.eta, m) for m in range(p.k + 1)}
+    for j in {0, p.k - 1, data.draw(st.integers(0, p.k - 1))}:
+        for x in _probes(p, j):
+            assert rec.covering_core(x) == _first_holding(cores, x), x
+            assert rec.slab_index(x) == _first_holding(slabs, x), x
 
 
 @settings(max_examples=50, deadline=None)
@@ -225,7 +287,7 @@ def test_partial_domain_build_certifies_and_round_trips(tmp_path):
     assert np.isnan(build.final.values[~in_domain]).all()
     for n in (1, 2, 3):
         cert = certify_membership(build, n)
-        assert cert.ok and cert.margin_min > 0.0
+        assert cert.membership_margin > 0.0 and cert.lip_margin > 0.0
         assert cert.diam_max_measured <= cert.bound
     analysis = exceptional_set(build)
     for n, rep in enumerate(analysis.tail_premeasures, start=1):
@@ -252,7 +314,7 @@ def test_2d_core_complement_in_cross_power():
     p = StageParams(1, 0.9, Fraction(1), 2, Fraction(1, 8), 0.125)
     E = p.slab_union()
     cross = cross_power(DyadicCubeSet.from_interval_union(E, depth), 2)
-    core_1d = IntervalUnion.from_pairs(p.core_interval(j) for j in range(p.k))
+    core_1d = p.core_union()
     # condition (a) at cube level: complement of the cores sits in E^(cross 2)
     rng = np.random.default_rng(2)
     pts = rng.random((2000, 2))
@@ -287,7 +349,7 @@ def test_build_rejects_dimension_2(tmp_path):
     # a build directory whose final.fn is 2-d is refused on load
     save_build(tmp_path / "b", small_affine_build(n_max=1))
     save_function(tmp_path / "b" / "final.fn", f0)
-    with pytest.raises(ConstructError, match="dimension 1, not 2"):
+    with pytest.raises(FormatError, match="final.fn has dimension 2; builds need dimension 1"):
         load_build(tmp_path / "b")
 
 
@@ -298,7 +360,7 @@ def test_build_rejects_dimension_2(tmp_path):
 def test_iterate_affine_three_stages():
     build = small_affine_build()
     assert build.n_stages == 3 and build.early_stop is None
-    assert build.sup_distance() <= sum(build.eps_schedule) + 1e-12
+    assert build.sup_distance <= sum(build.eps_schedule) + 1e-12
     for n in (1, 2, 3):
         assert 2.0 * build.tail(n) < build.stages[n - 1].slack_min
 
@@ -309,8 +371,7 @@ def test_iterate_constant_base_is_fixed_point():
     final = build.base.resample(build.final.depth)
     assert np.array_equal(build.final.values, final.values)
     for n in (1, 2, 3):
-        cert = certify_membership(build, n)
-        assert cert.ok and cert.diam_max_measured == 0.0
+        assert certify_membership(build, n).diam_max_measured == 0.0
 
 
 def test_iterate_single_stage_lip_zero_at_centers():
@@ -319,7 +380,7 @@ def test_iterate_single_stage_lip_zero_at_centers():
     from liplab.funclib import oscillation
 
     j = int(rec.kept[len(rec.kept) // 2])
-    a, b = rec.params.core_interval(j)
+    a, b = fraction_core(rec.params.k, rec.params.eta, j)
     x = float((a + b) / 2)
     assert oscillation(build.final, [x], float(rec.params.cert_radius)).upper[0] == 0.0
 
@@ -333,7 +394,8 @@ def test_iterate_spec_example_budget_cascade():
     if build.n_stages < 3:
         assert build.early_stop is not None
     for n in range(1, build.n_stages + 1):
-        assert certify_membership(build, n).ok
+        cert = certify_membership(build, n)
+        assert cert.membership_margin > 0.0 and cert.lip_margin > 0.0
 
 
 def test_iterate_rejects_bad_inputs():
@@ -352,9 +414,10 @@ def test_certify_membership_margins():
     build = small_affine_build()
     for n in (1, 2, 3):
         cert = certify_membership(build, n)
-        assert cert.ok
-        assert cert.bound < cert.threshold
-        assert cert.margin_min > 0.0
+        assert cert.n == n and cert.cube_count == len(build.stages[n - 1].kept)
+        assert cert.bound < cert.membership_threshold and cert.bound < cert.lip_threshold
+        assert cert.membership_margin > 0.0 and cert.lip_margin > 0.0
+        assert cert.radius == float(build.stages[n - 1].params.eta / 4)
         assert cert.diam_max_measured <= cert.bound + 1e-300
 
 
@@ -363,8 +426,10 @@ def test_certify_membership_constant_margin_value():
     build = iterate_typical(f0, 1, PHI, POWER1, 0.5)
     cert = certify_membership(build, 1)
     eta = build.stages[0].params.eta
-    assert cert.threshold == pytest.approx(PHI.eval(float(eta / 2)), rel=1e-12)
-    assert cert.margin_min == pytest.approx(cert.threshold, rel=1e-12)  # T_1 = 0
+    assert cert.membership_threshold == pytest.approx(PHI.eval(float(eta / 2)), rel=1e-12)
+    assert cert.lip_threshold == pytest.approx(PHI.eval(float(eta / 4)), rel=1e-12)
+    assert cert.membership_margin == pytest.approx(cert.membership_threshold, rel=1e-12)  # T_1 = 0
+    assert cert.lip_margin == cert.lip_threshold
 
 
 def test_iterate_budget_keeps_every_stage_open():
@@ -383,25 +448,46 @@ def test_certify_membership_detects_tampering():
     rec = build.stages[2]
     # fake a huge later perturbation
     build.stages[2] = dataclasses.replace(rec, params=dataclasses.replace(rec.params, eps=10.0))
-    with pytest.raises(ConstructError):
+    with pytest.raises(ConstructError) as err:
         certify_membership(build, 1)
+    # both inequalities fail, each named with its two sides
+    membership, lip = str(err.value).split("; ")
+    assert membership.startswith("stage 1: membership inequality 2*T_n < (1/n) phi(eta/2) fails: ")
+    assert lip.startswith("lip inequality 2*T_n < (1/n) phi(eta/4) fails: ")
+    assert float(membership.split()[-3]) == pytest.approx(2.0 * build.tail(1), rel=1e-5)
 
 
-def test_certify_lip_bound_covered_and_not():
+def test_certify_membership_names_a_lip_only_failure():
+    # 2*T_1 between the lip threshold (1/n) phi(eta/4) and the membership
+    # threshold (1/n) phi(eta/2) fails the lip inequality alone
+    build = small_affine_build()
+    rec = build.stages[0]
+    eps = (rec.lip_slack + rec.membership_slack) / 4 - build.stages[1].params.eps
+    build.stages[2] = dataclasses.replace(
+        build.stages[2], params=dataclasses.replace(build.stages[2].params, eps=eps)
+    )
+    assert rec.lip_slack <= 2.0 * build.tail(1) < rec.membership_slack
+    with pytest.raises(ConstructError) as err:
+        certify_membership(build, 1)
+    assert str(err.value).startswith("stage 1: lip inequality 2*T_n < (1/n) phi(eta/4) fails: ")
+    assert "membership" not in str(err.value)
+
+
+def test_stage_certificate_covers_core_midpoints_not_grid_points():
     build = small_affine_build()
     for n in (1, 2, 3):
         rec = build.stages[n - 1]
         p = rec.params
-        j = int(rec.kept[0])
-        a, b = p.core_interval(j)
-        cert = certify_lip_bound(build, float((a + b) / 2), n)
-        assert cert.covered and cert.cube == j
+        cert = certify_membership(build, n)
         assert cert.radius == float(p.eta / 4)
-        assert cert.bound < cert.threshold
-        assert cert.margin > 0.0
+        assert cert.bound < cert.lip_threshold and cert.lip_margin > 0.0
+        j = int(rec.kept[0])
+        a, b = fraction_core(p.k, p.eta, j)
+        assert rec.covering_core(float((a + b) / 2)) == j
+        assert rec.slab_index(float((a + b) / 2)) is None
         # a grid point x = m/k sits inside the exceptional slab
-        miss = certify_lip_bound(build, float(Fraction(1, p.k)), n)
-        assert not miss.covered and miss.slab == 1
+        assert rec.covering_core(float(Fraction(1, p.k))) is None
+        assert rec.slab_index(float(Fraction(1, p.k))) == 1
 
 
 def test_certified_bound_dominates_sampled_osc():
@@ -412,9 +498,10 @@ def test_certified_bound_dominates_sampled_osc():
         rec = build.stages[n - 1]
         p = rec.params
         j = int(rec.kept[len(rec.kept) // 3])
-        a, b = p.core_interval(j)
+        a, b = fraction_core(p.k, p.eta, j)
         x = float((a + b) / 2)
-        cert = certify_lip_bound(build, x, n)
+        assert rec.covering_core(x) == j
+        cert = certify_membership(build, n)
         measured = oscillation(build.final, [x], cert.radius).upper[0]
         assert measured <= cert.bound + 1e-300
 
@@ -539,5 +626,6 @@ def test_build_save_load_round_trip(tmp_path):
         orig = certify_membership(build, n)
         again = certify_membership(back, n)
         assert orig.bound == pytest.approx(again.bound)
-        assert orig.threshold == pytest.approx(again.threshold)
+        assert orig.membership_threshold == pytest.approx(again.membership_threshold)
+        assert orig.lip_threshold == pytest.approx(again.lip_threshold)
 

@@ -20,7 +20,13 @@ from liplab.partition import (
     vitali_5r,
 )
 from liplab.setlib import DyadicCubeSet, IntervalUnion, lower_box_dim
-from oracles import TupleCubeSet, fraction_raster, verify_vitali_quadratic, vitali_5r_quadratic
+from oracles import (
+    TupleCubeSet,
+    fraction_core,
+    fraction_raster,
+    verify_vitali_quadratic,
+    vitali_5r_quadratic,
+)
 
 POWER1 = make_preset("power", s=1)
 PHI_BUILD = make_preset("power", s=0.25)
@@ -205,7 +211,7 @@ def test_split_b_is_plateau_cores():
     build = affine_build(1)
     A, B = split_partition(build)
     p = build.stages[-1].params
-    cores = IntervalUnion.from_pairs(p.core_interval(j) for j in range(p.k))
+    cores = IntervalUnion.from_pairs(fraction_core(p.k, p.eta, j) for j in range(p.k))
     for idx in TupleCubeSet.of(B).cubes:
         h = Fraction(1, 1 << B.depth)
         assert cores.contains(idx[0] * h) and cores.contains((idx[0] + 1) * h)
