@@ -220,30 +220,23 @@ def choose_stage_params(f: SampledFunction, n: int, eps: float, zeta: GaugeLike)
             f"modulus does not drop below eps={eps:g} at any scanned radius >= 2^-{DELTA_SCAN}"
         )
     k = max(n + 1, math.floor(1 / delta) + 1)
-    while Fraction(1, k) >= delta:
-        k += 1
     bound = 1.0 / (n * (k + 1))
-    j = 0
-    eta = None
-    deepest = None
-    while j <= ETA_SCAN:
-        candidate = Fraction(1, 1 << j)
-        if candidate < Fraction(1, k):
-            try:
-                deepest = zeta.eval(float(candidate))
-            except GaugeDomainError:
-                j += 1
-                continue
-            if deepest < bound:
-                eta = candidate
-                break
-        j += 1
+    eta = deepest = None
+    # 2^-j < 1/k from j = k.bit_length() on
+    for j in range(k.bit_length(), ETA_SCAN + 1):
+        try:
+            deepest = zeta.eval(2.0**-j)
+        except GaugeDomainError:
+            continue
+        if deepest < bound:
+            eta = Fraction(1, 1 << j)
+            break
     if eta is None:
         raise ConstructError(
             f"no admissible eta within scan range: zeta stayed >= 1/(n(k+1)) = {bound:g}"
             f" down to 2^-{ETA_SCAN} (deepest scanned zeta = {deepest})"
         )
-    params = StageParams(n, eps, delta, k, eta, zeta.eval(float(eta)))
+    params = StageParams(n, eps, delta, k, eta, deepest)
     params.validate()
     return params
 
@@ -699,18 +692,28 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
     return analysis
 
 
-def _dropped(item: dict) -> list:
-    """A stage's "dropped" list: distinct ints (not bools) in 0..k-1."""
-    dropped, k = item["dropped"], item["k"]
+def _stage(position: int, item: dict, zeta: GaugeLike) -> tuple[StageParams, int, np.ndarray]:
+    """(params, depth, kept cubes) of the stages.json entry at `position`.
+    ValueError unless n is the position, k and depth are ints, epsilon is a
+    finite positive number, dropped lists distinct cube indices in 0..k-1 and
+    the choices pass StageParams.validate."""
+    n, k, depth, eps, dropped = (item[key] for key in ("n", "k", "depth", "epsilon", "dropped"))
+    if type(n) is not int or n != position:
+        raise ValueError(f"n is {n!r}, not the stage's position {position}")
+    if type(k) is not int or type(depth) is not int:
+        raise ValueError(f"k and depth must be ints, not {k!r} and {depth!r}")
+    if type(eps) not in (int, float) or not 0.0 < eps < math.inf:
+        raise ValueError(f"epsilon must be a finite positive number, not {eps!r}")
     if not (
         isinstance(dropped, list)
         and all(type(j) is int and 0 <= j < k for j in dropped)
         and len(set(dropped)) == len(dropped)
     ):
-        raise FormatError(
-            f"stages.json stage {item['n']}: dropped must list distinct cube indices in 0..{k - 1}"
-        )
-    return dropped
+        raise ValueError(f"dropped must list distinct cube indices in 0..{k - 1}")
+    eta = Fraction(item["eta"])
+    params = StageParams(n, eps, Fraction(item["delta"]), k, eta, zeta.eval(float(eta)))
+    params.validate()
+    return params, depth, _complement(dropped, k)
 
 
 def _check_depths(directory, base: SampledFunction, final: SampledFunction, depths) -> None:
@@ -740,7 +743,9 @@ def load_build(directory) -> TypicalBuild:
     """Read a build directory; every threshold is recomputed from meta.json's
     gauges, and keys stages.json carries beyond the stage choices are ignored.
     Both functions must be 1-d, with base.depth <= depth_1 <= ... <= depth_N
-    = final.depth; otherwise FormatError names the file and the stage."""
+    = final.depth, each stage must pass _stage's checks, and its plateau
+    edges must lie on its grid; otherwise FormatError names the file and the
+    stage."""
     base = load_function(os.path.join(directory, "base.fn"))
     final = load_function(os.path.join(directory, "final.fn"))
     with _format_errors(directory):
@@ -750,23 +755,18 @@ def load_build(directory) -> TypicalBuild:
             raw = json.load(fh)
         phi, zeta = parse_gauge(meta["phi"]), parse_gauge(meta["zeta"])
         eps0, early_stop = meta["eps0"], meta["early_stop"]
-        items = [
-            (
-                item["n"],
-                item["epsilon"],
-                Fraction(item["delta"]),
-                item["k"],
-                Fraction(item["eta"]),
-                item["depth"],
-                _complement(_dropped(item), item["k"]),
-            )
-            for item in raw
-        ]
-        _check_depths(directory, base, final, [item[5] for item in items])
+        choices = []
+        for position, item in enumerate(raw, 1):
+            try:
+                choices.append(_stage(position, item, zeta))
+            except (ValueError, TypeError, KeyError, ArithmeticError) as err:
+                raise FormatError(f"stages.json stage {position}: {err}") from err
+        _check_depths(directory, base, final, [depth for _, depth, _ in choices])
     stages = []
-    for n, eps, delta, k, eta, depth, kept in items:
-        params = StageParams(n, eps, delta, k, eta, zeta.eval(float(eta)))
-        params.validate()
-        lo_v, hi_v, _ = plateau_vertex_ranges(params, depth, kept)
+    for params, depth, kept in choices:
+        try:
+            lo_v, hi_v, _ = plateau_vertex_ranges(params, depth, kept)
+        except ConstructError as err:  # eta's plateau edges off the stage's grid
+            raise FormatError(f"stages.json {err}") from err
         stages.append(StageRecord(params, depth, lo_v, hi_v, kept, *stage_slacks(params, phi)))
     return TypicalBuild(base, final, stages, phi, zeta, eps0, early_stop)

@@ -266,11 +266,18 @@ _NAN = np.array([np.nan])
 def _window_extremes(values: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """NaN-ignoring (min, max) of values[lo:hi+1] per window, NaN where a
     window holds no number; lo and hi nondecreasing.  One reduceat over the
-    span the windows touch, padded with a NaN that the empty windows point at."""
-    base = lo[0]
-    span = np.concatenate((values[base : hi[-1] + 1], _NAN))
+    span the windows touch.  reduceat takes no index equal to the span's
+    length, so the span is a view reaching one vertex past hi[-1]; only when
+    a window is empty or ends at the last vertex is it a copy, padded with a
+    NaN that the empty windows point at."""
+    base, end = lo[0], hi[-1] + 1
+    if end < values.size and (lo <= hi).all():
+        span, start = values[base : end + 1], lo
+    else:
+        span = np.concatenate((values[base:end], _NAN))
+        start = np.where(lo > hi, span.size - 1 + base, lo)
     idx = np.empty(2 * lo.size, dtype=np.int64)
-    idx[0::2] = np.where(lo > hi, span.size - 1 + base, lo)
+    idx[0::2] = start
     idx[1::2] = hi + 1
     idx -= base
     return np.fmin.reduceat(span, idx)[0::2], np.fmax.reduceat(span, idx)[0::2]

@@ -1,18 +1,20 @@
 """Evaluable gauges and pseudogauges for scaled-oscillation and measure work.
 
 A gauge is a non-decreasing, right-continuous scale function g with g(r) > 0
-for r > 0; a pseudogauge only needs right-continuity and positivity.  Gauges
-here are closed forms (plus an optional sampled table) restricted to a finite
-domain (0, r_max].  Monotonicity and decay-to-zero are certified by a scan
-over a dyadic grid at construction time and stored as flags; no limit claims
-are made beyond the scanned scales.
+for r > 0; a pseudogauge only needs right-continuity and positivity.  A Gauge
+is a kind and its parameters: a closed form (power, exp_sqrt_log, inv_log,
+super_power) or a right-continuous step table, evaluated on (0, R_MAX] (a
+table from its first knot).  Nothing about monotonicity or decay is checked
+or stored; eval only refuses a radius outside the domain and a value that is
+not a positive finite float, overflow included, as GaugeDomainError.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
@@ -27,8 +29,8 @@ __all__ = [
     "parse_spec",
 ]
 
-# dyadic grid used to certify the monotone / vanishing flags at construction
-_FLAG_SCAN = [2.0 ** -j for j in range(1, 51)]
+# every gauge and pseudogauge argument stays at most R_MAX
+R_MAX = 1.0
 
 
 class GaugeDomainError(ValueError):
@@ -41,20 +43,13 @@ class GaugeSpecError(ValueError):
 
 @dataclass(frozen=True)
 class Gauge:
-    """One evaluable scale function.
-
-    `monotone` and `vanishes_at_zero` are set only after the construction-time
-    scan confirmed the property on every evaluated grid scale; they certify
-    nothing beyond that grid.
-    """
+    """One evaluable scale function: a kind and its (name, value) parameters.
+    A table's parameters are its knots rs and values gs, two float tuples."""
 
     kind: str
-    params: tuple[tuple[str, float], ...] = ()
-    r_max: float = 1.0
-    monotone: bool = field(default=False, compare=False)
-    vanishes_at_zero: bool = field(default=False, compare=False)
+    params: tuple[tuple[str, float | tuple[float, ...]], ...] = ()
 
-    def param(self, name: str, default: float | None = None) -> float:
+    def param(self, name: str, default: float | None = None) -> float | tuple[float, ...]:
         for key, value in self.params:
             if key == name:
                 return value
@@ -64,14 +59,7 @@ class Gauge:
 
     @property
     def r_min(self) -> float:
-        if self.kind == "table":
-            return self._table()[0][0]
-        return 0.0
-
-    def _table(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        rs = tuple(v for k, v in self.params if k.startswith("r"))
-        gs = tuple(v for k, v in self.params if k.startswith("g"))
-        return rs, gs
+        return self.param("rs")[0] if self.kind == "table" else 0.0
 
     def _eval_unchecked(self, r: float) -> float:
         if self.kind == "power":
@@ -91,23 +79,19 @@ class Gauge:
                 )
             return math.exp(t)
         if self.kind == "table":
-            rs, gs = self._table()
             # right-continuous step: value of the largest knot <= r
-            idx = 0
-            for i, knot in enumerate(rs):
-                if knot <= r:
-                    idx = i
-                else:
-                    break
-            return gs[idx]
+            return self.param("gs")[bisect_right(self.param("rs"), r) - 1]
         raise GaugeSpecError(f"unknown gauge kind {self.kind!r}")
 
     def eval(self, r: float) -> float:
-        if not (r > 0.0) or r > self.r_max or r < self.r_min:
+        if not (r > 0.0) or r > R_MAX or r < self.r_min:
             raise GaugeDomainError(
-                f"r={r!r} outside domain ({self.r_min}, {self.r_max}] of {format_gauge(self)}"
+                f"r={r!r} outside domain ({self.r_min}, {R_MAX}] of {format_gauge(self)}"
             )
-        value = self._eval_unchecked(r)
+        try:
+            value = self._eval_unchecked(r)
+        except OverflowError:
+            raise GaugeDomainError(f"{format_gauge(self)} overflows at r={r!r}") from None
         if not (value > 0.0 and math.isfinite(value)):
             raise GaugeDomainError(
                 f"{format_gauge(self)} evaluated to non-positive/non-finite {value!r} at r={r!r}"
@@ -130,11 +114,7 @@ class Pseudogauge:
 
     @property
     def r_max(self) -> float:
-        return self.base.r_max / math.sqrt(self.m + 1)
-
-    @property
-    def r_min(self) -> float:
-        return self.base.r_min / math.sqrt(self.m + 1)
+        return R_MAX / math.sqrt(self.m + 1)
 
     @property
     def kind(self) -> str:
@@ -153,23 +133,6 @@ class Pseudogauge:
 GaugeLike = Gauge | Pseudogauge
 
 
-def _scan_flags(g: Gauge) -> tuple[bool, bool]:
-    values = []
-    for r in _FLAG_SCAN:
-        if r > g.r_max or r < g.r_min:
-            continue
-        try:
-            values.append(g._eval_unchecked(r))
-        except GaugeDomainError:
-            break
-    if len(values) < 2:
-        return False, False
-    monotone = all(b <= a for a, b in zip(values, values[1:]))
-    # finite-scale decay proxy: halved across the scan and still falling
-    vanishes = monotone and values[-1] < 0.5 * values[0] and values[-1] < values[-2]
-    return monotone, vanishes
-
-
 def make_preset(name: str, **params: float | tuple[float, ...]) -> Gauge:
     """Build one of the preset gauges; logs are natural throughout."""
     if name != "table" and any(isinstance(v, tuple) for v in params.values()):
@@ -184,23 +147,23 @@ def make_preset(name: str, **params: float | tuple[float, ...]) -> Gauge:
         items: tuple[tuple[str, float], ...] = (("s", s),)
         if scale != 1.0:
             items += (("scale", scale),)
-        g = Gauge("power", items)
-    elif name == "exp_sqrt_log":
+        return Gauge("power", items)
+    if name == "exp_sqrt_log":
         d = float(params.pop("d", 1.0))
         if params:
             raise GaugeSpecError(f"unknown exp_sqrt_log parameters {sorted(params)}")
         if d < 1:
             raise GaugeSpecError("exp_sqrt_log needs dimension d >= 1")
-        g = Gauge("exp_sqrt_log", (("d", d),))
-    elif name == "inv_log":
+        return Gauge("exp_sqrt_log", (("d", d),))
+    if name == "inv_log":
         if params:
             raise GaugeSpecError("inv_log takes no parameters")
-        g = Gauge("inv_log")
-    elif name == "super_power":
+        return Gauge("inv_log")
+    if name == "super_power":
         if params:
             raise GaugeSpecError("super_power takes no parameters")
-        g = Gauge("super_power")
-    elif name == "table":
+        return Gauge("super_power")
+    if name == "table":
         rs = params.pop("rs", None)
         gs = params.pop("gs", None)
         if params or rs is None or gs is None:
@@ -214,14 +177,8 @@ def make_preset(name: str, **params: float | tuple[float, ...]) -> Gauge:
             raise GaugeSpecError("table knots must be strictly increasing")
         if any(v <= 0 for v in gs):
             raise GaugeSpecError("table values must be positive")
-        items = tuple((f"r{i}", r) for i, r in enumerate(rs)) + tuple(
-            (f"g{i}", v) for i, v in enumerate(gs)
-        )
-        g = Gauge("table", items)
-    else:
-        raise GaugeSpecError(f"unknown preset {name!r}")
-    monotone, vanishes = _scan_flags(g)
-    return Gauge(g.kind, g.params, g.r_max, monotone, vanishes)
+        return Gauge("table", (("rs", rs), ("gs", gs)))
+    raise GaugeSpecError(f"unknown preset {name!r}")
 
 
 def gauge_at_diameter(g: GaugeLike, diam: float) -> float:
@@ -258,8 +215,11 @@ def verify_schizm_relation(
 _SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
 
 
-def _format_number(v: float) -> str:
-    """%g when it reads back as the same float, else repr (lossless)."""
+def _format_number(v: float | tuple[float, ...]) -> str:
+    """%g when it reads back as the same float, else repr (lossless); a
+    tuple is its reprs joined by `:`."""
+    if isinstance(v, tuple):
+        return ":".join(map(repr, v))
     return f"{v:g}" if float(f"{v:g}") == v else repr(v)
 
 
@@ -267,11 +227,6 @@ def format_gauge(g: GaugeLike) -> str:
     """One-line textual form `kind(param=value,...)` used in CLI flags and reports."""
     if isinstance(g, Pseudogauge):
         return f"pseudo(base={format_gauge(g.base)},m={g.m})"
-    if g.kind == "table":
-        rs, gs = g._table()
-        rtxt = ":".join(repr(v) for v in rs)
-        gtxt = ":".join(repr(v) for v in gs)
-        return f"table(rs={rtxt},gs={gtxt})"
     if not g.params:
         return g.kind
     inner = ",".join(f"{k}={_format_number(v)}" for k, v in g.params)

@@ -29,7 +29,8 @@ of every cube into one integer array and sorts it.  The .set text in one
 save_cubes, and the .fn text in one string with every value formatted
 (fn_text_one_pass) and read back one line and one float() at a time
 (fn_read_line_by_line) are the references for the run-length, chunked
-save_function and load_function.
+save_function and load_function.  The step table gauge is kept as a scan
+over its knots (table_gauge_step) as the reference for the bisect lookup.
 """
 
 from __future__ import annotations
@@ -858,3 +859,15 @@ def fn_read_line_by_line(path):
         rest = [line.strip() for line in fh if line.strip()]
     modulus = [line for line in rest if line.startswith("modulus ")]
     return values.reshape((n,) * int(dim)), modulus[-1], "exact 1" in rest
+
+
+def table_gauge_step(rs, gs, r: float) -> float:
+    """Right-continuous step: the value at the largest knot <= r, by scanning
+    every knot (r at or above the first knot)."""
+    idx = 0
+    for i, knot in enumerate(rs):
+        if knot <= r:
+            idx = i
+        else:
+            break
+    return gs[idx]

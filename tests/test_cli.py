@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 from fractions import Fraction
 
 import numpy as np
@@ -564,6 +565,45 @@ def test_build_depths_out_of_order_exit_2(workdir, capsys, tamper, words):
         assert run([command, "b", "--out", "out.json"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: b: ") and words in err and "Traceback" not in err
+    assert not (workdir / "out.json").exists()
+
+
+@pytest.fixture(scope="module")
+def uneven_build(tmp_path_factory):
+    out = tmp_path_factory.mktemp("uneven") / "b"
+    assert run([*UNEVEN_DEPTHS, "--out", out]) == 0
+    return out
+
+
+@pytest.mark.parametrize("stage, key, value, words", [
+    (1, "eta", "1/2", "need eta < 1/k"),
+    (1, "eta", "1/0", "Fraction(1, 0)"),
+    (3, "eta", "1/4096", "eta*2^depth/4 = 1/2 is not an integer at depth 13"),
+    (1, "delta", "0", "need 1/k < delta"),
+    (1, "k", 0, "need k > n"),
+    (3, "n", 2, "n is 2, not the stage's position 3"),
+    (2, "n", True, "n is True, not the stage's position 2"),
+    (1, "n", 0, "n is 0, not the stage's position 1"),
+    (1, "depth", 10.0, "k and depth must be ints, not 5 and 10.0"),
+    (2, "k", False, "k and depth must be ints, not False and"),
+    (2, "epsilon", "x", "epsilon must be a finite positive number, not 'x'"),
+    (2, "epsilon", math.inf, "epsilon must be a finite positive number, not inf"),
+    (2, "epsilon", True, "epsilon must be a finite positive number, not True"),
+])
+def test_malformed_stage_exits_2_and_names_it(workdir, capsys, uneven_build, stage, key, value,
+                                              words):
+    # once exit 1 with no report, exit 0 against the wrong 1/n, or a raw
+    # ZeroDivisionError or TypeError traceback
+    shutil.copytree(uneven_build, workdir / "b")
+    stages = json.loads((workdir / "b" / "stages.json").read_text())
+    stages[stage - 1][key] = value
+    (workdir / "b" / "stages.json").write_text(json.dumps(stages, indent=1))
+    for command in ("report", "partition"):
+        capsys.readouterr()
+        assert run([command, "b", "--out", "out.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: stages.json stage {stage}: "), err
+        assert words in err and "Traceback" not in err
     assert not (workdir / "out.json").exists()
 
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liplab import funclib
@@ -390,6 +390,39 @@ def test_oscillation_nd_matches_scalar_oracle(f, balls):
         assert _bits(got.lower[i]) == _bits(lower)
         assert _bits(got.upper[i]) == _bits(upper)
         assert bool(got.clipped[i]) == clipped
+
+
+@st.composite
+def _windows(draw):
+    """(values, lo, hi) with lo and hi nondecreasing; a zero length makes an
+    empty window unless an earlier window's end carries past it."""
+    size = draw(st.integers(1, 40))
+    number = st.one_of(st.just(math.nan), st.floats(-1e3, 1e3))
+    values = np.array(draw(st.lists(number, min_size=size, max_size=size)))
+    count = draw(st.integers(1, 8))
+    lo = np.sort(draw(st.lists(st.integers(0, size - 1), min_size=count, max_size=count)))
+    lengths = np.array(draw(st.lists(st.integers(0, 6), min_size=count, max_size=count)))
+    hi = np.minimum(np.maximum.accumulate(lo + lengths - 1), size - 1)
+    return values, lo.astype(np.int64), hi.astype(np.int64)
+
+
+NAN = math.nan
+
+
+@settings(max_examples=500, deadline=None)
+@given(_windows())
+@example((np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 2]), np.array([1, 3])))  # ends at last
+@example((np.array([1.0, NAN, NAN, 4.0]), np.array([0, 1, 3]), np.array([0, 2, 2])))  # all-NaN, empty
+@example((np.array([5.0, 1.0, 2.0, 3.0, 0.0]), np.array([1, 2]), np.array([2, 3])))  # view
+def test_window_extremes_match_per_window_nan_extremes(windows):
+    values, lo, hi = windows
+    got_min, got_max = funclib._window_extremes(values, lo, hi)
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        w = values[a : b + 1]
+        if w.size == 0 or np.isnan(w).all():
+            assert np.isnan(got_min[i]) and np.isnan(got_max[i])
+        else:
+            assert got_min[i] == np.nanmin(w) and got_max[i] == np.nanmax(w)
 
 
 def test_oscillation_nd_counts_a_domain_cell_the_ball_touches_across_a_face():

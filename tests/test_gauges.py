@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liplab.gauges import (
+    Gauge,
     GaugeDomainError,
     GaugeSpecError,
     Pseudogauge,
@@ -14,6 +16,7 @@ from liplab.gauges import (
     parse_spec,
     verify_schizm_relation,
 )
+from oracles import table_gauge_step
 
 
 def dyadic_scales(lo: int, hi: int) -> list[float]:
@@ -87,13 +90,24 @@ def test_preset_validation():
         make_preset("inv_log", s=2)
 
 
-def test_flags_from_scan():
-    assert make_preset("power", s=1).monotone
-    assert make_preset("power", s=1).vanishes_at_zero
-    assert make_preset("inv_log").monotone
-    assert make_preset("inv_log").vanishes_at_zero
-    assert make_preset("exp_sqrt_log", d=2).monotone
-    assert make_preset("super_power").monotone
+def test_gauge_is_a_kind_and_its_parameters():
+    assert [f.name for f in dataclasses.fields(Gauge)] == ["kind", "params"]
+    table = make_preset("table", rs=(0.25, 0.5), gs=(0.1, 0.3))
+    assert table.params == (("rs", (0.25, 0.5)), ("gs", (0.1, 0.3)))
+    assert table.r_min == 0.25
+
+
+def test_overflow_is_domain_error():
+    # parsing evaluates nothing; the power overflows at 0.5 and underflows to 0 at 2^-12
+    g = parse_gauge("power(s=1000,scale=1000)")
+    with pytest.raises(GaugeDomainError, match=r"power\(s=1000,scale=1000\) overflows at r=0.5"):
+        g.eval(0.5)
+    value = g.eval(2.0**-10)
+    assert isinstance(value, float) and value > 0.0
+    with pytest.raises(GaugeDomainError, match="non-positive"):
+        g.eval(2.0**-12)
+    with pytest.raises(GaugeDomainError, match="overflows"):
+        parse_gauge("power(s=2,scale=1e308)").eval(0.5)
 
 
 def test_right_continuity_proxy():
@@ -231,6 +245,18 @@ _EXP_SQRT_LOGS = st.builds(lambda d: make_preset("exp_sqrt_log", d=d), _floats(1
 @given(st.one_of(_POWERS, _EXP_SQRT_LOGS, _tables()))
 def test_format_gauge_is_lossless(g):
     assert parse_gauge(format_gauge(g)) == g
+
+
+@given(_tables(), st.lists(_floats(1e-9, 1.0), max_size=5))
+def test_table_eval_matches_knot_scan(g, extra):
+    rs, gs = g.param("rs"), g.param("gs")
+    near = [math.nextafter(x, t) for x in rs for t in (0.0, 2.0)]
+    for r in [*rs, *near, *extra]:
+        if r < rs[0] or r > 1.0:
+            with pytest.raises(GaugeDomainError):
+                g.eval(r)
+        else:
+            assert g.eval(r) == table_gauge_step(rs, gs, r)
 
 
 def test_format_gauge_keeps_short_form():
