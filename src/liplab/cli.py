@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 import time
 import typing
@@ -251,39 +252,55 @@ def _cmd_construct(cfg: RunConfig) -> int:
         base, cfg.nmax, phi, zeta, cfg.eps0, max_depth=cfg.max_depth
     )
     analysis = construct_mod.save_build(cfg.out, build)
-    payload, ok = _certificates_payload(build, analysis, cfg)
-    _write_json(os.path.join(cfg.out, "certificates.json"), payload)
-    if not ok:
-        _report_failure(payload, os.path.join(cfg.out, "certificates.json"))
-    return 0 if ok else 1
+    return _write_certificates(build, analysis, cfg, os.path.join(cfg.out, "certificates.json"))
+
+
+def _write_certificates(
+    build: construct_mod.TypicalBuild,
+    analysis: construct_mod.ExceptionalAnalysis,
+    cfg: RunConfig,
+    path: str,
+) -> int:
+    """Write the certificates payload to path; 0 when all passed, else name
+    every failure on stderr and return 1."""
+    payload, failures = _certificates_payload(build, analysis, cfg)
+    _write_json(path, payload)
+    if failures:
+        print(f"certificate failure: {'; '.join(failures)} ({path})", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _certificates_payload(
     build: construct_mod.TypicalBuild,
     analysis: construct_mod.ExceptionalAnalysis,
     cfg: RunConfig,
-) -> tuple[dict, bool]:
-    membership = []
-    ok = build.early_stop is None
+) -> tuple[dict, list[str]]:
+    """The payload and what failed in it, in the payload's order."""
+    membership, failures = [], []
     for n in range(1, build.n_stages + 1):
         try:
             cert = construct_mod.certify_membership(build, n)
         except construct_mod.ConstructError as err:
-            ok = False
+            failures.append(str(err))
             membership.append({"n": n, "ok": False, "error": str(err)})
             continue
         membership.append({"n": n, "ok": True, "bound": cert.bound, "cubes": cert.cube_count,
                            "threshold": cert.membership_threshold,
                            "margin_min": cert.membership_margin})
+    if build.early_stop is not None:
+        failures.append(f"early stop: {build.early_stop}")
+    if build.budget_failure:
+        failures.append(build.budget_failure)
     # the stage certificate's lip bound holds on every kept core; count the
-    # sampled core points that covering_core places in one
-    rng = np.random.default_rng(cfg.seed)
+    # sampled core points that covering_core places in one.  stdlib random
+    # keeps numpy.random, and its memory, out of construct and report
+    rng = random.Random(cfg.seed)
     lip_samples = []
     for n, rec in enumerate(build.stages, start=1):
         D = rec.params.layout_den
         count = 0
         for _ in range(64):
-            j = int(rec.kept[int(rng.integers(0, len(rec.kept)))])
+            j = int(rec.kept[rng.randrange(len(rec.kept))])
             lo, hi = rec.params.pieces("core", j)
             x = lo / D + rng.random() * ((hi - lo) / D)
             count += rec.covering_core(x) is not None
@@ -292,9 +309,11 @@ def _certificates_payload(
         {"n": i + 1, "value": rep.value, "target": 1.0 / (i + 1), "ok": rep.value < 1.0 / (i + 1)}
         for i, rep in enumerate(analysis.tail_premeasures)
     ]
-    ok = ok and all(p["ok"] for p in premeasures) and analysis.containment_ok
-    if analysis.micro_verified is not None:
-        ok = ok and analysis.micro_verified
+    if not analysis.containment_ok:
+        failures.append("containment_ok")
+    if analysis.micro_verified is False:  # None: no micro route was run
+        failures.append("micro_verified")
+    failures += [f"premeasure n={p['n']}" for p in premeasures if not p["ok"]]
     payload = {
         "early_stop": build.early_stop,
         "eps_schedule": list(build.eps_schedule),
@@ -307,9 +326,9 @@ def _certificates_payload(
             "micro_verified": analysis.micro_verified,
             "notes": analysis.notes,
         },
-        "all_pass": ok,
+        "all_pass": not failures,
     }
-    return payload, ok
+    return payload, failures
 
 
 def _load_set(spec: str):
@@ -431,23 +450,7 @@ def _cmd_micro(cfg: RunConfig) -> int:
 def _cmd_report(cfg: RunConfig) -> int:
     build = construct_mod.load_build(cfg.input_path)
     analysis = construct_mod.exceptional_set(build)
-    payload, ok = _certificates_payload(build, analysis, cfg)
-    _write_json(cfg.out or "report.json", payload)
-    if not ok:
-        _report_failure(payload, cfg.out or "report.json")
-    return 0 if ok else 1
-
-
-def _report_failure(payload: dict, path: str) -> None:
-    bad = [m["error"] for m in payload["membership"] if not m["ok"]]
-    if payload.get("early_stop"):
-        bad.append(f"early stop: {payload['early_stop']}")
-    exc = payload.get("exceptional", {})
-    for key in ("containment_ok", "micro_verified"):
-        if exc.get(key) is False:
-            bad.append(key)
-    bad.extend(f"premeasure n={p['n']}" for p in exc.get("premeasures", ()) if not p["ok"])
-    print(f"certificate failure: {'; '.join(bad) or 'see report'} ({path})", file=sys.stderr)
+    return _write_certificates(build, analysis, cfg, cfg.out or "report.json")
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ import numpy as np
 
 from .gauges import GaugeDomainError, GaugeLike, format_gauge, parse_gauge
 from .funclib import (
+    GRID_BLOCK,
     HolderModulus,
     SampledFunction,
     _window_extremes,
@@ -372,26 +373,35 @@ def build_stage(
     xp[1::2] = hi_v
     fp[0::2] = plat_vals
     fp[1::2] = plat_vals
-    positions = np.arange(top + 1, dtype=np.float64)
-    g = np.interp(positions, xp, fp)
+    # the plateaus are disjoint and increasing: runs alternate gap, plateau, ..., gap
+    ends = np.empty(2 * len(js) + 1, dtype=np.int64)
+    ends[0:-1:2] = lo_v
+    ends[1::2] = hi_v + 1
+    ends[-1] = top + 1
+    plateau_mask = np.repeat(np.arange(ends.size) % 2 == 1, np.diff(ends, prepend=0))
 
-    h_fun = g - values
     eps = params.eps
-    # plateau cells must be exact: the clamp may bite only in the gaps
-    mark = np.zeros(top + 2, dtype=np.int64)
-    np.add.at(mark, lo_v, 1)
-    np.add.at(mark, hi_v + 1, -1)
-    plateau_mask = np.cumsum(mark)[: top + 1] > 0
-    with np.errstate(invalid="ignore"):
-        worst = np.nanmax(np.abs(np.where(plateau_mask, h_fun, 0.0)))
+    g = np.empty(top + 1)
+    worst = 0.0
+    # one block of the grid at a time; np.interp works per element, so the
+    # blocks give the bits of one whole-grid pass
+    for lo in range(0, top + 1, GRID_BLOCK):
+        hi = min(lo + GRID_BLOCK, top + 1)
+        profile = np.interp(np.arange(lo, hi, dtype=np.float64), xp, fp)
+        v, on, h_fun = values[lo:hi], plateau_mask[lo:hi], g[lo:hi]
+        np.subtract(profile, v, out=h_fun)
+        # plateau cells must be exact: the clamp may bite only in the gaps
+        worst = max(worst, np.fmax.reduce(h_fun, where=on, initial=0.0),
+                    -np.fmin.reduce(h_fun, where=on, initial=0.0))
+        np.clip(h_fun, -eps, eps, out=h_fun)
+        np.add(v, h_fun, out=h_fun)
+        # f + (A - f) can land an ulp off A; plateau vertices carry A bitwise so
+        # the certified diameters are exactly zero.  Off-domain vertices stay NaN.
+        np.copyto(h_fun, profile, where=on & ~np.isnan(v))
     if worst > eps:
         raise ConstructError(
             f"plateau offset {worst:g} exceeds eps={eps:g}; stage delta too optimistic"
         )
-    np.clip(h_fun, -eps, eps, out=h_fun)
-    # f + (A - f) can land an ulp off A; plateau vertices carry A bitwise so
-    # the certified diameters are exactly zero.  Off-domain vertices stay NaN.
-    g = np.where(plateau_mask & ~np.isnan(values), g, values + h_fun)
 
     g_fn = SampledFunction(1, m, f.domain, g, f.modulus, exact=True)
     lip = g_fn.grid_lipschitz()
@@ -433,7 +443,20 @@ class TypicalBuild:
     def sup_distance(self) -> float:
         """max |final - base| over the final grid, computed once per build."""
         base = self.base.resample(self.final.depth)
-        return float(np.nanmax(np.abs(base.values - self.final.values)))
+        if base is self.base:  # equal depths: never write into the build's own values
+            diff = base.values - self.final.values
+        else:  # resample's new array
+            diff = np.subtract(base.values, self.final.values, out=base.values)
+        return float(np.nanmax(np.abs(diff, out=diff)))
+
+    @property
+    def budget_failure(self) -> str | None:
+        """What is wrong when the sup distance exceeds the budget sum (to a
+        1e-9 relative tolerance), else None: f lies within eps0 of f0."""
+        budget = sum(self.eps_schedule)
+        if self.sup_distance > budget * (1.0 + 1e-9):
+            return f"sup distance {self.sup_distance:g} above the budget sum {budget:g}"
+        return None
 
 
 def iterate_typical(
@@ -496,8 +519,8 @@ def iterate_typical(
                 f"internal: tail 2*T_{n} = {2 * build.tail(n):g} reached the stage slack "
                 f"{stages[n - 1].slack_min:g}"
             )
-    if build.sup_distance > sum(build.eps_schedule) * (1.0 + 1e-9):
-        raise ConstructError("internal: sup distance exceeded the budget sum")
+    if build.budget_failure:
+        raise ConstructError(f"internal: {build.budget_failure}")
     return build
 
 

@@ -60,6 +60,13 @@ class HolderModulus:
     c: float
     alpha: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.c < math.inf and 0.0 < self.alpha < math.inf):
+            raise ValueError(
+                f"holder modulus needs a finite c >= 0 and a finite alpha > 0,"
+                f" not c={self.c!r}, alpha={self.alpha!r}"
+            )
+
     def omega(self, t: float) -> float:
         if t <= 0.0:
             return 0.0
@@ -83,6 +90,8 @@ class TableModulus:
             raise ValueError("knots must increase")
         if any(b < a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be nondecreasing")
+        if not all(0.0 <= v < math.inf for v in self.values):
+            raise ValueError(f"table modulus values must be finite and >= 0, not {self.values!r}")
 
     def omega(self, t: float) -> float:
         if t <= 0.0:
@@ -98,6 +107,10 @@ class TableModulus:
 
 
 Modulus = HolderModulus | TableModulus
+
+# vertices per block of the whole-grid passes (resample, grid_lipschitz and
+# construct.build_stage), so their temporaries do not grow with the grid
+GRID_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -155,28 +168,44 @@ class SampledFunction:
             raise ValueError("resample only refines")
         if self.dim != 1:
             raise ValueError("resample implemented for dimension 1")
-        new_grid = np.linspace(0.0, 1.0, (1 << depth) + 1)
         old_grid = np.linspace(0.0, 1.0, (1 << self.depth) + 1)
-        values = np.interp(new_grid, old_grid, self.values)
+        values = np.empty((1 << depth) + 1)
+        # the new grid i * 2^-depth, the bits of linspace, one block at a time;
+        # np.interp works per element, and it computes the slopes once for a
+        # block at least as long as the old grid
+        block = max(GRID_BLOCK, old_grid.size)
+        for lo in range(0, values.size, block):
+            hi = min(lo + block, values.size)
+            values[lo:hi] = np.interp(np.arange(lo, hi) * 2.0**-depth, old_grid, self.values)
         return SampledFunction(
             1, depth, self.domain, values, self.modulus, self.exact
         )
 
+    def _adjacent_maxima(self) -> list[float]:
+        """Per axis, the largest |difference| of adjacent vertex values,
+        NaN-ignoring and 0.0 when there is none, over blocks of rows of the
+        first axis."""
+        v = self.values
+        rows = max(1, GRID_BLOCK * len(v) // v.size)
+        maxima = []
+        for axis in range(self.dim):
+            mx = 0.0
+            for lo in range(0, len(v), rows):
+                # the first axis's differences reach one row into the next block
+                diffs = np.diff(v[lo : lo + rows + (axis == 0)], axis=axis)
+                np.abs(diffs, out=diffs)
+                mx = max(mx, float(np.fmax.reduce(diffs, axis=None, initial=0.0)))
+            maxima.append(mx)
+        return maxima
+
     def grid_lipschitz(self) -> float:
         """Exact Lipschitz constant of the interpolant from adjacent differences."""
-        total = 0.0
-        for axis in range(self.dim):
-            diffs = np.abs(np.diff(self.values, axis=axis))
-            mx = np.nanmax(diffs) if diffs.size else 0.0
-            total += 0.0 if math.isnan(mx) else float(mx)
-        return total / self.h
+        return sum(self._adjacent_maxima()) / self.h
 
     def validate_adjacent(self) -> None:
         bound = self.modulus.omega(self.h) * (1.0 + 1e-9)
-        for axis in range(self.dim):
-            diffs = np.abs(np.diff(self.values, axis=axis))
-            mx = np.nanmax(diffs) if diffs.size else 0.0
-            if not math.isnan(mx) and mx > bound:
+        for mx in self._adjacent_maxima():
+            if mx > bound:
                 raise ValueError(
                     f"adjacent vertex difference {mx} exceeds modulus bound {bound}"
                 )
@@ -602,7 +631,7 @@ def make_test_function(name: str, params: dict | None = None, depth: int = 10) -
 
 # values per written chunk and characters per read chunk: the values block
 # is never one string
-_WRITE_BLOCK = 1 << 16
+_WRITE_BLOCK = 1 << 14
 _READ_CHUNK = 1 << 16
 # a read chunk looks for runs only when one of its line pairs (i, i + 1),
 # i a multiple of this, repeats
@@ -614,7 +643,8 @@ def _value_chunks(flat: np.ndarray, block: int):
     bitwise-equal values (-0.0 and 0.0 differ) is formatted once and its
     line repeated, which gives the bytes of formatting every value."""
     bits = flat.view(np.uint64)
-    heads = np.flatnonzero(bits[1:] != bits[:-1]) + 1  # each run's first index but 0
+    heads = np.flatnonzero(bits[1:] != bits[:-1])
+    heads += 1  # each run's first index but 0
     for lo in range(0, flat.size, block):
         hi = min(lo + block, flat.size)
         starts = np.r_[lo, heads[np.searchsorted(heads, lo, "right"):np.searchsorted(heads, hi)]]

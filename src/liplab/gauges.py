@@ -125,7 +125,13 @@ class Pseudogauge:
             raise GaugeDomainError(f"r={r!r} outside domain (0, {self.r_max}] of {self.kind}")
         if self.m == 0:
             return self.base.eval(r)
-        return self.base.eval(r * math.sqrt(self.m + 1)) / r**self.m
+        scale = r**self.m
+        if scale == 0.0:
+            raise GaugeDomainError(f"r**{self.m} underflows to 0.0 at r={r!r} in {self.kind}")
+        value = self.base.eval(r * math.sqrt(self.m + 1)) / scale
+        if not math.isfinite(value):
+            raise GaugeDomainError(f"{self.kind} overflows at r={r!r}")
+        return value
 
     __call__ = eval
 

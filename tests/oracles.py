@@ -31,11 +31,17 @@ save_cubes, and the .fn text in one string with every value formatted
 (fn_read_line_by_line) are the references for the run-length, chunked
 save_function and load_function.  The step table gauge is kept as a scan
 over its knots (table_gauge_step) as the reference for the bisect lookup.
+The whole-grid passes are kept in their one-pass form as the references
+for the blocked library versions: a stage's values with the plateau mask
+from a +1/-1 mark array (stage_values_whole_grid), resample through
+np.linspace (resample_linspace) and the Lipschitz constant from whole-axis
+differences (grid_lipschitz_whole).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations, product
@@ -871,3 +877,43 @@ def table_gauge_step(rs, gs, r: float) -> float:
         else:
             break
     return gs[idx]
+
+
+def stage_values_whole_grid(values, lo_v, hi_v, anchors, eps: float):
+    """(values, worst plateau offset) of one 1-d stage over the whole grid
+    in one pass: the profile is f at each anchor on the plateau lo_v..hi_v
+    and linear across the gaps; g - f is clamped to [-eps, eps] and plateau
+    vertices in the domain carry the profile bitwise."""
+    top = values.size - 1
+    xp = np.ravel(np.column_stack((lo_v, hi_v))).astype(np.float64)
+    fp = np.repeat(values[anchors], 2)
+    g = np.interp(np.arange(top + 1, dtype=np.float64), xp, fp)
+    h = g - values
+    mark = np.zeros(top + 2, dtype=np.int64)
+    np.add.at(mark, lo_v, 1)
+    np.add.at(mark, hi_v + 1, -1)
+    mask = np.cumsum(mark)[: top + 1] > 0
+    with np.errstate(invalid="ignore"):
+        worst = float(np.nanmax(np.abs(np.where(mask, h, 0.0))))
+    np.clip(h, -eps, eps, out=h)
+    return np.where(mask & ~np.isnan(values), g, values + h), worst
+
+
+def resample_linspace(values, depth: int):
+    """1-d values refined to the depth grid by np.interp between two
+    np.linspace grids, in one pass."""
+    new_grid = np.linspace(0.0, 1.0, (1 << depth) + 1)
+    return np.interp(new_grid, np.linspace(0.0, 1.0, values.size), values)
+
+
+def grid_lipschitz_whole(values, h: float) -> float:
+    """Sum over the axes of the NaN-ignoring largest |adjacent difference|
+    (0 for an axis with none), over h, each axis differenced at once."""
+    total = 0.0
+    for axis in range(values.ndim):
+        diffs = np.abs(np.diff(values, axis=axis))
+        with warnings.catch_warnings():  # an all-NaN axis counts 0
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mx = np.nanmax(diffs) if diffs.size else 0.0
+        total += 0.0 if math.isnan(mx) else float(mx)
+    return total / h

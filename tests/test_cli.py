@@ -2,7 +2,10 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -634,6 +637,61 @@ def test_report_records_a_stage_inequality_failure(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("certificate failure: stage 1: membership inequality")
     assert "; stage 2: " in err and "(r.json)" in err and "Traceback" not in err
+
+
+def test_report_checks_the_approximation_budget(workdir, capsys):
+    # a build directory mixed from two runs with the same flags: an affine
+    # build's base.fn under a Weierstrass build.  Every stage certificate
+    # still holds, but the final function lies 2.5 from this base, beyond
+    # the budget sum, so report writes all_pass false and exits 1
+    flags = ["--depth", 10, "--nmax", 2, "--phi", "power(s=0.1)", "--zeta", "power(s=1)"]
+    assert run(["construct", "--base", "affine(c=1)", *flags, "--out", "a"]) == 0
+    assert run(["construct", "--base", "weierstrass(a=0.5,b=3,terms=25)", *flags, "--out", "w"]) == 0
+    shutil.copyfile(workdir / "a" / "base.fn", workdir / "w" / "base.fn")
+    capsys.readouterr()
+    assert run(["report", "w", "--out", "r.json"]) == 1
+    payload = json.loads((workdir / "r.json").read_text())
+    passed = json.loads((workdir / "w" / "certificates.json").read_text())
+    assert payload["all_pass"] is False and passed["all_pass"] is True
+    assert payload.keys() == passed.keys()  # no new key: passing builds keep their bytes
+    assert all(entry["ok"] for entry in payload["membership"])
+    sup, budget = payload["sup_distance"], sum(payload["eps_schedule"])
+    assert sup > 2.5 > 1.0 > budget
+    err = capsys.readouterr().err
+    assert err == f"certificate failure: sup distance {sup:g} above the budget sum {budget:g} (r.json)\n"
+
+
+@pytest.mark.parametrize("line", ["modulus holder -1 0.5", "modulus holder nan 0.5",
+                                  "modulus table 1 -1", "modulus table 1 nan"])
+def test_fn_modulus_line_out_of_range_exits_2(workdir, capsys, line):
+    # each of these once gave osc_upper < osc_lower or NaN brackets, and exit 0
+    funclib.save_function("w.fn", funclib.make_test_function("weierstrass", {}, 12))
+    text = (workdir / "w.fn").read_text()
+    modulus = next(row for row in text.splitlines() if row.startswith("modulus"))
+    (workdir / "w.fn").write_text(text.replace(modulus, line))
+    capsys.readouterr()
+    assert run(["analyze", "w.fn", "--window", "4..12", "--out", "a"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed w.fn: ") and "modulus" in err, err
+    assert not (workdir / "a.csv").exists()
+
+
+def test_construct_and_report_leave_numpy_random_unimported(tmp_path):
+    # numpy.random costs about 7 MB of resident memory; the lip samples of
+    # construct and report are drawn with stdlib random
+    code = (
+        "import sys\n"
+        "from liplab.cli import main\n"
+        "assert main(['construct', '--out', 'b', '--base', 'affine(c=1)', '--nmax', '2']) == 0\n"
+        "assert main(['report', 'b', '--out', 'r.json']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_config_file_load(workdir):

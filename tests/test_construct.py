@@ -1,13 +1,18 @@
 import dataclasses
 import json
 import math
+import re
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liplab import construct as construct_mod
+from liplab import funclib
 from liplab.construct import (
     ConstructError,
     StageParams,
@@ -22,7 +27,7 @@ from liplab.construct import (
     plateau_vertex_ranges,
     save_build,
 )
-from liplab.funclib import SampledFunction, make_test_function, save_function
+from liplab.funclib import HolderModulus, SampledFunction, make_test_function, save_function
 from liplab.gauges import make_preset
 from liplab.setlib import (
     DyadicCubeSet,
@@ -39,6 +44,9 @@ from oracles import (
     fraction_cube,
     fraction_plateau_range,
     fraction_slab,
+    grid_lipschitz_whole,
+    resample_linspace,
+    stage_values_whole_grid,
 )
 
 POWER1 = make_preset("power", s=1)
@@ -307,6 +315,70 @@ def test_build_stage_depth_guard():
     p = StageParams(1, 0.5, Fraction(1), 2, Fraction(1, 32), 1 / 32)
     with pytest.raises(ConstructError, match="depth"):
         build_stage(f0, p, phi=POWER1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 40), st.sampled_from([1, 3, 5, 7]), st.integers(0, 3), st.integers(0, 2),
+       st.sampled_from([0.05, 0.5, 2.0]), st.sampled_from([1, 5, 64, 1 << 16]),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_build_stage_blocks_match_whole_grid_oracle(k, m, e_extra, extra, eps, block, seed,
+                                                     with_nan):
+    # eta = m/2^e < 1/k; the plateau edges lie on the grid from depth e + 2 on
+    e = (k * m).bit_length() + e_extra
+    p = StageParams(1, eps, Fraction(1), k, Fraction(m, 1 << e), 0.0)
+    depth = max(p.required_depth(), e + 2) + extra
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 0.3, (1 << depth) + 1)
+    if with_nan:
+        values[rng.random(values.size) < 0.05] = np.nan
+    f = SampledFunction(1, depth, DyadicCubeSet.full(1, 0), values, HolderModulus(1.0), True)
+    lo, hi, anchors = plateau_vertex_ranges(p, depth, np.arange(k))
+    expected, worst = stage_values_whole_grid(values, lo, hi, anchors, eps)
+    with mock.patch.object(construct_mod, "GRID_BLOCK", block), \
+            mock.patch.object(funclib, "GRID_BLOCK", block):
+        if worst > eps:
+            with pytest.raises(ConstructError, match=re.escape(f"plateau offset {worst:g} ")):
+                build_stage(f, p, POWER1)
+            return
+        g, _ = build_stage(f, p, POWER1)
+    assert g.values.tobytes() == expected.tobytes()
+    assert g.modulus == HolderModulus(grid_lipschitz_whole(expected, g.h), 1.0)
+
+
+def test_build_stage_memory_is_one_grid_array_and_blocks():
+    # the traced peak counts what build_stage allocates: its output, a bool
+    # plateau mask and fixed-size blocks; one more grid-sized temporary (the
+    # whole-grid pass held about six) exceeds the bound
+    f = make_test_function("affine", {"c": 1.0}, depth=18)
+    p = choose_stage_params(f, 1, 0.25, POWER1)
+    grid = f.values.nbytes
+    tracemalloc.start()
+    try:
+        g, _ = build_stage(f, p, PHI)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.values.nbytes == grid == 8 * ((1 << 18) + 1)
+    assert peak <= 2.5 * grid, peak / grid
+
+
+def test_sup_distance_leaves_the_build_untouched():
+    # at equal depths resample returns the base itself, which must not be
+    # written into; deeper, the resampled copy is the scratch space
+    depths = []
+    for f0, n_max in ((make_test_function("constant", {"value": 0.5}, depth=8), 1),
+                      (make_test_function("affine", {"c": 1.0}, depth=10), 3)):
+        pristine = f0.values.copy()
+        build = iterate_typical(f0, n_max, PHI, POWER1, 0.5, max_depth=18)
+        final = build.final.values.copy()
+        depths.append((build.base.depth, build.final.depth))
+        for _ in range(2):  # iterate_typical computed it once; compute it again
+            del build.sup_distance
+            expected = np.abs(resample_linspace(pristine, build.final.depth) - final)
+            assert build.sup_distance == float(np.nanmax(expected))
+            assert np.array_equal(build.base.values, pristine)
+            assert np.array_equal(build.final.values, final)
+    assert depths == [(8, 8), (10, 16)]
 
 
 def test_2d_core_complement_in_cross_power():

@@ -23,6 +23,7 @@ from liplab.funclib import (
 )
 from liplab.gauges import make_preset
 from liplab.setlib import DyadicCubeSet, FormatError
+from oracles import grid_lipschitz_whole, resample_linspace
 from oracles import TupleCubeSet, fn_read_line_by_line, fn_text_one_pass, dense_diam, oscillation_1d, oscillation_nd, weierstrass_value
 from oracles import evaluate as reference_evaluate
 
@@ -699,6 +700,52 @@ def test_resample_preserves_interpolant():
     assert g.depth == 9
     for x in (0.1, 0.33, 0.875):
         assert g.evaluate(x) == pytest.approx(f.evaluate(x), rel=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 4), st.sampled_from([1, 3, 64, 1 << 16]),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_resample_blocks_match_linspace_oracle(depth, extra, block, seed, with_nan):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(1 << depth) + 1)
+    if with_nan:
+        values[rng.random(values.size) < 0.2] = np.nan
+    f = SampledFunction(1, depth, DyadicCubeSet.full(1, 0), values, HolderModulus(1.0), True)
+    with mock.patch.object(funclib, "GRID_BLOCK", block):
+        g = f.resample(depth + extra)
+    assert g.values.tobytes() == resample_linspace(values, depth + extra).tobytes()
+    assert f.resample(depth) is f
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 6), st.sampled_from([1, 3, 64, 1 << 16]),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 1.0]))
+def test_grid_lipschitz_blocks_match_whole_axis_oracle(dim, depth, block, seed, nan_share):
+    # the first axis's differences cross the block edges; an all-NaN axis counts 0
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=((1 << depth) + 1,) * dim)
+    values[rng.random(values.shape) < nan_share] = np.nan
+    f = SampledFunction(dim, depth, DyadicCubeSet.full(dim, 0), values, HolderModulus(1.0))
+    with mock.patch.object(funclib, "GRID_BLOCK", block):
+        assert f.grid_lipschitz() == grid_lipschitz_whole(values, f.h)
+
+
+@pytest.mark.parametrize("line", [
+    "modulus holder -1 0.5", "modulus holder nan 0.5", "modulus holder inf 0.5",
+    "modulus holder 1 0", "modulus holder 1 -0.5", "modulus holder 1 nan", "modulus holder 1 inf",
+    "modulus table 1 -1", "modulus table 1 nan", "modulus table 0.5 0 1 inf",
+])
+def test_fn_modulus_line_is_validated(tmp_path, line):
+    path = tmp_path / "m.fn"
+    save_function(path, make_test_function("affine", {"c": 1.0}, depth=4))
+    text = path.read_text()
+    assert "modulus holder 1 1\n" in text
+    for ok in ("modulus holder 0 1", "modulus table 1 0"):  # a zero bound is a bound
+        path.write_text(text.replace("modulus holder 1 1\n", ok + "\n"))
+        assert load_function(path).modulus.omega(0.5) == 0.0
+    path.write_text(text.replace("modulus holder 1 1\n", line + "\n"))
+    with pytest.raises(FormatError, match="modulus"):
+        load_function(path)
 
 
 # ---------------------------------------------------------------------------

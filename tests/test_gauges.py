@@ -158,6 +158,21 @@ def test_pseudogauge_formula_and_domain():
         zeta.eval(0.9)
 
 
+def test_pseudogauge_underflow_and_overflow_are_domain_errors():
+    # r**m underflows to 0.0: no raw ZeroDivisionError
+    zeta = Pseudogauge(make_preset("power", s=1), 400)
+    for r in (1e-3, 1e-300, 5e-324):
+        with pytest.raises(GaugeDomainError, match=f"r\\*\\*400 underflows to 0.0 at r={r!r}"):
+            zeta.eval(r)
+    # a subnormal r**m with a quotient past the float range is refused as well
+    assert 0.0 < 2e-11**30 < 1e-320
+    with pytest.raises(GaugeDomainError, match="overflows at r=2e-11"):
+        Pseudogauge(make_preset("power", s=1), 30).eval(2e-11)
+    assert Pseudogauge(make_preset("power", s=1), 2).eval(1e-3) == pytest.approx(
+        math.sqrt(3) * 1e3, rel=1e-12
+    )
+
+
 def test_schizm_equality_passes():
     xi = make_preset("power", s=1)
     phi = make_preset("power", s=2, scale=0.2)  # phi(r) = (r/5)^2
