@@ -18,14 +18,24 @@ import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, field
+from itertools import chain, islice
 
-import numpy as np
+# liplab makes one BLAS call, a polyfit over a few dozen points, so OpenBLAS's
+# thread pool does no work for it; starting the pool costs each process about
+# 70 ms.  The variable is read when numpy loads, so it is set before that; a
+# value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import construct as construct_mod
 from . import funclib, gauges, partition, setlib
 
 # 1-d header; for d >= 2 the point column x becomes x1,...,xd
 CSV_COLUMNS = "x,scale,osc_lower,osc_upper,ratio_lower,ratio_upper"
+# JSON encoder chunks joined per payload write, and CSV rows formatted per block
+_JSON_CHUNKS = 1 << 12
+_CSV_ROWS = 1 << 12
 
 
 class ConfigError(ValueError):
@@ -161,8 +171,29 @@ def _parse_base(spec: str, depth: int) -> funclib.SampledFunction:
         raise ConfigError(str(err)) from err
 
 
+def _json_chunks(payload):
+    """The text of json.dumps(payload, sort_keys=True, indent=1) and a
+    newline, _JSON_CHUNKS encoder chunks at a time."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=1).iterencode(payload)
+    while block := list(islice(chunks, _JSON_CHUNKS)):
+        yield "".join(block)
+    yield "\n"
+
+
+def _csv_rows(tables):
+    """The lines of each table's rows as %.17g fields, _CSV_ROWS rows per
+    chunk; no rows at all give one blank line."""
+    for table in tables:
+        line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        for start in range(0, len(table), _CSV_ROWS):
+            block = table[start : start + _CSV_ROWS]
+            yield (line * len(block)) % tuple(block.ravel().tolist())
+    if not any(len(table) for table in tables):
+        yield "\n"
+
+
 def _write_json(path: str, payload) -> None:
-    setlib._atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    setlib._atomic_write(path, _json_chunks(payload))
     meta = {"written_unix": time.time(), "payload": os.path.basename(path)}
     setlib._atomic_write(path + ".meta", json.dumps(meta) + "\n")
 
@@ -212,12 +243,10 @@ def _cmd_analyze(cfg: RunConfig) -> int:
                    w.ratio_upper)
         tables.append(np.column_stack((w.points.repeat(w.radii.size, axis=0),
                                        *(c.ravel() for c in columns))))
-    table = np.concatenate(tables)
     header = CSV_COLUMNS
     if f.dim > 1:
         header = ",".join(f"x{i}" for i in range(1, f.dim + 1)) + CSV_COLUMNS[1:]
-    rows = "\n".join([",".join(["%.17g"] * table.shape[1])] * len(table))
-    setlib._atomic_write(out + ".csv", header + "\n" + rows % tuple(table.ravel().tolist()) + "\n")
+    setlib._atomic_write(out + ".csv", chain((header + "\n",), _csv_rows(tables)))
     final_field = fields.get(f.depth) or funclib.lip_field(
         f, phi, cfg.tau, sample_depth, _window_radii(window, f)
     )
@@ -396,7 +425,12 @@ def _cmd_partition(cfg: RunConfig) -> int:
     dims_scales = [2.0**-j for j in range(1, max(7, scale_hi) + 1)]
     lb_A = setlib.lower_box_dim(A, dims_scales)
     lb_B = setlib.lower_box_dim(B_img, dims_scales)
-    ok = all(r.verdict for r in reports) and antitone and graph.ok
+    checks = {"image_cover": all(r.verdict for r in reports), "antitone": antitone,
+              "graph_check": graph.ok}
+    failures = [name for name, passed in checks.items() if not passed]
+    if build.budget_failure:  # say, a base.fn from another run
+        failures.append(build.budget_failure)
+    ok = not failures
     payload = {
         "split": {"A_cubes": len(A), "B_cubes": len(B), "depth": A.depth},
         "image_cover": [r.to_json() for r in reports],
@@ -410,12 +444,10 @@ def _cmd_partition(cfg: RunConfig) -> int:
         "lbdim_B_img": lb_B.lbdim_proxy,
         "all_pass": ok,
     }
-    _write_json(cfg.out or "partition.json", payload)
-    if not ok:
-        bad = [k for k, v in (("image_cover", all(r.verdict for r in reports)),
-                              ("antitone", antitone), ("graph_check", graph.ok)) if not v]
-        print(f"certificate failure: {', '.join(bad)} (see {cfg.out or 'partition.json'})",
-              file=sys.stderr)
+    out = cfg.out or "partition.json"
+    _write_json(out, payload)
+    if failures:
+        print(f"certificate failure: {'; '.join(failures)} (see {out})", file=sys.stderr)
     return 0 if ok else 1
 
 

@@ -398,7 +398,8 @@ class DyadicCubeSet:
     keys holds the cubes' row-major indices k_1 2^(m(d-1)) + ... + k_d, given
     in any order and with repeats; it is stored sorted, unique and read-only
     in int64, so key order is the lexicographic order of the index tuples.
-    d * m is at most MAX_KEY_BITS.
+    Keys that already strictly increase are copied, not sorted.  d * m is at
+    most MAX_KEY_BITS.
     """
 
     dim: int
@@ -407,7 +408,8 @@ class DyadicCubeSet:
 
     def __post_init__(self) -> None:
         _side_count(self.dim, self.depth)
-        keys = _sorted_unique(np.asarray(self.keys, dtype=np.int64).ravel())
+        keys = np.asarray(self.keys, dtype=np.int64).ravel()
+        keys = keys.copy() if np.all(keys[1:] > keys[:-1]) else _sorted_unique(keys)
         if len(keys) and (keys[0] < 0 or keys[-1] >> (self.dim * self.depth)):
             raise ValueError(f"cube keys out of range for d = {self.dim} and depth {self.depth}")
         keys.flags.writeable = False
@@ -1180,7 +1182,8 @@ def _read_cubes(lines: Iterable[str], dim: int, depth: int) -> DyadicCubeSet:
     while chunk := list(islice(lines, _LOAD_LINES)):
         if any(map(str.strip, chunk)):  # np.loadtxt warns on a chunk of blank lines
             keys.append(_index_keys(dim, depth, np.loadtxt(chunk, np.int64, comments=None, ndmin=2)))
-    return DyadicCubeSet(dim, depth, np.concatenate(keys))
+    keys = np.concatenate(keys)  # rebound, so the chunks go before the set copies the keys
+    return DyadicCubeSet(dim, depth, keys)
 
 
 def save_cubes(path, E: DyadicCubeSet) -> None:

@@ -661,6 +661,31 @@ def test_report_checks_the_approximation_budget(workdir, capsys):
     assert err == f"certificate failure: sup distance {sup:g} above the budget sum {budget:g} (r.json)\n"
 
 
+def test_partition_checks_the_approximation_budget(workdir, capsys):
+    # partition's affine build of the benchmark, with a Weierstrass build's
+    # base.fn: the image covers and the graph check still pass, but the
+    # final function lies farther from this base than the budget sum
+    flags = ["--depth", 10, "--nmax", 3, "--phi", "power(s=0.1)", "--zeta", "power(s=1)",
+             "--eps0", 1.0]
+    assert run(["construct", "--base", "affine(c=1)", *flags, "--out", "a"]) == 0
+    assert run(["construct", "--base", "weierstrass(a=0.5,b=3,terms=25)", *flags, "--out", "w"]) == 0
+    assert run(["partition", "a", "--out", "ok.json"]) == 0
+    shutil.copyfile(workdir / "w" / "base.fn", workdir / "a" / "base.fn")
+    capsys.readouterr()
+    assert run(["partition", "a", "--out", "p.json"]) == 1
+    payload = json.loads((workdir / "p.json").read_text())
+    passed = json.loads((workdir / "ok.json").read_text())
+    assert payload["all_pass"] is False and passed["all_pass"] is True
+    assert payload.keys() == passed.keys()  # no new key: passing builds keep their bytes
+    assert payload["antitone_ok"] and payload["graph_check"]["ok"]
+    sup = construct_mod.load_build("a").sup_distance
+    budget = sum(json.loads((workdir / "a" / "certificates.json").read_text())["eps_schedule"])
+    assert sup > budget
+    err = capsys.readouterr().err
+    assert err == (f"certificate failure: sup distance {sup:g} above the budget sum {budget:g}"
+                   " (see p.json)\n")
+
+
 @pytest.mark.parametrize("line", ["modulus holder -1 0.5", "modulus holder nan 0.5",
                                   "modulus table 1 -1", "modulus table 1 nan"])
 def test_fn_modulus_line_out_of_range_exits_2(workdir, capsys, line):
@@ -676,6 +701,22 @@ def test_fn_modulus_line_out_of_range_exits_2(workdir, capsys, line):
     assert not (workdir / "a.csv").exists()
 
 
+def _python(code, cwd, **env):
+    """Run python -c code in cwd against this liplab, with env's variables
+    set (None unsets one); its stdout, after checking it exited 0."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for key, value in env.items():
+        if value is None:
+            child.pop(key, None)
+        else:
+            child[key] = value
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=child,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_construct_and_report_leave_numpy_random_unimported(tmp_path):
     # numpy.random costs about 7 MB of resident memory; the lip samples of
     # construct and report are drawn with stdlib random
@@ -686,12 +727,35 @@ def test_construct_and_report_leave_numpy_random_unimported(tmp_path):
         "assert main(['report', 'b', '--out', 'r.json']) == 0\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert _python(code, tmp_path) == "False\n"
+
+
+def test_import_liplab_leaves_numpy_unimported(tmp_path):
+    # so that liplab.cli can set numpy's environment before numpy loads
+    assert _python("import sys, liplab; print('numpy' in sys.modules)", tmp_path) == "False\n"
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+def test_cli_defaults_openblas_to_one_thread(tmp_path, given, expected):
+    code = "import os, liplab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python(code, tmp_path, OPENBLAS_NUM_THREADS=given) == expected + "\n"
+
+
+def test_dims_bytes_do_not_depend_on_blas_threads(workdir):
+    # dims' slope is liplab's one BLAS call (np.polyfit).  This process
+    # imported numpy with the default thread count; the CLI processes run
+    # with the one-thread default and with two threads
+    rng = np.random.default_rng(7)
+    setlib.save_cubes("r2d.set", setlib.DyadicCubeSet.from_indices(
+        2, 6, np.argwhere(rng.random((64, 64)) < 0.3)))
+    for spec, scales in (("r2d.set", "dyadic:1..6"), ("cantor:8", "triadic:1..8")):
+        assert run(["dims", spec, "--scales", scales, "--out", "here.json"]) == 0
+        expected = (workdir / "here.json").read_bytes()
+        for threads in (None, "2"):
+            _python(f"import sys; from liplab.cli import main; sys.exit(main(['dims', {spec!r},"
+                    f" '--scales', {scales!r}, '--out', 'child.json']))", workdir,
+                    OPENBLAS_NUM_THREADS=threads)
+            assert (workdir / "child.json").read_bytes() == expected, (spec, threads)
 
 
 def test_config_file_load(workdir):

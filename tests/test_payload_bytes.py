@@ -5,11 +5,12 @@ a payload byte updates the digest here and says why in CHANGES.md.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from liplab import funclib, setlib
+from liplab import cli, funclib, setlib
 from liplab.cli import CSV_COLUMNS, main
 
 BUILDS = {
@@ -166,7 +167,7 @@ def test_micro_2d_payload_bytes(tmp_path):
     assert {name: _sha256(tmp_path / name) for name in MICRO_2D_DIGESTS} == MICRO_2D_DIGESTS
 
 
-def test_analyze_2d_partial_domain_payload_bytes(tmp_path):
+def _analyze_2d_partial_domain(tmp_path) -> dict[str, str]:
     depth = 6
     xs = np.linspace(0.0, 1.0, (1 << depth) + 1)
     values = xs[:, None] + 0.5 * xs[None, :] ** 2
@@ -177,7 +178,17 @@ def test_analyze_2d_partial_domain_payload_bytes(tmp_path):
     funclib.save_function(tmp_path / "a2.fn", f)
     assert main(["analyze", str(tmp_path / "a2.fn"), "--sample-depth", "2", "--tau", "2.3",
                  "--out", str(tmp_path / "an")]) == 0
-    assert {name: _sha256(tmp_path / name) for name in ANALYZE_2D_DIGESTS} == ANALYZE_2D_DIGESTS
+    return {name: _sha256(tmp_path / name) for name in ANALYZE_2D_DIGESTS}
+
+
+def test_analyze_2d_partial_domain_payload_bytes(tmp_path):
+    assert _analyze_2d_partial_domain(tmp_path) == ANALYZE_2D_DIGESTS
+
+
+def test_analyze_2d_payload_bytes_in_small_write_blocks(tmp_path):
+    # the CSV rows and the JSON encoder chunks are written a block at a time
+    with mock.patch.multiple(cli, _JSON_CHUNKS=3, _CSV_ROWS=2):
+        assert _analyze_2d_partial_domain(tmp_path) == ANALYZE_2D_DIGESTS
 
 
 @pytest.mark.parametrize("name", sorted(ANALYZE_1D))

@@ -547,6 +547,23 @@ def test_grid_count_memory_does_not_grow_below_the_cube_side():
     assert max(peaks) < 16 << 20, peaks
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=40),
+       st.sampled_from(["as drawn", "sorted", "strictly increasing", "descending"]))
+def test_cube_set_keys_match_sorted_unique(keys, order):
+    # keys that already strictly increase skip the sort; every order, with
+    # repeats or empty, stores the same keys, in an array of the set's own
+    keys = {"as drawn": keys, "sorted": sorted(keys), "strictly increasing": sorted(set(keys)),
+            "descending": sorted(keys, reverse=True)}[order]
+    given_keys = np.array(keys, dtype=np.int64)
+    E = DyadicCubeSet(2, 4, given_keys)
+    assert E.keys.tolist() == sorted(set(keys))
+    assert np.array_equal(E.keys, setlib._sorted_unique(given_keys))
+    assert E.keys.dtype == np.int64 and not E.keys.flags.writeable
+    assert given_keys.flags.writeable and not np.shares_memory(E.keys, given_keys)
+    assert DyadicCubeSet(2, 4, E.keys) == E
+
+
 def test_save_cubes_chunks_match_one_pass_text(tmp_path):
     rng = np.random.default_rng(5)
     sets = [DyadicCubeSet(1, 6, []), DyadicCubeSet(1, 6, rng.integers(0, 64, 20)),
