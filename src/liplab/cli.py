@@ -579,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
         _at_least("--seed", cfg.seed, 0)
         return _COMMANDS[cfg.command](cfg)
     except (ConfigError, gauges.GaugeSpecError, gauges.GaugeDomainError, setlib.FormatError,
-            FileNotFoundError) as err:
+            OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (construct_mod.ConstructError, ValueError) as err:

@@ -188,9 +188,6 @@ class StageParams:
     def cube_union(self) -> IntervalUnion:
         return self._union("cube", self.k)
 
-    def core_union(self) -> IntervalUnion:
-        return self._union("core", self.k)
-
     def required_depth(self) -> int:
         """Smallest grid depth giving >= 4 cells per gap and per cube side."""
         need = min(self.eta / 4, self.ell / 4)
@@ -312,13 +309,6 @@ class StageRecord:
         j = p * self.params.k // q
         held = 0 <= j < self.params.k and _held(self.kept, j)
         return j if held and self.params.holds("core", j, x) else None
-
-    def slab_index(self, x) -> int | None:
-        """Index m of the closed slab holding the number x, else None; slab m
-        lies within eta/2 < 1/(2k) of m/k, so m = round(x*k)."""
-        p, q = _ratio(x)
-        m = (2 * p * self.params.k + q) // (2 * q)
-        return m if 0 <= m <= self.params.k and self.params.holds("slab", m, x) else None
 
 
 def _complement(indices, k: int) -> np.ndarray:
@@ -654,7 +644,7 @@ def exceptional_set(build: TypicalBuild) -> ExceptionalAnalysis:
     zeta = build.zeta
     if getattr(zeta, "kind", "") == "inv_log":
         cover = BoxCover.from_intervals(E_intervals)
-        record = CoverRecord.build(cover, zeta)
+        record = CoverRecord(cover, zeta)
         # keep beta * N well inside exp()'s range so the budgets stay positive
         beta_cap = 600.0 / max(1, len(cover))
         beta = min(1.0 / (2.0 * record.total), beta_cap) if record.total > 0 else 1.0

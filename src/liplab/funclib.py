@@ -143,10 +143,6 @@ class SampledFunction:
     def full_domain(self) -> bool:
         return len(self.domain) == (1 << self.domain.depth) ** self.dim
 
-    def evaluate(self, x: Sequence[float] | float) -> float:
-        """f at one point: a float in d = 1, else d coordinates."""
-        return float(self.evaluate_many(np.reshape(np.asarray(x, dtype=float), (1, -1)))[0])
-
     def evaluate_many(self, xs) -> np.ndarray:
         """f at points of shape (n, d), or (n,) in d = 1: the multilinear
         interpolant in the first domain cell holding each point (see _locate
@@ -369,8 +365,8 @@ def _inexact_end(x, r) -> ValueError:
 def _oscillation_1d(f: SampledFunction, xs, lo, hi, s, e) -> OscBrackets:
     """d = 1, all points in one pass.  An exact function peaks at a vertex or
     at an end of the ball, so the vertex extremes and the in-domain ends give
-    upper exactly; each end is interpolated with evaluate's float operations,
-    so a one-point call gives the same bits.  A zero bracket is +0.0."""
+    upper exactly; each end is interpolated with evaluate_many's float
+    operations, so a one-point call gives the same bits.  A zero bracket is +0.0."""
     vmin, vmax = _window_extremes(f.values, lo, hi)
     n = xs.size
     low, high = -s[:n], s[n:]  # x - r and x + r, rounded
@@ -406,7 +402,7 @@ def _oscillation_nd(f: SampledFunction, points, r, lo, hi, inexact) -> OscBracke
     Per axis these corners take the box ends and the grid coordinates
     between them, so they are the tensor product of those lists; a corner
     counts when a domain cell of the ball holds it, and it is interpolated in
-    a ball cell that holds it, which gives the bits of evaluate (see
+    a ball cell that holds it, which gives the bits of evaluate_many (see
     _interpolate).  A ball cell off the domain sets clipped, unless the ball
     touches it only across such a face."""
     top = 1 << f.depth

@@ -98,8 +98,6 @@ class Gauge:
             )
         return value
 
-    __call__ = eval
-
 
 @dataclass(frozen=True)
 class Pseudogauge:
@@ -132,8 +130,6 @@ class Pseudogauge:
         if not math.isfinite(value):
             raise GaugeDomainError(f"{self.kind} overflows at r={r!r}")
         return value
-
-    __call__ = eval
 
 
 GaugeLike = Gauge | Pseudogauge

@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from itertools import product as iter_product
@@ -148,7 +148,7 @@ class IntervalUnion:
     each operation picks its working dtype from the bit lengths it reaches.
     """
 
-    __slots__ = ("den", "lo", "hi", "_pairs")
+    __slots__ = ("den", "lo", "hi")
 
     def __init__(self, den: int, lo: np.ndarray, hi: np.ndarray) -> None:
         """The union of the sorted, separated intervals lo[i]/den..hi[i]/den,
@@ -162,7 +162,6 @@ class IntervalUnion:
         if np.any(hi < lo) or np.any(hi[:-1] >= lo[1:]):
             raise ValueError("intervals must be sorted and separated by positive gaps")
         self.den, self.lo, self.hi = _lowest_terms(den, lo, hi, max(den, reach))
-        self._pairs = None
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Number, Number]]) -> "IntervalUnion":
@@ -177,10 +176,6 @@ class IntervalUnion:
         keys.sort()
         lo = np.array([a for a, _ in keys], dtype=dtype)
         return _merged(den, lo, np.array([b for _, b in keys], dtype=dtype))
-
-    @classmethod
-    def empty(cls) -> "IntervalUnion":
-        return cls(1, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.lo)
@@ -197,23 +192,6 @@ class IntervalUnion:
             and np.array_equal(self.lo, other.lo)
             and np.array_equal(self.hi, other.hi)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.den, len(self)))
-
-    def __repr__(self) -> str:
-        return f"IntervalUnion(den={self.den}, {len(self)} intervals)"
-
-    @property
-    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The intervals as reduced Fraction pairs, built on first use."""
-        if self._pairs is None:
-            den = self.den
-            self._pairs = tuple(
-                (Fraction(a, den), Fraction(b, den))
-                for a, b in zip(self.lo.tolist(), self.hi.tolist())
-            )
-        return self._pairs
 
     def floats(self) -> tuple[list[float], list[float]]:
         """(lo, hi) endpoints as correctly rounded floats."""
@@ -465,10 +443,6 @@ class DyadicCubeSet:
         same_grid = (self.dim, self.depth) == (other.dim, other.depth)
         return same_grid and np.array_equal(self.keys, other.keys)
 
-    @property
-    def is_empty(self) -> bool:
-        return not len(self.keys)
-
     def indices(self) -> np.ndarray:
         """The (n, dim) index rows of the cubes, in key order."""
         return _unravel(self.keys, self.dim, self.depth)
@@ -569,27 +543,25 @@ class BoxCover:
         return _merged(self.den, self.lo[order, 0], self.hi[order, 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverRecord:
-    """A cover together with its gauge sum; an upper bound artifact for H^g."""
+    """A cover and its gauge sum, an upper bound artifact for H^g, computed
+    from the cover: values holds g(diam) of each box, in box order, read-only;
+    total is their fsum and delta the largest diameter."""
 
     cover: BoxCover
     gauge: GaugeLike
-    total: float
-    delta: float  # max diameter over the cover
+    values: np.ndarray = field(init=False)
+    total: float = field(init=False)
+    delta: float = field(init=False)
 
     def __post_init__(self) -> None:
         diams = _quotients(self.cover.diameters(), self.cover.den).tolist()
-        check = math.fsum(gauge_at_diameter(self.gauge, d) for d in diams)
-        scale = max(abs(self.total), abs(check), 1e-300)
-        if abs(check - self.total) > 1e-12 * scale:
-            raise ValueError("stored gauge sum does not match the cover")
-
-    @classmethod
-    def build(cls, cover: BoxCover, gauge: GaugeLike) -> "CoverRecord":
-        diams = _quotients(cover.diameters(), cover.den).tolist()
-        total = math.fsum(gauge_at_diameter(gauge, d) for d in diams)
-        return cls(cover, gauge, total, max(diams, default=0.0))
+        values = [gauge_at_diameter(self.gauge, d) for d in diams]
+        object.__setattr__(self, "values", np.array(values, dtype=float))
+        self.values.flags.writeable = False
+        object.__setattr__(self, "total", math.fsum(values))
+        object.__setattr__(self, "delta", max(diams, default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +573,6 @@ class NDeltaResult:
     count: int
     mode: str  # "exact-1d" | "grid-proxy"
 
-    def __int__(self) -> int:
-        return self.count
-
 
 def n_delta(E, delta: Number) -> NDeltaResult:
     """Box-counting function N_delta.
@@ -613,26 +582,26 @@ def n_delta(E, delta: Number) -> NDeltaResult:
     which is optimal).  Dimension >= 2: number of cells of the delta-grid
     meeting E, flagged `grid-proxy`.
     """
-    return _count(_counting_form(E), delta)
+    (count,), mode = _box_counts(E, [delta])
+    return NDeltaResult(count, mode)
 
 
-def _counting_form(E):
-    """E as the box counts read it, built once per scan of scales: an
-    IntervalUnion in d = 1; in d >= 2 the DyadicCubeSet itself, whose sorted
-    keys the grid count reads block by block."""
+def _box_counts(E, scales: Sequence[Number]) -> tuple[list[int], str]:
+    """N_delta of E at each scale, and the mode.  E is put in the form the
+    counts read once per scan: an IntervalUnion in d = 1, counted exactly;
+    in d >= 2 the DyadicCubeSet itself, whose sorted keys the grid count
+    reads block by block."""
     if isinstance(E, DyadicCubeSet) and E.dim >= 2:
-        return E
-    return _as_interval_union(E)
-
-
-def _count(form, delta: Number) -> NDeltaResult:
-    """N_delta of a _counting_form."""
-    d = Fraction(delta)
-    if d <= 0:
-        raise ValueError("delta must be positive")
-    if isinstance(form, DyadicCubeSet):
-        return NDeltaResult(_grid_count(form, d), "grid-proxy")
-    return NDeltaResult(_greedy_count(form, d), "exact-1d")
+        count, mode = _grid_count, "grid-proxy"
+    else:
+        E, count, mode = _as_interval_union(E), _greedy_count, "exact-1d"
+    counts = []
+    for s in scales:
+        delta = Fraction(s)
+        if delta <= 0:
+            raise ValueError("delta must be positive")
+        counts.append(count(E, delta))
+    return counts, mode
 
 
 def _greedy_count(iu: IntervalUnion, delta: Fraction) -> int:
@@ -780,24 +749,18 @@ class PremeasureReport:
     eps: float
     mode: str
     empty: bool = False
-    label: str = "upper bound of the true inf over scanned scales"
-    norm: str = "max"  # Euclidean diameters differ by <= sqrt(d), a bounded
-    # gauge-dependent factor for doubling gauges
 
 
 def lower_box_premeasure(E, zeta: GaugeLike, eps: float, scales: Sequence[Number]) -> PremeasureReport:
     scanned = [s for s in scales if float(s) <= eps or eps == math.inf]
     if not scanned:
         raise ValueError("no scanned scale lies below eps")
+    counts, mode = _box_counts(E, scanned)
     entries = []
-    mode = "exact-1d"
-    empty = isinstance(E, (DyadicCubeSet, IntervalUnion)) and E.is_empty
-    form = _counting_form(E)
-    for s in scanned:
-        res = _count(form, s)
-        mode = res.mode
+    for s, count in zip(scanned, counts):
         z = zeta.eval(float(s))
-        entries.append((float(s), res.count, z, res.count * z))
+        entries.append((float(s), count, z, count * z))
+    empty = not any(counts)
     value = 0.0 if empty else min(p for _, _, _, p in entries)
     return PremeasureReport(value, tuple(entries), eps, mode, empty)
 
@@ -817,16 +780,13 @@ def lower_box_dim(E, scales: Sequence[Number]) -> DimensionReport:
     scales = list(scales)
     if len(scales) < 6:
         raise ValueError("need at least 6 scales")
+    counts, mode = _box_counts(E, scales)
     entries = []
-    mode = "exact-1d"
-    form = _counting_form(E)
-    for s in scales:
-        res = _count(form, s)
-        mode = res.mode
+    for s, count in zip(scales, counts):
         r = float(s)
-        ratio = math.log(res.count) / abs(math.log(r)) if res.count > 0 else 0.0
-        entries.append((r, res.count, ratio))
-    if all(n == 0 for _, n, _ in entries):
+        ratio = math.log(count) / abs(math.log(r)) if count > 0 else 0.0
+        entries.append((r, count, ratio))
+    if not any(counts):
         return DimensionReport(0.0, 0.0, tuple(entries), mode, empty=True)
     tail = entries[len(entries) // 2 :]
     proxy = min(ratio for _, _, ratio in tail)
@@ -911,7 +871,7 @@ def hausdorff_upper(E, g: GaugeLike, cover: BoxCover | None = None) -> CoverReco
         idx = E.indices()
         cover = BoxCover(E.dim, 1 << E.depth, idx, idx + 1)
     _check_cover(E, cover)
-    return CoverRecord.build(cover, g)
+    return CoverRecord(cover, g)
 
 
 # ---------------------------------------------------------------------------
@@ -1129,7 +1089,7 @@ def micro_from_hzeta(record: CoverRecord, beta: float) -> HZetaMicro:
     diam = cover.diameters()
     order = np.argsort(-diam, kind="stable")  # longest first, ties in box order
     diams = _quotients(diam[order], cover.den).tolist()
-    zetas = [gauge_at_diameter(gauge, d) for d in diams]
+    zetas = record.values[order].tolist()
     total = sum(zetas)
     if not (total < 1.0 / beta):
         raise ValueError(

@@ -429,6 +429,13 @@ class FractionIntervalUnion:
                 merged.append((a, b))
         return cls(tuple(merged))
 
+    @classmethod
+    def of(cls, iu) -> "FractionIntervalUnion":
+        """A liplab IntervalUnion's intervals, read from its (den, lo, hi)."""
+        return cls(tuple(
+            (Fraction(a, iu.den), Fraction(b, iu.den)) for a, b in zip(iu.lo.tolist(), iu.hi.tolist())
+        ))
+
     def contains(self, x) -> bool:
         import bisect
 

@@ -330,6 +330,13 @@ def test_config_errors_exit_2(workdir, capsys):
     assert run(["analyze", "c.fn", "--gauge", "bogus(q=1)"]) == 2
     assert run(["construct", "--base", "weierstrass(a=2.0)", "--out", "x"]) == 2
     assert run([]) == 2  # no subcommand prints help and signals a config error
+    # an input path that is a directory, or a file where a build directory belongs
+    (workdir / "adir").mkdir()
+    for args in (["dims", "adir"], ["analyze", "adir"], ["micro", "adir", "--eps", 0.5],
+                 ["report", "c.fn"], ["partition", "c.fn"]):
+        capsys.readouterr()
+        assert run(args) == 2, args
+        assert capsys.readouterr().err.startswith("config error: "), args
     # malformed specs at the input boundary
     for base in ("affine(c)", "affine(c=abc)", "affine(c=1:2)", "affine[c=1]"):
         assert run(["construct", "--base", base, "--out", "x"]) == 2

@@ -54,6 +54,12 @@ PHI = make_preset("power", s=0.25)
 INV_LOG = make_preset("inv_log")
 
 
+def _piece(p: StageParams, kind: str, i: int) -> tuple[Fraction, Fraction]:
+    """Piece i of a stage as a Fraction pair, from StageParams.pieces."""
+    lo, hi = p.pieces(kind, i)
+    return Fraction(lo, p.layout_den), Fraction(hi, p.layout_den)
+
+
 def small_affine_build(n_max=3, eps0=0.5, phi=PHI, zeta=POWER1):
     f0 = make_test_function("affine", {"c": 1.0}, depth=10)
     return iterate_typical(f0, n_max, phi, zeta, eps0, max_depth=18)
@@ -134,10 +140,10 @@ def test_slab_and_core_geometry():
     assert p.layout_den == 64
     assert p.pieces("slab", 0) == (0, 4) and p.pieces("slab", 1) == (28, 36)
     assert p.pieces("core", 0) == (4, 28)
-    assert p.slab_union().intervals[:2] == (
+    assert FractionIntervalUnion.of(p.slab_union()).intervals[:2] == (
         (Fraction(0), Fraction(1, 16)), (Fraction(7, 16), Fraction(9, 16))
     )
-    assert p.core_union().intervals[0] == (Fraction(1, 16), Fraction(7, 16))
+    assert _piece(p, "core", 0) == (Fraction(1, 16), Fraction(7, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +209,13 @@ def test_slab_and_cube_unions_match_fraction_pairs(stage, finer):
     # a finer eta takes 2k * den past 2^62, onto Python-int numerators
     p = dataclasses.replace(stage[0], eta=stage[0].eta / 2**finer)
     slabs = FractionIntervalUnion.from_pairs(fraction_slab(p.k, p.eta, m) for m in range(p.k + 1))
-    assert p.slab_union().intervals == slabs.intervals
+    assert FractionIntervalUnion.of(p.slab_union()) == slabs
     half = p.beta / (2 * p.k)  # the shrunken cube beta*K_j around (2j+1)/(2k)
     cubes = [(Fraction(2 * j + 1, 2 * p.k) - half, Fraction(2 * j + 1, 2 * p.k) + half)
              for j in range(p.k)]
-    assert list(p.cube_union().intervals) == cubes
+    assert list(FractionIntervalUnion.of(p.cube_union()).intervals) == cubes
     assert cubes == [fraction_cube(p.k, p.eta, j) for j in range(p.k)]
-    assert list(p.core_union().intervals) == [fraction_core(p.k, p.eta, j) for j in range(p.k)]
+    assert [_piece(p, "core", j) for j in range(p.k)] == [fraction_core(p.k, p.eta, j) for j in range(p.k)]
 
 
 @st.composite
@@ -245,6 +251,11 @@ def _first_holding(pieces: dict, x):
     return next((i for i, (a, b) in pieces.items() if a <= x <= b), None)
 
 
+def _slab_holding(p: StageParams, x):
+    """The first slab m whose closed piece holds x, by StageParams.holds."""
+    return next((m for m in range(p.k + 1) if p.holds("slab", m, x)), None)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_stage_with_kept(), st.data())
 def test_covering_core_and_slab_index_match_fraction_oracle(rec, data):
@@ -254,7 +265,7 @@ def test_covering_core_and_slab_index_match_fraction_oracle(rec, data):
     for j in {0, p.k - 1, data.draw(st.integers(0, p.k - 1))}:
         for x in _probes(p, j):
             assert rec.covering_core(x) == _first_holding(cores, x), x
-            assert rec.slab_index(x) == _first_holding(slabs, x), x
+            assert _slab_holding(p, x) == _first_holding(slabs, x), x
 
 
 @settings(max_examples=50, deadline=None)
@@ -386,7 +397,7 @@ def test_2d_core_complement_in_cross_power():
     p = StageParams(1, 0.9, Fraction(1), 2, Fraction(1, 8), 0.125)
     E = p.slab_union()
     cross = cross_power(DyadicCubeSet.from_interval_union(E, depth), 2)
-    core_1d = p.core_union()
+    core_1d = IntervalUnion(p.layout_den, *p.pieces("core", np.arange(p.k)))
     # condition (a) at cube level: complement of the cores sits in E^(cross 2)
     rng = np.random.default_rng(2)
     pts = rng.random((2000, 2))
@@ -556,10 +567,10 @@ def test_stage_certificate_covers_core_midpoints_not_grid_points():
         j = int(rec.kept[0])
         a, b = fraction_core(p.k, p.eta, j)
         assert rec.covering_core(float((a + b) / 2)) == j
-        assert rec.slab_index(float((a + b) / 2)) is None
+        assert _slab_holding(p, float((a + b) / 2)) is None
         # a grid point x = m/k sits inside the exceptional slab
         assert rec.covering_core(float(Fraction(1, p.k))) is None
-        assert rec.slab_index(float(Fraction(1, p.k))) == 1
+        assert _slab_holding(p, float(Fraction(1, p.k))) == 1
 
 
 def test_certified_bound_dominates_sampled_osc():
@@ -626,7 +637,7 @@ def test_exceptional_set_three_stages(tmp_path):
         tail = slabs[n - 1]
         for later in slabs[n:]:
             tail = tail.intersect(later)
-        assert analysis.tail_component_counts[n - 1] == len(tail.intervals)
+        assert analysis.tail_component_counts[n - 1] == len(tail)
     for n, rep in enumerate(analysis.tail_premeasures, start=1):
         assert rep.value < 1.0 / n
     # tails are nested increasing

@@ -21,6 +21,7 @@ from liplab.partition import (
 )
 from liplab.setlib import DyadicCubeSet, IntervalUnion, lower_box_dim
 from oracles import (
+    FractionIntervalUnion,
     TupleCubeSet,
     fraction_core,
     fraction_raster,
@@ -200,7 +201,9 @@ def test_split_matches_tuple_reference(kept):
     f = SampledFunction(1, f.depth, domain, np.where(on, f.values, np.nan), f.modulus, f.exact)
     build = iterate_typical(f, 2, PHI_BUILD, POWER1, 0.5, max_depth=18)
     A, B = split_partition(build)
-    raster = fraction_raster(deepest_core_complement(build).intervals, A.depth, "overlap")
+    raster = fraction_raster(
+        FractionIntervalUnion.of(deepest_core_complement(build)).intervals, A.depth, "overlap"
+    )
     omega = TupleCubeSet.of(domain).refine(A.depth).cubes
     assert TupleCubeSet.of(A).cubes == raster & omega
     assert TupleCubeSet.of(B).cubes == omega - raster

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liplab import setlib
-from liplab.gauges import Pseudogauge, make_preset
+from liplab.gauges import Gauge, Pseudogauge, make_preset
 from liplab.setlib import (
     MAX_KEY_BITS,
     _atomic_write,
@@ -68,20 +68,24 @@ from oracles import (
 LN2_LN3 = math.log(2) / math.log(3)
 
 
+def pairs_of(iu: IntervalUnion) -> tuple[tuple[Fraction, Fraction], ...]:
+    return FractionIntervalUnion.of(iu).intervals
+
+
 # ---------------------------------------------------------------------------
 # IntervalUnion basics
 
 
 def test_interval_union_merges_touching():
     iu = IntervalUnion.from_pairs([(0, Fraction(1, 2)), (Fraction(1, 2), 1)])
-    assert iu.intervals == ((Fraction(0), Fraction(1)),)
+    assert pairs_of(iu) == ((Fraction(0), Fraction(1)),)
 
 
 def test_interval_union_ops():
     a = IntervalUnion.from_pairs([(0, Fraction(1, 4)), (Fraction(1, 2), 1)])
     b = IntervalUnion.from_pairs([(Fraction(1, 8), Fraction(3, 4))])
     inter = a.intersect(b)
-    assert inter.intervals == (
+    assert pairs_of(inter) == (
         (Fraction(1, 8), Fraction(1, 4)),
         (Fraction(1, 2), Fraction(3, 4)),
     )
@@ -147,7 +151,7 @@ def test_from_pairs_matches_fraction_oracle(pairs):
             IntervalUnion.from_pairs(pairs)
         return
     got = IntervalUnion.from_pairs(pairs)
-    assert got.intervals == want.intervals
+    assert pairs_of(got) == want.intervals
     assert len(got) == len(want.intervals) and got.is_empty == (not want.intervals)
     # canonical form: the least denominator, the dtype its bit lengths allow
     assert got.den == math.lcm(1, *(x.denominator for p in want.intervals for x in p))
@@ -162,7 +166,7 @@ def test_from_pairs_matches_fraction_oracle(pairs):
 def test_interval_ops_match_fraction_oracle(pa, pb):
     a, ref_a = _both(pa)
     b, ref_b = _both(pb)
-    assert a.intersect(b).intervals == ref_a.intersect(ref_b).intervals
+    assert pairs_of(a.intersect(b)) == ref_a.intersect(ref_b).intervals
     assert a.uncovered_by(b) == ref_a.uncovered_by(ref_b)
     assert b.uncovered_by(a) == ref_b.uncovered_by(ref_a)
     assert a.subset_of(b) == ref_a.subset_of(ref_b)
@@ -183,7 +187,7 @@ def test_raster_matches_fraction_oracle(pairs, depth, mode):
     got = DyadicCubeSet.from_interval_union(iu, depth, mode)
     cubes = TupleCubeSet.of(got).cubes
     assert cubes == fraction_raster(ref.intervals, depth, mode)
-    assert got.to_interval_union().intervals == fraction_cube_runs(cubes, depth)
+    assert pairs_of(got.to_interval_union()) == fraction_cube_runs(cubes, depth)
 
 
 _DELTAS = st.one_of(
@@ -238,13 +242,13 @@ def test_greedy_count_closed_form_matches_sweep(units, den, high, data):
         assert iu.lo.dtype == object and iu.lo[0] > 1 << 62
     for delta in (Fraction(units, den), Fraction(units, den) + Fraction(1, 3 * den)):
         count = _greedy_count(iu, delta)
-        assert count == greedy_count_sweep(iu, delta) == fraction_greedy_count(iu.intervals, delta)
+        assert count == greedy_count_sweep(iu, delta) == fraction_greedy_count(pairs_of(iu), delta)
 
 
 def test_cantor_intervals_match_fraction_thirds():
     for depth in range(0, 9):
         got = cantor_intervals(depth)
-        assert got.intervals == fraction_cantor_intervals(depth).intervals
+        assert pairs_of(got) == fraction_cantor_intervals(depth).intervals
         assert got.den == 3**depth and len(got) == 2**depth
 
 
@@ -259,11 +263,11 @@ def test_int64_and_object_paths_meet_at_62_bits():
         assert a.lo.dtype == b.lo.dtype == np.int64
         inter = a.intersect(b)
         assert inter.den == p * q and inter.lo.dtype == dtype
-        assert inter.intervals == ref_a.intersect(ref_b).intervals
+        assert pairs_of(inter) == ref_a.intersect(ref_b).intervals
         assert inter.uncovered_by(a) is None and a.uncovered_by(inter) == ref_a.uncovered_by(
             ref_a.intersect(ref_b))
         for delta in (Fraction(1, 7), 1 / 3):
-            assert n_delta(inter, delta).count == fraction_greedy_count(inter.intervals, delta)
+            assert n_delta(inter, delta).count == fraction_greedy_count(pairs_of(inter), delta)
     # a raster whose den * 2^depth crosses 2^62 (and 2^63, where int64 would
     # wrap): den = 3^25 has 40 bits
     den = 3**25
@@ -287,8 +291,8 @@ def test_float_endpoints_are_correctly_rounded():
     iu = IntervalUnion(den, nums[0::2][: len(nums) // 2], nums[1::2][: len(nums) // 2])
     assert iu.den == den and iu.lo.dtype == np.int64
     lo, hi = iu.floats()
-    assert lo == [float(a) for a, _ in iu.intervals]
-    assert hi == [float(b) for _, b in iu.intervals]
+    assert lo == [float(a) for a, _ in pairs_of(iu)]
+    assert hi == [float(b) for _, b in pairs_of(iu)]
     # the test bites: the double-rounded numpy form differs on some endpoint
     assert np.any(iu.lo.astype(np.float64) / np.float64(den) != np.array(lo))
 
@@ -296,8 +300,7 @@ def test_float_endpoints_are_correctly_rounded():
 def test_interval_union_value_semantics():
     a = IntervalUnion.from_pairs([(0, Fraction(1, 2)), (Fraction(1, 2), 1)])
     b = IntervalUnion.from_pairs([(0.0, 1.0)])
-    assert a == b and hash(a) == hash(b) and a != IntervalUnion.empty()
-    assert a.intervals is a.intervals  # built once
+    assert a == b and a != IntervalUnion.from_pairs([])
     with pytest.raises(ValueError):
         a.lo[0] = 5  # read-only numerators
     with pytest.raises(ValueError, match="positive gaps"):
@@ -399,7 +402,7 @@ def test_cube_set_matches_tuple_reference(case, shift, data):
     )
     if dim == 1:
         assert E.contains([x for (x,) in points]).tolist() == [ref.contains(p) for p in points]
-        assert E.to_interval_union().intervals == fraction_cube_runs(ref.cubes, depth)
+        assert pairs_of(E.to_interval_union()) == fraction_cube_runs(ref.cubes, depth)
         for d in range(1, 4):
             if d * depth <= 12:
                 assert TupleCubeSet.of(cross_power(E, d)) == tuple_cross_power(ref, d)
@@ -625,7 +628,7 @@ def test_n_delta_cantor_depth2():
 
 
 def test_n_delta_empty_and_points():
-    assert n_delta(IntervalUnion.empty(), Fraction(1, 4)).count == 0
+    assert n_delta(IntervalUnion.from_pairs([]), Fraction(1, 4)).count == 0
     pts = points_union([Fraction(1, 10), Fraction(2, 10), Fraction(9, 10)])
     assert n_delta(pts, Fraction(1, 10)).count == 2
     assert n_delta(pts, Fraction(1, 100)).count == 3
@@ -749,13 +752,6 @@ def test_hausdorff_cover_must_cover():
     assert 0.0 <= err.value.witness <= 1.0
 
 
-def test_cover_record_sum_validation():
-    cover = cantor_natural_cover(3)
-    good = CoverRecord.build(cover, make_preset("power", s=1))
-    with pytest.raises(ValueError):
-        CoverRecord(cover, good.gauge, good.total * 2.0, good.delta)
-
-
 # ---------------------------------------------------------------------------
 # BoxCover and the coverage check against the Fraction references
 
@@ -797,7 +793,7 @@ def test_box_cover_matches_fraction_reference(case):
         union = IntervalUnion.from_pairs(box[0] for box in boxes)
         assert cover.interval_union() == union
         assert FractionBoxCover.of(BoxCover.from_intervals(union)).boxes == tuple(
-            (pair,) for pair in union.intervals
+            (pair,) for pair in pairs_of(union)
         )
 
 
@@ -880,7 +876,7 @@ def test_cross_power_slabs():
 
 def test_cross_power_empty_identity():
     E = DyadicCubeSet(1, 3, [])
-    assert cross_power(E, 3).is_empty
+    assert len(cross_power(E, 3)) == 0
     F = DyadicCubeSet.from_indices(1, 3, [(2,)])
     assert cross_power(F, 1) == F
 
@@ -994,7 +990,7 @@ def test_micro_greedy_matches_brute_force():
         eps = float(rng.uniform(0.05, 0.5))
         n_max = int(rng.integers(1, 8))
         cert = microscopic_certificate(E, eps, n_max)
-        vols = [float(b - a) for a, b in E.intervals]
+        vols = [float(b - a) for a, b in pairs_of(E)]
         assert cert.ok == brute_micro_assignment(vols, eps, n_max)
 
 
@@ -1022,7 +1018,7 @@ def test_micro_from_hzeta_harmonic():
         x = Fraction(n, 20)
         # exact endpoints: in float, x + e^(-10n) would absorb the tiny width
         pairs.append((x, x + Fraction(math.exp(-10 * n))))
-    record = CoverRecord.build(BoxCover.from_boxes(1, [(p,) for p in pairs]), inv)
+    record = CoverRecord(BoxCover.from_boxes(1, [(p,) for p in pairs]), inv)
     assert record.total == pytest.approx(sum(1.0 / (10 * n) for n in range(1, 11)), rel=1e-12)
     with pytest.raises(ValueError):
         micro_from_hzeta(record, 9.0)  # 0.2929 >= 1/9
@@ -1035,14 +1031,31 @@ def test_micro_from_hzeta_harmonic():
 
 def test_micro_from_hzeta_single_and_plateau():
     inv = make_preset("inv_log")
-    single = CoverRecord.build(
+    single = CoverRecord(
         BoxCover.from_boxes(1, [((0.5, 0.5 + math.exp(-100)),)]), inv
     )
     out = micro_from_hzeta(single, 50.0)
     assert out.guarantees[0][1] < math.exp(-50)
-    two = CoverRecord.build(BoxCover.from_boxes(1, [((0.0, 0.5),), ((0.5, 1.0),)]), inv)
+    two = CoverRecord(BoxCover.from_boxes(1, [((0.0, 0.5),), ((0.5, 1.0),)]), inv)
     with pytest.raises(ValueError):
         micro_from_hzeta(two, 2.0)  # zeta(1/2) = 1 each, sum 2 >= 1/2
+
+
+def test_cover_record_evaluates_the_gauge_once_per_box():
+    # the record's per-box values give its total and feed micro_from_hzeta
+    calls = []
+
+    class CountingGauge(Gauge):
+        def eval(self, r):
+            calls.append(r)
+            return super().eval(r)
+
+    E = IntervalUnion.from_pairs((Fraction(n, 20), Fraction(n, 20) + Fraction(1, 2**40))
+                                 for n in range(1, 6))
+    record = hausdorff_upper(E, CountingGauge("inv_log"), BoxCover.from_intervals(E))
+    out = micro_from_hzeta(record, 1.0 / (2.0 * record.total))
+    assert len(out.guarantees) == 5
+    assert calls == [2.0**-40] * 5
 
 
 # ---------------------------------------------------------------------------
