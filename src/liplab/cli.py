@@ -1,10 +1,11 @@
 """Batch front door: analyze functions, run builds, estimate dimensions,
 drive the partition pipeline, and emit machine-readable reports.
 
-Exit status: 0 when every requested certificate passed, 1 on certificate
-failure, 2 on configuration errors.  All randomness flows from --seed
-(default 0); report payloads carry no timestamps (timestamps live in a
-sidecar), so reruns are byte-identical.
+Exit status: 0 when every requested certificate passed, 1 when a command
+wrote its payload with a false verdict, 2 on a ConfigError (the gauge and
+format errors included), a ConstructError or an OSError.  All randomness
+flows from --seed (default 0); report payloads carry no timestamps
+(timestamps live in a sidecar), so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -30,16 +31,13 @@ import numpy as np  # noqa: E402
 
 from . import construct as construct_mod
 from . import funclib, gauges, partition, setlib
+from .gauges import ConfigError
 
 # 1-d header; for d >= 2 the point column x becomes x1,...,xd
 CSV_COLUMNS = "x,scale,osc_lower,osc_upper,ratio_lower,ratio_upper"
 # JSON encoder chunks joined per payload write, and CSV rows formatted per block
 _JSON_CHUNKS = 1 << 12
 _CSV_ROWS = 1 << 12
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -74,11 +72,14 @@ class RunConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, command: str | None = None) -> "RunConfig":
-        """Parse a config file; a field of the wrong JSON type is a ConfigError.
-        A command given here, the subcommand on the command line, replaces
+    def from_json(cls, text: str | bytes, command: str | None = None) -> "RunConfig":
+        """Parse a config file; text that is not JSON, or a field of the wrong
+        JSON type, is a ConfigError.  A command given here, the subcommand on the command line, replaces
         the file's, which may then be left out."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except ValueError as err:  # bad JSON, or bytes that are not text
+            raise ConfigError(f"config file is not JSON: {err}") from None
         if not isinstance(data, dict):
             raise ConfigError("a config file holds one JSON object")
         hints = typing.get_type_hints(cls)
@@ -165,10 +166,7 @@ def _parse_base(spec: str, depth: int) -> funclib.SampledFunction:
     name, params = gauges.parse_spec(spec)
     if any(isinstance(v, tuple) for v in params.values()):
         raise ConfigError(f"base function parameters take one number each: {spec!r}")
-    try:
-        return funclib.make_test_function(name, params, depth)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return funclib.make_test_function(name, params, depth)
 
 
 def _json_chunks(payload):
@@ -271,7 +269,9 @@ def _cmd_construct(cfg: RunConfig) -> int:
     if not cfg.out:
         raise ConfigError("construct needs --out directory")
     _at_least("--nmax", cfg.nmax, 1)
-    _at_least("--max-depth", cfg.max_depth, cfg.depth)
+    if not 0 <= cfg.depth <= cfg.max_depth <= setlib.MAX_KEY_BITS:
+        raise ConfigError(f"need 0 <= --depth {cfg.depth} <= --max-depth {cfg.max_depth}"
+                          f" <= {setlib.MAX_KEY_BITS}")
     if not 0.0 < cfg.eps0 < math.inf:
         raise ConfigError(f"--eps0 {cfg.eps0:g} must be positive and finite")
     base = _parse_base(cfg.base or "constant(value=0.5)", cfg.depth)
@@ -368,11 +368,7 @@ def _load_set(spec: str):
             depth = int(rest)
         except ValueError as err:
             raise ConfigError(f"bad cantor depth {rest!r}") from err
-        _at_least("cantor depth", depth, 0)
-        try:
-            return setlib.cantor_intervals(depth)
-        except ValueError as err:  # a depth beyond setlib.MAX_CANTOR_DEPTH
-            raise ConfigError(str(err)) from err
+        return setlib.cantor_intervals(depth)
     if kind == "points":
         points = _parse_list(rest, float, "points")
         for x in points:
@@ -408,10 +404,7 @@ def _cmd_partition(cfg: RunConfig) -> int:
         if not 0.0 < delta < math.inf:
             raise ConfigError(f"--delta-ladder entry {delta:g} must be positive and finite")
     build = construct_mod.load_build(cfg.input_path)
-    try:
-        B_img = partition.b_image_cubes(build, cfg.img_depth)
-    except construct_mod.ConstructError as err:
-        raise ConfigError(f"{cfg.input_path}: {err}") from err
+    B_img = partition.b_image_cubes(build, cfg.img_depth)
     A, B = partition.split_partition(build)
     reports = [
         partition.image_cover_report(
@@ -562,29 +555,20 @@ def main(argv: list[str] | None = None) -> int:
     if command is None:
         parser.print_help()
         return 2
-    cfg = RunConfig(command=command)
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = RunConfig.from_json(fh.read(), command)
-        except (OSError, ValueError, TypeError) as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return 2
-    for key, value in vars(args).items():
-        if key == "config":
-            continue
-        if value is not None and hasattr(cfg, key):
-            setattr(cfg, key, value)
     try:
+        cfg = RunConfig(command=command)
+        if getattr(args, "config", None):
+            with open(args.config, "rb") as fh:
+                cfg = RunConfig.from_json(fh.read(), command)
+        for key, value in vars(args).items():
+            if key != "config" and value is not None and hasattr(cfg, key):
+                setattr(cfg, key, value)
         _at_least("--seed", cfg.seed, 0)
         return _COMMANDS[cfg.command](cfg)
-    except (ConfigError, gauges.GaugeSpecError, gauges.GaugeDomainError, setlib.FormatError,
-            OSError) as err:
+    except (ConfigError, construct_mod.ConstructError, OSError) as err:
+        # a ConstructError here: no build can be made from these inputs
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (construct_mod.ConstructError, ValueError) as err:
-        print(f"certificate failure: {err}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -730,11 +730,14 @@ def _stage(position: int, item: dict, zeta: GaugeLike) -> tuple[StageParams, int
 
 
 def _check_depths(directory, base: SampledFunction, final: SampledFunction, depths) -> None:
-    """Both functions 1-d and base.depth <= depth_1 <= ... <= depth_N =
-    final.depth, else a FormatError naming the file and the stage."""
+    """Both functions 1-d, final exact, and base.depth <= depth_1 <= ... <=
+    depth_N = final.depth, else a FormatError naming the file and the stage."""
     for name, f in (("base.fn", base), ("final.fn", final)):
         if f.dim != 1:
             raise FormatError(f"{directory}: {name} has dimension {f.dim}; builds need dimension 1")
+    if not final.exact:
+        raise FormatError(f"{directory}: final.fn is not marked `exact 1`; a build's final"
+                          " function is its own interpolant")
     if not depths:
         raise FormatError(f"{directory}: stages.json lists no stage")
     names = ["base.fn"] + [f"stage {n}" for n in range(1, len(depths) + 1)]

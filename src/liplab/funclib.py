@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .gauges import GaugeLike
+from .gauges import ConfigError, GaugeLike
 from .setlib import DyadicCubeSet, FormatError, _atomic_write, _format_errors
 from .setlib import _closed_cell_candidates, _cube_chunks, _held, _points, _read_cubes
 
@@ -501,7 +501,9 @@ def oscillation_window(
             lower[:, j], upper[:, j] = osc.lower, osc.upper
             clipped |= osc.clipped
     phi_r = np.array([phi.eval(r) for r in radii.tolist()])
-    return OscWindow(points, radii, lower, upper, lower / phi_r, upper / phi_r, clipped, f.exact)
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf
+        ratios = lower / phi_r, upper / phi_r
+    return OscWindow(points, radii, lower, upper, *ratios, clipped, f.exact)
 
 
 @dataclass(frozen=True, eq=False)
@@ -596,6 +598,8 @@ def make_test_function(name: str, params: dict | None = None, depth: int = 10) -
     elif name == "affine":
         c = float(params.pop("c", 1.0))
         intercept = float(params.pop("intercept", 0.0))
+        if not math.isfinite(abs(c) + abs(intercept)):
+            raise ConfigError(f"affine values c x + {intercept:g} leave the float range")
         values = c * np.arange(top + 1) / top + intercept
         fn = SampledFunction(1, depth, domain, values, HolderModulus(abs(c), 1.0), exact=True)
     elif name == "weierstrass":
@@ -603,7 +607,7 @@ def make_test_function(name: str, params: dict | None = None, depth: int = 10) -
         b = int(params.pop("b", 3))
         terms = int(params.pop("terms", 25))
         if not (0.0 < a < 1.0) or b < 3 or b % 2 == 0 or a * b <= 1.0:
-            raise ValueError("weierstrass needs 0 < a < 1, odd b >= 3, ab > 1")
+            raise ConfigError("weierstrass needs 0 < a < 1, odd b >= 3, ab > 1")
         alpha = math.log(1.0 / a) / math.log(b)
         c_holder = 2.0 * math.pi * b / (a * b - 1.0) + 2.0 / (1.0 - a)
         values = _weierstrass_grid(a, b, terms, depth)
@@ -613,9 +617,9 @@ def make_test_function(name: str, params: dict | None = None, depth: int = 10) -
         values = np.array([cantor_value(Fraction(i, top)) for i in range(top + 1)])
         fn = SampledFunction(1, depth, domain, values, HolderModulus(2.0, alpha))
     else:
-        raise ValueError(f"unknown test function {name!r}")
+        raise ConfigError(f"unknown test function {name!r}")
     if params:
-        raise ValueError(f"unknown parameters for {name}: {sorted(params)}")
+        raise ConfigError(f"unknown parameters for {name}: {sorted(params)}")
     if top <= (1 << 20):
         fn.validate_adjacent()
     return fn
@@ -695,6 +699,25 @@ def _read_values(fh, count: int, path) -> tuple[np.ndarray, str]:
     return flat, rest
 
 
+def _check_values(path, flat: np.ndarray, depth: int, domain: DyadicCubeSet) -> None:
+    """FormatError naming the first vertex whose value is +-inf, or NaN on a
+    vertex of a domain cube; a block of GRID_BLOCK values at a time."""
+    shape = ((1 << depth) + 1,) * domain.dim
+    for lo in range(0, flat.size, GRID_BLOCK):
+        block = flat[lo : lo + GRID_BLOCK]
+        if np.isfinite(block).all():
+            continue
+        at = lo + np.flatnonzero(~np.isfinite(block))
+        vertices = np.stack(np.unravel_index(at, shape), axis=-1)
+        bad = np.isinf(flat[at]) | domain.contains(vertices * 2.0**-depth)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise FormatError(
+                f"{path}: value {float(flat[at[i]])!r} at vertex {tuple(vertices[i].tolist())};"
+                " a value must be finite, or NaN off the domain's cubes"
+            )
+
+
 def load_function(path) -> SampledFunction:
     with _format_errors(path), open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -710,6 +733,7 @@ def load_function(path) -> SampledFunction:
             raise FormatError(f"missing values marker in {path}")
         n = (1 << depth) + 1
         flat, rest = _read_values(fh, n**dim, path)
+        _check_values(path, flat, depth, domain)
         modulus: Modulus | None = None
         exact = False
         for line in (rest + fh.read()).split("\n"):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
+    "ConfigError",
     "Gauge",
     "Pseudogauge",
     "GaugeDomainError",
@@ -33,11 +34,15 @@ __all__ = [
 R_MAX = 1.0
 
 
-class GaugeDomainError(ValueError):
+class ConfigError(ValueError):
+    """Input that no run can use: a flag, a spec or a file.  The CLI exits 2."""
+
+
+class GaugeDomainError(ConfigError):
     """Scale argument outside a gauge's definition domain."""
 
 
-class GaugeSpecError(ValueError):
+class GaugeSpecError(ConfigError):
     """Malformed preset name, parameters, or textual gauge form."""
 
 

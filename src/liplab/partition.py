@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .construct import ConstructError, TypicalBuild, deepest_core_complement, plateau_extremes
 from .funclib import SampledFunction, oscillation
 from .gauges import (
+    ConfigError,
     GaugeDomainError,
     GaugeLike,
     format_gauge,
@@ -155,7 +155,7 @@ def split_partition(build: TypicalBuild) -> tuple[DyadicCubeSet, DyadicCubeSet]:
     """
     raster_depth = min(SPLIT_RASTER_DEPTH, build.final.depth)
     F_intervals = deepest_core_complement(build)
-    A = DyadicCubeSet.from_interval_union(F_intervals, raster_depth, mode="overlap")
+    A = DyadicCubeSet.from_interval_union(F_intervals, raster_depth)
     omega = build.final.domain.refine(raster_depth).keys
     B = DyadicCubeSet(1, raster_depth, np.setdiff1d(omega, A.keys, assume_unique=True))
     A = DyadicCubeSet(1, raster_depth, np.intersect1d(A.keys, omega, assume_unique=True))
@@ -261,7 +261,7 @@ def image_cover_report(
     scales = [2.0**-j for j in range(3, 40)]
     schizm = verify_schizm_relation(xi, phi, d, scales)
     if not schizm.ok:
-        raise ValueError(
+        raise ConfigError(
             f"gauge relation xi(phi(5r)) <= r^(d+1) fails at r={schizm.first_violation}"
         )
     # (k + 1/2) 2^-depth is exact in floats
@@ -284,7 +284,10 @@ def image_cover_report(
         xi_phi = xi.eval(phi.eval(5.0 * r))
         rpow = r ** (d + 1)
         if not (xi_diam <= xi_phi * (1 + 1e-12) and xi_phi <= rpow * (1 + 1e-12)):
-            raise ValueError("chain audit failed for a kept ball")
+            raise ConfigError(
+                f"chain audit failed for the kept ball at x={x}, r={r}: xi(diam) = {xi_diam:g},"
+                f" xi(phi(5r)) = {xi_phi:g}, r^(d+1) = {rpow:g}"
+            )
         total += xi_diam
         balls.append(((x,), r, diam5))
         chain.append((xi_diam, xi_phi, rpow))
@@ -299,7 +302,7 @@ def image_cover_report(
         tuple(balls),
         total,
         bound,
-        total <= bound,
+        total <= bound and not uncovered,
         tuple(chain),
         tuple(uncovered),
         cover.candidate_count,
@@ -340,23 +343,20 @@ def graph_cross_check(
     f: SampledFunction,
     A: DyadicCubeSet,
     B_img: DyadicCubeSet,
-    samples: Sequence[float] | int,
+    samples: int,
     *,
     seed: int = 0,
 ) -> GraphCheckReport:
     """graph(f) within (A x R) u (R x B_img): per sample, x in A or f(x) in B_img.
 
-    A sample count draws that many points uniformly from Omega = f.domain: a
-    uniform u in [0,1) walks the domain cubes in order, so on a full domain
-    the point is u itself, bit for bit."""
-    if isinstance(samples, int):
-        rng = np.random.default_rng(seed)
-        starts = f.domain.keys.astype(float)
-        scaled = rng.uniform(0.0, 1.0, size=samples) * starts.size
-        cube = np.minimum(scaled.astype(np.int64), starts.size - 1)
-        xs = (starts[cube] + (scaled - cube)) / (1 << f.domain.depth)
-    else:
-        xs = np.asarray(samples, dtype=float)
+    The samples are drawn uniformly from Omega = f.domain: a uniform u in
+    [0,1) walks the domain cubes in order, so on a full domain the point is
+    u itself, bit for bit."""
+    rng = np.random.default_rng(seed)
+    starts = f.domain.keys.astype(float)
+    scaled = rng.uniform(0.0, 1.0, size=samples) * starts.size
+    cube = np.minimum(scaled.astype(np.int64), starts.size - 1)
+    xs = (starts[cube] + (scaled - cube)) / (1 << f.domain.depth)
     values = f.evaluate_many(xs)
     bad = ~(A.contains(xs) | B_img.contains(values))  # values off [0,1] are in no cube
     violations = tuple(zip(xs[bad].tolist(), values[bad].tolist()))

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gauges import Gauge, GaugeLike, Pseudogauge, gauge_at_diameter
+from .gauges import ConfigError, Gauge, GaugeLike, Pseudogauge, gauge_at_diameter
 
 # the process umask, read once (os.umask can only be read by setting it)
 _UMASK = os.umask(0o022)
@@ -66,7 +66,7 @@ class CoverageError(ValueError):
         self.witness = witness
 
 
-class FormatError(ValueError):
+class FormatError(ConfigError):
     """An artifact file (.set, .cover, .fn, build directory) is malformed."""
 
 
@@ -283,8 +283,8 @@ def points_union(points: Iterable[Number]) -> IntervalUnion:
 
 def cantor_intervals(depth: int) -> IntervalUnion:
     """Middle-thirds Cantor approximation: 2^depth triadic intervals, exact."""
-    if depth > MAX_CANTOR_DEPTH:
-        raise ValueError(f"cantor depth {depth} beyond the limit {MAX_CANTOR_DEPTH}")
+    if not 0 <= depth <= MAX_CANTOR_DEPTH:
+        raise ConfigError(f"cantor depth {depth} must lie in 0..{MAX_CANTOR_DEPTH}")
     lo = np.zeros(1, dtype=np.int64)  # left ends over 3^depth
     for _ in range(depth):
         lo = np.stack([3 * lo, 3 * lo + 2], axis=1).ravel()
@@ -413,21 +413,13 @@ class DyadicCubeSet:
         return cls.from_indices(dim, depth, np.minimum(k, top - 1))
 
     @classmethod
-    def from_interval_union(
-        cls, iu: IntervalUnion, depth: int, mode: str = "overlap"
-    ) -> "DyadicCubeSet":
-        """Rasterize a 1-d set: cubes meeting it (overlap) or inside it (subset)."""
-        if mode not in ("overlap", "subset"):
-            raise ValueError(f"unknown rasterization mode {mode!r}")
+    def from_interval_union(cls, iu: IntervalUnion, depth: int) -> "DyadicCubeSet":
+        """Rasterize a 1-d set: the cubes meeting it."""
         top = _side_count(1, depth)
         dtype = _int_dtype(max(iu.den, _reach(iu.lo, iu.hi)) << depth)
         a, b = iu.lo.astype(dtype) * top, iu.hi.astype(dtype) * top  # over iu.den
-        ceil_a, floor_b = -(-a // iu.den), b // iu.den
-        if mode == "overlap":
-            # closed overlap: cube k meets [a,b] iff k <= b*top and k+1 >= a*top
-            first, last = ceil_a - 1, floor_b
-        else:
-            first, last = ceil_a, floor_b - 1
+        # closed overlap: cube k meets [a,b] iff k <= b*top and k+1 >= a*top
+        first, last = -(-a // iu.den) - 1, b // iu.den
         first = np.maximum(first, 0).astype(_int_dtype(top))
         counts = np.maximum(np.minimum(last, top - 1) - first + 1, 0).astype(np.int64)
         # neighbouring intervals can share a cube; the set keeps it once
@@ -752,7 +744,7 @@ class PremeasureReport:
 
 
 def lower_box_premeasure(E, zeta: GaugeLike, eps: float, scales: Sequence[Number]) -> PremeasureReport:
-    scanned = [s for s in scales if float(s) <= eps or eps == math.inf]
+    scanned = [s for s in scales if float(s) <= eps]
     if not scanned:
         raise ValueError("no scanned scale lies below eps")
     counts, mode = _box_counts(E, scanned)

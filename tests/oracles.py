@@ -24,7 +24,9 @@ reference for the closed-form counts of isolated intervals.  The blocked
 d >= 2 box count has three references: brute_grid_count lists every cell
 in Fractions, compressed_grid_count takes the union of the cubes' cell
 boxes by coordinate compression, and grid_count_keys writes the cell keys
-of every cube into one integer array and sorts it.  The .set text in one
+of every cube into one integer array and sorts it.  The subset raster of an
+IntervalUnion (subset_raster), which only tests use, is kept here in
+Python integers.  The .set text in one
 %-formatting pass (cube_lines_one_pass) is the reference for the chunked
 save_cubes, and the .fn text in one string with every value formatted
 (fn_text_one_pass) and read back one line and one float() at a time
@@ -506,6 +508,19 @@ def fraction_raster(intervals, depth: int, mode: str) -> frozenset:
             lo = max(0, math.ceil(a / h))
             hi = min(top - 1, math.floor(b / h) - 1)
         cubes.update((k,) for k in range(lo, hi + 1))
+    return frozenset(cubes)
+
+
+def subset_raster(iu, depth: int) -> frozenset:
+    """Index tuples of the depth-grid cubes inside a liplab IntervalUnion,
+    from its (den, lo, hi) in Python integers: cube k lies in [lo, hi] / den
+    when lo 2^depth <= k den and (k + 1) den <= hi 2^depth.  The library
+    rasterizes only the cubes that meet a set."""
+    top = 1 << depth
+    cubes: set[tuple[int]] = set()
+    for lo, hi in zip(iu.lo.tolist(), iu.hi.tolist()):
+        first, last = -(-lo * top // iu.den), hi * top // iu.den - 1
+        cubes.update((k,) for k in range(max(first, 0), min(last, top - 1) + 1))
     return frozenset(cubes)
 
 

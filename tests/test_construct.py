@@ -47,6 +47,7 @@ from oracles import (
     grid_lipschitz_whole,
     resample_linspace,
     stage_values_whole_grid,
+    subset_raster,
 )
 
 POWER1 = make_preset("power", s=1)
@@ -407,8 +408,7 @@ def test_2d_core_complement_in_cross_power():
         if not in_core:
             assert hit
     # and exhaustively, cube-wise at the working depth
-    core_sub = DyadicCubeSet.from_interval_union(core_1d, depth, mode="subset")
-    inside = {c[0] for c in TupleCubeSet.of(core_sub).cubes}
+    inside = {c[0] for c in subset_raster(core_1d, depth)}
     cubes = TupleCubeSet.of(cross).cubes
     for i0 in range(1 << depth):
         for i1 in range(1 << depth):

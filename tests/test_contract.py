@@ -1,0 +1,193 @@
+"""The CLI exit contract: 0 pass, 1 certificate failure, 2 configuration error.
+
+Exit 1 comes only from a command that wrote a payload whose verdict is
+false; an input that no run can use exits 2 with a `config error:` line and
+writes nothing.  The table below pins inputs at that border, and the fuzzer
+mutates one token of a small build's files and checks that `cli.main`
+returns 0, 1 or 2 and raises nothing else.
+"""
+
+import json
+import re
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from liplab import cli, funclib, setlib
+
+AFFINE = ["construct", "--base", "affine(c=1)", "--depth", 10, "--nmax", 3,
+          "--phi", "power(s=0.1)", "--zeta", "power(s=1)", "--eps0", 1.0]
+
+
+def _main(argv, capsys) -> tuple[int, str]:
+    capsys.readouterr()
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr().err
+
+
+def _verdict(path: Path) -> bool:
+    """The verdict a command wrote: `all_pass`, or `ok` for micro."""
+    payload = json.loads(path.read_text())
+    return payload["all_pass"] if "all_pass" in payload else payload["ok"]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The affine build, a copy whose final.fn is not marked exact, and three
+    exact 1-d .fn files: all NaN, one value inf, one value 1e308."""
+    root = tmp_path_factory.mktemp("contract")
+    assert cli.main([str(a) for a in AFFINE + ["--out", root / "aff"]]) == 0
+    full = setlib.DyadicCubeSet.full(1, 0)
+    funclib.save_function(root / "nan.fn", funclib.SampledFunction(
+        1, 8, full, np.full(257, np.nan), funclib.HolderModulus(1.0), exact=True))
+    f = funclib.make_test_function("affine", {"c": 1.0}, 8)
+    values = f.values.copy()
+    values[100] = np.inf
+    funclib.save_function(root / "inf.fn", funclib.SampledFunction(
+        1, 8, f.domain, values, f.modulus, exact=True))
+    values[100] = 1e308  # finite, but its oscillation ratios pass the float range
+    funclib.save_function(root / "huge.fn", funclib.SampledFunction(
+        1, 8, f.domain, values, f.modulus, exact=True))
+    shutil.copytree(root / "aff", root / "inexact")
+    final = root / "inexact" / "final.fn"
+    final.write_text(final.read_text().replace("\nexact 1\n", "\n"))
+    return root
+
+
+CASES = {
+    # eps0 * 2^-1 underflows the budget: nothing was built, so nothing failed
+    "eps0-underflow": (["construct", "--eps0", 1e-300, "--out", "{out}"], 2,
+                       "no stage could be built"),
+    "no-admissible-eta": (["construct", "--base", "weierstrass(a=0.5,b=3,terms=25)", "--depth", 10,
+                           "--nmax", 2, "--zeta", "power(s=0.001)", "--out", "{out}"], 2,
+                          "no admissible eta"),
+    "gauge-relation": (["partition", "{aff}", "--xi", "power(s=0.5)", "--phi", "power(s=1)",
+                        "--out", "{out}"], 2,
+                       "gauge relation xi(phi(5r)) <= r^(d+1) fails at r=0.125"),
+    # the relation fails at r = 2^-45, below the radii the pre-check scans
+    "chain-audit": (["partition", "{aff}", "--xi", "table(rs=1e-40:1e-25,gs=1:1e-60)",
+                     "--phi", "power(s=2,scale=0.2)", "--delta-ladder", 5e-14, "--out", "{out}"], 2,
+                    f"chain audit failed for the kept ball at x=0.00042724609375, r={2.0**-45!r}"),
+    "fn-all-nan": (["analyze", "{root}/nan.fn", "--out", "{out}"], 2, "value nan at vertex (0,)"),
+    "fn-inf": (["analyze", "{root}/inf.fn", "--out", "{out}"], 2, "value inf at vertex (100,)"),
+    "depth-below-0": (["construct", "--depth", -1, "--out", "{out}"], 2, "need 0 <= --depth -1"),
+    "max-depth-past-key-bits": (["construct", "--depth", 8, "--max-depth", 63, "--out", "{out}"], 2,
+                                "--max-depth 63 <= 62"),
+    "affine-overflow": (["construct", "--base", "affine(c=1e308,intercept=1e308)", "--out", "{out}"],
+                        2, "leave the float range"),
+    "final-not-exact": (["partition", "{root}/inexact", "--out", "{out}"], 2,
+                        "final.fn is not marked `exact 1`"),
+    # an overflowing ratio is inf, with no RuntimeWarning
+    "fn-ratio-overflow": (["analyze", "{root}/huge.fn", "--out", "{out}"], 0, ""),
+    # no admissible ball at any sample point: the cover holds no ball, and
+    # every sample point is uncovered
+    "uncovered-ladder": (["partition", "{aff}", "--delta-ladder", 1e-300, "--out", "{out}"], 1,
+                         "image_cover"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_exit_contract_table(inputs, tmp_path, capsys, name):
+    argv, code, words = CASES[name]
+    out = tmp_path / "out"
+    argv = [str(a).format(root=inputs, aff=inputs / "aff", out=out) for a in argv]
+    got, err = _main(argv, capsys)
+    assert got == code, err
+    if code == 0:
+        assert err == ""
+        return
+    assert err.startswith("certificate failure: " if code == 1 else "config error: "), err
+    assert words in err and "Traceback" not in err
+    if code == 1:  # the payload is written, and its verdict is false
+        assert _verdict(out) is False
+    else:
+        assert not out.exists() and not list(tmp_path.glob("out*"))
+
+
+def test_uncovered_ladder_payload(inputs, tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert _main(["partition", inputs / "aff", "--delta-ladder", 1e-300, "--out", out],
+                 capsys)[0] == 1
+    (cover,) = json.loads(out.read_text())["image_cover"]
+    assert cover["balls"] == [] and cover["sum"] == 0.0 <= cover["bound"]
+    assert len(cover["uncovered_points"]) == 4096 and cover["verdict"] is False
+
+
+# ---------------------------------------------------------------------------
+# Fuzzer: one token of one file of a small build, and the commands that read it
+
+FUZZ_BUILD = ["construct", "--base", "affine(c=1)", "--depth", 8, "--nmax", 2,
+              "--phi", "power(s=0.1)", "--zeta", "power(s=1)", "--eps0", 1.0]
+# a token: a run of characters that are not white space or JSON punctuation
+TOKEN = re.compile(r"[^\s,:\[\]{}]+")
+REPLACEMENTS = [
+    "0", "1", "-1", "2", "3", "7", "17", "40", "63", "64", "-0.0", "0.5", "1e-300", "1e308",
+    "1e309", "-1e309", "nan", "inf", "-inf", "NaN", "x", "", "null", "true", "false", "[]", "{}",
+    '""', '"0"', '"1/2"', '"1/0"', '"-1/3"', '"x"', "99999999999999999999", "0.1",
+]
+COMMANDS = {
+    "stages.json": ["report", "partition"],
+    "meta.json": ["report", "partition"],
+    "base.fn": ["report", "analyze"],
+    "final.fn": ["report", "partition", "analyze"],
+    "E.set": ["dims", "micro"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_build(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    assert cli.main([str(a) for a in FUZZ_BUILD + ["--out", root / "b"]]) == 0
+    return root / "b"
+
+
+def _argv(command: str, build: Path, path: Path, out: Path) -> list[str]:
+    """The command line that writes its JSON payload to out.json."""
+    if command in ("report", "partition"):
+        return [command, str(build), "--out", f"{out}.json"]
+    if command == "analyze":
+        return ["analyze", str(path), "--window", "2..8", "--out", str(out)]
+    if command == "dims":
+        return ["dims", str(path), "--out", f"{out}.json"]
+    return ["micro", str(path), "--eps", "0.5", "--out", str(out)]
+
+
+@st.composite
+def _mutations(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    command = draw(st.sampled_from(COMMANDS[name]))
+    # most tokens of a .fn are values: aim at the head and the tail too
+    index = draw(st.one_of(st.integers(0, 40), st.integers(-6, -1), st.integers(0, 1 << 20)))
+    # a replacement, or the token doubled or cut short by one character
+    token = draw(st.one_of(st.sampled_from(REPLACEMENTS), st.sampled_from([2, -1])))
+    return name, command, index, token
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutations())
+def test_one_token_mutation_keeps_the_exit_contract(fuzz_build, tmp_path, capsys, mutation):
+    name, command, index, token = mutation
+    build = tmp_path / "b"
+    shutil.rmtree(build, ignore_errors=True)
+    shutil.copytree(fuzz_build, build)
+    path = build / name
+    text = path.read_text()
+    spans = [m.span() for m in TOKEN.finditer(text)]
+    lo, hi = spans[index % len(spans)]
+    old = text[lo:hi]
+    new = {2: old + old, -1: old[:-1]}.get(token, token)
+    path.write_text(text[:lo] + new + text[hi:])
+    out = tmp_path / "out"
+    Path(f"{out}.json").unlink(missing_ok=True)
+    argv = _argv(command, build, path, out)
+    code, err = _main(argv, capsys)  # any exception fails the test
+    assert code in (0, 1, 2), (argv, code, err)
+    if code == 1:
+        assert _verdict(Path(f"{out}.json")) is False, (argv, err)
+    if code == 2:
+        assert err.startswith("config error: "), (argv, err)

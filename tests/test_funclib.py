@@ -844,9 +844,11 @@ def _all_bits(values: np.ndarray) -> list[int]:
 @given(_runs_functions(), st.integers(1, 40), st.integers(1, 300), st.integers(1, 20))
 def test_fn_io_matches_one_pass_oracle(tmp_path_factory, f, block, chunk, probe):
     # small write blocks and read chunks put runs and lines across their
-    # boundaries; a block of one value is a run by itself
+    # boundaries; a block of one value is a run by itself.  The codec is
+    # checked on every float, the value check left out
     path = tmp_path_factory.getbasetemp() / "runs.fn"
-    with mock.patch.multiple(funclib, _WRITE_BLOCK=block, _READ_CHUNK=chunk, _RUN_PROBE=probe):
+    with mock.patch.multiple(funclib, _WRITE_BLOCK=block, _READ_CHUNK=chunk, _RUN_PROBE=probe,
+                             _check_values=lambda *args: None):
         save_function(path, f)
         g = load_function(path)
     assert path.read_bytes() == fn_text_one_pass(f).encode()
@@ -855,6 +857,13 @@ def test_fn_io_matches_one_pass_oracle(tmp_path_factory, f, block, chunk, probe)
     on = ~np.isnan(f.values)  # every NaN is written as "nan", payload dropped
     assert _all_bits(g.values[on]) == _all_bits(f.values[on]) and np.isnan(g.values[~on]).all()
     assert g.modulus.serialize() == modulus and g.exact == exact == f.exact
+    # on the full domain every vertex is a domain vertex: load_function
+    # refuses the first one whose value is not finite
+    bad = np.flatnonzero(~np.isfinite(f.values.ravel()))
+    if bad.size:
+        vertex = tuple(int(i) for i in np.unravel_index(bad[0], f.values.shape))
+        with pytest.raises(FormatError, match=re.escape(f"at vertex {vertex};")):
+            load_function(path)
 
 
 def test_fn_io_runs_across_default_block_and_chunk(tmp_path):
@@ -873,9 +882,10 @@ def test_fn_io_runs_across_default_block_and_chunk(tmp_path):
 
 def test_fn_reader_takes_any_float_literal(tmp_path):
     # 2^3 + 1 value lines: spellings of one value, a repeat, blanks around a
-    # number, and LF or CRLF line ends
+    # number, and LF or CRLF line ends.  The domain is [0, 1/2], so the nan
+    # at vertex 6 lies off it
     literals = ["1", "1.0", " 2.5 ", "1e0", "1e0", "-0", "nan", "+7", "1_0"]
-    body = ("d 1 m 3 domain 1\ndomain_depth 0\n0\nvalues\n" + "\n".join(literals)
+    body = ("d 1 m 3 domain 1\ndomain_depth 1\n0\nvalues\n" + "\n".join(literals)
             + "\nmodulus holder 1 1\n")
     for name, text in (("lf.fn", body), ("crlf.fn", body.replace("\n", "\r\n"))):
         (tmp_path / name).write_bytes(text.encode())

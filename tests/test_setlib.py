@@ -58,6 +58,7 @@ from oracles import (
     fraction_cube_runs,
     fraction_greedy_count,
     fraction_raster,
+    subset_raster,
     greedy_count_sweep,
     TupleCubeSet,
     tuple_components,
@@ -179,15 +180,17 @@ def test_interval_ops_match_fraction_oracle(pa, pb):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_pairs(), st.integers(0, 7), st.sampled_from(["overlap", "subset"]))
-def test_raster_matches_fraction_oracle(pairs, depth, mode):
+@given(_pairs(), st.integers(0, 7))
+def test_raster_matches_fraction_oracle(pairs, depth):
     # below depth 5 a cube is wider than the 1/24 grid step, so neighbouring
     # intervals often share one
     iu, ref = _both(pairs)
-    got = DyadicCubeSet.from_interval_union(iu, depth, mode)
-    cubes = TupleCubeSet.of(got).cubes
-    assert cubes == fraction_raster(ref.intervals, depth, mode)
-    assert pairs_of(got.to_interval_union()) == fraction_cube_runs(cubes, depth)
+    overlap = DyadicCubeSet.from_interval_union(iu, depth)
+    subset = DyadicCubeSet(1, depth, np.array(sorted(k for k, in subset_raster(iu, depth)), int))
+    for mode, got in (("overlap", overlap), ("subset", subset)):
+        cubes = TupleCubeSet.of(got).cubes
+        assert cubes == fraction_raster(ref.intervals, depth, mode)
+        assert pairs_of(got.to_interval_union()) == fraction_cube_runs(cubes, depth)
 
 
 _DELTAS = st.one_of(
@@ -278,9 +281,9 @@ def test_int64_and_object_paths_meet_at_62_bits():
     assert iu.den == den and iu.lo.dtype == np.int64
     for depth in (22, 23, 24):
         assert (den << depth).bit_length() == 40 + depth
-        for mode in ("overlap", "subset"):
-            cubes = TupleCubeSet.of(DyadicCubeSet.from_interval_union(iu, depth, mode)).cubes
-            assert cubes == fraction_raster(ref.intervals, depth, mode)
+        cubes = TupleCubeSet.of(DyadicCubeSet.from_interval_union(iu, depth)).cubes
+        assert cubes == fraction_raster(ref.intervals, depth, "overlap")
+        assert subset_raster(iu, depth) == fraction_raster(ref.intervals, depth, "subset")
 
 
 def test_float_endpoints_are_correctly_rounded():
@@ -604,8 +607,7 @@ def test_rasterization_modes():
     iu = IntervalUnion.from_pairs([(Fraction(3, 16), Fraction(5, 16))])
     overlap = DyadicCubeSet.from_interval_union(iu, 2)
     assert overlap.keys.tolist() == [0, 1]
-    subset = DyadicCubeSet.from_interval_union(iu, 4, mode="subset")
-    assert subset.keys.tolist() == [3, 4]
+    assert sorted(subset_raster(iu, 4)) == [(3,), (4,)]
 
 
 # ---------------------------------------------------------------------------
