@@ -3,9 +3,10 @@ drive the partition pipeline, and emit machine-readable reports.
 
 Exit status: 0 when every requested certificate passed, 1 when a command
 wrote its payload with a false verdict, 2 on a ConfigError (the gauge and
-format errors included), a ConstructError or an OSError.  All randomness
-flows from --seed (default 0); report payloads carry no timestamps
-(timestamps live in a sidecar), so reruns are byte-identical.
+format errors included), a ConstructError or an OSError.  No command
+draws a random number (--seed is accepted and has no effect), and report
+payloads carry no timestamps (timestamps live in a sidecar), so reruns
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 import time
 import typing
@@ -65,7 +65,6 @@ class RunConfig:
     max_depth: int = 24
     sample_depth: int | None = None
     img_depth: int = 20
-    samples: int = 10000
     seed: int = 0
 
     def to_json(self) -> str:
@@ -320,20 +319,6 @@ def _certificates_payload(
         failures.append(f"early stop: {build.early_stop}")
     if build.budget_failure:
         failures.append(build.budget_failure)
-    # the stage certificate's lip bound holds on every kept core; count the
-    # sampled core points that covering_core places in one.  stdlib random
-    # keeps numpy.random, and its memory, out of construct and report
-    rng = random.Random(cfg.seed)
-    lip_samples = []
-    for n, rec in enumerate(build.stages, start=1):
-        D = rec.params.layout_den
-        count = 0
-        for _ in range(64):
-            j = int(rec.kept[rng.randrange(len(rec.kept))])
-            lo, hi = rec.params.pieces("core", j)
-            x = lo / D + rng.random() * ((hi - lo) / D)
-            count += rec.covering_core(x) is not None
-        lip_samples.append({"n": n, "covered_samples": count})
     premeasures = [
         {"n": i + 1, "value": rep.value, "target": 1.0 / (i + 1), "ok": rep.value < 1.0 / (i + 1)}
         for i, rep in enumerate(analysis.tail_premeasures)
@@ -348,7 +333,6 @@ def _certificates_payload(
         "eps_schedule": list(build.eps_schedule),
         "sup_distance": build.sup_distance,
         "membership": membership,
-        "lip_samples": lip_samples,
         "exceptional": {
             "premeasures": premeasures,
             "containment_ok": analysis.containment_ok,
@@ -394,7 +378,6 @@ def _cmd_dims(cfg: RunConfig) -> int:
 
 
 def _cmd_partition(cfg: RunConfig) -> int:
-    _at_least("--samples", cfg.samples, 1)
     if not 0 <= cfg.img_depth <= setlib.MAX_KEY_BITS:
         raise ConfigError(f"--img-depth {cfg.img_depth} must lie in 0..{setlib.MAX_KEY_BITS}")
     xi = gauges.parse_gauge(cfg.xi or "power(s=1)")
@@ -406,14 +389,9 @@ def _cmd_partition(cfg: RunConfig) -> int:
     build = construct_mod.load_build(cfg.input_path)
     B_img = partition.b_image_cubes(build, cfg.img_depth)
     A, B = partition.split_partition(build)
-    reports = [
-        partition.image_cover_report(
-            build.final, B, phi, xi, delta, seed=cfg.seed
-        )
-        for delta in ladder
-    ]
+    reports = [partition.image_cover_report(build.final, B, phi, xi, delta) for delta in ladder]
     antitone = all(a.total >= b.total for a, b in zip(reports, reports[1:]))
-    graph = partition.graph_cross_check(build.final, A, B_img, cfg.samples, seed=cfg.seed)
+    graph = partition.graph_cross_check(build, B)
     scale_hi = min(12, A.depth)
     dims_scales = [2.0**-j for j in range(1, max(7, scale_hi) + 1)]
     lb_A = setlib.lower_box_dim(A, dims_scales)
@@ -428,11 +406,7 @@ def _cmd_partition(cfg: RunConfig) -> int:
         "split": {"A_cubes": len(A), "B_cubes": len(B), "depth": A.depth},
         "image_cover": [r.to_json() for r in reports],
         "antitone_ok": antitone,
-        "graph_check": {
-            "ok": graph.ok,
-            "checked": graph.checked,
-            "violations": [list(v) for v in graph.violations],
-        },
+        "graph_check": {"ok": graph.ok, "checked": graph.checked, "off_plateau": graph.off_plateau},
         "lbdim_A": lb_A.lbdim_proxy,
         "lbdim_B_img": lb_B.lbdim_proxy,
         "all_pass": ok,
@@ -526,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi")
     p.add_argument("--delta-ladder", dest="delta_ladder")
     p.add_argument("--img-depth", dest="img_depth", type=int)
-    p.add_argument("--samples", type=int)
 
     p = sub.add_parser("micro", help="microscopic certificate for a cube set")
     common(p)

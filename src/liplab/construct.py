@@ -171,12 +171,6 @@ class StageParams:
             return np.maximum(lo, 0), np.minimum(hi, self.layout_den)
         return max(lo, 0), min(hi, self.layout_den)
 
-    def holds(self, kind: str, i: int, x) -> bool:
-        """Whether the closed piece i holds the number x, in integers."""
-        p, q = _ratio(x)
-        lo, hi = self.pieces(kind, i)
-        return lo * q <= p * self.layout_den <= hi * q
-
     def _union(self, kind: str, count: int) -> IntervalUnion:
         D = self.layout_den
         return IntervalUnion(D, *self.pieces(kind, np.arange(count).astype(_int_dtype(D))))
@@ -307,8 +301,10 @@ class StageRecord:
         None; core j lies in (j/k, (j+1)/k) as eta < 1/k, so j = floor(x*k)."""
         p, q = _ratio(x)
         j = p * self.params.k // q
-        held = 0 <= j < self.params.k and _held(self.kept, j)
-        return j if held and self.params.holds("core", j, x) else None
+        if not (0 <= j < self.params.k and _held(self.kept, j)):
+            return None
+        lo, hi = self.params.pieces("core", j)
+        return j if lo * q <= p * self.params.layout_den <= hi * q else None
 
 
 def _complement(indices, k: int) -> np.ndarray:
@@ -758,10 +754,10 @@ def _check_depths(directory, base: SampledFunction, final: SampledFunction, dept
 def load_build(directory) -> TypicalBuild:
     """Read a build directory; every threshold is recomputed from meta.json's
     gauges, and keys stages.json carries beyond the stage choices are ignored.
-    Both functions must be 1-d, with base.depth <= depth_1 <= ... <= depth_N
-    = final.depth, each stage must pass _stage's checks, and its plateau
-    edges must lie on its grid; otherwise FormatError names the file and the
-    stage."""
+    meta.json's eps0 must be positive and finite, both functions must be
+    1-d, with base.depth <= depth_1 <= ... <= depth_N = final.depth, each
+    stage must pass _stage's checks, and its plateau edges must lie on its
+    grid; otherwise FormatError names the file and the stage."""
     base = load_function(os.path.join(directory, "base.fn"))
     final = load_function(os.path.join(directory, "final.fn"))
     with _format_errors(directory):
@@ -771,6 +767,8 @@ def load_build(directory) -> TypicalBuild:
             raw = json.load(fh)
         phi, zeta = parse_gauge(meta["phi"]), parse_gauge(meta["zeta"])
         eps0, early_stop = meta["eps0"], meta["early_stop"]
+        if type(eps0) not in (int, float) or not 0.0 < eps0 < math.inf:  # as construct --eps0
+            raise FormatError(f"{directory}: meta.json's eps0 {eps0!r} must be positive and finite")
         choices = []
         for position, item in enumerate(raw, 1):
             try:

@@ -727,7 +727,9 @@ def load_function(path) -> SampledFunction:
         dd_line = fh.readline().split()
         if dd_line[0] != "domain_depth":
             raise FormatError(f"missing domain_depth line in {path}")
-        domain = _read_cubes(islice(fh, count), dim, int(dd_line[1]))
+        if not 0 <= 2 * count <= os.fstat(fh.fileno()).st_size:  # a domain line takes 2 bytes
+            raise FormatError(f"{path}: the file cannot hold {count} domain cubes")
+        domain = _read_cubes(fh, dim, int(dd_line[1]), count)
         marker = fh.readline().strip()
         if marker != "values":
             raise FormatError(f"missing values marker in {path}")
@@ -740,13 +742,16 @@ def load_function(path) -> SampledFunction:
             tokens = line.split()
             if not tokens:
                 continue
-            if tokens[0] == "modulus" and tokens[1] == "holder":
+            if tokens[:2] == ["modulus", "holder"] and len(tokens) == 4:
                 modulus = HolderModulus(float(tokens[2]), float(tokens[3]))
-            elif tokens[0] == "modulus" and tokens[1] == "table":
+            elif tokens[:2] == ["modulus", "table"]:
                 vals = [float(t) for t in tokens[2:]]
                 modulus = TableModulus(tuple(vals[0::2]), tuple(vals[1::2]))
-            elif tokens[0] == "exact":
-                exact = bool(int(tokens[1]))
+            elif tokens in (["exact", "0"], ["exact", "1"]):
+                exact = tokens[1] == "1"
+            else:
+                raise FormatError(f"{path}: line {line.strip()!r} after the values is no"
+                                  " `modulus holder|table ...` or `exact 0|1` line")
         if modulus is None:
             raise FormatError(f"missing modulus line in {path}")
         return SampledFunction(dim, depth, domain, flat.reshape((n,) * dim), modulus, exact)

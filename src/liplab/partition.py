@@ -176,7 +176,7 @@ class ImageCoverReport:
     bound: float
     verdict: bool
     chain: tuple[tuple[float, float, float], ...]  # xi(diam), xi(phi(5r)), r^(d+1)
-    uncovered_points: tuple[tuple[float, ...], ...]
+    uncovered_points: tuple[tuple[float, ...], ...]  # centers of the cubes not covered
     candidate_count: int
     discarded_count: int
 
@@ -203,7 +203,6 @@ class ImageCoverReport:
 
 
 RADIUS_SCAN = 60  # deepest dyadic exponent scanned for an admissible radius
-MAX_COVER_SAMPLES = 4096  # B cube centers seeding one image cover; a seeded subset beyond
 
 
 def _admissible_radius(
@@ -244,16 +243,19 @@ def image_cover_report(
     phi: GaugeLike,
     xi: GaugeLike,
     delta: float,
-    *,
-    seed: int = 0,
 ) -> ImageCoverReport:
-    """Cover f(B) through admissible balls seeded at B's cube centers.
+    """Cover f(B) through admissible balls seeded at every cube center of B.
 
     Admissibility is checked against certified oscillation upper bounds, the
     greedy Vitali pass keeps a disjoint family, and the report carries the
     per-ball chain xi(diam E_i) <= xi(phi(5 r_i)) <= r_i^(d+1) next to the
-    analytic bound delta (1+2 delta)^d / alpha_d.  Sample points with no
-    admissible ball are reported, not discarded silently.
+    analytic bound delta (1+2 delta)^d / alpha_d.  Each candidate lies in a
+    kept ball's 5r expansion, whose image has diameter at most diam_upper,
+    so these images cover f(B) once each cube's image lies in its own
+    ball's: the ball covers the cube (radius >= half the side), or f is
+    constant on it (an exact oscillation bound of 0).  The centers of the
+    other cubes are the uncovered_points; the verdict needs none, and the
+    sum within the bound.
     """
     if f.dim != 1:
         raise ValueError("image cover pipeline is implemented for dimension 1")
@@ -266,12 +268,13 @@ def image_cover_report(
         )
     # (k + 1/2) 2^-depth is exact in floats
     centers = (B.keys.astype(float) + 0.5) / 2.0**B.depth
-    if len(centers) > MAX_COVER_SAMPLES:
-        rng = np.random.default_rng(seed)
-        centers = np.sort(rng.choice(centers, size=MAX_COVER_SAMPLES, replace=False))
+    half_side = 2.0 ** -(B.depth + 1)  # the closed ball B(center, half_side) is the cube
     radii, diams = _admissible_radius(f, centers, phi, delta)
     found = radii > 0.0
-    uncovered = [(x,) for x in centers[~found].tolist()]
+    open_, narrow = ~found, found & (radii < half_side)
+    if narrow.any():  # only an exact bracket can show that f is constant
+        open_[narrow] = not f.exact or oscillation(f, centers[narrow], half_side).upper > 0.0
+    uncovered = [(x,) for x in centers[open_].tolist()]
     centers, radii, diams = centers[found], radii[found], diams[found]
     cover = vitali_5r(centers, radii)
     kept = list(cover.kept)
@@ -334,31 +337,25 @@ def b_image_cubes(build: TypicalBuild, img_depth: int = 20) -> DyadicCubeSet:
 
 @dataclass(frozen=True)
 class GraphCheckReport:
-    ok: bool
-    checked: int
-    violations: tuple[tuple[float, float], ...]
+    checked: int  # the B cubes compared
+    off_plateau: int | None  # the key of the first on no deepest kept plateau
+
+    @property
+    def ok(self) -> bool:
+        return self.off_plateau is None
 
 
-def graph_cross_check(
-    f: SampledFunction,
-    A: DyadicCubeSet,
-    B_img: DyadicCubeSet,
-    samples: int,
-    *,
-    seed: int = 0,
-) -> GraphCheckReport:
-    """graph(f) within (A x R) u (R x B_img): per sample, x in A or f(x) in B_img.
+def graph_cross_check(build: TypicalBuild, B: DyadicCubeSet) -> GraphCheckReport:
+    """graph(f) within (A x R) u (R x B_img) on all of Omega, proved cube by cube.
 
-    The samples are drawn uniformly from Omega = f.domain: a uniform u in
-    [0,1) walks the domain cubes in order, so on a full domain the point is
-    u itself, bit for bit."""
-    rng = np.random.default_rng(seed)
-    starts = f.domain.keys.astype(float)
-    scaled = rng.uniform(0.0, 1.0, size=samples) * starts.size
-    cube = np.minimum(scaled.astype(np.int64), starts.size - 1)
-    xs = (starts[cube] + (scaled - cube)) / (1 << f.domain.depth)
-    values = f.evaluate_many(xs)
-    bad = ~(A.contains(xs) | B_img.contains(values))  # values off [0,1] are in no cube
-    violations = tuple(zip(xs[bad].tolist(), values[bad].tolist()))
-    return GraphCheckReport(not violations, len(xs), violations)
-
+    split_partition gives Omega = A u B exactly, and b_image_cubes shows that
+    f is flat on every deepest kept plateau, with each plateau value in
+    B_img.  What is left: every B cube lies in one plateau's vertex range
+    [lo_v, hi_v] (disjoint, increasing), compared in integers on the finer
+    of the two grids."""
+    rec = build.stages[-1]
+    depth = max(B.depth, rec.depth)
+    s, t = depth - B.depth, depth - rec.depth
+    i = np.searchsorted(rec.lo_v << t, B.keys << s, "right") - 1  # the last plateau at or before
+    off = np.flatnonzero((i < 0) | ((B.keys + 1) << s > (rec.hi_v << t)[np.maximum(i, 0)]))
+    return GraphCheckReport(len(B), int(B.keys[off[0]]) if len(off) else None)

@@ -376,8 +376,9 @@ class DyadicCubeSet:
     keys holds the cubes' row-major indices k_1 2^(m(d-1)) + ... + k_d, given
     in any order and with repeats; it is stored sorted, unique and read-only
     in int64, so key order is the lexicographic order of the index tuples.
-    Keys that already strictly increase are copied, not sorted.  d * m is at
-    most MAX_KEY_BITS.
+    Keys that already strictly increase are copied, not sorted, and a
+    read-only int64 array of them is kept as it is.  d * m is at most
+    MAX_KEY_BITS.
     """
 
     dim: int
@@ -387,7 +388,10 @@ class DyadicCubeSet:
     def __post_init__(self) -> None:
         _side_count(self.dim, self.depth)
         keys = np.asarray(self.keys, dtype=np.int64).ravel()
-        keys = keys.copy() if np.all(keys[1:] > keys[:-1]) else _sorted_unique(keys)
+        if not np.all(keys[1:] > keys[:-1]):
+            keys = _sorted_unique(keys)
+        elif keys.flags.writeable:
+            keys = keys.copy()
         if len(keys) and (keys[0] < 0 or keys[-1] >> (self.dim * self.depth)):
             raise ValueError(f"cube keys out of range for d = {self.dim} and depth {self.depth}")
         keys.flags.writeable = False
@@ -629,7 +633,7 @@ def _greedy_count(iu: IntervalUnion, delta: Fraction) -> int:
 
 # the (key, weight) pairs of one block of a d >= 2 box count: a block holds
 # _KEY_BUDGET // 3^d cubes
-_KEY_BUDGET = 1 << 16
+_KEY_BUDGET = 1 << 15
 
 
 def _point_cells(k, q: int, den: int):
@@ -1110,9 +1114,11 @@ def cantor_natural_cover(depth: int) -> BoxCover:
 # Text file formats
 
 
-# cubes per chunk a .set writer formats, and lines per chunk a reader parses
+# cubes per chunk a .set writer formats, lines per block a reader parses, and
+# bytes per block its binary pass reads
 _SAVE_CUBES = 1 << 16
 _LOAD_LINES = 1 << 14
+_COUNT_BYTES = 1 << 16
 
 
 def _cube_chunks(E: DyadicCubeSet):
@@ -1124,17 +1130,27 @@ def _cube_chunks(E: DyadicCubeSet):
         yield (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def _read_cubes(lines: Iterable[str], dim: int, depth: int) -> DyadicCubeSet:
+def _read_cubes(lines: Iterable[str], dim: int, depth: int, rows: int) -> DyadicCubeSet:
     """The cubes of index lines in any order, repeats allowed; each line is
-    blank or holds dim integers.  The lines are parsed _LOAD_LINES at a
-    time, and only their keys are kept."""
+    blank or holds dim integers, and at most rows lines hold integers.
+    Blocks of at most _LOAD_LINES lines are parsed straight from the lines
+    into one key array, and no line past the last row is read."""
     _side_count(dim, depth)
     lines = iter(lines)
-    keys = [np.empty(0, np.int64)]
-    while chunk := list(islice(lines, _LOAD_LINES)):
-        if any(map(str.strip, chunk)):  # np.loadtxt warns on a chunk of blank lines
-            keys.append(_index_keys(dim, depth, np.loadtxt(chunk, np.int64, comments=None, ndmin=2)))
-    keys = np.concatenate(keys)  # rebound, so the chunks go before the set copies the keys
+    keys, filled = np.empty(rows, np.int64), 0
+    for line in lines if rows else ():
+        if line.isspace():
+            continue
+        # a block starts at a line that holds integers (np.loadtxt warns on
+        # no rows), and it has no more lines than rows are left
+        block = chain((line,), islice(lines, min(_LOAD_LINES, rows - filled) - 1))
+        block = np.loadtxt(block, np.int64, comments=None, ndmin=2)
+        keys[filled : filled + len(block)] = _index_keys(dim, depth, block)
+        filled += len(block)
+        if filled == rows:
+            break
+    keys = keys[:filled]
+    keys.flags.writeable = False  # so the set keeps this array when it is in key order
     return DyadicCubeSet(dim, depth, keys)
 
 
@@ -1144,10 +1160,15 @@ def save_cubes(path, E: DyadicCubeSet) -> None:
 
 def load_cubes(path) -> DyadicCubeSet:
     with _format_errors(path), open(path, "r", encoding="utf-8") as f:
+        # a binary pass bounds the rows by the line ends (\n, \r\n or \r; a
+        # \r\n counts twice): the header's end stands for a last line that has none
+        blocks = iter(lambda: f.buffer.read(_COUNT_BYTES), b"")
+        rows = sum(b.count(b"\n") + (b.count(b"\r") if b"\r" in b else 0) for b in blocks)
+        f.seek(0)
         header = f.readline().split()
         if len(header) != 4 or header[0] != "d" or header[2] != "m":
             raise FormatError(f"bad cube set header in {path}")
-        return _read_cubes(f, int(header[1]), int(header[3]))
+        return _read_cubes(f, int(header[1]), int(header[3]), rows)
 
 
 def save_cover(path, cover: BoxCover) -> None:

@@ -10,10 +10,11 @@ quadratic form as references for the batched library versions, and the
 interval layer in its Fraction-pair form (FractionIntervalUnion and the
 functions after it) as the reference for the integer-array IntervalUnion.
 The cube-set layer is kept as TupleCubeSet, a frozenset of index tuples, with
-its cross power, components and .set reader, as the reference for the
-key-array DyadicCubeSet.  Covers are kept as FractionBoxCover, tuples of
-Fraction endpoint pairs, with the recursive bisection coverage check
-(bisection_uncovered), as the reference for the integer-array BoxCover and
+its cross power, components and .set reader (one line at a time), as the
+reference for the key-array DyadicCubeSet and its block reader.  Covers are
+kept as FractionBoxCover, tuples of Fraction endpoint pairs, with the
+recursive bisection coverage check (bisection_uncovered), as the reference
+for the integer-array BoxCover and
 its cell-grid check; brute_uncovered_point decides coverage by testing a
 point of every cell.  Evaluation is kept in its scalar form (evaluate:
 locate one domain cell, then interpolate one corner at a time) as the
@@ -43,6 +44,7 @@ differences (grid_lipschitz_whole).
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from fractions import Fraction
 from dataclasses import dataclass
@@ -677,12 +679,26 @@ def tuple_components(E: TupleCubeSet) -> list[tuple[list[Fraction], list[Fractio
     return comps
 
 
+def tuple_read_cube_lines(lines, dim: int, depth: int) -> TupleCubeSet:
+    """Index lines read one at a time: a blank line is skipped, and any other
+    must hold dim decimal integers naming a cube of this depth, else
+    ValueError."""
+    cubes = set()
+    for line in lines:
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != dim or not all(re.fullmatch(r"-?[0-9]+", t) for t in tokens):
+            raise ValueError(f"not {dim} integers: {line!r}")
+        cubes.add(tuple(int(t) for t in tokens))
+    return TupleCubeSet(dim, depth, frozenset(cubes))
+
+
 def tuple_load_cubes(path) -> TupleCubeSet:
-    """A .set file read one line at a time; blank lines are skipped."""
+    """A .set file read one line at a time, by tuple_read_cube_lines."""
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().split()
-        cubes = [tuple(int(t) for t in line.split()) for line in f if line.strip()]
-    return TupleCubeSet(int(header[1]), int(header[3]), frozenset(cubes))
+        return tuple_read_cube_lines(f, int(header[1]), int(header[3]))
 
 
 def brute_grid_count(cubes, depth: int, delta: Fraction) -> int:

@@ -183,15 +183,15 @@ def test_criterion_6_partition_pipeline():
         A, B = split_partition(build)
         totals = []
         for delta in (0.1, 0.01, 0.001):
-            rep = image_cover_report(build.final, B, phi, xi, delta, seed=0)
+            rep = image_cover_report(build.final, B, phi, xi, delta)
             assert rep.total <= delta * (1.0 + 2.0 * delta) / 2.0
             assert rep.verdict
             assert not rep.uncovered_points
             totals.append(rep.total)
         assert all(a >= b for a, b in zip(totals, totals[1:]))  # antitone in delta
-        B_img = b_image_cubes(build)
-        graph = graph_cross_check(build.final, A, B_img, 10_000, seed=0)
-        assert graph.ok and graph.checked == 10_000
+        b_image_cubes(build)  # the final function is flat on every deepest plateau
+        graph = graph_cross_check(build, B)
+        assert graph.ok and graph.checked == len(B) > 0
 
 
 def test_criterion_7_microscopic_path():

@@ -272,8 +272,8 @@ def test_partition_command(workdir):
 
 
 def test_partition_on_a_partial_domain(workdir):
-    # a build on Omega = [0, 1/2], made through the API: the graph check draws
-    # its samples inside Omega, where the final function is defined
+    # a build on Omega = [0, 1/2], made through the API: the image cover and
+    # the graph check take B's cubes, all inside Omega
     f = funclib.make_test_function("affine", {"c": 1.0}, depth=10)
     values = f.values.copy()
     values[(1 << f.depth) // 2 + 1 :] = np.nan
@@ -286,7 +286,7 @@ def test_partition_on_a_partial_domain(workdir):
     construct_mod.save_build("half", build)
     assert run(["partition", "half", "--delta-ladder", "0.001", "--out", "p.json"]) == 0
     payload = json.loads((workdir / "p.json").read_text())
-    assert payload["all_pass"] and payload["graph_check"]["checked"] == 10000
+    assert payload["all_pass"] and payload["graph_check"]["checked"] == payload["split"]["B_cubes"]
     assert all(0.0 <= ball["x"][0] <= 0.5 for ball in payload["image_cover"][0]["balls"])
 
 
@@ -404,8 +404,7 @@ def test_config_errors_exit_2(workdir, capsys):
     assert run(["analyze", "w8.fn"]) == 2
     assert run(["construct", "--out", "b", "--nmax", 1, "--depth", 8]) == 0
     assert run(["partition", "b", "--delta-ladder", "0.1,abc"]) == 2
-    for flags in (["--samples", -5], ["--samples", 0], ["--img-depth", -1],
-                  ["--delta-ladder", "0"], ["--delta-ladder", "nan"],
+    for flags in (["--img-depth", -1], ["--delta-ladder", "0"], ["--delta-ladder", "nan"],
                   ["--delta-ladder", "0.1,-0.01"], ["--delta-ladder", "inf"],
                   ["--img-depth", setlib.MAX_KEY_BITS + 1]):
         assert run(["partition", "b", "--out", "p.json", *flags]) == 2, flags
@@ -514,7 +513,7 @@ def test_partition_reads_plateau_values_from_final_function(workdir):
     # partition reads f(B) from final.fn and writes the untampered bytes
     assert run(["construct", "--out", "b", "--base", "affine(c=1)", "--nmax", 2,
                 "--phi", "power(s=0.25)", "--depth", 10]) == 0
-    flags = ["--delta-ladder", "0.1", "--samples", 2000]
+    flags = ["--delta-ladder", "0.1"]
     assert run(["partition", "b", "--out", "p1.json", *flags]) == 0
     build = construct_mod.load_build("b")
     stages = json.loads((workdir / "b" / "stages.json").read_text())
@@ -640,7 +639,6 @@ def test_report_records_a_stage_inequality_failure(workdir, capsys):
             f" {2 * build.tail(n):g} >= {rec.membership_slack:g}; lip inequality"
             f" 2*T_n < (1/n) phi(eta/4) fails: {2 * build.tail(n):g} >= {rec.lip_slack:g}"
         )
-    assert [s["covered_samples"] for s in payload["lip_samples"]] == [64, 64, 64]
     err = capsys.readouterr().err
     assert err.startswith("certificate failure: stage 1: membership inequality")
     assert "; stage 2: " in err and "(r.json)" in err and "Traceback" not in err
@@ -724,17 +722,27 @@ def _python(code, cwd, **env):
     return done.stdout
 
 
-def test_construct_and_report_leave_numpy_random_unimported(tmp_path):
-    # numpy.random costs about 7 MB of resident memory; the lip samples of
-    # construct and report are drawn with stdlib random
+def test_no_command_imports_numpy_random(tmp_path):
+    # numpy.random costs about 6 MB of resident memory, and no command draws
+    # a random number: each command runs in turn, and the first one after
+    # which numpy.random is loaded is named
     code = (
         "import sys\n"
+        "from liplab import funclib, setlib\n"
         "from liplab.cli import main\n"
-        "assert main(['construct', '--out', 'b', '--base', 'affine(c=1)', '--nmax', '2']) == 0\n"
-        "assert main(['report', 'b', '--out', 'r.json']) == 0\n"
-        "print('numpy.random' in sys.modules)\n"
+        "funclib.save_function('w.fn', funclib.make_test_function('weierstrass', {}, 10))\n"
+        "setlib.save_cubes('e.set', setlib.DyadicCubeSet.from_points(2, 6, [(0.2, 0.3), (0.7, 0.1)]))\n"
+        "for argv in (['construct', '--out', 'b', '--base', 'affine(c=1)', '--nmax', '2'],\n"
+        "             ['report', 'b', '--out', 'r.json'], ['partition', 'b', '--out', 'p.json'],\n"
+        "             ['analyze', 'w.fn', '--window', '2..8', '--out', 'a'],\n"
+        "             ['dims', 'e.set', '--out', 'd.json'],\n"
+        "             ['micro', 'e.set', '--eps', '0.5', '--out', 'm']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    if 'numpy.random' in sys.modules:\n"
+        "        sys.exit(f'{argv[0]} imported numpy.random')\n"
+        "print('none')\n"
     )
-    assert _python(code, tmp_path) == "False\n"
+    assert _python(code, tmp_path) == "none\n"
 
 
 def test_import_liplab_leaves_numpy_unimported(tmp_path):

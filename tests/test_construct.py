@@ -253,8 +253,10 @@ def _first_holding(pieces: dict, x):
 
 
 def _slab_holding(p: StageParams, x):
-    """The first slab m whose closed piece holds x, by StageParams.holds."""
-    return next((m for m in range(p.k + 1) if p.holds("slab", m, x)), None)
+    """The first slab m whose closed piece, from StageParams.pieces, holds x."""
+    scaled = Fraction(x) * p.layout_den
+    return next((m for m in range(p.k + 1)
+                 if p.pieces("slab", m)[0] <= scaled <= p.pieces("slab", m)[1]), None)
 
 
 @settings(max_examples=200, deadline=None)

@@ -37,8 +37,9 @@ def _verdict(path: Path) -> bool:
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """The affine build, a copy whose final.fn is not marked exact, and three
-    exact 1-d .fn files: all NaN, one value inf, one value 1e308."""
+    """The affine build, a copy whose final.fn is not marked exact, a copy
+    whose meta.json has eps0 -1, and four exact 1-d .fn files: all NaN, one
+    value inf, one value 1e308, and one whose `exact 1` line is misspelt."""
     root = tmp_path_factory.mktemp("contract")
     assert cli.main([str(a) for a in AFFINE + ["--out", root / "aff"]]) == 0
     full = setlib.DyadicCubeSet.full(1, 0)
@@ -55,6 +56,12 @@ def inputs(tmp_path_factory):
     shutil.copytree(root / "aff", root / "inexact")
     final = root / "inexact" / "final.fn"
     final.write_text(final.read_text().replace("\nexact 1\n", "\n"))
+    shutil.copytree(root / "aff", root / "eps0")
+    meta = json.loads((root / "eps0" / "meta.json").read_text())
+    (root / "eps0" / "meta.json").write_text(json.dumps(dict(meta, eps0=-1.0)))
+    funclib.save_function(root / "exac.fn", funclib.make_test_function("affine", {"c": 1.0}, 10))
+    text = (root / "exac.fn").read_text()
+    (root / "exac.fn").write_text(text.replace("\nexact 1\n", "\nexac 1\n"))
     return root
 
 
@@ -81,10 +88,16 @@ CASES = {
                         2, "leave the float range"),
     "final-not-exact": (["partition", "{root}/inexact", "--out", "{out}"], 2,
                         "final.fn is not marked `exact 1`"),
+    # once skipped, which left the function inexact, and exit 0
+    "fn-misspelt-trailer": (["analyze", "{root}/exac.fn", "--out", "{out}"], 2,
+                            "line 'exac 1' after the values is no"),
+    # once ignored, and exit 0
+    "meta-eps0-negative": (["report", "{root}/eps0", "--out", "{out}"], 2,
+                           "eps0: meta.json's eps0 -1.0 must be positive and finite"),
     # an overflowing ratio is inf, with no RuntimeWarning
     "fn-ratio-overflow": (["analyze", "{root}/huge.fn", "--out", "{out}"], 0, ""),
-    # no admissible ball at any sample point: the cover holds no ball, and
-    # every sample point is uncovered
+    # no admissible ball at any B cube center: the cover holds no ball, and
+    # every center is uncovered
     "uncovered-ladder": (["partition", "{aff}", "--delta-ladder", 1e-300, "--out", "{out}"], 1,
                          "image_cover"),
 }
@@ -114,7 +127,7 @@ def test_uncovered_ladder_payload(inputs, tmp_path, capsys):
                  capsys)[0] == 1
     (cover,) = json.loads(out.read_text())["image_cover"]
     assert cover["balls"] == [] and cover["sum"] == 0.0 <= cover["bound"]
-    assert len(cover["uncovered_points"]) == 4096 and cover["verdict"] is False
+    assert len(cover["uncovered_points"]) == 5626 and cover["verdict"] is False
 
 
 # ---------------------------------------------------------------------------

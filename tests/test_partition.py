@@ -24,6 +24,7 @@ from oracles import (
     FractionIntervalUnion,
     TupleCubeSet,
     fraction_core,
+    fraction_plateau_range,
     fraction_raster,
     verify_vitali_quadratic,
     vitali_5r_quadratic,
@@ -265,6 +266,26 @@ def test_image_cover_report_json_fields():
     assert payload["norm"] == "max" and payload["alpha_d"] == 2.0
     assert payload["sum"] <= payload["bound"]
     assert len(payload["balls"]) == len(rep.balls)
+    assert payload["candidates"] == len(B)  # one ball per cube center
+
+
+def test_image_cover_needs_each_cube_in_its_own_ball_or_flat():
+    # depth-2 cubes have half side 1/8, and every admissible radius lies
+    # below delta = 0.01: each ball covers its center but not its cube, and
+    # the final function varies on cubes 1 and 2, so the verdict fails
+    build = affine_build(1)
+    B = DyadicCubeSet(1, 2, [1, 2])
+    rep = image_cover_report(build.final, B, PHI_PART, POWER1, 0.01)
+    assert rep.candidate_count == 2 and max(r for _, r, _ in rep.balls) < 0.01
+    assert rep.total <= rep.bound and rep.uncovered_points == ((0.375,), (0.625,))
+    assert rep.verdict is False
+    # on affine_build's B (depth 14) the cubes next to A get radii below half
+    # the side, 2^-15, but the final function is constant on every B cube
+    build = affine_build()
+    _, B = split_partition(build)
+    rep = image_cover_report(build.final, B, PHI_PART, POWER1, 0.01)
+    assert min(r for _, r, _ in rep.balls) < 2.0**-15 and B.depth == 14
+    assert rep.candidate_count == len(B) and not rep.uncovered_points and rep.verdict
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +294,39 @@ def test_image_cover_report_json_fields():
 
 def test_graph_cross_check_passes():
     build = affine_build()
-    A, _ = split_partition(build)
-    B_img = b_image_cubes(build)
-    rep = graph_cross_check(build.final, A, B_img, 10_000, seed=0)
-    assert rep.ok and rep.checked == 10_000
+    A, B = split_partition(build)
+    b_image_cubes(build)  # the final function is flat on every deepest plateau
+    rep = graph_cross_check(build, B)
+    assert rep.ok and rep.checked == len(B) > 0 and rep.off_plateau is None
 
 
-def test_graph_cross_check_detects_missing_plateau():
-    build = affine_build(1)
-    A, _ = split_partition(build)
-    B_img = b_image_cubes(build)
-    kept, *dropped = B_img.keys.tolist()
-    partial = DyadicCubeSet(1, B_img.depth, [kept])  # drop all cubes but one
-    rep = graph_cross_check(build.final, A, partial, 10_000, seed=0)
-    assert not rep.ok
-    # every witness value is a plateau value of the final function in a dropped cube
-    missing = DyadicCubeSet(1, B_img.depth, dropped)
-    values, _ = plateau_extremes(build, 1)
-    for x, y in rep.violations[:20]:
-        assert missing.contains([y])[0]
-        assert np.min(np.abs(values - y)) <= 1e-12
+def _plateau_oracle(build, B: DyadicCubeSet) -> list[int]:
+    """The B cubes whose closed cube lies in no deepest kept plateau, from
+    fraction_plateau_range per kept cube, in Fractions."""
+    rec = build.stages[-1]
+    p = rec.params
+    ranges = [fraction_plateau_range(p.k, p.eta, rec.depth, j)[:2] for j in rec.kept.tolist()]
+    h, g = Fraction(1, 1 << B.depth), Fraction(1, 1 << rec.depth)
+    return [b for b in B.keys.tolist()
+            if not any(lo * g <= b * h and (b + 1) * h <= hi * g for lo, hi in ranges)]
+
+
+def test_graph_cross_check_names_a_b_cube_off_every_plateau():
+    build = affine_build(2)
+    A, B = split_partition(build)
+    assert _plateau_oracle(build, B) == []
+    # cube 0 starts at 0, before plateau 0, which begins eta/4 into [0,1]
+    assert 0 in A.keys
+    with_zero = DyadicCubeSet(1, B.depth, np.union1d(B.keys, [0]))
+    rep = graph_cross_check(build, with_zero)
+    assert not rep.ok and rep.off_plateau == 0 and rep.checked == len(B) + 1
+    # every A cube added: the first one the oracle finds off every plateau is named
+    both = DyadicCubeSet(1, B.depth, np.union1d(B.keys, A.keys))
+    off = _plateau_oracle(build, both)
+    assert off and graph_cross_check(build, both).off_plateau == off[0]
+    # a B cube on a coarser grid than the stage's, straddling two plateaus
+    coarse = DyadicCubeSet(1, 1, [0])
+    assert graph_cross_check(build, coarse).off_plateau == 0 == _plateau_oracle(build, coarse)[0]
 
 
 def test_partition_dimension_echo():

@@ -30,9 +30,9 @@ BUILDS = {
 BUILD_DIGESTS = {
     "constant": {
         "certificates.json":
-            "8750042f834a1a59e67637f50ff719c2259e95818681410793745acdb432eb54",
+            "cdbb73cb02efd1b02b1ca1e1fa658e88cbac8eb174348d638c356335e5a2568f",
         "report.json":
-            "8750042f834a1a59e67637f50ff719c2259e95818681410793745acdb432eb54",
+            "cdbb73cb02efd1b02b1ca1e1fa658e88cbac8eb174348d638c356335e5a2568f",
         "E.set":
             "9ff24a21fec95e43cc1e863d8da985af9c61e887a6a313a9b2a081871455399e",
         "F.set":
@@ -42,9 +42,9 @@ BUILD_DIGESTS = {
     },
     "affine": {
         "certificates.json":
-            "1e886523c9c067140309046e67cdb5253f717928fcc294697e8e0f2538af9a3d",
+            "373f480eb1eab6fed52fdbdbf819d79d1b355b5e89fc145f0065be7ab6f96c92",
         "report.json":
-            "1e886523c9c067140309046e67cdb5253f717928fcc294697e8e0f2538af9a3d",
+            "373f480eb1eab6fed52fdbdbf819d79d1b355b5e89fc145f0065be7ab6f96c92",
         "E.set":
             "016691bb0a83388cb4044dcd415c791a2c444461232469b5d55be589ce2dc89d",
         "F.set":
@@ -54,9 +54,9 @@ BUILD_DIGESTS = {
     },
     "affine-inv_log": {
         "certificates.json":
-            "3048f49043b3d3a6ae28f0a37b52d1e391f4d063832c54f2eedbc146d80e7c45",
+            "e90bbffe327eb9a91a61eff5b833c50f0f3fce6db272fb49e1b45050a30315e7",
         "report.json":
-            "3048f49043b3d3a6ae28f0a37b52d1e391f4d063832c54f2eedbc146d80e7c45",
+            "e90bbffe327eb9a91a61eff5b833c50f0f3fce6db272fb49e1b45050a30315e7",
         "E.set":
             "6dd4963b89e0741913d19708e8c922a290065cdb8c44cb66d9176a446824adf5",
         "F.set":
@@ -66,9 +66,9 @@ BUILD_DIGESTS = {
     },
     "staircase-weierstrass": {
         "certificates.json":
-            "0b0176b7387fb99b9c23a8475e90df3d7fae609d9a413d0413f12e7327078560",
+            "6705f2c0597ba94560c507f43c5320c518301073dc4fb33b109022c878156789",
         "report.json":
-            "0b0176b7387fb99b9c23a8475e90df3d7fae609d9a413d0413f12e7327078560",
+            "6705f2c0597ba94560c507f43c5320c518301073dc4fb33b109022c878156789",
         "E.set":
             "cf77ba764da3a26b649b923c3ddf5912451be470672ae3f33c870ca27b69abcb",
         "F.set":
@@ -83,7 +83,7 @@ BUILD_DIGESTS = {
     },
 }
 
-PARTITION_DIGEST = "999c059ea5a3f791ee9fed56a2bf8027ea18667796152d1dd6711c52c7667792"
+PARTITION_DIGEST = "ef83aa00585ff04474d2fd228489d94aec1c79b572c656bd3fcda60933e290af"
 DIMS_CANTOR_DIGEST = "0fa7d13f54e24c96fae7db9e276e9c74cdcb6dc465defb69d783a5938c2f636c"
 DIMS_2D_DIGEST = "ff57a1259d81ee2af86718d1870d1cb47a28dd4b661fe533386504d95021c674"
 MICRO_2D_DIGESTS = {

@@ -39,6 +39,8 @@ ALLOWED_UNREACHED = {
     "setlib.CoverageError": "raised by hausdorff_upper for a given cover that misses the set",
     "funclib._inexact_end": "the refusal of a ball end that is not a float; dyadic points and"
     " radii, which every command uses, never reach it",
+    "funclib.SampledFunction.evaluate_many": "point evaluation of a function, the public form of"
+    " the cell lookup and interpolation that oscillation's ball ends use",
 }
 
 
@@ -99,7 +101,7 @@ def _traffic(tmp: Path) -> None:
     _run("construct", "--base", "affine(c=1)", "--depth", 10, "--nmax", 3, "--phi", "power(s=0.1)",
          "--zeta", "power(s=1)", "--eps0", 1.0, "--out", tmp / "affine")
     _run("partition", tmp / "affine", "--xi", "power(s=1)", "--phi", "power(s=2,scale=0.2)",
-         "--delta-ladder", "0.1,0.01,0.001", "--samples", 500, "--out", tmp / "partition.json")
+         "--delta-ladder", "0.1,0.01,0.001", "--out", tmp / "partition.json")
     _run("analyze", tmp / "w.fn", "--gauge", "power(s=1)", "--window", "4..10",
          "--out", tmp / "window")
     _run("analyze", tmp / "w.fn", "--mode", "Lip", "--depths", "10,12", "--out", tmp / "ladder")
@@ -142,8 +144,7 @@ def _traffic(tmp: Path) -> None:
         funclib.SampledFunction(1, f.depth, half, values, f.modulus, f.exact), 2,
         gauges.parse_gauge("power(s=0.1)"), gauges.parse_gauge("power(s=1)"), 0.5)
     construct.save_build(tmp / "half", build)
-    _run("partition", tmp / "half", "--delta-ladder", "0.01", "--samples", 500,
-         "--out", tmp / "half.json")
+    _run("partition", tmp / "half", "--delta-ladder", "0.01", "--out", tmp / "half.json")
     # a generator-backed .fn on a partial domain with a table modulus
     rough = funclib.SampledFunction(
         1, 10, half, np.where(np.arange(1025) <= 512, np.sin(np.arange(1025) / 50.0), np.nan),

@@ -64,6 +64,7 @@ from oracles import (
     tuple_components,
     tuple_cross_power,
     tuple_load_cubes,
+    tuple_read_cube_lines,
 )
 
 LN2_LN3 = math.log(2) / math.log(3)
@@ -433,6 +434,64 @@ def test_cube_file_round_trip_matches_tuple_reference(tmp_path_factory, case, rn
     want = [f"d {dim} m {depth}"] + [" ".join(map(str, c)) for c in sorted(set(cubes))]
     assert path.read_text() == "\n".join(want) + "\n"
     assert load_cubes(path) == E
+
+
+# a line that is not dim integers of the set's depth, by kind
+_MALFORMED = {
+    "token": lambda dim, top: " ".join(["x"] + ["0"] * (dim - 1)),
+    "float": lambda dim, top: " ".join(["0.5"] * dim),
+    "negative": lambda dim, top: " ".join(["-1"] + ["0"] * (dim - 1)),
+    "range": lambda dim, top: " ".join([str(top)] + ["0"] * (dim - 1)),
+    "wide": lambda dim, top: " ".join(["0"] * (dim + 1)),
+    "narrow": lambda dim, top: " ".join(["0"] * (dim - 1)) or "0 0",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cube_lists(), st.randoms(use_true_random=False),
+       st.sampled_from([None, *sorted(_MALFORMED)]), st.integers(1, 3))
+def test_read_cubes_matches_line_oracle(tmp_path_factory, case, rnd, bad, rows_per_block):
+    # blank and padded lines, any order, repeats, and at most one malformed
+    # line, read 1 to 3 rows a block: load_cubes gives the oracle's cubes or
+    # a FormatError, and the .fn domain reader stops after its rows
+    dim, depth, cubes = case
+    lines = [" ".join(map(str, c)) for c in cubes] + ["", "   ", "\t"]
+    lines += [" " + line + " \t" for line in rnd.sample(lines, k=len(lines) // 3)]
+    rnd.shuffle(lines)
+    if bad is not None:
+        lines.insert(rnd.randrange(len(lines) + 1), _MALFORMED[bad](dim, 1 << depth))
+    try:
+        want = tuple_read_cube_lines(lines, dim, depth)
+    except ValueError:
+        want = None
+    path = tmp_path_factory.mktemp("cubes") / "e.set"
+    path.write_text(f"d {dim} m {depth}\n" + "\n".join(lines) + "\n")
+    with mock.patch.object(setlib, "_LOAD_LINES", rows_per_block):
+        if want is None:
+            with pytest.raises(FormatError):
+                load_cubes(path)
+            return
+        assert TupleCubeSet.of(load_cubes(path)) == want
+        text = [line + "\n" for line in lines] + ["values\n"]
+        data = [i for i, line in enumerate(lines) if line.strip()]
+        source = iter(text)
+        assert TupleCubeSet.of(setlib._read_cubes(source, dim, depth, len(data))) == want
+        assert list(source) == text[data[-1] + 1 if data else 0 :]
+
+
+def test_load_cubes_holds_one_key_array(tmp_path):
+    # a 210k-cube depth-10 2-d set: the reader's peak is the key array and
+    # one block of rows, where a list of every block's keys held two copies
+    keys = np.flatnonzero(np.random.default_rng(0).random(1 << 20) < 0.2)
+    save_cubes(tmp_path / "r2d.set", DyadicCubeSet(2, 10, keys))
+    tracemalloc.start()
+    try:
+        E = load_cubes(tmp_path / "r2d.set")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(E) == len(keys) > 200_000 and np.array_equal(E.keys, keys)
+    assert peak <= 1.5 * E.keys.nbytes, peak / E.keys.nbytes
 
 
 @settings(max_examples=60, deadline=None)
