@@ -67,6 +67,7 @@ __all__ = [
     "plateau_vertex_ranges",
     "stage_slacks",
     "build_stage",
+    "stage_budget",
     "iterate_typical",
     "plateau_extremes",
     "certify_membership",
@@ -427,13 +428,13 @@ class TypicalBuild:
 
     @cached_property
     def sup_distance(self) -> float:
-        """max |final - base| over the final grid, computed once per build."""
-        base = self.base.resample(self.final.depth)
-        if base is self.base:  # equal depths: never write into the build's own values
-            diff = base.values - self.final.values
-        else:  # resample's new array
-            diff = np.subtract(base.values, self.final.values, out=base.values)
-        return float(np.nanmax(np.abs(diff, out=diff)))
+        """max |final - base| over the final grid (NaN-ignoring), computed once
+        per build and one block of the refined base at a time."""
+        final, worst = self.final.values, 0.0
+        for lo, diff in self.base.refined_blocks(self.final.depth):
+            np.abs(np.subtract(diff, final[lo : lo + diff.size], out=diff), out=diff)
+            worst = max(worst, float(np.fmax.reduce(diff, initial=0.0)))
+        return worst
 
     @property
     def budget_failure(self) -> str | None:
@@ -445,6 +446,22 @@ class TypicalBuild:
         return None
 
 
+def stage_budget(eps0: float, slack_mins: list[float]) -> float:
+    """Budget of stage n = len(slack_mins) + 1 after stages of these slack_min:
+    min(eps0 * 2^-n, min over m < n of headroom_m / 2), where headroom_m is
+    slack_m/2 minus the budgets of stages m+1..n-1.  Each stage at most
+    halves every headroom, so 2*T_m < slack_m survives all later stages.
+    iterate_typical picks each budget by it; load_build re-derives them."""
+    headroom: list[float] = []
+    for n in range(1, len(slack_mins) + 2):
+        eps_n = eps0 * 2.0**-n
+        if headroom:
+            eps_n = min(eps_n, min(headroom) / 2)
+        if n <= len(slack_mins):
+            headroom = [h - eps_n for h in headroom] + [slack_mins[n - 1] / 2]
+    return eps_n
+
+
 def iterate_typical(
     f0: SampledFunction,
     n_max: int,
@@ -454,27 +471,19 @@ def iterate_typical(
     *,
     max_depth: int = 24,
 ) -> TypicalBuild:
-    """Run stages 1..n_max on f0's domain with slack-capped budgets.
-
-    Stage m's headroom is slack_m/2 minus the budgets of the stages built
-    after it.  Budget at stage n is min(eps0 * 2^-n, min over m < n of
-    headroom_m / 2), so each later stage at most halves every headroom: 2*T_n
-    stays strictly below every stage's slack and each certificate survives
-    all later perturbations.  Stages that would need a grid deeper
-    than max_depth (or k beyond K_MAX) stop the build early with the
-    completed prefix and a reason flag.
+    """Run stages 1..n_max on f0's domain with stage_budget's slack-capped
+    budgets.  Stages that would need a grid deeper than max_depth (or k
+    beyond K_MAX) stop the build early with the completed prefix and a
+    reason flag.
     """
     if n_max < 1 or eps0 <= 0:
         raise ConstructError("need n_max >= 1 and eps0 > 0")
     _require_dim_1(f0)
     g = f0
     stages: list[StageRecord] = []
-    headroom: list[float] = []
     early = None
     for n in range(1, n_max + 1):
-        eps_n = eps0 * 2.0**-n
-        if headroom:
-            eps_n = min(eps_n, min(headroom) / 2)
+        eps_n = stage_budget(eps0, [rec.slack_min for rec in stages])
         if eps_n < 1e-250:
             early = f"slack exhaustion at stage {n}: budget underflow ({eps_n:g})"
             break
@@ -494,20 +503,9 @@ def iterate_typical(
             g = g.resample(need)
         g, rec = build_stage(g, params, phi)
         stages.append(rec)
-        headroom = [h - eps_n for h in headroom] + [rec.slack_min / 2]
     if not stages:
         raise ConstructError(f"no stage could be built: {early}")
-    build = TypicalBuild(f0, g, stages, phi, zeta, eps0, early)
-    # openness margins: every stage's strict inequality must survive the tail
-    for n in range(1, len(stages) + 1):
-        if not (2.0 * build.tail(n) < stages[n - 1].slack_min):
-            raise ConstructError(
-                f"internal: tail 2*T_{n} = {2 * build.tail(n):g} reached the stage slack "
-                f"{stages[n - 1].slack_min:g}"
-            )
-    if build.budget_failure:
-        raise ConstructError(f"internal: {build.budget_failure}")
-    return build
+    return TypicalBuild(f0, g, stages, phi, zeta, eps0, early)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +553,8 @@ def certify_membership(build: TypicalBuild, n: int) -> StageCertificate:
             f"stage {n}: measured plateau diameter {diam_max:g} above the certified"
             f" bound 2*T_n = {bound:g}"
         )
-    # unreachable under the budget capping; a violation means the build was
-    # tampered with or the schedule logic broke
+    # unreachable under stage_budget, which load_build applies too; a
+    # violation means the budget rule broke
     sides = (("membership", "eta/2", rec.membership_slack), ("lip", "eta/4", rec.lip_slack))
     failed = [
         f"{name} inequality 2*T_n < (1/n) phi({r}) fails: {bound:g} >= {threshold:g}"
@@ -669,8 +667,8 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
     and F it wrote as rasters at RASTER_DEPTH.
 
     stages.json keeps only what each stage chose; load_build re-derives the
-    rest (zeta(eta), the slacks, the kept cubes and plateau ranges), and the
-    plateau values are read from final.fn."""
+    rest (zeta(eta), the slacks, the budgets, the kept cubes and plateau
+    ranges), and the plateau values are read from final.fn."""
     os.makedirs(directory, exist_ok=True)
     save_function(os.path.join(directory, "base.fn"), build.base)
     save_function(os.path.join(directory, "final.fn"), build.final)
@@ -680,7 +678,6 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
             "k": rec.params.k,
             "eta": str(rec.params.eta),
             "delta": str(rec.params.delta),
-            "epsilon": rec.params.eps,
             "depth": rec.depth,
             "dropped": list(rec.dropped),
         }
@@ -701,18 +698,18 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
     return analysis
 
 
-def _stage(position: int, item: dict, zeta: GaugeLike) -> tuple[StageParams, int, np.ndarray]:
-    """(params, depth, kept cubes) of the stages.json entry at `position`.
-    ValueError unless n is the position, k and depth are ints, epsilon is a
-    finite positive number, dropped lists distinct cube indices in 0..k-1 and
-    the choices pass StageParams.validate."""
-    n, k, depth, eps, dropped = (item[key] for key in ("n", "k", "depth", "epsilon", "dropped"))
+def _stage(
+    position: int, item: dict, zeta: GaugeLike, eps: float
+) -> tuple[StageParams, int, np.ndarray]:
+    """(params, depth, kept cubes) of the stages.json entry at `position`,
+    whose budget is eps.  ValueError unless n is the position, k and depth
+    are ints, dropped lists distinct cube indices in 0..k-1 and the choices
+    pass StageParams.validate."""
+    n, k, depth, dropped = (item[key] for key in ("n", "k", "depth", "dropped"))
     if type(n) is not int or n != position:
         raise ValueError(f"n is {n!r}, not the stage's position {position}")
     if type(k) is not int or type(depth) is not int:
         raise ValueError(f"k and depth must be ints, not {k!r} and {depth!r}")
-    if type(eps) not in (int, float) or not 0.0 < eps < math.inf:
-        raise ValueError(f"epsilon must be a finite positive number, not {eps!r}")
     if not (
         isinstance(dropped, list)
         and all(type(j) is int and 0 <= j < k for j in dropped)
@@ -752,12 +749,12 @@ def _check_depths(directory, base: SampledFunction, final: SampledFunction, dept
 
 
 def load_build(directory) -> TypicalBuild:
-    """Read a build directory; every threshold is recomputed from meta.json's
-    gauges, and keys stages.json carries beyond the stage choices are ignored.
-    meta.json's eps0 must be positive and finite, both functions must be
-    1-d, with base.depth <= depth_1 <= ... <= depth_N = final.depth, each
-    stage must pass _stage's checks, and its plateau edges must lie on its
-    grid; otherwise FormatError names the file and the stage."""
+    """Read a build directory; thresholds and budgets are recomputed from
+    meta.json, and other keys in stages.json (as an old build's epsilon) are
+    ignored.  meta.json's eps0 must be positive and finite, both functions
+    must be 1-d, with base.depth <= depth_1 <= ... <= depth_N = final.depth,
+    each stage must pass _stage's checks, and its plateau edges must lie on
+    its grid; otherwise FormatError names the file and the stage."""
     base = load_function(os.path.join(directory, "base.fn"))
     final = load_function(os.path.join(directory, "final.fn"))
     with _format_errors(directory):
@@ -769,18 +766,20 @@ def load_build(directory) -> TypicalBuild:
         eps0, early_stop = meta["eps0"], meta["early_stop"]
         if type(eps0) not in (int, float) or not 0.0 < eps0 < math.inf:  # as construct --eps0
             raise FormatError(f"{directory}: meta.json's eps0 {eps0!r} must be positive and finite")
-        choices = []
+        choices, slacks = [], []
         for position, item in enumerate(raw, 1):
+            eps = stage_budget(eps0, [min(slack) for slack in slacks])
             try:
-                choices.append(_stage(position, item, zeta))
+                choices.append(_stage(position, item, zeta, eps))
+                slacks.append(stage_slacks(choices[-1][0], phi))
             except (ValueError, TypeError, KeyError, ArithmeticError) as err:
                 raise FormatError(f"stages.json stage {position}: {err}") from err
         _check_depths(directory, base, final, [depth for _, depth, _ in choices])
     stages = []
-    for params, depth, kept in choices:
+    for (params, depth, kept), slack in zip(choices, slacks):
         try:
             lo_v, hi_v, _ = plateau_vertex_ranges(params, depth, kept)
         except ConstructError as err:  # eta's plateau edges off the stage's grid
             raise FormatError(f"stages.json {err}") from err
-        stages.append(StageRecord(params, depth, lo_v, hi_v, kept, *stage_slacks(params, phi)))
+        stages.append(StageRecord(params, depth, lo_v, hi_v, kept, *slack))
     return TypicalBuild(base, final, stages, phi, zeta, eps0, early_stop)

@@ -160,22 +160,27 @@ class SampledFunction:
         """Exact refinement: the interpolant is unchanged on the finer grid."""
         if depth == self.depth:
             return self
+        values = np.empty((1 << depth) + 1)
+        for lo, block in self.refined_blocks(depth):
+            values[lo : lo + block.size] = block
+        return SampledFunction(1, depth, self.domain, values, self.modulus, self.exact)
+
+    def refined_blocks(self, depth: int):
+        """Yield (lo, new array of the values at vertices lo, lo+1, ...) of the
+        refinement to depth, one block at a time; at equal depth, copies."""
         if depth < self.depth:
             raise ValueError("resample only refines")
         if self.dim != 1:
             raise ValueError("resample implemented for dimension 1")
         old_grid = np.linspace(0.0, 1.0, (1 << self.depth) + 1)
-        values = np.empty((1 << depth) + 1)
-        # the new grid i * 2^-depth, the bits of linspace, one block at a time;
-        # np.interp works per element, and it computes the slopes once for a
-        # block at least as long as the old grid
+        size = (1 << depth) + 1
+        # the new grid i * 2^-depth, the bits of linspace; np.interp works per
+        # element (a point on the old grid gets its value, NaN or not), and it
+        # computes the slopes once for a block at least as long as the old grid
         block = max(GRID_BLOCK, old_grid.size)
-        for lo in range(0, values.size, block):
-            hi = min(lo + block, values.size)
-            values[lo:hi] = np.interp(np.arange(lo, hi) * 2.0**-depth, old_grid, self.values)
-        return SampledFunction(
-            1, depth, self.domain, values, self.modulus, self.exact
-        )
+        for lo in range(0, size, block):
+            x = np.arange(lo, min(lo + block, size)) * 2.0**-depth
+            yield lo, np.interp(x, old_grid, self.values)
 
     def _adjacent_maxima(self) -> list[float]:
         """Per axis, the largest |difference| of adjacent vertex values,

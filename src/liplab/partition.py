@@ -212,18 +212,22 @@ def _admissible_radius(
     r with r < delta, phi(5r) < delta and diam f(B(x,5r)) < phi(5r), and that
     diameter bound; r = 0 where the scan finds none.  Every point scans the
     same radii, so each radius is one oscillation call over the points still
-    open."""
+    open.  An exact f's bracket needs float ends x -+ 5r, so a point stops
+    scanning at the first radius where an end is not a float."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     radius = np.zeros(xs.shape)
     diam = np.zeros(xs.shape)
     open_idx = np.arange(xs.size)
-    first = 0
-    while (2.0**-first >= delta or 5.0 * 2.0**-first > 1.0) and first <= RADIUS_SCAN:
-        first += 1
-    for j in range(first, RADIUS_SCAN + 1):
+    for j in range(RADIUS_SCAN + 1):
+        r = 2.0**-j
+        if r >= delta or 5.0 * r > 1.0:
+            continue
+        if f.exact:  # a rounded sum never gives back both of its operands
+            x, t = xs[open_idx], 5.0 * r
+            hi, lo = x + t, x - t
+            open_idx = open_idx[(hi - x == t) & (hi - t == x) & (lo - x == -t) & (lo + t == x)]
         if not open_idx.size:
             break
-        r = 2.0**-j
         try:
             p5 = phi.eval(5.0 * r)
         except GaugeDomainError:

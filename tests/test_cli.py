@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -595,9 +596,6 @@ def uneven_build(tmp_path_factory):
     (1, "n", 0, "n is 0, not the stage's position 1"),
     (1, "depth", 10.0, "k and depth must be ints, not 5 and 10.0"),
     (2, "k", False, "k and depth must be ints, not False and"),
-    (2, "epsilon", "x", "epsilon must be a finite positive number, not 'x'"),
-    (2, "epsilon", math.inf, "epsilon must be a finite positive number, not inf"),
-    (2, "epsilon", True, "epsilon must be a finite positive number, not True"),
 ])
 def test_malformed_stage_exits_2_and_names_it(workdir, capsys, uneven_build, stage, key, value,
                                               words):
@@ -616,18 +614,30 @@ def test_malformed_stage_exits_2_and_names_it(workdir, capsys, uneven_build, sta
     assert not (workdir / "out.json").exists()
 
 
-def test_report_records_a_stage_inequality_failure(workdir, capsys):
-    # stage 3's budget raised to 10 breaks stage 1's and 2's inequalities,
-    # lip included: each failure is named in its stage's entry and written
-    assert run([*UNEVEN_DEPTHS, "--out", "b"]) == 0
+def test_stored_epsilon_is_ignored(workdir, uneven_build):
+    # stages.json no longer stores the budgets: load_build derives each from
+    # meta.json's eps0 and the earlier stages' slacks, so an epsilon that an
+    # older build wrote, or an edited one, changes no byte of the report
+    shutil.copytree(uneven_build, workdir / "b")
     stages = json.loads((workdir / "b" / "stages.json").read_text())
-    stages[2]["epsilon"] = 10.0
-    (workdir / "b" / "stages.json").write_text(json.dumps(stages, indent=1))
-    capsys.readouterr()
-    assert run(["report", "b", "--out", "r.json"]) == 1
-    payload = json.loads((workdir / "r.json").read_text())
-    assert payload["all_pass"] is False
-    build = construct_mod.load_build("b")
+    assert all("epsilon" not in item for item in stages)
+    for value in ("x", math.inf, True, 100.0):
+        (workdir / "b" / "stages.json").write_text(
+            json.dumps([dict(item, epsilon=value) for item in stages], indent=1))
+        assert run(["report", "b", "--out", "r.json"]) == 0, value
+        assert (workdir / "r.json").read_bytes() == (workdir / "b" / "certificates.json").read_bytes()
+
+
+def test_report_records_a_stage_inequality_failure(uneven_build):
+    # stage 3's budget raised to 10 breaks stage 1's and 2's inequalities,
+    # lip included: each failure is named in its stage's entry.  A build
+    # directory cannot carry such a budget, so the build is edited in memory
+    build = construct_mod.load_build(uneven_build)
+    rec = build.stages[2]
+    build.stages[2] = dataclasses.replace(rec, params=dataclasses.replace(rec.params, eps=10.0))
+    analysis = construct_mod.exceptional_set(build)
+    payload, failures = cli._certificates_payload(build, analysis, RunConfig(command="report"))
+    assert payload["all_pass"] is False and payload["eps_schedule"][2] == 10.0
     for n, entry in enumerate(payload["membership"], start=1):
         rec = build.stages[n - 1]
         if n == 3:  # T_3 = 0: stage 3 still holds
@@ -639,9 +649,26 @@ def test_report_records_a_stage_inequality_failure(workdir, capsys):
             f" {2 * build.tail(n):g} >= {rec.membership_slack:g}; lip inequality"
             f" 2*T_n < (1/n) phi(eta/4) fails: {2 * build.tail(n):g} >= {rec.lip_slack:g}"
         )
+    assert failures == [entry["error"] for entry in payload["membership"][:2]]
+
+
+def test_report_names_a_tampered_plateau(workdir, capsys, uneven_build):
+    # a final.fn value moved by 0.01 inside a stage-3 plateau, where the
+    # certified bound 2*T_3 is 0: report writes the failure and exits 1
+    shutil.copytree(uneven_build, workdir / "b")
+    final = funclib.load_function(workdir / "b" / "final.fn")
+    values = final.values.copy()
+    values[800] += 0.01
+    funclib.save_function(workdir / "b" / "final.fn", funclib.SampledFunction(
+        1, final.depth, final.domain, values, final.modulus, exact=True))
+    capsys.readouterr()
+    assert run(["report", "b", "--out", "r.json"]) == 1
+    words = "stage 3: measured plateau diameter 0.01 above the certified bound 2*T_n = 0"
+    payload = json.loads((workdir / "r.json").read_text())
+    assert payload["all_pass"] is False and payload["membership"][2]["error"] == words
     err = capsys.readouterr().err
-    assert err.startswith("certificate failure: stage 1: membership inequality")
-    assert "; stage 2: " in err and "(r.json)" in err and "Traceback" not in err
+    assert err.startswith(f"certificate failure: {words}") and "(r.json)" in err
+    assert "Traceback" not in err
 
 
 def test_report_checks_the_approximation_budget(workdir, capsys):

@@ -377,8 +377,8 @@ def test_build_stage_memory_is_one_grid_array_and_blocks():
 
 
 def test_sup_distance_leaves_the_build_untouched():
-    # at equal depths resample returns the base itself, which must not be
-    # written into; deeper, the resampled copy is the scratch space
+    # the refined blocks of the base are the scratch space, at equal depths
+    # too, so neither function of the build is written into
     depths = []
     for f0, n_max in ((make_test_function("constant", {"value": 0.5}, depth=8), 1),
                       (make_test_function("affine", {"c": 1.0}, depth=10), 3)):
@@ -386,12 +386,12 @@ def test_sup_distance_leaves_the_build_untouched():
         build = iterate_typical(f0, n_max, PHI, POWER1, 0.5, max_depth=18)
         final = build.final.values.copy()
         depths.append((build.base.depth, build.final.depth))
-        for _ in range(2):  # iterate_typical computed it once; compute it again
-            del build.sup_distance
+        for _ in range(2):  # compute it, then drop the cached value and compute it again
             expected = np.abs(resample_linspace(pristine, build.final.depth) - final)
             assert build.sup_distance == float(np.nanmax(expected))
             assert np.array_equal(build.base.values, pristine)
             assert np.array_equal(build.final.values, final)
+            del build.sup_distance
     assert depths == [(8, 8), (10, 16)]
 
 
@@ -693,7 +693,7 @@ def test_build_save_load_round_trip(tmp_path):
     back = load_build(tmp_path / "b")
     stages = json.loads((tmp_path / "b" / "stages.json").read_text())
     for item in stages:
-        assert list(item) == ["n", "k", "eta", "delta", "epsilon", "depth", "dropped"]
+        assert list(item) == ["n", "k", "eta", "delta", "depth", "dropped"]
     assert back.n_stages == build.n_stages
     assert back.eps_schedule == pytest.approx(build.eps_schedule)
     assert back.eps_schedule == build.eps_schedule

@@ -4,7 +4,8 @@ Exit 1 comes only from a command that wrote a payload whose verdict is
 false; an input that no run can use exits 2 with a `config error:` line and
 writes nothing.  The table below pins inputs at that border, and the fuzzer
 mutates one token of a small build's files and checks that `cli.main`
-returns 0, 1 or 2 and raises nothing else.
+returns 0, 1 or 2 and raises nothing else, and that a report that passes
+keeps its budgets and its sup distance within meta.json's eps0.
 """
 
 import json
@@ -38,8 +39,10 @@ def _verdict(path: Path) -> bool:
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """The affine build, a copy whose final.fn is not marked exact, a copy
-    whose meta.json has eps0 -1, and four exact 1-d .fn files: all NaN, one
-    value inf, one value 1e308, and one whose `exact 1` line is misspelt."""
+    whose meta.json has eps0 -1, a copy with a Weierstrass build's base.fn
+    and stage 1's epsilon set to 100, and four exact 1-d .fn files: all NaN,
+    one value inf, one value 1e308, and one whose `exact 1` line is
+    misspelt."""
     root = tmp_path_factory.mktemp("contract")
     assert cli.main([str(a) for a in AFFINE + ["--out", root / "aff"]]) == 0
     full = setlib.DyadicCubeSet.full(1, 0)
@@ -59,6 +62,12 @@ def inputs(tmp_path_factory):
     shutil.copytree(root / "aff", root / "eps0")
     meta = json.loads((root / "eps0" / "meta.json").read_text())
     (root / "eps0" / "meta.json").write_text(json.dumps(dict(meta, eps0=-1.0)))
+    shutil.copytree(root / "aff", root / "mixed")
+    funclib.save_function(root / "mixed" / "base.fn", funclib.make_test_function(
+        "weierstrass", {"a": 0.5, "b": 3.0, "terms": 25}, 10))
+    stages = json.loads((root / "mixed" / "stages.json").read_text())
+    stages[0]["epsilon"] = 100.0
+    (root / "mixed" / "stages.json").write_text(json.dumps(stages))
     funclib.save_function(root / "exac.fn", funclib.make_test_function("affine", {"c": 1.0}, 10))
     text = (root / "exac.fn").read_text()
     (root / "exac.fn").write_text(text.replace("\nexact 1\n", "\nexac 1\n"))
@@ -94,6 +103,12 @@ CASES = {
     # once ignored, and exit 0
     "meta-eps0-negative": (["report", "{root}/eps0", "--out", "{out}"], 2,
                            "eps0: meta.json's eps0 -1.0 must be positive and finite"),
+    # once exit 0: a stored stage-1 budget of 100 covered the foreign base's
+    # distance 2.5, where the budgets derived from eps0 1.0 sum to 0.74
+    "budget-stage1-mixed-report": (["report", "{root}/mixed", "--out", "{out}"], 1,
+                                   "sup distance 2.5 above the budget sum 0.743763"),
+    "budget-stage1-mixed-partition": (["partition", "{root}/mixed", "--out", "{out}"], 1,
+                                      "sup distance 2.5 above the budget sum 0.743763"),
     # an overflowing ratio is inf, with no RuntimeWarning
     "fn-ratio-overflow": (["analyze", "{root}/huge.fn", "--out", "{out}"], 0, ""),
     # no admissible ball at any B cube center: the cover holds no ball, and
@@ -204,3 +219,9 @@ def test_one_token_mutation_keeps_the_exit_contract(fuzz_build, tmp_path, capsys
         assert _verdict(Path(f"{out}.json")) is False, (argv, err)
     if code == 2:
         assert err.startswith("config error: "), (argv, err)
+    if code == 0 and command == "report":
+        # f lies within eps0 of f0, read from the payload and meta.json alone
+        payload = json.loads(Path(f"{out}.json").read_text())
+        eps0 = json.loads((build / "meta.json").read_text())["eps0"]
+        assert sum(payload["eps_schedule"]) <= eps0, (argv, payload["eps_schedule"], eps0)
+        assert payload["sup_distance"] <= eps0, (argv, payload["sup_distance"], eps0)

@@ -288,6 +288,16 @@ def test_image_cover_needs_each_cube_in_its_own_ball_or_flat():
     assert rep.candidate_count == len(B) and not rep.uncovered_points and rep.verdict
 
 
+def test_image_cover_leaves_a_center_without_float_ball_ends_uncovered():
+    # the center 0.875 finds no admissible ball before its ends 0.875 -+ 5r
+    # stop being floats, near r = 2^-52: it stays at r = 0 and is reported
+    # uncovered, where the scan once raised oscillation's ValueError
+    build = affine_build(1)
+    rep = image_cover_report(build.final, DyadicCubeSet(1, 2, [3]), PHI_PART, POWER1, 0.01)
+    assert rep.balls == () and rep.uncovered_points == ((0.875,),)
+    assert rep.candidate_count == 0 and rep.verdict is False
+
+
 # ---------------------------------------------------------------------------
 # graph cross check
 

@@ -38,7 +38,7 @@ BUILD_DIGESTS = {
         "F.set":
             "9ff24a21fec95e43cc1e863d8da985af9c61e887a6a313a9b2a081871455399e",
         "stages.json":
-            "7081438ddcba42f310abdd09d37973f63d32db395529bd7ae5496654472cf79e",
+            "5e4c96258935d9d3d2d30ad86e7aab1afcfc6df1811970d97cc8e7e083032b0b",
     },
     "affine": {
         "certificates.json":
@@ -50,7 +50,7 @@ BUILD_DIGESTS = {
         "F.set":
             "016691bb0a83388cb4044dcd415c791a2c444461232469b5d55be589ce2dc89d",
         "stages.json":
-            "2946e3c0c4bbdc122c27e8052953a62fed47b598c732e1a4f7b903934a28dd3b",
+            "7b69cfcbd0a20e7132be73b38b5d8ced6f8270b49a32415411549092e1eec811",
     },
     "affine-inv_log": {
         "certificates.json":
@@ -62,7 +62,7 @@ BUILD_DIGESTS = {
         "F.set":
             "6dd4963b89e0741913d19708e8c922a290065cdb8c44cb66d9176a446824adf5",
         "stages.json":
-            "479f58ce722fdc12dbc2ae89de8d9a53d0fa097b667a93b201949d79f500e17a",
+            "fc9ed957e397f1d66d76fa6c1aab5528db68947fecfa9f47c58875059527d554",
     },
     "staircase-weierstrass": {
         "certificates.json":
@@ -74,7 +74,7 @@ BUILD_DIGESTS = {
         "F.set":
             "cf77ba764da3a26b649b923c3ddf5912451be470672ae3f33c870ca27b69abcb",
         "stages.json":
-            "3efbbde59bff2a9b3b6654664b3f7a0e16577b2fe0bed4c6893f733668fdd051",
+            "142bdbfee3ea6813a4237c0a29ddc679841610d82a9597b963bc561e020b3845",
         # the function files: a run-length writer must give these bytes
         "base.fn":
             "e1cde4cb07e9e605ac7fe5fc4fd9bf1783e2e04c9feccaebab6dd382616f7792",

@@ -114,9 +114,13 @@ def _traffic(tmp: Path) -> None:
     _run("construct", "--base", "affine(c=1)", "--depth", 10, "--nmax", 1, "--phi", "power(s=0.1)",
          "--zeta", "inv_log", "--eps0", 1.0, "--out", inv)
     _run("report", inv, "--out", inv / "report.json")
-    shutil.copytree(tmp / "affine", tmp / "eps")
-    _edit_json(tmp / "eps" / "stages.json", lambda s: s[2].update(epsilon=10.0))
-    _run("report", tmp / "eps", "--out", tmp / "eps" / "report.json", code=1)
+    shutil.copytree(tmp / "affine", tmp / "plateau")
+    final = funclib.load_function(tmp / "plateau" / "final.fn")
+    values = final.values.copy()
+    values[800] += 0.01  # inside a stage-3 plateau, whose certified bound is 0
+    funclib.save_function(tmp / "plateau" / "final.fn", funclib.SampledFunction(
+        1, final.depth, final.domain, values, final.modulus, exact=True))
+    _run("report", tmp / "plateau", "--out", tmp / "plateau" / "report.json", code=1)
     shutil.copytree(inv, tmp / "shallow")
     shutil.copy(tmp / "shallow" / "base.fn", tmp / "shallow" / "final.fn")
     _run("report", tmp / "shallow", "--out", tmp / "shallow" / "report.json", code=2)
