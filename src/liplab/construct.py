@@ -583,7 +583,6 @@ def certify_membership(build: TypicalBuild, n: int) -> StageCertificate:
 @dataclass
 class ExceptionalAnalysis:
     tail_premeasures: list[PremeasureReport]
-    tail_component_counts: list[int]
     containment_ok: bool
     E_intervals: IntervalUnion
     F_intervals: IntervalUnion
@@ -648,7 +647,6 @@ def exceptional_set(build: TypicalBuild) -> ExceptionalAnalysis:
 
     return ExceptionalAnalysis(
         reports,
-        [len(t) for t in tails],
         containment,
         E_intervals,
         F_intervals,
@@ -723,11 +721,15 @@ def _stage(
 
 
 def _check_depths(directory, base: SampledFunction, final: SampledFunction, depths) -> None:
-    """Both functions 1-d, final exact, and base.depth <= depth_1 <= ... <=
-    depth_N = final.depth, else a FormatError naming the file and the stage."""
+    """Both functions 1-d on one domain, final exact, and base.depth <= depth_1
+    <= ... <= depth_N = final.depth, else a FormatError naming the file and
+    the stage."""
     for name, f in (("base.fn", base), ("final.fn", final)):
         if f.dim != 1:
             raise FormatError(f"{directory}: {name} has dimension {f.dim}; builds need dimension 1")
+    if final.domain != base.domain:
+        raise FormatError(f"{directory}: final.fn's domain is not base.fn's; a build's"
+                          " functions share one domain")
     if not final.exact:
         raise FormatError(f"{directory}: final.fn is not marked `exact 1`; a build's final"
                           " function is its own interpolant")
@@ -752,9 +754,10 @@ def load_build(directory) -> TypicalBuild:
     """Read a build directory; thresholds and budgets are recomputed from
     meta.json, and other keys in stages.json (as an old build's epsilon) are
     ignored.  meta.json's eps0 must be positive and finite, both functions
-    must be 1-d, with base.depth <= depth_1 <= ... <= depth_N = final.depth,
-    each stage must pass _stage's checks, and its plateau edges must lie on
-    its grid; otherwise FormatError names the file and the stage."""
+    must be 1-d on one domain (sup_distance compares them vertex by vertex),
+    with base.depth <= depth_1 <= ... <= depth_N = final.depth, each stage
+    must pass _stage's checks, and its plateau edges must lie on its grid;
+    otherwise FormatError names the file and the stage."""
     base = load_function(os.path.join(directory, "base.fn"))
     final = load_function(os.path.join(directory, "final.fn"))
     with _format_errors(directory):

@@ -254,7 +254,6 @@ class OscBrackets(NamedTuple):
 
     lower: np.ndarray
     upper: np.ndarray
-    clipped: np.ndarray
 
 
 def _two_sum(a, b):
@@ -271,13 +270,6 @@ def _exact_floor(s, e, scale: int) -> np.ndarray:
     y = s * scale
     k = np.floor(y)
     return (k - ((k == y) & (e < 0.0))).astype(np.int64)
-
-
-def _exact_ceil(s, e, scale: int) -> np.ndarray:
-    """ceil((s + e) * scale), on the terms of _exact_floor."""
-    y = s * scale
-    k = np.ceil(y)
-    return (k + ((k == y) & (e > 0.0))).astype(np.int64)
 
 
 def _vertex_windows(xs: np.ndarray, r: float, depth: int):
@@ -320,11 +312,13 @@ def oscillation(f: SampledFunction, points, r: float) -> OscBrackets:
 
     lower: spread of the vertex values inside the ball (a true lower bound).
     upper: for exact functions the interpolant's oscillation over the ball
-    within the domain, else lower + 2*w(h).  clipped: the ball leaves [0,1]
-    or the domain.  The r >= 4h resolution guard applies to generator-backed
-    functions only; exact brackets need no vertex density, but every ball
-    end x -+ r that lies in [0,1] must be a float (dyadic x and r give that),
-    else ValueError names the ball.  Off-domain vertices must be NaN.
+    within the domain, else lower + 2*w(h).  Balls are those of the metric
+    space Omega, B(x, r) cap Omega, so one that reaches past [0,1] or the
+    domain needs no special case.  The r >= 4h resolution guard applies to
+    generator-backed functions only; exact brackets need no vertex density,
+    but every ball end x -+ r that lies in [0,1] must be a float (dyadic x
+    and r give that), else ValueError names the ball.  Off-domain vertices
+    must be NaN.
     """
     if not 0.0 < r < math.inf:
         raise ValueError("radius must be positive")
@@ -342,7 +336,7 @@ def oscillation(f: SampledFunction, points, r: float) -> OscBrackets:
         bad = np.atleast_1d(points[np.argmin(inside)])
         raise ValueError(f"point {tuple(bad.tolist())} outside [0,1]^d")
     # a ball of radius 2 already covers [0,1]; the cap keeps (x -+ r) 2^depth below
-    # 2^52, where _exact_floor and _exact_ceil are exact
+    # 2^52, where _exact_floor is exact
     lo, hi, s, e = _vertex_windows(points.ravel(), min(r, 2.0), f.depth)
     n = points.shape[0]
     inexact = np.zeros(n, dtype=bool)
@@ -356,7 +350,7 @@ def oscillation(f: SampledFunction, points, r: float) -> OscBrackets:
     if f.dim == 1:
         if inexact.any():
             raise _inexact_end(points[np.argmax(inexact)], r)
-        return _oscillation_1d(f, points, lo, hi, s, e)
+        return _oscillation_1d(f, points, lo, hi, s)
     return _oscillation_nd(f, points, r, lo.reshape(n, -1), hi.reshape(n, -1), inexact)
 
 
@@ -367,27 +361,20 @@ def _inexact_end(x, r) -> ValueError:
     )
 
 
-def _oscillation_1d(f: SampledFunction, xs, lo, hi, s, e) -> OscBrackets:
-    """d = 1, all points in one pass.  An exact function peaks at a vertex or
-    at an end of the ball, so the vertex extremes and the in-domain ends give
-    upper exactly; each end is interpolated with evaluate_many's float
-    operations, so a one-point call gives the same bits.  A zero bracket is +0.0."""
+def _oscillation_1d(f: SampledFunction, xs, lo, hi, s) -> OscBrackets:
+    """d = 1, all points in one pass; s holds the rounded r - x, then x + r.
+    An exact function peaks at a vertex or at an end of the ball, so the
+    vertex extremes and the in-domain ends give upper exactly; each end is
+    interpolated with evaluate_many's float operations, so a one-point call
+    gives the same bits.  A zero bracket is +0.0."""
     vmin, vmax = _window_extremes(f.values, lo, hi)
     n = xs.size
     low, high = -s[:n], s[n:]  # x - r and x + r, rounded
-    clipped = (low < 0.0) | (high > 1.0)
-    keys, cubes = f.domain.keys, 1 << f.domain.depth
-    if len(keys) < cubes:  # with no off-domain cube the ball cannot leave the domain
-        # the cubes of the domain's grid that the exact ball overlaps with positive length
-        k = _exact_ceil(s, e, cubes)
-        first, last = np.maximum(-k[:n], 0), np.minimum(k[n:], cubes) - 1
-        held = np.searchsorted(keys, last, "right") - np.searchsorted(keys, first)
-        clipped |= held <= last - first  # some cube of first..last is off the domain
     if not f.exact:
         if np.isnan(vmin).any():
             raise ValueError("no domain vertex inside the ball; deepen the grid")
         lower = (vmax - vmin) + 0.0
-        return OscBrackets(lower, lower + 2.0 * f.modulus.omega(f.h), clipped)
+        return OscBrackets(lower, lower + 2.0 * f.modulus.omega(f.h))
     lower = np.where(np.isnan(vmin), 0.0, vmax - vmin) + 0.0
     for end in (np.maximum(0.0, low), np.minimum(1.0, high)):
         p = end[:, None]
@@ -397,7 +384,7 @@ def _oscillation_1d(f: SampledFunction, xs, lo, hi, s, e) -> OscBrackets:
     if np.isnan(vmax).any():
         raise ValueError("ball does not meet the domain")
     # upper >= lower: its values include the window's extremes
-    return OscBrackets(lower, (vmax - vmin) + 0.0, clipped)
+    return OscBrackets(lower, (vmax - vmin) + 0.0)
 
 
 def _oscillation_nd(f: SampledFunction, points, r, lo, hi, inexact) -> OscBrackets:
@@ -408,11 +395,9 @@ def _oscillation_nd(f: SampledFunction, points, r, lo, hi, inexact) -> OscBracke
     between them, so they are the tensor product of those lists; a corner
     counts when a domain cell of the ball holds it, and it is interpolated in
     a ball cell that holds it, which gives the bits of evaluate_many (see
-    _interpolate).  A ball cell off the domain sets clipped, unless the ball
-    touches it only across such a face."""
+    _interpolate)."""
     top = 1 << f.depth
     out = np.empty((2, len(points)))
-    clipped = ((points - r < 0.0) | (points + r > 1.0)).any(axis=1)
     for i, x in enumerate(points):
         if inexact[i]:  # raised here, so the batch raises the first point's error
             raise _inexact_end(x, r)
@@ -435,10 +420,8 @@ def _oscillation_nd(f: SampledFunction, points, r, lo, hi, inexact) -> OscBracke
         glo = clo - ((blo * top == clo) & (clo > 0))
         ghi = chi + ((bhi * top == chi + 1) & (chi + 1 < top))
         ball = np.stack(np.meshgrid(*map(np.arange, glo, ghi + 1), indexing="ij"), axis=-1)
-        held = _held(f.domain.keys, _domain_keys(f, ball))
-        clipped[i] |= not held[tuple(map(slice, clo - glo, chi - glo + 1))].all()
         # corner j of an axis lies in the ball cells j - 1 and j
-        touched = held
+        touched = _held(f.domain.keys, _domain_keys(f, ball))
         for axis in range(f.dim):
             t = np.moveaxis(touched, axis, 0)
             touched = np.moveaxis(np.concatenate((t[:1], t[1:] | t[:-1], t[-1:])), 0, axis)
@@ -450,7 +433,7 @@ def _oscillation_nd(f: SampledFunction, points, r, lo, hi, inexact) -> OscBracke
         cells = np.stack(np.meshgrid(*holders, indexing="ij"), axis=-1)[touched]
         v = _interpolate(f, cells, corners)
         out[:, i] = lower, max(float(v.max() - v.min()) + 0.0, lower)
-    return OscBrackets(out[0], out[1], clipped)
+    return OscBrackets(out[0], out[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,9 +442,8 @@ class OscWindow:
 
     points (n, d); radii (m,), distinct and descending; lower and upper
     (n, m), the brackets `oscillation` gives at each (point, radius), and
-    their ratios to phi(r); clipped (n,), whether a ball of the window leaves
-    [0,1]^d or the domain.  exact: upper is the exact oscillation, not
-    lower + 2w(h).  Balls are max-norm; Euclidean ones differ by <= sqrt(d).
+    their ratios to phi(r).  Balls are max-norm, relative to the domain;
+    Euclidean ones differ by <= sqrt(d).
     """
 
     points: np.ndarray
@@ -470,11 +452,9 @@ class OscWindow:
     upper: np.ndarray
     ratio_lower: np.ndarray
     ratio_upper: np.ndarray
-    clipped: np.ndarray
-    exact: bool
 
     def __post_init__(self) -> None:
-        for name in ("points", "radii", "lower", "upper", "ratio_lower", "ratio_upper", "clipped"):
+        for name in ("points", "radii", "lower", "upper", "ratio_lower", "ratio_upper"):
             getattr(self, name).flags.writeable = False
 
     def summary(self, mode: str) -> np.ndarray:
@@ -499,16 +479,14 @@ def oscillation_window(
         raise ValueError("need at least 6 window radii")
     points = np.array(_points(points, f.dim))
     lower, upper = np.empty((2, len(points), radii.size))
-    clipped = np.zeros(len(points), dtype=bool)
     for j, r in enumerate(radii.tolist()):
         if len(points):
             osc = oscillation(f, points[:, 0] if f.dim == 1 else points, r)
             lower[:, j], upper[:, j] = osc.lower, osc.upper
-            clipped |= osc.clipped
     phi_r = np.array([phi.eval(r) for r in radii.tolist()])
     with np.errstate(over="ignore"):  # a ratio past the float range is inf
         ratios = lower / phi_r, upper / phi_r
-    return OscWindow(points, radii, lower, upper, *ratios, clipped, f.exact)
+    return OscWindow(points, radii, lower, upper, *ratios)
 
 
 @dataclass(frozen=True, eq=False)

@@ -201,22 +201,16 @@ class SchizmReport:
 
     ok: bool
     first_violation: float | None
-    entries: tuple[tuple[float, float, float, float], ...]  # (r, phi(5r), xi(phi(5r)), r^(d+1))
 
 
 def verify_schizm_relation(
     xi: GaugeLike, phi: GaugeLike, d: int, scales: Sequence[float]
 ) -> SchizmReport:
-    entries = []
     first_violation = None
     for r in scales:
-        phi5 = phi.eval(5.0 * r)
-        lhs = xi.eval(phi5)
-        rhs = r ** (d + 1)
-        entries.append((r, phi5, lhs, rhs))
-        if lhs > rhs and first_violation is None:
+        if xi.eval(phi.eval(5.0 * r)) > r ** (d + 1) and first_violation is None:
             first_violation = r
-    return SchizmReport(first_violation is None, first_violation, tuple(entries))
+    return SchizmReport(first_violation is None, first_violation)
 
 
 _SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")

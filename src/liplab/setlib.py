@@ -543,13 +543,12 @@ class BoxCover:
 class CoverRecord:
     """A cover and its gauge sum, an upper bound artifact for H^g, computed
     from the cover: values holds g(diam) of each box, in box order, read-only;
-    total is their fsum and delta the largest diameter."""
+    total is their fsum."""
 
     cover: BoxCover
     gauge: GaugeLike
     values: np.ndarray = field(init=False)
     total: float = field(init=False)
-    delta: float = field(init=False)
 
     def __post_init__(self) -> None:
         diams = _quotients(self.cover.diameters(), self.cover.den).tolist()
@@ -557,7 +556,6 @@ class CoverRecord:
         object.__setattr__(self, "values", np.array(values, dtype=float))
         self.values.flags.writeable = False
         object.__setattr__(self, "total", math.fsum(values))
-        object.__setattr__(self, "delta", max(diams, default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +565,6 @@ class CoverRecord:
 @dataclass(frozen=True)
 class NDeltaResult:
     count: int
-    mode: str  # "exact-1d" | "grid-proxy"
 
 
 def n_delta(E, delta: Number) -> NDeltaResult:
@@ -576,10 +573,10 @@ def n_delta(E, delta: Number) -> NDeltaResult:
     Dimension 1: exact minimal number of closed sets of diameter <= delta
     covering E (greedy left-to-right sweep over the interval representation,
     which is optimal).  Dimension >= 2: number of cells of the delta-grid
-    meeting E, flagged `grid-proxy`.
+    meeting E, a grid proxy.
     """
-    (count,), mode = _box_counts(E, [delta])
-    return NDeltaResult(count, mode)
+    (count,), _ = _box_counts(E, [delta])
+    return NDeltaResult(count)
 
 
 def _box_counts(E, scales: Sequence[Number]) -> tuple[list[int], str]:
@@ -741,24 +738,16 @@ class PremeasureReport:
     """
 
     value: float
-    entries: tuple[tuple[float, int, float, float], ...]  # (delta, N, zeta, product)
-    eps: float
-    mode: str
-    empty: bool = False
 
 
 def lower_box_premeasure(E, zeta: GaugeLike, eps: float, scales: Sequence[Number]) -> PremeasureReport:
     scanned = [s for s in scales if float(s) <= eps]
     if not scanned:
         raise ValueError("no scanned scale lies below eps")
-    counts, mode = _box_counts(E, scanned)
-    entries = []
-    for s, count in zip(scanned, counts):
-        z = zeta.eval(float(s))
-        entries.append((float(s), count, z, count * z))
-    empty = not any(counts)
-    value = 0.0 if empty else min(p for _, _, _, p in entries)
-    return PremeasureReport(value, tuple(entries), eps, mode, empty)
+    counts, _ = _box_counts(E, scanned)
+    if not any(counts):
+        return PremeasureReport(0.0)
+    return PremeasureReport(min(count * zeta.eval(float(s)) for s, count in zip(scanned, counts)))
 
 
 @dataclass(frozen=True)
@@ -949,7 +938,6 @@ def product_lemma_check(
 @dataclass(frozen=True)
 class MicroCertificate:
     ok: bool
-    eps: float
     cover: BoxCover | None
     assignments: tuple[tuple[int, float], ...]  # (index n, component volume)
     failure: str | None = None
@@ -1030,10 +1018,10 @@ def microscopic_certificate(E, eps: float, n_max: int) -> MicroCertificate:
             failure = f"more than n_max={n_max} components" if n > n_max else (
                 f"component with bounding box volume {vol:.6g} cannot fit budget eps^{n}={eps**n:.6g}"
             )
-            return MicroCertificate(False, eps, None, tuple(assignments), failure)
+            return MicroCertificate(False, None, tuple(assignments), failure)
         boxes.append(_inflate(lo[i], hi[i], eps**n))
         assignments.append((n, vol))
-    return MicroCertificate(True, eps, BoxCover.from_boxes(comps.dim, boxes), tuple(assignments))
+    return MicroCertificate(True, BoxCover.from_boxes(comps.dim, boxes), tuple(assignments))
 
 
 @dataclass(frozen=True)
@@ -1069,7 +1057,6 @@ class HZetaMicro:
     cover: BoxCover
     beta: float
     eps: float
-    guarantees: tuple[tuple[int, float, float], ...]  # (n, diam, e^(-beta n))
 
 
 def micro_from_hzeta(record: CoverRecord, beta: float) -> HZetaMicro:
@@ -1091,7 +1078,6 @@ def micro_from_hzeta(record: CoverRecord, beta: float) -> HZetaMicro:
         raise ValueError(
             f"precondition failed: sum zeta(diam) = {total:.6g} >= 1/beta = {1.0 / beta:.6g}"
         )
-    guarantees = []
     partial = 0.0
     for n, (diam, z) in enumerate(zip(diams, zetas), start=1):
         partial += z
@@ -1100,9 +1086,8 @@ def micro_from_hzeta(record: CoverRecord, beta: float) -> HZetaMicro:
             raise ValueError(
                 f"index {n}: diam {diam:.6g} not below e^(-beta n) = {bound:.6g}"
             )
-        guarantees.append((n, diam, bound))
     cover = BoxCover(cover.dim, cover.den, cover.lo[order], cover.hi[order])
-    return HZetaMicro(cover, beta, math.exp(-beta), tuple(guarantees))
+    return HZetaMicro(cover, beta, math.exp(-beta))
 
 
 def cantor_natural_cover(depth: int) -> BoxCover:

@@ -213,22 +213,20 @@ def require_float_ends(f, x, r: float) -> None:
                 )
 
 
-def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
-    """(lower, upper, clipped) of a 1-d SampledFunction over the closed ball
+def oscillation_1d(f, x: float, r: float) -> tuple[float, float]:
+    """(lower, upper) of a 1-d SampledFunction over the closed ball
     [x-r, x+r], one point at a time in exact Fractions: liplab's scalar
     bracket before the batched one.
 
     lower is the spread of the non-NaN vertices in the exact ball.  An exact
     function on a full domain adds its values at the two ball ends; on a
     partial domain every domain cell touching the ball gives the corners of
-    its clipped piece, each through evaluate.  clipped: x - r < 0.0 or
-    x + r > 1.0 in floats, or the exact ball overlaps an off-domain cube with
-    positive length.  Two things differ from that scalar code: a domain cell
-    that touches the ball only at an end vertex now counts (the old loop
-    skipped it, so a ball meeting the domain in that single point raised
-    "ball does not meet the domain"), and clipped reads the domain for
-    generator-backed functions too.  An exact function raises when an end
-    x -+ r in [0,1] is not a float (require_float_ends).
+    the ball's piece in it, each through evaluate.  One thing differs from
+    that scalar code: a domain cell that touches the ball only at an end
+    vertex now counts (the old loop skipped it, so a ball meeting the domain
+    in that single point raised "ball does not meet the domain").  An exact
+    function raises when an end x -+ r in [0,1] is not a float
+    (require_float_ends).
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -239,13 +237,7 @@ def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
     X, R = Fraction(x), Fraction(r)
     lo = math.ceil(max(Fraction(0), X - R) * top)
     hi = math.floor(min(Fraction(1), X + R) * top)
-    clipped = x - r < 0.0 or x + r > 1.0
     cubes = TupleCubeSet.of(f.domain).cubes
-    side = 1 << f.domain.depth
-    for q in range(side):
-        overlaps = Fraction(q, side) < X + R and Fraction(q + 1, side) > X - R
-        if overlaps and (q,) not in cubes:
-            clipped = True
 
     vmin = math.inf
     vmax = -math.inf
@@ -262,7 +254,7 @@ def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
     else:
         lower = vmax - vmin
     if not f.exact:
-        return lower, lower + 2.0 * f.modulus.omega(f.h), clipped
+        return lower, lower + 2.0 * f.modulus.omega(f.h)
 
     lo_edge = max(0.0, x - r)
     hi_edge = min(1.0, x + r)
@@ -271,7 +263,7 @@ def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
         if vmin <= vmax:
             extremes.extend((vmin, vmax))
         upper = max(extremes) - min(extremes)
-        return lower, max(upper, lower), clipped
+        return lower, max(upper, lower)
 
     emin = math.inf
     emax = -math.inf
@@ -290,21 +282,19 @@ def oscillation_1d(f, x: float, r: float) -> tuple[float, float, bool]:
             emax = max(emax, v)
     if not any_cell:
         raise ValueError("ball does not meet the domain")
-    return lower, max(emax - emin, lower), clipped
+    return lower, max(emax - emin, lower)
 
 
-def oscillation_nd(f, x, r: float) -> tuple[float, float, bool]:
-    """(lower, upper, clipped) of a d >= 2 SampledFunction over the closed
+def oscillation_nd(f, x, r: float) -> tuple[float, float]:
+    """(lower, upper) of a d >= 2 SampledFunction over the closed
     max-norm ball B(x, r), one point at a time: liplab's scalar d >= 2
     bracket before the batched one, with its vertex windows in exact Fractions.
 
     lower is the spread of the non-NaN vertices in the exact ball.  An exact
     function takes upper from the corners of the ball's pieces in every domain
     cell the closed ball meets, also one it touches only across a face on a
-    box end, each through evaluate, which locates the corner again.  clipped:
-    some x_i - r < 0.0 or x_i + r > 1.0 in floats, or the ball's box overlaps
-    an off-domain cell other than across such a face (exact functions only).
-    An exact function raises when an end x_i -+ r in [0,1] is not a float
+    box end, each through evaluate, which locates the corner again.  An
+    exact function raises when an end x_i -+ r in [0,1] is not a float
     (require_float_ends).
     """
     if r <= 0:
@@ -319,7 +309,6 @@ def oscillation_nd(f, x, r: float) -> tuple[float, float, bool]:
          math.floor(min(Fraction(1), Fraction(xi) + R) * top))
         for xi in x
     ]
-    clipped = any(xi - r < 0.0 or xi + r > 1.0 for xi in x)
 
     vmin = math.inf
     vmax = -math.inf
@@ -336,18 +325,12 @@ def oscillation_nd(f, x, r: float) -> tuple[float, float, bool]:
     else:
         lower = vmax - vmin
     if not f.exact:
-        return lower, lower + 2.0 * f.modulus.omega(f.h), clipped
+        return lower, lower + 2.0 * f.modulus.omega(f.h)
 
     box_lo = [max(0.0, xi - r) for xi in x]
     box_hi = [min(1.0, xi + r) for xi in x]
     cell_ranges = []
-    inner_ranges = []  # the cells the box overlaps other than across a face on its ends
     for blo, bhi in zip(box_lo, box_hi):
-        clo = min(math.floor(Fraction(blo) * top), top - 1)
-        chi = min(math.floor(Fraction(bhi) * top), top - 1)
-        if Fraction(bhi) * top == chi and chi > clo:
-            chi -= 1
-        inner_ranges.append(range(clo, chi + 1))
         first = max(0, math.ceil(Fraction(blo) * top) - 1)
         last = min(top - 1, math.floor(Fraction(bhi) * top))
         cell_ranges.append(range(first, last + 1))
@@ -357,7 +340,6 @@ def oscillation_nd(f, x, r: float) -> tuple[float, float, bool]:
     cubes = TupleCubeSet.of(f.domain).cubes
     for cell in product(*cell_ranges):
         if not cell_in_domain(f, cubes, cell):
-            clipped |= all(k in inner for k, inner in zip(cell, inner_ranges))
             continue
         any_cell = True
         corner_axes = []
@@ -371,7 +353,7 @@ def oscillation_nd(f, x, r: float) -> tuple[float, float, bool]:
             emax = max(emax, v)
     if not any_cell:
         raise ValueError("ball does not meet the domain")
-    return lower, max(emax - emin, lower), clipped
+    return lower, max(emax - emin, lower)
 
 
 def vitali_5r_quadratic(centers, radii):

@@ -438,6 +438,23 @@ def test_build_rejects_dimension_2(tmp_path):
         load_build(tmp_path / "b")
 
 
+def test_load_build_needs_one_domain(tmp_path):
+    # sup_distance skips each vertex where either function is NaN, so a
+    # base.fn on [0, 1/2] alone would bound the distance on half of Omega
+    full = small_affine_build(n_max=1)
+    save_build(tmp_path / "full", full)
+    save_function(tmp_path / "full" / "base.fn", on_left_half(full.base))
+    with pytest.raises(FormatError, match=r"full: final.fn's domain is not base.fn's"):
+        load_build(tmp_path / "full")
+    # a build on [0, 1/2] loads, and refuses a base.fn on all of [0, 1]
+    half = iterate_typical(on_left_half(full.base), 1, PHI, POWER1, 0.5)
+    save_build(tmp_path / "half", half)
+    assert load_build(tmp_path / "half").final.domain == half.base.domain
+    save_function(tmp_path / "half" / "base.fn", full.base)
+    with pytest.raises(FormatError, match=r"half: final.fn's domain is not base.fn's"):
+        load_build(tmp_path / "half")
+
+
 # ---------------------------------------------------------------------------
 # iterate_typical
 
@@ -623,7 +640,7 @@ def test_exceptional_set_one_stage():
     build = iterate_typical(f0, 1, PHI, POWER1, 0.5)
     analysis = exceptional_set(build)
     p = build.stages[0].params
-    assert analysis.tail_component_counts == [p.k + 1]
+    assert len(analysis.E_intervals) == p.k + 1
     count = n_delta(analysis.E_intervals, p.eta).count
     assert count == p.k + 1
     assert count * p.zeta_at_eta < 1.0
@@ -633,17 +650,18 @@ def test_exceptional_set_one_stage():
 def test_exceptional_set_three_stages(tmp_path):
     build = small_affine_build()
     analysis = exceptional_set(build)
-    # each tail is the exact intersection of the slab sets of stages n..N
+    # each tail is the exact intersection of the slab sets of stages n..N:
+    # its premeasure is the least N_eta(tail) * zeta(eta) over the etas of
+    # those stages at most 1/n
     slabs = [rec.params.slab_union() for rec in build.stages]
     for n in (1, 2, 3):
         tail = slabs[n - 1]
         for later in slabs[n:]:
             tail = tail.intersect(later)
-        assert analysis.tail_component_counts[n - 1] == len(tail)
-    for n, rep in enumerate(analysis.tail_premeasures, start=1):
-        assert rep.value < 1.0 / n
-    # tails are nested increasing
-    t = analysis.tail_component_counts
+        etas = [rec.params.eta for rec in build.stages[n - 1 :] if rec.params.eta <= Fraction(1, n)]
+        want = min(n_delta(tail, float(eta)).count * build.zeta.eval(float(eta)) for eta in etas)
+        assert analysis.tail_premeasures[n - 1].value == want < 1.0 / n
+    assert analysis.E_intervals == tail
     assert analysis.containment_ok
     rng = np.random.default_rng(0)
     F_iu = analysis.F_intervals

@@ -40,9 +40,9 @@ def _verdict(path: Path) -> bool:
 def inputs(tmp_path_factory):
     """The affine build, a copy whose final.fn is not marked exact, a copy
     whose meta.json has eps0 -1, a copy with a Weierstrass build's base.fn
-    and stage 1's epsilon set to 100, and four exact 1-d .fn files: all NaN,
-    one value inf, one value 1e308, and one whose `exact 1` line is
-    misspelt."""
+    and stage 1's epsilon set to 100, a copy whose base.fn keeps only
+    Omega = [0, 1/2], and four exact 1-d .fn files: all NaN, one value inf,
+    one value 1e308, and one whose `exact 1` line is misspelt."""
     root = tmp_path_factory.mktemp("contract")
     assert cli.main([str(a) for a in AFFINE + ["--out", root / "aff"]]) == 0
     full = setlib.DyadicCubeSet.full(1, 0)
@@ -68,6 +68,12 @@ def inputs(tmp_path_factory):
     stages = json.loads((root / "mixed" / "stages.json").read_text())
     stages[0]["epsilon"] = 100.0
     (root / "mixed" / "stages.json").write_text(json.dumps(stages))
+    shutil.copytree(root / "aff", root / "half")
+    base = funclib.load_function(root / "half" / "base.fn")
+    values = base.values.copy()
+    values[513:] = np.nan
+    funclib.save_function(root / "half" / "base.fn", funclib.SampledFunction(
+        1, base.depth, setlib.DyadicCubeSet(1, 1, [0]), values, base.modulus, base.exact))
     funclib.save_function(root / "exac.fn", funclib.make_test_function("affine", {"c": 1.0}, 10))
     text = (root / "exac.fn").read_text()
     (root / "exac.fn").write_text(text.replace("\nexact 1\n", "\nexac 1\n"))
@@ -109,6 +115,12 @@ CASES = {
                                    "sup distance 2.5 above the budget sum 0.743763"),
     "budget-stage1-mixed-partition": (["partition", "{root}/mixed", "--out", "{out}"], 1,
                                       "sup distance 2.5 above the budget sum 0.743763"),
+    # once exit 0: sup_distance skipped the NaN half of base.fn, and the
+    # approximation claim held on [0, 1/2] alone
+    "domain-half-base-report": (["report", "{root}/half", "--out", "{out}"], 2,
+                                "final.fn's domain is not base.fn's"),
+    "domain-half-base-partition": (["partition", "{root}/half", "--out", "{out}"], 2,
+                                   "final.fn's domain is not base.fn's"),
     # an overflowing ratio is inf, with no RuntimeWarning
     "fn-ratio-overflow": (["analyze", "{root}/huge.fn", "--out", "{out}"], 0, ""),
     # no admissible ball at any B cube center: the cover holds no ball, and

@@ -34,10 +34,10 @@ def window(lo: int, hi: int) -> list[float]:
     return [2.0**-j for j in range(lo, hi + 1)]
 
 
-def one(f, x, r) -> tuple[float, float, bool]:
-    """(lower, upper, clipped) of a one-point oscillation call at x."""
+def one(f, x, r) -> tuple[float, float]:
+    """(lower, upper) of a one-point oscillation call at x."""
     osc = oscillation(f, np.array([x]), r)
-    return float(osc.lower[0]), float(osc.upper[0]), bool(osc.clipped[0])
+    return float(osc.lower[0]), float(osc.upper[0])
 
 
 def summary(f, x, radii, mode: str) -> float:
@@ -158,26 +158,19 @@ def test_evaluate_matches_scalar_reference(case):
 
 def test_oscillation_affine_dyadic_radius():
     f = make_test_function("affine", {"c": 2.0}, depth=10)
-    lower, upper, clipped = one(f, 0.5, 0.125)
+    lower, upper = one(f, 0.5, 0.125)
     assert lower == pytest.approx(0.5, rel=1e-15)  # 2c*r with vertices at x+-r
     assert upper == pytest.approx(0.5, rel=1e-15)  # exact interpolant oscillation
-    assert not clipped
 
 
 def test_oscillation_constant_zero():
     f = make_test_function("constant", {"value": 1.0}, depth=8)
-    lower, upper, _ = one(f, 0.3125, 0.25)
+    lower, upper = one(f, 0.3125, 0.25)
     assert lower == 0.0 and upper == 0.0
     # 0.3 - 0.25 is no float, and an exact bracket needs exact ball ends
     message = r"B\(\(0.3,\), 0.25\) has an end x -\+ r in \[0,1\] that is not a float"
     with pytest.raises(ValueError, match=message):
         one(f, 0.3, 0.25)
-
-
-def test_oscillation_clipping_flag():
-    f = make_test_function("affine", {"c": 1.0}, depth=8)
-    assert one(f, 0.03125, 0.125)[2]
-    assert not one(f, 0.5, 0.125)[2]
 
 
 def test_oscillation_resolution_guard():
@@ -195,7 +188,7 @@ def test_oscillation_weierstrass_vs_dense_oracle():
     oracle = dense_diam(
         lambda t: weierstrass_value(a, b, terms, t), 0.5, 2.0**-6, Fraction(1, 1 << 22)
     )
-    lower, upper, _ = one(f, 0.5, 2.0**-6)
+    lower, upper = one(f, 0.5, 2.0**-6)
     assert lower <= oracle <= upper
     assert lower >= 0.95 * oracle
 
@@ -243,7 +236,7 @@ def test_oscillation_brackets_100_random_generator_points():
             # a multiple of 2^-40, so that x -+ r is a float, as an exact bracket needs
             x = round(float(rng.uniform(0.2, 0.8)) * 2**40) / 2**40
             r = float(2.0 ** -rng.integers(4, 7))
-            lower, upper, _ = one(f, x, r)
+            lower, upper = one(f, x, r)
             oracle = dense_diam(fn, x, r, Fraction(1, 1 << 16))
             assert lower <= oracle + 1e-12
             assert oracle <= upper + 1e-12
@@ -319,18 +312,17 @@ def test_oscillation_1d_matches_scalar_oracle(f, balls):
         assert str(info.value) in errors
     else:
         got = oscillation(f, np.array(xs), r)
-        for i, (lower, upper, clipped) in enumerate(expected):
+        for i, (lower, upper) in enumerate(expected):
             assert _bits(got.lower[i]) == _bits(lower)
             assert _bits(got.upper[i]) == _bits(upper)
-            assert bool(got.clipped[i]) == clipped
     # a one-point call gives the same bits
     for x, want in zip(xs, expected):
         if isinstance(want, str):
             with pytest.raises(ValueError, match=re.escape(want)):
                 one(f, x, r)
         else:
-            lower, upper, clipped = one(f, x, r)
-            assert (_bits(lower), _bits(upper), clipped) == (_bits(want[0]), _bits(want[1]), want[2])
+            lower, upper = one(f, x, r)
+            assert (_bits(lower), _bits(upper)) == (_bits(want[0]), _bits(want[1]))
 
 
 @st.composite
@@ -387,10 +379,9 @@ def test_oscillation_nd_matches_scalar_oracle(f, balls):
             oscillation(f, np.array(points), r)
         return
     got = oscillation(f, np.array(points), r)
-    for i, (lower, upper, clipped) in enumerate(expected):
+    for i, (lower, upper) in enumerate(expected):
         assert _bits(got.lower[i]) == _bits(lower)
         assert _bits(got.upper[i]) == _bits(upper)
-        assert bool(got.clipped[i]) == clipped
 
 
 @st.composite
@@ -438,16 +429,16 @@ def test_oscillation_nd_counts_a_domain_cell_the_ball_touches_across_a_face():
     assert f.evaluate_many([(0.5, 0.5)])[0] == 12.0
     got = oscillation(f, [[0.25, 0.5]], 0.25)
     # the vertex window reads f(1/2, x1) = 11, 12, 13 at x1 = 1/4, 1/2, 3/4
-    assert (got.lower[0], got.upper[0], bool(got.clipped[0])) == (2.0, 2.0, True)
-    assert oscillation_nd(f, (0.25, 0.5), 0.25) == (2.0, 2.0, True)
+    assert (got.lower[0], got.upper[0]) == (2.0, 2.0)
+    assert oscillation_nd(f, (0.25, 0.5), 0.25) == (2.0, 2.0)
     # the same across the box's lower end: Omega = {x0 <= 1/2}, B((3/4, 1/2), 1/4)
     mirrored = SampledFunction(
         2, 2, DyadicCubeSet.from_indices(2, 1, [(0, 0), (0, 1)]), values[::-1].copy(),
         HolderModulus(1.0), exact=True,
     )
     got = oscillation(mirrored, [[0.75, 0.5]], 0.25)
-    assert (got.lower[0], got.upper[0], bool(got.clipped[0])) == (2.0, 2.0, True)
-    assert oscillation_nd(mirrored, (0.75, 0.5), 0.25) == (2.0, 2.0, True)
+    assert (got.lower[0], got.upper[0]) == (2.0, 2.0)
+    assert oscillation_nd(mirrored, (0.75, 0.5), 0.25) == (2.0, 2.0)
 
 
 def test_oscillation_rejects_bad_points():
@@ -491,22 +482,21 @@ def test_oscillation_counts_a_domain_end_the_ball_touches():
     values = f.values.copy()
     values[9:] = np.nan
     half = SampledFunction(1, 4, DyadicCubeSet(1, 1, [0]), values, f.modulus, True)
-    assert one(half, 0.625, 0.125) == (0.0, 0.0, True)
-    assert oscillation_1d(half, 0.625, 0.125) == (0.0, 0.0, True)
+    assert one(half, 0.625, 0.125) == (0.0, 0.0)
+    assert oscillation_1d(half, 0.625, 0.125) == (0.0, 0.0)
     # this ball's end x - r rounds onto 1/2, but the exact ball misses Omega:
     # an exact bracket refuses the inexact end rather than read the rounded one
     for check in (one, oscillation_1d):
         with pytest.raises(ValueError, match=r"B\(\(0.8,\), 0.3\) has an end .* not a float"):
             check(half, 0.8, 0.3)
-    # x + r rounds onto 1/2 from above (clipped by Omega) and from below (not);
-    # clipped follows the exact ball, here for a generator-backed function
+    # x + r rounds onto 1/2 from above and from below; the bracket of a
+    # generator-backed function follows the exact ball
     g = make_test_function("affine", {"c": 1.0}, depth=7)
     values = g.values.copy()
     values[65:] = np.nan
     half = SampledFunction(1, 7, DyadicCubeSet(1, 1, [0]), values, g.modulus, False)
-    for x, r, clipped in ((0.45, 0.05, True), (0.35, 0.15, False)):
-        assert one(half, x, r)[2] is clipped
-        assert one(half, x, r) == oscillation_1d(half, x, r)
+    for x, r in ((0.45, 0.05), (0.35, 0.15)):
+        assert list(map(_bits, one(half, x, r))) == list(map(_bits, oscillation_1d(half, x, r)))
     # Omega = [0, 1/4] u [1/2, 3/4] on the depth-2 grid: the gap's two
     # vertices carry values, but a ball inside the gap meets no domain point
     values = np.array([0.0, 1.0, 2.0, 3.0, np.nan])
@@ -609,7 +599,7 @@ def test_lip_field_invariant_under_constant_shift():
 
 def test_lip_field_records_match_the_scalar_oracle_on_a_partial_domain():
     # Omega = 5 of the 8 depth-3 cubes; each (point, radius) bracket of the
-    # window is the one-point oracle bracket, bit for bit, and clipped is their OR
+    # window is the one-point oracle bracket, bit for bit
     base = make_test_function("weierstrass", {"terms": 8}, depth=10)
     cubes = {0, 1, 3, 4, 6}
     on = np.zeros(base.values.size, dtype=bool)
@@ -622,17 +612,13 @@ def test_lip_field_records_match_the_scalar_oracle_on_a_partial_domain():
         field = lip_field(f, POWER1, 0.5, 5, window(3, 8))
         w = field.window
         assert w.points.tolist() == [[(k + 0.5) / 32] for k in range(32) if k // 4 in cubes]
-        assert w.clipped.any()
         for i, x in enumerate(w.points[:, 0].tolist()):
-            clipped = False
             for j, r in enumerate(w.radii.tolist()):
                 lo, hi, rlo, rhi = (float(a[i, j]) for a in (w.lower, w.upper, w.ratio_lower,
                                                              w.ratio_upper))
-                lower, upper, clip = oscillation_1d(f, x, r)
+                lower, upper = oscillation_1d(f, x, r)
                 assert (_bits(lo), _bits(hi)) == (_bits(lower), _bits(upper))
                 assert (rlo, rhi) == (lower / POWER1.eval(r), upper / POWER1.eval(r))
-                clipped |= clip
-            assert w.clipped[i] == clipped and w.exact == exact
 
 
 def test_lip_field_needs_coarser_grid():

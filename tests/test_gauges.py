@@ -177,9 +177,9 @@ def test_schizm_equality_passes():
     xi = make_preset("power", s=1)
     phi = make_preset("power", s=2, scale=0.2)  # phi(r) = (r/5)^2
     rep = verify_schizm_relation(xi, phi, 1, dyadic_scales(3, 20))
-    assert rep.ok
-    for r, _, lhs, rhs in rep.entries:
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    assert rep.ok and rep.first_violation is None
+    for r in dyadic_scales(3, 20):
+        assert xi.eval(phi.eval(5.0 * r)) == pytest.approx(r**2, rel=1e-12)
 
 
 def test_schizm_violation_reports_first_scale():
@@ -197,8 +197,8 @@ def test_schizm_higher_dimension_equality():
     phi = make_preset("power", s=(d + 1) / 2, scale=0.2)
     rep = verify_schizm_relation(xi, phi, d, dyadic_scales(3, 16))
     assert rep.ok
-    for r, _, lhs, rhs in rep.entries:
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    for r in dyadic_scales(3, 16):
+        assert xi.eval(phi.eval(5.0 * r)) == pytest.approx(r ** (d + 1), rel=1e-12)
 
 
 def test_exp_sqrt_log_ratio_monotone_and_vanishing():

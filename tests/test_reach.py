@@ -33,7 +33,6 @@ ALLOWED_UNREACHED = {
     "setlib.product_lemma_check": "the smallness certificate of the d >= 2 build (ROADMAP item 7)",
     "gauges.Pseudogauge": "the codimension pseudogauge of the d >= 2 build (ROADMAP item 7)",
     "setlib.IntervalUnion.__eq__": "value equality, which tests compare sets with",
-    "setlib.DyadicCubeSet.__eq__": "value equality, which tests compare sets with",
     "cli.RunConfig.to_json": "writes the --config form that the README describes",
     "setlib.load_cover": "reads the .cover files that `liplab micro` writes",
     "setlib.CoverageError": "raised by hausdorff_upper for a given cover that misses the set",

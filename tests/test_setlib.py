@@ -207,9 +207,7 @@ _DELTAS = st.one_of(
 @given(_pairs(12), _DELTAS)
 def test_n_delta_matches_fraction_sweep(pairs, delta):
     iu, ref = _both(pairs)
-    res = n_delta(iu, delta)
-    assert res.mode == "exact-1d"
-    assert res.count == fraction_greedy_count(ref.intervals, delta)
+    assert n_delta(iu, delta).count == fraction_greedy_count(ref.intervals, delta)
 
 
 @settings(max_examples=300, deadline=None)
@@ -676,7 +674,7 @@ def test_rasterization_modes():
 def test_n_delta_full_interval():
     E = DyadicCubeSet.full(1, 8)
     res = n_delta(E, Fraction(1, 4))
-    assert res.count == 4 and res.mode == "exact-1d"
+    assert res.count == 4
     # brute-force window oracle on the cell representation
     assert brute_min_window_cover(set(range(8)), 2) == 4  # depth-3 cells, window 1/4
 
@@ -723,9 +721,8 @@ def test_n_delta_antitone_and_monotone():
 
 def test_n_delta_grid_proxy_2d():
     E = DyadicCubeSet.full(2, 3)
-    res = n_delta(E, Fraction(1, 4))
-    assert res.mode == "grid-proxy"
-    assert res.count == 16
+    assert n_delta(E, Fraction(1, 4)).count == 16
+    assert lower_box_dim(E, [Fraction(1, 2**k) for k in range(1, 7)]).mode == "grid-proxy"
 
 
 # ---------------------------------------------------------------------------
@@ -735,27 +732,27 @@ def test_n_delta_grid_proxy_2d():
 def test_premeasure_single_point():
     E = points_union([0.0])
     zeta = make_preset("power", s=1)
-    rep = lower_box_premeasure(E, zeta, math.inf, [Fraction(1, 2**j) for j in range(1, 11)])
-    assert rep.value == pytest.approx(2.0**-10)
-    assert all(n == 1 for _, n, _, _ in rep.entries)
+    scales = [Fraction(1, 2**j) for j in range(1, 11)]
+    assert lower_box_premeasure(E, zeta, math.inf, scales).value == pytest.approx(2.0**-10)
+    assert all(n_delta(E, s).count == 1 for s in scales)
 
 
 def test_premeasure_unit_interval():
     E = IntervalUnion.from_pairs([(0, 1)])
     zeta = make_preset("power", s=1)
-    rep = lower_box_premeasure(E, zeta, math.inf, [Fraction(1, 2**j) for j in range(1, 11)])
-    assert rep.value == pytest.approx(1.0)
-    for _, n, _, p in rep.entries:
-        assert 1.0 <= p <= 2.0
+    scales = [Fraction(1, 2**j) for j in range(1, 11)]
+    assert lower_box_premeasure(E, zeta, math.inf, scales).value == pytest.approx(1.0)
+    for s in scales:
+        assert 1.0 <= n_delta(E, s).count * zeta.eval(float(s)) <= 2.0
 
 
 def test_premeasure_cantor_exact_product():
     E = cantor_intervals(8)
     zeta = make_preset("power", s=LN2_LN3)
-    rep = lower_box_premeasure(E, zeta, math.inf, [Fraction(1, 3**k) for k in range(1, 9)])
-    for _, n, z, p in rep.entries:
-        assert p == pytest.approx(1.0, rel=1e-12)
-    assert rep.value == pytest.approx(1.0, rel=1e-12)
+    scales = [Fraction(1, 3**k) for k in range(1, 9)]
+    for s in scales:
+        assert n_delta(E, s).count * zeta.eval(float(s)) == pytest.approx(1.0, rel=1e-12)
+    assert lower_box_premeasure(E, zeta, math.inf, scales).value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_lower_box_dim_cantor():
@@ -1084,8 +1081,9 @@ def test_micro_from_hzeta_harmonic():
     with pytest.raises(ValueError):
         micro_from_hzeta(record, 9.0)  # 0.2929 >= 1/9
     out = micro_from_hzeta(record, 3.0)
-    for n, diam, bound in out.guarantees:
-        assert diam < bound == pytest.approx(math.exp(-3.0 * n), rel=1e-12)
+    # the boxes come longest first, box n shorter than e^(-beta n)
+    for n, diam in enumerate(out.cover.diameters().tolist(), start=1):
+        assert Fraction(diam, out.cover.den) < math.exp(-3.0 * n)
     E = IntervalUnion.from_pairs(pairs)
     assert microscopic_verify(out.cover, out.eps, E).ok
 
@@ -1096,7 +1094,7 @@ def test_micro_from_hzeta_single_and_plateau():
         BoxCover.from_boxes(1, [((0.5, 0.5 + math.exp(-100)),)]), inv
     )
     out = micro_from_hzeta(single, 50.0)
-    assert out.guarantees[0][1] < math.exp(-50)
+    assert Fraction(int(out.cover.diameters()[0]), out.cover.den) < math.exp(-50)
     two = CoverRecord(BoxCover.from_boxes(1, [((0.0, 0.5),), ((0.5, 1.0),)]), inv)
     with pytest.raises(ValueError):
         micro_from_hzeta(two, 2.0)  # zeta(1/2) = 1 each, sum 2 >= 1/2
@@ -1115,7 +1113,7 @@ def test_cover_record_evaluates_the_gauge_once_per_box():
                                  for n in range(1, 6))
     record = hausdorff_upper(E, CountingGauge("inv_log"), BoxCover.from_intervals(E))
     out = micro_from_hzeta(record, 1.0 / (2.0 * record.total))
-    assert len(out.guarantees) == 5
+    assert len(out.cover) == 5
     assert calls == [2.0**-40] * 5
 
 
