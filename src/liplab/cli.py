@@ -3,10 +3,10 @@ drive the partition pipeline, and emit machine-readable reports.
 
 Exit status: 0 when every requested certificate passed, 1 when a command
 wrote its payload with a false verdict, 2 on a ConfigError (the gauge and
-format errors included), a ConstructError or an OSError.  No command
-draws a random number (--seed is accepted and has no effect), and report
-payloads carry no timestamps (timestamps live in a sidecar), so reruns
-are byte-identical.
+format errors included), a ConstructError, an OSError or a MemoryError.
+No command draws a random number (--seed is accepted and has no effect),
+and report payloads carry no timestamps (timestamps live in a sidecar), so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -153,6 +153,8 @@ def _parse_scales(spec: str) -> list:
                 raise ConfigError(f"scale {base}^-{j} in {spec!r} rounds to 0.0 as a float")
     else:
         scales = _parse_list(spec, float, "scales spec")
+    if len(set(scales)) < len(scales):
+        raise ConfigError(f"scales {spec!r} repeats a scale")
     if len(scales) < 6:
         raise ConfigError(f"scales {spec!r} gives {len(scales)} scales; need at least 6")
     for r in scales:
@@ -271,6 +273,9 @@ def _cmd_construct(cfg: RunConfig) -> int:
     if not 0 <= cfg.depth <= cfg.max_depth <= setlib.MAX_KEY_BITS:
         raise ConfigError(f"need 0 <= --depth {cfg.depth} <= --max-depth {cfg.max_depth}"
                           f" <= {setlib.MAX_KEY_BITS}")
+    if (2**cfg.max_depth + 1) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"--max-depth {cfg.max_depth}: numpy cannot size a grid of"
+                          f" 2^{cfg.max_depth}+1 float64 values")
     if not 0.0 < cfg.eps0 < math.inf:
         raise ConfigError(f"--eps0 {cfg.eps0:g} must be positive and finite")
     base = _parse_base(cfg.base or "constant(value=0.5)", cfg.depth)
@@ -312,16 +317,17 @@ def _certificates_payload(
             failures.append(str(err))
             membership.append({"n": n, "ok": False, "error": str(err)})
             continue
-        membership.append({"n": n, "ok": True, "bound": cert.bound, "cubes": cert.cube_count,
-                           "threshold": cert.membership_threshold,
+        rec = build.stages[n - 1]
+        membership.append({"n": n, "ok": True, "bound": cert.bound, "cubes": len(rec.kept),
+                           "threshold": rec.membership_slack,
                            "margin_min": cert.membership_margin})
     if build.early_stop is not None:
         failures.append(f"early stop: {build.early_stop}")
     if build.budget_failure:
         failures.append(build.budget_failure)
     premeasures = [
-        {"n": i + 1, "value": rep.value, "target": 1.0 / (i + 1), "ok": rep.value < 1.0 / (i + 1)}
-        for i, rep in enumerate(analysis.tail_premeasures)
+        {"n": i + 1, "value": value, "target": 1.0 / (i + 1), "ok": value < 1.0 / (i + 1)}
+        for i, value in enumerate(analysis.tail_premeasures)
     ]
     if not analysis.containment_ok:
         failures.append("containment_ok")
@@ -538,8 +544,9 @@ def main(argv: list[str] | None = None) -> int:
                 setattr(cfg, key, value)
         _at_least("--seed", cfg.seed, 0)
         return _COMMANDS[cfg.command](cfg)
-    except (ConfigError, construct_mod.ConstructError, OSError) as err:
-        # a ConstructError here: no build can be made from these inputs
+    except (ConfigError, construct_mod.ConstructError, OSError, MemoryError) as err:
+        # a ConstructError here: no build can be made from these inputs; a
+        # MemoryError: an array they ask for cannot be allocated
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

@@ -41,19 +41,16 @@ from .funclib import (
 )
 from .setlib import (
     BoxCover,
-    CoverRecord,
     DyadicCubeSet,
     FormatError,
-    HZetaMicro,
     IntervalUnion,
-    PremeasureReport,
     _atomic_write,
     _format_errors,
     _held,
     _int_dtype,
     _ratio,
+    hausdorff_upper,
     lower_box_premeasure,
-    micro_from_hzeta,
     microscopic_verify,
     save_cubes,
 )
@@ -142,10 +139,6 @@ class StageParams:
             raise ConstructError("need eta < 1/k")
         if Fraction(1, self.k) >= self.delta:
             raise ConstructError("need 1/k < delta")
-        if self.gamma * self.beta != 1 - self.k * self.eta:
-            raise ConstructError("identity gamma*beta = 1 - k*eta failed")
-        if self.one_minus_gamma * self.ell != self.eta / 2:
-            raise ConstructError("identity (1-gamma)*ell = eta/2 failed")
         if not (self.zeta_at_eta * (self.k + 1) < 1.0 / self.n):
             raise ConstructError("zeta(eta)*(k+1) < 1/n failed")
         if not (self.ell < Fraction(1, self.n)):
@@ -521,13 +514,9 @@ class StageCertificate:
 
     n: int
     bound: float  # 2*T_n
-    membership_threshold: float  # (1/n) phi(eta/2)
-    lip_threshold: float  # (1/n) phi(eta/4)
-    radius: float  # eta/4
     diam_max_measured: float  # of the final function over the stage's plateaus
-    membership_margin: float  # membership_threshold - max(bound, diam_max_measured)
-    lip_margin: float  # lip_threshold - bound
-    cube_count: int
+    membership_margin: float  # StageRecord.membership_slack - max(bound, diam_max_measured)
+    lip_margin: float  # StageRecord.lip_slack - bound
 
 
 def plateau_extremes(build: TypicalBuild, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -566,13 +555,9 @@ def certify_membership(build: TypicalBuild, n: int) -> StageCertificate:
     return StageCertificate(
         n,
         bound,
-        rec.membership_slack,
-        rec.lip_slack,
-        float(rec.params.cert_radius),
         diam_max,
         rec.membership_slack - max(bound, diam_max),
         rec.lip_slack - bound,
-        len(rec.kept),
     )
 
 
@@ -582,11 +567,12 @@ def certify_membership(build: TypicalBuild, n: int) -> StageCertificate:
 
 @dataclass
 class ExceptionalAnalysis:
-    tail_premeasures: list[PremeasureReport]
+    tail_premeasures: list[float]  # lower_box_premeasure of each tail, n = 1..N
     containment_ok: bool
     E_intervals: IntervalUnion
     F_intervals: IntervalUnion
-    micro: HZetaMicro | None
+    micro_cover: BoxCover | None  # inv_log zeta only, from _micro_route
+    micro_beta: float | None
     micro_verified: bool | None
     notes: list[str]
 
@@ -632,28 +618,40 @@ def exceptional_set(build: TypicalBuild) -> ExceptionalAnalysis:
 
     containment = F_intervals.subset_of(E_intervals)
 
-    micro = None
-    verified = None
-    zeta = build.zeta
-    if getattr(zeta, "kind", "") == "inv_log":
-        cover = BoxCover.from_intervals(E_intervals)
-        record = CoverRecord(cover, zeta)
-        # keep beta * N well inside exp()'s range so the budgets stay positive
-        beta_cap = 600.0 / max(1, len(cover))
-        beta = min(1.0 / (2.0 * record.total), beta_cap) if record.total > 0 else 1.0
-        micro = micro_from_hzeta(record, beta)
-        verified = microscopic_verify(micro.cover, micro.eps, E_intervals).ok
-        notes.append(f"micro route: cover sum {record.total:g}, beta {beta:g}")
+    cover = beta = verified = None
+    if getattr(build.zeta, "kind", "") == "inv_log":
+        cover, total, beta = _micro_route(E_intervals, build.zeta)
+        verified = microscopic_verify(cover, math.exp(-beta), E_intervals).ok
+        notes.append(f"micro route: cover sum {total:g}, beta {beta:g}")
 
     return ExceptionalAnalysis(
         reports,
         containment,
         E_intervals,
         F_intervals,
-        micro,
+        cover,
+        beta,
         verified,
         notes,
     )
+
+
+def _micro_route(E: IntervalUnion, zeta: GaugeLike) -> tuple[BoxCover, float, float]:
+    """The micro route's cover of E, its zeta sum and its beta.
+
+    The cover is E's components, longest first, ties in order; total is
+    their zeta sum, and beta = 1/(2 total) (1 when total is 0), capped at
+    600/N to keep beta * N inside exp()'s range.  With zeta = inv_log, and
+    every component shorter than 1/e (E lies in the deepest stage's slabs,
+    eta wide, and zeta(eta) < 1 puts eta below 1/e), zeta(d) = 1/log(1/d).
+    The sorted diameters give n zeta(d_n) <= total <= 1/(2 beta), so box n's
+    diameter is at most e^(-2 beta n), below the budget e^(-beta n) that
+    microscopic_verify checks exactly."""
+    cover = BoxCover.from_intervals(E)
+    total = hausdorff_upper(E, zeta, cover)
+    beta = min(1.0 / (2.0 * total), 600.0 / max(1, len(cover))) if total > 0 else 1.0
+    order = np.argsort(-cover.diameters(), kind="stable")
+    return BoxCover(cover.dim, cover.den, cover.lo[order], cover.hi[order]), total, beta
 
 
 # ---------------------------------------------------------------------------

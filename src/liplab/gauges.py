@@ -195,22 +195,14 @@ def gauge_at_diameter(g: GaugeLike, diam: float) -> float:
     return g.eval(diam)
 
 
-@dataclass(frozen=True)
-class SchizmReport:
-    """Per-scale check of xi(phi(5r)) <= r^(d+1)."""
-
-    ok: bool
-    first_violation: float | None
-
-
 def verify_schizm_relation(
     xi: GaugeLike, phi: GaugeLike, d: int, scales: Sequence[float]
-) -> SchizmReport:
-    first_violation = None
+) -> float | None:
+    """The first scale r at which xi(phi(5r)) <= r^(d+1) fails, or None."""
     for r in scales:
-        if xi.eval(phi.eval(5.0 * r)) > r ** (d + 1) and first_violation is None:
-            first_violation = r
-    return SchizmReport(first_violation is None, first_violation)
+        if xi.eval(phi.eval(5.0 * r)) > r ** (d + 1):
+            return r
+    return None
 
 
 _SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")

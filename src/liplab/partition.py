@@ -265,11 +265,9 @@ def image_cover_report(
         raise ValueError("image cover pipeline is implemented for dimension 1")
     d = f.dim
     scales = [2.0**-j for j in range(3, 40)]
-    schizm = verify_schizm_relation(xi, phi, d, scales)
-    if not schizm.ok:
-        raise ConfigError(
-            f"gauge relation xi(phi(5r)) <= r^(d+1) fails at r={schizm.first_violation}"
-        )
+    violation = verify_schizm_relation(xi, phi, d, scales)
+    if violation is not None:
+        raise ConfigError(f"gauge relation xi(phi(5r)) <= r^(d+1) fails at r={violation}")
     # (k + 1/2) 2^-depth is exact in floats
     centers = (B.keys.astype(float) + 0.5) / 2.0**B.depth
     half_side = 2.0 ** -(B.depth + 1)  # the closed ball B(center, half_side) is the cube

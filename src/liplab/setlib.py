@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from itertools import product as iter_product
@@ -32,7 +32,6 @@ __all__ = [
     "IntervalUnion",
     "DyadicCubeSet",
     "BoxCover",
-    "CoverRecord",
     "CoverageError",
     "FormatError",
     "n_delta",
@@ -43,7 +42,6 @@ __all__ = [
     "product_lemma_check",
     "microscopic_certificate",
     "microscopic_verify",
-    "micro_from_hzeta",
     "cantor_intervals",
     "cantor_natural_cover",
     "points_union",
@@ -478,7 +476,7 @@ def _as_interval_union(E) -> IntervalUnion:
 
 
 # ---------------------------------------------------------------------------
-# BoxCover / CoverRecord
+# BoxCover
 
 
 class BoxCover:
@@ -539,35 +537,11 @@ class BoxCover:
         return _merged(self.den, self.lo[order, 0], self.hi[order, 0])
 
 
-@dataclass(frozen=True, eq=False)
-class CoverRecord:
-    """A cover and its gauge sum, an upper bound artifact for H^g, computed
-    from the cover: values holds g(diam) of each box, in box order, read-only;
-    total is their fsum."""
-
-    cover: BoxCover
-    gauge: GaugeLike
-    values: np.ndarray = field(init=False)
-    total: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        diams = _quotients(self.cover.diameters(), self.cover.den).tolist()
-        values = [gauge_at_diameter(self.gauge, d) for d in diams]
-        object.__setattr__(self, "values", np.array(values, dtype=float))
-        self.values.flags.writeable = False
-        object.__setattr__(self, "total", math.fsum(values))
-
-
 # ---------------------------------------------------------------------------
 # Box-counting
 
 
-@dataclass(frozen=True)
-class NDeltaResult:
-    count: int
-
-
-def n_delta(E, delta: Number) -> NDeltaResult:
+def n_delta(E, delta: Number) -> int:
     """Box-counting function N_delta.
 
     Dimension 1: exact minimal number of closed sets of diameter <= delta
@@ -576,7 +550,7 @@ def n_delta(E, delta: Number) -> NDeltaResult:
     meeting E, a grid proxy.
     """
     (count,), _ = _box_counts(E, [delta])
-    return NDeltaResult(count)
+    return count
 
 
 def _box_counts(E, scales: Sequence[Number]) -> tuple[list[int], str]:
@@ -729,25 +703,17 @@ def _grid_count(E: DyadicCubeSet, delta: Fraction) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class PremeasureReport:
-    """Scanned proxy for the lower box-counting premeasure.
-
-    `value` is min over scanned delta <= eps of N_delta(E) * zeta(delta): an
-    upper bound of the true inf over scanned scales.
-    """
-
-    value: float
-
-
-def lower_box_premeasure(E, zeta: GaugeLike, eps: float, scales: Sequence[Number]) -> PremeasureReport:
+def lower_box_premeasure(E, zeta: GaugeLike, eps: float, scales: Sequence[Number]) -> float:
+    """Scanned proxy for the lower box-counting premeasure: min over scanned
+    delta <= eps of N_delta(E) * zeta(delta), an upper bound of the true inf
+    over scanned scales."""
     scanned = [s for s in scales if float(s) <= eps]
     if not scanned:
         raise ValueError("no scanned scale lies below eps")
     counts, _ = _box_counts(E, scanned)
     if not any(counts):
-        return PremeasureReport(0.0)
-    return PremeasureReport(min(count * zeta.eval(float(s)) for s, count in zip(scanned, counts)))
+        return 0.0
+    return min(count * zeta.eval(float(s)) for s, count in zip(scanned, counts))
 
 
 @dataclass(frozen=True)
@@ -844,9 +810,10 @@ def _uncovered_point(E: DyadicCubeSet, cover: BoxCover) -> tuple[Fraction, ...] 
     )
 
 
-def hausdorff_upper(E, g: GaugeLike, cover: BoxCover | None = None) -> CoverRecord:
+def hausdorff_upper(E, g: GaugeLike, cover: BoxCover | None = None) -> float:
     """Sum(g(diam)) over a verified cover: an upper bound for H^g at delta = max diam.
 
+    g is evaluated once per box, and math.fsum adds the values in box order.
     With cover=None the natural dyadic cover at the set's depth is used
     (DyadicCubeSet input only).  Never a lower bound.
     """
@@ -856,7 +823,8 @@ def hausdorff_upper(E, g: GaugeLike, cover: BoxCover | None = None) -> CoverReco
         idx = E.indices()
         cover = BoxCover(E.dim, 1 << E.depth, idx, idx + 1)
     _check_cover(E, cover)
-    return CoverRecord(cover, g)
+    diams = _quotients(cover.diameters(), cover.den).tolist()
+    return math.fsum(gauge_at_diameter(g, d) for d in diams)
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +889,7 @@ def product_lemma_check(
     ok = True
     for E, s in zip(sets, scales):
         r = float(s)
-        count = n_delta(E, s).count
+        count = n_delta(E, s)
         right = count * zeta.eval(r)
         cells = math.ceil(1.0 / r)
         left = count * cells**m * psi.eval(r * math.sqrt(m + 1))
@@ -1048,46 +1016,6 @@ def microscopic_verify(cover: BoxCover, eps: float, E) -> MicroVerifyResult:
     except CoverageError as err:
         return MicroVerifyResult(False, uncovered=(err.witness,))
     return MicroVerifyResult(True)
-
-
-@dataclass(frozen=True)
-class HZetaMicro:
-    """Microscopic certificate derived from a small inv_log cover sum."""
-
-    cover: BoxCover
-    beta: float
-    eps: float
-
-
-def micro_from_hzeta(record: CoverRecord, beta: float) -> HZetaMicro:
-    """Turn sum zeta(diam E_n) < 1/beta (zeta = inv_log) into box budgets e^(-beta n).
-
-    The chain n*zeta(r_n) <= partial sum < 1/beta forces zeta(r_n) < 1/(beta n),
-    hence diam < e^(-beta n); each index is checked directly rather than trusted.
-    """
-    gauge = record.gauge
-    if not (isinstance(gauge, Gauge) and gauge.kind == "inv_log"):
-        raise ValueError("micro_from_hzeta needs an inv_log cover record")
-    cover = record.cover
-    diam = cover.diameters()
-    order = np.argsort(-diam, kind="stable")  # longest first, ties in box order
-    diams = _quotients(diam[order], cover.den).tolist()
-    zetas = record.values[order].tolist()
-    total = sum(zetas)
-    if not (total < 1.0 / beta):
-        raise ValueError(
-            f"precondition failed: sum zeta(diam) = {total:.6g} >= 1/beta = {1.0 / beta:.6g}"
-        )
-    partial = 0.0
-    for n, (diam, z) in enumerate(zip(diams, zetas), start=1):
-        partial += z
-        bound = math.exp(-beta * n)
-        if not (n * z <= partial * (1 + 1e-12) and diam < bound):
-            raise ValueError(
-                f"index {n}: diam {diam:.6g} not below e^(-beta n) = {bound:.6g}"
-            )
-    cover = BoxCover(cover.dim, cover.den, cover.lo[order], cover.hi[order])
-    return HZetaMicro(cover, beta, math.exp(-beta))
 
 
 def cantor_natural_cover(depth: int) -> BoxCover:

@@ -9,7 +9,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-import pytest
 
 from liplab.construct import (
     certify_membership,
@@ -112,7 +111,7 @@ def test_criterion_1_stage_identities():
 def test_criterion_2_gap_width_inequality():
     with criterion(2, "gap-width inequality", 1.0):
         for p, zeta in generated_stage_params():
-            count = n_delta(p.slab_union(), p.eta).count
+            count = n_delta(p.slab_union(), p.eta)
             assert count <= p.k + 1
             assert count * p.zeta_at_eta < 1.0 / p.n
 
@@ -145,8 +144,8 @@ def test_criterion_4_exceptional_set_smallness():
     with criterion(4, "exceptional-set smallness", 30.0):
         rng = np.random.default_rng(1)
         for name, analysis in exceptional_analyses().items():
-            for n, rep in enumerate(analysis.tail_premeasures, start=1):
-                assert rep.value < 1.0 / n, (name, n)
+            for n, value in enumerate(analysis.tail_premeasures, start=1):
+                assert value < 1.0 / n, (name, n)
             assert analysis.containment_ok
             # sampled echo of F_approx within E^(cross 1) at 10,000 points
             starts, lengths = float_starts_and_lengths(analysis.F_intervals)
@@ -171,8 +170,8 @@ def test_criterion_5_dimension_oracles():
         assert finite.lbdim_proxy <= 0.1
         gauge = make_preset("power", s=LN2_LN3)
         for k in range(1, 13):
-            record = hausdorff_upper(cantor_intervals(k), gauge, cantor_natural_cover(k))
-            assert abs(record.total - 1.0) <= 1e-12
+            total = hausdorff_upper(cantor_intervals(k), gauge, cantor_natural_cover(k))
+            assert abs(total - 1.0) <= 1e-12
 
 
 def test_criterion_6_partition_pipeline():
@@ -201,13 +200,12 @@ def test_criterion_7_microscopic_path():
                                 max_depth=24)
         assert build.early_stop is None
         analysis = exceptional_set(build)
-        micro = analysis.micro
-        assert micro is not None
-        assert micro.eps == pytest.approx(math.exp(-micro.beta), rel=1e-12)
-        assert microscopic_verify(micro.cover, micro.eps, analysis.E_intervals).ok
+        cover, beta = analysis.micro_cover, analysis.micro_beta
+        assert cover is not None
+        assert microscopic_verify(cover, math.exp(-beta), analysis.E_intervals).ok
         assert analysis.micro_verified
         # certificate region contains F_approx; cross power in d = 1 is the set
-        cert_region = micro.cover.interval_union()
+        cert_region = cover.interval_union()
         assert analysis.F_intervals.subset_of(cert_region)
         rng = np.random.default_rng(2)
         starts, lengths = float_starts_and_lengths(analysis.F_intervals)
@@ -261,7 +259,7 @@ def test_criterion_9_brute_force_cover_oracle():
                 E = DyadicCubeSet.from_indices(1, 5, [(c,) for c in cells])
                 for j in range(1, 6):
                     window = 1 << (5 - j)  # delta = 2^-j in units of 2^-5
-                    got = n_delta(E, Fraction(1, 1 << j)).count if cells else 0
+                    got = n_delta(E, Fraction(1, 1 << j)) if cells else 0
                     want = brute_min_window_cover(set(cells), window)
                     assert got == want, (cells, j)
                 checked += 1

@@ -15,6 +15,7 @@ from liplab import construct as construct_mod
 from liplab import funclib
 from liplab.construct import (
     ConstructError,
+    _micro_route,
     StageParams,
     StageRecord,
     build_stage,
@@ -35,6 +36,7 @@ from liplab.setlib import (
     IntervalUnion,
     cross_power,
     load_cubes,
+    microscopic_verify,
     n_delta,
 )
 from oracles import (
@@ -130,7 +132,7 @@ def test_eta_consequence_exact_counts():
     for n in (1, 2, 4):
         p = choose_stage_params(f0, n, 0.4, POWER1)
         E = p.slab_union()
-        count = n_delta(E, p.eta).count
+        count = n_delta(E, p.eta)
         assert count <= p.k + 1
         assert count * p.zeta_at_eta < 1.0 / n
 
@@ -312,8 +314,8 @@ def test_partial_domain_build_certifies_and_round_trips(tmp_path):
         assert cert.membership_margin > 0.0 and cert.lip_margin > 0.0
         assert cert.diam_max_measured <= cert.bound
     analysis = exceptional_set(build)
-    for n, rep in enumerate(analysis.tail_premeasures, start=1):
-        assert rep.value < 1.0 / n
+    for n, value in enumerate(analysis.tail_premeasures, start=1):
+        assert value < 1.0 / n
     assert analysis.containment_ok
     assert analysis.F_intervals == deepest_core_complement(build)
     # F lies in Omega = [0, 1/2]; a reloaded build certifies the same set
@@ -516,10 +518,11 @@ def test_certify_membership_margins():
     build = small_affine_build()
     for n in (1, 2, 3):
         cert = certify_membership(build, n)
-        assert cert.n == n and cert.cube_count == len(build.stages[n - 1].kept)
-        assert cert.bound < cert.membership_threshold and cert.bound < cert.lip_threshold
+        rec = build.stages[n - 1]
+        assert cert.n == n
+        assert cert.bound < rec.membership_slack and cert.bound < rec.lip_slack
         assert cert.membership_margin > 0.0 and cert.lip_margin > 0.0
-        assert cert.radius == float(build.stages[n - 1].params.eta / 4)
+        assert rec.params.cert_radius == rec.params.eta / 4
         assert cert.diam_max_measured <= cert.bound + 1e-300
 
 
@@ -527,11 +530,12 @@ def test_certify_membership_constant_margin_value():
     f0 = make_test_function("constant", {"value": 0.5}, depth=8)
     build = iterate_typical(f0, 1, PHI, POWER1, 0.5)
     cert = certify_membership(build, 1)
-    eta = build.stages[0].params.eta
-    assert cert.membership_threshold == pytest.approx(PHI.eval(float(eta / 2)), rel=1e-12)
-    assert cert.lip_threshold == pytest.approx(PHI.eval(float(eta / 4)), rel=1e-12)
-    assert cert.membership_margin == pytest.approx(cert.membership_threshold, rel=1e-12)  # T_1 = 0
-    assert cert.lip_margin == cert.lip_threshold
+    rec = build.stages[0]
+    eta = rec.params.eta
+    assert rec.membership_slack == pytest.approx(PHI.eval(float(eta / 2)), rel=1e-12)
+    assert rec.lip_slack == pytest.approx(PHI.eval(float(eta / 4)), rel=1e-12)
+    assert cert.membership_margin == pytest.approx(rec.membership_slack, rel=1e-12)  # T_1 = 0
+    assert cert.lip_margin == rec.lip_slack
 
 
 def test_iterate_budget_keeps_every_stage_open():
@@ -581,8 +585,8 @@ def test_stage_certificate_covers_core_midpoints_not_grid_points():
         rec = build.stages[n - 1]
         p = rec.params
         cert = certify_membership(build, n)
-        assert cert.radius == float(p.eta / 4)
-        assert cert.bound < cert.lip_threshold and cert.lip_margin > 0.0
+        assert p.cert_radius == p.eta / 4
+        assert cert.bound < rec.lip_slack and cert.lip_margin > 0.0
         j = int(rec.kept[0])
         a, b = fraction_core(p.k, p.eta, j)
         assert rec.covering_core(float((a + b) / 2)) == j
@@ -604,7 +608,7 @@ def test_certified_bound_dominates_sampled_osc():
         x = float((a + b) / 2)
         assert rec.covering_core(x) == j
         cert = certify_membership(build, n)
-        measured = oscillation(build.final, [x], cert.radius).upper[0]
+        measured = oscillation(build.final, [x], float(p.cert_radius)).upper[0]
         assert measured <= cert.bound + 1e-300
 
 
@@ -641,7 +645,7 @@ def test_exceptional_set_one_stage():
     analysis = exceptional_set(build)
     p = build.stages[0].params
     assert len(analysis.E_intervals) == p.k + 1
-    count = n_delta(analysis.E_intervals, p.eta).count
+    count = n_delta(analysis.E_intervals, p.eta)
     assert count == p.k + 1
     assert count * p.zeta_at_eta < 1.0
     assert analysis.containment_ok
@@ -659,8 +663,8 @@ def test_exceptional_set_three_stages(tmp_path):
         for later in slabs[n:]:
             tail = tail.intersect(later)
         etas = [rec.params.eta for rec in build.stages[n - 1 :] if rec.params.eta <= Fraction(1, n)]
-        want = min(n_delta(tail, float(eta)).count * build.zeta.eval(float(eta)) for eta in etas)
-        assert analysis.tail_premeasures[n - 1].value == want < 1.0 / n
+        want = min(n_delta(tail, float(eta)) * build.zeta.eval(float(eta)) for eta in etas)
+        assert analysis.tail_premeasures[n - 1] == want < 1.0 / n
     assert analysis.E_intervals == tail
     assert analysis.containment_ok
     rng = np.random.default_rng(0)
@@ -679,15 +683,23 @@ def test_exceptional_set_three_stages(tmp_path):
     assert F.depth == E.depth and TupleCubeSet.of(F).cubes <= TupleCubeSet.of(E).cubes
 
 
+def _assert_micro_budgets(cover, beta):
+    """Diameters nonincreasing, and box n's exact diameter below e^(-beta n)."""
+    diams = [Fraction(int(d), cover.den) for d in cover.diameters().tolist()]
+    assert diams == sorted(diams, reverse=True)
+    for n, diam in enumerate(diams, start=1):
+        assert diam < math.exp(-beta * n)
+
+
 def test_exceptional_set_micro_route_inv_log():
     f0 = make_test_function("constant", {"value": 0.5}, depth=8)
     build = iterate_typical(f0, 3, PHI, INV_LOG, 0.5, max_depth=24)
     analysis = exceptional_set(build)
-    assert analysis.micro is not None
+    assert analysis.micro_cover is not None
     assert analysis.micro_verified
-    assert analysis.micro.eps == pytest.approx(math.exp(-analysis.micro.beta))
+    _assert_micro_budgets(analysis.micro_cover, analysis.micro_beta)
     # certificate region contains F_approx (cross power in d=1 is the set)
-    cert_iu = analysis.micro.cover.interval_union()
+    cert_iu = analysis.micro_cover.interval_union()
     assert analysis.F_intervals.subset_of(cert_iu)
 
 
@@ -697,8 +709,55 @@ def test_micro_route_covers_E_exactly():
     f0 = make_test_function("affine", {"c": 1.0}, depth=10)
     build = iterate_typical(f0, 1, make_preset("power", s=0.1), INV_LOG, 1.0)
     analysis = exceptional_set(build)
-    assert analysis.micro.cover.interval_union() == analysis.E_intervals
+    assert analysis.micro_cover.interval_union() == analysis.E_intervals
     assert analysis.micro_verified
+    _assert_micro_budgets(analysis.micro_cover, analysis.micro_beta)
+
+
+def test_micro_route_sorts_longest_first_ties_in_order():
+    # five components at x = n/10, of lengths 2^-20, 2^-30, 2^-20, 2^-25, 2^-30
+    exps = [20, 30, 20, 25, 30]
+    E = IntervalUnion.from_pairs(
+        (Fraction(n, 10), Fraction(n, 10) + Fraction(1, 2**e)) for n, e in enumerate(exps, start=1)
+    )
+    cover, total, beta = _micro_route(E, INV_LOG)
+    starts = [Fraction(int(x), cover.den) for x in cover.lo[:, 0].tolist()]
+    assert starts == [Fraction(n, 10) for n in (1, 3, 4, 2, 5)]
+    assert total == pytest.approx(sum(1.0 / (e * math.log(2)) for e in exps), rel=1e-12)
+    assert beta == 1.0 / (2.0 * total)
+    _assert_micro_budgets(cover, beta)
+    assert microscopic_verify(cover, math.exp(-beta), E).ok
+
+
+def test_micro_route_harmonic_example_verifies():
+    # components of length e^(-10n), n = 1..10: zeta = 1/(10n), a harmonic sum
+    pairs = []
+    for n in range(1, 11):
+        x = Fraction(n, 20)
+        # exact endpoints: in float, x + e^(-10n) would absorb the tiny width
+        pairs.append((x, x + Fraction(math.exp(-10 * n))))
+    E = IntervalUnion.from_pairs(pairs)
+    cover, total, beta = _micro_route(E, INV_LOG)
+    assert total == pytest.approx(sum(1.0 / (10 * n) for n in range(1, 11)), rel=1e-12)
+    assert cover.interval_union() == E
+    _assert_micro_budgets(cover, beta)
+    assert microscopic_verify(cover, math.exp(-beta), E).ok
+
+
+def test_micro_route_empty_sum_and_beta_cap():
+    # points only: the sum is 0 and beta is 1
+    points = IntervalUnion.from_pairs([(Fraction(1, 3),) * 2, (Fraction(1, 2),) * 2])
+    cover, total, beta = _micro_route(points, INV_LOG)
+    assert (total, beta, len(cover)) == (0.0, 1.0, 2)
+    assert microscopic_verify(cover, math.exp(-beta), points).ok
+    # 2000 points beside one interval: beta is capped at 600/N, which keeps
+    # the last budget e^(-beta N) = e^-600 positive
+    pairs = [(Fraction(k, 4096),) * 2 for k in range(1, 2001)]
+    E = IntervalUnion.from_pairs(pairs + [(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 2**40))])
+    cover, total, beta = _micro_route(E, INV_LOG)
+    assert 1.0 / (2.0 * total) > 600.0 / 2001 and beta == 600.0 / 2001
+    assert cover.lo[0, 0] == cover.den // 2  # the interval comes first
+    assert microscopic_verify(cover, math.exp(-beta), E).ok
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +788,6 @@ def test_build_save_load_round_trip(tmp_path):
         orig = certify_membership(build, n)
         again = certify_membership(back, n)
         assert orig.bound == pytest.approx(again.bound)
-        assert orig.membership_threshold == pytest.approx(again.membership_threshold)
-        assert orig.lip_threshold == pytest.approx(again.lip_threshold)
+        assert orig.membership_margin == pytest.approx(again.membership_margin)
+        assert orig.lip_margin == pytest.approx(again.lip_margin)
 

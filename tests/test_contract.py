@@ -99,6 +99,16 @@ CASES = {
     "depth-below-0": (["construct", "--depth", -1, "--out", "{out}"], 2, "need 0 <= --depth -1"),
     "max-depth-past-key-bits": (["construct", "--depth", 8, "--max-depth", 63, "--out", "{out}"], 2,
                                 "--max-depth 63 <= 62"),
+    # once a traceback: 2^45+1 float64 values are 256 TiB, past the address
+    # space, so the allocation fails at once
+    "depth-unallocatable": (["construct", "--depth", 45, "--max-depth", 50, "--out", "{out}"], 2,
+                            "Unable to allocate"),
+    # once numpy's `array is too big` traceback
+    "max-depth-past-array-size": (["construct", "--depth", 60, "--max-depth", 62, "--out", "{out}"],
+                                  2, "--max-depth 62: numpy cannot size a grid"),
+    # once exit 0, with a rank-deficient slope fit over one distinct scale
+    "dims-repeated-scale": (["dims", "cantor:4", "--scales", "0.5,0.5,0.5,0.5,0.5,0.5", "--out",
+                             "{out}"], 2, "repeats a scale"),
     "affine-overflow": (["construct", "--base", "affine(c=1e308,intercept=1e308)", "--out", "{out}"],
                         2, "leave the float range"),
     "final-not-exact": (["partition", "{root}/inexact", "--out", "{out}"], 2,

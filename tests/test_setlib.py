@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liplab import setlib
+from liplab.construct import _micro_route
 from liplab.gauges import Gauge, Pseudogauge, make_preset
 from liplab.setlib import (
     MAX_KEY_BITS,
@@ -21,7 +22,6 @@ from liplab.setlib import (
     _greedy_count,
     _quotients,
     BoxCover,
-    CoverRecord,
     CoverageError,
     DyadicCubeSet,
     FormatError,
@@ -34,7 +34,6 @@ from liplab.setlib import (
     load_cubes,
     lower_box_dim,
     lower_box_premeasure,
-    micro_from_hzeta,
     microscopic_certificate,
     microscopic_verify,
     n_delta,
@@ -207,7 +206,7 @@ _DELTAS = st.one_of(
 @given(_pairs(12), _DELTAS)
 def test_n_delta_matches_fraction_sweep(pairs, delta):
     iu, ref = _both(pairs)
-    assert n_delta(iu, delta).count == fraction_greedy_count(ref.intervals, delta)
+    assert n_delta(iu, delta) == fraction_greedy_count(ref.intervals, delta)
 
 
 @settings(max_examples=300, deadline=None)
@@ -223,7 +222,7 @@ def test_n_delta_greedy_chains_match_fraction_sweep(steps, delta):
         x += width + gap
     iu, ref = _both(pairs)
     for d in (Fraction(delta, 1000), delta / 1000):
-        assert n_delta(iu, d).count == fraction_greedy_count(ref.intervals, d)
+        assert n_delta(iu, d) == fraction_greedy_count(ref.intervals, d)
 
 
 @settings(max_examples=300, deadline=None)
@@ -269,7 +268,7 @@ def test_int64_and_object_paths_meet_at_62_bits():
         assert inter.uncovered_by(a) is None and a.uncovered_by(inter) == ref_a.uncovered_by(
             ref_a.intersect(ref_b))
         for delta in (Fraction(1, 7), 1 / 3):
-            assert n_delta(inter, delta).count == fraction_greedy_count(pairs_of(inter), delta)
+            assert n_delta(inter, delta) == fraction_greedy_count(pairs_of(inter), delta)
     # a raster whose den * 2^depth crosses 2^62 (and 2^63, where int64 would
     # wrap): den = 3^25 has 40 bits
     den = 3**25
@@ -505,7 +504,7 @@ def test_grid_count_at_the_key_limit(cubes, j):
     # must not wrap
     E = DyadicCubeSet.from_indices(2, 31, cubes)
     for delta in (Fraction(1, 2**j), Fraction(1, 3 ** (j % 20))):
-        assert n_delta(E, delta).count == brute_grid_count(cubes, 31, delta)
+        assert n_delta(E, delta) == brute_grid_count(cubes, 31, delta)
 
 
 @st.composite
@@ -530,7 +529,7 @@ def test_grid_count_matches_brute_force(case):
     # products past 2^62 (float deltas at the key limit) run on Python ints
     dim, depth, cubes, delta = case
     E = DyadicCubeSet.from_indices(dim, depth, sorted(cubes))
-    assert n_delta(E, delta).count == brute_grid_count(cubes, depth, delta)
+    assert n_delta(E, delta) == brute_grid_count(cubes, depth, delta)
 
 
 @st.composite
@@ -573,7 +572,7 @@ def test_blocked_grid_count_matches_references(tmp_path_factory, case, per_block
     path = tmp_path_factory.mktemp("blocks") / "e.set"
     with mock.patch.multiple(setlib, _KEY_BUDGET=per_block * 3**dim, _SAVE_CUBES=2, _LOAD_LINES=2):
         save_cubes(path, DyadicCubeSet.from_indices(dim, depth, cubes))
-        got = n_delta(load_cubes(path), delta).count
+        got = n_delta(load_cubes(path), delta)
     assert got == compressed_grid_count(cubes, depth, delta)
     work = len(cubes) * (float(Fraction(1, 1 << depth) / delta) + 3) ** dim  # cells to list
     if work <= 50_000:
@@ -586,14 +585,14 @@ def test_grid_count_far_below_the_cube_side():
     # at delta = 2^-24 a depth-4 cube meets 2^20 cells per axis and one more
     # past each end that lies inside [0,1]; separated cubes share no cell
     E = DyadicCubeSet.from_indices(2, 4, [(1, 2), (5, 9)])
-    assert n_delta(E, Fraction(1, 2**24)).count == 2 * (2**20 + 2) ** 2
+    assert n_delta(E, Fraction(1, 2**24)) == 2 * (2**20 + 2) ** 2
     corner = DyadicCubeSet.from_indices(2, 4, [(0, 15), (15, 15)])
-    assert n_delta(corner, Fraction(1, 2**24)).count == (2**20 + 1) ** 2 + (2**20 + 1) ** 2
+    assert n_delta(corner, Fraction(1, 2**24)) == (2**20 + 1) ** 2 + (2**20 + 1) ** 2
     # side by side, the two cubes share the cells on their common face
     pair = DyadicCubeSet.from_indices(2, 4, [(3, 7), (4, 7)])
-    assert n_delta(pair, Fraction(1, 2**24)).count == (2 * 2**20 + 2) * (2**20 + 2)
+    assert n_delta(pair, Fraction(1, 2**24)) == (2 * 2**20 + 2) * (2**20 + 2)
     three_d = DyadicCubeSet.from_indices(3, 4, [(1, 2, 3), (9, 9, 9)])
-    assert n_delta(three_d, Fraction(1, 2**24)).count == 2 * (2**20 + 2) ** 3
+    assert n_delta(three_d, Fraction(1, 2**24)) == 2 * (2**20 + 2) ** 3
 
 
 def test_grid_count_memory_does_not_grow_below_the_cube_side():
@@ -673,30 +672,29 @@ def test_rasterization_modes():
 
 def test_n_delta_full_interval():
     E = DyadicCubeSet.full(1, 8)
-    res = n_delta(E, Fraction(1, 4))
-    assert res.count == 4
+    assert n_delta(E, Fraction(1, 4)) == 4
     # brute-force window oracle on the cell representation
     assert brute_min_window_cover(set(range(8)), 2) == 4  # depth-3 cells, window 1/4
 
 
 def test_n_delta_cantor_depth2():
     E = cantor_intervals(2)
-    assert n_delta(E, Fraction(1, 9)).count == 4
+    assert n_delta(E, Fraction(1, 9)) == 4
     # oracle in units of 1/9: occupied cells {0,2,6,8}, window 1 cell
     assert brute_min_window_cover({0, 2, 6, 8}, 1) == 4
 
 
 def test_n_delta_empty_and_points():
-    assert n_delta(IntervalUnion.from_pairs([]), Fraction(1, 4)).count == 0
+    assert n_delta(IntervalUnion.from_pairs([]), Fraction(1, 4)) == 0
     pts = points_union([Fraction(1, 10), Fraction(2, 10), Fraction(9, 10)])
-    assert n_delta(pts, Fraction(1, 10)).count == 2
-    assert n_delta(pts, Fraction(1, 100)).count == 3
+    assert n_delta(pts, Fraction(1, 10)) == 2
+    assert n_delta(pts, Fraction(1, 100)) == 3
 
 
 def test_n_delta_cantor_exact_all_scales():
     E = cantor_intervals(8)
     for k in range(1, 9):
-        assert n_delta(E, Fraction(1, 3**k)).count == 2**k
+        assert n_delta(E, Fraction(1, 3**k)) == 2**k
 
 
 def test_n_delta_antitone_and_monotone():
@@ -708,10 +706,10 @@ def test_n_delta_antitone_and_monotone():
             1, 5, [(int(c),) for c in cubes] + [(int(rng.integers(0, 32)),)]
         )
         deltas = [Fraction(1, 2**j) for j in range(1, 6)]
-        counts = [n_delta(E, d).count for d in deltas]
+        counts = [n_delta(E, d) for d in deltas]
         assert all(a <= b for a, b in zip(counts, counts[1:]))  # antitone in delta
         for d in deltas:
-            assert n_delta(E, d).count <= n_delta(F, d).count
+            assert n_delta(E, d) <= n_delta(F, d)
         scales = [Fraction(1, 2**j) for j in range(1, 7)]
         assert (
             lower_box_dim(E, scales).lbdim_proxy
@@ -721,7 +719,7 @@ def test_n_delta_antitone_and_monotone():
 
 def test_n_delta_grid_proxy_2d():
     E = DyadicCubeSet.full(2, 3)
-    assert n_delta(E, Fraction(1, 4)).count == 16
+    assert n_delta(E, Fraction(1, 4)) == 16
     assert lower_box_dim(E, [Fraction(1, 2**k) for k in range(1, 7)]).mode == "grid-proxy"
 
 
@@ -733,17 +731,17 @@ def test_premeasure_single_point():
     E = points_union([0.0])
     zeta = make_preset("power", s=1)
     scales = [Fraction(1, 2**j) for j in range(1, 11)]
-    assert lower_box_premeasure(E, zeta, math.inf, scales).value == pytest.approx(2.0**-10)
-    assert all(n_delta(E, s).count == 1 for s in scales)
+    assert lower_box_premeasure(E, zeta, math.inf, scales) == pytest.approx(2.0**-10)
+    assert all(n_delta(E, s) == 1 for s in scales)
 
 
 def test_premeasure_unit_interval():
     E = IntervalUnion.from_pairs([(0, 1)])
     zeta = make_preset("power", s=1)
     scales = [Fraction(1, 2**j) for j in range(1, 11)]
-    assert lower_box_premeasure(E, zeta, math.inf, scales).value == pytest.approx(1.0)
+    assert lower_box_premeasure(E, zeta, math.inf, scales) == pytest.approx(1.0)
     for s in scales:
-        assert 1.0 <= n_delta(E, s).count * zeta.eval(float(s)) <= 2.0
+        assert 1.0 <= n_delta(E, s) * zeta.eval(float(s)) <= 2.0
 
 
 def test_premeasure_cantor_exact_product():
@@ -751,8 +749,8 @@ def test_premeasure_cantor_exact_product():
     zeta = make_preset("power", s=LN2_LN3)
     scales = [Fraction(1, 3**k) for k in range(1, 9)]
     for s in scales:
-        assert n_delta(E, s).count * zeta.eval(float(s)) == pytest.approx(1.0, rel=1e-12)
-    assert lower_box_premeasure(E, zeta, math.inf, scales).value == pytest.approx(1.0, rel=1e-12)
+        assert n_delta(E, s) * zeta.eval(float(s)) == pytest.approx(1.0, rel=1e-12)
+    assert lower_box_premeasure(E, zeta, math.inf, scales) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_lower_box_dim_cantor():
@@ -784,23 +782,21 @@ def test_lower_box_dim_finite_set():
 def test_hausdorff_cantor_sums_are_one():
     g = make_preset("power", s=LN2_LN3)
     for k in range(1, 13):
-        rec = hausdorff_upper(cantor_intervals(k), g, cantor_natural_cover(k))
-        assert abs(rec.total - 1.0) <= 1e-12
+        total = hausdorff_upper(cantor_intervals(k), g, cantor_natural_cover(k))
+        assert abs(total - 1.0) <= 1e-12
 
 
 def test_hausdorff_point_auto_cover():
     g = make_preset("power", s=2)
     for m in (4, 8):
         E = DyadicCubeSet.from_points(1, m, [(0.5,)])
-        rec = hausdorff_upper(E, g)
-        assert rec.total == pytest.approx((2.0**-m) ** 2, rel=1e-12)
+        assert hausdorff_upper(E, g) == pytest.approx((2.0**-m) ** 2, rel=1e-12)
 
 
 def test_hausdorff_unit_interval_power2():
     g = make_preset("power", s=2)
     for k in (2, 6, 10):
-        rec = hausdorff_upper(DyadicCubeSet.full(1, k), g)
-        assert rec.total == pytest.approx(2.0**-k, rel=1e-12)
+        assert hausdorff_upper(DyadicCubeSet.full(1, k), g) == pytest.approx(2.0**-k, rel=1e-12)
 
 
 def test_hausdorff_cover_must_cover():
@@ -911,7 +907,7 @@ def test_cover_split_at_a_third():
     boxes = [((0, third), (0, 1)), ((third, 1), (0, 1))]
     E = DyadicCubeSet.full(2, 0)
     g = make_preset("power", s=1)
-    assert hausdorff_upper(E, g, BoxCover.from_boxes(2, boxes)).total == 2.0
+    assert hausdorff_upper(E, g, BoxCover.from_boxes(2, boxes)) == 2.0
     assert bisection_uncovered([(0, 0)], 0, FractionBoxCover(2, boxes).boxes) is not None
     with pytest.raises(CoverageError) as err:
         hausdorff_upper(E, g, BoxCover.from_boxes(2, boxes[:1]))
@@ -1069,39 +1065,9 @@ def test_micro_failure_reports_component():
     assert not cert.ok and "volume" in cert.failure
 
 
-def test_micro_from_hzeta_harmonic():
-    inv = make_preset("inv_log")
-    pairs = []
-    for n in range(1, 11):
-        x = Fraction(n, 20)
-        # exact endpoints: in float, x + e^(-10n) would absorb the tiny width
-        pairs.append((x, x + Fraction(math.exp(-10 * n))))
-    record = CoverRecord(BoxCover.from_boxes(1, [(p,) for p in pairs]), inv)
-    assert record.total == pytest.approx(sum(1.0 / (10 * n) for n in range(1, 11)), rel=1e-12)
-    with pytest.raises(ValueError):
-        micro_from_hzeta(record, 9.0)  # 0.2929 >= 1/9
-    out = micro_from_hzeta(record, 3.0)
-    # the boxes come longest first, box n shorter than e^(-beta n)
-    for n, diam in enumerate(out.cover.diameters().tolist(), start=1):
-        assert Fraction(diam, out.cover.den) < math.exp(-3.0 * n)
-    E = IntervalUnion.from_pairs(pairs)
-    assert microscopic_verify(out.cover, out.eps, E).ok
-
-
-def test_micro_from_hzeta_single_and_plateau():
-    inv = make_preset("inv_log")
-    single = CoverRecord(
-        BoxCover.from_boxes(1, [((0.5, 0.5 + math.exp(-100)),)]), inv
-    )
-    out = micro_from_hzeta(single, 50.0)
-    assert Fraction(int(out.cover.diameters()[0]), out.cover.den) < math.exp(-50)
-    two = CoverRecord(BoxCover.from_boxes(1, [((0.0, 0.5),), ((0.5, 1.0),)]), inv)
-    with pytest.raises(ValueError):
-        micro_from_hzeta(two, 2.0)  # zeta(1/2) = 1 each, sum 2 >= 1/2
-
-
-def test_cover_record_evaluates_the_gauge_once_per_box():
-    # the record's per-box values give its total and feed micro_from_hzeta
+def test_hausdorff_upper_evaluates_the_gauge_once_per_box():
+    # the micro route takes its cover sum from hausdorff_upper, and
+    # evaluates the gauge nowhere else
     calls = []
 
     class CountingGauge(Gauge):
@@ -1111,9 +1077,12 @@ def test_cover_record_evaluates_the_gauge_once_per_box():
 
     E = IntervalUnion.from_pairs((Fraction(n, 20), Fraction(n, 20) + Fraction(1, 2**40))
                                  for n in range(1, 6))
-    record = hausdorff_upper(E, CountingGauge("inv_log"), BoxCover.from_intervals(E))
-    out = micro_from_hzeta(record, 1.0 / (2.0 * record.total))
-    assert len(out.cover) == 5
+    total = hausdorff_upper(E, CountingGauge("inv_log"), BoxCover.from_intervals(E))
+    assert total == pytest.approx(5.0 / (40.0 * math.log(2.0)), rel=1e-12)
+    assert calls == [2.0**-40] * 5
+    calls.clear()
+    cover, _, _ = _micro_route(E, CountingGauge("inv_log"))
+    assert len(cover) == 5
     assert calls == [2.0**-40] * 5
 
 
