@@ -371,15 +371,7 @@ def _load_set(spec: str):
 def _cmd_dims(cfg: RunConfig) -> int:
     E = _load_set(cfg.input_path)
     scales = _parse_scales(cfg.scales or "dyadic:1..10")
-    report = setlib.lower_box_dim(E, scales)
-    payload = {
-        "lbdim_proxy": report.lbdim_proxy,
-        "slope": report.slope,
-        "mode": report.mode,
-        "empty": report.empty,
-        "entries": [{"r": r, "N": n, "ratio": q} for r, n, q in report.entries],
-    }
-    _write_json(cfg.out or "dims.json", payload)
+    _write_json(cfg.out or "dims.json", setlib.lower_box_dim(E, scales))
     return 0
 
 
@@ -396,25 +388,33 @@ def _cmd_partition(cfg: RunConfig) -> int:
     B_img = partition.b_image_cubes(build, cfg.img_depth)
     A, B = partition.split_partition(build)
     reports = [partition.image_cover_report(build.final, B, phi, xi, delta) for delta in ladder]
-    antitone = all(a.total >= b.total for a, b in zip(reports, reports[1:]))
-    graph = partition.graph_cross_check(build, B)
+    failures = []
+    for r in reports:
+        where = f"image_cover at delta={r['delta']:g}: "
+        if r["uncovered_points"]:
+            failures.append(f"{where}{len(r['uncovered_points'])} of {len(B)} B cube centres"
+                            " uncovered")
+        elif not r["verdict"]:
+            failures.append(f"{where}sum {r['sum']:g} above bound {r['bound']:g}")
+    rising = [(a, b) for a, b in zip(reports, reports[1:]) if not a["sum"] >= b["sum"]]
+    failures += [f"antitone: sum {b['sum']:g} at delta={b['delta']:g} above sum {a['sum']:g}"
+                 f" at delta={a['delta']:g}" for a, b in rising]
+    off_plateau = partition.graph_cross_check(build, B)
+    if off_plateau is not None:
+        failures.append(f"graph_check: B cube {off_plateau} at depth {B.depth} lies on no"
+                        " deepest plateau")
     scale_hi = min(12, A.depth)
     dims_scales = [2.0**-j for j in range(1, max(7, scale_hi) + 1)]
-    lb_A = setlib.lower_box_dim(A, dims_scales)
-    lb_B = setlib.lower_box_dim(B_img, dims_scales)
-    checks = {"image_cover": all(r.verdict for r in reports), "antitone": antitone,
-              "graph_check": graph.ok}
-    failures = [name for name, passed in checks.items() if not passed]
     if build.budget_failure:  # say, a base.fn from another run
         failures.append(build.budget_failure)
     ok = not failures
     payload = {
         "split": {"A_cubes": len(A), "B_cubes": len(B), "depth": A.depth},
-        "image_cover": [r.to_json() for r in reports],
-        "antitone_ok": antitone,
-        "graph_check": {"ok": graph.ok, "checked": graph.checked, "off_plateau": graph.off_plateau},
-        "lbdim_A": lb_A.lbdim_proxy,
-        "lbdim_B_img": lb_B.lbdim_proxy,
+        "image_cover": reports,
+        "antitone_ok": not rising,
+        "graph_check": {"ok": off_plateau is None, "checked": len(B), "off_plateau": off_plateau},
+        "lbdim_A": setlib.lower_box_dim(A, dims_scales)["lbdim_proxy"],
+        "lbdim_B_img": setlib.lower_box_dim(B_img, dims_scales)["lbdim_proxy"],
         "all_pass": ok,
     }
     out = cfg.out or "partition.json"
@@ -433,23 +433,21 @@ def _cmd_micro(cfg: RunConfig) -> int:
     E = _load_set(cfg.input_path)
     cert = setlib.microscopic_certificate(E, cfg.eps, cfg.nmax)
     out = cfg.out or "micro"
-    ok = cert.ok
-    if cert.ok and cert.cover is not None:
-        verify = setlib.microscopic_verify(cert.cover, cfg.eps, E)
-        ok = verify.ok
+    failure = cert.failure
+    if failure is None:
+        failure = setlib.microscopic_verify(cert.cover, cfg.eps, E)
         setlib.save_cover(out + ".cover", cert.cover)
     payload = {
-        "ok": ok,
+        "ok": failure is None,
         "eps": cfg.eps,
         "boxes": len(cert.cover) if cert.cover else 0,
         "assignments": [list(a) for a in cert.assignments],
         "failure": cert.failure,
     }
     _write_json(out + ".json", payload)
-    if not ok:
-        print(f"certificate failure: {cert.failure or 'cover failed verification'}",
-              file=sys.stderr)
-    return 0 if ok else 1
+    if failure is not None:
+        print(f"certificate failure: {failure}", file=sys.stderr)
+    return 0 if failure is None else 1
 
 
 def _cmd_report(cfg: RunConfig) -> int:

@@ -176,6 +176,11 @@ class StageParams:
     def cube_union(self) -> IntervalUnion:
         return self._union("cube", self.k)
 
+    def kept_cubes(self, domain: DyadicCubeSet) -> np.ndarray:
+        """The indices j of the shrunken cubes that meet the domain Omega: the
+        cubes the stage plateaus, for build_stage and load_build alike."""
+        return np.flatnonzero(self.cube_union().meets(domain.to_interval_union()))
+
     def required_depth(self) -> int:
         """Smallest grid depth giving >= 4 cells per gap and per cube side."""
         need = min(self.eta / 4, self.ell / 4)
@@ -277,14 +282,9 @@ class StageRecord:
     depth: int
     lo_v: np.ndarray
     hi_v: np.ndarray
-    kept: np.ndarray  # grid indices j of cubes meeting the domain
+    kept: np.ndarray  # StageParams.kept_cubes of the domain
     membership_slack: float  # (1/n) phi(eta/2), the F(C) threshold
     lip_slack: float  # (1/n) phi(eta/4), the ball-certificate threshold
-
-    @property
-    def dropped(self) -> tuple[int, ...]:
-        """Grid indices j of the cubes missing the domain."""
-        return tuple(_complement(self.kept, self.params.k).tolist())
 
     @property
     def slack_min(self) -> float:
@@ -301,13 +301,6 @@ class StageRecord:
         return j if lo * q <= p * self.params.layout_den <= hi * q else None
 
 
-def _complement(indices, k: int) -> np.ndarray:
-    """The sorted indices of range(k) that are not among `indices`."""
-    mask = np.ones(k, dtype=bool)
-    mask[indices] = False
-    return np.flatnonzero(mask)
-
-
 def _require_dim_1(f: SampledFunction) -> None:
     if f.dim != 1:
         raise ConstructError(f"staircase builds are implemented for dimension 1, not {f.dim}")
@@ -321,7 +314,8 @@ def build_stage(
     The returned function equals f(x_C) on every cell meeting C (anchor x_C is
     the center grid vertex when in the domain, else the least domain vertex of
     C), so diam g(C) = 0 exactly; across gaps g interpolates neighboring
-    plateau values, and g - f is clamped to [-eps, eps].
+    plateau values, and g - f is clamped to [-eps, eps].  The cubes are
+    params.kept_cubes(f.domain).
     """
     _require_dim_1(f)
     need = params.required_depth()
@@ -329,19 +323,16 @@ def build_stage(
         raise ConstructError(f"grid depth {f.depth} insufficient; stage needs {need}")
     m = f.depth
     top = 1 << m
-    js = np.arange(params.k, dtype=np.int64)
-    lo_v, hi_v, anchors = plateau_vertex_ranges(params, m, js)
-    if not f.full_domain:
-        meets = params.cube_union().meets(f.domain.to_interval_union())
-        for j in np.flatnonzero(meets & np.isnan(f.values[anchors])):
-            # least domain vertex of the plateau, -1 when there is none
-            anchors[j] = next(
-                (i for i in range(lo_v[j], hi_v[j] + 1) if not math.isnan(f.values[i])), -1
-            )
-        keep = meets & (anchors >= 0)
-        js, lo_v, hi_v, anchors = js[keep], lo_v[keep], hi_v[keep], anchors[keep]
+    js = params.kept_cubes(f.domain)
     if len(js) == 0:
         raise ConstructError("no cube meets the domain")
+    lo_v, hi_v, anchors = plateau_vertex_ranges(params, m, js)
+    if not f.full_domain:
+        for j in np.flatnonzero(np.isnan(f.values[anchors])):
+            # a center off the domain: the least domain vertex of the plateau,
+            # as the cells meeting a cube that meets the domain hold one
+            anchors[j] = next(i for i in range(lo_v[j], hi_v[j] + 1)
+                              if not math.isnan(f.values[i]))
     values = np.asarray(f.values, dtype=np.float64)
     plat_vals = values[anchors]
 
@@ -621,7 +612,7 @@ def exceptional_set(build: TypicalBuild) -> ExceptionalAnalysis:
     cover = beta = verified = None
     if getattr(build.zeta, "kind", "") == "inv_log":
         cover, total, beta = _micro_route(E_intervals, build.zeta)
-        verified = microscopic_verify(cover, math.exp(-beta), E_intervals).ok
+        verified = microscopic_verify(cover, math.exp(-beta), E_intervals) is None
         notes.append(f"micro route: cover sum {total:g}, beta {beta:g}")
 
     return ExceptionalAnalysis(
@@ -675,7 +666,6 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
             "eta": str(rec.params.eta),
             "delta": str(rec.params.delta),
             "depth": rec.depth,
-            "dropped": list(rec.dropped),
         }
         for rec in build.stages
     ]
@@ -696,26 +686,19 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
 
 def _stage(
     position: int, item: dict, zeta: GaugeLike, eps: float
-) -> tuple[StageParams, int, np.ndarray]:
-    """(params, depth, kept cubes) of the stages.json entry at `position`,
-    whose budget is eps.  ValueError unless n is the position, k and depth
-    are ints, dropped lists distinct cube indices in 0..k-1 and the choices
-    pass StageParams.validate."""
-    n, k, depth, dropped = (item[key] for key in ("n", "k", "depth", "dropped"))
+) -> tuple[StageParams, int]:
+    """(params, depth) of the stages.json entry at `position`, whose budget
+    is eps.  ValueError unless n is the position, k and depth are ints and
+    the choices pass StageParams.validate."""
+    n, k, depth = (item[key] for key in ("n", "k", "depth"))
     if type(n) is not int or n != position:
         raise ValueError(f"n is {n!r}, not the stage's position {position}")
     if type(k) is not int or type(depth) is not int:
         raise ValueError(f"k and depth must be ints, not {k!r} and {depth!r}")
-    if not (
-        isinstance(dropped, list)
-        and all(type(j) is int and 0 <= j < k for j in dropped)
-        and len(set(dropped)) == len(dropped)
-    ):
-        raise ValueError(f"dropped must list distinct cube indices in 0..{k - 1}")
     eta = Fraction(item["eta"])
     params = StageParams(n, eps, Fraction(item["delta"]), k, eta, zeta.eval(float(eta)))
     params.validate()
-    return params, depth, _complement(dropped, k)
+    return params, depth
 
 
 def _check_depths(directory, base: SampledFunction, final: SampledFunction, depths) -> None:
@@ -750,12 +733,14 @@ def _check_depths(directory, base: SampledFunction, final: SampledFunction, dept
 
 def load_build(directory) -> TypicalBuild:
     """Read a build directory; thresholds and budgets are recomputed from
-    meta.json, and other keys in stages.json (as an old build's epsilon) are
-    ignored.  meta.json's eps0 must be positive and finite, both functions
-    must be 1-d on one domain (sup_distance compares them vertex by vertex),
-    with base.depth <= depth_1 <= ... <= depth_N = final.depth, each stage
-    must pass _stage's checks, and its plateau edges must lie on its grid;
-    otherwise FormatError names the file and the stage."""
+    meta.json, the kept cubes from the functions' domain, and other keys in
+    stages.json (as an old build's epsilon or dropped) are ignored.
+    meta.json's eps0 must be positive and finite and its early_stop null or
+    a string, both functions must be 1-d on one domain (sup_distance
+    compares them vertex by vertex), with base.depth <= depth_1 <= ... <=
+    depth_N = final.depth, each stage must pass _stage's checks, and its
+    plateau edges must lie on its grid; otherwise FormatError names the file
+    and the stage."""
     base = load_function(os.path.join(directory, "base.fn"))
     final = load_function(os.path.join(directory, "final.fn"))
     with _format_errors(directory):
@@ -767,6 +752,9 @@ def load_build(directory) -> TypicalBuild:
         eps0, early_stop = meta["eps0"], meta["early_stop"]
         if type(eps0) not in (int, float) or not 0.0 < eps0 < math.inf:  # as construct --eps0
             raise FormatError(f"{directory}: meta.json's eps0 {eps0!r} must be positive and finite")
+        if not (early_stop is None or type(early_stop) is str):  # as iterate_typical writes it
+            raise FormatError(f"{directory}: meta.json's early_stop {early_stop!r} must be null"
+                              " or a string")
         choices, slacks = [], []
         for position, item in enumerate(raw, 1):
             eps = stage_budget(eps0, [min(slack) for slack in slacks])
@@ -775,9 +763,12 @@ def load_build(directory) -> TypicalBuild:
                 slacks.append(stage_slacks(choices[-1][0], phi))
             except (ValueError, TypeError, KeyError, ArithmeticError) as err:
                 raise FormatError(f"stages.json stage {position}: {err}") from err
-        _check_depths(directory, base, final, [depth for _, depth, _ in choices])
+        _check_depths(directory, base, final, [depth for _, depth in choices])
     stages = []
-    for (params, depth, kept), slack in zip(choices, slacks):
+    for (params, depth), slack in zip(choices, slacks):
+        kept = params.kept_cubes(base.domain)
+        if len(kept) == 0:  # as build_stage refuses it
+            raise FormatError(f"{directory}: no stage {params.n} cube meets the functions' domain")
         try:
             lo_v, hi_v, _ = plateau_vertex_ranges(params, depth, kept)
         except ConstructError as err:  # eta's plateau edges off the stage's grid

@@ -27,8 +27,6 @@ from .setlib import DyadicCubeSet
 
 __all__ = [
     "VitaliCover",
-    "ImageCoverReport",
-    "GraphCheckReport",
     "split_partition",
     "vitali_5r",
     "image_cover_report",
@@ -47,8 +45,6 @@ class VitaliCover:
     expansion."""
 
     kept: tuple[int, ...]
-    candidate_count: int
-    discarded_count: int
     witnesses: tuple[int, ...]
 
     def verify(self, centers, radii) -> None:
@@ -137,9 +133,7 @@ def vitali_5r(centers, radii) -> VitaliCover:
         kr = np.insert(kr, at, r)
         kp = np.insert(kp, at, len(kept) + np.arange(len(new)))
         kept.extend(members[new].tolist())
-    cover = VitaliCover(
-        tuple(kept), len(centers), len(centers) - len(kept), tuple(witnesses.tolist())
-    )
+    cover = VitaliCover(tuple(kept), tuple(witnesses.tolist()))
     cover.verify(centers, radii)
     return cover
 
@@ -160,46 +154,6 @@ def split_partition(build: TypicalBuild) -> tuple[DyadicCubeSet, DyadicCubeSet]:
     B = DyadicCubeSet(1, raster_depth, np.setdiff1d(omega, A.keys, assume_unique=True))
     A = DyadicCubeSet(1, raster_depth, np.intersect1d(A.keys, omega, assume_unique=True))
     return A, B
-
-
-@dataclass(frozen=True)
-class ImageCoverReport:
-    """Vitali image-cover sum against the delta(1+2delta)^d / alpha_d bound."""
-
-    gauge_xi: str
-    gauge_phi: str
-    delta: float
-    norm: str
-    alpha_d: float
-    balls: tuple[tuple[tuple[float, ...], float, float], ...]  # (x, r, diam_upper)
-    total: float
-    bound: float
-    verdict: bool
-    chain: tuple[tuple[float, float, float], ...]  # xi(diam), xi(phi(5r)), r^(d+1)
-    uncovered_points: tuple[tuple[float, ...], ...]  # centers of the cubes not covered
-    candidate_count: int
-    discarded_count: int
-
-    def to_json(self) -> dict:
-        return {
-            "gauge_xi": self.gauge_xi,
-            "gauge_phi": self.gauge_phi,
-            "delta": self.delta,
-            "norm": self.norm,
-            "alpha_d": self.alpha_d,
-            "balls": [
-                {"x": list(x), "r": r, "diam_upper": d} for x, r, d in self.balls
-            ],
-            "sum": self.total,
-            "bound": self.bound,
-            "verdict": self.verdict,
-            "chain_audit": [
-                {"xi_diam": a, "xi_phi_5r": b, "r_pow_d1": c} for a, b, c in self.chain
-            ],
-            "uncovered_points": [list(x) for x in self.uncovered_points],
-            "candidates": self.candidate_count,
-            "discarded": self.discarded_count,
-        }
 
 
 RADIUS_SCAN = 60  # deepest dyadic exponent scanned for an admissible radius
@@ -247,19 +201,21 @@ def image_cover_report(
     phi: GaugeLike,
     xi: GaugeLike,
     delta: float,
-) -> ImageCoverReport:
-    """Cover f(B) through admissible balls seeded at every cube center of B.
+) -> dict:
+    """Cover f(B) through admissible balls seeded at every cube center of B;
+    returns the partition payload's image_cover record.
 
     Admissibility is checked against certified oscillation upper bounds, the
-    greedy Vitali pass keeps a disjoint family, and the report carries the
-    per-ball chain xi(diam E_i) <= xi(phi(5 r_i)) <= r_i^(d+1) next to the
-    analytic bound delta (1+2 delta)^d / alpha_d.  Each candidate lies in a
+    greedy Vitali pass keeps a disjoint family, and the record carries the
+    per-ball chain xi(diam E_i) <= xi(phi(5 r_i)) <= r_i^(d+1) (chain_audit)
+    next to the analytic bound delta (1+2 delta)^d / alpha_d.  Each candidate lies in a
     kept ball's 5r expansion, whose image has diameter at most diam_upper,
     so these images cover f(B) once each cube's image lies in its own
     ball's: the ball covers the cube (radius >= half the side), or f is
     constant on it (an exact oscillation bound of 0).  The centers of the
     other cubes are the uncovered_points; the verdict needs none, and the
-    sum within the bound.
+    sum within the bound.  Of the candidates (the covered centers), the
+    Vitali pass discards all but the balls listed.
     """
     if f.dim != 1:
         raise ValueError("image cover pipeline is implemented for dimension 1")
@@ -276,7 +232,7 @@ def image_cover_report(
     open_, narrow = ~found, found & (radii < half_side)
     if narrow.any():  # only an exact bracket can show that f is constant
         open_[narrow] = not f.exact or oscillation(f, centers[narrow], half_side).upper > 0.0
-    uncovered = [(x,) for x in centers[open_].tolist()]
+    uncovered = [[x] for x in centers[open_].tolist()]
     centers, radii, diams = centers[found], radii[found], diams[found]
     cover = vitali_5r(centers, radii)
     kept = list(cover.kept)
@@ -294,25 +250,25 @@ def image_cover_report(
                 f" xi(phi(5r)) = {xi_phi:g}, r^(d+1) = {rpow:g}"
             )
         total += xi_diam
-        balls.append(((x,), r, diam5))
-        chain.append((xi_diam, xi_phi, rpow))
-    alpha_d = 2.0**d  # unit-ball volume in the max norm
+        balls.append({"x": [x], "r": r, "diam_upper": diam5})
+        chain.append({"xi_diam": xi_diam, "xi_phi_5r": xi_phi, "r_pow_d1": rpow})
+    alpha_d = 2.0**d
     bound = delta * (1.0 + 2.0 * delta) ** d / alpha_d
-    return ImageCoverReport(
-        format_gauge(xi),
-        format_gauge(phi),
-        delta,
-        "max",
-        alpha_d,
-        tuple(balls),
-        total,
-        bound,
-        total <= bound and not uncovered,
-        tuple(chain),
-        tuple(uncovered),
-        cover.candidate_count,
-        cover.discarded_count,
-    )
+    return {
+        "gauge_xi": format_gauge(xi),
+        "gauge_phi": format_gauge(phi),
+        "delta": delta,
+        "norm": "max",
+        "alpha_d": alpha_d,
+        "balls": balls,
+        "sum": total,
+        "bound": bound,
+        "verdict": total <= bound and not uncovered,
+        "chain_audit": chain,
+        "uncovered_points": uncovered,
+        "candidates": len(centers),
+        "discarded": len(centers) - len(kept),
+    }
 
 
 def b_image_cubes(build: TypicalBuild, img_depth: int = 20) -> DyadicCubeSet:
@@ -337,18 +293,10 @@ def b_image_cubes(build: TypicalBuild, img_depth: int = 20) -> DyadicCubeSet:
     return DyadicCubeSet.from_points(1, img_depth, values)
 
 
-@dataclass(frozen=True)
-class GraphCheckReport:
-    checked: int  # the B cubes compared
-    off_plateau: int | None  # the key of the first on no deepest kept plateau
-
-    @property
-    def ok(self) -> bool:
-        return self.off_plateau is None
-
-
-def graph_cross_check(build: TypicalBuild, B: DyadicCubeSet) -> GraphCheckReport:
-    """graph(f) within (A x R) u (R x B_img) on all of Omega, proved cube by cube.
+def graph_cross_check(build: TypicalBuild, B: DyadicCubeSet) -> int | None:
+    """graph(f) within (A x R) u (R x B_img) on all of Omega, proved cube by
+    cube; returns the key of the first B cube on no deepest kept plateau, or
+    None when there is none.
 
     split_partition gives Omega = A u B exactly, and b_image_cubes shows that
     f is flat on every deepest kept plateau, with each plateau value in
@@ -360,4 +308,4 @@ def graph_cross_check(build: TypicalBuild, B: DyadicCubeSet) -> GraphCheckReport
     s, t = depth - B.depth, depth - rec.depth
     i = np.searchsorted(rec.lo_v << t, B.keys << s, "right") - 1  # the last plateau at or before
     off = np.flatnonzero((i < 0) | ((B.keys + 1) << s > (rec.hi_v << t)[np.maximum(i, 0)]))
-    return GraphCheckReport(len(B), int(B.keys[off[0]]) if len(off) else None)
+    return int(B.keys[off[0]]) if len(off) else None

@@ -716,18 +716,12 @@ def lower_box_premeasure(E, zeta: GaugeLike, eps: float, scales: Sequence[Number
     return min(count * zeta.eval(float(s)) for s, count in zip(scanned, counts))
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    """Lower box dimension proxies from a scanned scale grid."""
-
-    lbdim_proxy: float  # min of log N / |log r| over the deepest half (liminf proxy)
-    slope: float  # least-squares slope of log N against |log r|, diagnostic
-    entries: tuple[tuple[float, int, float], ...]  # (r, N, ratio)
-    mode: str
-    empty: bool = False
-
-
-def lower_box_dim(E, scales: Sequence[Number]) -> DimensionReport:
+def lower_box_dim(E, scales: Sequence[Number]) -> dict:
+    """Lower box dimension proxies from a scanned scale grid, as the dims
+    payload: entries {r, N, ratio = log N / |log r|} per scale, lbdim_proxy
+    = the least ratio over the deepest half (a liminf proxy), slope = the
+    least-squares slope of log N against |log r| (a diagnostic), the
+    counting mode, and empty, whether every count is 0 (both proxies 0)."""
     scales = list(scales)
     if len(scales) < 6:
         raise ValueError("need at least 6 scales")
@@ -736,15 +730,16 @@ def lower_box_dim(E, scales: Sequence[Number]) -> DimensionReport:
     for s, count in zip(scales, counts):
         r = float(s)
         ratio = math.log(count) / abs(math.log(r)) if count > 0 else 0.0
-        entries.append((r, count, ratio))
-    if not any(counts):
-        return DimensionReport(0.0, 0.0, tuple(entries), mode, empty=True)
-    tail = entries[len(entries) // 2 :]
-    proxy = min(ratio for _, _, ratio in tail)
-    xs = np.array([abs(math.log(r)) for r, n, _ in entries if n > 0])
-    ys = np.array([math.log(n) for _, n, _ in entries if n > 0])
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else 0.0
-    return DimensionReport(proxy, slope, tuple(entries), mode)
+        entries.append({"r": r, "N": count, "ratio": ratio})
+    empty = not any(counts)
+    proxy = slope = 0.0
+    if not empty:
+        proxy = min(e["ratio"] for e in entries[len(entries) // 2 :])
+        hit = [e for e in entries if e["N"] > 0]
+        xs = np.array([abs(math.log(e["r"])) for e in hit])
+        ys = np.array([math.log(e["N"]) for e in hit])
+        slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else 0.0
+    return {"lbdim_proxy": proxy, "slope": slope, "mode": mode, "empty": empty, "entries": entries}
 
 
 # ---------------------------------------------------------------------------
@@ -905,10 +900,9 @@ def product_lemma_check(
 
 @dataclass(frozen=True)
 class MicroCertificate:
-    ok: bool
     cover: BoxCover | None
     assignments: tuple[tuple[int, float], ...]  # (index n, component volume)
-    failure: str | None = None
+    failure: str | None = None  # None: the cover certifies the set
 
 
 def _components(E) -> BoxCover:
@@ -986,36 +980,31 @@ def microscopic_certificate(E, eps: float, n_max: int) -> MicroCertificate:
             failure = f"more than n_max={n_max} components" if n > n_max else (
                 f"component with bounding box volume {vol:.6g} cannot fit budget eps^{n}={eps**n:.6g}"
             )
-            return MicroCertificate(False, None, tuple(assignments), failure)
+            return MicroCertificate(None, tuple(assignments), failure)
         boxes.append(_inflate(lo[i], hi[i], eps**n))
         assignments.append((n, vol))
-    return MicroCertificate(True, BoxCover.from_boxes(comps.dim, boxes), tuple(assignments))
+    return MicroCertificate(BoxCover.from_boxes(comps.dim, boxes), tuple(assignments))
 
 
-@dataclass(frozen=True)
-class MicroVerifyResult:
-    ok: bool
-    bad_index: int | None = None  # 1-based index violating the volume budget
-    uncovered: tuple | None = None
-
-
-def microscopic_verify(cover: BoxCover, eps: float, E) -> MicroVerifyResult:
-    """Check lambda_d(B_n) <= eps^n and coverage of E; first violation wins.
+def microscopic_verify(cover: BoxCover, eps: float, E) -> str | None:
+    """Check lambda_d(B_n) <= eps^n and coverage of E; None when both hold,
+    else a text naming the first violation: the box n with its volume and
+    eps^n, or a point of E in no box.
 
     Volumes and eps^n are compared exactly, as integers: volume / den^d <=
     p^n / q^n for eps = p / q."""
     p, q = _ratio(eps)
     scale = cover.den**cover.dim
     budget_num = budget_den = 1
-    for i, vol in enumerate(cover.volumes().tolist()):
+    for n, vol in enumerate(cover.volumes().tolist(), 1):
         budget_num, budget_den = budget_num * p, budget_den * q
         if vol * budget_den > budget_num * scale:
-            return MicroVerifyResult(False, bad_index=i + 1)
+            return f"box {n} has volume {vol / scale:.6g} above eps^{n} = {eps**n:.6g}"
     try:
         _check_cover(E, cover)
     except CoverageError as err:
-        return MicroVerifyResult(False, uncovered=(err.witness,))
-    return MicroVerifyResult(True)
+        return str(err)
+    return None
 
 
 def cantor_natural_cover(depth: int) -> BoxCover:

@@ -160,14 +160,14 @@ def test_criterion_4_exceptional_set_smallness():
 def test_criterion_5_dimension_oracles():
     with criterion(5, "dimension oracles", 10.0):
         rep = lower_box_dim(cantor_intervals(12), [Fraction(1, 3**k) for k in range(1, 13)])
-        assert abs(rep.lbdim_proxy - LN2_LN3) <= 0.02
+        assert abs(rep["lbdim_proxy"] - LN2_LN3) <= 0.02
         square = lower_box_dim(
             DyadicCubeSet.full(2, 8), [Fraction(1, 2**k) for k in range(1, 9)]
         )
-        assert abs(square.lbdim_proxy - 2.0) <= 0.01
+        assert abs(square["lbdim_proxy"] - 2.0) <= 0.01
         pts = points_union([0.11, 0.23, 0.47, 0.71, 0.89])
         finite = lower_box_dim(pts, [Fraction(1, 2**k) for k in range(1, 25)])
-        assert finite.lbdim_proxy <= 0.1
+        assert finite["lbdim_proxy"] <= 0.1
         gauge = make_preset("power", s=LN2_LN3)
         for k in range(1, 13):
             total = hausdorff_upper(cantor_intervals(k), gauge, cantor_natural_cover(k))
@@ -183,14 +183,13 @@ def test_criterion_6_partition_pipeline():
         totals = []
         for delta in (0.1, 0.01, 0.001):
             rep = image_cover_report(build.final, B, phi, xi, delta)
-            assert rep.total <= delta * (1.0 + 2.0 * delta) / 2.0
-            assert rep.verdict
-            assert not rep.uncovered_points
-            totals.append(rep.total)
+            assert rep["sum"] <= delta * (1.0 + 2.0 * delta) / 2.0
+            assert rep["verdict"]
+            assert not rep["uncovered_points"]
+            totals.append(rep["sum"])
         assert all(a >= b for a, b in zip(totals, totals[1:]))  # antitone in delta
         b_image_cubes(build)  # the final function is flat on every deepest plateau
-        graph = graph_cross_check(build, B)
-        assert graph.ok and graph.checked == len(B) > 0
+        assert len(B) > 0 and graph_cross_check(build, B) is None
 
 
 def test_criterion_7_microscopic_path():
@@ -202,7 +201,7 @@ def test_criterion_7_microscopic_path():
         analysis = exceptional_set(build)
         cover, beta = analysis.micro_cover, analysis.micro_beta
         assert cover is not None
-        assert microscopic_verify(cover, math.exp(-beta), analysis.E_intervals).ok
+        assert microscopic_verify(cover, math.exp(-beta), analysis.E_intervals) is None
         assert analysis.micro_verified
         # certificate region contains F_approx; cross power in d = 1 is the set
         cert_region = cover.interval_union()

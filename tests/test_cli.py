@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liplab import cli, funclib, gauges, setlib
+from liplab import cli, funclib, gauges, partition, setlib
 from liplab import construct as construct_mod
 from liplab.cli import RunConfig, main
 from oracles import fraction_core
@@ -96,22 +96,47 @@ def test_report_ignores_stored_thresholds(workdir):
 
 @pytest.mark.parametrize("dropped", [[-1], [999999], ["x"], [1.5], 5, None, [0, 0], [True]],
                          ids=repr)
-def test_report_rejects_a_malformed_dropped_list(workdir, capsys, dropped):
-    # each was once read as no cube dropped, or as dropping cube 0 or 1
+def test_report_rejects_a_malformed_dropped_list(workdir, dropped):
+    # each was once read as no cube dropped, or as dropping cube 0 or 1; an
+    # older build directory stores a dropped list, which load_build now
+    # passes over for the kept cubes it derives, so no list changes a byte
     assert run(["construct", "--out", "b", "--base", "affine(c=1)", "--nmax", 2,
                 "--depth", 8]) == 0
+    assert run(["report", "b", "--out", "r1.json"]) == 0
     stages = json.loads((workdir / "b" / "stages.json").read_text())
     stages[1]["dropped"] = dropped
     (workdir / "b" / "stages.json").write_text(json.dumps(stages, indent=1))
+    assert run(["report", "b", "--out", "r2.json"]) == 0
+    assert (workdir / "r1.json").read_bytes() == (workdir / "r2.json").read_bytes()
+
+
+def test_report_finds_a_plateau_hidden_by_a_stored_dropped_list(workdir, capsys):
+    # final.fn moved by 0.01 inside stage 3's plateau of cube 50, whose bound
+    # 2*T_3 is 0; a stored "dropped": [50] once hid that plateau from report
+    assert run(["construct", "--base", "affine(c=1)", "--depth", 10, "--nmax", 3,
+                "--phi", "power(s=0.1)", "--zeta", "power(s=1)", "--eps0", 1.0,
+                "--out", "b"]) == 0
+    rec = construct_mod.load_build("b").stages[2]
+    assert rec.lo_v[50] <= 800 <= rec.hi_v[50]
+    final = funclib.load_function(workdir / "b" / "final.fn")
+    values = final.values.copy()
+    values[800] += 0.01
+    funclib.save_function(workdir / "b" / "final.fn", funclib.SampledFunction(
+        1, final.depth, final.domain, values, final.modulus, exact=True))
+    stages = json.loads((workdir / "b" / "stages.json").read_text())
+    stages[2]["dropped"] = [50]
+    (workdir / "b" / "stages.json").write_text(json.dumps(stages, indent=1))
     capsys.readouterr()
-    assert run(["report", "b", "--out", "r.json"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: stages.json stage 2: dropped") and "Traceback" not in err
-    assert not (workdir / "r.json").exists()
+    assert run(["report", "b", "--out", "r.json"]) == 1
+    assert "stage 3: measured plateau diameter" in capsys.readouterr().err
+    payload = json.loads((workdir / "r.json").read_text())
+    assert payload["all_pass"] is False
+    assert payload["membership"][2]["error"].startswith("stage 3: measured plateau diameter")
 
 
 def test_dropped_round_trips_through_the_build_directory(workdir):
-    # a build on Omega = [0, 1/2] drops the cubes of its second half
+    # a build on Omega = [0, 1/2] drops the cubes of its second half, and
+    # load_build derives the same kept cubes from the domain
     f = funclib.make_test_function("affine", {"c": 1.0}, depth=10)
     values = f.values.copy()
     values[(1 << f.depth) // 2 + 1 :] = np.nan
@@ -124,10 +149,11 @@ def test_dropped_round_trips_through_the_build_directory(workdir):
     construct_mod.save_build("half", build)
     stages = json.loads((workdir / "half" / "stages.json").read_text())
     for item, rec, again in zip(stages, build.stages, construct_mod.load_build("half").stages):
-        assert item["dropped"] and item["dropped"] == sorted(set(item["dropped"]))
-        assert sorted(item["dropped"] + rec.kept.tolist()) == list(range(rec.params.k))
+        assert "dropped" not in item
+        dropped = sorted(set(range(rec.params.k)) - set(rec.kept.tolist()))
+        assert dropped and rec.kept.tolist() == sorted(set(rec.kept.tolist()))
         assert np.array_equal(again.kept, rec.kept) and again.kept.dtype == np.int64
-        for j in (int(rec.kept[0]), int(rec.kept[-1]), item["dropped"][0]):
+        for j in (int(rec.kept[0]), int(rec.kept[-1]), dropped[0]):
             a, b = fraction_core(rec.params.k, rec.params.eta, j)
             assert again.covering_core((a + b) / 2) == (j if j in rec.kept else None)
 
@@ -291,20 +317,48 @@ def test_partition_on_a_partial_domain(workdir):
     assert all(0.0 <= ball["x"][0] <= 0.5 for ball in payload["image_cover"][0]["balls"])
 
 
-def test_micro_command_pass_and_fail(workdir):
+def test_partition_failure_lines_name_what_failed(workdir, capsys, monkeypatch):
+    # each failed check names its delta, its pair of deltas or its B cube
+    assert run(["construct", "--out", "b", "--base", "affine(c=1)", "--nmax", 2,
+                "--depth", 10]) == 0
+    cover = partition.image_cover_report
+    monkeypatch.setattr(partition, "image_cover_report", lambda f, B, phi, xi, delta: dict(
+        cover(f, B, phi, xi, delta), sum=1.0 / delta, verdict=False))
+    monkeypatch.setattr(partition, "graph_cross_check", lambda build, B: int(B.keys[0]))
+    capsys.readouterr()
+    assert run(["partition", "b", "--delta-ladder", "0.5,0.25", "--out", "p.json"]) == 1
+    err = capsys.readouterr().err
+    payload = json.loads((workdir / "p.json").read_text())
+    assert payload["antitone_ok"] is False and payload["graph_check"]["ok"] is False
+    key, depth = payload["graph_check"]["off_plateau"], payload["split"]["depth"]
+    bound = payload["image_cover"][0]["bound"]
+    assert err.startswith(f"certificate failure: image_cover at delta=0.5: sum 2 above bound"
+                          f" {bound:g}; image_cover at delta=0.25: sum 4 above bound ")
+    assert "; antitone: sum 4 at delta=0.25 above sum 2 at delta=0.5; " in err
+    assert f"; graph_check: B cube {key} at depth {depth} lies on no deepest plateau" in err
+
+
+def test_micro_command_pass_and_fail(workdir, capsys, monkeypatch):
     E = setlib.DyadicCubeSet.from_points(1, 12, [(0.2,), (0.5,), (0.8,)])
     setlib.save_cubes("pts.set", E)
     assert run(["micro", "pts.set", "--eps", 0.1, "--nmax", 20, "--out", "m"]) == 0
     payload = json.loads((workdir / "m.json").read_text())
     assert payload["ok"] and payload["boxes"] == 3
     cover = setlib.load_cover(workdir / "m.cover")
-    assert setlib.microscopic_verify(cover, 0.1, E).ok
+    assert setlib.microscopic_verify(cover, 0.1, E) is None
     # a fat component cannot be certified at eps close to its size
     F = setlib.DyadicCubeSet.from_interval_union(
         setlib.IntervalUnion.from_pairs([(0, 0.5)]), 4
     )
     setlib.save_cubes("fat.set", F)
+    capsys.readouterr()
     assert run(["micro", "fat.set", "--eps", 0.25, "--nmax", 10, "--out", "mf"]) == 1
+    assert capsys.readouterr().err.startswith("certificate failure: component with bounding box")
+    # a cover that fails its exact check: the failure line is the check's text
+    monkeypatch.setattr(setlib, "microscopic_verify", lambda cover, eps, E: "box 2 is too big")
+    assert run(["micro", "pts.set", "--eps", 0.1, "--nmax", 20, "--out", "mv"]) == 1
+    assert capsys.readouterr().err == "certificate failure: box 2 is too big\n"
+    assert json.loads((workdir / "mv.json").read_text())["ok"] is False
 
 
 @pytest.mark.parametrize("flags, note", [
@@ -519,9 +573,7 @@ def test_partition_reads_plateau_values_from_final_function(workdir):
     build = construct_mod.load_build("b")
     stages = json.loads((workdir / "b" / "stages.json").read_text())
     for item, rec in zip(stages, build.stages):
-        dropped = item.pop("dropped")
-        item.update(anchors=[0] * len(rec.kept), plateau_values=[0.5] * len(rec.kept),
-                    dropped=dropped)
+        item.update(anchors=[0] * len(rec.kept), plateau_values=[0.5] * len(rec.kept))
     (workdir / "b" / "stages.json").write_text(json.dumps(stages, indent=1))
     assert run(["partition", "b", "--out", "p2.json", *flags]) == 0
     assert (workdir / "p1.json").read_bytes() == (workdir / "p2.json").read_bytes()

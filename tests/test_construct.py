@@ -287,8 +287,8 @@ def test_build_stage_partial_domain_drops_cubes():
     f0 = on_left_half(make_test_function("affine", {"c": 1.0}, depth=8))
     p = StageParams(1, 0.5, Fraction(1, 4), 5, Fraction(1, 8), 0.125)
     g, rec = build_stage(f0, p, phi=POWER1)
-    assert rec.kept.tolist() == [0, 1, 2]
-    assert rec.dropped == (3, 4)
+    assert rec.kept.tolist() == [0, 1, 2]  # cubes 3 and 4 miss the domain
+    assert np.array_equal(p.kept_cubes(f0.domain), rec.kept)
     assert rec.lo_v.tolist() == [8, 59, 110]
     assert rec.hi_v.tolist() == [44, 95, 146]
     # each plateau carries f0 at its anchor vertex, bitwise, on its domain vertices
@@ -726,7 +726,7 @@ def test_micro_route_sorts_longest_first_ties_in_order():
     assert total == pytest.approx(sum(1.0 / (e * math.log(2)) for e in exps), rel=1e-12)
     assert beta == 1.0 / (2.0 * total)
     _assert_micro_budgets(cover, beta)
-    assert microscopic_verify(cover, math.exp(-beta), E).ok
+    assert microscopic_verify(cover, math.exp(-beta), E) is None
 
 
 def test_micro_route_harmonic_example_verifies():
@@ -741,7 +741,7 @@ def test_micro_route_harmonic_example_verifies():
     assert total == pytest.approx(sum(1.0 / (10 * n) for n in range(1, 11)), rel=1e-12)
     assert cover.interval_union() == E
     _assert_micro_budgets(cover, beta)
-    assert microscopic_verify(cover, math.exp(-beta), E).ok
+    assert microscopic_verify(cover, math.exp(-beta), E) is None
 
 
 def test_micro_route_empty_sum_and_beta_cap():
@@ -749,7 +749,7 @@ def test_micro_route_empty_sum_and_beta_cap():
     points = IntervalUnion.from_pairs([(Fraction(1, 3),) * 2, (Fraction(1, 2),) * 2])
     cover, total, beta = _micro_route(points, INV_LOG)
     assert (total, beta, len(cover)) == (0.0, 1.0, 2)
-    assert microscopic_verify(cover, math.exp(-beta), points).ok
+    assert microscopic_verify(cover, math.exp(-beta), points) is None
     # 2000 points beside one interval: beta is capped at 600/N, which keeps
     # the last budget e^(-beta N) = e^-600 positive
     pairs = [(Fraction(k, 4096),) * 2 for k in range(1, 2001)]
@@ -757,7 +757,7 @@ def test_micro_route_empty_sum_and_beta_cap():
     cover, total, beta = _micro_route(E, INV_LOG)
     assert 1.0 / (2.0 * total) > 600.0 / 2001 and beta == 600.0 / 2001
     assert cover.lo[0, 0] == cover.den // 2  # the interval comes first
-    assert microscopic_verify(cover, math.exp(-beta), E).ok
+    assert microscopic_verify(cover, math.exp(-beta), E) is None
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +770,7 @@ def test_build_save_load_round_trip(tmp_path):
     back = load_build(tmp_path / "b")
     stages = json.loads((tmp_path / "b" / "stages.json").read_text())
     for item in stages:
-        assert list(item) == ["n", "k", "eta", "delta", "depth", "dropped"]
+        assert list(item) == ["n", "k", "eta", "delta", "depth"]
     assert back.n_stages == build.n_stages
     assert back.eps_schedule == pytest.approx(build.eps_schedule)
     assert back.eps_schedule == build.eps_schedule
@@ -778,7 +778,7 @@ def test_build_save_load_round_trip(tmp_path):
         assert a.params.zeta_at_eta == b.params.zeta_at_eta
         assert a.membership_slack == b.membership_slack
         assert a.lip_slack == b.lip_slack
-        assert np.array_equal(a.kept, b.kept) and a.dropped == b.dropped == ()
+        assert np.array_equal(a.kept, b.kept) and a.kept.tolist() == list(range(a.params.k))
     assert np.array_equal(back.final.values, build.final.values)
     for a, b in zip(back.stages, build.stages):
         assert a.params == b.params

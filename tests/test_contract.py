@@ -22,6 +22,9 @@ from liplab import cli, funclib, setlib
 
 AFFINE = ["construct", "--base", "affine(c=1)", "--depth", 10, "--nmax", 3,
           "--phi", "power(s=0.1)", "--zeta", "power(s=1)", "--eps0", 1.0]
+# meta.json early_stop values of the copies early-<name>; construct writes
+# null or a string
+EARLY_STOPS = {"0": 0, "false": False, "list": [1], "object": {"a": 1}, "text": "stage 4: x"}
 
 
 def _main(argv, capsys) -> tuple[int, str]:
@@ -41,8 +44,9 @@ def inputs(tmp_path_factory):
     """The affine build, a copy whose final.fn is not marked exact, a copy
     whose meta.json has eps0 -1, a copy with a Weierstrass build's base.fn
     and stage 1's epsilon set to 100, a copy whose base.fn keeps only
-    Omega = [0, 1/2], and four exact 1-d .fn files: all NaN, one value inf,
-    one value 1e308, and one whose `exact 1` line is misspelt."""
+    Omega = [0, 1/2], a copy whose functions have an empty domain, a copy
+    per EARLY_STOPS value, and four exact 1-d .fn files: all NaN, one value
+    inf, one value 1e308, and one whose `exact 1` line is misspelt."""
     root = tmp_path_factory.mktemp("contract")
     assert cli.main([str(a) for a in AFFINE + ["--out", root / "aff"]]) == 0
     full = setlib.DyadicCubeSet.full(1, 0)
@@ -62,6 +66,10 @@ def inputs(tmp_path_factory):
     shutil.copytree(root / "aff", root / "eps0")
     meta = json.loads((root / "eps0" / "meta.json").read_text())
     (root / "eps0" / "meta.json").write_text(json.dumps(dict(meta, eps0=-1.0)))
+    for name, early_stop in EARLY_STOPS.items():
+        shutil.copytree(root / "aff", root / f"early-{name}")
+        text = json.dumps(dict(meta, early_stop=early_stop))
+        (root / f"early-{name}" / "meta.json").write_text(text)
     shutil.copytree(root / "aff", root / "mixed")
     funclib.save_function(root / "mixed" / "base.fn", funclib.make_test_function(
         "weierstrass", {"a": 0.5, "b": 3.0, "terms": 25}, 10))
@@ -74,6 +82,12 @@ def inputs(tmp_path_factory):
     values[513:] = np.nan
     funclib.save_function(root / "half" / "base.fn", funclib.SampledFunction(
         1, base.depth, setlib.DyadicCubeSet(1, 1, [0]), values, base.modulus, base.exact))
+    shutil.copytree(root / "aff", root / "empty")
+    for name in ("base.fn", "final.fn"):
+        f = funclib.load_function(root / "empty" / name)
+        funclib.save_function(root / "empty" / name, funclib.SampledFunction(
+            1, f.depth, setlib.DyadicCubeSet(1, 0, []), np.full_like(f.values, np.nan), f.modulus,
+            f.exact))
     funclib.save_function(root / "exac.fn", funclib.make_test_function("affine", {"c": 1.0}, 10))
     text = (root / "exac.fn").read_text()
     (root / "exac.fn").write_text(text.replace("\nexact 1\n", "\nexac 1\n"))
@@ -119,6 +133,12 @@ CASES = {
     # once ignored, and exit 0
     "meta-eps0-negative": (["report", "{root}/eps0", "--out", "{out}"], 2,
                            "eps0: meta.json's eps0 -1.0 must be positive and finite"),
+    # once exit 1, as a recorded early stop
+    **{f"meta-early-stop-{name}": (["report", f"{{root}}/early-{name}", "--out", "{out}"], 2,
+                                   f"meta.json's early_stop {value!r} must be null or a string")
+       for name, value in EARLY_STOPS.items() if name != "text"},
+    "meta-early-stop-text": (["report", "{root}/early-text", "--out", "{out}"], 1,
+                             "early stop: stage 4: x"),
     # once exit 0: a stored stage-1 budget of 100 covered the foreign base's
     # distance 2.5, where the budgets derived from eps0 1.0 sum to 0.74
     "budget-stage1-mixed-report": (["report", "{root}/mixed", "--out", "{out}"], 1,
@@ -131,12 +151,15 @@ CASES = {
                                 "final.fn's domain is not base.fn's"),
     "domain-half-base-partition": (["partition", "{root}/half", "--out", "{out}"], 2,
                                    "final.fn's domain is not base.fn's"),
+    # no stage keeps a cube, so no plateau can be measured
+    "domain-empty": (["report", "{root}/empty", "--out", "{out}"], 2,
+                     "no stage 1 cube meets the functions' domain"),
     # an overflowing ratio is inf, with no RuntimeWarning
     "fn-ratio-overflow": (["analyze", "{root}/huge.fn", "--out", "{out}"], 0, ""),
     # no admissible ball at any B cube center: the cover holds no ball, and
     # every center is uncovered
     "uncovered-ladder": (["partition", "{aff}", "--delta-ladder", 1e-300, "--out", "{out}"], 1,
-                         "image_cover"),
+                         "image_cover at delta=1e-300: 5626 of 5626 B cube centres uncovered"),
 }
 
 

@@ -48,7 +48,7 @@ def test_vitali_three_balls():
     centers, radii = [0.1, 0.12, 0.3], [0.05, 0.04, 0.05]
     cover = vitali_5r(centers, radii)
     assert {centers[i] for i in cover.kept} == {0.1, 0.3}
-    assert cover.discarded_count == 1
+    assert len(centers) - len(cover.kept) == 1  # one candidate discarded
     # brute force over keep subsets: disjoint families where every candidate
     # intersects a member of at least its radius (the 5r-coverage witness)
     def meets(i, j):
@@ -76,7 +76,7 @@ def test_vitali_single_and_ties():
     single = vitali_5r([0.5], [0.1])
     assert len(single.kept) == 1
     twins = vitali_5r([0.5, 0.5], [0.1, 0.1])
-    assert len(twins.kept) == 1 and twins.discarded_count == 1
+    assert len(twins.kept) == 1 and len(twins.witnesses) == 2
 
 
 def test_vitali_random_properties():
@@ -111,7 +111,7 @@ def test_vitali_sweep_matches_quadratic_oracle(balls):
     centers, radii = [x for x, _ in balls], [r for _, r in balls]
     cover = vitali_5r(centers, radii)
     kept, count, discarded = vitali_5r_quadratic(centers, radii)
-    assert (cover.kept, cover.candidate_count, cover.discarded_count) == (kept, count, discarded)
+    assert (cover.kept, len(centers), len(centers) - len(cover.kept)) == (kept, count, discarded)
     verify_vitali_quadratic(cover.kept, centers, radii)
 
 
@@ -138,7 +138,7 @@ def test_vitali_edge_cases_match_quadratic_oracle(centers, radii, expected):
     cover = vitali_5r(centers, radii)
     assert cover.kept == expected
     kept, count, discarded = vitali_5r_quadratic(centers, radii)
-    assert (cover.kept, cover.candidate_count, cover.discarded_count) == (kept, count, discarded)
+    assert (cover.kept, len(centers), len(centers) - len(cover.kept)) == (kept, count, discarded)
     verify_vitali_quadratic(cover.kept, centers, radii)
     # every witness is a kept ball that meets its candidate with a radius at least its own
     for i, w in enumerate(cover.witnesses):
@@ -230,12 +230,12 @@ def test_image_cover_constant_function():
     build = iterate_typical(f0, 2, PHI_BUILD, POWER1, 0.5)
     A, B = split_partition(build)
     rep = image_cover_report(build.final, B, PHI_PART, POWER1, 0.01)
-    assert rep.total == 0.0
-    assert rep.bound == pytest.approx(0.01 * 1.02 / 2.0)
-    assert rep.verdict
-    assert not rep.uncovered_points
-    for xi_diam, xi_phi, rpow in rep.chain:
-        assert xi_diam <= xi_phi <= rpow * (1 + 1e-12)
+    assert rep["sum"] == 0.0
+    assert rep["bound"] == pytest.approx(0.01 * 1.02 / 2.0)
+    assert rep["verdict"]
+    assert not rep["uncovered_points"]
+    for link in rep["chain_audit"]:
+        assert link["xi_diam"] <= link["xi_phi_5r"] <= link["r_pow_d1"] * (1 + 1e-12)
 
 
 def test_image_cover_ladder_affine():
@@ -244,10 +244,10 @@ def test_image_cover_ladder_affine():
     totals = []
     for delta in (0.1, 0.01, 0.001):
         rep = image_cover_report(build.final, B, PHI_PART, POWER1, delta)
-        assert rep.verdict
-        assert rep.total <= delta * (1 + 2 * delta) / 2.0
-        assert not rep.uncovered_points
-        totals.append(rep.total)
+        assert rep["verdict"]
+        assert rep["sum"] <= delta * (1 + 2 * delta) / 2.0
+        assert not rep["uncovered_points"]
+        totals.append(rep["sum"])
     assert all(a >= b for a, b in zip(totals, totals[1:]))
 
 
@@ -261,11 +261,14 @@ def test_image_cover_requires_schizm():
 def test_image_cover_report_json_fields():
     build = affine_build(1)
     _, B = split_partition(build)
-    rep = image_cover_report(build.final, B, PHI_PART, POWER1, 0.1)
-    payload = rep.to_json()
+    payload = image_cover_report(build.final, B, PHI_PART, POWER1, 0.1)
+    assert sorted(payload) == ["alpha_d", "balls", "bound", "candidates", "chain_audit",
+                               "delta", "discarded", "gauge_phi", "gauge_xi", "norm", "sum",
+                               "uncovered_points", "verdict"]
     assert payload["norm"] == "max" and payload["alpha_d"] == 2.0
     assert payload["sum"] <= payload["bound"]
-    assert len(payload["balls"]) == len(rep.balls)
+    assert len(payload["balls"]) == len(payload["chain_audit"])
+    assert payload["discarded"] == payload["candidates"] - len(payload["balls"])
     assert payload["candidates"] == len(B)  # one ball per cube center
 
 
@@ -276,16 +279,16 @@ def test_image_cover_needs_each_cube_in_its_own_ball_or_flat():
     build = affine_build(1)
     B = DyadicCubeSet(1, 2, [1, 2])
     rep = image_cover_report(build.final, B, PHI_PART, POWER1, 0.01)
-    assert rep.candidate_count == 2 and max(r for _, r, _ in rep.balls) < 0.01
-    assert rep.total <= rep.bound and rep.uncovered_points == ((0.375,), (0.625,))
-    assert rep.verdict is False
+    assert rep["candidates"] == 2 and max(ball["r"] for ball in rep["balls"]) < 0.01
+    assert rep["sum"] <= rep["bound"] and rep["uncovered_points"] == [[0.375], [0.625]]
+    assert rep["verdict"] is False
     # on affine_build's B (depth 14) the cubes next to A get radii below half
     # the side, 2^-15, but the final function is constant on every B cube
     build = affine_build()
     _, B = split_partition(build)
     rep = image_cover_report(build.final, B, PHI_PART, POWER1, 0.01)
-    assert min(r for _, r, _ in rep.balls) < 2.0**-15 and B.depth == 14
-    assert rep.candidate_count == len(B) and not rep.uncovered_points and rep.verdict
+    assert min(ball["r"] for ball in rep["balls"]) < 2.0**-15 and B.depth == 14
+    assert rep["candidates"] == len(B) and not rep["uncovered_points"] and rep["verdict"]
 
 
 def test_image_cover_leaves_a_center_without_float_ball_ends_uncovered():
@@ -294,8 +297,8 @@ def test_image_cover_leaves_a_center_without_float_ball_ends_uncovered():
     # uncovered, where the scan once raised oscillation's ValueError
     build = affine_build(1)
     rep = image_cover_report(build.final, DyadicCubeSet(1, 2, [3]), PHI_PART, POWER1, 0.01)
-    assert rep.balls == () and rep.uncovered_points == ((0.875,),)
-    assert rep.candidate_count == 0 and rep.verdict is False
+    assert rep["balls"] == [] and rep["uncovered_points"] == [[0.875]]
+    assert rep["candidates"] == 0 and rep["verdict"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +309,7 @@ def test_graph_cross_check_passes():
     build = affine_build()
     A, B = split_partition(build)
     b_image_cubes(build)  # the final function is flat on every deepest plateau
-    rep = graph_cross_check(build, B)
-    assert rep.ok and rep.checked == len(B) > 0 and rep.off_plateau is None
+    assert len(B) > 0 and graph_cross_check(build, B) is None
 
 
 def _plateau_oracle(build, B: DyadicCubeSet) -> list[int]:
@@ -328,15 +330,14 @@ def test_graph_cross_check_names_a_b_cube_off_every_plateau():
     # cube 0 starts at 0, before plateau 0, which begins eta/4 into [0,1]
     assert 0 in A.keys
     with_zero = DyadicCubeSet(1, B.depth, np.union1d(B.keys, [0]))
-    rep = graph_cross_check(build, with_zero)
-    assert not rep.ok and rep.off_plateau == 0 and rep.checked == len(B) + 1
+    assert len(with_zero) == len(B) + 1 and graph_cross_check(build, with_zero) == 0
     # every A cube added: the first one the oracle finds off every plateau is named
     both = DyadicCubeSet(1, B.depth, np.union1d(B.keys, A.keys))
     off = _plateau_oracle(build, both)
-    assert off and graph_cross_check(build, both).off_plateau == off[0]
+    assert off and graph_cross_check(build, both) == off[0]
     # a B cube on a coarser grid than the stage's, straddling two plateaus
     coarse = DyadicCubeSet(1, 1, [0])
-    assert graph_cross_check(build, coarse).off_plateau == 0 == _plateau_oracle(build, coarse)[0]
+    assert graph_cross_check(build, coarse) == 0 == _plateau_oracle(build, coarse)[0]
 
 
 def test_partition_dimension_echo():
@@ -346,8 +347,8 @@ def test_partition_dimension_echo():
     scales = [2.0**-j for j in range(1, 11)]
     lb_A = lower_box_dim(A, scales)
     lb_B = lower_box_dim(B_img, scales)
-    assert 0.0 <= lb_A.lbdim_proxy <= 1.0
-    assert lb_B.lbdim_proxy <= 0.75  # finitely many plateau values
+    assert 0.0 <= lb_A["lbdim_proxy"] <= 1.0
+    assert lb_B["lbdim_proxy"] <= 0.75  # finitely many plateau values
 
 
 def test_admissible_radius_skips_only_gauge_domain_errors():

@@ -38,7 +38,7 @@ BUILD_DIGESTS = {
         "F.set":
             "9ff24a21fec95e43cc1e863d8da985af9c61e887a6a313a9b2a081871455399e",
         "stages.json":
-            "5e4c96258935d9d3d2d30ad86e7aab1afcfc6df1811970d97cc8e7e083032b0b",
+            "37458621af37d216ad6d370d014c6826da70eda279ed3d734f5386fffc2e52fd",
     },
     "affine": {
         "certificates.json":
@@ -50,7 +50,7 @@ BUILD_DIGESTS = {
         "F.set":
             "016691bb0a83388cb4044dcd415c791a2c444461232469b5d55be589ce2dc89d",
         "stages.json":
-            "7b69cfcbd0a20e7132be73b38b5d8ced6f8270b49a32415411549092e1eec811",
+            "0fd45d7e99be79e182c68e48c9ab6f8a97081b9fbed42c9a4988f330d40d280a",
     },
     "affine-inv_log": {
         "certificates.json":
@@ -62,7 +62,7 @@ BUILD_DIGESTS = {
         "F.set":
             "6dd4963b89e0741913d19708e8c922a290065cdb8c44cb66d9176a446824adf5",
         "stages.json":
-            "fc9ed957e397f1d66d76fa6c1aab5528db68947fecfa9f47c58875059527d554",
+            "46e7a90794c8adb3f2c0aa2ec79e78f03e89f880c1ab11d19b1cf18573e9036e",
     },
     "staircase-weierstrass": {
         "certificates.json":
@@ -74,7 +74,7 @@ BUILD_DIGESTS = {
         "F.set":
             "cf77ba764da3a26b649b923c3ddf5912451be470672ae3f33c870ca27b69abcb",
         "stages.json":
-            "142bdbfee3ea6813a4237c0a29ddc679841610d82a9597b963bc561e020b3845",
+            "50eca9a63fa1ab103bb20c3149e7e0e607f6eb122cefeb83cc0f29b814fd75e4",
         # the function files: a run-length writer must give these bytes
         "base.fn":
             "e1cde4cb07e9e605ac7fe5fc4fd9bf1783e2e04c9feccaebab6dd382616f7792",

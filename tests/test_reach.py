@@ -119,6 +119,7 @@ def _traffic(tmp: Path) -> None:
     values[800] += 0.01  # inside a stage-3 plateau, whose certified bound is 0
     funclib.save_function(tmp / "plateau" / "final.fn", funclib.SampledFunction(
         1, final.depth, final.domain, values, final.modulus, exact=True))
+    _edit_json(tmp / "plateau" / "stages.json", lambda s: s[2].update(dropped=[50]))
     _run("report", tmp / "plateau", "--out", tmp / "plateau" / "report.json", code=1)
     shutil.copytree(inv, tmp / "shallow")
     shutil.copy(tmp / "shallow" / "base.fn", tmp / "shallow" / "final.fn")

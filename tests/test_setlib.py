@@ -712,15 +712,15 @@ def test_n_delta_antitone_and_monotone():
             assert n_delta(E, d) <= n_delta(F, d)
         scales = [Fraction(1, 2**j) for j in range(1, 7)]
         assert (
-            lower_box_dim(E, scales).lbdim_proxy
-            <= lower_box_dim(F, scales).lbdim_proxy + 1e-12
+            lower_box_dim(E, scales)["lbdim_proxy"]
+            <= lower_box_dim(F, scales)["lbdim_proxy"] + 1e-12
         )
 
 
 def test_n_delta_grid_proxy_2d():
     E = DyadicCubeSet.full(2, 3)
     assert n_delta(E, Fraction(1, 4)) == 16
-    assert lower_box_dim(E, [Fraction(1, 2**k) for k in range(1, 7)]).mode == "grid-proxy"
+    assert lower_box_dim(E, [Fraction(1, 2**k) for k in range(1, 7)])["mode"] == "grid-proxy"
 
 
 # ---------------------------------------------------------------------------
@@ -755,24 +755,24 @@ def test_premeasure_cantor_exact_product():
 
 def test_lower_box_dim_cantor():
     rep = lower_box_dim(cantor_intervals(12), [Fraction(1, 3**k) for k in range(1, 13)])
-    assert rep.lbdim_proxy == pytest.approx(LN2_LN3, abs=1e-12)
-    assert rep.slope == pytest.approx(LN2_LN3, abs=1e-9)
+    assert rep["lbdim_proxy"] == pytest.approx(LN2_LN3, abs=1e-12)
+    assert rep["slope"] == pytest.approx(LN2_LN3, abs=1e-9)
 
 
 def test_lower_box_dim_square_and_empty():
     rep = lower_box_dim(DyadicCubeSet.full(2, 8), [Fraction(1, 2**k) for k in range(1, 9)])
-    assert rep.lbdim_proxy == pytest.approx(2.0, abs=1e-12)
+    assert rep["lbdim_proxy"] == pytest.approx(2.0, abs=1e-12)
     empty = lower_box_dim(
         DyadicCubeSet(1, 4, []), [Fraction(1, 2**k) for k in range(1, 9)]
     )
-    assert empty.empty and empty.lbdim_proxy == 0.0
+    assert empty["empty"] and empty["lbdim_proxy"] == empty["slope"] == 0.0
 
 
 def test_lower_box_dim_finite_set():
     pts = points_union([0.11, 0.23, 0.47, 0.71, 0.89])
     rep = lower_box_dim(pts, [Fraction(1, 2**k) for k in range(1, 25)])
-    assert rep.lbdim_proxy <= 0.1
-    assert abs(rep.slope) <= 0.1
+    assert rep["lbdim_proxy"] <= 0.1
+    assert abs(rep["slope"]) <= 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -1000,19 +1000,19 @@ def test_product_lemma_rejects_bad_chain():
 def test_micro_three_points():
     E = points_union([0.2, 0.5, 0.8])
     cert = microscopic_certificate(E, 0.1, 10)
-    assert cert.ok
+    assert cert.failure is None
     lo, hi = cert.cover.floats()
     sides = sorted((hi - lo)[:, 0].tolist(), reverse=True)
     assert sides == pytest.approx([0.1, 0.01, 0.001], rel=1e-9)
-    assert microscopic_verify(cert.cover, 0.1, E).ok
+    assert microscopic_verify(cert.cover, 0.1, E) is None
 
 
 def test_micro_slab_single_box():
     slab = DyadicCubeSet.from_indices(2, 6, [(0, j) for j in range(64)])
     cert = microscopic_certificate(slab, 0.1, 5)
-    assert cert.ok and len(cert.cover) == 1
+    assert cert.failure is None and len(cert.cover) == 1
     assert float(Fraction(int(cert.cover.volumes()[0]), cert.cover.den**2)) <= 0.1
-    assert microscopic_verify(cert.cover, 0.1, slab).ok
+    assert microscopic_verify(cert.cover, 0.1, slab) is None
 
 
 def test_micro_stage_slabs():
@@ -1023,8 +1023,8 @@ def test_micro_stage_slabs():
         (Fraction(m, k) - eta / 2, Fraction(m, k) + eta / 2) for m in range(1, k)
     )
     cert = microscopic_certificate(E, eps, k + 1)
-    assert cert.ok
-    assert microscopic_verify(cert.cover, eps, E).ok
+    assert cert.failure is None
+    assert microscopic_verify(cert.cover, eps, E) is None
 
 
 def test_micro_greedy_matches_brute_force():
@@ -1045,7 +1045,7 @@ def test_micro_greedy_matches_brute_force():
         n_max = int(rng.integers(1, 8))
         cert = microscopic_certificate(E, eps, n_max)
         vols = [float(b - a) for a, b in pairs_of(E)]
-        assert cert.ok == brute_micro_assignment(vols, eps, n_max)
+        assert (cert.failure is None) == brute_micro_assignment(vols, eps, n_max)
 
 
 def test_micro_verify_failures():
@@ -1053,16 +1053,16 @@ def test_micro_verify_failures():
     eps = 0.1
     bad = BoxCover.from_boxes(1, [((0.15, 0.25),), ((0.8 - eps**1.5 / 2, 0.8 + eps**1.5 / 2),)])
     res = microscopic_verify(bad, eps, E)
-    assert not res.ok and res.bad_index == 2
+    assert res.startswith("box 2 has volume 0.0316228 above eps^2 = 0.01"), res
     missing = BoxCover.from_boxes(1, [((0.15, 0.25),)])
     res2 = microscopic_verify(missing, eps, E)
-    assert not res2.ok and res2.uncovered is not None
+    assert res2 == "cover misses the set at 0.8"
 
 
 def test_micro_failure_reports_component():
     E = IntervalUnion.from_pairs([(0, Fraction(1, 2))])
     cert = microscopic_certificate(E, 0.1, 10)
-    assert not cert.ok and "volume" in cert.failure
+    assert cert.cover is None and "volume" in cert.failure
 
 
 def test_hausdorff_upper_evaluates_the_gauge_once_per_box():
