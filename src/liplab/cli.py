@@ -12,6 +12,7 @@ reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -29,9 +30,25 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from . import construct as construct_mod
-from . import funclib, gauges, partition, setlib
-from .gauges import ConfigError
+# Each command compiles and runs only the modules it reaches: dims needs
+# gauges and setlib, analyze adds funclib, construct and report add
+# construct, and only partition needs partition.  The three command modules
+# are bound here as lazy modules, in sys.modules and on the package, and one
+# executes at its first attribute access; main's except clause reads
+# construct_mod.ConstructError only once an exception reaches it.  A module
+# imported before this one is kept as it is.  LazyLoader is not thread-safe
+# before Python 3.12; liplab runs no threads (funclib.worker_count is 1).
+for _name in ("construct", "funclib", "partition"):
+    if f"{__package__}.{_name}" not in sys.modules:
+        _spec = importlib.util.find_spec(f"{__package__}.{_name}")
+        _spec.loader = importlib.util.LazyLoader(_spec.loader)
+        sys.modules[_spec.name] = _module = importlib.util.module_from_spec(_spec)
+        _spec.loader.exec_module(_module)
+        setattr(sys.modules[__package__], _name, _module)
+
+from . import construct as construct_mod  # noqa: E402
+from . import funclib, gauges, partition, setlib  # noqa: E402
+from .gauges import ConfigError  # noqa: E402
 
 # 1-d header; for d >= 2 the point column x becomes x1,...,xd
 CSV_COLUMNS = "x,scale,osc_lower,osc_upper,ratio_lower,ratio_upper"
@@ -442,7 +459,7 @@ def _cmd_micro(cfg: RunConfig) -> int:
         "eps": cfg.eps,
         "boxes": len(cert.cover) if cert.cover else 0,
         "assignments": [list(a) for a in cert.assignments],
-        "failure": cert.failure,
+        "failure": failure,
     }
     _write_json(out + ".json", payload)
     if failure is not None:

@@ -49,7 +49,6 @@ from .setlib import (
     _held,
     _int_dtype,
     _ratio,
-    hausdorff_upper,
     lower_box_premeasure,
     microscopic_verify,
     save_cubes,
@@ -637,9 +636,10 @@ def _micro_route(E: IntervalUnion, zeta: GaugeLike) -> tuple[BoxCover, float, fl
     eta wide, and zeta(eta) < 1 puts eta below 1/e), zeta(d) = 1/log(1/d).
     The sorted diameters give n zeta(d_n) <= total <= 1/(2 beta), so box n's
     diameter is at most e^(-2 beta n), below the budget e^(-beta n) that
-    microscopic_verify checks exactly."""
+    microscopic_verify checks exactly, with the cover's coverage of E, so
+    the sum is hausdorff_upper's without its coverage check."""
     cover = BoxCover.from_intervals(E)
-    total = hausdorff_upper(E, zeta, cover)
+    total = cover.gauge_sum(zeta)
     beta = min(1.0 / (2.0 * total), 600.0 / max(1, len(cover))) if total > 0 else 1.0
     order = np.argsort(-cover.diameters(), kind="stable")
     return BoxCover(cover.dim, cover.den, cover.lo[order], cover.hi[order]), total, beta

@@ -552,13 +552,15 @@ def cantor_value(x: Fraction) -> float:
 
 
 def _weierstrass_grid(a: float, b: int, terms: int, depth: int) -> np.ndarray:
+    """Sum of a^n cos(2 pi b^n x) over n < terms at the grid points x = i /
+    2^depth.  b^n x is reduced mod 1 exactly, to m / 2^depth, so every term
+    reads one table of cos(2 pi m / 2^depth)."""
     top = 1 << depth
     idx = np.arange(top + 1, dtype=np.int64)
+    table = np.cos(2.0 * math.pi * (np.arange(top) / top))
     total = np.zeros(top + 1)
     for n in range(terms):
-        bn = pow(b, n, top) if top > 1 else 0
-        frac = ((bn * idx) % top).astype(np.float64) / top
-        total += a**n * np.cos(2.0 * math.pi * frac)
+        total += a**n * table[(pow(b, n, top) * idx) & (top - 1)]
     return total
 
 

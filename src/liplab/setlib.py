@@ -522,6 +522,12 @@ class BoxCover:
         """Each box's longest side, as a numerator over den."""
         return (self.hi - self.lo).max(axis=1)
 
+    def gauge_sum(self, g: GaugeLike) -> float:
+        """The math.fsum of g at each box's diameter, g evaluated once per box
+        and the values added in box order."""
+        diams = _quotients(self.diameters(), self.den).tolist()
+        return math.fsum(gauge_at_diameter(g, d) for d in diams)
+
     def volumes(self) -> np.ndarray:
         """Each box's volume, as a numerator over den^dim."""
         return np.prod((self.hi - self.lo).astype(_int_dtype((3 * self.den) ** self.dim)), axis=1)
@@ -818,8 +824,7 @@ def hausdorff_upper(E, g: GaugeLike, cover: BoxCover | None = None) -> float:
         idx = E.indices()
         cover = BoxCover(E.dim, 1 << E.depth, idx, idx + 1)
     _check_cover(E, cover)
-    diams = _quotients(cover.diameters(), cover.den).tolist()
-    return math.fsum(gauge_at_diameter(g, d) for d in diams)
+    return cover.gauge_sum(g)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,9 @@ The whole-grid passes are kept in their one-pass form as the references
 for the blocked library versions: a stage's values with the plateau mask
 from a +1/-1 mark array (stage_values_whole_grid), resample through
 np.linspace (resample_linspace) and the Lipschitz constant from whole-axis
-differences (grid_lipschitz_whole).
+differences (grid_lipschitz_whole).  The Weierstrass grid is kept with one
+np.cos pass per term (weierstrass_grid_per_term) as the reference for the
+one-table make_test_function grid.
 """
 
 from __future__ import annotations
@@ -937,3 +939,16 @@ def grid_lipschitz_whole(values, h: float) -> float:
             mx = np.nanmax(diffs) if diffs.size else 0.0
         total += 0.0 if math.isnan(mx) else float(mx)
     return total / h
+
+
+def weierstrass_grid_per_term(a: float, b: int, terms: int, depth: int):
+    """The Weierstrass grid with one np.cos pass over all 2^depth + 1
+    reduced arguments per term."""
+    top = 1 << depth
+    idx = np.arange(top + 1, dtype=np.int64)
+    total = np.zeros(top + 1)
+    for n in range(terms):
+        bn = pow(b, n, top) if top > 1 else 0
+        frac = ((bn * idx) % top).astype(np.float64) / top
+        total += a**n * np.cos(2.0 * math.pi * frac)
+    return total

@@ -358,7 +358,8 @@ def test_micro_command_pass_and_fail(workdir, capsys, monkeypatch):
     monkeypatch.setattr(setlib, "microscopic_verify", lambda cover, eps, E: "box 2 is too big")
     assert run(["micro", "pts.set", "--eps", 0.1, "--nmax", 20, "--out", "mv"]) == 1
     assert capsys.readouterr().err == "certificate failure: box 2 is too big\n"
-    assert json.loads((workdir / "mv.json").read_text())["ok"] is False
+    payload = json.loads((workdir / "mv.json").read_text())
+    assert payload["ok"] is False and payload["failure"] == "box 2 is too big"
 
 
 @pytest.mark.parametrize("flags, note", [
@@ -827,6 +828,28 @@ def test_no_command_imports_numpy_random(tmp_path):
 def test_import_liplab_leaves_numpy_unimported(tmp_path):
     # so that liplab.cli can set numpy's environment before numpy loads
     assert _python("import sys, liplab; print('numpy' in sys.modules)", tmp_path) == "False\n"
+
+
+@pytest.mark.parametrize("argv, unexecuted", [
+    (["dims", "cantor:6", "--out", "d.json"], "construct funclib partition"),
+    (["micro", "cantor:6", "--eps", "0.99", "--nmax", "100", "--out", "m"], "construct funclib partition"),
+    (["analyze", "w.fn", "--window", "2..8", "--out", "a"], "construct partition"),
+    (["construct", "--out", "c", "--base", "affine(c=1)", "--nmax", "1"], "partition"),
+    (["report", "b", "--out", "r.json"], "partition"),
+], ids=["dims", "micro", "analyze", "construct", "report"])
+def test_command_executes_only_the_modules_it_reaches(workdir, argv, unexecuted):
+    # liplab.cli binds construct, funclib and partition as lazy modules; a
+    # fresh process runs one command and names those it left unexecuted
+    funclib.save_function("w.fn", funclib.make_test_function("weierstrass", {}, 10))
+    assert run(["construct", "--out", "b", "--base", "affine(c=1)", "--nmax", "1"]) == 0
+    code = (
+        "import sys, types\n"
+        "from liplab.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(*(n for n in ('construct', 'funclib', 'gauges', 'partition', 'setlib')\n"
+        "        if type(sys.modules['liplab.' + n]) is not types.ModuleType))\n"
+    )
+    assert _python(code, workdir) == unexecuted + "\n"
 
 
 @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liplab import construct as construct_mod
-from liplab import funclib
+from liplab import funclib, setlib
 from liplab.construct import (
     ConstructError,
     _micro_route,
@@ -712,6 +712,23 @@ def test_micro_route_covers_E_exactly():
     assert analysis.micro_cover.interval_union() == analysis.E_intervals
     assert analysis.micro_verified
     _assert_micro_budgets(analysis.micro_cover, analysis.micro_beta)
+
+
+def test_micro_route_checks_coverage_once(monkeypatch):
+    # the route sums the gauge itself; microscopic_verify makes the one check
+    checks = []
+    check_cover = setlib._check_cover
+
+    def counted(E, cover):
+        checks.append(len(cover))
+        return check_cover(E, cover)
+
+    monkeypatch.setattr(setlib, "_check_cover", counted)
+    f0 = make_test_function("affine", {"c": 1.0}, depth=10)
+    build = iterate_typical(f0, 1, make_preset("power", s=0.1), INV_LOG, 1.0)
+    checks.clear()
+    assert exceptional_set(build).micro_verified
+    assert len(checks) == 1
 
 
 def test_micro_route_sorts_longest_first_ties_in_order():

@@ -23,7 +23,7 @@ from liplab.funclib import (
 )
 from liplab.gauges import make_preset
 from liplab.setlib import DyadicCubeSet, FormatError
-from oracles import grid_lipschitz_whole, resample_linspace
+from oracles import grid_lipschitz_whole, resample_linspace, weierstrass_grid_per_term
 from oracles import TupleCubeSet, fn_read_line_by_line, fn_text_one_pass, dense_diam, oscillation_1d, oscillation_nd, weierstrass_value
 from oracles import evaluate as reference_evaluate
 
@@ -653,6 +653,16 @@ def test_weierstrass_symmetry_and_period():
     for i in (1, 100, 1000, 2047):
         assert f.values[i] == pytest.approx(f.values[top - i], rel=1e-12, abs=1e-12)
     assert f.values[0] == pytest.approx(f.values[top], rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.05, 0.95), b=st.sampled_from([3, 5, 7, 9, 11]), terms=st.integers(1, 30),
+       depth=st.integers(0, 14))
+@example(a=0.5, b=3, terms=25, depth=14)
+def test_weierstrass_grid_matches_per_term_oracle(a, b, terms, depth):
+    # the one-table grid reads the same cosines as a np.cos pass per term
+    expected = weierstrass_grid_per_term(a, b, terms, depth)
+    assert funclib._weierstrass_grid(a, b, terms, depth).tobytes() == expected.tobytes()
 
 
 def test_weierstrass_parameter_validation():

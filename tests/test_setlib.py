@@ -1066,8 +1066,8 @@ def test_micro_failure_reports_component():
 
 
 def test_hausdorff_upper_evaluates_the_gauge_once_per_box():
-    # the micro route takes its cover sum from hausdorff_upper, and
-    # evaluates the gauge nowhere else
+    # the micro route sums the gauge over its cover as hausdorff_upper does,
+    # once per box and nowhere else
     calls = []
 
     class CountingGauge(Gauge):
