@@ -290,7 +290,7 @@ def _cmd_construct(cfg: RunConfig) -> int:
     if not 0 <= cfg.depth <= cfg.max_depth <= setlib.MAX_KEY_BITS:
         raise ConfigError(f"need 0 <= --depth {cfg.depth} <= --max-depth {cfg.max_depth}"
                           f" <= {setlib.MAX_KEY_BITS}")
-    if (2**cfg.max_depth + 1) * 8 > np.iinfo(np.intp).max:
+    if not funclib.grid_fits(cfg.max_depth):
         raise ConfigError(f"--max-depth {cfg.max_depth}: numpy cannot size a grid of"
                           f" 2^{cfg.max_depth}+1 float64 values")
     if not 0.0 < cfg.eps0 < math.inf:
@@ -422,7 +422,7 @@ def _cmd_partition(cfg: RunConfig) -> int:
                         " deepest plateau")
     scale_hi = min(12, A.depth)
     dims_scales = [2.0**-j for j in range(1, max(7, scale_hi) + 1)]
-    if build.budget_failure:  # say, a base.fn from another run
+    if build.budget_failure:  # a library defect: a replayed build keeps its budgets
         failures.append(build.budget_failure)
     ok = not failures
     payload = {

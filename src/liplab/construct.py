@@ -30,12 +30,23 @@ from fractions import Fraction
 
 import numpy as np
 
+# CPython's own sha256 where it is built in (_sha2 from Python 3.12):
+# hashlib's maps OpenSSL, 3 MB more resident memory in each build command
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 from .gauges import GaugeDomainError, GaugeLike, format_gauge, parse_gauge
 from .funclib import (
     GRID_BLOCK,
     HolderModulus,
     SampledFunction,
     _window_extremes,
+    grid_fits,
     load_function,
     save_function,
 )
@@ -177,7 +188,7 @@ class StageParams:
 
     def kept_cubes(self, domain: DyadicCubeSet) -> np.ndarray:
         """The indices j of the shrunken cubes that meet the domain Omega: the
-        cubes the stage plateaus, for build_stage and load_build alike."""
+        cubes build_stage plateaus."""
         return np.flatnonzero(self.cube_union().meets(domain.to_interval_union()))
 
     def required_depth(self) -> int:
@@ -284,6 +295,7 @@ class StageRecord:
     kept: np.ndarray  # StageParams.kept_cubes of the domain
     membership_slack: float  # (1/n) phi(eta/2), the F(C) threshold
     lip_slack: float  # (1/n) phi(eta/4), the ball-certificate threshold
+    values_sha256: str  # of the stage's float64 values, which load_build checks
 
     @property
     def slack_min(self) -> float:
@@ -352,6 +364,7 @@ def build_stage(
 
     eps = params.eps
     g = np.empty(top + 1)
+    digest = sha256()  # of g, one block at a time
     worst = 0.0
     # one block of the grid at a time; np.interp works per element, so the
     # blocks give the bits of one whole-grid pass
@@ -368,6 +381,7 @@ def build_stage(
         # f + (A - f) can land an ulp off A; plateau vertices carry A bitwise so
         # the certified diameters are exactly zero.  Off-domain vertices stay NaN.
         np.copyto(h_fun, profile, where=on & ~np.isnan(v))
+        digest.update(h_fun)
     if worst > eps:
         raise ConstructError(
             f"plateau offset {worst:g} exceeds eps={eps:g}; stage delta too optimistic"
@@ -377,7 +391,7 @@ def build_stage(
     lip = g_fn.grid_lipschitz()
     g_fn = SampledFunction(1, m, f.domain, g, HolderModulus(lip, 1.0), exact=True)
 
-    record = StageRecord(params, m, lo_v, hi_v, js, *stage_slacks(params, phi))
+    record = StageRecord(params, m, lo_v, hi_v, js, *stage_slacks(params, phi), digest.hexdigest())
     return g_fn, record
 
 
@@ -404,6 +418,15 @@ class TypicalBuild:
     @property
     def eps_schedule(self) -> list[float]:
         return [rec.params.eps for rec in self.stages]
+
+    def add_stage(self, params: StageParams) -> StageRecord:
+        """The stage step of iterate_typical and load_build alike: refine the
+        final function to the stage's required depth when it is shallower,
+        then build_stage on it; the shallower grid is freed before that."""
+        self.final = self.final.resample(max(self.final.depth, params.required_depth()))
+        self.final, rec = build_stage(self.final, params, self.phi)
+        self.stages.append(rec)
+        return rec
 
     def tail(self, n: int) -> float:
         """T_n = sum of budgets of stages after n."""
@@ -462,33 +485,28 @@ def iterate_typical(
     if n_max < 1 or eps0 <= 0:
         raise ConstructError("need n_max >= 1 and eps0 > 0")
     _require_dim_1(f0)
-    g = f0
-    stages: list[StageRecord] = []
-    early = None
+    build = TypicalBuild(f0, f0, [], phi, zeta, eps0)
     for n in range(1, n_max + 1):
-        eps_n = stage_budget(eps0, [rec.slack_min for rec in stages])
+        eps_n = stage_budget(eps0, [rec.slack_min for rec in build.stages])
         if eps_n < 1e-250:
-            early = f"slack exhaustion at stage {n}: budget underflow ({eps_n:g})"
+            build.early_stop = f"slack exhaustion at stage {n}: budget underflow ({eps_n:g})"
             break
         try:
-            params = choose_stage_params(g, n, eps_n, zeta)
+            params = choose_stage_params(build.final, n, eps_n, zeta)
         except ConstructError as err:
-            early = f"stage {n}: {err}"
+            build.early_stop = f"stage {n}: {err}"
             break
         if params.k > K_MAX:
-            early = f"stage {n}: k = {params.k} beyond k_max = {K_MAX}"
+            build.early_stop = f"stage {n}: k = {params.k} beyond k_max = {K_MAX}"
             break
         need = params.required_depth()
         if need > max_depth:
-            early = f"stage {n}: required depth {need} beyond max_depth {max_depth}"
+            build.early_stop = f"stage {n}: required depth {need} beyond max_depth {max_depth}"
             break
-        if need > g.depth:
-            g = g.resample(need)
-        g, rec = build_stage(g, params, phi)
-        stages.append(rec)
-    if not stages:
-        raise ConstructError(f"no stage could be built: {early}")
-    return TypicalBuild(f0, g, stages, phi, zeta, eps0, early)
+        build.add_stage(params)
+    if not build.stages:
+        raise ConstructError(f"no stage could be built: {build.early_stop}")
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +671,9 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
     """Write the build directory; returns the exceptional_set result whose E
     and F it wrote as rasters at RASTER_DEPTH.
 
-    stages.json keeps only what each stage chose; load_build re-derives the
-    rest (zeta(eta), the slacks, the budgets, the kept cubes and plateau
-    ranges), and the plateau values are read from final.fn."""
+    stages.json keeps what each stage chose and the sha256 of its values;
+    load_build replays the stages from base.fn and re-derives everything
+    else.  final.fn is written for analyze and is read by no build command."""
     os.makedirs(directory, exist_ok=True)
     save_function(os.path.join(directory, "base.fn"), build.base)
     save_function(os.path.join(directory, "final.fn"), build.final)
@@ -666,6 +684,7 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
             "eta": str(rec.params.eta),
             "delta": str(rec.params.delta),
             "depth": rec.depth,
+            "values_sha256": rec.values_sha256,
         }
         for rec in build.stages
     ]
@@ -684,65 +703,42 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
     return analysis
 
 
-def _stage(
-    position: int, item: dict, zeta: GaugeLike, eps: float
-) -> tuple[StageParams, int]:
-    """(params, depth) of the stages.json entry at `position`, whose budget
-    is eps.  ValueError unless n is the position, k and depth are ints and
-    the choices pass StageParams.validate."""
+def _stored_params(position: int, item: dict, zeta: GaugeLike, eps: float,
+                   prev_depth: int) -> StageParams:
+    """The params of the stages.json entry at `position`, of budget eps on a
+    grid prev_depth deep.  ValueError unless n is the position, k and depth
+    are ints, k <= K_MAX, the choices pass StageParams.validate, and depth
+    is max(prev_depth, required_depth()), as add_stage refines, on a grid
+    numpy can size."""
     n, k, depth = (item[key] for key in ("n", "k", "depth"))
     if type(n) is not int or n != position:
         raise ValueError(f"n is {n!r}, not the stage's position {position}")
     if type(k) is not int or type(depth) is not int:
         raise ValueError(f"k and depth must be ints, not {k!r} and {depth!r}")
+    if k > K_MAX:
+        raise ValueError(f"k = {k} beyond k_max = {K_MAX}")
     eta = Fraction(item["eta"])
     params = StageParams(n, eps, Fraction(item["delta"]), k, eta, zeta.eval(float(eta)))
     params.validate()
-    return params, depth
-
-
-def _check_depths(directory, base: SampledFunction, final: SampledFunction, depths) -> None:
-    """Both functions 1-d on one domain, final exact, and base.depth <= depth_1
-    <= ... <= depth_N = final.depth, else a FormatError naming the file and
-    the stage."""
-    for name, f in (("base.fn", base), ("final.fn", final)):
-        if f.dim != 1:
-            raise FormatError(f"{directory}: {name} has dimension {f.dim}; builds need dimension 1")
-    if final.domain != base.domain:
-        raise FormatError(f"{directory}: final.fn's domain is not base.fn's; a build's"
-                          " functions share one domain")
-    if not final.exact:
-        raise FormatError(f"{directory}: final.fn is not marked `exact 1`; a build's final"
-                          " function is its own interpolant")
-    if not depths:
-        raise FormatError(f"{directory}: stages.json lists no stage")
-    names = ["base.fn"] + [f"stage {n}" for n in range(1, len(depths) + 1)]
-    chain = [base.depth, *depths]
-    for n in range(1, len(chain)):
-        if chain[n] < chain[n - 1]:
-            raise FormatError(
-                f"{directory}: {names[n]}'s grid depth {chain[n]} is below"
-                f" {names[n - 1]}'s depth {chain[n - 1]}"
-            )
-    if final.depth != depths[-1]:
-        raise FormatError(
-            f"{directory}: final.fn has depth {final.depth}, not stage {len(depths)}'s"
-            f" grid depth {depths[-1]}"
-        )
+    need = params.required_depth()
+    if depth != max(prev_depth, need):
+        raise ValueError(f"depth {depth} is not the derived depth {max(prev_depth, need)}, the"
+                         f" larger of the input grid's depth {prev_depth} and the required {need}")
+    if not grid_fits(depth):
+        raise ValueError(f"numpy cannot size a grid of 2^{depth}+1 float64 values")
+    return params
 
 
 def load_build(directory) -> TypicalBuild:
-    """Read a build directory; thresholds and budgets are recomputed from
-    meta.json, the kept cubes from the functions' domain, and other keys in
-    stages.json (as an old build's epsilon or dropped) are ignored.
+    """Read a build directory and replay its stages from base.fn as
+    iterate_typical built them: each budget by stage_budget from meta.json's
+    eps0, the params from stages.json (_stored_params), then add_stage, whose
+    values_sha256 must be the stored one.  final.fn is not read, and other
+    stages.json keys (as an old build's epsilon or dropped) are ignored.
     meta.json's eps0 must be positive and finite and its early_stop null or
-    a string, both functions must be 1-d on one domain (sup_distance
-    compares them vertex by vertex), with base.depth <= depth_1 <= ... <=
-    depth_N = final.depth, each stage must pass _stage's checks, and its
-    plateau edges must lie on its grid; otherwise FormatError names the file
-    and the stage."""
+    a string, and base.fn must be 1-d; otherwise, or when a replay raises
+    ConstructError, FormatError names the file and the stage."""
     base = load_function(os.path.join(directory, "base.fn"))
-    final = load_function(os.path.join(directory, "final.fn"))
     with _format_errors(directory):
         with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -755,23 +751,21 @@ def load_build(directory) -> TypicalBuild:
         if not (early_stop is None or type(early_stop) is str):  # as iterate_typical writes it
             raise FormatError(f"{directory}: meta.json's early_stop {early_stop!r} must be null"
                               " or a string")
-        choices, slacks = [], []
+        if base.dim != 1:
+            raise FormatError(f"{directory}: base.fn has dimension {base.dim}, not 1")
+        if not raw:
+            raise FormatError(f"{directory}: stages.json lists no stage")
+        build = TypicalBuild(base, base, [], phi, zeta, eps0, early_stop)
         for position, item in enumerate(raw, 1):
-            eps = stage_budget(eps0, [min(slack) for slack in slacks])
+            eps = stage_budget(eps0, [rec.slack_min for rec in build.stages])
             try:
-                choices.append(_stage(position, item, zeta, eps))
-                slacks.append(stage_slacks(choices[-1][0], phi))
+                rec = build.add_stage(_stored_params(position, item, zeta, eps, build.final.depth))
             except (ValueError, TypeError, KeyError, ArithmeticError) as err:
                 raise FormatError(f"stages.json stage {position}: {err}") from err
-        _check_depths(directory, base, final, [depth for _, depth in choices])
-    stages = []
-    for (params, depth), slack in zip(choices, slacks):
-        kept = params.kept_cubes(base.domain)
-        if len(kept) == 0:  # as build_stage refuses it
-            raise FormatError(f"{directory}: no stage {params.n} cube meets the functions' domain")
-        try:
-            lo_v, hi_v, _ = plateau_vertex_ranges(params, depth, kept)
-        except ConstructError as err:  # eta's plateau edges off the stage's grid
-            raise FormatError(f"stages.json {err}") from err
-        stages.append(StageRecord(params, depth, lo_v, hi_v, kept, *slack))
-    return TypicalBuild(base, final, stages, phi, zeta, eps0, early_stop)
+            if item.get("values_sha256") != rec.values_sha256:
+                raise FormatError(
+                    f"stages.json stage {position}: the stage replayed from base.fn has"
+                    f" values_sha256 {rec.values_sha256}, not the stored"
+                    f" {item.get('values_sha256')!r}"
+                )
+    return build

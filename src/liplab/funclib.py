@@ -113,6 +113,11 @@ Modulus = HolderModulus | TableModulus
 GRID_BLOCK = 1 << 16
 
 
+def grid_fits(depth: int) -> bool:
+    """Whether numpy can size a 1-d grid of the depth, 2^depth + 1 float64 values."""
+    return (2**depth + 1) * 8 <= np.iinfo(np.intp).max
+
+
 # ---------------------------------------------------------------------------
 # SampledFunction
 

@@ -52,6 +52,7 @@ def test_construct_and_report_deterministic(workdir, monkeypatch):
                  "certificates.json"):
         assert (workdir / "b" / name).exists()
     assert run(["report", "b", "--out", "r1.json"]) == 0
+    (workdir / "b" / "final.fn").unlink()  # report replays the stages from base.fn
     assert run(["report", "b", "--out", "r2.json"]) == 0
     assert (workdir / "r1.json").read_bytes() == (workdir / "r2.json").read_bytes()
     assert (workdir / "b" / "certificates.json").read_bytes() == (workdir / "r1.json").read_bytes()
@@ -110,28 +111,42 @@ def test_report_rejects_a_malformed_dropped_list(workdir, dropped):
     assert (workdir / "r1.json").read_bytes() == (workdir / "r2.json").read_bytes()
 
 
+def _move_base_anchor(build, by: float) -> int:
+    """Move base.fn's value at stage 1's anchor of its middle kept cube by
+    `by`, so that stage 1 replays to another plateau value; stage 1 must be
+    built on base.fn's grid.  Returns the anchor vertex."""
+    rec = construct_mod.load_build(build).stages[0]
+    base = funclib.load_function(build / "base.fn")
+    assert rec.depth == base.depth
+    j = int(rec.kept[len(rec.kept) // 2])
+    vertex = int(construct_mod.plateau_vertex_ranges(rec.params, rec.depth, [j])[2][0])
+    values = base.values.copy()
+    values[vertex] += by
+    funclib.save_function(build / "base.fn", funclib.SampledFunction(
+        1, base.depth, base.domain, values, base.modulus, base.exact))
+    return vertex
+
+
+# what load_build raises when a stage replays to other values than stored
+REPLAY_MISMATCH = "stages.json stage 1: the stage replayed from base.fn has values_sha256"
+
+
 def test_report_finds_a_plateau_hidden_by_a_stored_dropped_list(workdir, capsys):
-    # final.fn moved by 0.01 inside stage 3's plateau of cube 50, whose bound
-    # 2*T_3 is 0; a stored "dropped": [50] once hid that plateau from report
+    # a stored "dropped": [50] once hid a tampered plateau of stage 3 from
+    # report.  The list is ignored, and a plateau value moved by 0.01 in
+    # base.fn, at stage 1's anchor of cube 2, exits 2 naming the stage
     assert run(["construct", "--base", "affine(c=1)", "--depth", 10, "--nmax", 3,
                 "--phi", "power(s=0.1)", "--zeta", "power(s=1)", "--eps0", 1.0,
                 "--out", "b"]) == 0
-    rec = construct_mod.load_build("b").stages[2]
-    assert rec.lo_v[50] <= 800 <= rec.hi_v[50]
-    final = funclib.load_function(workdir / "b" / "final.fn")
-    values = final.values.copy()
-    values[800] += 0.01
-    funclib.save_function(workdir / "b" / "final.fn", funclib.SampledFunction(
-        1, final.depth, final.domain, values, final.modulus, exact=True))
+    assert _move_base_anchor(workdir / "b", 0.01) == 512
     stages = json.loads((workdir / "b" / "stages.json").read_text())
     stages[2]["dropped"] = [50]
     (workdir / "b" / "stages.json").write_text(json.dumps(stages, indent=1))
     capsys.readouterr()
-    assert run(["report", "b", "--out", "r.json"]) == 1
-    assert "stage 3: measured plateau diameter" in capsys.readouterr().err
-    payload = json.loads((workdir / "r.json").read_text())
-    assert payload["all_pass"] is False
-    assert payload["membership"][2]["error"].startswith("stage 3: measured plateau diameter")
+    assert run(["report", "b", "--out", "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {REPLAY_MISMATCH}") and "Traceback" not in err
+    assert not (workdir / "r.json").exists()
 
 
 def test_dropped_round_trips_through_the_build_directory(workdir):
@@ -565,8 +580,9 @@ def test_gauge_outside_its_domain_exits_2(workdir, capsys):
 
 
 def test_partition_reads_plateau_values_from_final_function(workdir):
-    # an older stages.json carrying anchors and plateau values, all altered:
-    # partition reads f(B) from final.fn and writes the untampered bytes
+    # an older stages.json carrying anchors and plateau values, all altered,
+    # and a build without final.fn: partition reads f(B) from the final
+    # function it replays from base.fn and writes the untampered bytes
     assert run(["construct", "--out", "b", "--base", "affine(c=1)", "--nmax", 2,
                 "--phi", "power(s=0.25)", "--depth", 10]) == 0
     flags = ["--delta-ladder", "0.1"]
@@ -576,26 +592,21 @@ def test_partition_reads_plateau_values_from_final_function(workdir):
     for item, rec in zip(stages, build.stages):
         item.update(anchors=[0] * len(rec.kept), plateau_values=[0.5] * len(rec.kept))
     (workdir / "b" / "stages.json").write_text(json.dumps(stages, indent=1))
+    (workdir / "b" / "final.fn").unlink()
     assert run(["partition", "b", "--out", "p2.json", *flags]) == 0
     assert (workdir / "p1.json").read_bytes() == (workdir / "p2.json").read_bytes()
 
 
 def test_partition_rejects_final_function_off_its_plateau(workdir, capsys):
+    # a plateau value moved by 2^-20 in base.fn: the final function replayed
+    # from it is not the build's, and partition exits 2 naming the stage
     assert run(["construct", "--out", "b", "--base", "affine(c=1)", "--nmax", 2,
                 "--phi", "power(s=0.25)", "--depth", 10]) == 0
-    build = construct_mod.load_build("b")
-    rec, final = build.stages[-1], build.final
-    j = len(rec.kept) // 2
-    vertex = (int(rec.lo_v[j]) + int(rec.hi_v[j])) // 2 << (final.depth - rec.depth)
-    values = final.values.copy()
-    values[vertex] += 2.0**-20
-    funclib.save_function(workdir / "b" / "final.fn", funclib.SampledFunction(
-        1, final.depth, final.domain, values, final.modulus, final.exact))
+    _move_base_anchor(workdir / "b", 2.0**-20)
     capsys.readouterr()
     assert run(["partition", "b", "--out", "p.json"]) == 2
     err = capsys.readouterr().err
-    assert f"stage {rec.params.n}" in err and f"cube {int(rec.kept[j])}:" in err
-    assert "spread 9.53674e-07" in err
+    assert err.startswith(f"config error: {REPLAY_MISMATCH}") and "Traceback" not in err
     assert not (workdir / "p.json").exists()
 
 
@@ -609,14 +620,14 @@ def _replace_fn(path, depth):
 
 
 @pytest.mark.parametrize("tamper, words", [
-    (lambda b: _replace_fn(b / "final.fn", 10),
-     "final.fn has depth 10, not stage 3's grid depth 13"),
     (lambda b: _replace_fn(b / "base.fn", 16),
-     "stage 1's grid depth 10 is below base.fn's depth 16"),
+     "stage 1: depth 10 is not the derived depth 16, the larger of the input grid's depth 16"
+     " and the required 5"),
     (lambda b: (b / "stages.json").write_text(
         (b / "stages.json").read_text().replace('"depth": 13', '"depth": 9')),
-     "stage 3's grid depth 9 is below stage 2's depth 10"),
-], ids=["shallow final.fn", "deep base.fn", "shallower stage"])
+     "stage 3: depth 9 is not the derived depth 13, the larger of the input grid's depth 10"
+     " and the required 13"),
+], ids=["deep base.fn", "shallower stage"])
 def test_build_depths_out_of_order_exit_2(workdir, capsys, tamper, words):
     # once a raw IndexError from plateau_extremes, or "resample only refines"
     assert run([*UNEVEN_DEPTHS, "--out", "b"]) == 0
@@ -627,7 +638,8 @@ def test_build_depths_out_of_order_exit_2(workdir, capsys, tamper, words):
         capsys.readouterr()
         assert run([command, "b", "--out", "out.json"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: b: ") and words in err and "Traceback" not in err
+        assert err.startswith("config error: stages.json ") and words in err, err
+        assert "Traceback" not in err
     assert not (workdir / "out.json").exists()
 
 
@@ -641,7 +653,8 @@ def uneven_build(tmp_path_factory):
 @pytest.mark.parametrize("stage, key, value, words", [
     (1, "eta", "1/2", "need eta < 1/k"),
     (1, "eta", "1/0", "Fraction(1, 0)"),
-    (3, "eta", "1/4096", "eta*2^depth/4 = 1/2 is not an integer at depth 13"),
+    (3, "eta", "1/2000", "eta*2^depth/4 = 128/125 is not an integer at depth 13"),
+    (3, "eta", "1/4096", "depth 13 is not the derived depth 14"),
     (1, "delta", "0", "need 1/k < delta"),
     (1, "k", 0, "need k > n"),
     (3, "n", 2, "n is 2, not the stage's position 3"),
@@ -706,16 +719,31 @@ def test_report_records_a_stage_inequality_failure(uneven_build):
 
 
 def test_report_names_a_tampered_plateau(workdir, capsys, uneven_build):
-    # a final.fn value moved by 0.01 inside a stage-3 plateau, where the
-    # certified bound 2*T_3 is 0: report writes the failure and exits 1
+    # a base.fn value moved by 0.01 at a stage-1 plateau anchor: the replayed
+    # stage is not the stored one, so report exits 2 naming it
     shutil.copytree(uneven_build, workdir / "b")
-    final = funclib.load_function(workdir / "b" / "final.fn")
-    values = final.values.copy()
-    values[800] += 0.01
-    funclib.save_function(workdir / "b" / "final.fn", funclib.SampledFunction(
-        1, final.depth, final.domain, values, final.modulus, exact=True))
+    _move_base_anchor(workdir / "b", 0.01)
     capsys.readouterr()
-    assert run(["report", "b", "--out", "r.json"]) == 1
+    assert run(["report", "b", "--out", "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {REPLAY_MISMATCH}") and "Traceback" not in err
+    assert not (workdir / "r.json").exists()
+
+
+def test_report_exits_1_on_a_failed_certificate(workdir, capsys, uneven_build, monkeypatch):
+    # every certificate input is replayed, so a plateau that is not flat
+    # means a library defect: plateau_extremes is patched to measure a
+    # spread of 0.01 on stage 3, whose certified bound 2*T_3 is 0, and
+    # report writes the failure and exits 1
+    extremes = construct_mod.plateau_extremes
+
+    def spread(build, n):
+        mn, mx = extremes(build, n)
+        return mn, mx + (0.01 if n == 3 else 0.0)
+
+    monkeypatch.setattr(construct_mod, "plateau_extremes", spread)
+    capsys.readouterr()
+    assert run(["report", uneven_build, "--out", "r.json"]) == 1
     words = "stage 3: measured plateau diameter 0.01 above the certified bound 2*T_n = 0"
     payload = json.loads((workdir / "r.json").read_text())
     assert payload["all_pass"] is False and payload["membership"][2]["error"] == words
@@ -724,50 +752,68 @@ def test_report_names_a_tampered_plateau(workdir, capsys, uneven_build):
     assert "Traceback" not in err
 
 
-def test_report_checks_the_approximation_budget(workdir, capsys):
-    # a build directory mixed from two runs with the same flags: an affine
-    # build's base.fn under a Weierstrass build.  Every stage certificate
-    # still holds, but the final function lies 2.5 from this base, beyond
-    # the budget sum, so report writes all_pass false and exits 1
+def _sup_distance_over_budget(monkeypatch, sup: float) -> None:
+    """Make every build report this sup distance: a replayed build lies
+    within its budgets, so only a library defect can break the bound."""
+    monkeypatch.setattr(construct_mod.TypicalBuild, "sup_distance", property(lambda build: sup))
+
+
+def test_report_checks_the_approximation_budget(workdir, capsys, monkeypatch):
+    # a build directory mixed from two runs with the same flags, an affine
+    # build's base.fn under a Weierstrass build, once passed every stage
+    # certificate and exited 1 on the distance 2.5 to this base.  Replayed
+    # from it, stage 1 is not the stored one: exit 2, nothing written
     flags = ["--depth", 10, "--nmax", 2, "--phi", "power(s=0.1)", "--zeta", "power(s=1)"]
     assert run(["construct", "--base", "affine(c=1)", *flags, "--out", "a"]) == 0
     assert run(["construct", "--base", "weierstrass(a=0.5,b=3,terms=25)", *flags, "--out", "w"]) == 0
     shutil.copyfile(workdir / "a" / "base.fn", workdir / "w" / "base.fn")
     capsys.readouterr()
-    assert run(["report", "w", "--out", "r.json"]) == 1
+    assert run(["report", "w", "--out", "r.json"]) == 2
+    assert capsys.readouterr().err.startswith("config error: stages.json stage 1: ")
+    assert not (workdir / "r.json").exists()
+    # a sup distance past the budget sum: report writes all_pass false, names
+    # both sides and exits 1
+    _sup_distance_over_budget(monkeypatch, 2.5)
+    assert run(["report", "a", "--out", "r.json"]) == 1
     payload = json.loads((workdir / "r.json").read_text())
-    passed = json.loads((workdir / "w" / "certificates.json").read_text())
+    passed = json.loads((workdir / "a" / "certificates.json").read_text())
     assert payload["all_pass"] is False and passed["all_pass"] is True
     assert payload.keys() == passed.keys()  # no new key: passing builds keep their bytes
     assert all(entry["ok"] for entry in payload["membership"])
     sup, budget = payload["sup_distance"], sum(payload["eps_schedule"])
-    assert sup > 2.5 > 1.0 > budget
+    assert sup == 2.5 > 1.0 > budget
     err = capsys.readouterr().err
     assert err == f"certificate failure: sup distance {sup:g} above the budget sum {budget:g} (r.json)\n"
 
 
-def test_partition_checks_the_approximation_budget(workdir, capsys):
+def test_partition_checks_the_approximation_budget(workdir, capsys, monkeypatch):
     # partition's affine build of the benchmark, with a Weierstrass build's
-    # base.fn: the image covers and the graph check still pass, but the
-    # final function lies farther from this base than the budget sum
+    # base.fn, once passed the image covers and the graph check and exited 1
+    # on the distance to this base; replayed, it exits 2 naming stage 1
     flags = ["--depth", 10, "--nmax", 3, "--phi", "power(s=0.1)", "--zeta", "power(s=1)",
              "--eps0", 1.0]
     assert run(["construct", "--base", "affine(c=1)", *flags, "--out", "a"]) == 0
     assert run(["construct", "--base", "weierstrass(a=0.5,b=3,terms=25)", *flags, "--out", "w"]) == 0
     assert run(["partition", "a", "--out", "ok.json"]) == 0
-    shutil.copyfile(workdir / "w" / "base.fn", workdir / "a" / "base.fn")
+    shutil.copytree(workdir / "a", workdir / "mixed")
+    shutil.copyfile(workdir / "w" / "base.fn", workdir / "mixed" / "base.fn")
     capsys.readouterr()
+    assert run(["partition", "mixed", "--out", "p.json"]) == 2
+    assert capsys.readouterr().err.startswith("config error: stages.json stage 1: ")
+    assert not (workdir / "p.json").exists()
+    # a sup distance past the budget sum: partition writes all_pass false
+    # and exits 1, its other checks passing
+    _sup_distance_over_budget(monkeypatch, 2.5)
     assert run(["partition", "a", "--out", "p.json"]) == 1
     payload = json.loads((workdir / "p.json").read_text())
     passed = json.loads((workdir / "ok.json").read_text())
     assert payload["all_pass"] is False and passed["all_pass"] is True
     assert payload.keys() == passed.keys()  # no new key: passing builds keep their bytes
     assert payload["antitone_ok"] and payload["graph_check"]["ok"]
-    sup = construct_mod.load_build("a").sup_distance
     budget = sum(json.loads((workdir / "a" / "certificates.json").read_text())["eps_schedule"])
-    assert sup > budget
+    assert 2.5 > budget
     err = capsys.readouterr().err
-    assert err == (f"certificate failure: sup distance {sup:g} above the budget sum {budget:g}"
+    assert err == (f"certificate failure: sup distance 2.5 above the budget sum {budget:g}"
                    " (see p.json)\n")
 
 

@@ -234,7 +234,7 @@ def _stage_with_kept(draw):
     p = StageParams(1, 0.5, Fraction(1), k, eta, 0.0)
     kept = sorted(draw(st.sets(st.integers(0, k - 1))))
     none = np.zeros(0, dtype=np.int64)
-    return StageRecord(p, 0, none, none, np.array(kept, dtype=np.int64), 1.0, 1.0)
+    return StageRecord(p, 0, none, none, np.array(kept, dtype=np.int64), 1.0, 1.0, "")
 
 
 def _probes(p, j):
@@ -433,27 +433,31 @@ def test_build_rejects_dimension_2(tmp_path):
         build_stage(f0, p, phi=POWER1)
     with pytest.raises(ConstructError, match="dimension 1, not 2"):
         iterate_typical(f0, 2, PHI, POWER1, 0.5)
-    # a build directory whose final.fn is 2-d is refused on load
+    # a build directory whose base.fn is 2-d is refused on load
     save_build(tmp_path / "b", small_affine_build(n_max=1))
-    save_function(tmp_path / "b" / "final.fn", f0)
-    with pytest.raises(FormatError, match="final.fn has dimension 2; builds need dimension 1"):
+    save_function(tmp_path / "b" / "base.fn", f0)
+    with pytest.raises(FormatError, match="base.fn has dimension 2, not 1"):
         load_build(tmp_path / "b")
+
+
+REPLAY_MISMATCH = r"stages.json stage 1: the stage replayed from base.fn has values_sha256"
 
 
 def test_load_build_needs_one_domain(tmp_path):
     # sup_distance skips each vertex where either function is NaN, so a
-    # base.fn on [0, 1/2] alone would bound the distance on half of Omega
+    # base.fn on [0, 1/2] alone would bound the distance on half of Omega;
+    # replayed from it, stage 1 is not the stored one
     full = small_affine_build(n_max=1)
     save_build(tmp_path / "full", full)
     save_function(tmp_path / "full" / "base.fn", on_left_half(full.base))
-    with pytest.raises(FormatError, match=r"full: final.fn's domain is not base.fn's"):
+    with pytest.raises(FormatError, match=REPLAY_MISMATCH):
         load_build(tmp_path / "full")
     # a build on [0, 1/2] loads, and refuses a base.fn on all of [0, 1]
     half = iterate_typical(on_left_half(full.base), 1, PHI, POWER1, 0.5)
     save_build(tmp_path / "half", half)
     assert load_build(tmp_path / "half").final.domain == half.base.domain
     save_function(tmp_path / "half" / "base.fn", full.base)
-    with pytest.raises(FormatError, match=r"half: final.fn's domain is not base.fn's"):
+    with pytest.raises(FormatError, match=REPLAY_MISMATCH):
         load_build(tmp_path / "half")
 
 
@@ -787,7 +791,7 @@ def test_build_save_load_round_trip(tmp_path):
     back = load_build(tmp_path / "b")
     stages = json.loads((tmp_path / "b" / "stages.json").read_text())
     for item in stages:
-        assert list(item) == ["n", "k", "eta", "delta", "depth"]
+        assert list(item) == ["n", "k", "eta", "delta", "depth", "values_sha256"]
     assert back.n_stages == build.n_stages
     assert back.eps_schedule == pytest.approx(build.eps_schedule)
     assert back.eps_schedule == build.eps_schedule
@@ -808,3 +812,48 @@ def test_build_save_load_round_trip(tmp_path):
         assert orig.membership_margin == pytest.approx(again.membership_margin)
         assert orig.lip_margin == pytest.approx(again.lip_margin)
 
+
+@pytest.fixture(scope="module")
+def replay_builds():
+    """construct's builds whose replay must match bit for bit: the three
+    acceptance builds, a build on Omega = cube 0 at depth 1, the CI inv_log
+    build and a build stopped early at stage 4 (its grid past max_depth)."""
+    from test_acceptance import acceptance_builds
+
+    affine = make_test_function("affine", {"c": 1.0}, depth=10)
+    phi = make_preset("power", s=0.1)
+    return {
+        **acceptance_builds(),
+        "partial": iterate_typical(on_left_half(affine), 3, PHI, POWER1, 0.5, max_depth=18),
+        "inv_log": iterate_typical(affine, 1, phi, INV_LOG, 1.0),
+        "early": iterate_typical(affine, 4, phi, POWER1, 1.0, max_depth=18),
+    }
+
+
+def _assert_bitwise(a: SampledFunction, b: SampledFunction) -> None:
+    assert (a.dim, a.depth, a.exact, a.domain) == (b.dim, b.depth, b.exact, b.domain)
+    assert a.modulus == b.modulus and a.modulus.serialize() == b.modulus.serialize()
+    assert a.values.dtype == b.values.dtype and a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("name", ["constant", "affine", "weierstrass", "partial", "inv_log",
+                                  "early"])
+def test_load_build_replays_construct_bitwise(tmp_path, replay_builds, name):
+    # the values (NaN bits included), modulus, exact flag and depth of the
+    # final function, and every StageRecord field, as construct built them
+    build = replay_builds[name]
+    assert (build.early_stop is not None) == (name == "early")
+    save_build(tmp_path / "b", build)
+    (tmp_path / "b" / "final.fn").unlink()  # no build command reads it
+    back = load_build(tmp_path / "b")
+    _assert_bitwise(back.base, build.base)
+    _assert_bitwise(back.final, build.final)
+    assert back.early_stop == build.early_stop and back.eps_schedule == build.eps_schedule
+    assert len(back.stages) == len(build.stages)
+    for a, b in zip(back.stages, build.stages):
+        for field in dataclasses.fields(StageRecord):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+            else:
+                assert x == y, field.name

@@ -4,8 +4,10 @@ Exit 1 comes only from a command that wrote a payload whose verdict is
 false; an input that no run can use exits 2 with a `config error:` line and
 writes nothing.  The table below pins inputs at that border, and the fuzzer
 mutates one token of a small build's files and checks that `cli.main`
-returns 0, 1 or 2 and raises nothing else, and that a report that passes
-keeps its budgets and its sup distance within meta.json's eps0.
+returns 0, 1 or 2 and raises nothing else, that a report that passes
+keeps its budgets and its sup distance within meta.json's eps0, and that
+report and partition, which never read final.fn, write the intact build's
+bytes whatever final.fn holds.
 """
 
 import json
@@ -25,6 +27,10 @@ AFFINE = ["construct", "--base", "affine(c=1)", "--depth", 10, "--nmax", 3,
 # meta.json early_stop values of the copies early-<name>; construct writes
 # null or a string
 EARLY_STOPS = {"0": 0, "false": False, "list": [1], "object": {"a": 1}, "text": "stage 4: x"}
+# stages.json copies stage-<name>: (stage, key, value)
+STAGE_EDITS = {"depth-40": (1, "depth", 40), "k-huge": (1, "k", 99999999999999999999),
+               "k-40": (2, "k", 40), "eta-third": (1, "eta", "1/3"),
+               "sha": (3, "values_sha256", "0" * 64)}
 
 
 def _main(argv, capsys) -> tuple[int, str]:
@@ -41,12 +47,12 @@ def _verdict(path: Path) -> bool:
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """The affine build, a copy whose final.fn is not marked exact, a copy
-    whose meta.json has eps0 -1, a copy with a Weierstrass build's base.fn
-    and stage 1's epsilon set to 100, a copy whose base.fn keeps only
-    Omega = [0, 1/2], a copy whose functions have an empty domain, a copy
-    per EARLY_STOPS value, and four exact 1-d .fn files: all NaN, one value
-    inf, one value 1e308, and one whose `exact 1` line is misspelt."""
+    """The affine build, a copy whose meta.json has eps0 -1, a copy with a
+    Weierstrass build's base.fn and stage 1's epsilon set to 100, a copy
+    whose base.fn keeps only Omega = [0, 1/2], a copy whose base.fn has an
+    empty domain, a copy per EARLY_STOPS value and per STAGE_EDITS entry,
+    and four exact 1-d .fn files: all NaN, one value inf, one value 1e308,
+    and one whose `exact 1` line is misspelt."""
     root = tmp_path_factory.mktemp("contract")
     assert cli.main([str(a) for a in AFFINE + ["--out", root / "aff"]]) == 0
     full = setlib.DyadicCubeSet.full(1, 0)
@@ -60,9 +66,6 @@ def inputs(tmp_path_factory):
     values[100] = 1e308  # finite, but its oscillation ratios pass the float range
     funclib.save_function(root / "huge.fn", funclib.SampledFunction(
         1, 8, f.domain, values, f.modulus, exact=True))
-    shutil.copytree(root / "aff", root / "inexact")
-    final = root / "inexact" / "final.fn"
-    final.write_text(final.read_text().replace("\nexact 1\n", "\n"))
     shutil.copytree(root / "aff", root / "eps0")
     meta = json.loads((root / "eps0" / "meta.json").read_text())
     (root / "eps0" / "meta.json").write_text(json.dumps(dict(meta, eps0=-1.0)))
@@ -70,6 +73,11 @@ def inputs(tmp_path_factory):
         shutil.copytree(root / "aff", root / f"early-{name}")
         text = json.dumps(dict(meta, early_stop=early_stop))
         (root / f"early-{name}" / "meta.json").write_text(text)
+    for name, (stage, key, value) in STAGE_EDITS.items():
+        shutil.copytree(root / "aff", root / f"stage-{name}")
+        stages = json.loads((root / f"stage-{name}" / "stages.json").read_text())
+        stages[stage - 1][key] = value
+        (root / f"stage-{name}" / "stages.json").write_text(json.dumps(stages))
     shutil.copytree(root / "aff", root / "mixed")
     funclib.save_function(root / "mixed" / "base.fn", funclib.make_test_function(
         "weierstrass", {"a": 0.5, "b": 3.0, "terms": 25}, 10))
@@ -83,17 +91,18 @@ def inputs(tmp_path_factory):
     funclib.save_function(root / "half" / "base.fn", funclib.SampledFunction(
         1, base.depth, setlib.DyadicCubeSet(1, 1, [0]), values, base.modulus, base.exact))
     shutil.copytree(root / "aff", root / "empty")
-    for name in ("base.fn", "final.fn"):
-        f = funclib.load_function(root / "empty" / name)
-        funclib.save_function(root / "empty" / name, funclib.SampledFunction(
-            1, f.depth, setlib.DyadicCubeSet(1, 0, []), np.full_like(f.values, np.nan), f.modulus,
-            f.exact))
+    f = funclib.load_function(root / "empty" / "base.fn")
+    funclib.save_function(root / "empty" / "base.fn", funclib.SampledFunction(
+        1, f.depth, setlib.DyadicCubeSet(1, 0, []), np.full_like(f.values, np.nan), f.modulus,
+        f.exact))
     funclib.save_function(root / "exac.fn", funclib.make_test_function("affine", {"c": 1.0}, 10))
     text = (root / "exac.fn").read_text()
     (root / "exac.fn").write_text(text.replace("\nexact 1\n", "\nexac 1\n"))
     return root
 
 
+SHA_MISMATCH = "stages.json stage 1: the stage replayed from base.fn has values_sha256"
+MIXED = "stages.json stage 1: plateau offset 1.33086 exceeds eps=0.5"
 CASES = {
     # eps0 * 2^-1 underflows the budget: nothing was built, so nothing failed
     "eps0-underflow": (["construct", "--eps0", 1e-300, "--out", "{out}"], 2,
@@ -125,8 +134,6 @@ CASES = {
                              "{out}"], 2, "repeats a scale"),
     "affine-overflow": (["construct", "--base", "affine(c=1e308,intercept=1e308)", "--out", "{out}"],
                         2, "leave the float range"),
-    "final-not-exact": (["partition", "{root}/inexact", "--out", "{out}"], 2,
-                        "final.fn is not marked `exact 1`"),
     # once skipped, which left the function inexact, and exit 0
     "fn-misspelt-trailer": (["analyze", "{root}/exac.fn", "--out", "{out}"], 2,
                             "line 'exac 1' after the values is no"),
@@ -140,20 +147,32 @@ CASES = {
     "meta-early-stop-text": (["report", "{root}/early-text", "--out", "{out}"], 1,
                              "early stop: stage 4: x"),
     # once exit 0: a stored stage-1 budget of 100 covered the foreign base's
-    # distance 2.5, where the budgets derived from eps0 1.0 sum to 0.74
-    "budget-stage1-mixed-report": (["report", "{root}/mixed", "--out", "{out}"], 1,
-                                   "sup distance 2.5 above the budget sum 0.743763"),
-    "budget-stage1-mixed-partition": (["partition", "{root}/mixed", "--out", "{out}"], 1,
-                                      "sup distance 2.5 above the budget sum 0.743763"),
+    # distance 2.5, where the budgets derived from eps0 1.0 sum to 0.74; then
+    # exit 1 on that distance.  Replayed from the foreign base.fn, stage 1
+    # cannot plateau it within its budget
+    "budget-stage1-mixed-report": (["report", "{root}/mixed", "--out", "{out}"], 2, MIXED),
+    "budget-stage1-mixed-partition": (["partition", "{root}/mixed", "--out", "{out}"], 2, MIXED),
     # once exit 0: sup_distance skipped the NaN half of base.fn, and the
     # approximation claim held on [0, 1/2] alone
-    "domain-half-base-report": (["report", "{root}/half", "--out", "{out}"], 2,
-                                "final.fn's domain is not base.fn's"),
+    "domain-half-base-report": (["report", "{root}/half", "--out", "{out}"], 2, SHA_MISMATCH),
     "domain-half-base-partition": (["partition", "{root}/half", "--out", "{out}"], 2,
-                                   "final.fn's domain is not base.fn's"),
+                                   SHA_MISMATCH),
     # no stage keeps a cube, so no plateau can be measured
     "domain-empty": (["report", "{root}/empty", "--out", "{out}"], 2,
-                     "no stage 1 cube meets the functions' domain"),
+                     "stages.json stage 1: no cube meets the domain"),
+    # a stored stage is refused before its grid is built, or by its replay
+    "stage-depth-40": (["report", "{root}/stage-depth-40", "--out", "{out}"], 2,
+                       "stages.json stage 1: depth 40 is not the derived depth 10"),
+    "stage-k-huge": (["partition", "{root}/stage-k-huge", "--out", "{out}"], 2,
+                     "stages.json stage 1: k = 99999999999999999999 beyond k_max = 2097152"),
+    "stage-k-40": (["report", "{root}/stage-k-40", "--out", "{out}"], 2,
+                   "stages.json stage 2: the stage replayed from base.fn has values_sha256"),
+    "stage-eta-third": (["report", "{root}/stage-eta-third", "--out", "{out}"], 2,
+                        "stages.json stage 1: need eta < 1/k"),
+    "stage-sha": (["partition", "{root}/stage-sha", "--out", "{out}"], 2,
+                  "stages.json stage 3: the stage replayed from base.fn has values_sha256"
+                  " 0a14db10ef6be57eea37f78c6af05bf8a38c8215bfeddaf72de76d63dda56b7a, not the"
+                  f" stored {'0' * 64!r}"),
     # an overflowing ratio is inf, with no RuntimeWarning
     "fn-ratio-overflow": (["analyze", "{root}/huge.fn", "--out", "{out}"], 0, ""),
     # no admissible ball at any B cube center: the cover holds no ball, and
@@ -218,6 +237,17 @@ def fuzz_build(tmp_path_factory):
     return root / "b"
 
 
+@pytest.fixture(scope="module")
+def intact_payloads(fuzz_build, tmp_path_factory):
+    """The report and partition payload bytes of the unmutated build."""
+    root = tmp_path_factory.mktemp("intact")
+    payloads = {}
+    for command in ("report", "partition"):
+        assert cli.main(_argv(command, fuzz_build, fuzz_build, root / command)) == 0
+        payloads[command] = (root / f"{command}.json").read_bytes()
+    return payloads
+
+
 def _argv(command: str, build: Path, path: Path, out: Path) -> list[str]:
     """The command line that writes its JSON payload to out.json."""
     if command in ("report", "partition"):
@@ -243,7 +273,8 @@ def _mutations(draw):
 @settings(max_examples=600, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_mutations())
-def test_one_token_mutation_keeps_the_exit_contract(fuzz_build, tmp_path, capsys, mutation):
+def test_one_token_mutation_keeps_the_exit_contract(fuzz_build, intact_payloads, tmp_path, capsys,
+                                                    mutation):
     name, command, index, token = mutation
     build = tmp_path / "b"
     shutil.rmtree(build, ignore_errors=True)
@@ -260,6 +291,9 @@ def test_one_token_mutation_keeps_the_exit_contract(fuzz_build, tmp_path, capsys
     argv = _argv(command, build, path, out)
     code, err = _main(argv, capsys)  # any exception fails the test
     assert code in (0, 1, 2), (argv, code, err)
+    if name == "final.fn" and command in intact_payloads:  # a file they never read
+        assert code == 0, (argv, err)
+        assert Path(f"{out}.json").read_bytes() == intact_payloads[command], argv
     if code == 1:
         assert _verdict(Path(f"{out}.json")) is False, (argv, err)
     if code == 2:

@@ -38,7 +38,7 @@ BUILD_DIGESTS = {
         "F.set":
             "9ff24a21fec95e43cc1e863d8da985af9c61e887a6a313a9b2a081871455399e",
         "stages.json":
-            "37458621af37d216ad6d370d014c6826da70eda279ed3d734f5386fffc2e52fd",
+            "e54a088023e3f7045b435c2d0c5d04535cd0e8ac1b174e2b7757d7905909256c",
     },
     "affine": {
         "certificates.json":
@@ -50,7 +50,7 @@ BUILD_DIGESTS = {
         "F.set":
             "016691bb0a83388cb4044dcd415c791a2c444461232469b5d55be589ce2dc89d",
         "stages.json":
-            "0fd45d7e99be79e182c68e48c9ab6f8a97081b9fbed42c9a4988f330d40d280a",
+            "47ed4bbbb7b725f7656df7f65cbe7273e89ae4a31e2b7a914744669cdbedff84",
     },
     "affine-inv_log": {
         "certificates.json":
@@ -62,7 +62,7 @@ BUILD_DIGESTS = {
         "F.set":
             "6dd4963b89e0741913d19708e8c922a290065cdb8c44cb66d9176a446824adf5",
         "stages.json":
-            "46e7a90794c8adb3f2c0aa2ec79e78f03e89f880c1ab11d19b1cf18573e9036e",
+            "ec9b8dd06383fbe59a2f86c3b4c43465daac910e32dad7d8871a1b44cdfd77c6",
     },
     "staircase-weierstrass": {
         "certificates.json":
@@ -74,7 +74,7 @@ BUILD_DIGESTS = {
         "F.set":
             "cf77ba764da3a26b649b923c3ddf5912451be470672ae3f33c870ca27b69abcb",
         "stages.json":
-            "50eca9a63fa1ab103bb20c3149e7e0e607f6eb122cefeb83cc0f29b814fd75e4",
+            "465804dce18dce0aa0ed7a064f2e151439ce2611e446dc5d93ef5bde6f883c33",
         # the function files: a run-length writer must give these bytes
         "base.fn":
             "e1cde4cb07e9e605ac7fe5fc4fd9bf1783e2e04c9feccaebab6dd382616f7792",

@@ -33,6 +33,7 @@ ALLOWED_UNREACHED = {
     "setlib.product_lemma_check": "the smallness certificate of the d >= 2 build (ROADMAP item 7)",
     "gauges.Pseudogauge": "the codimension pseudogauge of the d >= 2 build (ROADMAP item 7)",
     "setlib.IntervalUnion.__eq__": "value equality, which tests compare sets with",
+    "setlib.DyadicCubeSet.__eq__": "value equality, which tests compare domains and rasters with",
     "cli.RunConfig.to_json": "writes the --config form that the README describes",
     "setlib.load_cover": "reads the .cover files that `liplab micro` writes",
     "setlib.CoverageError": "raised by hausdorff_upper for a given cover that misses the set",
@@ -114,16 +115,21 @@ def _traffic(tmp: Path) -> None:
          "--zeta", "inv_log", "--eps0", 1.0, "--out", inv)
     _run("report", inv, "--out", inv / "report.json")
     shutil.copytree(tmp / "affine", tmp / "plateau")
-    final = funclib.load_function(tmp / "plateau" / "final.fn")
-    values = final.values.copy()
-    values[800] += 0.01  # inside a stage-3 plateau, whose certified bound is 0
-    funclib.save_function(tmp / "plateau" / "final.fn", funclib.SampledFunction(
-        1, final.depth, final.domain, values, final.modulus, exact=True))
+    base = funclib.load_function(tmp / "plateau" / "base.fn")
+    values = base.values.copy()
+    values[512] += 0.01  # stage 1's plateau anchor of cube 2
+    funclib.save_function(tmp / "plateau" / "base.fn", funclib.SampledFunction(
+        1, base.depth, base.domain, values, base.modulus, base.exact))
     _edit_json(tmp / "plateau" / "stages.json", lambda s: s[2].update(dropped=[50]))
-    _run("report", tmp / "plateau", "--out", tmp / "plateau" / "report.json", code=1)
-    shutil.copytree(inv, tmp / "shallow")
-    shutil.copy(tmp / "shallow" / "base.fn", tmp / "shallow" / "final.fn")
-    _run("report", tmp / "shallow", "--out", tmp / "shallow" / "report.json", code=2)
+    _run("report", tmp / "plateau", "--out", tmp / "plateau" / "report.json", code=2)
+    shutil.copytree(inv, tmp / "nofinal")
+    (tmp / "nofinal" / "final.fn").unlink()
+    _run("report", tmp / "nofinal", "--out", tmp / "nofinal" / "report.json")
+    _run("partition", tmp / "nofinal", "--delta-ladder", "0.01", "--out", tmp / "nofinal.json")
+    for key, value in (("depth", 40), ("k", 99999999999999999999), ("values_sha256", "0")):
+        shutil.copytree(tmp / "affine", tmp / key)
+        _edit_json(tmp / key / "stages.json", lambda s: s[1].update({key: value}))
+        _run("report", tmp / key, "--out", tmp / key / "report.json", code=2)
     shutil.copytree(tmp / "affine", tmp / "eta")
     _edit_json(tmp / "eta" / "stages.json", lambda s: s[0].update(eta="1/2"))
     _run("report", tmp / "eta", "--out", tmp / "eta" / "report.json", code=2)
