@@ -22,10 +22,10 @@ import typing
 from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
 
-# liplab makes one BLAS call, a polyfit over a few dozen points, so OpenBLAS's
-# thread pool does no work for it; starting the pool costs each process about
-# 70 ms.  The variable is read when numpy loads, so it is set before that; a
-# value the user set wins.
+# liplab makes no BLAS call, so OpenBLAS's thread pool does no work for it;
+# numpy starts the pool when it loads, which costs each process about 70 ms
+# with one thread per core.  The variable is read then, so it is set before
+# numpy is imported; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402

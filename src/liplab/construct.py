@@ -30,15 +30,13 @@ from fractions import Fraction
 
 import numpy as np
 
-# CPython's own sha256 where it is built in (_sha2 from Python 3.12):
-# hashlib's maps OpenSSL, 3 MB more resident memory in each build command
+# CPython's own BLAKE2b, which hashes about three times as fast as its
+# built-in sha256; hashlib's maps OpenSSL, 3 MB more resident memory in each
+# build command
 try:
-    from _sha2 import sha256
+    from _blake2 import blake2b
 except ImportError:
-    try:
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
+    from hashlib import blake2b
 
 from .gauges import GaugeDomainError, GaugeLike, format_gauge, parse_gauge
 from .funclib import (
@@ -295,7 +293,7 @@ class StageRecord:
     kept: np.ndarray  # StageParams.kept_cubes of the domain
     membership_slack: float  # (1/n) phi(eta/2), the F(C) threshold
     lip_slack: float  # (1/n) phi(eta/4), the ball-certificate threshold
-    values_sha256: str  # of the stage's float64 values, which load_build checks
+    values_blake2b: str  # 32-byte BLAKE2b of the stage's float64 values, which load_build checks
 
     @property
     def slack_min(self) -> float:
@@ -322,30 +320,31 @@ def build_stage(
 ) -> tuple[SampledFunction, StageRecord]:
     """Plateau f on every shrunken cube meeting the domain; blend across gaps.
 
-    The returned function equals f(x_C) on every cell meeting C (anchor x_C is
-    the center grid vertex when in the domain, else the least domain vertex of
-    C), so diam g(C) = 0 exactly; across gaps g interpolates neighboring
-    plateau values, and g - f is clamped to [-eps, eps].  The cubes are
-    params.kept_cubes(f.domain).
+    The stage grid has depth m = max(f.depth, params.required_depth()).  f
+    may be shallower: its values are read through the exact refinement to
+    depth m (SampledFunction.refined_at), a GRID_BLOCK at a time, so no
+    refined copy of f is made and the pass holds its output grid and
+    blocks.  The returned function equals f(x_C) on every cell meeting C
+    (anchor x_C is the center grid vertex when in the domain, else the least
+    domain vertex of C), so diam g(C) = 0 exactly; across gaps g
+    interpolates neighboring plateau values, and g - f is clamped to
+    [-eps, eps].  The cubes are params.kept_cubes(f.domain).
     """
     _require_dim_1(f)
-    need = params.required_depth()
-    if f.depth < need:
-        raise ConstructError(f"grid depth {f.depth} insufficient; stage needs {need}")
-    m = f.depth
+    m = max(f.depth, params.required_depth())
     top = 1 << m
     js = params.kept_cubes(f.domain)
     if len(js) == 0:
         raise ConstructError("no cube meets the domain")
     lo_v, hi_v, anchors = plateau_vertex_ranges(params, m, js)
+    plat_vals = f.refined_at(m, anchors)
     if not f.full_domain:
-        for j in np.flatnonzero(np.isnan(f.values[anchors])):
+        for j in np.flatnonzero(np.isnan(plat_vals)):
             # a center off the domain: the least domain vertex of the plateau,
             # as the cells meeting a cube that meets the domain hold one
-            anchors[j] = next(i for i in range(lo_v[j], hi_v[j] + 1)
-                              if not math.isnan(f.values[i]))
-    values = np.asarray(f.values, dtype=np.float64)
-    plat_vals = values[anchors]
+            plat_vals[j] = next(block[~np.isnan(block)][0] for _, block in
+                                f.refined_blocks(m, lo_v[j], hi_v[j] + 1)
+                                if not np.isnan(block).all())
 
     # piecewise-linear profile: flat on plateaus, linear across gaps,
     # extended flat into the boundary slabs
@@ -355,23 +354,28 @@ def build_stage(
     xp[1::2] = hi_v
     fp[0::2] = plat_vals
     fp[1::2] = plat_vals
-    # the plateaus are disjoint and increasing: runs alternate gap, plateau, ..., gap
+    # the plateaus are disjoint and increasing: runs alternate gap, plateau,
+    # ..., gap, and vertex i lies in run r, the count of ends <= i
     ends = np.empty(2 * len(js) + 1, dtype=np.int64)
     ends[0:-1:2] = lo_v
     ends[1::2] = hi_v + 1
     ends[-1] = top + 1
-    plateau_mask = np.repeat(np.arange(ends.size) % 2 == 1, np.diff(ends, prepend=0))
 
     eps = params.eps
     g = np.empty(top + 1)
-    digest = sha256()  # of g, one block at a time
+    digest = blake2b(digest_size=32)  # of g, one block at a time
     worst = 0.0
     # one block of the grid at a time; np.interp works per element, so the
     # blocks give the bits of one whole-grid pass
     for lo in range(0, top + 1, GRID_BLOCK):
         hi = min(lo + GRID_BLOCK, top + 1)
-        profile = np.interp(np.arange(lo, hi, dtype=np.float64), xp, fp)
-        v, on, h_fun = values[lo:hi], plateau_mask[lo:hi], g[lo:hi]
+        idx = np.arange(lo, hi)
+        v = f.refined_at(m, idx)
+        profile = np.interp(idx.astype(np.float64), xp, fp)
+        # the runs of vertices lo..hi-1, the odd ones plateaus
+        a, b = np.searchsorted(ends, (lo, hi - 1), side="right")
+        on = np.repeat(np.arange(a, b + 1) % 2 == 1, np.diff(np.r_[lo, ends[a:b], hi]))
+        h_fun = g[lo:hi]
         np.subtract(profile, v, out=h_fun)
         # plateau cells must be exact: the clamp may bite only in the gaps
         worst = max(worst, np.fmax.reduce(h_fun, where=on, initial=0.0),
@@ -420,10 +424,9 @@ class TypicalBuild:
         return [rec.params.eps for rec in self.stages]
 
     def add_stage(self, params: StageParams) -> StageRecord:
-        """The stage step of iterate_typical and load_build alike: refine the
-        final function to the stage's required depth when it is shallower,
-        then build_stage on it; the shallower grid is freed before that."""
-        self.final = self.final.resample(max(self.final.depth, params.required_depth()))
+        """The stage step of iterate_typical and load_build alike: build_stage
+        on the final function, which it reads through the refinement to the
+        stage's depth, and the stage's output becomes the final function."""
         self.final, rec = build_stage(self.final, params, self.phi)
         self.stages.append(rec)
         return rec
@@ -671,7 +674,7 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
     """Write the build directory; returns the exceptional_set result whose E
     and F it wrote as rasters at RASTER_DEPTH.
 
-    stages.json keeps what each stage chose and the sha256 of its values;
+    stages.json keeps what each stage chose and the BLAKE2b of its values;
     load_build replays the stages from base.fn and re-derives everything
     else.  final.fn is written for analyze and is read by no build command."""
     os.makedirs(directory, exist_ok=True)
@@ -684,7 +687,7 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
             "eta": str(rec.params.eta),
             "delta": str(rec.params.delta),
             "depth": rec.depth,
-            "values_sha256": rec.values_sha256,
+            "values_blake2b": rec.values_blake2b,
         }
         for rec in build.stages
     ]
@@ -733,7 +736,8 @@ def load_build(directory) -> TypicalBuild:
     """Read a build directory and replay its stages from base.fn as
     iterate_typical built them: each budget by stage_budget from meta.json's
     eps0, the params from stages.json (_stored_params), then add_stage, whose
-    values_sha256 must be the stored one.  final.fn is not read, and other
+    values_blake2b must be the stored one.  final.fn is not read; a stored
+    values_sha256, the digest of older builds, is refused, and other
     stages.json keys (as an old build's epsilon or dropped) are ignored.
     meta.json's eps0 must be positive and finite and its early_stop null or
     a string, and base.fn must be 1-d; otherwise, or when a replay raises
@@ -762,10 +766,16 @@ def load_build(directory) -> TypicalBuild:
                 rec = build.add_stage(_stored_params(position, item, zeta, eps, build.final.depth))
             except (ValueError, TypeError, KeyError, ArithmeticError) as err:
                 raise FormatError(f"stages.json stage {position}: {err}") from err
-            if item.get("values_sha256") != rec.values_sha256:
+            if "values_sha256" in item:
+                raise FormatError(
+                    f"stages.json stage {position}: values_sha256 is the stage digest of"
+                    " builds before values_blake2b, which this liplab checks; construct the"
+                    " build again"
+                )
+            if item.get("values_blake2b") != rec.values_blake2b:
                 raise FormatError(
                     f"stages.json stage {position}: the stage replayed from base.fn has"
-                    f" values_sha256 {rec.values_sha256}, not the stored"
-                    f" {item.get('values_sha256')!r}"
+                    f" values_blake2b {rec.values_blake2b}, not the stored"
+                    f" {item.get('values_blake2b')!r}"
                 )
     return build

@@ -108,9 +108,11 @@ class TableModulus:
 
 Modulus = HolderModulus | TableModulus
 
-# vertices per block of the whole-grid passes (resample, grid_lipschitz and
-# construct.build_stage), so their temporaries do not grow with the grid
-GRID_BLOCK = 1 << 16
+# vertices per block of every whole-grid pass (refined_blocks,
+# _adjacent_maxima, _check_values, _weierstrass_grid and
+# construct.build_stage): besides its output a pass holds blocks of this
+# size, however deep the grid
+GRID_BLOCK = 1 << 12
 
 
 def grid_fits(depth: int) -> bool:
@@ -170,22 +172,31 @@ class SampledFunction:
             values[lo : lo + block.size] = block
         return SampledFunction(1, depth, self.domain, values, self.modulus, self.exact)
 
-    def refined_blocks(self, depth: int):
-        """Yield (lo, new array of the values at vertices lo, lo+1, ...) of the
-        refinement to depth, one block at a time; at equal depth, copies."""
+    def refined_at(self, depth: int, idx: np.ndarray) -> np.ndarray:
+        """The values of the refinement to depth at the nondecreasing int64
+        vertex indices idx, a new array.  np.interp works per element (a
+        vertex on f's grid gets its value, NaN or not), so any split of the
+        indices gives the bits of one whole-grid pass; xp is f's grid i *
+        2^-f.depth, the bits of np.linspace, from the first index's cell to
+        the last one's, so a block of vertices reads only its cells."""
         if depth < self.depth:
             raise ValueError("resample only refines")
         if self.dim != 1:
             raise ValueError("resample implemented for dimension 1")
-        old_grid = np.linspace(0.0, 1.0, (1 << self.depth) + 1)
-        size = (1 << depth) + 1
-        # the new grid i * 2^-depth, the bits of linspace; np.interp works per
-        # element (a point on the old grid gets its value, NaN or not), and it
-        # computes the slopes once for a block at least as long as the old grid
-        block = max(GRID_BLOCK, old_grid.size)
-        for lo in range(0, size, block):
-            x = np.arange(lo, min(lo + block, size)) * 2.0**-depth
-            yield lo, np.interp(x, old_grid, self.values)
+        shift = depth - self.depth
+        a = int(idx[0]) >> shift
+        b = min((int(idx[-1]) >> shift) + 1, 1 << self.depth)
+        xp = np.arange(a, b + 1) * 2.0**-self.depth
+        return np.interp(idx * 2.0**-depth, xp, self.values[a : b + 1])
+
+    def refined_blocks(self, depth: int, lo: int = 0, hi: int | None = None):
+        """Yield (start, new array of refined_at's values at vertices start,
+        start+1, ...) over the vertices lo..hi-1 of the refinement to depth
+        (hi defaults to the whole grid), GRID_BLOCK vertices at a time; at
+        equal depth, copies."""
+        hi = (1 << depth) + 1 if hi is None else hi
+        for start in range(lo, hi, GRID_BLOCK):
+            yield start, self.refined_at(depth, np.arange(start, min(start + GRID_BLOCK, hi)))
 
     def _adjacent_maxima(self) -> list[float]:
         """Per axis, the largest |difference| of adjacent vertex values,
@@ -558,14 +569,18 @@ def cantor_value(x: Fraction) -> float:
 
 def _weierstrass_grid(a: float, b: int, terms: int, depth: int) -> np.ndarray:
     """Sum of a^n cos(2 pi b^n x) over n < terms at the grid points x = i /
-    2^depth.  b^n x is reduced mod 1 exactly, to m / 2^depth, so every term
-    reads one table of cos(2 pi m / 2^depth)."""
+    2^depth, in order of n, one GRID_BLOCK of points at a time.  b^n x is
+    reduced mod 1 exactly, to m / 2^depth, so every term reads one table of
+    cos(2 pi m / 2^depth)."""
     top = 1 << depth
-    idx = np.arange(top + 1, dtype=np.int64)
     table = np.cos(2.0 * math.pi * (np.arange(top) / top))
+    coefficients = [(a**n, pow(b, n, top)) for n in range(terms)]
     total = np.zeros(top + 1)
-    for n in range(terms):
-        total += a**n * table[(pow(b, n, top) * idx) & (top - 1)]
+    for lo in range(0, top + 1, GRID_BLOCK):
+        idx = np.arange(lo, min(lo + GRID_BLOCK, top + 1), dtype=np.int64)
+        block = total[lo : lo + idx.size]
+        for an, bn in coefficients:
+            block += an * table[(bn * idx) & (top - 1)]
     return total
 
 

@@ -722,6 +722,19 @@ def lower_box_premeasure(E, zeta: GaugeLike, eps: float, scales: Sequence[Number
     return min(count * zeta.eval(float(s)) for s, count in zip(scanned, counts))
 
 
+def _fit_slope(xs: list[float], ys: list[float]) -> float:
+    """The least-squares slope of the points (xs, ys), exact in Fractions of
+    the floats and rounded once; 0.0 for fewer than 2 distinct xs.  No BLAS
+    call: OpenBLAS allocates its buffers on the first one."""
+    n = len(xs)
+    xs, ys = list(map(Fraction, xs)), list(map(Fraction, ys))
+    sx = sum(xs)
+    spread = n * sum(x * x for x in xs) - sx * sx
+    if not spread:
+        return 0.0
+    return float((n * sum(x * y for x, y in zip(xs, ys)) - sx * sum(ys)) / spread)
+
+
 def lower_box_dim(E, scales: Sequence[Number]) -> dict:
     """Lower box dimension proxies from a scanned scale grid, as the dims
     payload: entries {r, N, ratio = log N / |log r|} per scale, lbdim_proxy
@@ -742,9 +755,7 @@ def lower_box_dim(E, scales: Sequence[Number]) -> dict:
     if not empty:
         proxy = min(e["ratio"] for e in entries[len(entries) // 2 :])
         hit = [e for e in entries if e["N"] > 0]
-        xs = np.array([abs(math.log(e["r"])) for e in hit])
-        ys = np.array([math.log(e["N"]) for e in hit])
-        slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else 0.0
+        slope = _fit_slope([abs(math.log(e["r"])) for e in hit], [math.log(e["N"]) for e in hit])
     return {"lbdim_proxy": proxy, "slope": slope, "mode": mode, "empty": empty, "entries": entries}
 
 

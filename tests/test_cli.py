@@ -128,7 +128,7 @@ def _move_base_anchor(build, by: float) -> int:
 
 
 # what load_build raises when a stage replays to other values than stored
-REPLAY_MISMATCH = "stages.json stage 1: the stage replayed from base.fn has values_sha256"
+REPLAY_MISMATCH = "stages.json stage 1: the stage replayed from base.fn has values_blake2b"
 
 
 def test_report_finds_a_plateau_hidden_by_a_stored_dropped_list(workdir, capsys):
@@ -905,9 +905,10 @@ def test_cli_defaults_openblas_to_one_thread(tmp_path, given, expected):
 
 
 def test_dims_bytes_do_not_depend_on_blas_threads(workdir):
-    # dims' slope is liplab's one BLAS call (np.polyfit).  This process
-    # imported numpy with the default thread count; the CLI processes run
-    # with the one-thread default and with two threads
+    # dims' slope, once a BLAS call (np.polyfit), is an exact fit that no
+    # thread count can move.  This process imported numpy with the default
+    # thread count; the CLI processes run with the one-thread default and
+    # with two threads
     rng = np.random.default_rng(7)
     setlib.save_cubes("r2d.set", setlib.DyadicCubeSet.from_indices(
         2, 6, np.argwhere(rng.random((64, 64)) < 0.3)))

@@ -326,11 +326,85 @@ def test_partial_domain_build_certifies_and_round_trips(tmp_path):
     assert again.E_intervals == analysis.E_intervals
 
 
-def test_build_stage_depth_guard():
+def _assert_same_record(a: StageRecord, b: StageRecord) -> None:
+    for field in dataclasses.fields(StageRecord):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+def _refined_copy(f: SampledFunction, depth: int) -> SampledFunction:
+    """f on the depth grid, refined in one np.interp pass."""
+    return SampledFunction(1, depth, f.domain, resample_linspace(f.values, depth), f.modulus,
+                           f.exact)
+
+
+def test_build_stage_refines_a_shallower_grid():
+    # the stage needs depth 7; a depth-3 f is read through its refinement
     f0 = make_test_function("affine", {"c": 1.0}, depth=3)
     p = StageParams(1, 0.5, Fraction(1), 2, Fraction(1, 32), 1 / 32)
-    with pytest.raises(ConstructError, match="depth"):
-        build_stage(f0, p, phi=POWER1)
+    assert p.required_depth() == 7
+    g, rec = build_stage(f0, p, phi=POWER1)
+    g_ref, rec_ref = build_stage(_refined_copy(f0, 7), p, phi=POWER1)
+    assert g.depth == rec.depth == 7 and f0.depth == 3
+    assert g.values.tobytes() == g_ref.values.tobytes() and g.modulus == g_ref.modulus
+    _assert_same_record(rec, rec_ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 2), st.integers(0, 3),
+       st.sampled_from([0.05, 0.5, 2.0]), st.sampled_from([1, 5, 64]),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_build_stage_on_a_shallower_f_matches_the_refined_copy(k, e_extra, finer, eps, block,
+                                                               seed, partial):
+    # f is `finer` levels below the stage depth, the required depth of
+    # eta = 2^-e < 1/k; on Omega = [0, 1/2] its vertices past 1/2 are NaN,
+    # so the plateaus there take the fallback anchor
+    e = k.bit_length() + e_extra
+    p = StageParams(1, eps, Fraction(1), k, Fraction(1, 1 << e), 0.0)
+    depth = p.required_depth()
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 0.3, (1 << (depth - finer)) + 1)
+    domain = DyadicCubeSet.full(1, 0)
+    if partial:
+        domain = DyadicCubeSet(1, 1, [0])
+        values[values.size // 2 + 1 :] = np.nan
+    f = SampledFunction(1, depth - finer, domain, values, HolderModulus(1.0), True)
+
+    def outcome(fn):
+        try:
+            return build_stage(fn, p, POWER1)
+        except ConstructError as err:
+            return str(err)
+
+    with mock.patch.object(construct_mod, "GRID_BLOCK", block), \
+            mock.patch.object(funclib, "GRID_BLOCK", block):
+        got, expected = outcome(f), outcome(_refined_copy(f, depth))
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    (g, rec), (g_ref, rec_ref) = got, expected
+    assert g.depth == depth and g.values.tobytes() == g_ref.values.tobytes()
+    assert g.modulus == g_ref.modulus
+    _assert_same_record(rec, rec_ref)
+
+
+def test_build_stage_refines_without_a_refined_copy():
+    # a depth-18 stage from a depth-16 f holds its output grid and blocks;
+    # refining f first held a refined copy too, 2x the output grid at least
+    f = make_test_function("affine", {"c": 1.0}, depth=16)
+    p = StageParams(1, 0.5, Fraction(1), 2, Fraction(1, 1 << 16), 0.0)
+    assert p.required_depth() == 18
+    tracemalloc.start()
+    try:
+        g, _ = build_stage(f, p, PHI)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.depth == 18 and g.values.nbytes == 8 * ((1 << 18) + 1)
+    assert peak <= 1.3 * g.values.nbytes, peak / g.values.nbytes
 
 
 @settings(max_examples=80, deadline=None)
@@ -362,9 +436,9 @@ def test_build_stage_blocks_match_whole_grid_oracle(k, m, e_extra, extra, eps, b
 
 
 def test_build_stage_memory_is_one_grid_array_and_blocks():
-    # the traced peak counts what build_stage allocates: its output, a bool
-    # plateau mask and fixed-size blocks; one more grid-sized temporary (the
-    # whole-grid pass held about six) exceeds the bound
+    # the traced peak counts what build_stage allocates: its output and
+    # fixed-size blocks; one more grid-sized temporary (the whole-grid pass
+    # held about six) exceeds the bound
     f = make_test_function("affine", {"c": 1.0}, depth=18)
     p = choose_stage_params(f, 1, 0.25, POWER1)
     grid = f.values.nbytes
@@ -440,7 +514,7 @@ def test_build_rejects_dimension_2(tmp_path):
         load_build(tmp_path / "b")
 
 
-REPLAY_MISMATCH = r"stages.json stage 1: the stage replayed from base.fn has values_sha256"
+REPLAY_MISMATCH = r"stages.json stage 1: the stage replayed from base.fn has values_blake2b"
 
 
 def test_load_build_needs_one_domain(tmp_path):
@@ -791,7 +865,7 @@ def test_build_save_load_round_trip(tmp_path):
     back = load_build(tmp_path / "b")
     stages = json.loads((tmp_path / "b" / "stages.json").read_text())
     for item in stages:
-        assert list(item) == ["n", "k", "eta", "delta", "depth", "values_sha256"]
+        assert list(item) == ["n", "k", "eta", "delta", "depth", "values_blake2b"]
     assert back.n_stages == build.n_stages
     assert back.eps_schedule == pytest.approx(build.eps_schedule)
     assert back.eps_schedule == build.eps_schedule
@@ -851,9 +925,4 @@ def test_load_build_replays_construct_bitwise(tmp_path, replay_builds, name):
     assert back.early_stop == build.early_stop and back.eps_schedule == build.eps_schedule
     assert len(back.stages) == len(build.stages)
     for a, b in zip(back.stages, build.stages):
-        for field in dataclasses.fields(StageRecord):
-            x, y = getattr(a, field.name), getattr(b, field.name)
-            if isinstance(x, np.ndarray):
-                assert x.dtype == y.dtype and np.array_equal(x, y), field.name
-            else:
-                assert x == y, field.name
+        _assert_same_record(a, b)

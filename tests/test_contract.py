@@ -30,7 +30,8 @@ EARLY_STOPS = {"0": 0, "false": False, "list": [1], "object": {"a": 1}, "text": 
 # stages.json copies stage-<name>: (stage, key, value)
 STAGE_EDITS = {"depth-40": (1, "depth", 40), "k-huge": (1, "k", 99999999999999999999),
                "k-40": (2, "k", 40), "eta-third": (1, "eta", "1/3"),
-               "sha": (3, "values_sha256", "0" * 64)}
+               "sha": (3, "values_blake2b", "0" * 64),
+               "sha256-key": (1, "values_sha256", "0" * 64)}
 
 
 def _main(argv, capsys) -> tuple[int, str]:
@@ -101,7 +102,7 @@ def inputs(tmp_path_factory):
     return root
 
 
-SHA_MISMATCH = "stages.json stage 1: the stage replayed from base.fn has values_sha256"
+SHA_MISMATCH = "stages.json stage 1: the stage replayed from base.fn has values_blake2b"
 MIXED = "stages.json stage 1: plateau offset 1.33086 exceeds eps=0.5"
 CASES = {
     # eps0 * 2^-1 underflows the budget: nothing was built, so nothing failed
@@ -166,13 +167,17 @@ CASES = {
     "stage-k-huge": (["partition", "{root}/stage-k-huge", "--out", "{out}"], 2,
                      "stages.json stage 1: k = 99999999999999999999 beyond k_max = 2097152"),
     "stage-k-40": (["report", "{root}/stage-k-40", "--out", "{out}"], 2,
-                   "stages.json stage 2: the stage replayed from base.fn has values_sha256"),
+                   "stages.json stage 2: the stage replayed from base.fn has values_blake2b"),
     "stage-eta-third": (["report", "{root}/stage-eta-third", "--out", "{out}"], 2,
                         "stages.json stage 1: need eta < 1/k"),
     "stage-sha": (["partition", "{root}/stage-sha", "--out", "{out}"], 2,
-                  "stages.json stage 3: the stage replayed from base.fn has values_sha256"
-                  " 0a14db10ef6be57eea37f78c6af05bf8a38c8215bfeddaf72de76d63dda56b7a, not the"
+                  "stages.json stage 3: the stage replayed from base.fn has values_blake2b"
+                  " 2ba3e4e56bcc49ec405e931eca088527d9a2377ef0520748c98fb8ae08391cff, not the"
                   f" stored {'0' * 64!r}"),
+    # the stage digest of builds before values_blake2b
+    "stage-sha256-key": (["report", "{root}/stage-sha256-key", "--out", "{out}"], 2,
+                         "stages.json stage 1: values_sha256 is the stage digest of builds"
+                         " before values_blake2b"),
     # an overflowing ratio is inf, with no RuntimeWarning
     "fn-ratio-overflow": (["analyze", "{root}/huge.fn", "--out", "{out}"], 0, ""),
     # no admissible ball at any B cube center: the cover holds no ball, and

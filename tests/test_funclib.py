@@ -657,12 +657,15 @@ def test_weierstrass_symmetry_and_period():
 
 @settings(max_examples=60, deadline=None)
 @given(a=st.floats(0.05, 0.95), b=st.sampled_from([3, 5, 7, 9, 11]), terms=st.integers(1, 30),
-       depth=st.integers(0, 14))
-@example(a=0.5, b=3, terms=25, depth=14)
-def test_weierstrass_grid_matches_per_term_oracle(a, b, terms, depth):
-    # the one-table grid reads the same cosines as a np.cos pass per term
+       depth=st.integers(0, 14), block=st.sampled_from([3, 64, 1 << 12]))
+@example(a=0.5, b=3, terms=25, depth=14, block=1 << 12)
+def test_weierstrass_grid_matches_per_term_oracle(a, b, terms, depth, block):
+    # the one-table grid, a block of points at a time, reads the same
+    # cosines as a np.cos pass per term over the whole grid
     expected = weierstrass_grid_per_term(a, b, terms, depth)
-    assert funclib._weierstrass_grid(a, b, terms, depth).tobytes() == expected.tobytes()
+    with mock.patch.object(funclib, "GRID_BLOCK", block):
+        got = funclib._weierstrass_grid(a, b, terms, depth)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_weierstrass_parameter_validation():

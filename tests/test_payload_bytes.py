@@ -38,7 +38,7 @@ BUILD_DIGESTS = {
         "F.set":
             "9ff24a21fec95e43cc1e863d8da985af9c61e887a6a313a9b2a081871455399e",
         "stages.json":
-            "e54a088023e3f7045b435c2d0c5d04535cd0e8ac1b174e2b7757d7905909256c",
+            "ace1db6e526b5e75c08429890cc72f03834e4245fb8cece961c17a0d984b4e44",
     },
     "affine": {
         "certificates.json":
@@ -50,7 +50,7 @@ BUILD_DIGESTS = {
         "F.set":
             "016691bb0a83388cb4044dcd415c791a2c444461232469b5d55be589ce2dc89d",
         "stages.json":
-            "47ed4bbbb7b725f7656df7f65cbe7273e89ae4a31e2b7a914744669cdbedff84",
+            "3b2982d83a1c5f3c0a598015634b3fd2234627842f39df7fe13d41a04a9a1e1b",
     },
     "affine-inv_log": {
         "certificates.json":
@@ -62,7 +62,7 @@ BUILD_DIGESTS = {
         "F.set":
             "6dd4963b89e0741913d19708e8c922a290065cdb8c44cb66d9176a446824adf5",
         "stages.json":
-            "ec9b8dd06383fbe59a2f86c3b4c43465daac910e32dad7d8871a1b44cdfd77c6",
+            "1b9db887e642ddff30709640c6c4b504f15d51bbc5dd3a7c7515e48045020405",
     },
     "staircase-weierstrass": {
         "certificates.json":
@@ -74,7 +74,7 @@ BUILD_DIGESTS = {
         "F.set":
             "cf77ba764da3a26b649b923c3ddf5912451be470672ae3f33c870ca27b69abcb",
         "stages.json":
-            "465804dce18dce0aa0ed7a064f2e151439ce2611e446dc5d93ef5bde6f883c33",
+            "205e59f142792494528c407b8d89772dea758c2b8673b71bb6a61bd7ceaaed42",
         # the function files: a run-length writer must give these bytes
         "base.fn":
             "e1cde4cb07e9e605ac7fe5fc4fd9bf1783e2e04c9feccaebab6dd382616f7792",
@@ -85,7 +85,7 @@ BUILD_DIGESTS = {
 
 PARTITION_DIGEST = "ef83aa00585ff04474d2fd228489d94aec1c79b572c656bd3fcda60933e290af"
 DIMS_CANTOR_DIGEST = "0fa7d13f54e24c96fae7db9e276e9c74cdcb6dc465defb69d783a5938c2f636c"
-DIMS_2D_DIGEST = "ff57a1259d81ee2af86718d1870d1cb47a28dd4b661fe533386504d95021c674"
+DIMS_2D_DIGEST = "8dc5850773e81c44c9bc6c909348fbb018784e4aeb7a1308dce2825805edd21e"
 MICRO_2D_DIGESTS = {
     "m2d.json": "7868ebbad6b0b28d8e741f6f7b410edc22290b7869ad1f83dbf33e90ec4a7728",
     "m2d.cover": "79b0bb9f2530d8963ca09b5d02994d20b250a7fa061f8c21dc6235410680bb75",

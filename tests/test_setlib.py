@@ -768,6 +768,28 @@ def test_lower_box_dim_square_and_empty():
     assert empty["empty"] and empty["lbdim_proxy"] == empty["slope"] == 0.0
 
 
+def test_lower_box_dim_slope_is_the_exact_fit():
+    # log N is exactly 2 |log r| at every scale of the full square, so the
+    # fit is 2.0 (np.polyfit's was 2.0000000000000004)
+    rep = lower_box_dim(DyadicCubeSet.full(2, 8), [Fraction(1, 2**k) for k in range(1, 9)])
+    assert rep["slope"] == 2.0
+    # off a line, the slope 13.5/6 is a float; 1/3 is rounded once
+    assert setlib._fit_slope([1.0, 2.0, 3.0], [2.0, 4.0, 6.5]) == 2.25
+    assert setlib._fit_slope([0.0, 3.0], [0.0, 1.0]) == 1 / 3
+    assert setlib._fit_slope([0.5], [7.0]) == setlib._fit_slope([], []) == 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0)), min_size=2, max_size=40,
+                unique_by=lambda p: p[0]))
+def test_fit_slope_matches_polyfit(points):
+    xs, ys = map(list, zip(*points))
+    if max(xs) - min(xs) < 1.0:  # polyfit's conditioning, not the exact fit, limits this
+        return
+    assert setlib._fit_slope(xs, ys) == pytest.approx(np.polyfit(xs, ys, 1)[0], rel=1e-9,
+                                                      abs=1e-9)
+
+
 def test_lower_box_dim_finite_set():
     pts = points_union([0.11, 0.23, 0.47, 0.71, 0.89])
     rep = lower_box_dim(pts, [Fraction(1, 2**k) for k in range(1, 25)])
