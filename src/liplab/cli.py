@@ -404,7 +404,8 @@ def _cmd_partition(cfg: RunConfig) -> int:
     build = construct_mod.load_build(cfg.input_path)
     B_img = partition.b_image_cubes(build, cfg.img_depth)
     A, B = partition.split_partition(build)
-    reports = [partition.image_cover_report(build.final, B, phi, xi, delta) for delta in ladder]
+    final = build.final_function()  # oscillation reads the grid whole
+    reports = [partition.image_cover_report(final, B, phi, xi, delta) for delta in ladder]
     failures = []
     for r in reports:
         where = f"image_cover at delta={r['delta']:g}: "

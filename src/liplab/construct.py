@@ -24,8 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +45,7 @@ from .funclib import (
     _window_extremes,
     grid_fits,
     load_function,
+    refined_values,
     save_function,
 )
 from .setlib import (
@@ -198,8 +198,9 @@ class StageParams:
         return depth
 
 
-def choose_stage_params(f: SampledFunction, n: int, eps: float, zeta: GaugeLike) -> StageParams:
-    """Pick delta, k, eta for stage n from the function's declared modulus.
+def choose_stage_params(f, n: int, eps: float, zeta: GaugeLike) -> StageParams:
+    """Pick delta, k, eta for stage n from the declared modulus of f, a
+    SampledFunction or a TypicalBuild's final function.
 
     delta: largest scanned dyadic radius with w(delta) < eps.  k: smallest
     integer > n with 1/k < delta.  eta: largest scanned dyadic with eta < 1/k
@@ -278,12 +279,17 @@ def stage_slacks(params: StageParams, phi: GaugeLike) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """Geometry and certificates of one built stage (dimension 1 layout).
+    """One built stage (dimension 1 layout), held as its profile, arrays of
+    one entry per kept cube: no grid of the stage's values is stored.
 
-    Plateaus are stored as vertex index ranges [lo_v[j], hi_v[j]] on the
-    stage's grid, as computed by plateau_vertex_ranges: every cell meeting the
-    shrunken cube got the anchor value, so the final diameter over each cube
-    is exactly zero at build time.
+    Plateaus are vertex index ranges [lo_v[j], hi_v[j]] on the stage's grid,
+    as computed by plateau_vertex_ranges, and every cell meeting the
+    shrunken cube got the anchor value plateau[j], so the final diameter
+    over each cube is exactly zero at build time.  The stage's value at any
+    vertex follows from these and the stage below (values_at).
+    values_blake2b and lip come from a chain pass over the stage's grid
+    (TypicalBuild); a stage that add_stage made and no pass settled yet has
+    None in both.
     """
 
     params: StageParams
@@ -291,9 +297,11 @@ class StageRecord:
     lo_v: np.ndarray
     hi_v: np.ndarray
     kept: np.ndarray  # StageParams.kept_cubes of the domain
+    plateau: np.ndarray  # the anchor value of each kept cube's plateau
     membership_slack: float  # (1/n) phi(eta/2), the F(C) threshold
     lip_slack: float  # (1/n) phi(eta/4), the ball-certificate threshold
-    values_blake2b: str  # 32-byte BLAKE2b of the stage's float64 values, which load_build checks
+    values_blake2b: str | None = None  # 32-byte BLAKE2b of the stage's float64 values
+    lip: float | None = None  # the stage's grid Lipschitz constant, its declared modulus
 
     @property
     def slack_min(self) -> float:
@@ -309,94 +317,132 @@ class StageRecord:
         lo, hi = self.params.pieces("core", j)
         return j if lo * q <= p * self.params.layout_den <= hi * q else None
 
+    def values_at(self, idx: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, float]:
+        """The stage's values at the sorted vertex indices idx of its grid,
+        from below, the function below at idx, and the largest plateau
+        offset |profile - below| there.  The profile is flat on plateaus,
+        linear across gaps and flat into the boundary slabs; g - below is
+        clamped to [-eps, eps], and plateau vertices in the domain carry the
+        profile bitwise.
+
+        Only the plateaus from the last one starting at or before idx[0] to
+        the first one ending at or after idx[-1] are read: np.interp works
+        per element and finds the same two knots for idx among them as among
+        all, so any split of a grid gives the bits of one whole-grid pass."""
+        a = max(int(np.searchsorted(self.lo_v, idx[0], side="right")) - 1, 0)
+        b = int(np.searchsorted(self.hi_v, idx[-1])) + 1
+        lo_v, hi_v = self.lo_v[a:b], self.hi_v[a:b]
+        xp = np.empty(2 * len(lo_v), dtype=np.float64)
+        xp[0::2], xp[1::2] = lo_v, hi_v
+        profile = np.interp(idx.astype(np.float64), xp, np.repeat(self.plateau[a:b], 2))
+        # the plateaus are disjoint and increasing: runs alternate gap,
+        # plateau, ..., gap, and vertex i lies in run r, the count of ends <= i
+        ends = np.empty(2 * len(lo_v), dtype=np.int64)
+        ends[0::2], ends[1::2] = lo_v, hi_v + 1
+        runs = np.bincount(idx.searchsorted(ends), minlength=idx.size + 1)[: idx.size].cumsum()
+        on = (runs & 1).astype(bool)
+        g = np.subtract(profile, below)
+        # plateau cells must be exact: the clamp may bite only in the gaps
+        offsets = np.where(on, g, 0.0)
+        worst = float(np.fmax.reduce(np.abs(offsets, out=offsets), initial=0.0))
+        eps = self.params.eps
+        np.clip(g, -eps, eps, out=g)
+        np.add(below, g, out=g)
+        # f + (A - f) can land an ulp off A; plateau vertices carry A bitwise so
+        # the certified diameters are exactly zero.  Off-domain vertices stay NaN.
+        np.copyto(g, profile, where=on & ~np.isnan(below))
+        return g, worst
+
 
 def _require_dim_1(f: SampledFunction) -> None:
     if f.dim != 1:
         raise ConstructError(f"staircase builds are implemented for dimension 1, not {f.dim}")
 
 
-def build_stage(
-    f: SampledFunction, params: StageParams, phi: GaugeLike
-) -> tuple[SampledFunction, StageRecord]:
-    """Plateau f on every shrunken cube meeting the domain; blend across gaps.
+class _Tally:
+    """What a chain pass learns of one stage's values, fed in grid order, a
+    block at a time; a block may repeat vertices already fed, which count
+    once: their BLAKE2b, the largest |adjacent difference| (NaN-ignoring)
+    and the largest plateau offset."""
 
-    The stage grid has depth m = max(f.depth, params.required_depth()).  f
-    may be shallower: its values are read through the exact refinement to
-    depth m (SampledFunction.refined_at), a GRID_BLOCK at a time, so no
-    refined copy of f is made and the pass holds its output grid and
-    blocks.  The returned function equals f(x_C) on every cell meeting C
-    (anchor x_C is the center grid vertex when in the domain, else the least
-    domain vertex of C), so diam g(C) = 0 exactly; across gaps g
-    interpolates neighboring plateau values, and g - f is clamped to
-    [-eps, eps].  The cubes are params.kept_cubes(f.domain).
+    def __init__(self) -> None:
+        self.digest = blake2b(digest_size=32)
+        self.adjacent = self.worst = 0.0
+        self.fed = 0
+        self.last = np.empty(0)
+
+    def feed(self, start: int, values: np.ndarray, worst: float) -> None:
+        self.worst = max(self.worst, worst)
+        new = values[self.fed - start :]
+        if new.size:
+            self.digest.update(new)
+            diffs = np.abs(np.diff(np.concatenate((self.last, new))))
+            self.adjacent = max(self.adjacent, float(np.fmax.reduce(diffs, initial=0.0)))
+            self.last = new[-1:]
+            self.fed += new.size
+
+
+class _Pass:
+    """One chain pass: the tallies it feeds, and per stage the block of the
+    stage's grid it computed last."""
+
+    def __init__(self, tallies: dict) -> None:
+        self.tallies = tallies
+        self.blocks: dict[int, tuple[int, np.ndarray]] = {}
+
+
+class _FinalSums:
+    """What a chain pass learns of the final function, fed in grid order a
+    block at a time: the NaN-ignoring max |final - base| and each stage's
+    plateau (min, max), window by window."""
+
+    def __init__(self, build: "TypicalBuild") -> None:
+        self.build = build
+        self.sup = 0.0
+        self.extremes = [np.full((2, len(rec.kept)), np.nan) for rec in build.stages]
+
+    def feed(self, idx: np.ndarray, block: np.ndarray) -> None:
+        build, lo, hi = self.build, int(idx[0]), int(idx[-1])
+        diff = build.base.refined_at(build.depth, idx)
+        np.abs(np.subtract(diff, block, out=diff), out=diff)
+        self.sup = max(self.sup, float(np.fmax.reduce(diff, initial=0.0)))
+        for rec, (mn, mx) in zip(build.stages, self.extremes):
+            # the plateaus that meet lo..hi, as windows of the final grid
+            s = build.depth - rec.depth
+            a = np.searchsorted(rec.hi_v, -(-lo >> s))
+            b = np.searchsorted(rec.lo_v, hi >> s, "right")
+            if a < b:
+                bmin, bmax = _window_extremes(block, np.maximum(rec.lo_v[a:b] << s, lo) - lo,
+                                              np.minimum(rec.hi_v[a:b] << s, hi) - lo)
+                np.fmin(mn[a:b], bmin, out=mn[a:b])
+                np.fmax(mx[a:b], bmax, out=mx[a:b])
+
+
+def build_stage(build: "TypicalBuild", params: StageParams) -> StageRecord:
+    """Stage n = build.n_stages + 1 on the build's final function: add its
+    profile (TypicalBuild.add_stage), then settle it by one chain pass over
+    its grid, which gives its values_blake2b and lip and checks its plateau
+    offsets.  The pass holds blocks and the stages' profiles, never a grid.
+
+    The stage grid has depth m = max(build.depth, params.required_depth()),
+    and the function below, f, is read through the exact refinement to
+    depth m.  The stage g equals f(x_C) on every cell meeting C (anchor x_C
+    is the center grid vertex when in the domain, else the least domain
+    vertex of C), so diam g(C) = 0 exactly; across gaps g interpolates
+    neighboring plateau values, and g - f is clamped to [-eps, eps].  The
+    cubes are params.kept_cubes of the domain.
     """
-    _require_dim_1(f)
-    m = max(f.depth, params.required_depth())
-    top = 1 << m
-    js = params.kept_cubes(f.domain)
-    if len(js) == 0:
-        raise ConstructError("no cube meets the domain")
-    lo_v, hi_v, anchors = plateau_vertex_ranges(params, m, js)
-    plat_vals = f.refined_at(m, anchors)
-    if not f.full_domain:
-        for j in np.flatnonzero(np.isnan(plat_vals)):
-            # a center off the domain: the least domain vertex of the plateau,
-            # as the cells meeting a cube that meets the domain hold one
-            plat_vals[j] = next(block[~np.isnan(block)][0] for _, block in
-                                f.refined_blocks(m, lo_v[j], hi_v[j] + 1)
-                                if not np.isnan(block).all())
+    build.add_stage(params)
+    offsets = build._settle([build.n_stages])
+    _check_offset(build.stages[-1], offsets[build.n_stages])
+    return build.stages[-1]
 
-    # piecewise-linear profile: flat on plateaus, linear across gaps,
-    # extended flat into the boundary slabs
-    xp = np.empty(2 * len(js), dtype=np.float64)
-    fp = np.empty(2 * len(js), dtype=np.float64)
-    xp[0::2] = lo_v
-    xp[1::2] = hi_v
-    fp[0::2] = plat_vals
-    fp[1::2] = plat_vals
-    # the plateaus are disjoint and increasing: runs alternate gap, plateau,
-    # ..., gap, and vertex i lies in run r, the count of ends <= i
-    ends = np.empty(2 * len(js) + 1, dtype=np.int64)
-    ends[0:-1:2] = lo_v
-    ends[1::2] = hi_v + 1
-    ends[-1] = top + 1
 
-    eps = params.eps
-    g = np.empty(top + 1)
-    digest = blake2b(digest_size=32)  # of g, one block at a time
-    worst = 0.0
-    # one block of the grid at a time; np.interp works per element, so the
-    # blocks give the bits of one whole-grid pass
-    for lo in range(0, top + 1, GRID_BLOCK):
-        hi = min(lo + GRID_BLOCK, top + 1)
-        idx = np.arange(lo, hi)
-        v = f.refined_at(m, idx)
-        profile = np.interp(idx.astype(np.float64), xp, fp)
-        # the runs of vertices lo..hi-1, the odd ones plateaus
-        a, b = np.searchsorted(ends, (lo, hi - 1), side="right")
-        on = np.repeat(np.arange(a, b + 1) % 2 == 1, np.diff(np.r_[lo, ends[a:b], hi]))
-        h_fun = g[lo:hi]
-        np.subtract(profile, v, out=h_fun)
-        # plateau cells must be exact: the clamp may bite only in the gaps
-        worst = max(worst, np.fmax.reduce(h_fun, where=on, initial=0.0),
-                    -np.fmin.reduce(h_fun, where=on, initial=0.0))
-        np.clip(h_fun, -eps, eps, out=h_fun)
-        np.add(v, h_fun, out=h_fun)
-        # f + (A - f) can land an ulp off A; plateau vertices carry A bitwise so
-        # the certified diameters are exactly zero.  Off-domain vertices stay NaN.
-        np.copyto(h_fun, profile, where=on & ~np.isnan(v))
-        digest.update(h_fun)
-    if worst > eps:
-        raise ConstructError(
-            f"plateau offset {worst:g} exceeds eps={eps:g}; stage delta too optimistic"
-        )
-
-    g_fn = SampledFunction(1, m, f.domain, g, f.modulus, exact=True)
-    lip = g_fn.grid_lipschitz()
-    g_fn = SampledFunction(1, m, f.domain, g, HolderModulus(lip, 1.0), exact=True)
-
-    record = StageRecord(params, m, lo_v, hi_v, js, *stage_slacks(params, phi), digest.hexdigest())
-    return g_fn, record
+def _check_offset(rec: StageRecord, offset: float) -> None:
+    """ConstructError when a stage's largest plateau offset exceeds its eps."""
+    if offset > rec.params.eps:
+        raise ConstructError(f"plateau offset {offset:g} exceeds eps={rec.params.eps:g};"
+                             " stage delta too optimistic")
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +451,32 @@ def build_stage(
 
 @dataclass
 class TypicalBuild:
-    """An iterated stage build with its perturbation schedule."""
+    """An iterated stage build: the base function, one StageRecord per stage,
+    and its perturbation schedule.
+
+    No stage's values are stored: a build holds its base and, per stage,
+    arrays of one entry per kept cube.  _values reads any stage at sorted
+    vertex indices: the stage below through the exact refinement
+    (funclib.refined_values), recursively down to the base, then
+    StageRecord.values_at.  A chain pass (_sweep) runs through the final
+    grid a GRID_BLOCK at a time; it settles the stage records it tallies
+    and, when asked, the final function's sup_distance and
+    plateau_extremes.  The build stands for its final function as
+    save_function reads it (dim, depth, domain, modulus, exact and
+    value_blocks); final_function() materializes it, which only partition
+    needs.
+    """
 
     base: SampledFunction
-    final: SampledFunction
     stages: list[StageRecord]
     phi: GaugeLike
     zeta: GaugeLike
     eps0: float
     early_stop: str | None = None
+    # sup_distance and plateau_extremes, from the last chain pass that took them
+    _sums: "_FinalSums | None" = field(default=None, init=False, repr=False, compare=False)
+
+    dim = 1
 
     @property
     def n_stages(self) -> int:
@@ -423,27 +486,144 @@ class TypicalBuild:
     def eps_schedule(self) -> list[float]:
         return [rec.params.eps for rec in self.stages]
 
+    @property
+    def depth(self) -> int:
+        return self.stages[-1].depth if self.stages else self.base.depth
+
+    @property
+    def domain(self) -> DyadicCubeSet:
+        return self.base.domain
+
+    @property
+    def modulus(self):
+        """The final function's declared modulus: the last stage's grid
+        Lipschitz constant, or the base's modulus before any stage."""
+        return HolderModulus(self.stages[-1].lip, 1.0) if self.stages else self.base.modulus
+
+    @property
+    def exact(self) -> bool:
+        return True if self.stages else self.base.exact
+
+    def _values(self, n: int, idx: np.ndarray, run: "_Pass | None" = None) -> np.ndarray:
+        """Stage n's values (n = 0: the base) at the sorted vertex indices idx
+        of its grid, to be read, not written.  In a chain pass (run) the
+        reads are blocks in grid order: a stage computes GRID_BLOCK of its
+        own vertices at a time, feeds them to its tally and serves the reads
+        of the stage above from them while they lie inside."""
+        if n == 0:
+            return self.base.values[idx]
+        if run is None:
+            return self._computed(n, idx, None)
+        lo, hi = int(idx[0]), int(idx[-1]) + 1
+        start, block = run.blocks.get(n, (0, None))
+        if block is None or not start <= lo <= hi <= start + block.size:
+            top = (1 << self.stages[n - 1].depth) + 1
+            start, block = lo, self._computed(n, np.arange(lo, max(hi, min(lo + GRID_BLOCK, top))),
+                                              run)
+            run.blocks[n] = start, block
+        return block[lo - start : hi - start]
+
+    def _computed(self, n: int, idx: np.ndarray, run: "_Pass | None") -> np.ndarray:
+        """Stage n >= 1 at idx from the stage below, read through the exact
+        refinement to stage n's grid (funclib.refined_values), recursively
+        down to the base, then StageRecord.values_at."""
+        rec = self.stages[n - 1]
+        below = self.stages[n - 2].depth if n > 1 else self.base.depth
+        v = refined_values(lambda at: self._values(n - 1, at, run), below, rec.depth, idx)
+        g, worst = rec.values_at(idx, v)
+        if run is not None and n in run.tallies:
+            run.tallies[n].feed(int(idx[0]), g, worst)
+        return g
+
     def add_stage(self, params: StageParams) -> StageRecord:
-        """The stage step of iterate_typical and load_build alike: build_stage
-        on the final function, which it reads through the refinement to the
-        stage's depth, and the stage's output becomes the final function."""
-        self.final, rec = build_stage(self.final, params, self.phi)
+        """Stage n = n_stages + 1 as its profile alone, read through the chain
+        at its anchors, with no pass over its grid: the step iterate_typical
+        (through build_stage) and load_build both take.  A chain pass
+        settles it."""
+        _require_dim_1(self.base)
+        m = max(self.depth, params.required_depth())
+        js = params.kept_cubes(self.domain)
+        if len(js) == 0:
+            raise ConstructError("no cube meets the domain")
+        lo_v, hi_v, anchors = plateau_vertex_ranges(params, m, js)
+        n = self.n_stages
+
+        def read(at):
+            return refined_values(lambda v: self._values(n, v), self.depth, m, at)
+
+        # GRID_BLOCK anchors at a time, so a read's temporaries stay block-sized
+        plateau = np.concatenate([read(anchors[i : i + GRID_BLOCK])
+                                  for i in range(0, len(anchors), GRID_BLOCK)])
+        if not self.base.full_domain:
+            for j in np.flatnonzero(np.isnan(plateau)):
+                # a center off the domain: the least domain vertex of the plateau,
+                # as the cells meeting a cube that meets the domain hold one
+                plateau[j] = next(block[~np.isnan(block)][0] for block in (
+                    read(np.arange(lo, min(lo + GRID_BLOCK, hi_v[j] + 1)))
+                    for lo in range(lo_v[j], hi_v[j] + 1, GRID_BLOCK)
+                ) if not np.isnan(block).all())
+        rec = StageRecord(params, m, lo_v, hi_v, js, plateau, *stage_slacks(params, self.phi))
         self.stages.append(rec)
+        self._sums = None
         return rec
+
+    def _settle(self, stages, sums: "_FinalSums | None" = None) -> dict[int, float]:
+        """One chain pass that settles the given stages, and the final sums
+        when sums is given: each record gets its values_blake2b and lip, and
+        each stage's largest plateau offset is returned, for _check_offset."""
+        tallies = {n: _Tally() for n in stages}
+        for _ in self._sweep(tallies, sums):
+            pass
+        for n, tally in tallies.items():
+            rec = self.stages[n - 1]
+            self.stages[n - 1] = replace(rec, values_blake2b=tally.digest.hexdigest(),
+                                         lip=(0 + tally.adjacent) / 2.0**-rec.depth)
+        return {n: tally.worst for n, tally in tallies.items()}
+
+    def _sweep(self, tallies: dict, sums: "_FinalSums | None"):
+        """One chain pass: yield the final function's values in grid order,
+        GRID_BLOCK vertices at a time, feeding every stage in tallies its
+        values, and sums, when given, the final values, which then become
+        the build's final sums."""
+        n, top, run = self.n_stages, 1 << self.depth, _Pass(tallies)
+        for lo in range(0, top + 1, GRID_BLOCK):
+            idx = np.arange(lo, min(lo + GRID_BLOCK, top + 1))
+            block = self._values(n, idx, run)
+            if sums is not None:
+                sums.feed(idx, block)
+            yield block
+        if sums is not None:
+            self._sums = sums
+
+    def _final_sums(self) -> "_FinalSums":
+        if self._sums is None:
+            for _ in self.value_blocks():
+                pass
+        return self._sums
+
+    def value_blocks(self):
+        """The final function's values in grid order, GRID_BLOCK at a time,
+        from one chain pass, which settles the final sums."""
+        return self._sweep({}, _FinalSums(self))
+
+    def final_function(self) -> SampledFunction:
+        """The final function with its grid held whole, from one chain pass;
+        only partition, whose oscillation reads the grid whole, needs it."""
+        values = np.empty((1 << self.depth) + 1)
+        lo = 0
+        for block in self.value_blocks():
+            values[lo : lo + block.size] = block
+            lo += block.size
+        return SampledFunction(1, self.depth, self.domain, values, self.modulus, self.exact)
 
     def tail(self, n: int) -> float:
         """T_n = sum of budgets of stages after n."""
         return float(sum(self.eps_schedule[n:]))
 
-    @cached_property
+    @property
     def sup_distance(self) -> float:
-        """max |final - base| over the final grid (NaN-ignoring), computed once
-        per build and one block of the refined base at a time."""
-        final, worst = self.final.values, 0.0
-        for lo, diff in self.base.refined_blocks(self.final.depth):
-            np.abs(np.subtract(diff, final[lo : lo + diff.size], out=diff), out=diff)
-            worst = max(worst, float(np.fmax.reduce(diff, initial=0.0)))
-        return worst
+        """max |final - base| over the final grid (NaN-ignoring)."""
+        return self._final_sums().sup
 
     @property
     def budget_failure(self) -> str | None:
@@ -488,14 +668,14 @@ def iterate_typical(
     if n_max < 1 or eps0 <= 0:
         raise ConstructError("need n_max >= 1 and eps0 > 0")
     _require_dim_1(f0)
-    build = TypicalBuild(f0, f0, [], phi, zeta, eps0)
+    build = TypicalBuild(f0, [], phi, zeta, eps0)
     for n in range(1, n_max + 1):
         eps_n = stage_budget(eps0, [rec.slack_min for rec in build.stages])
         if eps_n < 1e-250:
             build.early_stop = f"slack exhaustion at stage {n}: budget underflow ({eps_n:g})"
             break
         try:
-            params = choose_stage_params(build.final, n, eps_n, zeta)
+            params = choose_stage_params(build, n, eps_n, zeta)
         except ConstructError as err:
             build.early_stop = f"stage {n}: {err}"
             break
@@ -506,7 +686,7 @@ def iterate_typical(
         if need > max_depth:
             build.early_stop = f"stage {n}: required depth {need} beyond max_depth {max_depth}"
             break
-        build.add_stage(params)
+        build_stage(build, params)
     if not build.stages:
         raise ConstructError(f"no stage could be built: {build.early_stop}")
     return build
@@ -531,12 +711,12 @@ class StageCertificate:
 
 
 def plateau_extremes(build: TypicalBuild, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) of build.final over each kept stage-n plateau, in kept order.
+    """(min, max) of the final function over each kept stage-n plateau, in
+    kept order, from the build's last chain pass (one runs if none has).
 
     NaN-ignoring: a partial-domain cube's off-domain vertices are NaN."""
-    rec = build.stages[n - 1]
-    shift = build.final.depth - rec.depth
-    return _window_extremes(build.final.values, rec.lo_v << shift, rec.hi_v << shift)
+    mn, mx = build._final_sums().extremes[n - 1]
+    return mn, mx
 
 
 def certify_membership(build: TypicalBuild, n: int) -> StageCertificate:
@@ -593,10 +773,10 @@ RASTER_DEPTH = 16
 
 
 def deepest_core_complement(build: TypicalBuild) -> IntervalUnion:
-    """F: the part of Omega = build.final.domain outside every core of the
+    """F: the part of Omega = build.domain outside every core of the
     deepest stage, which is that stage's slab union within Omega."""
     slabs = build.stages[-1].params.slab_union()
-    return slabs.intersect(build.final.domain.to_interval_union())
+    return slabs.intersect(build.domain.to_interval_union())
 
 
 def exceptional_set(build: TypicalBuild) -> ExceptionalAnalysis:
@@ -618,7 +798,9 @@ def exceptional_set(build: TypicalBuild) -> ExceptionalAnalysis:
     # tail_n = intersection over m >= n is increasing in n, so the union over
     # n collapses to the deepest tail
     E_intervals = tails[-1]
-    F_intervals = deepest_core_complement(build)
+    # deepest_core_complement, from the deepest slab union built above: a
+    # second one held 4 MB more at k = 262,145
+    F_intervals = slabs[-1].intersect(build.domain.to_interval_union())
 
     reports = []
     for n in range(1, N + 1):
@@ -676,10 +858,13 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
 
     stages.json keeps what each stage chose and the BLAKE2b of its values;
     load_build replays the stages from base.fn and re-derives everything
-    else.  final.fn is written for analyze and is read by no build command."""
+    else.  final.fn is written for analyze and is read by no build command;
+    it is written from one chain pass over the final grid, a block at a
+    time, which also settles the build's sup_distance and plateau_extremes
+    for the certificates, so the final grid is never held whole."""
     os.makedirs(directory, exist_ok=True)
     save_function(os.path.join(directory, "base.fn"), build.base)
-    save_function(os.path.join(directory, "final.fn"), build.final)
+    save_function(os.path.join(directory, "final.fn"), build)
     stages = [
         {
             "n": rec.params.n,
@@ -701,8 +886,8 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
     _atomic_write(os.path.join(directory, "meta.json"), json.dumps(meta, indent=1))
     analysis = exceptional_set(build)
     for name, intervals in (("E.set", analysis.E_intervals), ("F.set", analysis.F_intervals)):
-        cubes = DyadicCubeSet.from_interval_union(intervals, RASTER_DEPTH)
-        save_cubes(os.path.join(directory, name), cubes)
+        save_cubes(os.path.join(directory, name),
+                   DyadicCubeSet.from_interval_union(intervals, RASTER_DEPTH))
     return analysis
 
 
@@ -735,8 +920,9 @@ def _stored_params(position: int, item: dict, zeta: GaugeLike, eps: float,
 def load_build(directory) -> TypicalBuild:
     """Read a build directory and replay its stages from base.fn as
     iterate_typical built them: each budget by stage_budget from meta.json's
-    eps0, the params from stages.json (_stored_params), then add_stage, whose
-    values_blake2b must be the stored one.  final.fn is not read; a stored
+    eps0, the params from stages.json (_stored_params), then add_stage; one
+    chain pass then settles every stage, whose values_blake2b must be the
+    stored one, and the final sums.  final.fn is not read; a stored
     values_sha256, the digest of older builds, is refused, and other
     stages.json keys (as an old build's epsilon or dropped) are ignored.
     meta.json's eps0 must be positive and finite and its early_stop null or
@@ -759,11 +945,11 @@ def load_build(directory) -> TypicalBuild:
             raise FormatError(f"{directory}: base.fn has dimension {base.dim}, not 1")
         if not raw:
             raise FormatError(f"{directory}: stages.json lists no stage")
-        build = TypicalBuild(base, base, [], phi, zeta, eps0, early_stop)
+        build = TypicalBuild(base, [], phi, zeta, eps0, early_stop)
         for position, item in enumerate(raw, 1):
             eps = stage_budget(eps0, [rec.slack_min for rec in build.stages])
             try:
-                rec = build.add_stage(_stored_params(position, item, zeta, eps, build.final.depth))
+                build.add_stage(_stored_params(position, item, zeta, eps, build.depth))
             except (ValueError, TypeError, KeyError, ArithmeticError) as err:
                 raise FormatError(f"stages.json stage {position}: {err}") from err
             if "values_sha256" in item:
@@ -772,6 +958,14 @@ def load_build(directory) -> TypicalBuild:
                     " builds before values_blake2b, which this liplab checks; construct the"
                     " build again"
                 )
+        # one chain pass settles every stage, and the final sums the
+        # certificates read
+        offsets = build._settle(range(1, len(raw) + 1), _FinalSums(build))
+        for position, (item, rec) in enumerate(zip(raw, build.stages), 1):
+            try:
+                _check_offset(rec, offsets[position])
+            except ConstructError as err:
+                raise FormatError(f"stages.json stage {position}: {err}") from err
             if item.get("values_blake2b") != rec.values_blake2b:
                 raise FormatError(
                     f"stages.json stage {position}: the stage replayed from base.fn has"

@@ -40,6 +40,7 @@ __all__ = [
     "cantor_value",
     "save_function",
     "load_function",
+    "refined_values",
     "worker_count",
 ]
 
@@ -108,10 +109,10 @@ class TableModulus:
 
 Modulus = HolderModulus | TableModulus
 
-# vertices per block of every whole-grid pass (refined_blocks,
-# _adjacent_maxima, _check_values, _weierstrass_grid and
-# construct.build_stage): besides its output a pass holds blocks of this
-# size, however deep the grid
+# vertices per block of every grid pass (resample, _adjacent_maxima,
+# _check_values, _weierstrass_grid, the .fn writer and construct's chain
+# pass): a pass holds blocks of this size, however deep the grid, and
+# construct's stages hold no grid at all
 GRID_BLOCK = 1 << 12
 
 
@@ -168,35 +169,26 @@ class SampledFunction:
         if depth == self.depth:
             return self
         values = np.empty((1 << depth) + 1)
-        for lo, block in self.refined_blocks(depth):
-            values[lo : lo + block.size] = block
+        for lo in range(0, values.size, GRID_BLOCK):
+            idx = np.arange(lo, min(lo + GRID_BLOCK, values.size))
+            values[lo : lo + idx.size] = self.refined_at(depth, idx)
         return SampledFunction(1, depth, self.domain, values, self.modulus, self.exact)
 
     def refined_at(self, depth: int, idx: np.ndarray) -> np.ndarray:
         """The values of the refinement to depth at the nondecreasing int64
-        vertex indices idx, a new array.  np.interp works per element (a
-        vertex on f's grid gets its value, NaN or not), so any split of the
-        indices gives the bits of one whole-grid pass; xp is f's grid i *
-        2^-f.depth, the bits of np.linspace, from the first index's cell to
-        the last one's, so a block of vertices reads only its cells."""
+        vertex indices idx, a new array (refined_values)."""
         if depth < self.depth:
             raise ValueError("resample only refines")
         if self.dim != 1:
             raise ValueError("resample implemented for dimension 1")
-        shift = depth - self.depth
-        a = int(idx[0]) >> shift
-        b = min((int(idx[-1]) >> shift) + 1, 1 << self.depth)
-        xp = np.arange(a, b + 1) * 2.0**-self.depth
-        return np.interp(idx * 2.0**-depth, xp, self.values[a : b + 1])
+        return refined_values(self.values.__getitem__, self.depth, depth, idx)
 
-    def refined_blocks(self, depth: int, lo: int = 0, hi: int | None = None):
-        """Yield (start, new array of refined_at's values at vertices start,
-        start+1, ...) over the vertices lo..hi-1 of the refinement to depth
-        (hi defaults to the whole grid), GRID_BLOCK vertices at a time; at
-        equal depth, copies."""
-        hi = (1 << depth) + 1 if hi is None else hi
-        for start in range(lo, hi, GRID_BLOCK):
-            yield start, self.refined_at(depth, np.arange(start, min(start + GRID_BLOCK, hi)))
+    def value_blocks(self):
+        """The values in grid (C) order, GRID_BLOCK at a time, as save_function
+        writes them."""
+        flat = np.ascontiguousarray(self.values, dtype=np.float64).reshape(-1)
+        for lo in range(0, flat.size, GRID_BLOCK):
+            yield flat[lo : lo + GRID_BLOCK]
 
     def _adjacent_maxima(self) -> list[float]:
         """Per axis, the largest |difference| of adjacent vertex values,
@@ -226,6 +218,30 @@ class SampledFunction:
                 raise ValueError(
                     f"adjacent vertex difference {mx} exceeds modulus bound {bound}"
                 )
+
+
+def refined_values(read, depth_from: int, depth: int, idx: np.ndarray) -> np.ndarray:
+    """The refinement to depth, at the nondecreasing int64 vertex indices idx,
+    of the 1-d function whose values at sorted vertex indices of its
+    depth_from grid read gives, as a new array.  Only the vertices of the
+    cells holding idx are read: a block of idx reads a block, sparse idx
+    (a stage's anchors) reads two vertices each.  np.interp works per
+    element (a vertex on the coarse grid gets its value, NaN or not, and a
+    point between two grid vertices reads just those two), and xp is the
+    coarse grid i * 2^-depth_from, the bits of np.linspace, so any split of
+    the indices gives the bits of one whole-grid pass."""
+    shift = depth - depth_from
+    if shift == 0:
+        return read(idx)
+    cells = idx >> shift
+    top = 1 << depth_from
+    if idx[-1] - idx[0] == idx.size - 1:  # a block
+        vertices = np.arange(cells[0], min(int(cells[-1]) + 1, top) + 1)
+    else:  # each distinct cell's two ends, in order, each once
+        cells = cells[np.r_[True, cells[1:] != cells[:-1]]]
+        vertices = np.minimum(np.stack((cells, cells + 1), axis=1).ravel(), top)
+        vertices = vertices[np.r_[True, vertices[1:] != vertices[:-1]]]
+    return np.interp(idx * 2.0**-depth, vertices * 2.0**-depth_from, read(vertices))
 
 
 def _domain_keys(f: SampledFunction, cells: np.ndarray) -> np.ndarray:
@@ -634,39 +650,38 @@ def make_test_function(name: str, params: dict | None = None, depth: int = 10) -
 # Text file format (.fn)
 
 
-# values per written chunk and characters per read chunk: the values block
-# is never one string
-_WRITE_BLOCK = 1 << 14
+# characters per read chunk: the values block is never one string
 _READ_CHUNK = 1 << 16
 # a read chunk looks for runs only when one of its line pairs (i, i + 1),
 # i a multiple of this, repeats
 _RUN_PROBE = 16
 
 
-def _value_chunks(flat: np.ndarray, block: int):
-    """The %.17g lines of flat, one chunk per block of values.  A run of
-    bitwise-equal values (-0.0 and 0.0 differ) is formatted once and its
-    line repeated, which gives the bytes of formatting every value."""
-    bits = flat.view(np.uint64)
-    heads = np.flatnonzero(bits[1:] != bits[:-1])
-    heads += 1  # each run's first index but 0
-    for lo in range(0, flat.size, block):
-        hi = min(lo + block, flat.size)
-        starts = np.r_[lo, heads[np.searchsorted(heads, lo, "right"):np.searchsorted(heads, hi)]]
-        if len(starts) == hi - lo:  # no repeats
-            yield ("%.17g\n" * (hi - lo)) % tuple(flat[lo:hi].tolist())
+def _value_chunks(blocks):
+    """The %.17g lines of the values in blocks, one chunk per block.  A run
+    of bitwise-equal values in a block (-0.0 and 0.0 differ) is formatted
+    once and its line repeated, which gives the bytes of formatting every
+    value."""
+    for block in blocks:
+        bits = block.view(np.uint64)
+        starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+        if len(starts) == block.size:  # no repeats
+            yield ("%.17g\n" * block.size) % tuple(block.tolist())
         else:
-            text = ("%.17g\n" * len(starts)) % tuple(flat[starts].tolist())
-            lengths = np.diff(np.r_[starts, hi]).tolist()
+            text = ("%.17g\n" * len(starts)) % tuple(block[starts].tolist())
+            lengths = np.diff(np.r_[starts, block.size]).tolist()
             yield "".join(map(operator.mul, text.splitlines(keepends=True), lengths))
 
 
 def save_function(path, f: SampledFunction) -> None:
+    """Write f as a .fn file.  f may also be any object with a
+    SampledFunction's dim, depth, domain, modulus and exact whose
+    value_blocks() yields its float64 values in grid order, as a
+    construct.TypicalBuild's streamed final function does."""
     head = f"d {f.dim} m {f.depth} domain {len(f.domain)}\ndomain_depth {f.domain.depth}\n"
-    flat = np.ascontiguousarray(f.values, dtype=np.float64).ravel()
     tail = f.modulus.serialize() + ("\nexact 1\n" if f.exact else "\n")
     _atomic_write(path, chain(
-        (head,), _cube_chunks(f.domain), ("values\n",), _value_chunks(flat, _WRITE_BLOCK), (tail,)
+        (head,), _cube_chunks(f.domain), ("values\n",), _value_chunks(f.value_blocks()), (tail,)
     ))
 
 

@@ -147,10 +147,10 @@ def split_partition(build: TypicalBuild) -> tuple[DyadicCubeSet, DyadicCubeSet]:
     A cube lands in B exactly when it sits inside a deepest-stage core, where
     the final function is constant; the split is an exact cube-level partition.
     """
-    raster_depth = min(SPLIT_RASTER_DEPTH, build.final.depth)
+    raster_depth = min(SPLIT_RASTER_DEPTH, build.depth)
     F_intervals = deepest_core_complement(build)
     A = DyadicCubeSet.from_interval_union(F_intervals, raster_depth)
-    omega = build.final.domain.refine(raster_depth).keys
+    omega = build.domain.refine(raster_depth).keys
     B = DyadicCubeSet(1, raster_depth, np.setdiff1d(omega, A.keys, assume_unique=True))
     A = DyadicCubeSet(1, raster_depth, np.intersect1d(A.keys, omega, assume_unique=True))
     return A, B

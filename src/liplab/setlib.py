@@ -210,8 +210,8 @@ class IntervalUnion:
         L = math.lcm(self.den, other.den)
         sa, sb = L // self.den, L // other.den
         dtype = _int_dtype(max(L, _reach(self.lo, self.hi) * sa, _reach(other.lo, other.hi) * sb))
-        alo, ahi = (x.astype(dtype) * sa for x in (self.lo, self.hi))
-        blo, bhi = (x.astype(dtype) * sb for x in (other.lo, other.hi))
+        alo, ahi, blo, bhi = (_scaled(x, dtype, s) for x, s in (
+            (self.lo, sa), (self.hi, sa), (other.lo, sb), (other.hi, sb)))
         first = np.searchsorted(bhi, alo, side="left")  # first component ending at or after alo
         stop = np.searchsorted(blo, ahi, side="right")  # past the last starting at or before ahi
         return L, alo, ahi, blo, bhi, first, stop
@@ -258,6 +258,12 @@ class IntervalUnion:
         end = int(ahi[i])
         nxt = int(blo[j + 1]) if j + 1 < len(blo) else end
         return Fraction(int(bhi[j]) + min(nxt, end), 2 * L)
+
+
+def _scaled(x: np.ndarray, dtype, s: int) -> np.ndarray:
+    """x * s in dtype; x itself when that is x."""
+    x = x.astype(dtype, copy=False)
+    return x * s if s != 1 else x
 
 
 def _reach(lo: np.ndarray, hi: np.ndarray) -> int:
@@ -425,7 +431,9 @@ class DyadicCubeSet:
         first = np.maximum(first, 0).astype(_int_dtype(top))
         counts = np.maximum(np.minimum(last, top - 1) - first + 1, 0).astype(np.int64)
         # neighbouring intervals can share a cube; the set keeps it once
-        ks = np.arange(int(counts.sum())) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        ks = np.repeat(first - (np.cumsum(counts) - counts), counts)
+        ks += np.arange(len(ks))
+        ks.flags.writeable = False  # no one else holds it: kept, not copied, when increasing
         return cls(1, depth, ks)
 
     def __len__(self) -> int:
@@ -590,7 +598,7 @@ def _greedy_count(iu: IntervalUnion, delta: Fraction) -> int:
     L = math.lcm(iu.den, delta.denominator)
     s, d = L // iu.den, delta.numerator * (L // delta.denominator)
     dtype = _int_dtype(max(_reach(iu.lo, iu.hi), 1) * s + d)  # s must fit even if all are 0
-    lo, hi = iu.lo.astype(dtype) * s, iu.hi.astype(dtype) * s
+    lo, hi = _scaled(iu.lo, dtype, s), _scaled(iu.hi, dtype, s)
     fresh = np.r_[True, lo[1:] - hi[:-1] > d]
     alone = fresh & np.r_[fresh[1:], True]
     count = int(np.maximum(1, -((lo[alone] - hi[alone]) // d)).sum())
@@ -1034,7 +1042,7 @@ def cantor_natural_cover(depth: int) -> BoxCover:
 
 # cubes per chunk a .set writer formats, lines per block a reader parses, and
 # bytes per block its binary pass reads
-_SAVE_CUBES = 1 << 16
+_SAVE_CUBES = 1 << 12  # cubes per .set chunk, funclib.GRID_BLOCK's size
 _LOAD_LINES = 1 << 14
 _COUNT_BYTES = 1 << 16
 

@@ -36,7 +36,9 @@ save_function and load_function.  The step table gauge is kept as a scan
 over its knots (table_gauge_step) as the reference for the bisect lookup.
 The whole-grid passes are kept in their one-pass form as the references
 for the blocked library versions: a stage's values with the plateau mask
-from a +1/-1 mark array (stage_values_whole_grid), resample through
+from a +1/-1 mark array (stage_values_whole_grid) and the whole stage
+from it (build_stage_whole_grid, the reference for the streamed stage
+chain, which holds no grid), resample through
 np.linspace (resample_linspace) and the Lipschitz constant from whole-axis
 differences (grid_lipschitz_whole).  The Weierstrass grid is kept with one
 np.cos pass per term (weierstrass_grid_per_term) as the reference for the
@@ -45,6 +47,7 @@ one-table make_test_function grid.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 import warnings
@@ -919,6 +922,32 @@ def stage_values_whole_grid(values, lo_v, hi_v, anchors, eps: float):
         worst = float(np.nanmax(np.abs(np.where(mask, h, 0.0))))
     np.clip(h, -eps, eps, out=h)
     return np.where(mask & ~np.isnan(values), g, values + h), worst
+
+
+def build_stage_whole_grid(values, depth: int, params, kept, eps: float):
+    """One 1-d stage in its whole-grid form, the reference for the streamed
+    stage chain: the input values (depth, NaN off the domain) refined to the
+    stage depth max(depth, params.required_depth()) by resample_linspace,
+    the plateau ranges of the kept cubes by fraction_plateau_range, each
+    anchored at its center vertex or, where that is NaN, at its least
+    domain vertex, then stage_values_whole_grid.  Returns (values, depth,
+    BLAKE2b hex digest of the values, grid Lipschitz constant); a plateau
+    offset above eps raises ValueError naming it."""
+    m = max(depth, params.required_depth())
+    if m > depth:
+        values = resample_linspace(values, m)
+    ranges = [fraction_plateau_range(params.k, params.eta, m, int(j)) for j in kept]
+    anchors = []
+    for lo, hi, center in ranges:
+        if np.isnan(values[center]):
+            center = lo + int(np.flatnonzero(~np.isnan(values[lo : hi + 1]))[0])
+        anchors.append(center)
+    lo_v, hi_v = (np.array([r[i] for r in ranges]) for i in (0, 1))
+    g, worst = stage_values_whole_grid(values, lo_v, hi_v, np.array(anchors), eps)
+    if worst > eps:
+        raise ValueError(f"plateau offset {worst:g} exceeds eps={eps:g}")
+    digest = hashlib.blake2b(g.tobytes(), digest_size=32).hexdigest()
+    return g, m, digest, grid_lipschitz_whole(g, 2.0**-m)
 
 
 def resample_linspace(values, depth: int):

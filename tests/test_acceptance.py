@@ -182,7 +182,7 @@ def test_criterion_6_partition_pipeline():
         A, B = split_partition(build)
         totals = []
         for delta in (0.1, 0.01, 0.001):
-            rep = image_cover_report(build.final, B, phi, xi, delta)
+            rep = image_cover_report(build.final_function(), B, phi, xi, delta)
             assert rep["sum"] <= delta * (1.0 + 2.0 * delta) / 2.0
             assert rep["verdict"]
             assert not rep["uncovered_points"]

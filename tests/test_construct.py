@@ -18,6 +18,7 @@ from liplab.construct import (
     _micro_route,
     StageParams,
     StageRecord,
+    TypicalBuild,
     build_stage,
     certify_membership,
     choose_stage_params,
@@ -42,6 +43,7 @@ from liplab.setlib import (
 from oracles import (
     FractionIntervalUnion,
     TupleCubeSet,
+    build_stage_whole_grid,
     fraction_core,
     fraction_cube,
     fraction_plateau_range,
@@ -66,6 +68,13 @@ def _piece(p: StageParams, kind: str, i: int) -> tuple[Fraction, Fraction]:
 def small_affine_build(n_max=3, eps0=0.5, phi=PHI, zeta=POWER1):
     f0 = make_test_function("affine", {"c": 1.0}, depth=10)
     return iterate_typical(f0, n_max, phi, zeta, eps0, max_depth=18)
+
+
+def one_stage(f, p: StageParams) -> tuple[SampledFunction, StageRecord]:
+    """Stage 1 on f: its final function, materialized, and its record."""
+    build = TypicalBuild(f, [], POWER1, POWER1, 1.0)
+    rec = build_stage(build, p)
+    return build.final_function(), rec
 
 
 def on_left_half(f):
@@ -156,7 +165,7 @@ def test_slab_and_core_geometry():
 def test_build_stage_affine_staircase():
     f0 = make_test_function("affine", {"c": 1.0}, depth=6)
     p = StageParams(1, 0.5, Fraction(1), 2, Fraction(1, 8), 0.125)
-    g, rec = build_stage(f0, p, phi=POWER1)
+    g, rec = one_stage(f0, p)
     # plateau values are f at the center anchors 1/4 and 3/4
     assert list(g.values[rec.lo_v]) == pytest.approx([0.25, 0.75])
     # diameters over both cubes are exactly zero
@@ -170,7 +179,7 @@ def test_build_stage_affine_staircase():
 def test_build_stage_constant_identity():
     f0 = make_test_function("constant", {"value": 0.25}, depth=6)
     p = StageParams(1, 0.5, Fraction(1), 2, Fraction(1, 8), 0.125)
-    g, rec = build_stage(f0, p, phi=POWER1)
+    g, rec = one_stage(f0, p)
     assert np.array_equal(g.values, f0.values)
 
 
@@ -286,7 +295,7 @@ def test_plateau_vertex_ranges_reject_off_grid_eta(stage):
 def test_build_stage_partial_domain_drops_cubes():
     f0 = on_left_half(make_test_function("affine", {"c": 1.0}, depth=8))
     p = StageParams(1, 0.5, Fraction(1, 4), 5, Fraction(1, 8), 0.125)
-    g, rec = build_stage(f0, p, phi=POWER1)
+    g, rec = one_stage(f0, p)
     assert rec.kept.tolist() == [0, 1, 2]  # cubes 3 and 4 miss the domain
     assert np.array_equal(p.kept_cubes(f0.domain), rec.kept)
     assert rec.lo_v.tolist() == [8, 59, 110]
@@ -304,11 +313,12 @@ def test_partial_domain_build_certifies_and_round_trips(tmp_path):
     f0 = on_left_half(make_test_function("affine", {"c": 1.0}, depth=10))
     build = iterate_typical(f0, 3, PHI, POWER1, 0.5, max_depth=18)
     assert build.n_stages == 3 and build.early_stop is None
-    assert build.final.depth > f0.depth and build.final.domain == f0.domain
-    in_domain = ~np.isnan(f0.resample(build.final.depth).values)
-    assert not np.isnan(build.final.values[in_domain]).any()
+    final = build.final_function()
+    assert final.depth > f0.depth and final.domain == f0.domain
+    in_domain = ~np.isnan(f0.resample(final.depth).values)
+    assert not np.isnan(final.values[in_domain]).any()
     # plateaus stop at the domain: every vertex off Omega stays NaN
-    assert np.isnan(build.final.values[~in_domain]).all()
+    assert np.isnan(final.values[~in_domain]).all()
     for n in (1, 2, 3):
         cert = certify_membership(build, n)
         assert cert.membership_margin > 0.0 and cert.lip_margin > 0.0
@@ -346,8 +356,8 @@ def test_build_stage_refines_a_shallower_grid():
     f0 = make_test_function("affine", {"c": 1.0}, depth=3)
     p = StageParams(1, 0.5, Fraction(1), 2, Fraction(1, 32), 1 / 32)
     assert p.required_depth() == 7
-    g, rec = build_stage(f0, p, phi=POWER1)
-    g_ref, rec_ref = build_stage(_refined_copy(f0, 7), p, phi=POWER1)
+    g, rec = one_stage(f0, p)
+    g_ref, rec_ref = one_stage(_refined_copy(f0, 7), p)
     assert g.depth == rec.depth == 7 and f0.depth == 3
     assert g.values.tobytes() == g_ref.values.tobytes() and g.modulus == g_ref.modulus
     _assert_same_record(rec, rec_ref)
@@ -375,7 +385,7 @@ def test_build_stage_on_a_shallower_f_matches_the_refined_copy(k, e_extra, finer
 
     def outcome(fn):
         try:
-            return build_stage(fn, p, POWER1)
+            return one_stage(fn, p)
         except ConstructError as err:
             return str(err)
 
@@ -392,19 +402,21 @@ def test_build_stage_on_a_shallower_f_matches_the_refined_copy(k, e_extra, finer
 
 
 def test_build_stage_refines_without_a_refined_copy():
-    # a depth-18 stage from a depth-16 f holds its output grid and blocks;
-    # refining f first held a refined copy too, 2x the output grid at least
+    # a depth-18 stage from a depth-16 f holds blocks: neither a refined
+    # copy of f nor its output grid, one of which is 2 MB
     f = make_test_function("affine", {"c": 1.0}, depth=16)
     p = StageParams(1, 0.5, Fraction(1), 2, Fraction(1, 1 << 16), 0.0)
     assert p.required_depth() == 18
+    build = TypicalBuild(f, [], PHI, POWER1, 1.0)
     tracemalloc.start()
     try:
-        g, _ = build_stage(f, p, PHI)
+        rec = build_stage(build, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.depth == 18 and g.values.nbytes == 8 * ((1 << 18) + 1)
-    assert peak <= 1.3 * g.values.nbytes, peak / g.values.nbytes
+    grid = 8 * ((1 << 18) + 1)
+    assert rec.depth == build.depth == 18
+    assert peak <= grid / 4, peak / grid
 
 
 @settings(max_examples=80, deadline=None)
@@ -428,46 +440,130 @@ def test_build_stage_blocks_match_whole_grid_oracle(k, m, e_extra, extra, eps, b
             mock.patch.object(funclib, "GRID_BLOCK", block):
         if worst > eps:
             with pytest.raises(ConstructError, match=re.escape(f"plateau offset {worst:g} ")):
-                build_stage(f, p, POWER1)
+                one_stage(f, p)
             return
-        g, _ = build_stage(f, p, POWER1)
+        g, _ = one_stage(f, p)
     assert g.values.tobytes() == expected.tobytes()
     assert g.modulus == HolderModulus(grid_lipschitz_whole(expected, g.h), 1.0)
 
 
-def test_build_stage_memory_is_one_grid_array_and_blocks():
-    # the traced peak counts what build_stage allocates: its output and
-    # fixed-size blocks; one more grid-sized temporary (the whole-grid pass
-    # held about six) exceeds the bound
-    f = make_test_function("affine", {"c": 1.0}, depth=18)
-    p = choose_stage_params(f, 1, 0.25, POWER1)
-    grid = f.values.nbytes
-    tracemalloc.start()
-    try:
-        g, _ = build_stage(f, p, PHI)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert g.values.nbytes == grid == 8 * ((1 << 18) + 1)
-    assert peak <= 2.5 * grid, peak / grid
+@st.composite
+def _stage_chains(draw):
+    """(base, params of 1-3 stages, GRID_BLOCK): random base values at a
+    depth that may lie below the stages' own, on [0, 1] or on [0, 1/2]
+    with NaN past 1/2, and stages of eta = 2^-e < 1/k, as
+    choose_stage_params picks them."""
+    partial = draw(st.booleans())
+    depth = draw(st.integers(1 if partial else 0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(0.0, 0.3, (1 << depth) + 1)
+    domain = DyadicCubeSet.full(1, 0)
+    if partial:
+        domain = DyadicCubeSet(1, 1, [0])
+        values[values.size // 2 + 1 :] = np.nan
+    base = SampledFunction(1, depth, domain, values, HolderModulus(1.0), True)
+    params = []
+    for n in range(1, draw(st.sampled_from([3, 2, 1])) + 1):
+        k = draw(st.integers(2, 24))
+        e = k.bit_length() + draw(st.integers(0, 2))
+        eps = draw(st.sampled_from([2.0, 2.0, 0.5, 0.05]))
+        params.append(StageParams(n, eps, Fraction(1), k, Fraction(1, 1 << e), 0.0))
+    return base, params, draw(st.sampled_from([1, 7, 64, 1 << 12]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_stage_chains())
+def test_streamed_stage_chain_matches_whole_grid_stages(chain):
+    # each stage of the chain, built by build_stage (one pass per stage) and
+    # replayed by add_stage and one pass for all (load_build's route),
+    # against the whole-grid stages applied in turn: every stage's digest,
+    # depth and lip, the final values and modulus, and sup_distance, bit for
+    # bit; a plateau offset above eps fails at the same stage either way
+    base, params, block = chain
+    values, depth, digests, lips, failure = base.values, base.depth, [], [], None
+    for p in params:
+        try:
+            values, depth, digest, lip = build_stage_whole_grid(
+                values, depth, p, p.kept_cubes(base.domain), p.eps)
+        except ValueError as err:
+            failure = str(err)
+            break
+        digests.append(digest)
+        lips.append(lip)
+    with mock.patch.object(construct_mod, "GRID_BLOCK", block), \
+            mock.patch.object(funclib, "GRID_BLOCK", block):
+        built = TypicalBuild(base, [], POWER1, POWER1, 1.0)
+        for p in params[: len(digests)]:
+            build_stage(built, p)
+        if failure is not None:
+            with pytest.raises(ConstructError, match=re.escape(failure)):
+                build_stage(built, params[len(digests)])
+            return
+        replayed = TypicalBuild(base, [], POWER1, POWER1, 1.0)
+        for p in params:
+            replayed.add_stage(p)
+        offsets = replayed._settle(range(1, len(params) + 1))
+        final = built.final_function()
+    assert all(offsets[p.n] <= p.eps for p in params)
+    assert [rec.values_blake2b for rec in built.stages] == digests
+    assert [rec.lip for rec in built.stages] == lips
+    assert built.stages[-1].depth == depth and final.depth == depth
+    assert final.values.tobytes() == values.tobytes()
+    assert final.modulus == HolderModulus(lips[-1], 1.0) == built.modulus
+    for a, b in zip(replayed.stages, built.stages):
+        _assert_same_record(a, b)
+    assert built.sup_distance == replayed.sup_distance == float(np.nanmax(
+        np.abs(resample_linspace(base.values, depth) - values), initial=0.0))
+
+
+def test_streamed_build_and_report_hold_less_than_one_final_grid(tmp_path, monkeypatch):
+    # stage 2 refines the depth-10 stage 1 to depth 18.  construct's path
+    # (iterate_typical, save_build, the certificates) and report's
+    # (load_build, the certificates) each trace less than one final grid,
+    # (2^18 + 1) * 8 bytes, and neither materializes the final function;
+    # the stages once held two such grids
+    f0 = make_test_function("affine", {"c": 1.0}, depth=10)
+    phi, zeta = make_preset("power", s=0.1), make_preset("power", s=0.6)
+    monkeypatch.setattr(TypicalBuild, "final_function", lambda build: pytest.fail("materialized"))
+
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def certify(build):
+        analysis = exceptional_set(build)
+        assert analysis.containment_ok and build.budget_failure is None
+        return [certify_membership(build, n) for n in (1, 2)]
+
+    def construct():
+        build = iterate_typical(f0, 2, phi, zeta, 0.5, max_depth=24)
+        assert [rec.depth for rec in build.stages] == [10, 18]
+        save_build(tmp_path / "b", build)
+        certify(build)
+
+    grid = 8 * ((1 << 18) + 1)
+    peak = traced_peak(construct)
+    assert peak < grid, peak / grid
+    peak = traced_peak(lambda: certify(load_build(tmp_path / "b")))
+    assert peak < grid, peak / grid
 
 
 def test_sup_distance_leaves_the_build_untouched():
     # the refined blocks of the base are the scratch space, at equal depths
-    # too, so neither function of the build is written into
+    # too, so the base is not written into
     depths = []
     for f0, n_max in ((make_test_function("constant", {"value": 0.5}, depth=8), 1),
                       (make_test_function("affine", {"c": 1.0}, depth=10), 3)):
         pristine = f0.values.copy()
         build = iterate_typical(f0, n_max, PHI, POWER1, 0.5, max_depth=18)
-        final = build.final.values.copy()
-        depths.append((build.base.depth, build.final.depth))
-        for _ in range(2):  # compute it, then drop the cached value and compute it again
-            expected = np.abs(resample_linspace(pristine, build.final.depth) - final)
-            assert build.sup_distance == float(np.nanmax(expected))
-            assert np.array_equal(build.base.values, pristine)
-            assert np.array_equal(build.final.values, final)
-            del build.sup_distance
+        depths.append((build.base.depth, build.depth))
+        expected = np.abs(resample_linspace(pristine, build.depth) - build.final_function().values)
+        assert build.sup_distance == float(np.nanmax(expected))
+        assert np.array_equal(build.base.values, pristine)
     assert depths == [(8, 8), (10, 16)]
 
 
@@ -504,7 +600,7 @@ def test_build_rejects_dimension_2(tmp_path):
     )
     p = StageParams(1, 0.9, Fraction(1), 2, Fraction(1, 8), 0.125)
     with pytest.raises(ConstructError, match="dimension 1, not 2"):
-        build_stage(f0, p, phi=POWER1)
+        build_stage(TypicalBuild(f0, [], POWER1, POWER1, 1.0), p)
     with pytest.raises(ConstructError, match="dimension 1, not 2"):
         iterate_typical(f0, 2, PHI, POWER1, 0.5)
     # a build directory whose base.fn is 2-d is refused on load
@@ -529,7 +625,7 @@ def test_load_build_needs_one_domain(tmp_path):
     # a build on [0, 1/2] loads, and refuses a base.fn on all of [0, 1]
     half = iterate_typical(on_left_half(full.base), 1, PHI, POWER1, 0.5)
     save_build(tmp_path / "half", half)
-    assert load_build(tmp_path / "half").final.domain == half.base.domain
+    assert load_build(tmp_path / "half").domain == half.base.domain
     save_function(tmp_path / "half" / "base.fn", full.base)
     with pytest.raises(FormatError, match=REPLAY_MISMATCH):
         load_build(tmp_path / "half")
@@ -550,8 +646,8 @@ def test_iterate_affine_three_stages():
 def test_iterate_constant_base_is_fixed_point():
     f0 = make_test_function("constant", {"value": 0.5}, depth=8)
     build = iterate_typical(f0, 3, PHI, POWER1, 0.5, max_depth=20)
-    final = build.base.resample(build.final.depth)
-    assert np.array_equal(build.final.values, final.values)
+    final = build.base.resample(build.depth)
+    assert np.array_equal(build.final_function().values, final.values)
     for n in (1, 2, 3):
         assert certify_membership(build, n).diam_max_measured == 0.0
 
@@ -564,7 +660,7 @@ def test_iterate_single_stage_lip_zero_at_centers():
     j = int(rec.kept[len(rec.kept) // 2])
     a, b = fraction_core(rec.params.k, rec.params.eta, j)
     x = float((a + b) / 2)
-    assert oscillation(build.final, [x], float(rec.params.cert_radius)).upper[0] == 0.0
+    assert oscillation(build.final_function(), [x], float(rec.params.cert_radius)).upper[0] == 0.0
 
 
 def test_iterate_spec_example_budget_cascade():
@@ -678,6 +774,7 @@ def test_certified_bound_dominates_sampled_osc():
     from liplab.funclib import oscillation
 
     build = small_affine_build()
+    final = build.final_function()
     for n in (1, 2, 3):
         rec = build.stages[n - 1]
         p = rec.params
@@ -686,7 +783,7 @@ def test_certified_bound_dominates_sampled_osc():
         x = float((a + b) / 2)
         assert rec.covering_core(x) == j
         cert = certify_membership(build, n)
-        measured = oscillation(build.final, [x], float(p.cert_radius)).upper[0]
+        measured = oscillation(final, [x], float(p.cert_radius)).upper[0]
         assert measured <= cert.bound + 1e-300
 
 
@@ -701,7 +798,7 @@ def test_lip_field_over_tau_fraction_matches_stage_geometry():
     p = rec.params
     r_cert = float(p.cert_radius)
     radii = sorted({r_cert * 2.0**j for j in range(6)}, reverse=True)
-    field = lip_field(build.final, POWER1, 2.0, build.final.depth - 2, radii)
+    field = lip_field(build.final_function(), POWER1, 2.0, build.depth - 2, radii)
     frac = len(field.over_tau) / len(field.window.points)
     assert frac <= float((p.k + 1) * p.eta) + 0.05
     # covered core centers classify as approximately zero
@@ -709,7 +806,7 @@ def test_lip_field_over_tau_fraction_matches_stage_geometry():
     for point, cls in zip(field.window.points.tolist(), field.classes):
         if cls == "over":
             # an over-threshold sample cube must meet the slab region
-            h = 2.0 ** -(build.final.depth - 2)
+            h = 2.0 ** -(build.depth - 2)
             assert any(slabs.contains(point[0] + s) for s in (-h / 2, 0.0, h / 2))
 
 
@@ -874,7 +971,7 @@ def test_build_save_load_round_trip(tmp_path):
         assert a.membership_slack == b.membership_slack
         assert a.lip_slack == b.lip_slack
         assert np.array_equal(a.kept, b.kept) and a.kept.tolist() == list(range(a.params.k))
-    assert np.array_equal(back.final.values, build.final.values)
+    assert np.array_equal(back.final_function().values, build.final_function().values)
     for a, b in zip(back.stages, build.stages):
         assert a.params == b.params
         assert np.array_equal(a.lo_v, b.lo_v) and np.array_equal(a.hi_v, b.hi_v)
@@ -921,7 +1018,7 @@ def test_load_build_replays_construct_bitwise(tmp_path, replay_builds, name):
     (tmp_path / "b" / "final.fn").unlink()  # no build command reads it
     back = load_build(tmp_path / "b")
     _assert_bitwise(back.base, build.base)
-    _assert_bitwise(back.final, build.final)
+    _assert_bitwise(back.final_function(), build.final_function())
     assert back.early_stop == build.early_stop and back.eps_schedule == build.eps_schedule
     assert len(back.stages) == len(build.stages)
     for a, b in zip(back.stages, build.stages):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -22,7 +23,7 @@ from liplab.funclib import (
     save_function,
 )
 from liplab.gauges import make_preset
-from liplab.setlib import DyadicCubeSet, FormatError
+from liplab.setlib import DyadicCubeSet, FormatError, save_cubes
 from oracles import grid_lipschitz_whole, resample_linspace, weierstrass_grid_per_term
 from oracles import TupleCubeSet, fn_read_line_by_line, fn_text_one_pass, dense_diam, oscillation_1d, oscillation_nd, weierstrass_value
 from oracles import evaluate as reference_evaluate
@@ -846,7 +847,7 @@ def test_fn_io_matches_one_pass_oracle(tmp_path_factory, f, block, chunk, probe)
     # boundaries; a block of one value is a run by itself.  The codec is
     # checked on every float, the value check left out
     path = tmp_path_factory.getbasetemp() / "runs.fn"
-    with mock.patch.multiple(funclib, _WRITE_BLOCK=block, _READ_CHUNK=chunk, _RUN_PROBE=probe,
+    with mock.patch.multiple(funclib, GRID_BLOCK=block, _READ_CHUNK=chunk, _RUN_PROBE=probe,
                              _check_values=lambda *args: None):
         save_function(path, f)
         g = load_function(path)
@@ -865,9 +866,28 @@ def test_fn_io_matches_one_pass_oracle(tmp_path_factory, f, block, chunk, probe)
             load_function(path)
 
 
+def test_fn_and_set_writers_hold_a_chunk_at_a_time(tmp_path):
+    # run heads are found and values formatted per GRID_BLOCK chunk, and a
+    # .set is formatted a GRID_BLOCK of cubes at a time, so neither writer
+    # holds as much as what it writes: the 0.5 MB depth-16 Weierstrass grid
+    # peaked at 1.9 MB traced when the run heads spanned the grid, and the
+    # 32,768 cubes of a depth-16 raster at 1.9 MB in 2^16-cube chunks
+    f = make_test_function("weierstrass", dict(a=0.5, b=3, terms=25), 16)
+    E = DyadicCubeSet(1, 18, np.arange(0, 1 << 18, 2))
+    for write, path, data in ((save_function, "w.fn", f), (save_cubes, "e.set", E)):
+        tracemalloc.start()
+        try:
+            write(tmp_path / path, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = f.values.nbytes if data is f else E.keys.nbytes
+        assert peak < size, (path, peak / size)
+
+
 def test_fn_io_runs_across_default_block_and_chunk(tmp_path):
-    # 2^17 + 1 values: plateaus across the 2^16-value write block and the
-    # read chunks, a distinct stretch, and -0.0 next to 0.0
+    # 2^17 + 1 values: plateaus across the GRID_BLOCK-value write blocks and
+    # the read chunks, a distinct stretch, and -0.0 next to 0.0
     n = (1 << 17) + 1
     values = np.repeat([0.25, -0.0, 0.0, 1 / 3, 0.25], [65_000, 1000, 1, 3000, 0])[:n]
     values = np.r_[values, np.sin(np.arange(40_000.0)), np.full(n, 0.1)][:n]

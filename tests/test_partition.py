@@ -229,7 +229,7 @@ def test_image_cover_constant_function():
     f0 = make_test_function("constant", {"value": 0.5}, depth=8)
     build = iterate_typical(f0, 2, PHI_BUILD, POWER1, 0.5)
     A, B = split_partition(build)
-    rep = image_cover_report(build.final, B, PHI_PART, POWER1, 0.01)
+    rep = image_cover_report(build.final_function(), B, PHI_PART, POWER1, 0.01)
     assert rep["sum"] == 0.0
     assert rep["bound"] == pytest.approx(0.01 * 1.02 / 2.0)
     assert rep["verdict"]
@@ -243,7 +243,7 @@ def test_image_cover_ladder_affine():
     _, B = split_partition(build)
     totals = []
     for delta in (0.1, 0.01, 0.001):
-        rep = image_cover_report(build.final, B, PHI_PART, POWER1, delta)
+        rep = image_cover_report(build.final_function(), B, PHI_PART, POWER1, delta)
         assert rep["verdict"]
         assert rep["sum"] <= delta * (1 + 2 * delta) / 2.0
         assert not rep["uncovered_points"]
@@ -255,13 +255,13 @@ def test_image_cover_requires_schizm():
     build = affine_build(1)
     _, B = split_partition(build)
     with pytest.raises(ValueError, match="xi"):
-        image_cover_report(build.final, B, POWER1, POWER1, 0.01)
+        image_cover_report(build.final_function(), B, POWER1, POWER1, 0.01)
 
 
 def test_image_cover_report_json_fields():
     build = affine_build(1)
     _, B = split_partition(build)
-    payload = image_cover_report(build.final, B, PHI_PART, POWER1, 0.1)
+    payload = image_cover_report(build.final_function(), B, PHI_PART, POWER1, 0.1)
     assert sorted(payload) == ["alpha_d", "balls", "bound", "candidates", "chain_audit",
                                "delta", "discarded", "gauge_phi", "gauge_xi", "norm", "sum",
                                "uncovered_points", "verdict"]
@@ -278,7 +278,7 @@ def test_image_cover_needs_each_cube_in_its_own_ball_or_flat():
     # the final function varies on cubes 1 and 2, so the verdict fails
     build = affine_build(1)
     B = DyadicCubeSet(1, 2, [1, 2])
-    rep = image_cover_report(build.final, B, PHI_PART, POWER1, 0.01)
+    rep = image_cover_report(build.final_function(), B, PHI_PART, POWER1, 0.01)
     assert rep["candidates"] == 2 and max(ball["r"] for ball in rep["balls"]) < 0.01
     assert rep["sum"] <= rep["bound"] and rep["uncovered_points"] == [[0.375], [0.625]]
     assert rep["verdict"] is False
@@ -286,7 +286,7 @@ def test_image_cover_needs_each_cube_in_its_own_ball_or_flat():
     # the side, 2^-15, but the final function is constant on every B cube
     build = affine_build()
     _, B = split_partition(build)
-    rep = image_cover_report(build.final, B, PHI_PART, POWER1, 0.01)
+    rep = image_cover_report(build.final_function(), B, PHI_PART, POWER1, 0.01)
     assert min(ball["r"] for ball in rep["balls"]) < 2.0**-15 and B.depth == 14
     assert rep["candidates"] == len(B) and not rep["uncovered_points"] and rep["verdict"]
 
@@ -296,7 +296,8 @@ def test_image_cover_leaves_a_center_without_float_ball_ends_uncovered():
     # stop being floats, near r = 2^-52: it stays at r = 0 and is reported
     # uncovered, where the scan once raised oscillation's ValueError
     build = affine_build(1)
-    rep = image_cover_report(build.final, DyadicCubeSet(1, 2, [3]), PHI_PART, POWER1, 0.01)
+    rep = image_cover_report(build.final_function(), DyadicCubeSet(1, 2, [3]), PHI_PART, POWER1,
+                             0.01)
     assert rep["balls"] == [] and rep["uncovered_points"] == [[0.875]]
     assert rep["candidates"] == 0 and rep["verdict"] is False
 

@@ -42,6 +42,8 @@ ALLOWED_UNREACHED = {
     "funclib.SampledFunction.resample": "a whole refined copy of a function, which no command"
     " makes since build_stage reads through the refinement; perfbench/tracer.py names it as a"
     " target (ROADMAP item 1B removes it with that target)",
+    "funclib.SampledFunction.grid_lipschitz": "the exact Lipschitz constant of a function held"
+    " as a grid; construct's stages hold none and take theirs from their chain pass",
     "funclib.SampledFunction.evaluate_many": "point evaluation of a function, the public form of"
     " the cell lookup and interpolation that oscillation's ball ends use",
 }
@@ -96,6 +98,10 @@ def _traffic(tmp: Path) -> None:
          "--out", tmp / "w")
     _run("report", tmp / "w", "--out", tmp / "w" / "report.json")
     funclib.save_function(tmp / "copy.fn", funclib.load_function(tmp / "w" / "base.fn"))
+    # a loaded build's streamed final function, written from one chain pass
+    # (TypicalBuild.value_blocks), is final.fn
+    funclib.save_function(tmp / "final-copy.fn", construct.load_build(tmp / "w"))
+    assert (tmp / "final-copy.fn").read_bytes() == (tmp / "w" / "final.fn").read_bytes()
     # perfbench partition-analyze-dims
     funclib.save_function(tmp / "w.fn", funclib.make_test_function(
         "weierstrass", dict(a=0.5, b=3, terms=25), 12))
