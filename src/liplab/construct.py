@@ -21,6 +21,7 @@ at r = eta/2 (membership) and r = eta/4 (the lip bound on every core point).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -287,9 +288,9 @@ class StageRecord:
     shrunken cube got the anchor value plateau[j], so the final diameter
     over each cube is exactly zero at build time.  The stage's value at any
     vertex follows from these and the stage below (values_at).
-    values_blake2b and lip come from a chain pass over the stage's grid
-    (TypicalBuild); a stage that add_stage made and no pass settled yet has
-    None in both.
+    values_blake2b, lip and offset come from the first chain pass that reads
+    the stage (TypicalBuild.value_blocks), which settles it; build_stage
+    leaves None in all three.
     """
 
     params: StageParams
@@ -302,6 +303,7 @@ class StageRecord:
     lip_slack: float  # (1/n) phi(eta/4), the ball-certificate threshold
     values_blake2b: str | None = None  # 32-byte BLAKE2b of the stage's float64 values
     lip: float | None = None  # the stage's grid Lipschitz constant, its declared modulus
+    offset: float | None = None  # the largest plateau offset |profile - below| (values_at)
 
     @property
     def slack_min(self) -> float:
@@ -403,7 +405,7 @@ class _FinalSums:
 
     def feed(self, idx: np.ndarray, block: np.ndarray) -> None:
         build, lo, hi = self.build, int(idx[0]), int(idx[-1])
-        diff = build.base.refined_at(build.depth, idx)
+        diff = refined_values(build.base.values.__getitem__, build.base.depth, build.depth, idx)
         np.abs(np.subtract(diff, block, out=diff), out=diff)
         self.sup = max(self.sup, float(np.fmax.reduce(diff, initial=0.0)))
         for rec, (mn, mx) in zip(build.stages, self.extremes):
@@ -419,30 +421,54 @@ class _FinalSums:
 
 
 def build_stage(build: "TypicalBuild", params: StageParams) -> StageRecord:
-    """Stage n = build.n_stages + 1 on the build's final function: add its
-    profile (TypicalBuild.add_stage), then settle it by one chain pass over
-    its grid, which gives its values_blake2b and lip and checks its plateau
-    offsets.  The pass holds blocks and the stages' profiles, never a grid.
+    """Stage n = build.n_stages + 1 on the build's final function, as its
+    profile alone: the one stage step, which iterate_typical and load_build
+    both take.  It makes no pass over the stage's grid; the first chain pass
+    that reads the stage settles it (TypicalBuild.value_blocks).
 
     The stage grid has depth m = max(build.depth, params.required_depth()),
     and the function below, f, is read through the exact refinement to
-    depth m.  The stage g equals f(x_C) on every cell meeting C (anchor x_C
-    is the center grid vertex when in the domain, else the least domain
-    vertex of C), so diam g(C) = 0 exactly; across gaps g interpolates
-    neighboring plateau values, and g - f is clamped to [-eps, eps].  The
-    cubes are params.kept_cubes of the domain.
+    depth m, at the anchors only.  The stage g equals f(x_C) on every cell
+    meeting C (anchor x_C is the center grid vertex when in the domain, else
+    the least domain vertex of C), so diam g(C) = 0 exactly; across gaps g
+    interpolates neighboring plateau values, and g - f is clamped to
+    [-eps, eps].  The cubes are params.kept_cubes of the domain.
     """
-    build.add_stage(params)
-    offsets = build._settle([build.n_stages])
-    _check_offset(build.stages[-1], offsets[build.n_stages])
-    return build.stages[-1]
+    _require_dim_1(build.base)
+    m = max(build.depth, params.required_depth())
+    js = params.kept_cubes(build.domain)
+    if len(js) == 0:
+        raise ConstructError("no cube meets the domain")
+    lo_v, hi_v, anchors = plateau_vertex_ranges(params, m, js)
+    n = build.n_stages
+
+    def read(at):
+        return refined_values(lambda v: build._values(n, v), build.depth, m, at)
+
+    # GRID_BLOCK anchors at a time, so a read's temporaries stay block-sized
+    plateau = np.concatenate([read(anchors[i : i + GRID_BLOCK])
+                              for i in range(0, len(anchors), GRID_BLOCK)])
+    if not build.base.full_domain:
+        for j in np.flatnonzero(np.isnan(plateau)):
+            # a center off the domain: the least domain vertex of the plateau,
+            # as the cells meeting a cube that meets the domain hold one
+            plateau[j] = next(block[~np.isnan(block)][0] for block in (
+                read(np.arange(lo, min(lo + GRID_BLOCK, hi_v[j] + 1)))
+                for lo in range(lo_v[j], hi_v[j] + 1, GRID_BLOCK)
+            ) if not np.isnan(block).all())
+    rec = StageRecord(params, m, lo_v, hi_v, js, plateau, *stage_slacks(params, build.phi))
+    build.stages.append(rec)
+    build._sums = None
+    return rec
 
 
-def _check_offset(rec: StageRecord, offset: float) -> None:
-    """ConstructError when a stage's largest plateau offset exceeds its eps."""
-    if offset > rec.params.eps:
-        raise ConstructError(f"plateau offset {offset:g} exceeds eps={rec.params.eps:g};"
-                             " stage delta too optimistic")
+def _offset_failure(rec: StageRecord) -> str | None:
+    """What is wrong when a settled stage's largest plateau offset exceeds
+    its eps, else None."""
+    if rec.offset > rec.params.eps:
+        return (f"plateau offset {rec.offset:g} exceeds eps={rec.params.eps:g};"
+                " stage delta too optimistic")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +484,12 @@ class TypicalBuild:
     arrays of one entry per kept cube.  _values reads any stage at sorted
     vertex indices: the stage below through the exact refinement
     (funclib.refined_values), recursively down to the base, then
-    StageRecord.values_at.  A chain pass (_sweep) runs through the final
-    grid a GRID_BLOCK at a time; it settles the stage records it tallies
-    and, when asked, the final function's sup_distance and
-    plateau_extremes.  The build stands for its final function as
-    save_function reads it (dim, depth, domain, modulus, exact and
-    value_blocks); final_function() materializes it, which only partition
-    needs.
+    StageRecord.values_at.  Every chain pass (value_blocks) runs through
+    the final grid a GRID_BLOCK at a time, settles each stage not yet
+    settled and takes the final sums (sup_distance, plateau_extremes).  The
+    build stands for its final function as save_function reads it (dim,
+    depth, domain, modulus, exact and value_blocks); final_function()
+    materializes it, which only partition needs.
     """
 
     base: SampledFunction
@@ -473,7 +498,7 @@ class TypicalBuild:
     zeta: GaugeLike
     eps0: float
     early_stop: str | None = None
-    # sup_distance and plateau_extremes, from the last chain pass that took them
+    # sup_distance and plateau_extremes, from the last chain pass
     _sums: "_FinalSums | None" = field(default=None, init=False, repr=False, compare=False)
 
     dim = 1
@@ -497,8 +522,12 @@ class TypicalBuild:
     @property
     def modulus(self):
         """The final function's declared modulus: the last stage's grid
-        Lipschitz constant, or the base's modulus before any stage."""
-        return HolderModulus(self.stages[-1].lip, 1.0) if self.stages else self.base.modulus
+        Lipschitz constant, settled by a chain pass if none ran since
+        build_stage, or the base's modulus before any stage."""
+        if not self.stages:
+            return self.base.modulus
+        self.settle()
+        return HolderModulus(self.stages[-1].lip, 1.0)
 
     @property
     def exact(self) -> bool:
@@ -535,76 +564,35 @@ class TypicalBuild:
             run.tallies[n].feed(int(idx[0]), g, worst)
         return g
 
-    def add_stage(self, params: StageParams) -> StageRecord:
-        """Stage n = n_stages + 1 as its profile alone, read through the chain
-        at its anchors, with no pass over its grid: the step iterate_typical
-        (through build_stage) and load_build both take.  A chain pass
-        settles it."""
-        _require_dim_1(self.base)
-        m = max(self.depth, params.required_depth())
-        js = params.kept_cubes(self.domain)
-        if len(js) == 0:
-            raise ConstructError("no cube meets the domain")
-        lo_v, hi_v, anchors = plateau_vertex_ranges(params, m, js)
-        n = self.n_stages
-
-        def read(at):
-            return refined_values(lambda v: self._values(n, v), self.depth, m, at)
-
-        # GRID_BLOCK anchors at a time, so a read's temporaries stay block-sized
-        plateau = np.concatenate([read(anchors[i : i + GRID_BLOCK])
-                                  for i in range(0, len(anchors), GRID_BLOCK)])
-        if not self.base.full_domain:
-            for j in np.flatnonzero(np.isnan(plateau)):
-                # a center off the domain: the least domain vertex of the plateau,
-                # as the cells meeting a cube that meets the domain hold one
-                plateau[j] = next(block[~np.isnan(block)][0] for block in (
-                    read(np.arange(lo, min(lo + GRID_BLOCK, hi_v[j] + 1)))
-                    for lo in range(lo_v[j], hi_v[j] + 1, GRID_BLOCK)
-                ) if not np.isnan(block).all())
-        rec = StageRecord(params, m, lo_v, hi_v, js, plateau, *stage_slacks(params, self.phi))
-        self.stages.append(rec)
-        self._sums = None
-        return rec
-
-    def _settle(self, stages, sums: "_FinalSums | None" = None) -> dict[int, float]:
-        """One chain pass that settles the given stages, and the final sums
-        when sums is given: each record gets its values_blake2b and lip, and
-        each stage's largest plateau offset is returned, for _check_offset."""
-        tallies = {n: _Tally() for n in stages}
-        for _ in self._sweep(tallies, sums):
-            pass
-        for n, tally in tallies.items():
-            rec = self.stages[n - 1]
-            self.stages[n - 1] = replace(rec, values_blake2b=tally.digest.hexdigest(),
-                                         lip=(0 + tally.adjacent) / 2.0**-rec.depth)
-        return {n: tally.worst for n, tally in tallies.items()}
-
-    def _sweep(self, tallies: dict, sums: "_FinalSums | None"):
-        """One chain pass: yield the final function's values in grid order,
-        GRID_BLOCK vertices at a time, feeding every stage in tallies its
-        values, and sums, when given, the final values, which then become
-        the build's final sums."""
-        n, top, run = self.n_stages, 1 << self.depth, _Pass(tallies)
+    def value_blocks(self):
+        """The chain pass: the final function's values in grid order,
+        GRID_BLOCK at a time.  After the last block each stage not yet
+        settled, lowest first, gets its values_blake2b, lip and plateau
+        offset, and ConstructError names it if the offset exceeds its eps;
+        the final sums are then the build's."""
+        tallies = {n: _Tally() for n, rec in enumerate(self.stages, 1)
+                   if rec.values_blake2b is None}
+        n, top, run, sums = self.n_stages, 1 << self.depth, _Pass(tallies), _FinalSums(self)
         for lo in range(0, top + 1, GRID_BLOCK):
             idx = np.arange(lo, min(lo + GRID_BLOCK, top + 1))
             block = self._values(n, idx, run)
-            if sums is not None:
-                sums.feed(idx, block)
+            sums.feed(idx, block)
             yield block
-        if sums is not None:
-            self._sums = sums
+        for n, tally in tallies.items():
+            rec = self.stages[n - 1]
+            self.stages[n - 1] = rec = replace(rec, values_blake2b=tally.digest.hexdigest(),
+                                               lip=(0 + tally.adjacent) / 2.0**-rec.depth,
+                                               offset=tally.worst)
+            if failure := _offset_failure(rec):
+                raise ConstructError(f"stage {n}: {failure}")
+        self._sums = sums
 
-    def _final_sums(self) -> "_FinalSums":
+    def settle(self) -> "_FinalSums":
+        """The final sums, from a chain pass if none ran since build_stage."""
         if self._sums is None:
             for _ in self.value_blocks():
                 pass
         return self._sums
-
-    def value_blocks(self):
-        """The final function's values in grid order, GRID_BLOCK at a time,
-        from one chain pass, which settles the final sums."""
-        return self._sweep({}, _FinalSums(self))
 
     def final_function(self) -> SampledFunction:
         """The final function with its grid held whole, from one chain pass;
@@ -623,7 +611,7 @@ class TypicalBuild:
     @property
     def sup_distance(self) -> float:
         """max |final - base| over the final grid (NaN-ignoring)."""
-        return self._final_sums().sup
+        return self.settle().sup
 
     @property
     def budget_failure(self) -> str | None:
@@ -663,7 +651,9 @@ def iterate_typical(
     """Run stages 1..n_max on f0's domain with stage_budget's slack-capped
     budgets.  Stages that would need a grid deeper than max_depth (or k
     beyond K_MAX) stop the build early with the completed prefix and a
-    reason flag.
+    reason flag.  The chain pass that settles a stage runs before the next
+    one is chosen; the last stage is left to the first pass that reads the
+    build, which in construct is save_build's.
     """
     if n_max < 1 or eps0 <= 0:
         raise ConstructError("need n_max >= 1 and eps0 > 0")
@@ -674,6 +664,8 @@ def iterate_typical(
         if eps_n < 1e-250:
             build.early_stop = f"slack exhaustion at stage {n}: budget underflow ({eps_n:g})"
             break
+        if build.stages:  # stage n reads stage n - 1's lip; an offset failure is no early stop
+            build.settle()
         try:
             params = choose_stage_params(build, n, eps_n, zeta)
         except ConstructError as err:
@@ -715,7 +707,7 @@ def plateau_extremes(build: TypicalBuild, n: int) -> tuple[np.ndarray, np.ndarra
     kept order, from the build's last chain pass (one runs if none has).
 
     NaN-ignoring: a partial-domain cube's off-domain vertices are NaN."""
-    mn, mx = build._final_sums().extremes[n - 1]
+    mn, mx = build.settle().extremes[n - 1]
     return mn, mx
 
 
@@ -860,8 +852,9 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
     load_build replays the stages from base.fn and re-derives everything
     else.  final.fn is written for analyze and is read by no build command;
     it is written from one chain pass over the final grid, a block at a
-    time, which also settles the build's sup_distance and plateau_extremes
-    for the certificates, so the final grid is never held whole."""
+    time, which settles the stages no pass read yet (iterate_typical's last)
+    and takes the final sums for the certificates.  A plateau offset above
+    eps raises ConstructError in it, before final.fn or stages.json is written."""
     os.makedirs(directory, exist_ok=True)
     save_function(os.path.join(directory, "base.fn"), build.base)
     save_function(os.path.join(directory, "final.fn"), build)
@@ -896,7 +889,7 @@ def _stored_params(position: int, item: dict, zeta: GaugeLike, eps: float,
     """The params of the stages.json entry at `position`, of budget eps on a
     grid prev_depth deep.  ValueError unless n is the position, k and depth
     are ints, k <= K_MAX, the choices pass StageParams.validate, and depth
-    is max(prev_depth, required_depth()), as add_stage refines, on a grid
+    is max(prev_depth, required_depth()), as build_stage refines, on a grid
     numpy can size."""
     n, k, depth = (item[key] for key in ("n", "k", "depth"))
     if type(n) is not int or n != position:
@@ -920,9 +913,10 @@ def _stored_params(position: int, item: dict, zeta: GaugeLike, eps: float,
 def load_build(directory) -> TypicalBuild:
     """Read a build directory and replay its stages from base.fn as
     iterate_typical built them: each budget by stage_budget from meta.json's
-    eps0, the params from stages.json (_stored_params), then add_stage; one
-    chain pass then settles every stage, whose values_blake2b must be the
-    stored one, and the final sums.  final.fn is not read; a stored
+    eps0, the params from stages.json (_stored_params), then build_stage;
+    one chain pass then settles every stage, whose plateau offset must be
+    within its eps and whose values_blake2b must be the stored one, and
+    takes the final sums.  final.fn is not read; a stored
     values_sha256, the digest of older builds, is refused, and other
     stages.json keys (as an old build's epsilon or dropped) are ignored.
     meta.json's eps0 must be positive and finite and its early_stop null or
@@ -949,7 +943,7 @@ def load_build(directory) -> TypicalBuild:
         for position, item in enumerate(raw, 1):
             eps = stage_budget(eps0, [rec.slack_min for rec in build.stages])
             try:
-                build.add_stage(_stored_params(position, item, zeta, eps, build.depth))
+                build_stage(build, _stored_params(position, item, zeta, eps, build.depth))
             except (ValueError, TypeError, KeyError, ArithmeticError) as err:
                 raise FormatError(f"stages.json stage {position}: {err}") from err
             if "values_sha256" in item:
@@ -958,14 +952,14 @@ def load_build(directory) -> TypicalBuild:
                     " builds before values_blake2b, which this liplab checks; construct the"
                     " build again"
                 )
-        # one chain pass settles every stage, and the final sums the
-        # certificates read
-        offsets = build._settle(range(1, len(raw) + 1), _FinalSums(build))
+        # one chain pass settles every stage and takes the final sums the
+        # certificates read; a plateau offset above eps is named below, in
+        # stage order with the digests
+        with contextlib.suppress(ConstructError):
+            build.settle()
         for position, (item, rec) in enumerate(zip(raw, build.stages), 1):
-            try:
-                _check_offset(rec, offsets[position])
-            except ConstructError as err:
-                raise FormatError(f"stages.json stage {position}: {err}") from err
+            if failure := _offset_failure(rec):
+                raise FormatError(f"stages.json stage {position}: {failure}")
             if item.get("values_blake2b") != rec.values_blake2b:
                 raise FormatError(
                     f"stages.json stage {position}: the stage replayed from base.fn has"

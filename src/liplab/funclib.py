@@ -17,7 +17,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from itertools import product as iter_product
 from typing import NamedTuple, Sequence
 
@@ -168,20 +168,16 @@ class SampledFunction:
         """Exact refinement: the interpolant is unchanged on the finer grid."""
         if depth == self.depth:
             return self
-        values = np.empty((1 << depth) + 1)
-        for lo in range(0, values.size, GRID_BLOCK):
-            idx = np.arange(lo, min(lo + GRID_BLOCK, values.size))
-            values[lo : lo + idx.size] = self.refined_at(depth, idx)
-        return SampledFunction(1, depth, self.domain, values, self.modulus, self.exact)
-
-    def refined_at(self, depth: int, idx: np.ndarray) -> np.ndarray:
-        """The values of the refinement to depth at the nondecreasing int64
-        vertex indices idx, a new array (refined_values)."""
         if depth < self.depth:
             raise ValueError("resample only refines")
         if self.dim != 1:
             raise ValueError("resample implemented for dimension 1")
-        return refined_values(self.values.__getitem__, self.depth, depth, idx)
+        values = np.empty((1 << depth) + 1)
+        for lo in range(0, values.size, GRID_BLOCK):
+            idx = np.arange(lo, min(lo + GRID_BLOCK, values.size))
+            values[lo : lo + idx.size] = refined_values(self.values.__getitem__, self.depth,
+                                                        depth, idx)
+        return SampledFunction(1, depth, self.domain, values, self.modulus, self.exact)
 
     def value_blocks(self):
         """The values in grid (C) order, GRID_BLOCK at a time, as save_function
@@ -206,10 +202,6 @@ class SampledFunction:
                 mx = max(mx, float(np.fmax.reduce(diffs, axis=None, initial=0.0)))
             maxima.append(mx)
         return maxima
-
-    def grid_lipschitz(self) -> float:
-        """Exact Lipschitz constant of the interpolant from adjacent differences."""
-        return sum(self._adjacent_maxima()) / self.h
 
     def validate_adjacent(self) -> None:
         bound = self.modulus.omega(self.h) * (1.0 + 1e-9)
@@ -621,12 +613,16 @@ def make_test_function(name: str, params: dict | None = None, depth: int = 10) -
         intercept = float(params.pop("intercept", 0.0))
         if not math.isfinite(abs(c) + abs(intercept)):
             raise ConfigError(f"affine values c x + {intercept:g} leave the float range")
-        values = c * np.arange(top + 1) / top + intercept
+        # c * (i / 2^m): i / 2^m is exact, so c * i cannot overflow first
+        values = c * (np.arange(top + 1) / top) + intercept
         fn = SampledFunction(1, depth, domain, values, HolderModulus(abs(c), 1.0), exact=True)
     elif name == "weierstrass":
         a = float(params.pop("a", 0.5))
-        b = int(params.pop("b", 3))
-        terms = int(params.pop("terms", 25))
+        b, terms = params.pop("b", 3), params.pop("terms", 25)
+        if b != int(b) or terms != int(terms) or terms < 1:
+            raise ConfigError(f"weierstrass needs an integral b and an integral terms >= 1,"
+                              f" not b={b:g}, terms={terms:g}")
+        b, terms = int(b), int(terms)
         if not (0.0 < a < 1.0) or b < 3 or b % 2 == 0 or a * b <= 1.0:
             raise ConfigError("weierstrass needs 0 < a < 1, odd b >= 3, ab > 1")
         alpha = math.log(1.0 / a) / math.log(b)
@@ -642,7 +638,10 @@ def make_test_function(name: str, params: dict | None = None, depth: int = 10) -
     if params:
         raise ConfigError(f"unknown parameters for {name}: {sorted(params)}")
     if top <= (1 << 20):
-        fn.validate_adjacent()
+        try:
+            fn.validate_adjacent()
+        except ValueError as err:
+            raise ConfigError(f"{name}: {err}") from err
     return fn
 
 
@@ -677,12 +676,16 @@ def save_function(path, f: SampledFunction) -> None:
     """Write f as a .fn file.  f may also be any object with a
     SampledFunction's dim, depth, domain, modulus and exact whose
     value_blocks() yields its float64 values in grid order, as a
-    construct.TypicalBuild's streamed final function does."""
-    head = f"d {f.dim} m {f.depth} domain {len(f.domain)}\ndomain_depth {f.domain.depth}\n"
-    tail = f.modulus.serialize() + ("\nexact 1\n" if f.exact else "\n")
-    _atomic_write(path, chain(
-        (head,), _cube_chunks(f.domain), ("values\n",), _value_chunks(f.value_blocks()), (tail,)
-    ))
+    construct.TypicalBuild's streamed final function does; its modulus is
+    read once the values are written, so that pass may settle it."""
+    def chunks():
+        yield f"d {f.dim} m {f.depth} domain {len(f.domain)}\ndomain_depth {f.domain.depth}\n"
+        yield from _cube_chunks(f.domain)
+        yield "values\n"
+        yield from _value_chunks(f.value_blocks())
+        yield f.modulus.serialize() + ("\nexact 1\n" if f.exact else "\n")
+
+    _atomic_write(path, chunks())
 
 
 def _parse_values(lines: list[str]) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liplab import construct as construct_mod
-from liplab import funclib, setlib
+from liplab import cli, funclib, setlib
 from liplab.construct import (
     ConstructError,
     _micro_route,
@@ -71,10 +71,11 @@ def small_affine_build(n_max=3, eps0=0.5, phi=PHI, zeta=POWER1):
 
 
 def one_stage(f, p: StageParams) -> tuple[SampledFunction, StageRecord]:
-    """Stage 1 on f: its final function, materialized, and its record."""
+    """Stage 1 on f: its final function, materialized by the chain pass
+    that settles the stage, and its settled record."""
     build = TypicalBuild(f, [], POWER1, POWER1, 1.0)
-    rec = build_stage(build, p)
-    return build.final_function(), rec
+    build_stage(build, p)
+    return build.final_function(), build.stages[-1]
 
 
 def on_left_half(f):
@@ -402,8 +403,9 @@ def test_build_stage_on_a_shallower_f_matches_the_refined_copy(k, e_extra, finer
 
 
 def test_build_stage_refines_without_a_refined_copy():
-    # a depth-18 stage from a depth-16 f holds blocks: neither a refined
-    # copy of f nor its output grid, one of which is 2 MB
+    # a depth-18 stage from a depth-16 f, and the chain pass that settles
+    # it, hold blocks: neither a refined copy of f nor the stage's grid, one
+    # of which is 2 MB
     f = make_test_function("affine", {"c": 1.0}, depth=16)
     p = StageParams(1, 0.5, Fraction(1), 2, Fraction(1, 1 << 16), 0.0)
     assert p.required_depth() == 18
@@ -411,11 +413,13 @@ def test_build_stage_refines_without_a_refined_copy():
     tracemalloc.start()
     try:
         rec = build_stage(build, p)
+        assert rec.values_blake2b is rec.lip is rec.offset is None  # no pass yet
+        build.settle()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     grid = 8 * ((1 << 18) + 1)
-    assert rec.depth == build.depth == 18
+    assert rec.depth == build.depth == 18 and build.stages[-1].values_blake2b is not None
     assert peak <= grid / 4, peak / grid
 
 
@@ -474,11 +478,12 @@ def _stage_chains(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_stage_chains())
 def test_streamed_stage_chain_matches_whole_grid_stages(chain):
-    # each stage of the chain, built by build_stage (one pass per stage) and
-    # replayed by add_stage and one pass for all (load_build's route),
-    # against the whole-grid stages applied in turn: every stage's digest,
-    # depth and lip, the final values and modulus, and sup_distance, bit for
-    # bit; a plateau offset above eps fails at the same stage either way
+    # each stage of the chain, settled by a pass after each build_stage
+    # (iterate_typical's route) and by one pass after all of them
+    # (load_build's route), against the whole-grid stages applied in turn:
+    # every stage's digest, depth and lip, the final values and modulus, and
+    # sup_distance, bit for bit; a plateau offset above eps fails at the
+    # same stage either way
     base, params, block = chain
     values, depth, digests, lips, failure = base.values, base.depth, [], [], None
     for p in params:
@@ -492,19 +497,22 @@ def test_streamed_stage_chain_matches_whole_grid_stages(chain):
         lips.append(lip)
     with mock.patch.object(construct_mod, "GRID_BLOCK", block), \
             mock.patch.object(funclib, "GRID_BLOCK", block):
-        built = TypicalBuild(base, [], POWER1, POWER1, 1.0)
+        built, replayed = (TypicalBuild(base, [], POWER1, POWER1, 1.0) for _ in range(2))
         for p in params[: len(digests)]:
             build_stage(built, p)
-        if failure is not None:
-            with pytest.raises(ConstructError, match=re.escape(failure)):
-                build_stage(built, params[len(digests)])
-            return
-        replayed = TypicalBuild(base, [], POWER1, POWER1, 1.0)
+            built.settle()
         for p in params:
-            replayed.add_stage(p)
-        offsets = replayed._settle(range(1, len(params) + 1))
+            build_stage(replayed, p)
+        if failure is not None:
+            build_stage(built, params[len(digests)])
+            for build in (built, replayed):
+                with pytest.raises(ConstructError,
+                                   match=re.escape(f"stage {len(digests) + 1}: {failure}")):
+                    build.settle()
+            return
+        replayed.settle()
         final = built.final_function()
-    assert all(offsets[p.n] <= p.eps for p in params)
+    assert all(rec.offset <= rec.params.eps for rec in replayed.stages)
     assert [rec.values_blake2b for rec in built.stages] == digests
     assert [rec.lip for rec in built.stages] == lips
     assert built.stages[-1].depth == depth and final.depth == depth
@@ -514,6 +522,51 @@ def test_streamed_stage_chain_matches_whole_grid_stages(chain):
         _assert_same_record(a, b)
     assert built.sup_distance == replayed.sup_distance == float(np.nanmax(
         np.abs(resample_linspace(base.values, depth) - values), initial=0.0))
+
+
+def test_construct_and_report_pass_each_stage_once(tmp_path, monkeypatch, capsys):
+    # perfbench's staircase: construct settles stage 1 by the pass before
+    # stage 2 is chosen and stage 2 by the final.fn write, whose sums the
+    # certificates read, so it covers the depth-18 final grid once; report
+    # replays both stages and certifies in one pass
+    passes = []
+    value_blocks = TypicalBuild.value_blocks
+
+    def counted(build):
+        passes.append((build.depth, [n for n, rec in enumerate(build.stages, 1)
+                                     if rec.values_blake2b is None]))
+        return value_blocks(build)
+
+    monkeypatch.setattr(TypicalBuild, "value_blocks", counted)
+    out = tmp_path / "build"
+    assert cli.main(["construct", "--base", "weierstrass(a=0.5,b=3,terms=25)", "--depth", "16",
+                     "--nmax", "2", "--phi", "power(s=0.1)", "--zeta", "power(s=1)",
+                     "--eps0", "0.5", "--max-depth", "24", "--out", str(out)]) == 0
+    assert passes == [(16, [1]), (18, [2])]
+    passes.clear()
+    assert cli.main(["report", str(out), "--out", str(out / "report.json")]) == 0
+    assert passes == [(18, [1, 2])]
+    assert (out / "report.json").read_bytes() == (out / "certificates.json").read_bytes()
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_plateau_offset_above_eps_fails_in_the_settling_pass(tmp_path, monkeypatch, capsys,
+                                                             n_max):
+    # a base whose declared modulus (Lipschitz 1) understates its steps:
+    # stage 1's plateaus move it by more than eps.  With one stage the
+    # final.fn write settles it, with two the pass before stage 2 is
+    # chosen; either way construct exits 2 naming the stage, and writes no
+    # final.fn, stages.json or certificates.json
+    values = np.random.default_rng(0).normal(0.0, 1.0, (1 << 10) + 1)
+    liar = SampledFunction(1, 10, DyadicCubeSet.full(1, 0), values, HolderModulus(1.0), True)
+    monkeypatch.setattr(funclib, "make_test_function", lambda *args: liar)
+    out = tmp_path / "build"
+    capsys.readouterr()
+    assert cli.main(["construct", "--nmax", str(n_max), "--eps0", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: stage 1: plateau offset ") and "Traceback" not in err
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert written == (["base.fn"] if n_max == 1 else [])
 
 
 def test_streamed_build_and_report_hold_less_than_one_final_grid(tmp_path, monkeypatch):
@@ -637,6 +690,9 @@ def test_load_build_needs_one_domain(tmp_path):
 
 def test_iterate_affine_three_stages():
     build = small_affine_build()
+    # the last stage waits for the first read, here the modulus, to settle it
+    assert build.stages[-1].lip is None
+    assert build.modulus == HolderModulus(build.stages[-1].lip, 1.0)
     assert build.n_stages == 3 and build.early_stop is None
     assert build.sup_distance <= sum(build.eps_schedule) + 1e-12
     for n in (1, 2, 3):

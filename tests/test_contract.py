@@ -135,6 +135,18 @@ CASES = {
                              "{out}"], 2, "repeats a scale"),
     "affine-overflow": (["construct", "--base", "affine(c=1e308,intercept=1e308)", "--out", "{out}"],
                         2, "leave the float range"),
+    # once a traceback: c * i overflowed to inf before the division by 2^depth
+    "affine-large-slope": (["construct", "--base", "affine(c=1e306)", "--out", "{out}"], 2,
+                           "stage 1: modulus does not drop below eps"),
+    # once a traceback: the grid's rounding steps of 16 break the modulus
+    "affine-rounded-grid": (["construct", "--base", "affine(c=100,intercept=1e17)", "--out",
+                             "{out}"], 2, "affine: adjacent vertex difference 16.0 exceeds"),
+    # once truncated to b = 3, and exit 0
+    "weierstrass-fractional-b": (["construct", "--base", "weierstrass(b=3.5)", "--out", "{out}"],
+                                 2, "weierstrass needs an integral b"),
+    # once the zero function, and exit 0
+    "weierstrass-negative-terms": (["construct", "--base", "weierstrass(terms=-2)", "--out",
+                                    "{out}"], 2, "an integral terms >= 1, not b=3, terms=-2"),
     # once skipped, which left the function inexact, and exit 0
     "fn-misspelt-trailer": (["analyze", "{root}/exac.fn", "--out", "{out}"], 2,
                             "line 'exac 1' after the values is no"),

@@ -690,8 +690,9 @@ def test_adjacent_vertex_modulus_invariant():
 
 
 def test_grid_lipschitz_exactness():
+    # the grid Lipschitz constant, sum(adjacent maxima) / h, of an affine grid
     f = make_test_function("affine", {"c": -2.0}, depth=8)
-    assert f.grid_lipschitz() == pytest.approx(2.0, rel=1e-12)
+    assert sum(f._adjacent_maxima()) / f.h == pytest.approx(2.0, rel=1e-12)
 
 
 def test_resample_preserves_interpolant():
@@ -721,13 +722,14 @@ def test_resample_blocks_match_linspace_oracle(depth, extra, block, seed, with_n
 @given(st.integers(1, 2), st.integers(0, 6), st.sampled_from([1, 3, 64, 1 << 16]),
        st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 1.0]))
 def test_grid_lipschitz_blocks_match_whole_axis_oracle(dim, depth, block, seed, nan_share):
-    # the first axis's differences cross the block edges; an all-NaN axis counts 0
+    # _adjacent_maxima, which validate_adjacent reads: the first axis's
+    # differences cross the block edges; an all-NaN axis counts 0
     rng = np.random.default_rng(seed)
     values = rng.normal(size=((1 << depth) + 1,) * dim)
     values[rng.random(values.shape) < nan_share] = np.nan
     f = SampledFunction(dim, depth, DyadicCubeSet.full(dim, 0), values, HolderModulus(1.0))
     with mock.patch.object(funclib, "GRID_BLOCK", block):
-        assert f.grid_lipschitz() == grid_lipschitz_whole(values, f.h)
+        assert sum(f._adjacent_maxima()) / f.h == grid_lipschitz_whole(values, f.h)
 
 
 @pytest.mark.parametrize("line", [

@@ -40,10 +40,8 @@ ALLOWED_UNREACHED = {
     "funclib._inexact_end": "the refusal of a ball end that is not a float; dyadic points and"
     " radii, which every command uses, never reach it",
     "funclib.SampledFunction.resample": "a whole refined copy of a function, which no command"
-    " makes since build_stage reads through the refinement; perfbench/tracer.py names it as a"
-    " target (ROADMAP item 1B removes it with that target)",
-    "funclib.SampledFunction.grid_lipschitz": "the exact Lipschitz constant of a function held"
-    " as a grid; construct's stages hold none and take theirs from their chain pass",
+    " makes: the chain pass and build_stage read through funclib.refined_values;"
+    " perfbench/tracer.py names it as a target (ROADMAP item 1B removes it with that target)",
     "funclib.SampledFunction.evaluate_many": "point evaluation of a function, the public form of"
     " the cell lookup and interpolation that oscillation's ball ends use",
 }
@@ -99,7 +97,8 @@ def _traffic(tmp: Path) -> None:
     _run("report", tmp / "w", "--out", tmp / "w" / "report.json")
     funclib.save_function(tmp / "copy.fn", funclib.load_function(tmp / "w" / "base.fn"))
     # a loaded build's streamed final function, written from one chain pass
-    # (TypicalBuild.value_blocks), is final.fn
+    # (TypicalBuild.value_blocks) with its modulus line after the values, is
+    # final.fn
     funclib.save_function(tmp / "final-copy.fn", construct.load_build(tmp / "w"))
     assert (tmp / "final-copy.fn").read_bytes() == (tmp / "w" / "final.fn").read_bytes()
     # perfbench partition-analyze-dims
