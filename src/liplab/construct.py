@@ -53,6 +53,7 @@ from .setlib import (
     BoxCover,
     DyadicCubeSet,
     FormatError,
+    GreedyCounts,
     IntervalUnion,
     _atomic_write,
     _format_errors,
@@ -78,7 +79,7 @@ __all__ = [
     "plateau_extremes",
     "certify_membership",
     "exceptional_set",
-    "deepest_core_complement",
+    "exceptional_rasters",
     "save_build",
     "load_build",
 ]
@@ -174,21 +175,32 @@ class StageParams:
             return np.maximum(lo, 0), np.minimum(hi, self.layout_den)
         return max(lo, 0), min(hi, self.layout_den)
 
-    def _union(self, kind: str, count: int) -> IntervalUnion:
+    def union(self, kind: str, start: int, stop: int) -> IntervalUnion:
+        """The pieces start..stop-1 of a kind as one union: component i is
+        piece start + i."""
         D = self.layout_den
-        return IntervalUnion(D, *self.pieces(kind, np.arange(count).astype(_int_dtype(D))))
+        return IntervalUnion(D, *self.pieces(kind, np.arange(start, stop).astype(_int_dtype(D))))
 
-    # component i of each union is piece i
     def slab_union(self) -> IntervalUnion:
-        return self._union("slab", self.k + 1)
+        return self.union("slab", 0, self.k + 1)
 
-    def cube_union(self) -> IntervalUnion:
-        return self._union("cube", self.k)
+    def slabs_near(self, iu: IntervalUnion) -> IntervalUnion:
+        """The union of the slabs that meet the hull [x0, x1] of the nonempty
+        iu: slab m does iff m/k - eta/2 <= x1 and m/k + eta/2 >= x0."""
+        x0, x1 = Fraction(int(iu.lo[0]), iu.den), Fraction(int(iu.hi[-1]), iu.den)
+        half = self.eta / 2
+        return self.union("slab", max(math.ceil(self.k * (x0 - half)), 0),
+                          min(math.floor(self.k * (x1 + half)), self.k) + 1)
 
     def kept_cubes(self, domain: DyadicCubeSet) -> np.ndarray:
         """The indices j of the shrunken cubes that meet the domain Omega: the
-        cubes build_stage plateaus."""
-        return np.flatnonzero(self.cube_union().meets(domain.to_interval_union()))
+        cubes build_stage plateaus, found GRID_BLOCK cubes at a time."""
+        omega = domain.to_interval_union()
+        kept = []
+        for lo in range(0, self.k, GRID_BLOCK):
+            cubes = self.union("cube", lo, min(lo + GRID_BLOCK, self.k))
+            kept.append(lo + np.flatnonzero(cubes.meets(omega)))
+        return np.concatenate(kept)
 
     def required_depth(self) -> int:
         """Smallest grid depth giving >= 4 cells per gap and per cube side."""
@@ -719,7 +731,9 @@ def certify_membership(build: TypicalBuild, n: int) -> StageCertificate:
     rec = build.stages[n - 1]
     bound = 2.0 * build.tail(n)
     mn, mx = plateau_extremes(build, n)
-    diam_max = float(np.max(mx - mn))
+    # GRID_BLOCK plateaus at a time: no temporary of one entry per kept cube
+    diam_max = float(np.max([np.max(mx[i : i + GRID_BLOCK] - mn[i : i + GRID_BLOCK])
+                             for i in range(0, len(mx), GRID_BLOCK)]))
     if diam_max > bound * (1.0 + 1e-9) + 1e-300:
         raise ConstructError(
             f"stage {n}: measured plateau diameter {diam_max:g} above the certified"
@@ -750,10 +764,13 @@ def certify_membership(build: TypicalBuild, n: int) -> StageCertificate:
 
 @dataclass
 class ExceptionalAnalysis:
+    """What the certificates payload reads of the exceptional set: the
+    premeasure of each tail, the containment F within E and, when the
+    build's zeta is inv_log, the micro route's cover of E, its beta and
+    whether it verified."""
+
     tail_premeasures: list[float]  # lower_box_premeasure of each tail, n = 1..N
     containment_ok: bool
-    E_intervals: IntervalUnion
-    F_intervals: IntervalUnion
     micro_cover: BoxCover | None  # inv_log zeta only, from _micro_route
     micro_beta: float | None
     micro_verified: bool | None
@@ -764,61 +781,76 @@ class ExceptionalAnalysis:
 RASTER_DEPTH = 16
 
 
-def deepest_core_complement(build: TypicalBuild) -> IntervalUnion:
-    """F: the part of Omega = build.domain outside every core of the
-    deepest stage, which is that stage's slab union within Omega."""
-    slabs = build.stages[-1].params.slab_union()
-    return slabs.intersect(build.domain.to_interval_union())
+def _slab_blocks(build: TypicalBuild):
+    """The sweep over the deepest stage's slab indices m = 0..k, GRID_BLOCK
+    at a time: per block, E's block, the deepest stage's slabs m there, and
+    F's block, E's within Omega = build.domain.  E is the deepest tail (the
+    tails increase with n, so their union is the deepest), and F is the part
+    of Omega outside every core of the deepest stage.  The blocks of a set
+    are disjoint and in order, as the deepest slabs are."""
+    params = build.stages[-1].params
+    omega = build.domain.to_interval_union()
+    for lo in range(0, params.k + 1, GRID_BLOCK):
+        E = params.union("slab", lo, min(lo + GRID_BLOCK, params.k + 1))
+        yield E, E.intersect(omega)
 
 
 def exceptional_set(build: TypicalBuild) -> ExceptionalAnalysis:
     """E = union of stage-tail intersections of the slab sets; F = the certified
     complement of the deepest stage's cores, E within Omega.
 
-    The analysis carries exact interval forms, per-tail premeasure witnesses
-    (< 1/n by the stage inequality), the containment F within E (cross power
-    in dimension 1 is the set itself), and, when the build's zeta is the
-    inv_log gauge, a microscopic certificate for E via the cover-sum route.
+    One sweep (_slab_blocks) takes the tails block by block: tail n's block
+    is E's block intersected, deepest first, with the slabs of each earlier
+    stage m >= n that meet it (StageParams.slabs_near), and each feeds the
+    greedy N_delta counts of its tail's scales {eta_i : i >= n}, from which
+    lower_box_premeasure gives the per-tail witnesses (< 1/n by the stage
+    inequality).  The containment F within E (cross power in dimension 1 is
+    the set itself) is checked on each block.  No tail is held whole; E is,
+    as the deepest slab union, only when the build's zeta is the inv_log
+    gauge, for the microscopic certificate of E via the cover-sum route.
     """
     N = build.n_stages
     notes: list[str] = []
-    slabs = [rec.params.slab_union() for rec in build.stages]
-    # suffix intersections, deepest first: each step shrinks the operand
-    tails = [slabs[-1]]
-    for slab in reversed(slabs[:-1]):
-        tails.insert(0, slab.intersect(tails[0]))
-    # tail_n = intersection over m >= n is increasing in n, so the union over
-    # n collapses to the deepest tail
-    E_intervals = tails[-1]
-    # deepest_core_complement, from the deepest slab union built above: a
-    # second one held 4 MB more at k = 262,145
-    F_intervals = slabs[-1].intersect(build.domain.to_interval_union())
-
-    reports = []
-    for n in range(1, N + 1):
-        scales = sorted(
-            {float(build.stages[i].params.eta) for i in range(n - 1, N)}, reverse=True
-        )
-        reports.append(lower_box_premeasure(tails[n - 1], build.zeta, 1.0 / n, scales))
-
-    containment = F_intervals.subset_of(E_intervals)
+    scales = [sorted({float(rec.params.eta) for rec in build.stages[n - 1 :]}, reverse=True)
+              for n in range(1, N + 1)]
+    counts = [GreedyCounts(s) for s in scales]
+    containment = True
+    for E, F in _slab_blocks(build):
+        containment &= F.subset_of(E)
+        tail = E  # tail N
+        counts[-1].feed(tail)
+        for n in range(N - 1, 0, -1):  # tail n: stage n's slabs within tail n + 1
+            if tail.is_empty:  # and so is every earlier tail's block
+                break
+            tail = build.stages[n - 1].params.slabs_near(tail).intersect(tail)
+            counts[n - 1].feed(tail)
+    reports = [lower_box_premeasure(c, build.zeta, 1.0 / n, s)
+               for n, (c, s) in enumerate(zip(counts, scales), 1)]
 
     cover = beta = verified = None
     if getattr(build.zeta, "kind", "") == "inv_log":
-        cover, total, beta = _micro_route(E_intervals, build.zeta)
-        verified = microscopic_verify(cover, math.exp(-beta), E_intervals) is None
+        E = build.stages[-1].params.slab_union()
+        cover, total, beta = _micro_route(E, build.zeta)
+        verified = microscopic_verify(cover, math.exp(-beta), E) is None
         notes.append(f"micro route: cover sum {total:g}, beta {beta:g}")
 
-    return ExceptionalAnalysis(
-        reports,
-        containment,
-        E_intervals,
-        F_intervals,
-        cover,
-        beta,
-        verified,
-        notes,
-    )
+    return ExceptionalAnalysis(reports, containment, cover, beta, verified, notes)
+
+
+def exceptional_rasters(build: TypicalBuild, depth: int) -> tuple[DyadicCubeSet, DyadicCubeSet]:
+    """E and F rasterized at depth (the cubes meeting each) through the
+    sweep, a block at a time, each marked in a mask of the 2^depth cubes: a
+    cube that two neighbouring blocks share is kept once."""
+    marks = np.zeros((2, 1 << depth), dtype=bool)
+    for blocks in _slab_blocks(build):
+        for mark, iu in zip(marks, blocks):
+            mark[DyadicCubeSet.from_interval_union(iu, depth).keys] = True
+    rasters = []
+    for mark in marks:
+        keys = np.flatnonzero(mark)
+        keys.flags.writeable = False  # kept, not copied, by the set
+        rasters.append(DyadicCubeSet(1, depth, keys))
+    return tuple(rasters)
 
 
 def _micro_route(E: IntervalUnion, zeta: GaugeLike) -> tuple[BoxCover, float, float]:
@@ -845,8 +877,10 @@ def _micro_route(E: IntervalUnion, zeta: GaugeLike) -> tuple[BoxCover, float, fl
 
 
 def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
-    """Write the build directory; returns the exceptional_set result whose E
-    and F it wrote as rasters at RASTER_DEPTH.
+    """Write the build directory; returns the exceptional_set result, and
+    writes E and F as E.set and F.set, rasters at RASTER_DEPTH that
+    exceptional_rasters takes through the same blocked sweep, so neither
+    set is held whole.
 
     stages.json keeps what each stage chose and the BLAKE2b of its values;
     load_build replays the stages from base.fn and re-derives everything
@@ -878,9 +912,8 @@ def save_build(directory, build: TypicalBuild) -> ExceptionalAnalysis:
     }
     _atomic_write(os.path.join(directory, "meta.json"), json.dumps(meta, indent=1))
     analysis = exceptional_set(build)
-    for name, intervals in (("E.set", analysis.E_intervals), ("F.set", analysis.F_intervals)):
-        save_cubes(os.path.join(directory, name),
-                   DyadicCubeSet.from_interval_union(intervals, RASTER_DEPTH))
+    for name, cubes in zip(("E.set", "F.set"), exceptional_rasters(build, RASTER_DEPTH)):
+        save_cubes(os.path.join(directory, name), cubes)
     return analysis
 
 

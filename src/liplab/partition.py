@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import ConstructError, TypicalBuild, deepest_core_complement, plateau_extremes
+from .construct import ConstructError, TypicalBuild, exceptional_rasters, plateau_extremes
 from .funclib import SampledFunction, oscillation
 from .gauges import (
     ConfigError,
@@ -146,10 +146,11 @@ def split_partition(build: TypicalBuild) -> tuple[DyadicCubeSet, DyadicCubeSet]:
 
     A cube lands in B exactly when it sits inside a deepest-stage core, where
     the final function is constant; the split is an exact cube-level partition.
+    A starts as the raster of F, the part of Omega outside every deepest
+    core, which construct.exceptional_rasters takes block by block.
     """
     raster_depth = min(SPLIT_RASTER_DEPTH, build.depth)
-    F_intervals = deepest_core_complement(build)
-    A = DyadicCubeSet.from_interval_union(F_intervals, raster_depth)
+    _, A = exceptional_rasters(build, raster_depth)
     omega = build.domain.refine(raster_depth).keys
     B = DyadicCubeSet(1, raster_depth, np.setdiff1d(omega, A.keys, assume_unique=True))
     A = DyadicCubeSet(1, raster_depth, np.intersect1d(A.keys, omega, assume_unique=True))

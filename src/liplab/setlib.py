@@ -35,6 +35,7 @@ __all__ = [
     "CoverageError",
     "FormatError",
     "n_delta",
+    "GreedyCounts",
     "lower_box_premeasure",
     "lower_box_dim",
     "hausdorff_upper",
@@ -568,42 +569,93 @@ def n_delta(E, delta: Number) -> int:
 
 
 def _box_counts(E, scales: Sequence[Number]) -> tuple[list[int], str]:
-    """N_delta of E at each scale, and the mode.  E is put in the form the
-    counts read once per scan: an IntervalUnion in d = 1, counted exactly;
-    in d >= 2 the DyadicCubeSet itself, whose sorted keys the grid count
-    reads block by block."""
+    """N_delta of E at each scale, and the mode.  In d >= 2 the DyadicCubeSet
+    itself, whose sorted keys the grid count reads block by block; in d = 1
+    the GreedyCounts of E, fed whole as one IntervalUnion block unless E is
+    a GreedyCounts already fed at these scales."""
     if isinstance(E, DyadicCubeSet) and E.dim >= 2:
-        count, mode = _grid_count, "grid-proxy"
-    else:
-        E, count, mode = _as_interval_union(E), _greedy_count, "exact-1d"
-    counts = []
-    for s in scales:
-        delta = Fraction(s)
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        counts.append(count(E, delta))
-    return counts, mode
+        return [_grid_count(E, delta) for delta in map(_positive, scales)], "grid-proxy"
+    if not isinstance(E, GreedyCounts):
+        iu, E = _as_interval_union(E), GreedyCounts(scales)
+        E.feed(iu)
+    return E.counts(scales), "exact-1d"
 
 
-def _greedy_count(iu: IntervalUnion, delta: Fraction) -> int:
-    """Closed windows of length delta in the greedy left-to-right cover of
-    iu, each starting at the first point the previous ones leave out, over
-    the common denominator.  The last window an interval needs ends at most
-    delta past it, so an interval more than delta past its predecessor
-    starts afresh; one that is also more than delta before its successor
-    takes max(1, ceil(length / delta)) windows, as array work.  Only the
-    chains of intervals at most delta apart run the sweep, in Python ints."""
-    if not len(iu):
-        return 0
-    L = math.lcm(iu.den, delta.denominator)
-    s, d = L // iu.den, delta.numerator * (L // delta.denominator)
-    dtype = _int_dtype(max(_reach(iu.lo, iu.hi), 1) * s + d)  # s must fit even if all are 0
-    lo, hi = _scaled(iu.lo, dtype, s), _scaled(iu.hi, dtype, s)
-    fresh = np.r_[True, lo[1:] - hi[:-1] > d]
-    alone = fresh & np.r_[fresh[1:], True]
-    count = int(np.maximum(1, -((lo[alone] - hi[alone]) // d)).sum())
-    end = None
-    for a, b in zip(lo[~alone].tolist(), hi[~alone].tolist()):
+def _positive(s: Number) -> Fraction:
+    delta = Fraction(s)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    return delta
+
+
+class GreedyCounts:
+    """N_delta of a 1-d set at each of some scales: the closed windows of
+    length delta in the greedy left-to-right cover, each starting at the
+    first point the previous ones leave out.  The set is fed as IntervalUnion
+    blocks in order, each block's components past the previous block's, and
+    counts() gives the counts of the whole set, exact integers whatever the
+    blocks."""
+
+    def __init__(self, scales: Sequence[Number]) -> None:
+        self._greedy = {delta: _Greedy(delta) for delta in map(_positive, scales)}
+
+    def feed(self, iu: IntervalUnion) -> None:
+        for greedy in self._greedy.values():
+            greedy.feed(iu)
+
+    def counts(self, scales: Sequence[Number]) -> list[int]:
+        return [self._greedy[Fraction(s)].total() for s in scales]
+
+
+class _Greedy:
+    """One scale of GreedyCounts, over the common denominator L, the lcm of
+    delta's and the blocks' so far (the kept numbers scale when it grows).
+    The last window an interval needs ends at most delta past it, so an
+    interval more than delta past its predecessor starts afresh; one that
+    is also more than delta before its successor takes max(1, ceil(length /
+    delta)) windows, as array work.  Only the chains of intervals at most
+    delta apart run the sweep, in Python ints, which carries the end of the
+    last window from block to block.  A block's last interval is held back
+    until the next block shows its successor; the sweep takes it then."""
+
+    def __init__(self, delta: Fraction) -> None:
+        self.delta, self.L = delta, delta.denominator
+        self.count, self.end, self.held = 0, None, None
+
+    def feed(self, iu: IntervalUnion) -> None:
+        if not len(iu):
+            return
+        L = math.lcm(self.L, iu.den)
+        if L != self.L:
+            grow, self.L = L // self.L, L
+            self.end = None if self.end is None else self.end * grow
+            self.held = None if self.held is None else tuple(x * grow for x in self.held)
+        s, d = L // iu.den, self.delta.numerator * (L // self.delta.denominator)
+        dtype = _int_dtype(max(_reach(iu.lo, iu.hi), 1) * s + d)  # s must fit even if all are 0
+        lo, hi = _scaled(iu.lo, dtype, s), _scaled(iu.hi, dtype, s)
+        fresh = np.r_[self.held is None or int(lo[0]) - self.held[1] > d, lo[1:] - hi[:-1] > d]
+        alone = fresh[:-1] & fresh[1:]  # of all but the last, which is held back
+        a, b = lo[:-1], hi[:-1]
+        self.count += int(np.maximum(1, -((a[alone] - b[alone]) // d)).sum())
+        pairs = zip(a[~alone].tolist(), b[~alone].tolist())
+        more, self.end = _sweep(self.end, chain(() if self.held is None else (self.held,), pairs), d)
+        self.count += more
+        self.held = int(lo[-1]), int(hi[-1])
+
+    def total(self) -> int:
+        """The count of the set fed so far, its held-back interval included."""
+        if self.held is None:
+            return self.count
+        d = self.delta.numerator * (self.L // self.delta.denominator)
+        return self.count + _sweep(self.end, (self.held,), d)[0]
+
+
+def _sweep(end: int | None, pairs: Iterable[tuple[int, int]], d: int) -> tuple[int, int | None]:
+    """The windows the greedy sweep adds for the intervals (a, b), in order,
+    after a last window ending at end (None: no window yet), and the end of
+    its last window."""
+    count = 0
+    for a, b in pairs:
         if end is None or a > end:  # windows from a
             more = max(1, -((a - b) // d))
             end = a + more * d
@@ -613,7 +665,7 @@ def _greedy_count(iu: IntervalUnion, delta: Fraction) -> int:
         else:
             continue
         count += more
-    return count
+    return count, end
 
 
 # the (key, weight) pairs of one block of a d >= 2 box count: a block holds
@@ -720,7 +772,7 @@ def _grid_count(E: DyadicCubeSet, delta: Fraction) -> int:
 def lower_box_premeasure(E, zeta: GaugeLike, eps: float, scales: Sequence[Number]) -> float:
     """Scanned proxy for the lower box-counting premeasure: min over scanned
     delta <= eps of N_delta(E) * zeta(delta), an upper bound of the true inf
-    over scanned scales."""
+    over scanned scales.  E may be a GreedyCounts fed at the scanned scales."""
     scanned = [s for s in scales if float(s) <= eps]
     if not scanned:
         raise ValueError("no scanned scale lies below eps")

@@ -21,7 +21,10 @@ locate one domain cell, then interpolate one corner at a time) as the
 reference for the batched SampledFunction.evaluate_many; the oscillation
 oracles evaluate through it and read domain cells from a TupleCubeSet.
 The greedy N_delta sweep over every interval (greedy_count_sweep) is the
-reference for the closed-form counts of isolated intervals.  The blocked
+reference for the closed-form counts of isolated intervals.  The exceptional
+set is kept whole in Fraction pairs (fraction_exceptional: every tail, E, F,
+their rasters, the tails' greedy counts and premeasures) as the reference for
+the blocked sweep of construct.exceptional_set.  The blocked
 d >= 2 box count has three references: brute_grid_count lists every cell
 in Fractions, compressed_grid_count takes the union of the cubes' cell
 boxes by coordinate compression, and grid_count_keys writes the cell keys
@@ -539,6 +542,36 @@ def fraction_greedy_count(intervals, delta) -> int:
             if b <= cover_end:
                 break
     return count
+
+
+def fraction_exceptional(stages, omega, zeta, depth: int) -> dict:
+    """The exceptional set of a build whose stages have these (k, eta), on
+    Omega given as closed Fraction runs, held whole in Fraction pairs: each
+    tail n as the intersection of the slab sets of stages n..N, E as the
+    union of the tails, F as E within Omega, the depth-grid cubes meeting E
+    and F (E.set, F.set), each tail's greedy count at every eta of its
+    stages (counts[n - 1][eta]) and its premeasure, the least count *
+    zeta(eta) over those etas at most 1/n (0.0 when every count is 0)."""
+    slabs = [FractionIntervalUnion.from_pairs(fraction_slab(k, eta, m) for m in range(k + 1))
+             for k, eta in stages]
+    tails = []
+    for n in range(len(stages)):
+        tail = slabs[n]
+        for later in slabs[n + 1 :]:
+            tail = tail.intersect(later)
+        tails.append(tail)
+    E = FractionIntervalUnion.from_pairs(pair for tail in tails for pair in tail.intervals)
+    F = E.intersect(FractionIntervalUnion.from_pairs(omega))
+    counts, premeasures = [], []
+    for n, tail in enumerate(tails, 1):
+        etas = {eta for _, eta in stages[n - 1 :]}
+        counts.append({eta: fraction_greedy_count(tail.intervals, eta) for eta in etas})
+        scanned = [(counts[-1][eta], float(eta)) for eta in etas if eta <= Fraction(1, n)]
+        premeasures.append(0.0 if not any(c for c, _ in scanned)
+                           else min(c * zeta.eval(r) for c, r in scanned))
+    return {"tails": tails, "E": E, "F": F, "counts": counts, "premeasures": premeasures,
+            "E.set": fraction_raster(E.intervals, depth, "overlap"),
+            "F.set": fraction_raster(F.intervals, depth, "overlap")}
 
 
 def greedy_count_sweep(iu, delta: Fraction) -> int:

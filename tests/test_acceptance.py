@@ -4,6 +4,7 @@ same ones (3, 4 and 6), with the build cost charged to criterion 3."""
 
 import math
 import time
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -11,8 +12,10 @@ from itertools import combinations
 import numpy as np
 
 from liplab.construct import (
+    RASTER_DEPTH,
     certify_membership,
     choose_stage_params,
+    exceptional_rasters,
     exceptional_set,
     iterate_typical,
 )
@@ -28,6 +31,7 @@ from liplab.setlib import (
     microscopic_verify,
     n_delta,
     points_union,
+    save_cubes,
 )
 from oracles import brute_min_window_cover, fraction_core
 
@@ -93,6 +97,12 @@ def float_starts_and_lengths(iu):
     return iu.floats()[0], [n / iu.den for n in (iu.hi - iu.lo).tolist()]
 
 
+def whole_E_and_F(build):
+    """E, the deepest stage's slab union, and F = E within Omega, held whole."""
+    E = build.stages[-1].params.slab_union()
+    return E, E.intersect(build.domain.to_interval_union())
+
+
 def exceptional_analyses():
     if not _EXCEPTIONAL:
         for name, build in acceptance_builds().items():
@@ -148,13 +158,14 @@ def test_criterion_4_exceptional_set_smallness():
                 assert value < 1.0 / n, (name, n)
             assert analysis.containment_ok
             # sampled echo of F_approx within E^(cross 1) at 10,000 points
-            starts, lengths = float_starts_and_lengths(analysis.F_intervals)
+            E, F = whole_E_and_F(acceptance_builds()[name])
+            starts, lengths = float_starts_and_lengths(F)
             cum = np.cumsum(lengths)
             for _ in range(10_000):
                 u = rng.random() * cum[-1]
                 i = int(np.searchsorted(cum, u))
                 x = starts[i] + rng.random() * lengths[i]
-                assert analysis.E_intervals.contains(x)
+                assert E.contains(x)
 
 
 def test_criterion_5_dimension_oracles():
@@ -201,13 +212,14 @@ def test_criterion_7_microscopic_path():
         analysis = exceptional_set(build)
         cover, beta = analysis.micro_cover, analysis.micro_beta
         assert cover is not None
-        assert microscopic_verify(cover, math.exp(-beta), analysis.E_intervals) is None
+        E, F = whole_E_and_F(build)
+        assert microscopic_verify(cover, math.exp(-beta), E) is None
         assert analysis.micro_verified
         # certificate region contains F_approx; cross power in d = 1 is the set
         cert_region = cover.interval_union()
-        assert analysis.F_intervals.subset_of(cert_region)
+        assert F.subset_of(cert_region)
         rng = np.random.default_rng(2)
-        starts, lengths = float_starts_and_lengths(analysis.F_intervals)
+        starts, lengths = float_starts_and_lengths(F)
         cum = np.cumsum(lengths)
         for _ in range(2_000):
             u = rng.random() * cum[-1]
@@ -263,3 +275,20 @@ def test_criterion_9_brute_force_cover_oracle():
                     assert got == want, (cells, j)
                 checked += 1
         assert checked >= 2000
+
+
+def test_exceptional_sweep_memory_does_not_grow_with_k(tmp_path):
+    # the acceptance-scale Weierstrass build: k = 262,145 at stage 3, where
+    # the whole slab unions, tails and rasters traced 24.9 MB.  The sweep
+    # holds blocks and the two depth-16 rasters (at most 2^16 cubes each)
+    build = acceptance_builds()["weierstrass"]
+    assert build.stages[-1].params.k == 262_145
+    tracemalloc.start()
+    try:
+        exceptional_set(build)  # and the E/F raster write of save_build
+        for name, cubes in zip(("E.set", "F.set"), exceptional_rasters(build, RASTER_DEPTH)):
+            save_cubes(tmp_path / name, cubes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"traced peak {peak / 2**20:.1f} MB"

@@ -21,8 +21,9 @@ from liplab.construct import (
     TypicalBuild,
     build_stage,
     certify_membership,
+    RASTER_DEPTH,
     choose_stage_params,
-    deepest_core_complement,
+    exceptional_rasters,
     exceptional_set,
     iterate_typical,
     load_build,
@@ -37,8 +38,10 @@ from liplab.setlib import (
     IntervalUnion,
     cross_power,
     load_cubes,
+    lower_box_premeasure,
     microscopic_verify,
     n_delta,
+    save_cubes,
 )
 from oracles import (
     FractionIntervalUnion,
@@ -46,6 +49,8 @@ from oracles import (
     build_stage_whole_grid,
     fraction_core,
     fraction_cube,
+    fraction_cube_runs,
+    fraction_exceptional,
     fraction_plateau_range,
     fraction_slab,
     grid_lipschitz_whole,
@@ -226,9 +231,29 @@ def test_slab_and_cube_unions_match_fraction_pairs(stage, finer):
     half = p.beta / (2 * p.k)  # the shrunken cube beta*K_j around (2j+1)/(2k)
     cubes = [(Fraction(2 * j + 1, 2 * p.k) - half, Fraction(2 * j + 1, 2 * p.k) + half)
              for j in range(p.k)]
-    assert list(FractionIntervalUnion.of(p.cube_union()).intervals) == cubes
+    assert list(FractionIntervalUnion.of(p.union("cube", 0, p.k)).intervals) == cubes
     assert cubes == [fraction_cube(p.k, p.eta, j) for j in range(p.k)]
     assert [_piece(p, "core", j) for j in range(p.k)] == [fraction_core(p.k, p.eta, j) for j in range(p.k)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stage_on_grid(), st.data())
+def test_slabs_near_are_the_slabs_meeting_the_hull(stage, data):
+    # any hull in [0, 1], ends on slab edges and degenerate hulls included
+    p = stage[0]
+    edge = st.builds(lambda m, side: min(max(Fraction(m, p.k) + side * p.eta / 2, 0), 1),
+                     st.integers(0, p.k), st.sampled_from([-1, 1]))
+    end = st.one_of(edge, st.fractions(0, 1, max_denominator=4 * p.k))
+    ends = sorted(data.draw(st.lists(end, min_size=2, max_size=2)))
+    x0, x1 = ends
+    iu = IntervalUnion.from_pairs([(x0, x0), (x1, x1)])
+    meeting = [fraction_slab(p.k, p.eta, m) for m in range(p.k + 1)]
+    meeting = [(a, b) for a, b in meeting if a <= x1 and b >= x0]
+    assert FractionIntervalUnion.of(p.slabs_near(iu)) == FractionIntervalUnion.from_pairs(meeting)
+    a = data.draw(st.integers(0, p.k))
+    b = data.draw(st.integers(a, p.k + 1))
+    assert FractionIntervalUnion.of(p.union("slab", a, b)).intervals == tuple(
+        fraction_slab(p.k, p.eta, m) for m in range(a, b))
 
 
 @st.composite
@@ -328,13 +353,19 @@ def test_partial_domain_build_certifies_and_round_trips(tmp_path):
     for n, value in enumerate(analysis.tail_premeasures, start=1):
         assert value < 1.0 / n
     assert analysis.containment_ok
-    assert analysis.F_intervals == deepest_core_complement(build)
+    # E, the deepest slab union, and F = E within Omega, built whole here;
+    # the sweep's F raster is the whole F's
+    E = build.stages[-1].params.slab_union()
+    F = E.intersect(build.domain.to_interval_union())
+    rasters = exceptional_rasters(build, RASTER_DEPTH)
+    assert rasters[1] == DyadicCubeSet.from_interval_union(F, RASTER_DEPTH)
     # F lies in Omega = [0, 1/2]; a reloaded build certifies the same set
-    assert analysis.F_intervals.subset_of(IntervalUnion.from_pairs([(0, Fraction(1, 2))]))
+    assert F.subset_of(IntervalUnion.from_pairs([(0, Fraction(1, 2))]))
     save_build(tmp_path / "b", build)
-    again = exceptional_set(load_build(tmp_path / "b"))
-    assert again.F_intervals == analysis.F_intervals
-    assert again.E_intervals == analysis.E_intervals
+    loaded = load_build(tmp_path / "b")
+    again = exceptional_set(loaded)
+    assert again == analysis
+    assert exceptional_rasters(loaded, RASTER_DEPTH) == rasters
 
 
 def _assert_same_record(a: StageRecord, b: StageRecord) -> None:
@@ -875,10 +906,12 @@ def test_exceptional_set_one_stage():
     build = iterate_typical(f0, 1, PHI, POWER1, 0.5)
     analysis = exceptional_set(build)
     p = build.stages[0].params
-    assert len(analysis.E_intervals) == p.k + 1
-    count = n_delta(analysis.E_intervals, p.eta)
+    E = p.slab_union()
+    assert len(E) == p.k + 1
+    count = n_delta(E, p.eta)
     assert count == p.k + 1
     assert count * p.zeta_at_eta < 1.0
+    assert analysis.tail_premeasures == [count * POWER1.eval(float(p.eta))]
     assert analysis.containment_ok
 
 
@@ -896,22 +929,73 @@ def test_exceptional_set_three_stages(tmp_path):
         etas = [rec.params.eta for rec in build.stages[n - 1 :] if rec.params.eta <= Fraction(1, n)]
         want = min(n_delta(tail, float(eta)) * build.zeta.eval(float(eta)) for eta in etas)
         assert analysis.tail_premeasures[n - 1] == want < 1.0 / n
-    assert analysis.E_intervals == tail
+    # E, the union of the tails, is the deepest one; F = E within Omega = [0, 1]
+    E_iu = build.stages[-1].params.slab_union()
+    assert E_iu == tail
     assert analysis.containment_ok
     rng = np.random.default_rng(0)
-    F_iu = analysis.F_intervals
+    F_iu = E_iu.intersect(build.domain.to_interval_union())
     hits = 0
     for _ in range(2000):
         x = float(rng.random())
         if F_iu.contains(x):
             hits += 1
-            assert analysis.E_intervals.contains(x)
+            assert E_iu.contains(x)
     assert hits > 0
-    assert analysis.F_intervals == deepest_core_complement(build)
+    assert F_iu == E_iu
     # the E.set and F.set rasters written with the build keep the containment
     save_build(tmp_path / "b", build)
     E, F = load_cubes(tmp_path / "b" / "E.set"), load_cubes(tmp_path / "b" / "F.set")
     assert F.depth == E.depth and TupleCubeSet.of(F).cubes <= TupleCubeSet.of(E).cubes
+    assert E == DyadicCubeSet.from_interval_union(E_iu, RASTER_DEPTH)
+
+
+_SWEEP_BUILDS = {
+    "one-stage": lambda: small_affine_build(n_max=1),
+    "two-stages": lambda: small_affine_build(n_max=2),
+    "three-stages": small_affine_build,
+    # F is E within Omega = [0, 1/2], not E
+    "left-half": lambda: iterate_typical(
+        on_left_half(make_test_function("affine", {"c": 1.0}, depth=10)), 2, PHI, POWER1, 0.5,
+        max_depth=18),
+}
+
+
+@pytest.mark.parametrize("block", [3, 4096])
+@pytest.mark.parametrize("case", list(_SWEEP_BUILDS))
+def test_exceptional_sweep_matches_whole_set_oracle(case, block, monkeypatch, tmp_path):
+    # blocks of 3 deepest slabs: the earlier stages' slabs straddle the
+    # blocks, a raster cube is shared by neighbouring blocks, and the greedy
+    # windows run across them
+    build = _SWEEP_BUILDS[case]()
+    save_build(tmp_path, build)  # at the library's block size
+    domain = build.domain
+    omega = fraction_cube_runs(TupleCubeSet.of(domain).cubes, domain.depth)
+    want = fraction_exceptional([(rec.params.k, rec.params.eta) for rec in build.stages], omega,
+                                build.zeta, RASTER_DEPTH)
+    assert (want["F"] != want["E"]) == (case == "left-half")
+    fed = []
+
+    def premeasure(counts, zeta, eps, scales):
+        fed.append(dict(zip(map(Fraction, scales), counts.counts(scales))))
+        return lower_box_premeasure(counts, zeta, eps, scales)
+
+    monkeypatch.setattr(construct_mod, "lower_box_premeasure", premeasure)
+    monkeypatch.setattr(construct_mod, "GRID_BLOCK", block)
+    analysis = exceptional_set(build)
+    assert fed == want["counts"]
+    assert analysis.tail_premeasures == want["premeasures"]
+    assert analysis.containment_ok and want["F"].subset_of(want["E"])
+    for name, cubes in zip(("E.set", "F.set"), exceptional_rasters(build, RASTER_DEPTH)):
+        save_cubes(tmp_path / f"swept-{name}", cubes)
+        text = f"d 1 m {RASTER_DEPTH}\n" + "".join(f"{k}\n" for (k,) in sorted(want[name]))
+        assert (tmp_path / f"swept-{name}").read_text() == (tmp_path / name).read_text() == text
+    # the kept cubes, found a block at a time: the shrunken cubes meeting Omega
+    for rec in build.stages:
+        p = rec.params
+        kept = [j for j in range(p.k) if any(
+            a <= hi and b >= lo for a, b in [fraction_cube(p.k, p.eta, j)] for lo, hi in omega)]
+        assert p.kept_cubes(domain).tolist() == rec.kept.tolist() == kept
 
 
 def _assert_micro_budgets(cover, beta):
@@ -931,7 +1015,8 @@ def test_exceptional_set_micro_route_inv_log():
     _assert_micro_budgets(analysis.micro_cover, analysis.micro_beta)
     # certificate region contains F_approx (cross power in d=1 is the set)
     cert_iu = analysis.micro_cover.interval_union()
-    assert analysis.F_intervals.subset_of(cert_iu)
+    F = build.stages[-1].params.slab_union().intersect(build.domain.to_interval_union())
+    assert F.subset_of(cert_iu)
 
 
 def test_micro_route_covers_E_exactly():
@@ -940,7 +1025,7 @@ def test_micro_route_covers_E_exactly():
     f0 = make_test_function("affine", {"c": 1.0}, depth=10)
     build = iterate_typical(f0, 1, make_preset("power", s=0.1), INV_LOG, 1.0)
     analysis = exceptional_set(build)
-    assert analysis.micro_cover.interval_union() == analysis.E_intervals
+    assert analysis.micro_cover.interval_union() == build.stages[-1].params.slab_union()
     assert analysis.micro_verified
     _assert_micro_budgets(analysis.micro_cover, analysis.micro_beta)
 

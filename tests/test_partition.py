@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liplab.construct import deepest_core_complement, iterate_typical, plateau_extremes
+from liplab.construct import iterate_typical, plateau_extremes
 from liplab.funclib import SampledFunction, make_test_function
 from liplab.gauges import GaugeDomainError, make_preset
 from liplab.partition import (
@@ -202,9 +202,9 @@ def test_split_matches_tuple_reference(kept):
     f = SampledFunction(1, f.depth, domain, np.where(on, f.values, np.nan), f.modulus, f.exact)
     build = iterate_typical(f, 2, PHI_BUILD, POWER1, 0.5, max_depth=18)
     A, B = split_partition(build)
-    raster = fraction_raster(
-        FractionIntervalUnion.of(deepest_core_complement(build)).intervals, A.depth, "overlap"
-    )
+    # F, the deepest slab union within Omega, built whole here
+    F = build.stages[-1].params.slab_union().intersect(domain.to_interval_union())
+    raster = fraction_raster(FractionIntervalUnion.of(F).intervals, A.depth, "overlap")
     omega = TupleCubeSet.of(domain).refine(A.depth).cubes
     assert TupleCubeSet.of(A).cubes == raster & omega
     assert TupleCubeSet.of(B).cubes == omega - raster

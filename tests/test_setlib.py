@@ -19,12 +19,12 @@ from liplab.setlib import (
     _atomic_write,
     _check_cover,
     _components,
-    _greedy_count,
     _quotients,
     BoxCover,
     CoverageError,
     DyadicCubeSet,
     FormatError,
+    GreedyCounts,
     IntervalUnion,
     cantor_intervals,
     cantor_natural_cover,
@@ -242,8 +242,46 @@ def test_greedy_count_closed_form_matches_sweep(units, den, high, data):
     if high and den > 1000:
         assert iu.lo.dtype == object and iu.lo[0] > 1 << 62
     for delta in (Fraction(units, den), Fraction(units, den) + Fraction(1, 3 * den)):
-        count = _greedy_count(iu, delta)
+        count = n_delta(iu, delta)
         assert count == greedy_count_sweep(iu, delta) == fraction_greedy_count(pairs_of(iu), delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs(16), st.lists(_DELTAS, min_size=1, max_size=3), st.data())
+def test_greedy_counts_fed_in_blocks_match_fraction_sweep(pairs, deltas, data):
+    # the set cut into blocks at any components, empty blocks included: each
+    # block has its own least denominator, so the common one grows as blocks
+    # come, and a window or a chain of close intervals runs across the cuts
+    iu, ref = _both(pairs)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(iu)), max_size=5)))
+    counts = GreedyCounts(deltas)
+    for a, b in zip([0, *cuts], [*cuts, len(iu)]):
+        counts.feed(IntervalUnion(iu.den, iu.lo[a:b], iu.hi[a:b]))
+    want = [fraction_greedy_count(ref.intervals, d) for d in deltas]
+    assert counts.counts(deltas) == want == [n_delta(iu, d) for d in deltas]
+    # reading the counts leaves the fed state as it was
+    assert counts.counts(deltas[::-1]) == want[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 40)), min_size=1, max_size=40),
+       st.integers(1, 60), st.data())
+def test_greedy_counts_fed_in_blocks_carry_chains(steps, delta, data):
+    # intervals on a 1/1000 grid, some closer together than delta, cut into
+    # blocks of 1 to 4: a chain's windows carry across the cuts, and a
+    # block's first interval may end a chain that started blocks before
+    pairs, x = [], 0
+    for gap, width in steps:
+        pairs.append((Fraction(x, 1000), Fraction(x + width, 1000)))
+        x += width + gap
+    iu = IntervalUnion.from_pairs(pairs)
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=len(iu), max_size=len(iu)))
+    deltas = [Fraction(delta, 1000), delta / 1000]
+    counts, a = GreedyCounts(deltas), 0
+    for size in sizes:
+        counts.feed(IntervalUnion(iu.den, iu.lo[a : a + size], iu.hi[a : a + size]))
+        a += size
+    assert counts.counts(deltas) == [fraction_greedy_count(pairs_of(iu), d) for d in deltas]
 
 
 def test_cantor_intervals_match_fraction_thirds():
